@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-full examples figures clean lint fleet-smoke resume-smoke
+.PHONY: install test bench bench-full bench-e2e-smoke examples figures clean lint fleet-smoke resume-smoke
 
 install:
 	pip install -e . --no-build-isolation
@@ -33,6 +33,13 @@ bench-output:
 
 bench-full:
 	REPRO_BENCH_FULL=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# The end-to-end benchmark's self-check (benchmarks/e2e/README.md): all
+# seven workloads at 1/20 size, under 30 s.  Catches a renamed callable
+# in LAYER_SPANS or a metric name drifting from BENCHMARK.json before
+# the gate does; times are printed, not compared.
+bench-e2e-smoke:
+	$(PYTHON) benchmarks/e2e/run.py --smoke
 
 examples:
 	for ex in examples/*.py; do echo "=== $$ex ==="; $(PYTHON) $$ex; done

@@ -32,6 +32,7 @@ from _legacy_monitor import LegacyMonitor
 from repro.monitor.attrs import MonitorAttrs
 from repro.monitor.core import DataAccessMonitor
 from repro.monitor.overhead import hotpath_counters
+from repro.monitor.primitives import MonitoringPrimitive
 from repro.units import GIB, MIB
 
 BASE = 0x7F00_0000_0000
@@ -46,7 +47,7 @@ ROUNDS = 5
 GATE = 3.0  # array engine must be >= 3x the legacy epoch loop
 
 
-class StripedPrimitive:
+class StripedPrimitive(MonitoringPrimitive):
     """Deterministic striped access pattern over one big VMA.
 
     Probabilities are a pure function of the address (hot 2-of-8 2MiB
@@ -68,6 +69,9 @@ class StripedPrimitive:
     def access_probabilities(self, addrs, window_us):
         stripe = (np.asarray(addrs) // (2 * MIB)) & 7
         return np.where(stripe < 2, 0.9, 0.05)
+
+    def probe_generation(self):
+        return 0  # the answer never moves: plan whole intervals ahead
 
     def write_probabilities(self, addrs, window_us):
         return np.zeros(len(addrs))

@@ -16,7 +16,8 @@ upstream order:
 6. **prepare** the next sample round over the fresh region list, so the
    full ``aggregation/sampling`` checks land in the next interval (a
    region whose sample page is always hot reads exactly
-   ``attrs.max_nr_accesses``).
+   ``attrs.max_nr_accesses`` when ticks are driven sample-then-aggregate;
+   see :meth:`DataAccessMonitor.start` for what the event queue does).
 
 The merge size limit (total target size / ``min_nr_regions``) guarantees
 at least ``min_nr_regions`` regions survive merging; the split guard
@@ -29,10 +30,18 @@ Region state lives in a struct-of-arrays
 out write-through :class:`~repro.perf.regionarray.RegionView` objects
 (cached per structural generation, so an unchanged monitor returns the
 same list — and the same views — across reads).
+
+Between two aggregations the region layout is fixed, so the sample
+addresses and hit uniforms of every sampling tick in the interval depend
+only on the monitor's RNG and the region columns.  :class:`_SamplePlan`
+draws them in one block and asks the primitive about all rounds at once;
+each ``sample_tick`` then consumes one row (DESIGN.md §12, "Sampling
+lookahead").  Results are bit-identical to drawing tick by tick.
 """
 
 from __future__ import annotations
 
+import copy
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -50,8 +59,109 @@ from .snapshot import Snapshot
 __all__ = ["DataAccessMonitor"]
 
 
+class _SamplePlan:
+    """The randomness of ``rounds`` consecutive sampling ticks over one
+    fixed region layout, drawn as one block from the monitor's stream.
+
+    ``rng.random((rounds, draws, n))`` yields exactly the doubles of
+    ``rounds * draws`` consecutive ``rng.random(n)`` calls, in the
+    per-tick order: hit uniforms, write-hit uniforms (``track_writes``
+    only), pick uniforms.  Row ``j`` checks the addresses row ``j - 1``
+    picked; row 0 checks the addresses pending when the plan was made.
+    With ``addrs`` of ``None`` the single row only picks (nothing valid
+    is pending), as the tick-by-tick sampler did.
+    """
+
+    __slots__ = (
+        "attrs",
+        "rng_state",
+        "block",
+        "rounds",
+        "cursor",
+        "due",
+        "since",
+        "window0",
+        "picks",
+        "check_addrs",
+        "probs",
+        "hits",
+        "generation",
+    )
+
+    def __init__(self, rng, ra, rounds, addrs, attrs, now, since):
+        self.attrs = attrs
+        draws = 1 if addrs is None else 3 if attrs.track_writes else 2
+        #: Generator state before the block, for :meth:`rewind` (a
+        #: one-round plan is spent by the tick that draws it).
+        self.rng_state = rng.bit_generator.state if rounds > 1 else None
+        self.block = rng.random((rounds, draws, ra.n))
+        self.rounds = rounds
+        #: Rows served so far.
+        self.cursor = 0
+        #: The ``now`` and ``_pending_since`` the next row was planned
+        #: for; a tick arriving with anything else ends the plan.
+        self.due = now
+        self.since = since
+        #: Row 0's check window; every later row's is the sampling
+        #: interval, which ``due``/``since`` enforce.
+        self.window0 = now - since
+        self.picks = ra.sampling_addrs(self.block[:, -1])
+        if addrs is not None:
+            addrs = addrs[None, :]
+            if rounds > 1:
+                addrs = np.concatenate((addrs, self.picks[:-1]))
+        self.check_addrs = addrs
+        #: Planned probabilities and the hits they give, ``(rounds, n)``.
+        self.probs = self.hits = None
+        #: ``primitive.probe_generation()`` when ``probs`` was last
+        #: resolved; every row from that tick on holds under it.
+        self.generation = None
+
+    def window(self, row: int) -> int:
+        """The check window row ``row`` was planned over."""
+        return self.window0 if row == 0 else self.attrs.sampling_interval_us
+
+    def resolve(self, row: int, primitive, generation) -> None:
+        """Ask the primitive about rows ``row`` onwards and settle their
+        hits: one call per distinct window (only row 0's can differ)."""
+        ask = primitive.access_probabilities
+        addrs = self.check_addrs[row:]
+        window, period = self.window(row), self.attrs.sampling_interval_us
+        if window != period and len(addrs) > 1:
+            rest = addrs[1:]
+            probs = np.concatenate(
+                (
+                    ask(addrs[0], window)[None, :],
+                    ask(rest.ravel(), period).reshape(rest.shape),
+                )
+            )
+        else:
+            probs = ask(addrs.ravel(), window).reshape(addrs.shape)
+        hits = self.block[row:, 0] < probs
+        if row == 0:
+            self.probs, self.hits = probs, hits
+        else:  # the generation moved under a live plan: redo what is left
+            self.probs[row:] = probs
+            self.hits[row:] = hits
+        self.generation = generation
+
+    def rewind(self, rng) -> None:
+        """Put ``rng`` where tick-by-tick draws would stand after the
+        rows served so far: back to the state before the block, then
+        past exactly the doubles those rows consumed."""
+        rng.bit_generator.state = self.rng_state
+        rng.random(self.cursor * self.block[0].size)
+
+
 class DataAccessMonitor:
     """One monitoring context over one primitive (≈ upstream damon_ctx)."""
+
+    #: The sampling lookahead in force (see :class:`_SamplePlan`); a
+    #: finished one stays until the next sampling tick replaces it, for
+    #: the sanitizer's cross-check.  Never pickled: a class-level default,
+    #: so a restored monitor (or a checkpoint written before plans
+    #: existed) reads ``None`` and simply plans again.
+    _plan: Optional[_SamplePlan] = None
 
     def __init__(
         self,
@@ -113,6 +223,7 @@ class DataAccessMonitor:
     def regions(self, value) -> None:
         """Install a new region list (tests and layout updates assign
         plain :class:`Region` lists here); resets the sampling state."""
+        self._close_plan()
         self._ra = RegionArray.from_regions(list(value))
         self._views = None
         self._views_generation = -1
@@ -140,8 +251,17 @@ class DataAccessMonitor:
     def start(self, queue: EventQueue) -> None:
         """Initialise regions and register periodic ticks on ``queue``.
 
-        Registration order matters: sampling before aggregation before
-        regions-update, so simultaneous ticks fire in kdamond order.
+        Ticks are registered sampling, aggregation, regions-update, but
+        that only orders their *first* firings.  A periodic event is
+        re-queued when it fires, so the sampling tick that shares an
+        instant with an aggregation always carries a later sequence
+        number than the aggregation (and than the driver's epoch event):
+        at ``t = k * aggregation_interval`` the real order is aggregate →
+        epoch → sample, not kdamond's sample → aggregate.  That sample
+        tick checks a zero-length window — charged and counted, but it
+        can never hit — so under the queue a saturating region reads
+        ``max_nr_accesses - 1`` (pinned in ``tests/test_monitor_fidelity.py``;
+        ROADMAP, "Correctness").
         """
         if self.running:
             raise MonitorStateError("monitor already running")
@@ -248,23 +368,37 @@ class DataAccessMonitor:
     # ------------------------------------------------------------------
     def sample_tick(self, now: int) -> None:
         """One sampling interval: check the pending sample pages, then
-        pick (and clear) the next round's sample pages."""
-        checked = 0
-        hits = whits = None
+        pick (and clear) the next round's sample pages.
+
+        The randomness and the probabilities come from the current
+        :class:`_SamplePlan` row; everything a tick *does* (counters,
+        charge, pending state, trace) still happens here, per tick.
+        """
+        faults = self.faults
         # An injected drop_sample fault loses the whole tick's checks
         # (a missed kdamond wakeup): counters stay put, the next sample
         # round is still prepared below.
-        dropped = self.faults is not None and self.faults.drop_sample_tick(now)
+        dropped = faults is not None and faults.drop_sample_tick(now)
+        generation = self.primitive.probe_generation()
+        plan = self._plan
         if (
-            not dropped
-            and self._addrs is not None
-            and self._addrs.size == self._ra.n
+            plan is None
+            or plan.cursor == plan.rounds
+            or now != plan.due
+            or self._pending_since != plan.since
+            or plan.attrs is not self.attrs
+            or faults is not None
         ):
-            window = now - self._pending_since
-            probs = self.primitive.access_probabilities(self._addrs, window)
-            hits = self.rng.random(len(probs)) < probs
-            if self.faults is not None:
-                flaky = self.faults.flaky_bit_mask(now, len(probs))
+            plan = self._begin_plan(now, dropped, generation)
+        row = plan.cursor
+        checked = 0
+        hits = whits = None
+        if plan.check_addrs is not None:
+            if plan.hits is None or generation != plan.generation:
+                plan.resolve(row, self.primitive, generation)
+            hits = plan.hits[row]
+            if faults is not None:
+                flaky = faults.flaky_bit_mask(now, hits.size)
             else:
                 flaky = None
             if flaky is not None:
@@ -272,19 +406,23 @@ class DataAccessMonitor:
                 hits &= ~flaky
             self._acc += hits
             if self.attrs.track_writes:
-                wprobs = self.primitive.write_probabilities(self._addrs, window)
-                whits = self.rng.random(len(wprobs)) < wprobs
+                wprobs = self.primitive.write_probabilities(
+                    plan.check_addrs[row], plan.window(row)
+                )
+                whits = plan.block[row, 1] < wprobs
                 if flaky is not None:
                     whits &= ~flaky
                 self._wacc += whits
-            checked = self._ra.n
+            checked = hits.size
             self.total_checks += checked
         # The kdamond wakeup itself costs CPU even on a tick that only
         # prepares the next sample round.
         self.primitive.charge_checks(checked, wakeups=1)
         # prepare_access_checks: pick and clear next sample pages.
-        self._addrs = self._ra.pick_sampling_addrs(self.rng)
-        self._pending_since = now
+        self._addrs = plan.picks[row]
+        self._pending_since = plan.since = now
+        plan.due = now + self.attrs.sampling_interval_us
+        plan.cursor = row + 1
         tr = self.trace
         if tr is not None:
             if tr.wants(AccessSampled):
@@ -302,6 +440,51 @@ class DataAccessMonitor:
             else:
                 tr.count(AccessSampled)
 
+    def _begin_plan(self, now: int, dropped: bool, generation) -> _SamplePlan:
+        """Draw the next plan.  It looks a whole aggregation interval
+        ahead only when the primitive can say whether its answer moved
+        (``generation``), no fault injector wants a say per tick
+        (``drop_sample_tick`` removes a draw from the stream), and the
+        write channel is off (``dirty`` has too many writers to version
+        cheaply); otherwise it is one round, drawn and asked per tick."""
+        self._close_plan()
+        addrs = self._addrs
+        if dropped or addrs is None or addrs.size != self._ra.n:
+            addrs = None
+        attrs = self.attrs
+        lookahead = (
+            addrs is not None
+            and generation is not None
+            and self.faults is None
+            and not attrs.track_writes
+        )
+        rounds = attrs.max_nr_accesses if lookahead else 1
+        self._plan = _SamplePlan(
+            self.rng, self._ra, rounds, addrs, attrs, now, self._pending_since
+        )
+        return self._plan
+
+    def _close_plan(self) -> None:
+        """End the plan before anything else draws from ``self.rng`` or
+        changes the layout: rewind the generator past the unserved rows
+        and mark them gone."""
+        plan = self._plan
+        if plan is not None and plan.cursor < plan.rounds:
+            plan.rewind(self.rng)
+            plan.rounds = plan.cursor
+
+    def __getstate__(self):
+        """Pickle without the plan and with the generator where drawing
+        tick by tick would have left it, so a checkpoint is the same
+        bytes whether or not a plan is live and a restored monitor just
+        plans again.  The live generator is not disturbed."""
+        state = self.__dict__.copy()
+        plan = state.pop("_plan", None)
+        if plan is not None and plan.cursor < plan.rounds:
+            state["rng"] = copy.deepcopy(self.rng)
+            plan.rewind(state["rng"])
+        return state
+
     # ------------------------------------------------------------------
     # Aggregation tick: merge/age → callbacks → schemes → reset → split
     # ------------------------------------------------------------------
@@ -309,6 +492,9 @@ class DataAccessMonitor:
         """One aggregation interval: merge/age, callbacks, schemes,
         counter reset, split, next-round prepare — in upstream kdamond
         order."""
+        # Merge, split and the next-round prepare all draw from the RNG
+        # and reshape the layout the plan was drawn over.
+        self._close_plan()
         # Publish accumulated counts (and the last pending sample
         # addresses, for introspection) into the region table.  Raises
         # MonitorStateError if the accumulators have diverged in length
@@ -353,8 +539,8 @@ class DataAccessMonitor:
         self._split_regions()
         # Prepare the next sample round *now* (over the post-split
         # regions): the next interval gets its full complement of
-        # aggregation/sampling checks, so a saturating region reads
-        # exactly attrs.max_nr_accesses.
+        # aggregation/sampling checks (see start() for the one the
+        # event queue's tie order spends on a zero-length window).
         self._reset_sampling_state(now)
         self.total_aggregations += 1
         if self.sanitizer is not None:

@@ -46,6 +46,19 @@ class MonitoringPrimitive:
         """
         raise NotImplementedError
 
+    def probe_generation(self):
+        """Opaque value that changes whenever :meth:`access_probabilities`
+        could answer differently for the same arguments, or ``None`` for
+        "unknown" (the default).
+
+        A primitive that reports one lets the monitor ask about a whole
+        aggregation interval's sample addresses in one call and reuse
+        the answer while the value holds; with ``None`` the monitor asks
+        once per sampling tick.  Values are only compared for equality,
+        and only between calls on the same primitive.
+        """
+        return None
+
     def write_probabilities(self, addrs: np.ndarray, window_us: float) -> np.ndarray:
         """P(dirty bit set) per sample address — the write channel used
         when ``attrs.track_writes`` is on."""
@@ -79,6 +92,12 @@ class VirtualPrimitive(MonitoringPrimitive):
     def access_probabilities(self, addrs: np.ndarray, window_us: float) -> np.ndarray:
         return self.kernel.access_probabilities(addrs, window_us)
 
+    def probe_generation(self):
+        # The frozen legacy kernel (the differential oracle) shares this
+        # primitive and keeps no counter: unknown, so one call per tick.
+        probe = getattr(self.kernel, "probe_generation", None)
+        return probe() if probe is not None else None
+
     def write_probabilities(self, addrs: np.ndarray, window_us: float) -> np.ndarray:
         return self.kernel.write_probabilities(addrs, window_us)
 
@@ -109,6 +128,11 @@ class PhysicalPrimitive(MonitoringPrimitive):
     def access_probabilities(self, addrs: np.ndarray, window_us: float) -> np.ndarray:
         frames = np.asarray(addrs, dtype=np.int64) // PAGE_SIZE
         return self.kernel.frame_access_probabilities(frames, window_us)
+
+    def probe_generation(self):
+        # None for the frozen legacy kernel, as in VirtualPrimitive.
+        probe = getattr(self.kernel, "frame_probe_generation", None)
+        return probe() if probe is not None else None
 
     def write_probabilities(self, addrs: np.ndarray, window_us: float) -> np.ndarray:
         frames = np.asarray(addrs, dtype=np.int64) // PAGE_SIZE

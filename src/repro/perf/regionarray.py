@@ -432,11 +432,16 @@ class RegionArray:
         self.generation += 1
         return total - n
 
+    def sampling_addrs(self, uniforms: np.ndarray) -> np.ndarray:
+        """Page-aligned sample addresses for uniforms in ``[0, 1)``, one
+        per region along the last axis (elementwise, so a ``(rounds, n)``
+        block yields the addresses of ``rounds`` consecutive picks)."""
+        n_pages = (self.end - self.start) >> _PAGE_SHIFT
+        return self.start + ((uniforms * n_pages).astype(np.int64) << _PAGE_SHIFT)
+
     def pick_sampling_addrs(self, rng: np.random.Generator) -> np.ndarray:
         """One random page-aligned sample address per region (the same
         single-batch draw the object path used)."""
         if self.n == 0:
             return np.empty(0, dtype=np.int64)
-        n_pages = (self.end - self.start) >> _PAGE_SHIFT
-        offsets = (rng.random(self.n) * n_pages).astype(np.int64)
-        return self.start + (offsets << _PAGE_SHIFT)
+        return self.sampling_addrs(rng.random(self.n))

@@ -40,6 +40,7 @@ __all__ = [
     "check_counter_coherence",
     "check_huge_residency",
     "check_region_state",
+    "check_sample_lookahead",
     "check_quota_sanity",
 ]
 
@@ -378,6 +379,44 @@ def check_region_state(monitor: Any, now: int) -> List[Violation]:
                 )
             )
     return out
+
+
+def check_sample_lookahead(monitor: Any, now: int) -> List[Violation]:
+    """The probabilities a sampling plan resolved ahead of time are the
+    ones the primitive gives when asked at the tick itself.
+
+    Re-derives the last row the monitor's plan served through the
+    one-round call and requires exact equality with the planned row.
+    That row is the one resolved furthest ahead, so a store into a probed
+    column (``rate``, ``chunk_huge``, the rmap's owner arrays) that
+    skipped its generation bump shows up here.  One extra probe per
+    plan, not per tick.  Nothing to compare when the plan never looked
+    ahead (unknown generation) or the target has legitimately moved on
+    since the row was served.
+    """
+    plan = monitor._plan
+    if plan is None or plan.cursor == 0 or plan.generation is None:
+        return []
+    primitive = monitor.primitive
+    if primitive.probe_generation() != plan.generation:
+        return []
+    row = plan.cursor - 1
+    fresh = primitive.access_probabilities(plan.check_addrs[row], plan.window(row))
+    if np.array_equal(fresh, plan.probs[row]):
+        return []
+    stale = int(np.count_nonzero(fresh != plan.probs[row]))
+    return [
+        Violation(
+            check="sample_lookahead",
+            message=(
+                f"{stale} of {plan.probs[row].size} access probabilities planned "
+                f"{row} tick(s) ahead differ from a fresh probe at an unchanged "
+                "probe generation — a store into a probed column skipped the bump"
+            ),
+            time_us=int(now),
+            digest=digest_region_state(monitor),
+        )
+    ]
 
 
 # ----------------------------------------------------------------------

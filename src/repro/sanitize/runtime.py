@@ -9,7 +9,8 @@ layers call back at their natural barriers:
   (frame conservation, exclusivity, counters, huge residency; quota
   when no trace bus carries the EpochEnd hook);
 * ``DataAccessMonitor.aggregate_tick`` →
-  :meth:`SimSanitizer.checkpoint_monitor` (region tiling + view cache);
+  :meth:`SimSanitizer.checkpoint_monitor` (region tiling + view cache,
+  and the finished sampling plan's last row against a fresh probe);
 * a :class:`~repro.trace.events.EpochEnd` bus subscription
   (:meth:`SimSanitizer.subscribe`) → cross-layer checks at the epoch
   boundary, **record-only**: the bus detaches subscribers that raise,
@@ -36,6 +37,7 @@ from .checkers import (
     check_present_swapped,
     check_quota_sanity,
     check_region_state,
+    check_sample_lookahead,
     check_tier_placement,
 )
 
@@ -146,6 +148,7 @@ class SimSanitizer:
         if not self.enabled:
             return
         found = check_region_state(monitor, now)
+        found += check_sample_lookahead(monitor, now)
         self.monitor_checkpoints += 1
         self._record(found)
         self._flush(now)
@@ -180,6 +183,7 @@ class SimSanitizer:
             found += check_tier_placement(kernel, now)
         if monitor is not None:
             found += check_region_state(monitor, now)
+            found += check_sample_lookahead(monitor, now)
         if engine is not None:
             found += check_quota_sanity(engine, now)
         self._record(found)

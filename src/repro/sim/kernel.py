@@ -1030,6 +1030,20 @@ class SimKernel:
             probs[mapped] = flat.access_probability(g, window_us)
         return probs
 
+    def probe_generation(self):
+        """Opaque value that changes whenever :meth:`access_probabilities`
+        could answer differently for the same arguments: the layout
+        generation (what addresses resolve to) paired with the flat
+        table's ``probe_generation``, renewed by every ``rate`` or
+        ``chunk_huge`` store."""
+        space = self.space
+        return space.generation, space.flat.probe_generation
+
+    def frame_probe_generation(self):
+        """:meth:`probe_generation` for :meth:`frame_access_probabilities`,
+        whose answer also moves with the rmap."""
+        return self.probe_generation() + (self.frames.rmap_generation,)
+
     def write_probabilities(self, addrs: np.ndarray, window_us: float) -> np.ndarray:
         """P(dirty bit set) per sample address over ``window_us`` — the
         write channel of the monitoring hooks."""

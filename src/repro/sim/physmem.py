@@ -73,6 +73,12 @@ class FrameTable:
         self.allocated_slow = 0
         #: High-water mark, for reporting.
         self.peak_allocated = 0
+        #: Bumped on every store into the owner arrays, so the physical
+        #: monitoring primitive can tell when a frame → page answer may
+        #: have moved (``SimKernel.frame_probe_generation``).  Not
+        #: pickled and zero on restore, where the flat table's value it
+        #: is paired with is always new.
+        self.rmap_generation = 0
 
     # ------------------------------------------------------------------
     # Pickle support (checkpoint codec)
@@ -103,6 +109,7 @@ class FrameTable:
         state["_recycled_slow"] = self._recycled_slow[: self._recycled_slow_top].copy()
         # Derived from the frame-number split; rebuilt on restore.
         del state["tier"]
+        del state["rmap_generation"]
         return state
 
     def __setstate__(self, state):
@@ -136,6 +143,7 @@ class FrameTable:
         self._recycled_slow[: prefix.size] = prefix
         self.tier = np.zeros(n, dtype=np.int8)
         self.tier[self.n_fast_frames :] = 1
+        self.rmap_generation = 0
 
     # ------------------------------------------------------------------
     @property
@@ -183,6 +191,7 @@ class FrameTable:
         frames = parts[0] if len(parts) == 1 else np.concatenate(parts)
         self.owner_vma[frames] = vma_id
         self.owner_page[frames] = np.asarray(page_idx, dtype=np.int64)
+        self.rmap_generation += 1
         self.allocated += count
         self.peak_allocated = max(self.peak_allocated, self.allocated)
         return frames
@@ -218,6 +227,7 @@ class FrameTable:
         frames = parts[0] if len(parts) == 1 else np.concatenate(parts)
         self.owner_vma[frames] = vma_id
         self.owner_page[frames] = np.asarray(page_idx, dtype=np.int64)
+        self.rmap_generation += 1
         self.allocated += count
         self.allocated_slow += count
         self.peak_allocated = max(self.peak_allocated, self.allocated)
@@ -232,6 +242,7 @@ class FrameTable:
             raise AddressSpaceError("double free of a physical frame")
         self.owner_vma[frames] = -1
         self.owner_page[frames] = -1
+        self.rmap_generation += 1
         self.allocated -= frames.size
         if self.n_slow_frames:
             slow = frames >= self.n_fast_frames

@@ -334,7 +334,8 @@ class TestGoldenCorpus:
     def test_corpus_stays_out_of_the_lint_walk(self):
         # The fixtures must never gain a .py suffix: the CI lint gate
         # rglobs tests/**/*.py and would flag its own corpus.
-        assert sorted(p.suffix for p in FIXTURES.iterdir()) == [".txt"] * len(CORPUS)
+        # (The directory also holds the probe-generation policy's corpus.)
+        assert {p.suffix for p in FIXTURES.iterdir()} == {".txt"}
 
     def test_dataflow_config_matches_lint_config(self):
         lc, dc = LintConfig(), DataflowConfig()

@@ -105,6 +105,83 @@ class TestSamplingCheckNotLost:
         assert max(seen) <= ATTRS.max_nr_accesses
 
 
+class WindowedSaturatingPrimitive(SaturatingPrimitive):
+    """Hot whenever any time has passed since the bit was cleared, which
+    is what a real accessed bit gives a saturating page; a zero-length
+    window cannot hit.  (``SaturatingPrimitive`` ignores the window.)"""
+
+    def access_probabilities(self, addrs, window_us):
+        return np.full(len(addrs), 1.0 if window_us > 0 else 0.0)
+
+
+class LoggingMonitor(DataAccessMonitor):
+    """Records which tick fired when."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.fired = []
+
+    def sample_tick(self, now):
+        self.fired.append((now, "sample"))
+        super().sample_tick(now)
+
+    def aggregate_tick(self, now):
+        self.fired.append((now, "aggregate"))
+        super().aggregate_tick(now)
+
+
+class TestSameInstantTickOrder:
+    """Known fidelity gap, pinned (ROADMAP "Correctness"): under the
+    event queue the sample tick sharing an instant with an aggregation
+    fires *after* it, and after the driver's epoch event."""
+
+    def _run(self, intervals):
+        monitor = LoggingMonitor(
+            WindowedSaturatingPrimitive([(BASE, BASE + 4 * MIB)]), ATTRS, seed=3
+        )
+        queue = EventQueue()
+        maxima = []
+        monitor.register_callback(
+            lambda snap: maxima.append(max(r.nr_accesses for r in snap.regions))
+        )
+        monitor.start(queue)
+        # Registered after the monitor, one per aggregation: the epoch
+        # event of ``ExperimentRun.start``.
+        queue.schedule_periodic(
+            ATTRS.aggregation_interval_us,
+            lambda now: monitor.fired.append((now, "epoch")),
+            name="epoch",
+        )
+        queue.run_for(intervals * ATTRS.aggregation_interval_us)
+        return monitor, maxima
+
+    def test_order_is_aggregate_epoch_sample(self):
+        monitor, _ = self._run(3)
+        for k in (1, 2, 3):
+            instant = k * ATTRS.aggregation_interval_us
+            assert [what for now, what in monitor.fired if now == instant] == [
+                "aggregate",
+                "epoch",
+                "sample",
+            ]
+
+    def test_one_check_per_interval_reads_a_zero_length_window(self):
+        """The consequence: every interval is charged its full
+        ``max_nr_accesses`` checks but only ``max - 1`` of them can hit."""
+        _, maxima = self._run(4)
+        assert len(maxima) == 4
+        assert all(m == ATTRS.max_nr_accesses - 1 for m in maxima[1:])
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="aggregate fires before the same-instant sample tick under "
+        "EventQueue, so one check per interval has a zero-length window",
+    )
+    def test_saturating_region_reads_exact_maximum_under_the_queue(self):
+        _, maxima = self._run(4)
+        assert all(m == ATTRS.max_nr_accesses for m in maxima[1:])
+
+
 # ----------------------------------------------------------------------
 # Fix 2: layout clipping never drops bytes
 # ----------------------------------------------------------------------
