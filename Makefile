@@ -16,6 +16,7 @@ test:
 # and mypy when installed (`pip install -e .[lint]`).  The frozen
 # `_legacy_*.py` oracles are exempt by filename prefix.
 lint:
+	test -z "$$(git ls-files '*.pyc')"
 	$(PYTHON) -m repro.cli lint src/repro --paths tests --paths benchmarks
 	@if command -v ruff >/dev/null 2>&1; then ruff check src tests benchmarks; \
 	else echo "ruff not installed; skipping (pip install -e .[lint])"; fi

@@ -42,9 +42,12 @@ Mirrors the upstream user-space tooling's verbs:
   ``run`` or ``fleet`` from its latest crash-consistent checkpoint
   (written via ``--checkpoint FILE [--checkpoint-every N]``).
 
-``run``, ``schemes`` and ``tune`` also accept ``--trace FILE`` to write
-the run's event stream alongside their normal report.  ``run``,
-``tune`` and ``sweep`` accept ``--faults PLAN`` to inject a fault plan
+The global flags (``--machine``, ``--seed``, ``--time-scale``,
+``--tier``, ``--tier-scale``, ``--tier-policy``) precede the verb and
+reach every verb that runs an experiment.  ``run``, ``schemes``,
+``tune`` and ``chaos`` also accept ``--trace FILE`` to write the run's
+event stream alongside their normal report.  ``run``, ``tune``,
+``sweep`` and ``fleet`` accept ``--faults PLAN`` to inject a fault plan
 (TOML/JSON, see ``repro.faults``) into the run.
 
 Errors derived from :class:`~repro.errors.DaosError` print one line to
@@ -64,6 +67,7 @@ import json
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .analysis.ascii_plot import ascii_series
@@ -99,11 +103,20 @@ from .workloads.registry import all_workloads
 __all__ = ["main", "build_parser"]
 
 
+def _option_group() -> argparse.ArgumentParser:
+    """An empty parent parser: each shared flag is declared once on one
+    of these and inherited by its verbs via ``parents=[...]``."""
+    return argparse.ArgumentParser(add_help=False)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="daos",
         description="Data access-aware memory management (HPDC '22 reproduction)",
     )
+    # The six global flags (see _run_kwargs) live on the root parser only
+    # and precede the verb: declaring them on the verb parsers too would
+    # let each sub-namespace's defaults clobber the root's values.
     parser.add_argument("--machine", default="i3.metal", help="instance type (Table 2)")
     parser.add_argument("--seed", type=int, default=0, help="simulation seed")
     parser.add_argument(
@@ -134,6 +147,64 @@ def build_parser() -> argparse.ArgumentParser:
         "swapping and migrates by heat; unmanaged only spills faults into "
         "the slow tier",
     )
+
+    trace_opt = _option_group()
+    trace_opt.add_argument(
+        "--trace", metavar="FILE", help="write the run's trace-event JSONL here"
+    )
+    faults_opt = _option_group()
+    faults_opt.add_argument(
+        "--faults",
+        metavar="PLAN",
+        help="inject this fault plan (TOML/JSON file; each verb applies "
+        "the plan's specs for its own hooks)",
+    )
+    sanitize_opt = _option_group()
+    sanitize_opt.add_argument(
+        "--sanitize",
+        action="store_true",
+        help="run the SimSanitizer invariant checks at every epoch or "
+        "fleet-tick boundary (also enabled by DAOS_SANITIZE=1)",
+    )
+    checkpoint_opts = _option_group()
+    checkpoint_opts.add_argument(
+        "--checkpoint",
+        metavar="FILE",
+        help="write crash-consistent state snapshots here "
+        "(resume with 'daos resume FILE')",
+    )
+    checkpoint_opts.add_argument(
+        "--checkpoint-every",
+        type=int,
+        default=0,
+        metavar="N",
+        help="checkpoint every N epochs (fleet: ticks); 0 = once at the midpoint",
+    )
+    pool_opts = _option_group()
+    pool_opts.add_argument(
+        "-j", "--jobs", type=int, default=1, help="worker processes (1 = in-process)"
+    )
+    pool_opts.add_argument(
+        "--journal",
+        metavar="DIR",
+        help="write-ahead journal completed points or shards to DIR/journal.jsonl",
+    )
+    pool_opts.add_argument(
+        "--resume",
+        action="store_true",
+        help="replay completed work from the --journal directory and "
+        "re-execute only the rest",
+    )
+
+    def config_opt(default: str) -> argparse.ArgumentParser:
+        # One parent per default: parents share their action objects, so
+        # a set_defaults() on one verb would re-default every other.
+        group = _option_group()
+        group.add_argument("-c", "--config", default=default, choices=sorted(CONFIGS))
+        return group
+
+    rec_config_opt = config_opt("rec")
+
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("workloads", help="list the workload catalog")
@@ -148,60 +219,40 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--pgm", help="also export the heatmap as a PGM image")
     p_report.add_argument("--min-freq", type=float, default=0.05)
 
-    p_run = sub.add_parser("run", help="run one configuration")
+    p_run = sub.add_parser(
+        "run",
+        help="run one configuration",
+        parents=[config_opt("baseline"), trace_opt, faults_opt, sanitize_opt, checkpoint_opts],
+    )
     p_run.add_argument("workload")
-    p_run.add_argument("-c", "--config", default="baseline", choices=sorted(CONFIGS))
-    p_run.add_argument(
-        "--trace", metavar="FILE", help="write the run's trace-event JSONL here"
-    )
-    p_run.add_argument(
-        "--faults", metavar="PLAN", help="inject this fault plan (TOML/JSON file)"
-    )
-    p_run.add_argument(
-        "--sanitize",
-        action="store_true",
-        help="run the SimSanitizer invariant checks at every epoch boundary "
-        "(also enabled by DAOS_SANITIZE=1)",
-    )
-    p_run.add_argument(
-        "--checkpoint",
-        metavar="FILE",
-        help="write crash-consistent state snapshots here "
-        "(resume with 'daos resume FILE')",
-    )
-    p_run.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=0,
-        metavar="EPOCHS",
-        help="checkpoint every N epochs (0 = once at the midpoint)",
-    )
 
-    p_schemes = sub.add_parser("schemes", help="run with a custom scheme file")
+    p_schemes = sub.add_parser(
+        "schemes", help="run with a custom scheme file", parents=[trace_opt]
+    )
     p_schemes.add_argument("workload")
     p_schemes.add_argument("-f", "--file", required=True, help="scheme text file")
-    p_schemes.add_argument(
-        "--trace", metavar="FILE", help="write the run's trace-event JSONL here"
-    )
 
-    p_tune = sub.add_parser("tune", help="auto-tune the reclamation scheme")
+    p_tune = sub.add_parser(
+        "tune",
+        help="auto-tune the reclamation scheme",
+        description="Auto-tune the reclamation scheme.  --trace receives the "
+        "tuner's TuneStep events; of a --faults plan only the probe_failure "
+        "specs apply (the per-sample runs stay fault-free).",
+        parents=[trace_opt, faults_opt],
+    )
     p_tune.add_argument("workload")
     p_tune.add_argument("-n", "--samples", type=int, default=10)
-    p_tune.add_argument(
-        "--trace", metavar="FILE", help="write the tuner's TuneStep JSONL here"
-    )
-    p_tune.add_argument(
-        "--faults",
-        metavar="PLAN",
-        help="inject this fault plan's probe failures into the tuner",
-    )
 
     p_wss = sub.add_parser("wss", help="estimate the working set size")
     p_wss.add_argument("workload")
     p_wss.add_argument("--min-freq", type=float, default=0.05)
 
     p_sweep = sub.add_parser(
-        "sweep", help="run a grid of experiments in parallel with result caching"
+        "sweep",
+        help="run a grid of experiments in parallel with result caching",
+        description="Run a grid of experiments in parallel with result "
+        "caching.  Of a --faults plan the worker-crash specs apply.",
+        parents=[pool_opts, faults_opt, sanitize_opt],
     )
     p_sweep.add_argument(
         "--grid", choices=sorted(PRESETS), help="preset grid (fig3 | fig7)"
@@ -214,20 +265,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--seeds", default="0", help="comma-separated seeds")
     p_sweep.add_argument(
-        "-j", "--jobs", type=int, default=1, help="worker processes (1 = in-process)"
-    )
-    p_sweep.add_argument(
         "--cache-dir",
         default=".daos-sweep-cache",
         help="result cache directory (completed points resume from here)",
     )
     p_sweep.add_argument(
         "--no-cache", action="store_true", help="disable the result cache"
-    )
-    p_sweep.add_argument(
-        "--faults",
-        metavar="PLAN",
-        help="inject this fault plan's worker crashes into the sweep",
     )
     p_sweep.add_argument(
         "--retries",
@@ -243,36 +286,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-point wall-clock timeout (pool mode only)",
     )
     p_sweep.add_argument(
-        "--sanitize",
-        action="store_true",
-        help="run every point under the SimSanitizer invariant checks "
-        "(also enabled by DAOS_SANITIZE=1)",
-    )
-    p_sweep.add_argument(
-        "--journal",
-        metavar="DIR",
-        help="write-ahead journal completed points to DIR/journal.jsonl",
-    )
-    p_sweep.add_argument(
-        "--resume",
-        action="store_true",
-        help="replay completed points from the --journal directory and "
-        "re-execute only the rest",
-    )
-    p_sweep.add_argument(
         "-o", "--out",
         metavar="FILE",
         help="write the canonical (volatile-free) report JSON here",
     )
 
     p_trace = sub.add_parser(
-        "trace", help="run under the trace bus; stream canonical JSONL events"
+        "trace",
+        help="run under the trace bus; stream canonical JSONL events",
+        parents=[rec_config_opt],
     )
     p_trace.add_argument(
         "workload", nargs="?", help="workload to trace (omit with --validate)"
-    )
-    p_trace.add_argument(
-        "-c", "--config", default="rec", choices=sorted(CONFIGS)
     )
     p_trace.add_argument(
         "-o", "--output", help="write the JSONL here (default: stdout)"
@@ -286,6 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos = sub.add_parser(
         "chaos",
         help="smoke-run a seeded fault plan; report faults, retries, degradation",
+        parents=[rec_config_opt, trace_opt, sanitize_opt],
     )
     p_chaos.add_argument(
         "workload",
@@ -294,34 +320,29 @@ def build_parser() -> argparse.ArgumentParser:
         help="workload to torment (default: parsec3/swaptions)",
     )
     p_chaos.add_argument(
-        "-c", "--config", default="rec", choices=sorted(CONFIGS)
-    )
-    p_chaos.add_argument(
         "--plan",
         metavar="FILE",
         help="fault plan to run (default: the built-in chaos plan)",
     )
-    p_chaos.add_argument(
-        "--trace", metavar="FILE", help="write the run's trace-event JSONL here"
-    )
-    p_chaos.add_argument(
-        "--sanitize",
-        action="store_true",
-        help="cross-check the run's invariants while the faults fire "
-        "(also enabled by DAOS_SANITIZE=1)",
-    )
 
     p_perf = sub.add_parser(
-        "perf", help="profile one run; emit a per-layer JSON cost breakdown"
+        "perf",
+        help="profile one run; emit a per-layer JSON cost breakdown",
+        parents=[rec_config_opt],
     )
     p_perf.add_argument("workload")
-    p_perf.add_argument("-c", "--config", default="rec", choices=sorted(CONFIGS))
     p_perf.add_argument(
         "-o", "--output", help="write the JSON report here (default: stdout)"
     )
 
     p_fleet = sub.add_parser(
-        "fleet", help="run a multi-tenant fleet against one shared physical pool"
+        "fleet",
+        help="run a multi-tenant fleet against one shared physical pool",
+        description="Run a multi-tenant fleet against one shared physical "
+        "pool.  Of a --faults plan the fleet specs (tenant_storm, "
+        "pool_pressure_spike) apply.  --checkpoint needs a single-pool run; "
+        "--journal/--resume need a sharded one (--shards > 1).",
+        parents=[pool_opts, faults_opt, sanitize_opt, checkpoint_opts],
     )
     p_fleet.add_argument(
         "-n", "--tenants", type=int, default=1000, help="fleet size (default 1000)"
@@ -359,10 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="split the fleet into this many pools over the sweep runner",
     )
     p_fleet.add_argument(
-        "-j", "--jobs", type=int, default=1,
-        help="worker processes for sharded runs (1 = in-process)",
-    )
-    p_fleet.add_argument(
         "-o", "--out", metavar="FILE",
         help="write the canonical (volatile-free) summary JSON here",
     )
@@ -371,42 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run each tenant as its own run_experiment call instead of the "
         "batched scheduler (slow; for cross-validation at small -n)",
-    )
-    p_fleet.add_argument(
-        "--sanitize",
-        action="store_true",
-        help="cross-check fleet invariants every tick "
-        "(also enabled by DAOS_SANITIZE=1)",
-    )
-    p_fleet.add_argument(
-        "--faults",
-        metavar="PLAN",
-        help="inject this fault plan's fleet faults (tenant_storm, "
-        "pool_pressure_spike) into the run",
-    )
-    p_fleet.add_argument(
-        "--journal",
-        metavar="DIR",
-        help="write-ahead journal completed shards to DIR/journal.jsonl "
-        "(sharded runs only)",
-    )
-    p_fleet.add_argument(
-        "--resume",
-        action="store_true",
-        help="replay completed shards from the --journal directory",
-    )
-    p_fleet.add_argument(
-        "--checkpoint",
-        metavar="FILE",
-        help="write crash-consistent fleet snapshots here "
-        "(single-pool runs only; resume with 'daos resume FILE')",
-    )
-    p_fleet.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=0,
-        metavar="TICKS",
-        help="checkpoint every N fleet ticks (0 = once at the midpoint)",
     )
 
     p_resume = sub.add_parser(
@@ -486,13 +467,7 @@ def _cmd_record(args) -> int:
         monitor="paddr" if args.paddr else "vaddr",
         record=True,
     )
-    result = run_experiment(
-        args.workload,
-        config=config,
-        machine=args.machine,
-        seed=args.seed,
-        time_scale=args.time_scale,
-    )
+    result = run_experiment(args.workload, config=config, **_run_kwargs(args))
     heatmap = build_heatmap(result.snapshots)
     print(render_heatmap(heatmap, title=f"{args.workload} ({config.name})"))
     print(
@@ -544,67 +519,76 @@ def _print_run(result, baseline) -> None:
         print(format_normalized_rows([normalize(result, baseline)]))
 
 
-def _trace_to_file(path):
-    """A ``(bus, sink)`` pair streaming to ``path``, or ``(None, None)``."""
+def _run_kwargs(args) -> dict:
+    """The six global flags as :class:`~repro.runner.experiment.ExperimentRun`
+    keywords — the one place the CLI maps flags to run parameters, so
+    every experiment-running verb honours all six."""
+    return dict(
+        machine=args.machine,
+        seed=args.seed,
+        time_scale=args.time_scale,
+        tier=args.tier,
+        tier_scale=args.tier_scale,
+        tier_policy=args.tier_policy,
+    )
+
+
+@contextmanager
+def _jsonl_trace(path, bus=None):
+    """The bus a verb traces its run on, streaming to ``path`` as JSONL.
+
+    Without ``path`` this yields ``bus`` unchanged (``None`` lets the run
+    keep its internal bus).  With one, a sink is subscribed to ``bus``
+    (or to a fresh bus), closed however the block exits, and the
+    ``trace: N events`` line is printed after the verb's own report —
+    so the block wraps the run *and* its report.
+    """
     if not path:
-        return None, None
-    bus = TraceBus(ring_capacity=0)
+        yield bus
+        return
+    if bus is None:
+        bus = TraceBus(ring_capacity=0)
     sink = JsonlTraceSink(path)
     bus.subscribe_all(sink)
-    return bus, sink
+    try:
+        yield bus
+    finally:
+        sink.close()
+    print(f"trace: {sink.n_written} events written to {path}")
 
 
 def _cmd_run(args) -> int:
     plan = load_fault_plan(args.faults) if args.faults else None
-    bus, sink = _trace_to_file(args.trace)
-    try:
+    run_kwargs = _run_kwargs(args)
+    with _jsonl_trace(args.trace) as bus:
         result = run_experiment(
             args.workload,
             config=args.config,
-            machine=args.machine,
-            seed=args.seed,
-            time_scale=args.time_scale,
-            tier=args.tier,
-            tier_scale=args.tier_scale,
-            tier_policy=args.tier_policy,
             trace=bus,
             faults=plan,
             sanitize=True if args.sanitize else None,
             checkpoint=args.checkpoint,
             checkpoint_every=args.checkpoint_every,
+            **run_kwargs,
         )
-    finally:
-        if sink is not None:
-            sink.close()
-    baseline = None
-    if args.config != "baseline":
-        baseline = run_experiment(
-            args.workload,
-            config="baseline",
-            machine=args.machine,
-            seed=args.seed,
-            time_scale=args.time_scale,
-            tier=args.tier,
-            tier_scale=args.tier_scale,
-            tier_policy=args.tier_policy,
-        )
-    _print_run(result, baseline)
-    if args.tier:
-        print(
-            f"tier         : {args.tier} [{args.tier_policy}], "
-            f"{result.breakdown.get('pages_demoted', 0)} page(s) demoted, "
-            f"{result.breakdown.get('pages_promoted', 0)} promoted"
-        )
-    if plan is not None:
-        shed = result.breakdown.get("shed_pages", 0)
-        print(
-            f"faults       : plan {plan.name or 'unnamed'} "
-            f"({len(plan)} spec(s)), {shed} page(s) shed"
-        )
-    if args.checkpoint:
-        print(f"checkpoint   : latest snapshot in {args.checkpoint}")
-    if sink is not None:
-        print(f"trace: {sink.n_written} events written to {args.trace}")
+        baseline = None
+        if args.config != "baseline":
+            baseline = run_experiment(args.workload, config="baseline", **run_kwargs)
+        _print_run(result, baseline)
+        if args.tier:
+            print(
+                f"tier         : {args.tier} [{args.tier_policy}], "
+                f"{result.breakdown.get('pages_demoted', 0)} page(s) demoted, "
+                f"{result.breakdown.get('pages_promoted', 0)} promoted"
+            )
+        if plan is not None:
+            shed = result.breakdown.get("shed_pages", 0)
+            print(
+                f"faults       : plan {plan.name or 'unnamed'} "
+                f"({len(plan)} spec(s)), {shed} page(s) shed"
+            )
+        if args.checkpoint:
+            print(f"checkpoint   : latest snapshot in {args.checkpoint}")
     return 0
 
 
@@ -655,81 +639,46 @@ def _cmd_schemes(args) -> int:
     # The runner re-checks internally; silence its duplicate warning log.
     logging.getLogger("repro.lint").addHandler(logging.NullHandler())
     config = ExperimentConfig(name="custom", monitor="vaddr", schemes_text=text)
-    bus, sink = _trace_to_file(args.trace)
-    try:
-        result = run_experiment(
-            args.workload,
-            config=config,
-            machine=args.machine,
-            seed=args.seed,
-            time_scale=args.time_scale,
-            tier=args.tier,
-            tier_scale=args.tier_scale,
-            tier_policy=args.tier_policy,
-            trace=bus,
-        )
-    finally:
-        if sink is not None:
-            sink.close()
-    baseline = run_experiment(
-        args.workload,
-        config="baseline",
-        machine=args.machine,
-        seed=args.seed,
-        time_scale=args.time_scale,
-        tier=args.tier,
-        tier_scale=args.tier_scale,
-        tier_policy=args.tier_policy,
-    )
-    _print_run(result, baseline)
-    if sink is not None:
-        print(f"trace: {sink.n_written} events written to {args.trace}")
+    run_kwargs = _run_kwargs(args)
+    with _jsonl_trace(args.trace) as bus:
+        result = run_experiment(args.workload, config=config, trace=bus, **run_kwargs)
+        baseline = run_experiment(args.workload, config="baseline", **run_kwargs)
+        _print_run(result, baseline)
     return 0
 
 
 def _cmd_tune(args) -> int:
     plan = load_fault_plan(args.faults) if args.faults else None
-    bus, sink = _trace_to_file(args.trace)
-    try:
+    with _jsonl_trace(args.trace) as bus:
         tuning, baseline, tuned = autotune_scheme(
             args.workload,
-            machine=args.machine,
             nr_samples=args.samples,
-            seed=args.seed,
-            time_scale=args.time_scale,
             trace=bus,
             faults=plan,
+            **_run_kwargs(args),
         )
-    finally:
-        if sink is not None:
-            sink.close()
-    xs = [p for p, _ in tuning.samples]
-    ys = [s for _, s in tuning.samples]
-    grid_x, grid_y = tuning.trend.grid(60)
-    print(
-        ascii_series(
-            xs,
-            ys,
-            title=f"{args.workload}: score vs min_age (samples *, fitted curve .)",
-            overlay=(list(grid_x), list(grid_y), "."),
+        xs = [p for p, _ in tuning.samples]
+        ys = [s for _, s in tuning.samples]
+        grid_x, grid_y = tuning.trend.grid(60)
+        print(
+            ascii_series(
+                xs,
+                ys,
+                title=f"{args.workload}: score vs min_age (samples *, fitted curve .)",
+                overlay=(list(grid_x), list(grid_y), "."),
+            )
         )
-    )
-    print(f"\nbest min_age : {tuning.best_param:.1f}s (estimated score {tuning.best_score:.2f})")
-    print(format_normalized_rows([normalize(tuned, baseline)]))
-    if sink is not None:
-        print(f"trace: {sink.n_written} events written to {args.trace}")
+        print(
+            f"\nbest min_age : {tuning.best_param:.1f}s "
+            f"(estimated score {tuning.best_score:.2f})"
+        )
+        print(format_normalized_rows([normalize(tuned, baseline)]))
     return 0
 
 
 def _cmd_wss(args) -> int:
     config = ExperimentConfig(name="rec", monitor="vaddr", record=True)
-    result = run_experiment(
-        args.workload,
-        config=config,
-        machine=args.machine,
-        seed=args.seed,
-        time_scale=args.time_scale,
-    )
+    result = run_experiment(args.workload, config=config, **_run_kwargs(args))
     stats = wss_from_snapshots(result.snapshots, min_frequency=args.min_freq)
     for key in ("p0", "p25", "p50", "p75", "p100", "mean"):
         print(f"{key:>5s}: {format_size(int(stats[key]))}")
@@ -902,14 +851,7 @@ def _cmd_trace(args) -> int:
         report_stream = sys.stderr
     bus.subscribe_all(sink)
     try:
-        run_experiment(
-            args.workload,
-            config=args.config,
-            machine=args.machine,
-            seed=args.seed,
-            time_scale=args.time_scale,
-            trace=bus,
-        )
+        run_experiment(args.workload, config=args.config, trace=bus, **_run_kwargs(args))
     finally:
         sink.close()
     _print_trace_summary(bus.summary(), report_stream)
@@ -926,50 +868,32 @@ def _cmd_chaos(args) -> int:
     plan = (
         load_fault_plan(args.plan) if args.plan else builtin_chaos_plan(seed=args.seed)
     )
-    bus = TraceBus(ring_capacity=0)
-    sink = None
-    if args.trace:
-        sink = JsonlTraceSink(args.trace)
-        bus.subscribe_all(sink)
-    try:
+    with _jsonl_trace(args.trace, TraceBus(ring_capacity=0)) as bus:
         result = run_experiment(
             args.workload,
             config=args.config,
-            machine=args.machine,
-            seed=args.seed,
-            time_scale=args.time_scale,
             trace=bus,
             faults=plan,
             sanitize=True if args.sanitize else None,
+            **_run_kwargs(args),
         )
-    finally:
-        if sink is not None:
-            sink.close()
-    counts = bus.summary().counts
-    kinds = ", ".join(sorted(plan.kinds()))
-    print(f"chaos plan   : {plan.name or 'builtin'} ({len(plan)} spec(s): {kinds})")
-    print(f"workload     : {result.workload} [{result.config}], seed {result.seed}")
-    print(f"runtime      : {result.runtime_us / 1e6:.2f}s (run completed)")
-    print(f"faults fired : {counts.get('FaultInjected', 0)}")
-    print(f"retries      : {counts.get('RetryAttempted', 0)}")
-    print(
-        f"degradation  : entered {counts.get('DegradedModeEntered', 0)}x, "
-        f"exited {counts.get('DegradedModeExited', 0)}x, "
-        f"{result.breakdown.get('shed_pages', 0)} page(s) shed"
-    )
-    if sink is not None:
-        print(f"trace: {sink.n_written} events written to {args.trace}")
+        counts = bus.summary().counts
+        kinds = ", ".join(sorted(plan.kinds()))
+        print(f"chaos plan   : {plan.name or 'builtin'} ({len(plan)} spec(s): {kinds})")
+        print(f"workload     : {result.workload} [{result.config}], seed {result.seed}")
+        print(f"runtime      : {result.runtime_us / 1e6:.2f}s (run completed)")
+        print(f"faults fired : {counts.get('FaultInjected', 0)}")
+        print(f"retries      : {counts.get('RetryAttempted', 0)}")
+        print(
+            f"degradation  : entered {counts.get('DegradedModeEntered', 0)}x, "
+            f"exited {counts.get('DegradedModeExited', 0)}x, "
+            f"{result.breakdown.get('shed_pages', 0)} page(s) shed"
+        )
     return 0
 
 
 def _cmd_perf(args) -> int:
-    report, _ = profile_run(
-        args.workload,
-        config=args.config,
-        machine=args.machine,
-        seed=args.seed,
-        time_scale=args.time_scale,
-    )
+    report, _ = profile_run(args.workload, config=args.config, **_run_kwargs(args))
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.output:
         Path(args.output).write_text(text + "\n")

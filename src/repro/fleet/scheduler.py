@@ -40,7 +40,7 @@ that).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -50,6 +50,7 @@ from ..monitor.attrs import MonitorAttrs
 from ..monitor.batch import BatchMonitorPass, BatchRegionTable
 from ..runner.configs import get_config, prcl_config
 from ..runner.experiment import MachineBuild, build_machine, run_experiment
+from ..sanitize.runtime import resolve_sanitizer
 from ..sim.costs import CostModel
 from ..sim.clock import EventQueue
 from ..sim.kernel import Watermarks
@@ -150,25 +151,7 @@ class FleetConfig:
     # -- sweep-point round trip ---------------------------------------
     def as_params(self) -> Dict[str, Any]:
         """The config as a flat dict of JSON scalars."""
-        return {
-            "n_tenants": self.n_tenants,
-            "duration_s": self.duration_s,
-            "footprint_mib": self.footprint_mib,
-            "cold_share": self.cold_share,
-            "min_age_s": self.min_age_s,
-            "pool_ratio": self.pool_ratio,
-            "pool_gib": self.pool_gib,
-            "swap": self.swap,
-            "machine": self.machine,
-            "tier": self.tier,
-            "tier_scale": self.tier_scale,
-            "tier_policy": self.tier_policy,
-            "seed": self.seed,
-            "arrival_window_s": self.arrival_window_s,
-            "tick_ms": self.tick_ms,
-            "sampling_ms": self.sampling_ms,
-            "cold_region_mib": self.cold_region_mib,
-        }
+        return asdict(self)
 
     @classmethod
     def from_params(cls, params: Dict[str, Any]) -> "FleetConfig":
@@ -223,13 +206,7 @@ class FleetScheduler:
         #: fleet's demand and pressure hooks every tick.
         self.faults = faults
 
-        from ..sanitize import SimSanitizer, default_enabled
-
-        if isinstance(sanitize, SimSanitizer):
-            self.sanitizer: Optional[SimSanitizer] = sanitize
-        else:
-            enabled = default_enabled() if sanitize is None else bool(sanitize)
-            self.sanitizer = SimSanitizer(enabled=True) if enabled else None
+        self.sanitizer = resolve_sanitizer(sanitize)
 
         if cfg.tier:
             raise ConfigError(

@@ -14,8 +14,7 @@ Checks (codes in :data:`~repro.lint.diagnostics.CODES`):
 * per scheme — empty frequency window after count quantization (DS102),
   age windows below one aggregation interval (DS103/DS110), write-
   frequency bounds without write tracking (DS104), quota and watermark
-  sanity (DS140/DS141/DS142), and the thrash check previously living in
-  ``SchemesEngine.validate`` (DS150);
+  sanity (DS140/DS141/DS142), and the hot-pageout thrash check (DS150);
 * pairwise, under the engine's apply order — overlapping predicates
   with contradictory actions (DS120: hugepage∧nohugepage,
   pageout∧willneed) or opposing hints (DS121: cold∧willneed,
@@ -210,7 +209,7 @@ def _check_single(
             f"reads as zero writes",
         )
 
-    # DS150 — the thrash check (absorbed from SchemesEngine.validate).
+    # DS150 — the thrash check.
     if scheme.action is Action.PAGEOUT and p.min_freq > 0.5:
         emit(
             "DS150",

@@ -1,13 +1,13 @@
 """Deterministic per-layer profiling over the trace bus.
 
-The :class:`PerfProfiler` is a plain bus subscriber: it maps every
-event kind to the layer that emitted it (monitor / schemes / kernel /
-tuner / faults) and rolls up three columns per layer —
+The :class:`PerfProfiler` is a plain bus subscriber: it files every
+event under the layer its class declares (monitor / schemes / kernel /
+tuner / faults / recovery / sweep) and rolls up three columns per layer —
 
 * **events** — events observed,
 * **ops** — the domain operations those events stand for (access checks,
-  evicted pages, promoted chunks, ...), taken from a per-kind payload
-  field,
+  evicted pages, promoted chunks, ...), taken from the payload field the
+  event class names as its ``ops_field``,
 * **est_cost_us** — estimated CPU microseconds for the operations with a
   cost formula in :class:`~repro.sim.costs.CostModel` (monitor checks,
   THP allocations, fault handling); layers without a formula report 0.
@@ -27,37 +27,6 @@ from ..trace.bus import TraceBus
 from ..trace.events import TraceEvent, event_payload
 
 __all__ = ["PerfProfiler", "profile_run"]
-
-#: Event kind → emitting layer.
-_LAYER_OF_KIND = {
-    "AccessSampled": "monitor",
-    "RegionsAggregated": "monitor",
-    "SchemeApplied": "schemes",
-    "QuotaCharged": "schemes",
-    "WatermarkTransition": "schemes",
-    "ReclaimPass": "kernel",
-    "ThpPromotion": "kernel",
-    "PageoutBatch": "kernel",
-    "EpochEnd": "kernel",
-    "TuneStep": "tuner",
-    "FaultInjected": "faults",
-    "RetryAttempted": "faults",
-    "DegradedModeEntered": "faults",
-    "DegradedModeExited": "faults",
-}
-
-#: Event kind → payload field counted as that event's operations
-#: (kinds not listed count 1 op per event).
-_OPS_FIELD = {
-    "AccessSampled": "checked",
-    "RegionsAggregated": "nr_regions",
-    "SchemeApplied": "bytes_applied",
-    "QuotaCharged": "charged_bytes",
-    "ReclaimPass": "evicted_pages",
-    "ThpPromotion": "promoted_chunks",
-    "PageoutBatch": "paged_out_pages",
-}
-
 
 class PerfProfiler:
     """Per-layer op/cost counters riding a :class:`TraceBus`.
@@ -83,10 +52,9 @@ class PerfProfiler:
     # -- subscriber entry point ----------------------------------------
     def __call__(self, event: TraceEvent) -> None:
         kind = event.kind
-        layer = _LAYER_OF_KIND.get(kind, "other")
+        layer = event.layer
         payload = event_payload(event)
-        ops_field = _OPS_FIELD.get(kind)
-        ops = int(payload[ops_field]) if ops_field is not None else 1
+        ops = int(payload[event.ops_field]) if event.ops_field is not None else 1
         self._events[layer] = self._events.get(layer, 0) + 1
         self._ops[layer] = self._ops.get(layer, 0) + ops
         cost = self._estimate_cost_us(kind, payload)
@@ -140,12 +108,14 @@ def profile_run(
     seed: int = 0,
     time_scale: float = 0.25,
     costs: Optional[CostModel] = None,
+    **run_kwargs,
 ) -> Tuple[Dict[str, Any], Any]:
     """Run one experiment under the profiler; return ``(report, result)``.
 
     The report's top level is deterministic for a fixed
     (workload, config, machine, seed, time_scale); host-dependent
-    figures live under the ``volatile`` key only.
+    figures live under the ``volatile`` key only.  ``run_kwargs`` (tier,
+    swap, ...) go to :class:`~repro.runner.experiment.ExperimentRun`.
     """
     from ..runner.experiment import run_experiment
 
@@ -158,6 +128,7 @@ def profile_run(
         seed=seed,
         time_scale=time_scale,
         trace=bus,
+        **run_kwargs,
     )
     report: Dict[str, Any] = {
         "workload": workload,

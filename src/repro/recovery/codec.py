@@ -24,9 +24,10 @@ What makes restore *byte-identical* rather than merely plausible:
 * the event queue's heap is rebuilt by re-registering every periodic at
   its recorded ``(due, registration-order)`` position, so same-instant
   tie-breaking (monitor before khugepaged before epoch) is preserved;
-* live object identity — the trace bus, the recorders' stride counters,
-  the injector's substreams — is rewired onto the restored graph through
-  the same attachment points construction uses;
+* live object identity — the trace bus — is rewired onto the restored
+  graph through the same attachment points construction uses, while the
+  snapshot recorder's stride counter and the injector's substreams ride
+  the pickle;
 * checkpointing itself only *pauses* the loop at an epoch boundary
   (``run_until`` in steps dispatches the identical event sequence as one
   big ``run_until``), so a checkpointed run equals an uninterrupted one
@@ -40,13 +41,15 @@ import io
 import json
 import os
 import pickle
+import time
 from contextlib import contextmanager
+from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import CheckpointError
 from ..sim.clock import EventQueue, VirtualClock
 from ..trace.bus import TraceBus
-from ..trace.events import CheckpointWritten, RegionsAggregated, RunResumed
+from ..trace.events import CheckpointWritten, RunResumed
 
 __all__ = [
     "CHECKPOINT_FORMAT",
@@ -142,10 +145,11 @@ def _canonicalize_dtypes(root: Any) -> None:
                 )
 
 
-def _write_file(
-    path: str, *, kind: str, time_us: int, blob: bytes
-) -> Tuple[str, int]:
-    """Atomically write header + payload; returns (full digest, size)."""
+def _commit(
+    path: str, kind: str, time_us: int, blob: bytes, trace: Optional[TraceBus], sequence: int
+) -> str:
+    """Atomically write header + payload, then announce the checkpoint
+    on ``trace``; returns the 16-hex-char restore identity."""
     from ..sweep.cache import code_version_tag
 
     digest = hashlib.sha256(blob).hexdigest()
@@ -165,7 +169,17 @@ def _write_file(
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
-    return digest, len(blob)
+    if trace is not None:
+        trace.emit(
+            CheckpointWritten(
+                time_us=trace.now,
+                target=kind,
+                digest=digest[:16],
+                payload_bytes=len(blob),
+                sequence=sequence,
+            )
+        )
+    return digest[:16]
 
 
 def read_checkpoint_header(path: str) -> Dict[str, Any]:
@@ -227,22 +241,82 @@ def _read_file(
     return header, payload
 
 
+def _restored_bus(
+    trace: Optional[TraceBus], counters: Optional[Dict[str, Any]], clock: VirtualClock
+) -> Optional[TraceBus]:
+    """The bus a restored simulation continues on, bound to ``clock``:
+    ``trace`` if given, else a fresh internal bus whenever the original
+    had one (its counters were saved); ``None`` stays ``None`` (the
+    ``collect_trace=False`` path)."""
+    if counters is not None:
+        if trace is None:
+            trace = TraceBus(ring_capacity=0)
+        trace.restore_counters(counters)
+    if trace is not None:
+        trace.bind_clock(clock)
+    return trace
+
+
+def _announce_resumed(trace: Optional[TraceBus], header: Dict[str, Any]) -> None:
+    if trace is not None:
+        trace.emit(
+            RunResumed(
+                time_us=trace.now,
+                target=header["kind"],
+                digest=header["payload_sha256"][:16],
+                checkpoint_time_us=int(header["time_us"]),
+            )
+        )
+
+
+def _step_with_checkpoints(
+    run_until, step_us: int, duration_us: int, every: int, write
+) -> List[str]:
+    """Drive ``run_until`` to ``duration_us``, pausing to ``write`` a
+    checkpoint after every ``every`` steps of ``step_us`` (0 = once at
+    the midpoint); returns the digests written, in order."""
+    n_steps = max(1, duration_us // step_us)
+    if every > 0:
+        boundaries = list(range(every, n_steps, every))
+    else:
+        boundaries = [n_steps // 2] if n_steps >= 2 else []
+    digests: List[str] = []
+    for sequence, step in enumerate(boundaries, start=1):
+        run_until(step * step_us)
+        digests.append(write(sequence=sequence))
+    run_until(duration_us)
+    return digests
+
+
 # ----------------------------------------------------------------------
 # Single-run checkpoints
 # ----------------------------------------------------------------------
-def _run_detach_pairs(run) -> List[Tuple[Any, str, Any]]:
-    tenant = run.tenant
-    pairs: List[Tuple[Any, str, Any]] = [(tenant, "trace", None)]
-    pairs.append((tenant.kernel, "trace", None))
+def _bus_holders(tenant, injector) -> List[Tuple[Any, str]]:
+    """Every ``(object, attribute)`` that holds the run's trace bus.
+
+    The one list both directions use: checkpointing detaches the bus
+    from each, restore reattaches it to each — a layer missing here
+    would pickle the bus, a layer missing from a second list would
+    silently stop tracing after a restore.
+    """
+    holders: List[Tuple[Any, str]] = [(tenant, "trace"), (tenant.kernel, "trace")]
     if tenant.monitor is not None:
-        pairs.append((tenant.monitor, "trace", None))
+        holders.append((tenant.monitor, "trace"))
+    if tenant.engine is not None:
+        holders.append((tenant.engine, "trace"))
+    if injector is not None:
+        holders.append((injector, "_trace"))
+    return holders
+
+
+def _run_detach_pairs(run) -> List[Tuple[Any, str, Any]]:
+    pairs: List[Tuple[Any, str, Any]] = [
+        (obj, attr, None) for obj, attr in _bus_holders(run.tenant, run.injector)
+    ]
+    if run.tenant.monitor is not None:
         # Dead PeriodicEvent handles (their queue is not serialized);
         # restore re-registers fresh ones and re-adopts them.
-        pairs.append((tenant.monitor, "_events", []))
-    if tenant.engine is not None:
-        pairs.append((tenant.engine, "trace", None))
-    if run.injector is not None:
-        pairs.append((run.injector, "_trace", None))
+        pairs.append((run.tenant.monitor, "_events", []))
     return pairs
 
 
@@ -289,18 +363,7 @@ def checkpoint_run(run, path: str, *, sequence: int = 1) -> str:
     emitted, so the event never appears in its own checkpoint.
     """
     blob, clock_now = _run_payload_bytes(run)
-    digest, size = _write_file(path, kind="run", time_us=clock_now, blob=blob)
-    if run.trace is not None:
-        run.trace.emit(
-            CheckpointWritten(
-                time_us=run.trace.now,
-                target="run",
-                digest=digest[:16],
-                payload_bytes=size,
-                sequence=sequence,
-            )
-        )
-    return digest[:16]
+    return _commit(path, "run", clock_now, blob, run.trace, sequence)
 
 
 def restore_run(
@@ -318,30 +381,20 @@ def restore_run(
     an external bus; by default a fresh internal bus is created whenever
     the original run had one, and its counters are restored.
     """
-    from ..runner.experiment import ExperimentRun, SnapshotRecorder
+    from ..runner.experiment import ExperimentRun
 
     header, payload = _read_file(
         path, expect_kind="run", strict_version=strict_version
     )
     tenant = payload["tenant"]
     injector = payload["injector"]
-    counters = payload["trace_counters"]
-
-    if trace is None and counters is not None:
-        trace = TraceBus(ring_capacity=0)
-    if trace is not None and counters is not None:
-        trace.restore_counters(counters)
-
-    # -- rewire the bus through the same attachment points construction
-    #    uses; None stays None (the collect_trace=False path).
-    tenant.trace = trace
-    tenant.kernel.trace = trace
-    if tenant.monitor is not None:
-        tenant.monitor.trace = trace
-    if tenant.engine is not None:
-        tenant.engine.trace = trace
-    if injector is not None:
-        injector.bind_trace(trace)
+    clock_now = int(payload["clock_now"])
+    queue = EventQueue(VirtualClock(start=clock_now))
+    trace = _restored_bus(trace, payload["trace_counters"], queue.clock)
+    for holder, attr in _bus_holders(tenant, injector):
+        setattr(holder, attr, trace)
+    if trace is not None and tenant.sanitizer is not None:
+        tenant.sanitizer.subscribe(trace, kernel=tenant.kernel, monitor=tenant.monitor)
 
     run = ExperimentRun.from_parts(
         spec=payload["spec"],
@@ -352,18 +405,7 @@ def restore_run(
         seed=payload["seed"],
         compute_us=payload["compute_us"],
     )
-
-    clock_now = int(payload["clock_now"])
-    queue = EventQueue(VirtualClock(start=clock_now))
     run.queue = queue
-    if trace is not None:
-        trace.bind_clock(queue.clock)
-        if isinstance(tenant.recorder, SnapshotRecorder):
-            trace.subscribe(RegionsAggregated, tenant.recorder)
-        if tenant.sanitizer is not None:
-            tenant.sanitizer.subscribe(
-                trace, kernel=tenant.kernel, monitor=tenant.monitor
-            )
 
     # -- rebuild the heap: every periodic back at its recorded (due,
     #    registration-order) slot, via the stable name → callback map.
@@ -390,15 +432,8 @@ def restore_run(
     if monitor is not None:
         monitor.adopt_events(monitor_events)
 
-    if trace is not None and announce:
-        trace.emit(
-            RunResumed(
-                time_us=trace.now,
-                target="run",
-                digest=header["payload_sha256"][:16],
-                checkpoint_time_us=clock_now,
-            )
-        )
+    if announce:
+        _announce_resumed(trace, header)
     return run
 
 
@@ -413,19 +448,13 @@ def checkpoint_run_stepping(
     atomically each time, so the file always holds the latest complete
     snapshot — exactly what ``daos resume`` wants after a crash.
     """
-    epoch_us = run.spec.epoch_us
-    duration = run.spec.duration_us
-    n_epochs = max(1, duration // epoch_us)
-    if every_epochs > 0:
-        boundaries = list(range(every_epochs, n_epochs, every_epochs))
-    else:
-        boundaries = [n_epochs // 2] if n_epochs >= 2 else []
-    digests: List[str] = []
-    for sequence, epoch in enumerate(boundaries, start=1):
-        run.run_until(epoch * epoch_us)
-        digests.append(checkpoint_run(run, path, sequence=sequence))
-    run.run_until(duration)
-    return digests
+    return _step_with_checkpoints(
+        run.run_until,
+        run.spec.epoch_us,
+        run.spec.duration_us,
+        every_epochs,
+        partial(checkpoint_run, run, path),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -454,18 +483,7 @@ def checkpoint_fleet(scheduler, path: str, *, sequence: int = 1) -> str:
         pairs.append((scheduler.faults, "_trace", None))
     with _detached(pairs):
         blob = _dumps(payload)
-    digest, size = _write_file(path, kind="fleet", time_us=clock_now, blob=blob)
-    if scheduler.trace is not None:
-        scheduler.trace.emit(
-            CheckpointWritten(
-                time_us=scheduler.trace.now,
-                target="fleet",
-                digest=digest[:16],
-                payload_bytes=size,
-                sequence=sequence,
-            )
-        )
-    return digest[:16]
+    return _commit(path, "fleet", clock_now, blob, scheduler.trace, sequence)
 
 
 def restore_fleet(
@@ -478,25 +496,17 @@ def restore_fleet(
     """Reconstruct a paused :class:`~repro.fleet.scheduler.FleetScheduler`.
 
     Ready for ``queue.run_until(cfg.duration_us)`` then ``finish()``."""
-    import time as _time
-
     header, payload = _read_file(
         path, expect_kind="fleet", strict_version=strict_version
     )
     scheduler = payload["scheduler"]
-    counters = payload["trace_counters"]
-    if trace is None and counters is not None:
-        trace = TraceBus(ring_capacity=0)
-    if trace is not None and counters is not None:
-        trace.restore_counters(counters)
+    clock_now = int(payload["clock_now"])
+    queue = EventQueue(VirtualClock(start=clock_now))
+    trace = _restored_bus(trace, payload["trace_counters"], queue.clock)
     scheduler.trace = trace
     if scheduler.faults is not None:
         scheduler.faults.bind_trace(trace)
 
-    clock_now = int(payload["clock_now"])
-    queue = EventQueue(VirtualClock(start=clock_now))
-    if trace is not None:
-        trace.bind_clock(queue.clock)
     for name, due, period in payload["periodics"]:
         if name != "fleet-tick":
             raise CheckpointError(
@@ -504,17 +514,10 @@ def restore_fleet(
             )
         queue.schedule_periodic(period, scheduler._tick, name=name, first_at=due)
     scheduler.queue = queue
-    scheduler.wall_start = _time.perf_counter()
+    scheduler.wall_start = time.perf_counter()
 
-    if trace is not None and announce:
-        trace.emit(
-            RunResumed(
-                time_us=trace.now,
-                target="fleet",
-                digest=header["payload_sha256"][:16],
-                checkpoint_time_us=clock_now,
-            )
-        )
+    if announce:
+        _announce_resumed(trace, header)
     return scheduler
 
 
@@ -524,19 +527,13 @@ def checkpoint_fleet_stepping(
     """Drive an un-started fleet to completion with tick-boundary
     checkpoints; the fleet twin of :func:`checkpoint_run_stepping`."""
     queue = scheduler.start_loop()
-    tick_us = scheduler.cfg.tick_us
-    duration = scheduler.cfg.duration_us
-    n_ticks = max(1, duration // tick_us)
-    if every_ticks > 0:
-        boundaries = list(range(every_ticks, n_ticks, every_ticks))
-    else:
-        boundaries = [n_ticks // 2] if n_ticks >= 2 else []
-    digests: List[str] = []
-    for sequence, tick in enumerate(boundaries, start=1):
-        queue.run_until(tick * tick_us)
-        digests.append(checkpoint_fleet(scheduler, path, sequence=sequence))
-    queue.run_until(duration)
-    return digests
+    return _step_with_checkpoints(
+        queue.run_until,
+        scheduler.cfg.tick_us,
+        scheduler.cfg.duration_us,
+        every_ticks,
+        partial(checkpoint_fleet, scheduler, path),
+    )
 
 
 # ----------------------------------------------------------------------

@@ -22,6 +22,7 @@ from ..lint.schemes import check_schemes
 from ..monitor.attrs import MonitorAttrs
 from ..monitor.core import DataAccessMonitor
 from ..monitor.primitives import PhysicalPrimitive, VirtualPrimitive
+from ..sanitize.runtime import resolve_sanitizer
 from ..schemes.engine import SchemesEngine
 from ..schemes.parser import parse_schemes
 from ..sim.clock import EventQueue
@@ -31,7 +32,6 @@ from ..sim.machine import MachineSpec, TierSpec, get_instance, guest_of, scaled_
 from ..sim.swap import FileSwapDevice, NoSwapDevice, ZramDevice
 from ..sim.thp import ThpPolicy
 from ..trace.bus import TraceBus
-from ..trace.events import RegionsAggregated
 from ..tuning.runtime import AutoTuner, TuningResult
 from ..tuning.score import ScoreFunction
 from ..units import GIB, SEC
@@ -44,7 +44,6 @@ __all__ = [
     "MachineBuild",
     "TenantBuild",
     "SnapshotRecorder",
-    "RawSnapshotRecorder",
     "build_machine",
     "build_tenant",
     "ExperimentRun",
@@ -54,30 +53,13 @@ __all__ = [
 
 
 class SnapshotRecorder:
-    """Downsampling snapshot recorder, as a trace-bus subscriber.
+    """Downsampling snapshot recorder: a raw monitor callback receiving
+    ``(monitor, now)`` at every aggregation.
 
-    A module-level class (not a closure) so a mid-run checkpoint can
-    pickle it — the stride counter *is* simulation state: restoring it
-    off by one would shift every later snapshot.
+    A module-level class (not a closure) so it rides the monitor's
+    pickle in a mid-run checkpoint — the stride counter *is* simulation
+    state: restoring it off by one would shift every later snapshot.
     """
-
-    __slots__ = ("monitor", "store", "stride", "n")
-
-    def __init__(self, monitor, store, stride: int):
-        self.monitor = monitor
-        self.store = store
-        self.stride = int(stride)
-        self.n = 0
-
-    def __call__(self, ev) -> None:
-        if self.n % self.stride == 0:
-            self.store.append(self.monitor.snapshot(ev.time_us))
-        self.n += 1
-
-
-class RawSnapshotRecorder:
-    """The same recorder for the bus-less path, as a raw monitor
-    callback receiving ``(monitor, now)``."""
 
     __slots__ = ("store", "stride", "n")
 
@@ -91,17 +73,6 @@ class RawSnapshotRecorder:
             self.store.append(mon.snapshot(now))
         self.n += 1
 
-
-def replace_quota(quota):
-    """Fresh per-run copy of a config's quota (quotas carry window state).
-
-    Delegates to :meth:`~repro.schemes.quotas.Quota.fresh_clone`, which
-    copies *every* dataclass field — the earlier hand-rolled copy here
-    silently dropped any field beyond ``size_bytes``/``reset_interval_us``
-    (e.g. the prioritisation weights), so a reused config's second run
-    could differ from its first.
-    """
-    return quota.fresh_clone()
 
 #: khugepaged scan period under thp=always.
 _KHUGEPAGED_PERIOD_US = 1 * SEC
@@ -213,10 +184,6 @@ class TenantBuild:
     sanitizer: Optional[object]
     trace: Optional[TraceBus]
     snapshots: Optional[List] = field(default=None)
-    #: The snapshot recorder wired in :func:`build_tenant`, if any —
-    #: kept here so checkpoint restore can re-subscribe it with its
-    #: stride counter intact.
-    recorder: Optional[object] = field(default=None)
 
     def start(self, queue: EventQueue) -> None:
         """Bind the run's clock and start the monitor on ``queue``."""
@@ -280,7 +247,6 @@ def build_tenant(
 
     monitor = None
     engine = None
-    recorder = None
     snapshots = [] if (cfg.record or keep_snapshots) else None
     if cfg.monitor is not None:
         primitive = (
@@ -300,21 +266,12 @@ def build_tenant(
             n_aggr = spec.duration_us // monitor.attrs.aggregation_interval_us
             target = keep_snapshots or 240
             stride = max(1, int(n_aggr // target))
-
-            if trace is not None:
-                # Snapshot recording is a bus subscriber: the monitor
-                # emits RegionsAggregated right before its callbacks run,
-                # on the same region state.
-                recorder = SnapshotRecorder(monitor, snapshots, stride)
-                trace.subscribe(RegionsAggregated, recorder)
-            else:
-                recorder = RawSnapshotRecorder(snapshots, stride)
-                monitor.register_raw_callback(recorder)
+            monitor.register_raw_callback(SnapshotRecorder(snapshots, stride))
         if cfg.schemes_text is not None:
             schemes = parse_schemes(cfg.schemes_text, monitor.attrs)
             if cfg.quota is not None:
                 for scheme in schemes:
-                    scheme.quota = replace_quota(cfg.quota)
+                    scheme.quota = cfg.quota.fresh_clone()
             # Fail fast before any simulation time is spent: a scheme
             # set with error-severity diagnostics produces garbage
             # experiments.  Warnings are logged, not fatal.
@@ -338,7 +295,6 @@ def build_tenant(
         sanitizer=sanitizer,
         trace=trace,
         snapshots=snapshots,
-        recorder=recorder,
     )
 
 
@@ -346,12 +302,63 @@ class ExperimentRun:
     """One experiment as a steppable object: construct, :meth:`start`,
     drive time with :meth:`run_until`, then :meth:`finish`.
 
-    This is :func:`run_experiment` split at its three natural seams so
-    the recovery layer can pause a run at any epoch boundary, snapshot
-    it, and later resume a byte-identical continuation.  The wiring
-    order inside is **exactly** the historical inline order — monitor
-    ticks registered before the epoch tick, khugepaged in between — so
-    same-instant tie-breaking is unchanged.
+    The constructor's keywords are *the* declaration of a run's
+    parameters: :func:`run_experiment`, :func:`autotune_scheme`,
+    :func:`~repro.perf.profile_run` and the CLI forward them here
+    without re-declaring them.  The three seams exist so the recovery
+    layer can pause a run at any epoch boundary, snapshot it, and later
+    resume a byte-identical continuation.  The wiring order inside is
+    the system's boot order — monitor ticks registered before the epoch
+    tick, khugepaged in between — which fixes same-instant tie-breaking.
+
+    ``config`` is a configuration name from
+    :data:`~repro.runner.configs.CONFIGS` or a ready
+    :class:`~repro.runner.configs.ExperimentConfig`.  ``machine`` is an
+    instance name or a ready-made :class:`~repro.sim.machine.MachineSpec`
+    (e.g. from ``scaled_instance``); ``swap`` picks the swap backend
+    (``zram`` | ``file`` | ``none``).  ``seed`` seeds the kernel, the
+    workload (``seed + 1``) and the monitor (``seed + 2``).
+
+    ``time_scale`` shrinks the workload's nominal duration for fast CI
+    runs (scheme ages and pattern periods are *not* scaled — they are
+    what is being measured).  ``keep_snapshots`` > 0 retains up to that
+    many aggregation snapshots for heatmap rendering.  ``attrs`` and
+    ``costs`` override the monitor attributes and the cost model.
+
+    ``tier`` gives the guest a slow memory tier (a catalog name such as
+    ``"optane-pmm"`` or ``"cxl-dram"``, capacity-scaled by
+    ``tier_scale``, or a ready :class:`~repro.sim.machine.TierSpec`).
+    Under ``tier_policy="managed"`` (the default) reclaim demotes to the
+    slow tier before swapping and the ``migrate_hot``/``migrate_cold``
+    scheme actions move pages between tiers; ``"unmanaged"`` lets page
+    faults spill into the slow tier and never migrates — the baseline a
+    tiering scheme is measured against.
+
+    ``trace`` supplies an external bus (its subscribers see every event;
+    its clock is bound to the run's); when ``None`` an internal, ring-less
+    bus is created so the result still carries a ``trace_summary``.  Pass
+    ``collect_trace=False`` to disable tracing entirely — the emission
+    sites then cost one ``is None`` check each.  Tracing never touches
+    the simulation's RNG streams, so results are identical either way.
+
+    ``kernel_cls`` swaps in an alternative kernel implementation with
+    the same constructor — the differential test harness and the kernel
+    benchmark run the frozen legacy kernel through the exact same driver
+    this way.
+
+    ``faults`` injects a seeded fault plan into the run: one
+    :class:`~repro.faults.FaultInjector` is shared by the kernel,
+    monitor and engine, and the kernel's ``oom_policy`` defaults to
+    ``"shed"`` so injected swap exhaustion degrades the run instead of
+    aborting it.  Pass ``oom_policy`` explicitly to override either way.
+
+    ``sanitize`` turns the :class:`~repro.sanitize.SimSanitizer` runtime
+    checks on (``True``), off (``False``), follows the process default
+    set at the CLI boundary (``None``), or uses a caller-supplied
+    :class:`~repro.sanitize.SimSanitizer` instance directly (the
+    overhead benchmark attaches a *disabled* one this way).  Checkers
+    are read-only and consume no RNG, so results are byte-identical
+    either way.
     """
 
     def __init__(
@@ -387,13 +394,7 @@ class ExperimentRun:
         if oom_policy is None:
             oom_policy = "shed" if faults is not None else "raise"
 
-        from ..sanitize import SimSanitizer, default_enabled
-
-        if isinstance(sanitize, SimSanitizer):
-            sanitizer = sanitize
-        else:
-            enabled = default_enabled() if sanitize is None else bool(sanitize)
-            sanitizer = SimSanitizer(enabled=True) if enabled else None
+        sanitizer = resolve_sanitizer(sanitize)
 
         # --- construction, via the shared factories ------------------------
         mb = build_machine(
@@ -532,69 +533,13 @@ class ExperimentRun:
 def run_experiment(
     workload: Union[str, WorkloadSpec],
     *,
-    config: Union[str, ExperimentConfig] = "baseline",
-    machine: Union[str, MachineSpec] = "i3.metal",
-    seed: int = 0,
-    time_scale: float = 1.0,
-    swap: str = "zram",
-    tier: Union[str, TierSpec, None] = None,
-    tier_scale: float = 1.0,
-    tier_policy: str = "managed",
-    attrs: Optional[MonitorAttrs] = None,
-    costs: Optional[CostModel] = None,
-    keep_snapshots: int = 0,
-    trace: Optional[TraceBus] = None,
-    collect_trace: bool = True,
-    faults: Optional[FaultPlan] = None,
-    oom_policy: Optional[str] = None,
-    kernel_cls: type = SimKernel,
-    sanitize=None,
     checkpoint: Optional[str] = None,
     checkpoint_every: int = 0,
+    **run_kwargs,
 ) -> RunResult:
-    """Run one experiment and return its raw measurements.
-
-    ``time_scale`` shrinks the workload's nominal duration for fast CI
-    runs (scheme ages and pattern periods are *not* scaled — they are
-    what is being measured).  ``keep_snapshots`` > 0 retains up to that
-    many aggregation snapshots for heatmap rendering.
-
-    ``tier`` gives the guest a slow memory tier (a catalog name such as
-    ``"optane-pmm"`` or ``"cxl-dram"``, capacity-scaled by
-    ``tier_scale``, or a ready :class:`~repro.sim.machine.TierSpec`).
-    Under ``tier_policy="managed"`` (the default) reclaim demotes to the
-    slow tier before swapping and the ``migrate_hot``/``migrate_cold``
-    scheme actions move pages between tiers; ``"unmanaged"`` lets page
-    faults spill into the slow tier and never migrates — the baseline a
-    tiering scheme is measured against.
-
-    ``trace`` supplies an external bus (its subscribers see every event;
-    its clock is bound to the run's); when ``None`` an internal, ring-less
-    bus is created so the result still carries a ``trace_summary``.  Pass
-    ``collect_trace=False`` to disable tracing entirely — the emission
-    sites then cost one ``is None`` check each.  Tracing never touches
-    the simulation's RNG streams, so results are identical either way.
-
-    ``machine`` is an instance name or a ready-made
-    :class:`~repro.sim.machine.MachineSpec` (e.g. from
-    ``scaled_instance``); ``kernel_cls`` swaps in an alternative kernel
-    implementation with the same constructor — the differential test
-    harness and the kernel benchmark run the frozen legacy kernel
-    through the exact same driver this way.
-
-    ``faults`` injects a seeded fault plan into the run: one
-    :class:`~repro.faults.FaultInjector` is shared by the kernel,
-    monitor and engine, and the kernel's ``oom_policy`` defaults to
-    ``"shed"`` so injected swap exhaustion degrades the run instead of
-    aborting it.  Pass ``oom_policy`` explicitly to override either way.
-
-    ``sanitize`` turns the :class:`~repro.sanitize.SimSanitizer` runtime
-    checks on (``True``), off (``False``), follows the process default
-    set at the CLI boundary (``None``), or uses a caller-supplied
-    :class:`~repro.sanitize.SimSanitizer` instance directly (the
-    overhead benchmark attaches a *disabled* one this way).  Checkers
-    are read-only and consume no RNG, so results are byte-identical
-    either way.
+    """Run one experiment and return its raw measurements: construct an
+    :class:`ExperimentRun` from ``run_kwargs`` (documented there), start
+    it, drive it to the workload's duration, finish it.
 
     ``checkpoint`` names a file to write crash-consistent state
     snapshots to, every ``checkpoint_every`` epochs (0 = once at the
@@ -603,26 +548,7 @@ def run_experiment(
     it on or off; ``daos resume FILE`` completes an interrupted run
     from the latest snapshot.
     """
-    run = ExperimentRun(
-        workload,
-        config=config,
-        machine=machine,
-        seed=seed,
-        time_scale=time_scale,
-        swap=swap,
-        tier=tier,
-        tier_scale=tier_scale,
-        tier_policy=tier_policy,
-        attrs=attrs,
-        costs=costs,
-        keep_snapshots=keep_snapshots,
-        trace=trace,
-        collect_trace=collect_trace,
-        faults=faults,
-        oom_policy=oom_policy,
-        kernel_cls=kernel_cls,
-        sanitize=sanitize,
-    )
+    run = ExperimentRun(workload, **run_kwargs)
     run.start()
     if checkpoint is not None:
         from ..recovery.codec import checkpoint_run_stepping
@@ -636,40 +562,34 @@ def run_experiment(
 def autotune_scheme(
     workload: str,
     *,
-    machine: str = "i3.metal",
     nr_samples: int = 10,
     min_age_range_s: Tuple[float, float] = (0.0, 60.0),
     seed: int = 0,
-    time_scale: float = 1.0,
     score_function: Optional[ScoreFunction] = None,
     trace: Optional[TraceBus] = None,
     faults: Optional[FaultPlan] = None,
+    **run_kwargs,
 ) -> Tuple[TuningResult, RunResult, RunResult]:
     """Auto-tune the prcl scheme for one workload (§4.3).
 
     Returns ``(tuning_result, baseline_run, tuned_run)`` where the tuned
     run uses the best ``min_age`` the tuner found.  ``trace`` receives
     one :class:`~repro.trace.events.TuneStep` per sample; the per-sample
-    experiment runs keep their own internal buses.
+    experiment runs keep their own internal buses.  ``run_kwargs``
+    (machine, time scale, tier, ...: see :class:`ExperimentRun`) are
+    shared by the baseline, every sample and the tuned run.
 
     ``faults`` applies the plan's ``probe_failure`` specs at the tuner's
     probe hook (retried with exponential backoff in simulated time); the
     per-sample experiment runs themselves are left fault-free so scores
     measure the scheme, not the chaos.
     """
-    baseline = run_experiment(
-        workload, config="baseline", machine=machine, seed=seed, time_scale=time_scale
-    )
+    run_kwargs["seed"] = seed
+    baseline = run_experiment(workload, config="baseline", **run_kwargs)
 
     def evaluate(min_age_s: float):
         min_age_us = max(0, int(min_age_s * 1_000_000))
-        run = run_experiment(
-            workload,
-            config=prcl_config(min_age_us),
-            machine=machine,
-            seed=seed,
-            time_scale=time_scale,
-        )
+        run = run_experiment(workload, config=prcl_config(min_age_us), **run_kwargs)
         return run.runtime_us, run.avg_rss_bytes
 
     lo, hi = min_age_range_s
@@ -685,10 +605,6 @@ def autotune_scheme(
     )
     result = tuner.tune(nr_samples)
     tuned = run_experiment(
-        workload,
-        config=prcl_config(int(result.best_param * 1_000_000)),
-        machine=machine,
-        seed=seed,
-        time_scale=time_scale,
+        workload, config=prcl_config(int(result.best_param * 1_000_000)), **run_kwargs
     )
     return result, baseline, tuned

@@ -41,7 +41,7 @@ from .checkers import (
     check_tier_placement,
 )
 
-__all__ = ["SimSanitizer", "default_enabled", "set_default_enabled"]
+__all__ = ["SimSanitizer", "default_enabled", "set_default_enabled", "resolve_sanitizer"]
 
 #: Process-wide default for runs that do not pass ``sanitize=`` —
 #: flipped only at the CLI/conftest boundary (``--sanitize``,
@@ -242,3 +242,14 @@ class SimSanitizer:
             f"{self.monitor_checkpoints} monitor checkpoint(s), "
             f"{len(self.violations)} violation(s)"
         )
+
+
+def resolve_sanitizer(sanitize: Any) -> Optional[SimSanitizer]:
+    """The ``sanitize=`` tri-state of a run or fleet as a sanitizer (or
+    ``None`` for off): a ready :class:`SimSanitizer` is used as is,
+    ``True``/``False`` switch a fresh one on or off, and ``None`` follows
+    :func:`default_enabled`."""
+    if isinstance(sanitize, SimSanitizer):
+        return sanitize
+    enabled = default_enabled() if sanitize is None else bool(sanitize)
+    return SimSanitizer(enabled=True) if enabled else None

@@ -201,29 +201,3 @@ class SchemesEngine:
         if not self.schemes:
             return "(no schemes installed)"
         return "\n".join(s.describe() for s in self.schemes)
-
-    def validate(self, attrs=None) -> None:
-        """Sanity-check the installed schemes as a set.
-
-        .. deprecated::
-            Thin shim over the scheme semantic analyzer
-            (:func:`repro.lint.schemes.check_schemes`), kept for
-            callers of the old ad-hoc check.  Use ``check_schemes`` (or
-            ``daos lint --schemes``) directly: it reports *all*
-            diagnostics with stable codes instead of raising on the
-            first thrash hazard.
-
-        Raises :class:`~repro.errors.SchemeError` if the analyzer finds
-        any error-severity diagnostic (the old thrash check is DS150).
-        """
-        import warnings as _warnings
-
-        from ..lint.schemes import check_schemes
-
-        _warnings.warn(
-            "SchemesEngine.validate is deprecated; use "
-            "repro.lint.schemes.check_schemes (or `daos lint --schemes`)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        check_schemes(self.schemes, attrs, context="engine.validate")

@@ -23,7 +23,7 @@ payload field (:attr:`EpochEnd.epoch_end_us`).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, ClassVar, Dict, Type
+from typing import Any, ClassVar, Dict, Optional, Type
 
 __all__ = [
     "TraceEvent",
@@ -53,11 +53,19 @@ __all__ = [
 EVENT_TYPES: Dict[str, Type["TraceEvent"]] = {}
 
 
-def _register(cls: Type["TraceEvent"]) -> Type["TraceEvent"]:
-    """Class decorator adding the event type to :data:`EVENT_TYPES`."""
-    cls.kind = cls.__name__
-    EVENT_TYPES[cls.kind] = cls
-    return cls
+def _register(layer: str, ops_field: Optional[str] = None):
+    """Class decorator adding the event type to :data:`EVENT_TYPES`,
+    declaring its :attr:`~TraceEvent.layer` and
+    :attr:`~TraceEvent.ops_field` on the way."""
+
+    def register(cls: Type["TraceEvent"]) -> Type["TraceEvent"]:
+        cls.kind = cls.__name__
+        cls.layer = layer
+        cls.ops_field = ops_field
+        EVENT_TYPES[cls.kind] = cls
+        return cls
+
+    return register
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,6 +74,12 @@ class TraceEvent:
 
     #: Wire name of the concrete event type (class attribute).
     kind: ClassVar[str] = "TraceEvent"
+    #: The layer that emits the event.  Registration requires one, so a
+    #: profile never files an event under a catch-all.
+    layer: ClassVar[str] = ""
+    #: Payload field counting the domain operations one event stands for
+    #: (access checks, evicted pages, ...); ``None`` = one op per event.
+    ops_field: ClassVar[Optional[str]] = None
 
     #: Simulation time of emission, in microseconds.  Never wall time.
     time_us: int
@@ -79,7 +93,7 @@ def event_payload(event: TraceEvent) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 # Monitor events
 # ----------------------------------------------------------------------
-@_register
+@_register("monitor", ops_field="checked")
 @dataclass(frozen=True, slots=True)
 class AccessSampled(TraceEvent):
     """One monitor sampling tick: the pending sample pages were checked.
@@ -98,7 +112,7 @@ class AccessSampled(TraceEvent):
     write_hits: int = 0
 
 
-@_register
+@_register("monitor", ops_field="nr_regions")
 @dataclass(frozen=True, slots=True)
 class RegionsAggregated(TraceEvent):
     """One aggregation interval closed: counters published, regions
@@ -119,7 +133,7 @@ class RegionsAggregated(TraceEvent):
 # ----------------------------------------------------------------------
 # Schemes-engine events
 # ----------------------------------------------------------------------
-@_register
+@_register("schemes", ops_field="bytes_applied")
 @dataclass(frozen=True, slots=True)
 class SchemeApplied(TraceEvent):
     """One scheme finished an engine pass with at least one matching
@@ -137,7 +151,7 @@ class SchemeApplied(TraceEvent):
     bytes_applied: int
 
 
-@_register
+@_register("schemes", ops_field="charged_bytes")
 @dataclass(frozen=True, slots=True)
 class QuotaCharged(TraceEvent):
     """A scheme's charge quota absorbed one application's cost."""
@@ -149,7 +163,7 @@ class QuotaCharged(TraceEvent):
     remaining_bytes: int
 
 
-@_register
+@_register("schemes")
 @dataclass(frozen=True, slots=True)
 class WatermarkTransition(TraceEvent):
     """A scheme's watermarks flipped between active and inactive."""
@@ -164,7 +178,7 @@ class WatermarkTransition(TraceEvent):
 # ----------------------------------------------------------------------
 # Kernel events
 # ----------------------------------------------------------------------
-@_register
+@_register("kernel", ops_field="evicted_pages")
 @dataclass(frozen=True, slots=True)
 class ReclaimPass(TraceEvent):
     """One LRU reclaim pass (pressure- or allocation-triggered)."""
@@ -180,7 +194,7 @@ class ReclaimPass(TraceEvent):
     trigger: str
 
 
-@_register
+@_register("kernel")
 @dataclass(frozen=True, slots=True)
 class TierMigration(TraceEvent):
     """Pages crossed the DRAM / slow-tier boundary in one batch."""
@@ -195,7 +209,7 @@ class TierMigration(TraceEvent):
     trigger: str
 
 
-@_register
+@_register("kernel", ops_field="promoted_chunks")
 @dataclass(frozen=True, slots=True)
 class ThpPromotion(TraceEvent):
     """Huge-page promotions performed (madvise or khugepaged path)."""
@@ -208,7 +222,7 @@ class ThpPromotion(TraceEvent):
     swapped_in_pages: int
 
 
-@_register
+@_register("kernel", ops_field="paged_out_pages")
 @dataclass(frozen=True, slots=True)
 class PageoutBatch(TraceEvent):
     """An explicit PAGEOUT (scheme action / madvise) reclaimed a range."""
@@ -221,7 +235,7 @@ class PageoutBatch(TraceEvent):
     phys: bool
 
 
-@_register
+@_register("kernel")
 @dataclass(frozen=True, slots=True)
 class EpochEnd(TraceEvent):
     """One workload epoch closed and its costs were charged.
@@ -247,7 +261,7 @@ class EpochEnd(TraceEvent):
 # ----------------------------------------------------------------------
 # Fault-injection and degraded-mode events
 # ----------------------------------------------------------------------
-@_register
+@_register("faults")
 @dataclass(frozen=True, slots=True)
 class FaultInjected(TraceEvent):
     """A fault spec fired at a hook point.
@@ -271,7 +285,7 @@ class FaultInjected(TraceEvent):
     magnitude: float = 0.0
 
 
-@_register
+@_register("faults")
 @dataclass(frozen=True, slots=True)
 class RetryAttempted(TraceEvent):
     """A recovery path retried a failed operation after backing off.
@@ -290,7 +304,7 @@ class RetryAttempted(TraceEvent):
     reason: str = ""
 
 
-@_register
+@_register("faults")
 @dataclass(frozen=True, slots=True)
 class DegradedModeEntered(TraceEvent):
     """A layer stopped raising and started shedding load instead.
@@ -306,7 +320,7 @@ class DegradedModeEntered(TraceEvent):
     reason: str
 
 
-@_register
+@_register("faults")
 @dataclass(frozen=True, slots=True)
 class DegradedModeExited(TraceEvent):
     """A degraded layer recovered and resumed normal service."""
@@ -321,7 +335,7 @@ class DegradedModeExited(TraceEvent):
 # ----------------------------------------------------------------------
 # Recovery events
 # ----------------------------------------------------------------------
-@_register
+@_register("recovery")
 @dataclass(frozen=True, slots=True)
 class CheckpointWritten(TraceEvent):
     """A crash-consistent checkpoint of the full simulation state was
@@ -338,7 +352,7 @@ class CheckpointWritten(TraceEvent):
     sequence: int = 1
 
 
-@_register
+@_register("recovery")
 @dataclass(frozen=True, slots=True)
 class RunResumed(TraceEvent):
     """A run was reconstructed from a checkpoint and is continuing.
@@ -354,7 +368,7 @@ class RunResumed(TraceEvent):
     checkpoint_time_us: int
 
 
-@_register
+@_register("sweep")
 @dataclass(frozen=True, slots=True)
 class WorkerReaped(TraceEvent):
     """The sweep supervisor killed or collected a failed worker.
@@ -376,7 +390,7 @@ class WorkerReaped(TraceEvent):
 # ----------------------------------------------------------------------
 # Tuner events
 # ----------------------------------------------------------------------
-@_register
+@_register("tuner")
 @dataclass(frozen=True, slots=True)
 class TuneStep(TraceEvent):
     """One auto-tuner sample: a parameter evaluated to a score.

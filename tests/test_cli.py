@@ -1,7 +1,13 @@
 """The ``daos`` command-line interface."""
 
+import inspect
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
+import repro.cli
 from repro.cli import build_parser, main
 
 
@@ -110,3 +116,87 @@ class TestCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert "pageout" in out
+
+
+class _Captured(Exception):
+    """Carries the keywords a patched run entry point was called with."""
+
+
+_GLOBAL_ARGV = [
+    "--machine", "z1d.metal", "--seed", "9", "--time-scale", "0.1",
+    "--tier", "cxl-dram", "--tier-scale", "0.01", "--tier-policy", "unmanaged",
+]
+_GLOBAL_KWARGS = dict(
+    machine="z1d.metal", seed=9, time_scale=0.1,
+    tier="cxl-dram", tier_scale=0.01, tier_policy="unmanaged",
+)
+
+
+class TestGlobalFlagsReachEveryVerb:
+    @pytest.mark.parametrize(
+        "verb_argv, entry_point",
+        [
+            (["record", "parsec3/swaptions"], "run_experiment"),
+            (["run", "parsec3/swaptions", "-c", "prcl"], "run_experiment"),
+            (["schemes", "parsec3/swaptions", "-f", "SCHEME_FILE"], "run_experiment"),
+            (["tune", "parsec3/swaptions"], "autotune_scheme"),
+            (["wss", "parsec3/swaptions"], "run_experiment"),
+            (["trace", "parsec3/swaptions"], "run_experiment"),
+            (["chaos"], "run_experiment"),
+            (["perf", "parsec3/swaptions"], "profile_run"),
+        ],
+        ids=lambda value: value[0] if isinstance(value, list) else None,
+    )
+    def test_all_six_arrive(self, monkeypatch, tmp_path, verb_argv, entry_point):
+        scheme_file = tmp_path / "my.schemes"
+        scheme_file.write_text("4K max min min 2s max pageout\n")
+        verb_argv = [str(scheme_file) if a == "SCHEME_FILE" else a for a in verb_argv]
+
+        def capture(workload, **kwargs):
+            raise _Captured(kwargs)
+
+        monkeypatch.setattr(repro.cli, entry_point, capture)
+        with pytest.raises(_Captured) as caught:
+            main(_GLOBAL_ARGV + verb_argv)
+        kwargs = caught.value.args[0]
+        assert {k: kwargs.get(k) for k in _GLOBAL_KWARGS} == _GLOBAL_KWARGS
+
+
+class TestSharedFlagsDeclaredOnce:
+    @pytest.mark.parametrize(
+        "flag",
+        ["--trace", "--faults", "--sanitize", "--checkpoint",
+         "--checkpoint-every", "--journal", "--resume", "--jobs"],
+    )
+    def test_one_add_argument_per_flag(self, flag):
+        # A new verb inherits a shared flag through parents=[...];
+        # re-declaring it is how the help texts and defaults drifted.
+        assert inspect.getsource(repro.cli).count(f'"{flag}"') == 1
+
+
+def _readme_daos_commands():
+    """Every ``daos ...`` command line in README.md's fenced blocks."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```[a-z]*\n(.*?)^```", text, flags=re.S | re.M):
+        for line in block.replace("\\\n", " ").splitlines():
+            line = re.split(r"\s#|[|>]", line, maxsplit=1)[0].strip()
+            if line.startswith("daos "):
+                commands.append(line)
+    return commands
+
+
+class TestReadmeCommandsParse:
+    def test_every_readme_command_parses(self, capsys):
+        # One test over all commands (not parametrised): README edits
+        # must not rename tests.  argparse exits 2 on e.g. a global flag
+        # placed after the verb.
+        commands = _readme_daos_commands()
+        assert len(commands) >= 35
+        rejected = []
+        for command in commands:
+            try:
+                build_parser().parse_args(shlex.split(command)[1:])
+            except SystemExit:
+                rejected.append(command)
+        assert rejected == [], capsys.readouterr().err

@@ -17,7 +17,6 @@ from repro.lint import Severity, analyze_scheme_text, analyze_schemes, check_sch
 from repro.monitor.attrs import MonitorAttrs
 from repro.runner.configs import ETHP_SCHEMES, PRCL_SCHEMES
 from repro.schemes.actions import Action
-from repro.schemes.engine import SchemesEngine
 from repro.schemes.filters import AddressFilter
 from repro.schemes.parser import parse_schemes
 from repro.schemes.quotas import Quota
@@ -232,17 +231,3 @@ class TestCheckSchemes:
     def test_clean_set_is_silent(self):
         schemes = parse_schemes(ETHP_SCHEMES + PRCL_SCHEMES)
         assert check_schemes(schemes) == []
-
-
-class TestValidateShim:
-    def test_validate_still_rejects_thrash(self, kernel):
-        scheme = Scheme(pattern=AccessPattern(min_freq=0.8), action=Action.PAGEOUT)
-        engine = SchemesEngine(kernel, [scheme])
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(SchemeError):
-                engine.validate()
-
-    def test_validate_passes_clean_schemes(self, kernel):
-        engine = SchemesEngine(kernel, parse_schemes(PRCL_SCHEMES))
-        with pytest.warns(DeprecationWarning):
-            engine.validate()

@@ -6,14 +6,26 @@ explicitly ``volatile`` wall-clock block.
 """
 
 import json
+from dataclasses import fields
 
 from repro.cli import build_parser, main
 from repro.perf import PerfProfiler, profile_run
 from repro.sim.costs import CostModel
 from repro.trace import AccessSampled, EpochEnd, ThpPromotion, TraceBus, TuneStep
+from repro.trace.events import EVENT_TYPES
 
 WORKLOAD = "parsec3/swaptions"
 ARGS = {"config": "rec", "seed": 5, "time_scale": 0.02}
+
+
+class TestEventsDescribeThemselves:
+    def test_every_registered_event_names_its_layer(self):
+        # The profiler files events by the layer their class declares; an
+        # event added without one would silently fall outside the profile.
+        for kind, cls in EVENT_TYPES.items():
+            assert cls.layer, f"{kind} declares no layer"
+            if cls.ops_field is not None:
+                assert cls.ops_field in {f.name for f in fields(cls)}, kind
 
 
 class TestPerfProfiler:

@@ -12,7 +12,7 @@ import pytest
 
 from repro.errors import SchemeError
 from repro.runner.configs import PRCL_SCHEMES, ExperimentConfig
-from repro.runner.experiment import replace_quota, run_experiment
+from repro.runner.experiment import run_experiment
 from repro.schemes.quotas import Quota, priority
 from repro.sweep.serialize import fingerprint
 from repro.units import MIB, SEC
@@ -29,7 +29,7 @@ class TestFreshClone:
             weight_age=0.1,
         )
         defaults = Quota()
-        clone = replace_quota(original)
+        clone = original.fresh_clone()
         for field in fields(Quota):
             value = getattr(original, field.name)
             assert getattr(clone, field.name) == value, f"field {field.name} dropped"

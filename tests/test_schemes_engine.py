@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SchemeError
+from repro.lint import check_schemes
 from repro.monitor.attrs import MonitorAttrs
 from repro.monitor.core import DataAccessMonitor
 from repro.monitor.primitives import VirtualPrimitive
@@ -74,8 +75,8 @@ class TestEngineApplication:
             pattern=AccessPattern(min_freq=0.8), action=Action.PAGEOUT
         )
         engine = SchemesEngine(kernel, [scheme])
-        with pytest.warns(DeprecationWarning), pytest.raises(SchemeError):
-            engine.validate()
+        with pytest.raises(SchemeError, match="DS150"):
+            check_schemes(engine.schemes)
 
     def test_describe(self, kernel, fast_attrs):
         scheme = parse_scheme("4K max min min 5s max pageout", fast_attrs)
