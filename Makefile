@@ -14,7 +14,7 @@ test:
 # determinism AST pass + DF3xx dataflow pass; fails on error-severity
 # findings) over the package AND the test/benchmark trees, then ruff
 # and mypy when installed (`pip install -e .[lint]`).  The frozen
-# `_legacy_*.py` oracles are exempt by filename prefix.
+# `_legacy_kernel.py` oracle is exempt by filename prefix.
 lint:
 	test -z "$$(git ls-files '*.pyc')"
 	$(PYTHON) -m repro.cli lint src/repro --paths tests --paths benchmarks

@@ -23,7 +23,16 @@ DESCRIPTIONS = {
     # The future actions Table 1 announces; upstream's DAMON_LRU_SORT.
     Action.LRU_PRIO: "move the region to the active LRU list's head",
     Action.LRU_DEPRIO: "move the region to the inactive LRU list's tail",
+    # The tiering pair; no-ops on this bench's flat (single-tier) guest.
+    Action.MIGRATE_HOT: "migrate the region up into the fast memory tier",
+    Action.MIGRATE_COLD: "migrate the region down into the slow memory tier",
 }
+
+_UNDESCRIBED = [action.name for action in Action if action not in DESCRIPTIONS]
+if _UNDESCRIBED:
+    raise LookupError(
+        f"{__name__}.DESCRIPTIONS has no row for: {', '.join(_UNDESCRIBED)}"
+    )
 
 
 def fresh_kernel():
@@ -82,3 +91,5 @@ def test_table1_action_semantics(benchmark, report):
     assert table[Action.COLD][1] == 0  # hint only
     assert table[Action.LRU_PRIO][1] == 0  # reordering only
     assert table[Action.LRU_DEPRIO][1] == 0
+    assert table[Action.MIGRATE_HOT] == (0, 0)  # no slow tier to cross
+    assert table[Action.MIGRATE_COLD] == (0, 0)

@@ -1,12 +1,12 @@
-"""Gate the monitor hot-path speedup against the committed baseline.
+"""Gate a committed benchmark ratio against a fresh measurement.
 
-The benchmark writes ``benchmarks/out/BENCH_monitor_hotpath.json`` with
-the epoch-loop speedup of the RegionArray engine over the frozen legacy
-loops, both timed in the same process — a machine-independent ratio.
-This checker compares a fresh measurement against the committed
-baseline (``benchmarks/baselines/BENCH_monitor_hotpath.json``) and
-fails when the ratio has regressed by more than the tolerance (default
-20%).
+A ratio bench (``bench_fleet_scale.py``, ``bench_tiering_placement.py``,
+``bench_checkpoint_overhead.py``) times two policies in the same process
+and writes ``benchmarks/out/BENCH_<name>.json`` with their ratio under
+``"speedup"`` — machine-independent, unlike either time.  This checker
+compares that fresh artifact against the committed baseline
+(``benchmarks/baselines/BENCH_<name>.json``) and fails when the ratio
+has regressed by more than the tolerance (default 20%).
 
 First run (no baseline committed yet): the fresh result is installed as
 the baseline and the check passes with a notice — commit the new file.
@@ -14,8 +14,8 @@ the baseline and the check passes with a notice — commit the new file.
 Usage::
 
     python benchmarks/check_bench_regression.py \
-        [--fresh benchmarks/out/BENCH_monitor_hotpath.json] \
-        [--baseline benchmarks/baselines/BENCH_monitor_hotpath.json] \
+        --fresh benchmarks/out/BENCH_fleet_scale.json \
+        --baseline benchmarks/baselines/BENCH_fleet_scale.json \
         [--tolerance 0.2]
 """
 
@@ -26,21 +26,19 @@ import json
 import sys
 from pathlib import Path
 
-HERE = Path(__file__).resolve().parent
-
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--fresh",
         type=Path,
-        default=HERE / "out" / "BENCH_monitor_hotpath.json",
+        required=True,
         help="freshly measured benchmark artifact",
     )
     parser.add_argument(
         "--baseline",
         type=Path,
-        default=HERE / "baselines" / "BENCH_monitor_hotpath.json",
+        required=True,
         help="committed baseline to compare against",
     )
     parser.add_argument(
@@ -53,8 +51,8 @@ def main(argv=None) -> int:
 
     if not args.fresh.exists():
         print(
-            f"error: no fresh benchmark result at {args.fresh} — run "
-            "`python -m pytest benchmarks/bench_monitor_hotpath.py` first",
+            f"error: no fresh benchmark result at {args.fresh} — run the "
+            "bench that writes it first",
             file=sys.stderr,
         )
         return 2
@@ -75,13 +73,13 @@ def main(argv=None) -> int:
     baseline = json.loads(args.baseline.read_text())
     floor = baseline["speedup"] * (1.0 - args.tolerance)
     print(
-        f"hot-path speedup: fresh {fresh['speedup']:.2f}x, "
+        f"{args.fresh.stem}: fresh {fresh['speedup']:.2f}x, "
         f"baseline {baseline['speedup']:.2f}x, floor {floor:.2f}x "
         f"(tolerance {args.tolerance:.0%})"
     )
     if fresh["speedup"] < floor:
         print(
-            f"FAIL: epoch-loop speedup regressed more than "
+            f"FAIL: ratio regressed more than "
             f"{args.tolerance:.0%} vs the committed baseline",
             file=sys.stderr,
         )

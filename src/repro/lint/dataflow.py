@@ -1,7 +1,7 @@
 """Pass 3: the vectorized-state dataflow linter (DF3xx).
 
 PRs 5 and 6 rewrote the monitor and kernel hot paths as struct-of-arrays
-engines (:mod:`repro.perf.regionarray`, :mod:`repro.sim.flatpages`)
+engines (:mod:`repro.monitor.region`, :mod:`repro.sim.flatpages`)
 whose correctness rests on conventions that nothing previously checked:
 generation-counter cache invalidation, write-through slice views, O(1)
 shadow counters, and strict unit discipline.  This pass walks the same

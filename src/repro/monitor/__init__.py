@@ -25,7 +25,7 @@ from .attrs import MonitorAttrs
 from .batch import BatchMonitorPass, BatchRegionTable, BatchTickStats
 from .core import DataAccessMonitor
 from .primitives import MonitoringPrimitive, PhysicalPrimitive, VirtualPrimitive
-from .region import MIN_REGION_SIZE, Region
+from .region import MIN_REGION_SIZE, Region, RegionArray, RegionView
 from .snapshot import RegionSnapshot, Snapshot
 
 __all__ = [
@@ -38,7 +38,9 @@ __all__ = [
     "MonitoringPrimitive",
     "PhysicalPrimitive",
     "Region",
+    "RegionArray",
     "RegionSnapshot",
+    "RegionView",
     "Snapshot",
     "VirtualPrimitive",
 ]

@@ -73,10 +73,6 @@ class BatchRegionTable:
         #: Microseconds of consecutive idle aggregations (0 while hot).
         self.age_us = np.zeros(self.n_regions, dtype=np.int64)
 
-    def per_tenant_sum(self, values: np.ndarray) -> np.ndarray:
-        """Reduce a per-region column to per-tenant totals."""
-        return np.bincount(self.tenant, weights=values, minlength=self.n_tenants)
-
     def idle_mask(self, min_age_us: int) -> np.ndarray:
         """Regions idle for at least ``min_age_us`` — the PAGEOUT scheme
         predicate, evaluated fleet-wide in one comparison."""

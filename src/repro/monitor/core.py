@@ -26,10 +26,9 @@ overhead from above and the accuracy from below, independent of the size
 of the monitored memory — the paper's central mechanism.
 
 Region state lives in a struct-of-arrays
-:class:`~repro.perf.regionarray.RegionArray`; ``monitor.regions`` hands
-out write-through :class:`~repro.perf.regionarray.RegionView` objects
-(cached per structural generation, so an unchanged monitor returns the
-same list — and the same views — across reads).
+:class:`~repro.monitor.region.RegionArray`; ``monitor.regions`` hands
+out fresh write-through :class:`~repro.monitor.region.RegionView`
+objects on every read.
 
 Between two aggregations the region layout is fixed, so the sample
 addresses and hit uniforms of every sampling tick in the interval depend
@@ -47,13 +46,12 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from ..errors import MonitorStateError
-from ..perf.regionarray import RegionArray
 from ..sim.clock import EventQueue
 from ..trace.bus import TraceBus
 from ..trace.events import AccessSampled, RegionsAggregated
 from .attrs import MonitorAttrs
 from .primitives import MonitoringPrimitive
-from .region import MIN_REGION_SIZE, Region, regions_intersecting
+from .region import MIN_REGION_SIZE, Region, RegionArray, regions_intersecting
 from .snapshot import Snapshot
 
 __all__ = ["DataAccessMonitor"]
@@ -180,16 +178,13 @@ class DataAccessMonitor:
         #: run; the sampler consults it for dropped ticks and flaky bits.
         self.faults = faults
         #: Optional :class:`repro.sanitize.SimSanitizer`, attached by the
-        #: experiment driver after construction (legacy-oracle-safe).
+        #: experiment driver after construction.
         self.sanitizer = None
         self.rng = np.random.default_rng(seed)
         self.callbacks: List[Callable[[Snapshot], None]] = []
         self.raw_callbacks: List = []
         self.engine = None  # attached SchemesEngine, if any
         self.running = False
-        # View cache for the ``regions`` property (see below).
-        self._views: Optional[List] = None
-        self._views_generation = -1
         self.regions = []  # installs an empty RegionArray via the setter
         # Sampling state: addresses whose accessed bits were cleared at
         # _pending_since, to be checked at the next sampling tick.
@@ -211,13 +206,9 @@ class DataAccessMonitor:
     @property
     def regions(self) -> List:
         """The region list as write-through views over the backing
-        :class:`RegionArray`.  The list (and its elements) is cached and
-        reused until the next structural change, so callers holding a
-        reference across a no-op tick see the identical objects."""
-        if self._views is None or self._views_generation != self._ra.generation:
-            self._views = self._ra.views()
-            self._views_generation = self._ra.generation
-        return self._views
+        :class:`RegionArray`: a fresh list per read, positional, stale
+        after the next structural pass."""
+        return self._ra.views()
 
     @regions.setter
     def regions(self, value) -> None:
@@ -225,8 +216,6 @@ class DataAccessMonitor:
         plain :class:`Region` lists here); resets the sampling state."""
         self._close_plan()
         self._ra = RegionArray.from_regions(list(value))
-        self._views = None
-        self._views_generation = -1
         self._addrs: Optional[np.ndarray] = None
         self._acc = np.zeros(self._ra.n, dtype=np.int64)
         self._wacc = np.zeros(self._ra.n, dtype=np.int64)

@@ -18,7 +18,6 @@ from .attrs import MonitorAttrs
 
 __all__ = [
     "OverheadReport",
-    "hotpath_counters",
     "measure_overhead",
     "theoretical_bound_cpu_share",
 ]
@@ -58,23 +57,6 @@ def theoretical_bound_cpu_share(attrs: MonitorAttrs, costs: CostModel) -> float:
     sampling interval — the paper's upper-bound guarantee."""
     per_tick = costs.monitor_check_cost_us(attrs.max_nr_regions, wakeups=1)
     return per_tick / attrs.sampling_interval_us
-
-
-def hotpath_counters(monitor) -> dict:
-    """Lifetime hot-path counters of one monitor, as a plain dict.
-
-    Everything here is deterministic under a fixed seed; the ``daos
-    perf`` report and the hot-path benchmark use it to compare two
-    implementations' structural work (checks, merges, splits) rather
-    than wall time.
-    """
-    return {
-        "nr_regions": monitor.nr_regions(),
-        "total_checks": monitor.total_checks,
-        "total_aggregations": monitor.total_aggregations,
-        "total_merges": monitor.total_merges,
-        "total_splits": monitor.total_splits,
-    }
 
 
 def measure_overhead(

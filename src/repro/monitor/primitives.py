@@ -93,10 +93,7 @@ class VirtualPrimitive(MonitoringPrimitive):
         return self.kernel.access_probabilities(addrs, window_us)
 
     def probe_generation(self):
-        # The frozen legacy kernel (the differential oracle) shares this
-        # primitive and keeps no counter: unknown, so one call per tick.
-        probe = getattr(self.kernel, "probe_generation", None)
-        return probe() if probe is not None else None
+        return self.kernel.probe_generation()
 
     def write_probabilities(self, addrs: np.ndarray, window_us: float) -> np.ndarray:
         return self.kernel.write_probabilities(addrs, window_us)
@@ -130,9 +127,7 @@ class PhysicalPrimitive(MonitoringPrimitive):
         return self.kernel.frame_access_probabilities(frames, window_us)
 
     def probe_generation(self):
-        # None for the frozen legacy kernel, as in VirtualPrimitive.
-        probe = getattr(self.kernel, "frame_probe_generation", None)
-        return probe() if probe is not None else None
+        return self.kernel.frame_probe_generation()
 
     def write_probabilities(self, addrs: np.ndarray, window_us: float) -> np.ndarray:
         frames = np.asarray(addrs, dtype=np.int64) // PAGE_SIZE

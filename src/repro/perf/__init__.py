@@ -1,14 +1,9 @@
-"""Performance subsystem: the vectorized region engine and the
-deterministic profiling harness.
+"""Performance subsystem: the deterministic profiling harness.
 
-* :mod:`repro.perf.regionarray` — struct-of-arrays region storage
-  backing :class:`~repro.monitor.core.DataAccessMonitor`, with the
-  merge/age, publish, reset and split passes as NumPy column operations.
-* :mod:`repro.perf.profiler` — per-layer operation/estimated-cost
-  counters riding the trace bus, surfaced as ``daos perf``.
+:mod:`repro.perf.profiler` — per-layer operation/estimated-cost counters
+riding the trace bus, surfaced as ``daos perf``.
 """
 
 from .profiler import PerfProfiler, profile_run
-from .regionarray import RegionArray, RegionView
 
-__all__ = ["PerfProfiler", "RegionArray", "RegionView", "profile_run"]
+__all__ = ["PerfProfiler", "profile_run"]

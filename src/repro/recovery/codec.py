@@ -205,6 +205,8 @@ def _read_file(
     path: str, *, expect_kind: Optional[str], strict_version: bool
 ) -> Tuple[Dict[str, Any], Dict[str, Any]]:
     """Read, digest-verify and unpickle a checkpoint file."""
+    from ..sweep.cache import code_version_tag
+
     header = read_checkpoint_header(path)
     if expect_kind is not None and header.get("kind") != expect_kind:
         raise CheckpointError(
@@ -227,8 +229,6 @@ def _read_file(
             f"payload hashes to {digest[:16]} — refusing to restore"
         )
     if strict_version:
-        from ..sweep.cache import code_version_tag
-
         current = code_version_tag()
         if header.get("code_version") != current:
             raise CheckpointError(
@@ -236,8 +236,19 @@ def _read_file(
                 f"{header.get('code_version')!r}, this tree is {current!r} "
                 f"(pass --allow-version-skew to restore anyway)"
             )
-    payload = pickle.loads(blob)
-    _canonicalize_dtypes(payload)
+    try:
+        payload = pickle.loads(blob)
+        _canonicalize_dtypes(payload)
+    except Exception as exc:
+        # The digest held, so these are the bytes the writer produced;
+        # what failed is rebuilding its classes in this tree (a moved
+        # module, a dropped slot).  Unpickling runs class code, so the
+        # failure can be of any type.
+        raise CheckpointError(
+            f"checkpoint {path!r} written by code version "
+            f"{header.get('code_version')!r} cannot be loaded by this tree "
+            f"({code_version_tag()!r}): {type(exc).__name__}: {exc}"
+        ) from exc
     return header, payload
 
 

@@ -38,6 +38,12 @@ from ..trace.events import WorkerReaped
 
 __all__ = ["PointSupervisor"]
 
+#: Workers import a clean interpreter, so a point's value cannot depend
+#: on parent-process state.
+_START_METHOD = "spawn"
+#: Reassignment backoff: ``base * 2**attempt * jitter``, capped.
+_BACKOFF_BASE_S = 0.05
+_BACKOFF_CAP_S = 1.0
 #: How long terminate() gets before the supervisor escalates to kill().
 _TERMINATE_GRACE_S = 2.0
 #: Idle poll interval while every in-flight worker is healthy.
@@ -87,26 +93,21 @@ class PointSupervisor:
         self,
         *,
         jobs: int,
-        start_method: str = "spawn",
         sanitize: bool = False,
         timeout_s: Optional[float] = None,
         retries: int = 1,
         backoff_seed: int = 0,
-        backoff_base_s: float = 0.05,
-        backoff_cap_s: float = 1.0,
         hang_decision: Optional[Callable[[int, int], bool]] = None,
         trace: Optional[TraceBus] = None,
     ):
         if jobs < 1:
             raise ConfigError(f"supervisor needs at least one worker: {jobs}")
         self.jobs = jobs
-        self.context = multiprocessing.get_context(start_method)
+        self.context = multiprocessing.get_context(_START_METHOD)
         self.sanitize = bool(sanitize)
         self.timeout_s = timeout_s
         self.retries = retries
         self.backoff_seed = int(backoff_seed)
-        self.backoff_base_s = float(backoff_base_s)
-        self.backoff_cap_s = float(backoff_cap_s)
         self.hang_decision = hang_decision
         self.trace = trace
         #: Monotone ordinal stamped onto WorkerReaped events.
@@ -120,7 +121,7 @@ class PointSupervisor:
         """Seeded exponential backoff before reassigning a reaped point."""
         rng = np.random.default_rng([self.backoff_seed, index, attempt])
         jitter = 0.5 + rng.random()  # [0.5, 1.5)
-        return min(self.backoff_cap_s, self.backoff_base_s * (2**attempt) * jitter)
+        return min(_BACKOFF_CAP_S, _BACKOFF_BASE_S * (2**attempt) * jitter)
 
     def _note_reaped(
         self, index: int, reason: str, attempt: int, will_retry: bool

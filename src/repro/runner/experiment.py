@@ -234,13 +234,11 @@ def build_tenant(
         faults=injector,
         oom_policy=oom_policy,
     )
+    # The sanitizer and the tier policy are attributes of a built
+    # kernel, not constructor keywords.
     if sanitizer is not None:
-        # Attribute attachment, not a constructor kwarg: kernel_cls may
-        # be the frozen legacy oracle, whose signature must not change.
         kernel.sanitizer = sanitizer
-    if getattr(machine.guest, "slow_tier", None) is not None:
-        # Same attribute discipline as the sanitizer: the tier policy
-        # rides on the build, not the kernel constructor signature.
+    if machine.guest.slow_tier is not None:
         kernel.tier_policy = machine.tier_policy
     work = Workload(spec, kernel, seed=seed + 1)
     work.setup()
@@ -342,9 +340,8 @@ class ExperimentRun:
     the simulation's RNG streams, so results are identical either way.
 
     ``kernel_cls`` swaps in an alternative kernel implementation with
-    the same constructor — the differential test harness and the kernel
-    benchmark run the frozen legacy kernel through the exact same driver
-    this way.
+    the same constructor — the differential test harness runs its
+    reference kernel through the exact same driver this way.
 
     ``faults`` injects a seeded fault plan into the run: one
     :class:`~repro.faults.FaultInjector` is shared by the kernel,

@@ -119,10 +119,9 @@ def check_frame_conservation(kernel: Any, now: int) -> List[Violation]:
     """
     out: List[Violation] = []
     frames = kernel.frames
-    # On a tiered FrameTable the free count splits across pools; the
-    # getattr keeps the frozen legacy FrameTable (fast pool only, no
-    # free_slow_frames) checkable under the same equation.
-    free_slow = getattr(frames, "free_slow_frames", lambda: 0)()
+    # The free count splits across the two pools (the slow one is empty
+    # on a flat machine).
+    free_slow = frames.free_slow_frames()
     if frames.allocated + frames.free_frames() + free_slow != frames.n_frames:
         out.append(
             _kernel_violation(
@@ -210,15 +209,13 @@ def check_tier_placement(kernel: Any, now: int) -> List[Violation]:
     * the page tables' slow-resident count equals the frame allocator's
       ``allocated_slow`` counter.
 
-    A legacy flat :class:`FrameTable` (no tier split) passes trivially:
-    every frame is fast and every ``tier`` entry stays 0.
+    A flat machine passes trivially: every frame is fast and every
+    ``tier`` entry stays 0.
     """
     out: List[Violation] = []
     frames = kernel.frames
     flat = kernel.space.flat
-    frame_tier = getattr(frames, "tier", None)
-    if frame_tier is None:
-        return out
+    frame_tier = frames.tier
 
     framed = flat.present & (flat.frame >= 0)
     if framed.any():
@@ -246,7 +243,7 @@ def check_tier_placement(kernel: Any, now: int) -> List[Violation]:
             )
         )
     slow_resident = int(np.count_nonzero(flat.present & (flat.tier != 0)))
-    allocated_slow = int(getattr(frames, "allocated_slow", 0))
+    allocated_slow = int(frames.allocated_slow)
     if slow_resident != allocated_slow:
         out.append(
             _kernel_violation(
@@ -349,36 +346,19 @@ def check_huge_residency(kernel: Any, now: int) -> List[Violation]:
 def check_region_state(monitor: Any, now: int) -> List[Violation]:
     """The region table's structural invariants hold: regions are
     well-formed, at least ``MIN_REGION_SIZE``, non-overlapping, and —
-    when the layout is stable — tile the target ranges byte for byte.
-    Also cross-checks the view cache against the backing array."""
-    out: List[Violation] = []
+    when the layout is stable — tile the target ranges byte for byte."""
     try:
         monitor.check_invariants()
     except MonitorStateError as exc:
-        out.append(
+        return [
             Violation(
                 check="region_tiling",
                 message=str(exc),
                 time_us=int(now),
                 digest=digest_region_state(monitor),
             )
-        )
-    views = monitor._views
-    if views is not None and monitor._views_generation == monitor._ra.generation:
-        if len(views) != monitor._ra.n:
-            out.append(
-                Violation(
-                    check="region_views",
-                    message=(
-                        f"view cache holds {len(views)} region(s) but the "
-                        f"backing array has {monitor._ra.n} at the same "
-                        "generation"
-                    ),
-                    time_us=int(now),
-                    digest=digest_region_state(monitor),
-                )
-            )
-    return out
+        ]
+    return []
 
 
 def check_sample_lookahead(monitor: Any, now: int) -> List[Violation]:

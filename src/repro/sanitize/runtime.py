@@ -1,16 +1,15 @@
 """The SimSanitizer runtime: checkpoints, the EpochEnd hook, reporting.
 
 :class:`SimSanitizer` is attached to a kernel and monitor *after*
-construction (``kernel.sanitizer = sanitizer``) so the frozen legacy
-oracles — which share the constructors — never see a new keyword.  The
-layers call back at their natural barriers:
+construction (``kernel.sanitizer = sanitizer``); neither constructor
+takes it.  The layers call back at their natural barriers:
 
 * ``SimKernel.end_epoch`` → :meth:`SimSanitizer.checkpoint_kernel`
   (frame conservation, exclusivity, counters, huge residency; quota
   when no trace bus carries the EpochEnd hook);
 * ``DataAccessMonitor.aggregate_tick`` →
-  :meth:`SimSanitizer.checkpoint_monitor` (region tiling + view cache,
-  and the finished sampling plan's last row against a fresh probe);
+  :meth:`SimSanitizer.checkpoint_monitor` (region tiling, and the
+  finished sampling plan's last row against a fresh probe);
 * a :class:`~repro.trace.events.EpochEnd` bus subscription
   (:meth:`SimSanitizer.subscribe`) → cross-layer checks at the epoch
   boundary, **record-only**: the bus detaches subscribers that raise,

@@ -87,11 +87,9 @@ class SchemesEngine:
             if scheme.watermarks is not None:
                 # Watermarks judge DRAM pressure: on a tiered machine the
                 # ratio is over the fast pool (slow frames neither count
-                # as free nor enlarge the denominator).  getattr keeps
-                # the frozen legacy FrameTable — no tier split — working.
+                # as free nor enlarge the denominator).
                 frames = self.kernel.frames
-                pool = getattr(frames, "n_fast_frames", frames.n_frames)
-                free_ratio = frames.free_frames() / pool
+                free_ratio = frames.free_frames() / frames.n_fast_frames
                 was_active = scheme.watermarks.active
                 now_active = scheme.watermarks.update(free_ratio)
                 if tr is not None and now_active != was_active:
@@ -106,20 +104,11 @@ class SchemesEngine:
                 if not now_active:
                     continue
             scheme.stats.nr_intervals += 1
-            ra = getattr(monitor, "_ra", None)
-            if ra is not None:
-                # Array-aware fast path: one vectorized pattern pass over
-                # the monitor's column table, then views only for the
-                # (typically few) matching regions.
-                mask = scheme.pattern.match_mask(ra, attrs)
-                if not mask.any():
-                    continue
-                regions = monitor.regions
-                matching = [regions[i] for i in np.flatnonzero(mask)]
-            else:
-                matching = [
-                    r for r in monitor.regions if scheme.pattern.matches(r, attrs)
-                ]
+            # One vectorized pattern pass over the monitor's column
+            # table, then views only for the (typically few) matching rows.
+            ra = monitor._ra
+            mask = scheme.pattern.match_mask(ra, attrs)
+            matching = [ra.view(i) for i in np.flatnonzero(mask).tolist()]
             if not matching:
                 continue
             pass_tried = pass_applied = 0

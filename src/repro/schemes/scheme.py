@@ -16,7 +16,7 @@ import numpy as np
 
 from ..errors import SchemeError
 from ..monitor.attrs import MonitorAttrs
-from ..monitor.region import Region
+from ..monitor.region import Region, RegionArray
 from ..units import UNLIMITED, format_size, format_time
 from .actions import Action
 from .filters import AddressFilter
@@ -66,7 +66,13 @@ class AccessPattern:
             )
 
     def matches(self, region: Region, attrs: MonitorAttrs) -> bool:
-        """Does ``region`` (with counters in ``attrs`` units) fit the pattern?
+        """Does ``region`` (with counters in ``attrs`` units) fit the
+        pattern?  :meth:`match_mask` over a one-row table."""
+        return bool(self.match_mask(RegionArray.from_regions([region]), attrs)[0])
+
+    def match_mask(self, ra: RegionArray, attrs: MonitorAttrs) -> np.ndarray:
+        """One boolean per row of the region table ``ra`` (counters in
+        ``attrs`` units): does the region fit the pattern?
 
         Frequency compares the region's access count against the pattern
         bounds scaled to counts; age is measured in aggregation intervals
@@ -75,47 +81,17 @@ class AccessPattern:
         like zero — exactly as in the kernel, where age has aggregation
         granularity.
         """
-        if not self.min_size <= region.size <= self.max_size:
-            return False
-        max_nr = attrs.max_nr_accesses
-        min_count = self.min_freq * max_nr
-        max_count = self.max_freq * max_nr
-        # Tolerate float rounding at the bounds (e.g. 0.25 * 20 == 5.0).
-        if not min_count - 1e-9 <= region.nr_accesses <= max_count + 1e-9:
-            return False
-        if self.min_wfreq > 0.0 or self.max_wfreq < 1.0:
-            # Match against the stronger of the instantaneous count and
-            # the peak-hold indicator, so periodically rewritten regions
-            # do not masquerade as clean during their idle windows.
-            writes = max(
-                getattr(region, "nr_writes", 0),
-                getattr(region, "write_ewma", 0.0),
-            )
-            min_w = self.min_wfreq * max_nr
-            max_w = self.max_wfreq * max_nr
-            if not min_w - 1e-9 <= writes <= max_w + 1e-9:
-                return False
-        min_age = attrs.age_intervals(self.min_age_us)
-        max_age = (
-            UNLIMITED
-            if self.max_age_us == UNLIMITED
-            else attrs.age_intervals(self.max_age_us)
-        )
-        return min_age <= region.age <= max_age
-
-    def match_mask(self, ra, attrs: MonitorAttrs) -> "np.ndarray":
-        """Vectorized :meth:`matches` over a struct-of-arrays region
-        table (:class:`~repro.perf.regionarray.RegionArray`): one boolean
-        per region, identical to calling ``matches`` on each view —
-        including the float tolerance at the frequency bounds and the
-        write-channel short-circuit."""
         sizes = ra.end - ra.start
         mask = (sizes >= self.min_size) & (sizes <= self.max_size)
         max_nr = attrs.max_nr_accesses
+        # Tolerate float rounding at the bounds (e.g. 0.25 * 20 == 5.0).
         mask &= (ra.nr_accesses >= self.min_freq * max_nr - 1e-9) & (
             ra.nr_accesses <= self.max_freq * max_nr + 1e-9
         )
         if self.min_wfreq > 0.0 or self.max_wfreq < 1.0:
+            # Match against the stronger of the instantaneous count and
+            # the peak-hold indicator, so periodically rewritten regions
+            # do not masquerade as clean during their idle windows.
             writes = np.maximum(ra.nr_writes, ra.write_ewma)
             mask &= (writes >= self.min_wfreq * max_nr - 1e-9) & (
                 writes <= self.max_wfreq * max_nr + 1e-9

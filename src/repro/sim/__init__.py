@@ -13,7 +13,7 @@ package provides the synthetic equivalent of that whole substrate:
   semantics,
 * :mod:`repro.sim.physmem` — frame allocation and the reverse map,
 * :mod:`repro.sim.swap` — ZRAM and file-backed swap devices,
-* :mod:`repro.sim.thp` — transparent-huge-page promotion/demotion,
+* :mod:`repro.sim.thp` — the transparent-huge-page policy knob,
 * :mod:`repro.sim.lru` — the two-list LRU reclaim baseline,
 * :mod:`repro.sim.costs` — the latency/cost model,
 * :mod:`repro.sim.kernel` — the façade tying the above together.
@@ -35,7 +35,7 @@ from .metrics import KernelMetrics, MemoryTimeline, RuntimeBreakdown
 from .pagetable import HUGE_PAGE_SIZE, PAGE_SIZE, PAGES_PER_HUGE, PageTable
 from .physmem import FrameTable
 from .swap import FileSwapDevice, NoSwapDevice, SwapDevice, ZramDevice
-from .thp import Khugepaged, ThpPolicy
+from .thp import ThpPolicy
 from .vma import VMA, AddressSpace
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "GuestSpec",
     "HUGE_PAGE_SIZE",
     "KernelMetrics",
-    "Khugepaged",
     "LruReclaimer",
     "MachineSpec",
     "MemoryTimeline",

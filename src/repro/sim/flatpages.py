@@ -12,7 +12,7 @@ stays the write-through facade: on build, every VMA's column attributes
 are rebound to slice views into the flat arrays (NumPy slices share
 memory), so all existing per-VMA methods keep working unchanged while
 whole-table passes read the same bytes.  This is the same
-array-of-record → record-of-arrays move ``repro/perf/regionarray.py``
+array-of-record → record-of-arrays move ``repro/monitor/region.py``
 made for the monitor.
 
 Layout invariants:
@@ -155,10 +155,10 @@ class FlatPageTable:
         """Per-chunk sums of page touch rates (float64), cached until the
         next rate change.
 
-        Summed per-segment with the exact ``reshape(...).sum(axis=1)``
-        the per-VMA code used — summation order is part of the
-        differential contract (``np.add.reduceat`` would change the
-        floating-point result).
+        Summed per segment with the exact ``reshape(...).sum(axis=1)``
+        of the differential oracle's per-VMA tables — summation order is
+        part of the differential contract (``np.add.reduceat`` would
+        change the floating-point result).
         """
         if self._chunk_rates is None:
             out = np.zeros(self.n_chunks, dtype=np.float64)
@@ -182,11 +182,17 @@ class FlatPageTable:
         return np.bincount(sel, minlength=self.n_chunks)
 
     # ------------------------------------------------------------------
-    # Probability models (single-pass equivalents of the per-VMA ones)
+    # Probability models
     # ------------------------------------------------------------------
     def access_probability(self, idx: np.ndarray, window_us: float) -> np.ndarray:
-        """P(accessed bit set) for global page indices ``idx``; pages in
-        huge-mapped chunks read the PMD-level (chunk-total) rate."""
+        """P(accessed bit set) for global page indices ``idx`` over a
+        ``window_us`` window.
+
+        For pages inside a huge-mapped chunk the accessed bit lives in the
+        PMD entry, so a touch *anywhere in the chunk* sets it; the
+        effective rate is the chunk's total rate.  This mirrors hardware:
+        huge mappings coarsen what the monitor can see.
+        """
         rates = self.rate[idx].astype(np.float64)
         if self.n_chunks and self.chunk_huge.any():
             pc = self.page_chunk[idx]
@@ -198,7 +204,14 @@ class FlatPageTable:
         return 1.0 - np.exp(-rates * (window_us / 1e6))
 
     def write_probability(self, idx: np.ndarray, window_us: float) -> np.ndarray:
-        """P(dirty bit observed set) for global page indices ``idx``."""
+        """P(dirty bit observed set) for global page indices ``idx``.
+
+        Unlike the accessed bit (which the monitor clears each check),
+        the dirty bit *persists* until writeback cleans it — clearing it
+        would corrupt writeback bookkeeping.  A page already dirty reads
+        as written with certainty; an as-yet-clean page may be caught by
+        a write landing within the check window.
+        """
         rates = self.write_rate[idx].astype(np.float64)
         fresh = 1.0 - np.exp(-rates * (window_us / 1e6))
         return np.where(self.dirty[idx], 1.0, fresh)

@@ -42,7 +42,7 @@ from .metrics import KernelMetrics
 from .pagetable import PAGE_SIZE, PAGES_PER_HUGE
 from .physmem import FrameTable
 from .swap import SwapDevice, ZramDevice
-from .thp import Khugepaged, ThpPolicy
+from .thp import ThpPolicy
 from .vma import VMA, AddressSpace
 
 __all__ = ["SimKernel", "Watermarks"]
@@ -62,8 +62,7 @@ class Watermarks:
     fleet scheduler evaluates the *same* values against the shared
     physical pool — that is how per-process and fleet-wide reclaim stay
     on one policy.  Kernels default to the classic kswapd-style pair;
-    assign ``kernel.watermarks`` after construction to override (the
-    frozen legacy oracle shares the constructor, so no new keyword).
+    assign ``kernel.watermarks`` after construction to override.
     """
 
     high: float = _HIGH_WATERMARK
@@ -114,10 +113,8 @@ class SimKernel:
             raise ConfigError(f"expected GuestSpec or MachineSpec, got {guest!r}")
         self.guest = guest
         #: Slow memory tier (:class:`~repro.sim.machine.TierSpec`) or
-        #: None on a flat machine.  Ships on the guest spec, not as a
-        #: constructor keyword, so the frozen legacy oracle — which
-        #: shares this signature — needs no change.
-        self.tier = getattr(guest, "slow_tier", None)
+        #: None on a flat machine; part of the guest spec.
+        self.tier = guest.slow_tier
         self.space = AddressSpace(name="workload")
         self.frames = FrameTable(
             guest.dram_bytes,
@@ -126,10 +123,6 @@ class SimKernel:
         self.swap = swap if swap is not None else ZramDevice()
         self.costs = costs if costs is not None else CostModel()
         self.thp_policy = thp if thp is not None else ThpPolicy(mode="never")
-        # Standalone scanner view of khugepaged (statistics/tests); the
-        # kernel's own khugepaged_scan() additionally handles frame
-        # allocation for the bloat pages.
-        self.khugepaged = Khugepaged(self.space, self.thp_policy)
         self.lru = LruReclaimer(
             self.space,
             frames=self.frames,
@@ -142,8 +135,7 @@ class SimKernel:
         #: Optional :class:`repro.faults.FaultInjector` shared with the run.
         self.faults = faults
         #: Optional :class:`repro.sanitize.SimSanitizer`, attached by the
-        #: experiment driver *after* construction (the frozen legacy
-        #: kernel shares this constructor, so no new keyword).
+        #: experiment driver after construction.
         self.sanitizer = None
         #: Reclaim thresholds; the fleet scheduler assigns its shared
         #: fleet-wide instance here (same post-construction pattern).

@@ -14,7 +14,10 @@ for each page.  A page's accessed bit, cleared at time ``t0`` and read at
 Poisson model of whether at least one touch landed in the window.  This
 reproduces exactly the statistics the kernel monitor sees from real PTE
 accessed bits, while letting the simulation emit accesses at epoch
-granularity instead of one event per load instruction.
+granularity instead of one event per load instruction.  Rates are
+declared here, per VMA; the probability is read in one place, off the
+address space's flat table
+(:meth:`repro.sim.flatpages.FlatPageTable.access_probability`).
 
 Concrete page touches (faults, RSS changes, LRU recency) are applied
 separately through :meth:`PageTable.touch_range`.
@@ -102,7 +105,6 @@ class PageTable:
         "n_chunks",
         "chunk_huge",
         "chunk_promoted_at",
-        "_chunk_rates",
         "n_present",
         "n_swapped",
         "_owner",
@@ -142,9 +144,6 @@ class PageTable:
         self.n_chunks = n_pages // PAGES_PER_HUGE
         self.chunk_huge = np.zeros(self.n_chunks, dtype=bool)
         self.chunk_promoted_at = np.full(self.n_chunks, NEVER, dtype=np.int64)
-        # Per-epoch cache of per-chunk rate sums (invalidated on any
-        # rate change); the monitor reads it once per sampling tick.
-        self._chunk_rates = None
         # Incremental residency accounting: every state transition that
         # flips ``present``/``swapped`` goes through a method of this
         # class and keeps these counters exact, so RSS reads are O(1)
@@ -160,7 +159,7 @@ class PageTable:
         self._rate_slices = []
 
     def __getstate__(self):
-        """Pickle as a standalone table: no owner, no derived cache.
+        """Pickle as a standalone table: no owner.
 
         The column arrays may be views into a
         :class:`~repro.sim.flatpages.FlatPageTable`; pickling serializes
@@ -171,7 +170,6 @@ class PageTable:
         """
         state = {name: getattr(self, name) for name in self.__slots__}
         state["_owner"] = None
-        state["_chunk_rates"] = None
         return (None, state)
 
     def _bind(self, flat, page_sl: slice, chunk_sl: slice) -> None:
@@ -194,13 +192,12 @@ class PageTable:
         self.tier = flat.tier[page_sl]
         self.chunk_huge = flat.chunk_huge[chunk_sl]
         self.chunk_promoted_at = flat.chunk_promoted_at[chunk_sl]
-        self._chunk_rates = None
         self._owner = flat
 
     def _invalidate_chunk_rates(self) -> None:
-        """Every ``rate`` store ends here: drop the chunk-sum caches and
-        tell the monitor its planned answers may be stale."""
-        self._chunk_rates = None
+        """Every ``rate`` store ends here: drop the owning flat table's
+        chunk-sum cache and tell the monitor its planned answers may be
+        stale."""
         if self._owner is not None:
             self._owner._chunk_rates = None
         self._bump_probe_generation()
@@ -372,48 +369,6 @@ class PageTable:
         self._rate_slices = []
         self._invalidate_chunk_rates()
 
-    def access_probability(self, idx: np.ndarray, window_us: float) -> np.ndarray:
-        """P(accessed bit set) for pages ``idx`` over a ``window_us`` window.
-
-        For pages inside a huge-mapped chunk the accessed bit lives in the
-        PMD entry, so a touch *anywhere in the chunk* sets it; the
-        effective rate is the chunk's total rate.  This mirrors hardware:
-        huge mappings coarsen what the monitor can see.
-        """
-        idx = np.asarray(idx, dtype=np.int64)
-        rates = self.rate[idx].astype(np.float64)
-        if self.n_chunks and self.chunk_huge.any():
-            chunk_ids = np.minimum(idx >> 9, self.n_chunks - 1)
-            in_huge = self.chunk_huge[chunk_ids] & ((idx >> 9) < self.n_chunks)
-            if in_huge.any():
-                chunk_rates = self.chunk_total_rates()
-                rates = np.where(in_huge, chunk_rates[chunk_ids], rates)
-        return 1.0 - np.exp(-rates * (window_us / 1e6))
-
-    def write_probability(self, idx: np.ndarray, window_us: float) -> np.ndarray:
-        """P(dirty bit observed set) for pages ``idx``.
-
-        Unlike the accessed bit (which the monitor clears each check),
-        the dirty bit *persists* until writeback cleans it — clearing it
-        would corrupt writeback bookkeeping.  A page already dirty reads
-        as written with certainty; an as-yet-clean page may be caught by
-        a write landing within the check window.
-        """
-        idx = np.asarray(idx, dtype=np.int64)
-        rates = self.write_rate[idx].astype(np.float64)
-        fresh = 1.0 - np.exp(-rates * (window_us / 1e6))
-        return np.where(self.dirty[idx], 1.0, fresh)
-
-    def chunk_total_rates(self) -> np.ndarray:
-        """Sum of page touch rates per (full) 2 MiB chunk (cached until
-        the next rate change)."""
-        if self._chunk_rates is None:
-            covered = self.n_chunks * PAGES_PER_HUGE
-            self._chunk_rates = self.rate[:covered].reshape(
-                self.n_chunks, PAGES_PER_HUGE
-            ).sum(axis=1, dtype=np.float64)
-        return self._chunk_rates
-
     def huge_mask(self, idx: np.ndarray) -> np.ndarray:
         """Which of pages ``idx`` sit inside a huge-mapped chunk."""
         idx = np.asarray(idx, dtype=np.int64)
@@ -492,11 +447,6 @@ class PageTable:
         self.n_swapped -= n_swapped
         return chunks, new_idx, n_swapped
 
-    def promote_chunk(self, chunk: int, now: int) -> int:
-        """Single-chunk convenience wrapper; returns pages newly present."""
-        _, new_idx, _ = self.promote_chunks(np.array([chunk]), now)
-        return int(new_idx.size)
-
     def demote_chunks(self, chunks: np.ndarray, now: int):
         """Split huge mappings back into 4 KiB pages.
 
@@ -519,11 +469,6 @@ class PageTable:
         self._bump_probe_generation()
         self.n_present -= int(freed_idx.size)
         return chunks, freed_idx
-
-    def demote_chunk(self, chunk: int, now: int) -> int:
-        """Single-chunk convenience wrapper; returns pages freed."""
-        _, freed = self.demote_chunks(np.array([chunk]), now)
-        return int(freed.size)
 
     # ------------------------------------------------------------------
     # Kernel-side transitions (the façade's write paths; these keep the
@@ -599,16 +544,3 @@ class PageTable:
     def swapped_pages(self) -> int:
         """Number of pages currently on the swap device; O(1)."""
         return self.n_swapped
-
-    def recount(self) -> None:
-        """Recompute the residency counters from the bitmap ground truth.
-
-        Exists for tests (and for callers that mutated the columns
-        directly): the property suite asserts the incremental counters
-        never drift from this."""
-        self.n_present = int(np.count_nonzero(self.present))
-        self.n_swapped = int(np.count_nonzero(self.swapped))
-
-    def huge_chunks(self) -> int:
-        """Number of huge-mapped 2 MiB chunks."""
-        return int(np.count_nonzero(self.chunk_huge))

@@ -1,4 +1,4 @@
-"""Transparent huge pages: the khugepaged promotion model.
+"""Transparent huge pages: the khugepaged promotion policy.
 
 With ``thp=always`` the Linux khugepaged daemon scans mapped memory and
 collapses any 2 MiB-aligned range with a minimum number of present pages
@@ -7,22 +7,21 @@ behaviour Kwon et al. diagnosed and the paper's ``ethp`` scheme fixes.
 The collapse makes the whole 2 MiB resident (internal fragmentation =
 bloat); the reward is cheaper TLB behaviour for touches to the chunk.
 
-This module models khugepaged as a periodic scan over each address
-space; DAMOS's HUGEPAGE/NOHUGEPAGE actions bypass it and promote/demote
-directly through the page table (see :mod:`repro.schemes.actions`).
+This module holds the policy knob.  The scanner itself is
+:meth:`repro.sim.kernel.SimKernel.khugepaged_scan`, because a collapse
+must allocate frames for the pages it makes resident; DAMOS's
+HUGEPAGE/NOHUGEPAGE actions bypass it and promote/demote directly
+through the kernel (see :mod:`repro.schemes.actions`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..errors import ConfigError
 from .pagetable import PAGES_PER_HUGE
-from .vma import AddressSpace
 
-__all__ = ["ThpPolicy", "Khugepaged"]
+__all__ = ["ThpPolicy"]
 
 
 @dataclass
@@ -50,47 +49,3 @@ class ThpPolicy:
             raise ConfigError(
                 f"min_present_pages must be in [1, {PAGES_PER_HUGE}]"
             )
-
-
-class Khugepaged:
-    """Periodic collapse scanner over one address space.
-
-    ``scan(now)`` promotes every eligible chunk and returns the number of
-    promotions plus the number of pages that became newly resident (the
-    bloat increment), so the kernel façade can charge allocation latency
-    and track footprint.
-    """
-
-    def __init__(self, space: AddressSpace, policy: ThpPolicy):
-        self.space = space
-        self.policy = policy
-        self.total_promotions = 0
-        self.total_bloat_pages = 0
-
-    def scan(self, now: int):
-        """One khugepaged pass.  No-op unless policy mode is ``always``."""
-        if self.policy.mode != "always":
-            return {"promotions": 0, "bloat_pages": 0}
-        promotions = 0
-        bloat_pages = 0
-        threshold = self.policy.min_present_pages
-        # Whole-table eligibility in one pass over the flat page table;
-        # promotion itself stays per-VMA (chunk indices are VMA-local).
-        flat = self.space.flat
-        if flat.n_chunks:
-            counts = flat.chunk_present_counts()
-            eligible_mask = (counts >= threshold) & ~flat.chunk_huge
-            if eligible_mask.any():
-                co = flat.chunk_offset
-                for ordinal, vma in enumerate(self.space.vmas):
-                    eligible = np.nonzero(
-                        eligible_mask[co[ordinal] : co[ordinal + 1]]
-                    )[0]
-                    if eligible.size == 0:
-                        continue
-                    promoted, new_idx, _ = vma.pages.promote_chunks(eligible, now)
-                    promotions += int(promoted.size)
-                    bloat_pages += int(new_idx.size)
-        self.total_promotions += promotions
-        self.total_bloat_pages += bloat_pages
-        return {"promotions": promotions, "bloat_pages": bloat_pages}

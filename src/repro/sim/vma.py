@@ -174,25 +174,15 @@ class AddressSpace:
     # ------------------------------------------------------------------
     def ranges_in(self, start: int, end: int) -> Iterable[Tuple[VMA, int, int]]:
         """Yield ``(vma, page_lo, page_hi)`` for each VMA overlapping
-        ``[start, end)``, with page indices local to the VMA.
-
-        VMAs are sorted and disjoint, so the overlapping run is found by
-        two binary searches instead of scanning the whole list.
+        ``[start, end)``, in address order, with page indices local to
+        the VMA.  A plain scan: every workload maps a handful of VMAs
+        (heap, data, stack).
         """
-        if end <= start or not self.vmas:
+        if end <= start:
             return
-        if len(self.vmas) > 8:
-            starts, ends = self._lookup_arrays()
-            i0 = int(np.searchsorted(ends, start, side="right"))
-            i1 = int(np.searchsorted(starts, end, side="left"))
-            overlapping = self.vmas[i0:i1]
-        else:
-            # For a handful of VMAs (the common workload layout) the
-            # plain scan beats two numpy searchsorted calls.
-            overlapping = [
-                v for v in self.vmas if v.start < end and v.end > start
-            ]
-        for vma in overlapping:
+        for vma in self.vmas:
+            if vma.end <= start or vma.start >= end:
+                continue
             lo_addr = max(start, vma.start)
             hi_addr = min(end, vma.end)
             lo = (lo_addr - vma.start) // PAGE_SIZE

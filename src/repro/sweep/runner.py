@@ -244,7 +244,6 @@ class SweepRunner:
         jobs: int = 1,
         cache_dir: Optional[Union[str, Path]] = None,
         progress: Optional[ProgressFn] = None,
-        start_method: str = "spawn",
         retries: int = 1,
         point_timeout_s: Optional[float] = None,
         faults=None,
@@ -265,7 +264,6 @@ class SweepRunner:
         self.jobs = jobs
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         self.progress = progress
-        self.start_method = start_method
         self.retries = retries
         self.point_timeout_s = point_timeout_s
         #: Run every point under the SimSanitizer invariant checks.
@@ -484,7 +482,6 @@ class SweepRunner:
 
                     PointSupervisor(
                         jobs=min(self.jobs, len(pending)),
-                        start_method=self.start_method,
                         sanitize=self.sanitize,
                         timeout_s=self.point_timeout_s,
                         retries=self.retries,

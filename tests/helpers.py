@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 from repro.units import MSEC
 
 #: Base address used by most unit tests (2 MiB aligned).
@@ -22,3 +25,26 @@ def run_epochs(kernel, queue, bursts, n_epochs, epoch_us=100 * MSEC, compute_us=
     one_epoch(queue.clock.now)
     queue.schedule_periodic(epoch_us, one_epoch)
     queue.run_for(n_epochs * epoch_us)
+
+
+def load_oracle_kernel() -> type:
+    """The frozen reference kernel of ``benchmarks/_legacy_kernel.py``,
+    adapted to what production asks of a kernel today.
+
+    The oracle predates the probe-generation counters and keeps none, so
+    the adapter answers "unknown": the monitor then asks it about one
+    sampling tick at a time, which is the behaviour it was frozen with.
+    """
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "_legacy_kernel.py"
+    spec = importlib.util.spec_from_file_location("_legacy_kernel", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+
+    class OracleKernel(module.LegacySimKernel):
+        def probe_generation(self):
+            return None
+
+        def frame_probe_generation(self):
+            return None
+
+    return OracleKernel

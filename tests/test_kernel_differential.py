@@ -25,9 +25,7 @@ frame-table route (table ≫ DRAM) and the dense whole-table mask route
 from __future__ import annotations
 
 import dataclasses
-import importlib.util
 import io
-from pathlib import Path
 
 import pytest
 
@@ -38,17 +36,9 @@ from repro.units import GIB, MIB, SEC
 from repro.workloads.base import WorkloadSpec
 from repro.workloads.patterns import CyclicSweep, Hotspot
 
-_LEGACY_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "_legacy_kernel.py"
+from tests.helpers import load_oracle_kernel
 
-
-def _load_legacy():
-    spec = importlib.util.spec_from_file_location("_legacy_kernel", _LEGACY_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.LegacySimKernel
-
-
-LegacySimKernel = _load_legacy()
+LegacySimKernel = load_oracle_kernel()
 
 
 def traced_run(kernel_cls=None, **kw):

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.monitor.attrs import MonitorAttrs
 from repro.monitor.core import DataAccessMonitor
 from repro.monitor.primitives import PhysicalPrimitive, VirtualPrimitive
-from repro.perf.regionarray import _INT_COLUMNS
+from repro.monitor.region import _INT_COLUMNS
 from repro.sim.kernel import SimKernel
 from repro.sim.machine import GuestSpec, get_instance
 from repro.sim.swap import ZramDevice

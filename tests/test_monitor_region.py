@@ -1,4 +1,4 @@
-"""Region data structure: split, merge, aging math, layout clipping."""
+"""Region table: split, merge, aging math, layout clipping."""
 
 import numpy as np
 import pytest
@@ -8,10 +8,8 @@ from repro.errors import ConfigError
 from repro.monitor.region import (
     MIN_REGION_SIZE,
     Region,
-    merge_two,
-    pick_sampling_addrs,
+    RegionArray,
     regions_intersecting,
-    split_region,
 )
 
 K = MIN_REGION_SIZE
@@ -36,69 +34,81 @@ class TestRegion:
         assert not region.overlaps(20 * K, 30 * K)
 
 
+def table(*rows):
+    """A RegionArray from ``(start_page, end_page, counters)`` rows."""
+    regions = []
+    for start, end, counters in rows:
+        region = Region(start * K, end * K)
+        for name, value in counters.items():
+            setattr(region, name, value)
+        regions.append(region)
+    return RegionArray.from_regions(regions)
+
+
+def bounds(ra):
+    return list(zip(ra.start.tolist(), ra.end.tolist()))
+
+
 class TestSplit:
     def test_children_tile_parent(self):
-        parent = Region(0, 10 * K)
-        left, right = split_region(parent, 4 * K)
-        assert (left.start, left.end) == (0, 4 * K)
-        assert (right.start, right.end) == (4 * K, 10 * K)
+        ra = table((0, 10, {}))
+        assert ra.split(np.random.default_rng(0), pieces=2) == 1
+        (left_start, cut), (cut_again, right_end) = bounds(ra)
+        assert (left_start, right_end) == (0, 10 * K)
+        assert cut == cut_again and cut % K == 0 and 0 < cut < 10 * K
 
     def test_children_inherit_counters(self):
-        parent = Region(0, 10 * K)
-        parent.nr_accesses = 7
-        parent.age = 3
-        parent.last_nr_accesses = 5
-        for child in split_region(parent, 5 * K):
-            assert child.nr_accesses == 7
-            assert child.age == 3
-            assert child.last_nr_accesses == 5
+        ra = table((0, 10, dict(nr_accesses=7, age=3, last_nr_accesses=5)))
+        ra.split(np.random.default_rng(0), pieces=2)
+        assert ra.nr_accesses.tolist() == [7, 7]
+        assert ra.age.tolist() == [3, 3]
+        assert ra.last_nr_accesses.tolist() == [5, 5]
 
-    def test_split_too_close_to_edge_rejected(self):
-        parent = Region(0, 2 * K)
-        with pytest.raises(ConfigError):
-            split_region(parent, K // 2)
+    def test_one_page_region_is_not_split(self):
+        """No cut leaves a child below the minimum size: a one-page row
+        stays whole while its neighbour splits."""
+        ra = table((0, 1, {}), (1, 11, {}))
+        assert ra.split(np.random.default_rng(0), pieces=3) >= 1
+        assert bounds(ra)[0] == (0, K)
+        assert (ra.end - ra.start >= MIN_REGION_SIZE).all()
+        assert ra.total_bytes() == 11 * K
 
 
 class TestMerge:
     def test_merge_requires_adjacency(self):
-        with pytest.raises(ConfigError):
-            merge_two(Region(0, K), Region(2 * K, 3 * K))
+        ra = table((0, 1, {}), (2, 3, {}))
+        assert ra.age_and_merge(threshold=20, sz_limit=100 * K) == 0
+        assert bounds(ra) == [(0, K), (2 * K, 3 * K)]
 
     def test_size_weighted_access_count(self):
-        left = Region(0, 3 * K)
-        right = Region(3 * K, 4 * K)
-        left.nr_accesses = 4
-        right.nr_accesses = 8
-        merged = merge_two(left, right)
-        assert merged.nr_accesses == 5  # (4*3 + 8*1) / 4
+        ra = table((0, 3, dict(nr_accesses=4)), (3, 4, dict(nr_accesses=8)))
+        assert ra.age_and_merge(threshold=4, sz_limit=100 * K) == 1
+        assert ra.nr_accesses.tolist() == [5]  # (4*3 + 8*1) / 4
 
     def test_size_weighted_age(self):
-        left = Region(0, K)
-        right = Region(K, 4 * K)
-        left.age = 0
-        right.age = 8
-        merged = merge_two(left, right)
-        assert merged.age == 6  # (0*1 + 8*3) / 4
+        ra = table((0, 1, dict(age=0)), (1, 4, dict(age=8)))
+        ra.age_and_merge(threshold=0, sz_limit=100 * K)
+        # Both rows were stable, so they age to 1 and 9 before the fold.
+        assert ra.age.tolist() == [7]  # (1*1 + 9*3) / 4
 
     def test_merge_spans_union(self):
-        merged = merge_two(Region(0, 2 * K), Region(2 * K, 5 * K))
-        assert (merged.start, merged.end) == (0, 5 * K)
+        ra = table((0, 2, {}), (2, 5, {}))
+        ra.age_and_merge(threshold=0, sz_limit=100 * K)
+        assert bounds(ra) == [(0, 5 * K)]
 
     @settings(max_examples=50, deadline=None)
     @given(
-        split_at=st.integers(min_value=1, max_value=9),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
         nr=st.integers(min_value=0, max_value=20),
         age=st.integers(min_value=0, max_value=100),
     )
-    def test_split_then_merge_is_identity(self, split_at, nr, age):
-        parent = Region(0, 10 * K)
-        parent.nr_accesses = nr
-        parent.age = age
-        left, right = split_region(parent, split_at * K)
-        merged = merge_two(left, right)
-        assert (merged.start, merged.end) == (0, 10 * K)
-        assert merged.nr_accesses == nr
-        assert merged.age == age
+    def test_split_then_merge_is_identity(self, seed, nr, age):
+        ra = table((0, 10, dict(nr_accesses=nr, last_nr_accesses=nr, age=age)))
+        assert ra.split(np.random.default_rng(seed), pieces=2) == 1
+        assert ra.age_and_merge(threshold=0, sz_limit=10 * K) == 1
+        assert bounds(ra) == [(0, 10 * K)]
+        assert ra.nr_accesses.tolist() == [nr]
+        assert ra.age.tolist() == [age + 1]  # the merge pass ages first
 
 
 class TestIntersecting:
@@ -144,24 +154,23 @@ class TestIntersecting:
 class TestSamplingAddrs:
     def test_addrs_inside_regions(self):
         rng = np.random.default_rng(0)
-        regions = [Region(i * 100 * K, (i + 1) * 100 * K) for i in range(20)]
-        addrs = pick_sampling_addrs(regions, rng)
-        for region, addr in zip(regions, addrs):
-            assert region.start <= addr < region.end
-            assert addr % K == 0
+        ra = table(*((i * 100, (i + 1) * 100, {}) for i in range(20)))
+        addrs = ra.pick_sampling_addrs(rng)
+        assert ((ra.start <= addrs) & (addrs < ra.end)).all()
+        assert (addrs % K == 0).all()
 
     def test_empty_region_list(self):
         rng = np.random.default_rng(0)
-        assert pick_sampling_addrs([], rng).size == 0
+        assert RegionArray().pick_sampling_addrs(rng).size == 0
 
     def test_single_page_region_always_its_page(self):
         rng = np.random.default_rng(0)
-        region = Region(5 * K, 6 * K)
+        ra = table((5, 6, {}))
         for _ in range(5):
-            assert pick_sampling_addrs([region], rng)[0] == 5 * K
+            assert ra.pick_sampling_addrs(rng)[0] == 5 * K
 
     def test_randomised_across_calls(self):
         rng = np.random.default_rng(0)
-        region = Region(0, 1000 * K)
-        seen = {int(pick_sampling_addrs([region], rng)[0]) for _ in range(20)}
+        ra = table((0, 1000, {}))
+        seen = {int(ra.pick_sampling_addrs(rng)[0]) for _ in range(20)}
         assert len(seen) > 5

@@ -6,12 +6,24 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import AddressSpaceError, ConfigError
 from repro.sim.pagetable import HUGE_PAGE_SIZE, PAGE_SIZE, PAGES_PER_HUGE, PageTable
+from repro.sim.vma import AddressSpace
 
 
 @pytest.fixture
 def pt():
     """Four full huge chunks worth of pages."""
     return PageTable(4 * PAGES_PER_HUGE)
+
+
+@pytest.fixture
+def space():
+    """An address space of one VMA, four huge chunks long: the flat
+    table's page indices equal the VMA's, so rates declared through
+    ``space.vmas[0].pages`` are read back at the same index from
+    ``space.flat`` — the table ``SimKernel.access_probabilities`` reads."""
+    space = AddressSpace()
+    space.mmap(0, 4 * HUGE_PAGE_SIZE)
+    return space
 
 
 class TestTouchRange:
@@ -110,39 +122,40 @@ class TestRates:
 
 
 class TestAccessProbability:
-    def test_zero_rate_never_accessed(self, pt):
-        probs = pt.access_probability(np.arange(10), window_us=5000)
+    def test_zero_rate_never_accessed(self, space):
+        probs = space.flat.access_probability(np.arange(10), window_us=5000)
         assert (probs == 0.0).all()
 
-    def test_high_rate_nearly_certain(self, pt):
-        pt.add_rate(0, 10, 10000.0)
-        probs = pt.access_probability(np.arange(10), window_us=5000)
+    def test_high_rate_nearly_certain(self, space):
+        space.vmas[0].pages.add_rate(0, 10, 10000.0)
+        probs = space.flat.access_probability(np.arange(10), window_us=5000)
         assert (probs > 0.99).all()
 
-    def test_poisson_formula(self, pt):
-        pt.add_rate(0, 1, 20.0)  # 20 touches/s over a 5 ms window
-        prob = pt.access_probability(np.array([0]), window_us=5000)[0]
+    def test_poisson_formula(self, space):
+        space.vmas[0].pages.add_rate(0, 1, 20.0)  # 20 touches/s over a 5 ms window
+        prob = space.flat.access_probability(np.array([0]), window_us=5000)[0]
         assert prob == pytest.approx(1.0 - np.exp(-0.1))
 
-    def test_longer_window_higher_probability(self, pt):
-        pt.add_rate(0, 1, 20.0)
-        p_short = pt.access_probability(np.array([0]), 1000)[0]
-        p_long = pt.access_probability(np.array([0]), 50000)[0]
+    def test_longer_window_higher_probability(self, space):
+        space.vmas[0].pages.add_rate(0, 1, 20.0)
+        p_short = space.flat.access_probability(np.array([0]), 1000)[0]
+        p_long = space.flat.access_probability(np.array([0]), 50000)[0]
         assert p_long > p_short
 
-    def test_huge_chunk_shares_accessed_bit(self, pt):
+    def test_huge_chunk_shares_accessed_bit(self, space):
         # Touch only page 0 at a high rate, then promote chunk 0: the
         # PMD accessed bit makes every page of the chunk look accessed.
+        flat, pt = space.flat, space.vmas[0].pages
         pt.touch_range(0, 1, now=1)
         pt.add_rate(0, 1, 5000.0)
         pt.promote_chunks(np.array([0]), now=2)
         cold_page_in_chunk = PAGES_PER_HUGE - 1
-        prob = pt.access_probability(np.array([cold_page_in_chunk]), 5000)[0]
+        prob = flat.access_probability(np.array([cold_page_in_chunk]), 5000)[0]
         assert prob > 0.9
 
-    def test_non_huge_chunk_keeps_page_granularity(self, pt):
-        pt.add_rate(0, 1, 5000.0)
-        prob = pt.access_probability(np.array([1]), 5000)[0]
+    def test_non_huge_chunk_keeps_page_granularity(self, space):
+        space.vmas[0].pages.add_rate(0, 1, 5000.0)
+        prob = space.flat.access_probability(np.array([1]), 5000)[0]
         assert prob == 0.0
 
 
@@ -279,9 +292,9 @@ class TestWriteChannel:
         assert n_dirty == 10
         assert not pt.dirty[:20].any()
 
-    def test_write_probability_follows_write_rate(self, pt):
-        pt.add_write_rate(0, 5, 10000.0)
-        probs = pt.write_probability(np.arange(10), window_us=5000)
+    def test_write_probability_follows_write_rate(self, space):
+        space.vmas[0].pages.add_write_rate(0, 5, 10000.0)
+        probs = space.flat.write_probability(np.arange(10), window_us=5000)
         assert (probs[:5] > 0.99).all()
         assert (probs[5:] == 0.0).all()
 
@@ -305,11 +318,6 @@ class TestAccounting:
         pt.pageout_range(0, 10)
         assert pt.swapped_pages() == 10
         assert pt.resident_pages() == 23
-
-    def test_huge_chunks_count(self, pt):
-        pt.touch_range(0, 1, now=1)
-        pt.promote_chunks(np.array([0]), now=2)
-        assert pt.huge_chunks() == 1
 
     def test_empty_table_rejected(self):
         with pytest.raises(ConfigError):

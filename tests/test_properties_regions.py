@@ -20,7 +20,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.monitor.attrs import MonitorAttrs
 from repro.monitor.core import DataAccessMonitor
-from repro.monitor.region import MIN_REGION_SIZE, Region, merge_two, split_region
+from repro.monitor.region import MIN_REGION_SIZE, Region, RegionArray
 from repro.units import MSEC
 
 K = MIN_REGION_SIZE
@@ -184,7 +184,7 @@ def test_aging_resets_exactly_on_changed_count(regions, threshold):
 
 
 # ----------------------------------------------------------------------
-# The two primitive operations
+# The merge arithmetic on one pair
 # ----------------------------------------------------------------------
 @given(
     left_pages=st.integers(1, 32),
@@ -199,22 +199,16 @@ def test_merge_two_weighted_averages_stay_in_range(
 ):
     left = Region(0, left_pages * K)
     right = Region(left_pages * K, (left_pages + right_pages) * K)
-    left.nr_accesses, right.nr_accesses = left_nr, right_nr
+    left.nr_accesses = left.last_nr_accesses = left_nr
+    right.nr_accesses = right.last_nr_accesses = right_nr
     left.age, right.age = left_age, right_age
-    merged = merge_two(left, right)
+    left.sampling_addr = left.end - K
+    ra = RegionArray.from_regions([left, right])
+    # Any two counts in [0, 20] are within the threshold, so the pair
+    # folds; both rows were stable, so each aged by one first.
+    assert ra.age_and_merge(threshold=20, sz_limit=left.size + right.size) == 1
+    merged = ra.view(0)
     assert merged.size == left.size + right.size
     assert min(left_nr, right_nr) <= merged.nr_accesses <= max(left_nr, right_nr)
-    assert min(left_age, right_age) <= merged.age <= max(left_age, right_age)
+    assert min(left_age, right_age) + 1 <= merged.age <= max(left_age, right_age) + 1
     assert merged.sampling_addr == left.sampling_addr
-
-
-@given(pages=st.integers(2, 64), split_page=st.integers(1, 63), nr=st.integers(0, 20))
-def test_split_region_tiles_parent_exactly(pages, split_page, nr):
-    assume(split_page < pages)
-    parent = Region(0, pages * K)
-    parent.nr_accesses = nr
-    left, right = split_region(parent, split_page * K)
-    assert left.start == parent.start
-    assert left.end == right.start
-    assert right.end == parent.end
-    assert left.nr_accesses == right.nr_accesses == nr

@@ -13,6 +13,7 @@ torn journal tails are repaired rather than replayed.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import signal
@@ -35,7 +36,7 @@ from repro.recovery import (
     resume_checkpoint,
     state_digest,
 )
-from repro.recovery.codec import checkpoint_fleet_stepping
+from repro.recovery.codec import CHECKPOINT_FORMAT, checkpoint_fleet_stepping
 from repro.runner.experiment import ExperimentRun, run_experiment
 from repro.sweep.grid import SweepGrid
 from repro.sweep.points import register_point_function
@@ -67,6 +68,22 @@ def fresh_run(trace=None) -> ExperimentRun:
     )
     run.start()
     return run
+
+
+def write_unloadable_checkpoint(path: Path) -> None:
+    """A well-formed checkpoint file (valid header, matching digest)
+    whose payload pickles a class no tree has: what a checkpoint written
+    before a class moved or lost a slot looks like to a later reader."""
+    blob = b"crepro.gone\nThing\n."
+    header = {
+        "format": CHECKPOINT_FORMAT,
+        "kind": "run",
+        "time_us": 0,
+        "code_version": "older-tree",
+        "payload_sha256": hashlib.sha256(blob).hexdigest(),
+        "payload_bytes": len(blob),
+    }
+    path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + blob)
 
 
 def filtered_counts(bus) -> dict:
@@ -165,6 +182,19 @@ class TestCheckpointCodec:
             restore_run(path)
         restored = restore_run(path, strict_version=False)
         assert restored.queue is not None  # restored and runnable
+
+    def test_unloadable_payload_is_a_checkpoint_error(self, tmp_path, monkeypatch):
+        """Version skew allowed, but the writer's classes are gone: the
+        failure is typed and names the file and both code versions."""
+        path = tmp_path / "old.bin"
+        write_unloadable_checkpoint(path)
+        monkeypatch.setenv("REPRO_SWEEP_VERSION_TAG", "reader-code")
+        with pytest.raises(CheckpointError, match="cannot be loaded") as info:
+            restore_run(str(path), strict_version=False)
+        message = str(info.value)
+        assert str(path) in message
+        assert "older-tree" in message and "reader-code" in message
+        assert isinstance(info.value.__cause__, ModuleNotFoundError)
 
 
 class TestInterruptAnywhere:
@@ -564,6 +594,14 @@ class TestExitCodes:
         path.write_bytes(bytes(blob))
         assert main(["resume", str(path)]) == 4
         assert "refusing to restore" in capsys.readouterr().err
+
+    def test_unloadable_checkpoint_exits_4(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "old.bin"
+        write_unloadable_checkpoint(path)
+        assert main(["resume", str(path), "--allow-version-skew"]) == 4
+        assert "cannot be loaded" in capsys.readouterr().err
 
     def test_watchdogged_sweep_exits_3(self, tmp_path, capsys):
         from repro.cli import main

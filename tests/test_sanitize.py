@@ -188,15 +188,6 @@ class TestMonitorMutations:
         monitor._ra.start[1] -= 4096
         assert "region_tiling" in checks_found(monitor=monitor)
 
-    def test_view_cache_desync(self):
-        kernel = worked_kernel()
-        monitor = started_monitor(kernel)
-        views = monitor.regions  # populate the cache at this generation
-        assert views is monitor._views
-        monitor._views.pop()
-        assert "region_views" in checks_found(monitor=monitor)
-
-
     @staticmethod
     def _interval_with_rate_change(change):
         """One aggregation interval of hand-driven sampling with

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
+from repro.sanitize import SimSanitizer
 from repro.sim.costs import CostModel
+from repro.sim.kernel import SimKernel
 from repro.sim.lru import LruReclaimer
-from repro.sim.pagetable import PAGES_PER_HUGE
-from repro.sim.thp import Khugepaged, ThpPolicy
+from repro.sim.pagetable import PAGE_SIZE, PAGES_PER_HUGE
+from repro.sim.thp import ThpPolicy
 from repro.sim.vma import AddressSpace
-from repro.units import MIB, SEC
+from repro.units import MIB, MSEC, SEC
 
 BASE = 0x7F00_0000_0000
 
@@ -31,42 +33,55 @@ class TestThpPolicy:
 
 
 class TestKhugepaged:
-    def _space_with_sparse_chunk(self, present_pages):
-        space = AddressSpace()
-        vma = space.mmap(BASE, 4 * MIB)  # 2 chunks
-        vma.pages.touch_range(0, present_pages, now=1)
-        return space, vma
+    """``SimKernel.khugepaged_scan``: the scanner ``thp=always`` schedules."""
 
-    def test_never_mode_is_noop(self):
-        space, _ = self._space_with_sparse_chunk(100)
-        daemon = Khugepaged(space, ThpPolicy(mode="never"))
-        assert daemon.scan(now=2)["promotions"] == 0
+    @staticmethod
+    def _kernel_with_sparse_chunk(guest, present_pages, **policy):
+        kernel = SimKernel(guest, thp=ThpPolicy(**policy), seed=7)
+        vma = kernel.mmap(BASE, 4 * MIB)  # 2 chunks
+        kernel.apply_access(
+            BASE, BASE + present_pages * PAGE_SIZE, now=1, epoch_us=100 * MSEC
+        )
+        return kernel, vma
 
-    def test_collapse_above_threshold(self):
-        space, vma = self._space_with_sparse_chunk(100)
-        daemon = Khugepaged(space, ThpPolicy(mode="always", min_present_pages=64))
-        result = daemon.scan(now=2)
+    def test_never_mode_is_noop(self, small_guest):
+        kernel, _ = self._kernel_with_sparse_chunk(small_guest, 100, mode="never")
+        assert kernel.khugepaged_scan(now=2)["promotions"] == 0
+
+    def test_collapse_above_threshold(self, small_guest):
+        kernel, vma = self._kernel_with_sparse_chunk(
+            small_guest, 100, mode="always", min_present_pages=64
+        )
+        result = kernel.khugepaged_scan(now=2)
         assert result["promotions"] == 1
         assert result["bloat_pages"] == PAGES_PER_HUGE - 100
-        assert vma.pages.chunk_huge[0]
+        pt = vma.pages
+        assert pt.chunk_huge[0]
+        # Every page the collapse made resident is backed by a frame.
+        assert pt.resident_pages() == PAGES_PER_HUGE
+        assert (pt.frame[pt.present] >= 0).all()
+        assert kernel.frames.allocated == PAGES_PER_HUGE
+        assert SimSanitizer().check_all(kernel=kernel, now=2) == []
 
-    def test_below_threshold_not_collapsed(self):
-        space, vma = self._space_with_sparse_chunk(10)
-        daemon = Khugepaged(space, ThpPolicy(mode="always", min_present_pages=64))
-        assert daemon.scan(now=2)["promotions"] == 0
+    def test_below_threshold_not_collapsed(self, small_guest):
+        kernel, vma = self._kernel_with_sparse_chunk(
+            small_guest, 10, mode="always", min_present_pages=64
+        )
+        assert kernel.khugepaged_scan(now=2)["promotions"] == 0
         assert not vma.pages.chunk_huge.any()
 
-    def test_scan_is_idempotent(self):
-        space, _ = self._space_with_sparse_chunk(100)
-        daemon = Khugepaged(space, ThpPolicy(mode="always"))
-        daemon.scan(now=2)
-        assert daemon.scan(now=3)["promotions"] == 0
+    def test_scan_is_idempotent(self, small_guest):
+        kernel, _ = self._kernel_with_sparse_chunk(small_guest, 100, mode="always")
+        kernel.khugepaged_scan(now=2)
+        assert kernel.khugepaged_scan(now=3)["promotions"] == 0
 
-    def test_lifetime_counters(self):
-        space, _ = self._space_with_sparse_chunk(600)  # spans 2 chunks
-        daemon = Khugepaged(space, ThpPolicy(mode="always", min_present_pages=64))
-        daemon.scan(now=2)
-        assert daemon.total_promotions == 2
+    def test_lifetime_counters(self, small_guest):
+        kernel, _ = self._kernel_with_sparse_chunk(  # spans 2 chunks
+            small_guest, 600, mode="always", min_present_pages=64
+        )
+        kernel.khugepaged_scan(now=2)
+        assert kernel.metrics.thp_promotions == 2
+        assert kernel.metrics.thp_bloat_pages == 2 * PAGES_PER_HUGE - 600
 
 
 class TestLru:
