@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-full bench-e2e-smoke examples figures clean lint fleet-smoke resume-smoke
+.PHONY: install test bench bench-full bench-e2e-smoke examples figures clean lint fleet-smoke resume-smoke ci
 
 install:
 	pip install -e . --no-build-isolation
@@ -78,6 +78,9 @@ resume-smoke:
 		--out /tmp/daos-resume-smoke/sweep-resumed.json
 	cmp /tmp/daos-resume-smoke/sweep-full.json /tmp/daos-resume-smoke/sweep-resumed.json
 	@echo "resume smoke: checkpoint and journal replay are byte-identical"
+
+# What CI gates a PR on, runnable locally, cheapest first.
+ci: lint test bench-e2e-smoke fleet-smoke resume-smoke
 
 # One figure/table at a time, e.g. `make fig7`.
 fig%:

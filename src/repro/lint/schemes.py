@@ -37,7 +37,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..errors import DaosError, SchemeError
 from ..monitor.attrs import MonitorAttrs
-from ..schemes.actions import Action
+from ..schemes.actions import Action, require_paddr_support
 from ..schemes.parser import parse_scheme
 from ..schemes.scheme import Scheme
 from ..units import UNLIMITED, format_time
@@ -411,14 +411,20 @@ def check_schemes(
     *,
     context: str = "schemes",
     logger: Optional[logging.Logger] = None,
+    phys: bool = False,
 ) -> List[Diagnostic]:
-    """Fail-fast gate for executors (the experiment runner, the sweep
-    pre-flight, the engine's ``validate`` shim).
+    """Fail-fast gate for executors (the experiment runner and the sweep
+    pre-flight).
 
     Raises :class:`~repro.errors.SchemeError` if any error-severity
-    diagnostic is present; logs warnings/info through ``logger`` (a
-    ``logging.Logger``) when one is given.  Returns the diagnostics.
+    diagnostic is present, or if ``phys`` (a physical-address target)
+    and a scheme's action has no physical form; logs warnings/info
+    through ``logger`` (a ``logging.Logger``) when one is given.  Returns
+    the diagnostics.
     """
+    if phys:
+        for scheme in schemes:
+            require_paddr_support(scheme.action)
     diagnostics = analyze_schemes(schemes, attrs)
     errors = [d for d in diagnostics if d.severity is Severity.ERROR]
     if logger is not None:

@@ -26,6 +26,9 @@ class MonitoringPrimitive:
 
     #: Human-readable name used in reports.
     name = "abstract"
+    #: Whether regions are frame addresses, so that scheme actions must
+    #: take the rmap-resolved physical back-ends.
+    phys = False
 
     def target_ranges(self) -> List[Tuple[int, int]]:
         """Current monitorable address ranges of the target."""
@@ -111,6 +114,7 @@ class PhysicalPrimitive(MonitoringPrimitive):
     """
 
     name = "paddr"
+    phys = True
 
     def __init__(self, kernel: SimKernel):
         self.kernel = kernel

@@ -278,6 +278,7 @@ def build_tenant(
                 monitor.attrs,
                 context=f"config {cfg.name!r}",
                 logger=logging.getLogger("repro.lint"),
+                phys=primitive.phys,
             )
             engine = SchemesEngine(kernel, schemes, trace=trace, faults=injector)
             monitor.attach_engine(engine)

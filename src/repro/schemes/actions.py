@@ -30,44 +30,52 @@ import enum
 
 from ..errors import SchemeError
 from ..sim.kernel import SimKernel
-from ..sim.pagetable import PAGE_SIZE
+from ..sim.pagetable import HUGE_PAGE_SIZE, PAGE_SIZE
 
 __all__ = ["Action", "apply_action"]
 
 
 class Action(enum.Enum):
-    """A DAMOS memory operation."""
+    """A DAMOS memory operation, declared with its kernel back-ends.
 
-    WILLNEED = "willneed"
-    COLD = "cold"
-    HUGEPAGE = "hugepage"
-    NOHUGEPAGE = "nohugepage"
-    PAGEOUT = "pageout"
-    STAT = "stat"
-    LRU_PRIO = "lru_prio"
-    LRU_DEPRIO = "lru_deprio"
-    MIGRATE_HOT = "migrate_hot"
-    MIGRATE_COLD = "migrate_cold"
+    The members are the one ``token, virtual back-end, physical back-end,
+    bytes per unit`` table.  A back-end names the
+    :class:`~repro.sim.kernel.SimKernel` method that serves a range of
+    that address space and returns a unit count (``None``: nothing to
+    call).  The token alone is the member's ``value``; the rest are its
+    attributes ``vaddr``, ``paddr`` and ``unit``.
+    """
+
+    def __new__(cls, token, vaddr, paddr, unit):
+        member = object.__new__(cls)
+        member._value_ = token
+        member.vaddr = vaddr
+        member.paddr = paddr
+        member.unit = unit
+        return member
+
+    # Mirrors upstream: paddr DAMOS handles pageout and LRU sorting (a
+    # COLD hint there is a deprioritisation); THP, prefetch and tier
+    # migration need a virtual mapping context.
+    WILLNEED = ("willneed", "madvise_willneed", None, PAGE_SIZE)
+    COLD = ("cold", "madvise_cold", "lru_deprioritize_phys", PAGE_SIZE)
+    HUGEPAGE = ("hugepage", "madvise_hugepage", None, HUGE_PAGE_SIZE)
+    NOHUGEPAGE = ("nohugepage", "madvise_nohugepage", None, HUGE_PAGE_SIZE)
+    PAGEOUT = ("pageout", "pageout", "pageout_phys", PAGE_SIZE)
+    #: Touches nothing, in either address space.
+    STAT = ("stat", None, None, 0)
+    LRU_PRIO = ("lru_prio", "lru_prioritize", "lru_prioritize_phys", PAGE_SIZE)
+    LRU_DEPRIO = ("lru_deprio", "lru_deprioritize", "lru_deprioritize_phys", PAGE_SIZE)
+    MIGRATE_HOT = ("migrate_hot", "migrate_hot", None, PAGE_SIZE)
+    MIGRATE_COLD = ("migrate_cold", "migrate_cold", None, PAGE_SIZE)
 
     @classmethod
     def parse(cls, token: str) -> "Action":
         """Parse an action token; accepts the paper's spelling variants
         (``page_out``, ``thp``, ``nothp``)."""
         normalized = token.strip().lower().replace("_", "")
-        aliases = {
-            "willneed": cls.WILLNEED,
-            "cold": cls.COLD,
-            "hugepage": cls.HUGEPAGE,
-            "thp": cls.HUGEPAGE,
-            "nohugepage": cls.NOHUGEPAGE,
-            "nothp": cls.NOHUGEPAGE,
-            "pageout": cls.PAGEOUT,
-            "stat": cls.STAT,
-            "lruprio": cls.LRU_PRIO,
-            "lrudeprio": cls.LRU_DEPRIO,
-            "migratehot": cls.MIGRATE_HOT,
-            "migratecold": cls.MIGRATE_COLD,
-        }
+        aliases = {action.value.replace("_", ""): action for action in cls}
+        aliases.update(thp=cls.HUGEPAGE, nothp=cls.NOHUGEPAGE)
         try:
             return aliases[normalized]
         except KeyError:
@@ -75,12 +83,19 @@ class Action(enum.Enum):
             raise SchemeError(f"unknown action {token!r}; known: {known}") from None
 
 
-#: Actions the physical-address ops support (mirrors upstream: paddr
-#: DAMOS handles pageout and LRU sorting; THP and madvise hints need a
-#: virtual mapping context).
-PADDR_ACTIONS = frozenset(
-    {Action.PAGEOUT, Action.LRU_PRIO, Action.LRU_DEPRIO, Action.COLD, Action.STAT}
-)
+#: Actions available on a physical-address target: those with a physical
+#: back-end, and STAT, which needs none.
+PADDR_ACTIONS = frozenset(a for a in Action if a.paddr is not None or a.vaddr is None)
+
+
+def require_paddr_support(action: Action) -> None:
+    """Raise :class:`SchemeError` unless ``action`` is in
+    :data:`PADDR_ACTIONS`; one text for the pre-run check and the apply."""
+    if action not in PADDR_ACTIONS:
+        raise SchemeError(
+            f"action {action.value} is not supported on physical-address "
+            f"targets (supported: {sorted(a.value for a in PADDR_ACTIONS)})"
+        )
 
 
 def apply_action(
@@ -97,36 +112,8 @@ def apply_action(
     if end <= start:
         raise SchemeError(f"empty action range [{start:#x}, {end:#x})")
     if phys:
-        if action not in PADDR_ACTIONS:
-            raise SchemeError(
-                f"action {action.value} is not supported on physical-address "
-                f"targets (supported: {sorted(a.value for a in PADDR_ACTIONS)})"
-            )
-        if action is Action.PAGEOUT:
-            return kernel.pageout_phys(start, end, now) * PAGE_SIZE
-        if action is Action.LRU_PRIO:
-            return kernel.lru_prioritize_phys(start, end, now) * PAGE_SIZE
-        if action in (Action.LRU_DEPRIO, Action.COLD):
-            return kernel.lru_deprioritize_phys(start, end, now) * PAGE_SIZE
+        require_paddr_support(action)
+    backend = action.paddr if phys else action.vaddr
+    if backend is None:
         return end - start  # STAT
-    if action is Action.PAGEOUT:
-        return kernel.pageout(start, end, now) * PAGE_SIZE
-    if action is Action.WILLNEED:
-        return kernel.madvise_willneed(start, end, now) * PAGE_SIZE
-    if action is Action.COLD:
-        return kernel.madvise_cold(start, end, now) * PAGE_SIZE
-    if action is Action.HUGEPAGE:
-        return kernel.madvise_hugepage(start, end, now) * (2 << 20)
-    if action is Action.NOHUGEPAGE:
-        return kernel.madvise_nohugepage(start, end, now) * (2 << 20)
-    if action is Action.STAT:
-        return end - start
-    if action is Action.LRU_PRIO:
-        return kernel.lru_prioritize(start, end, now) * PAGE_SIZE
-    if action is Action.LRU_DEPRIO:
-        return kernel.lru_deprioritize(start, end, now) * PAGE_SIZE
-    if action is Action.MIGRATE_HOT:
-        return kernel.migrate_hot(start, end, now) * PAGE_SIZE
-    if action is Action.MIGRATE_COLD:
-        return kernel.migrate_cold(start, end, now) * PAGE_SIZE
-    raise SchemeError(f"unhandled action {action!r}")
+    return getattr(kernel, backend)(start, end, now) * action.unit

@@ -81,7 +81,7 @@ class SchemesEngine:
         attrs = monitor.attrs
         # Physical-address monitors hand out frame-address regions;
         # actions must go through the rmap-based back-ends.
-        phys = getattr(monitor.primitive, "name", "vaddr") == "paddr"
+        phys = monitor.primitive.phys
         tr = self.trace
         for scheme_index, scheme in enumerate(self.schemes):
             if scheme.watermarks is not None:

@@ -193,9 +193,6 @@ class SimKernel:
         self.space.munmap(vma)
         del self._vma_ids[vma]
 
-    def _vma_id(self, vma: VMA) -> int:
-        return self._vma_ids[vma]
-
     def _ordinal_segments(self) -> np.ndarray:
         """Map rmap ordinals to flat-table segment indices (positions in
         ``space.vmas``); -1 for ordinals whose VMA was unmapped."""
@@ -206,6 +203,26 @@ class SimKernel:
             self._ordinal_lut = lut
             self._ordinal_lut_gen = self.space.generation
         return self._ordinal_lut
+
+    def _groups(self, start: int, end: int, phys: bool):
+        """Resolve an action's range to ``(vma, selection)`` groups, where
+        ``selection`` indexes the columns of ``vma.pages``: one *slice*
+        per overlapping VMA in address order for a virtual range (never an
+        ``arange``, so column reads stay views), one index array per
+        owning VMA for a physical range of frame addresses (rmap order:
+        ordinals ascending, pages by frame number)."""
+        if not phys:
+            for vma, lo, hi in self.space.ranges_in(start, end):
+                yield vma, slice(lo, hi)
+            return
+        lo = max(0, start // PAGE_SIZE)
+        hi = min(self.frames.n_frames, -(-end // PAGE_SIZE))
+        if hi <= lo:
+            return
+        vmas = self.space.vmas
+        segments = self._ordinal_segments()
+        for ordinal, pages in self.frames.rmap_groups(lo, hi):
+            yield vmas[segments[ordinal]], pages
 
     # ------------------------------------------------------------------
     # Epoch lifecycle (driven by the workload runner)
@@ -398,7 +415,7 @@ class SimKernel:
         table's ``frame`` and ``tier`` columns.  The caller guarantees
         ``idx.size <= _allocatable()`` (via ``_ensure_frames`` or shed)."""
         pt = vma.pages
-        vid = self._vma_id(vma)
+        vid = self._vma_ids[vma]
         n = int(idx.size)
         n_fast = min(n, self.frames.free_frames()) if self._tier_spill else n
         if n_fast:
@@ -505,14 +522,60 @@ class SimKernel:
         low = self.watermarks.low_frames(pool)
         self._reclaim(allocated - low, "pressure", now)
 
+    def _swap_out(self, frames: np.ndarray, n_pages: int, n_dirty: int) -> None:
+        """Settle one VMA group's swap-out: free ``frames`` and charge the
+        device for ``n_pages`` stored, ``n_dirty`` of them written back.
+        Per group, never merged: the device rounds each ``store()``
+        internally, so merging groups would change the charged total (a
+        differential-contract detail)."""
+        self.frames.release(frames)
+        latency = self.swap.store(n_pages, n_dirty)
+        self.metrics.runtime.swapout_us += latency * _ASYNC_WRITE_SHARE
+        self.metrics.pages_swapped_out += n_pages
+        self.metrics.pages_written_back += n_dirty
+
+    def _move_tier(self, vma, idx: np.ndarray, tier: int) -> None:
+        """Re-back resident pages ``idx`` of ``vma`` with frames of
+        ``tier`` (0 = DRAM, 1 = slow).  The caller has checked the room."""
+        pt = vma.pages
+        self.frames.release(pt.frame[idx])
+        allocate = self.frames.allocate_slow if tier else self.frames.allocate
+        pt.frame[idx] = allocate(int(idx.size), self._vma_ids[vma], idx)
+        pt.tier[idx] = tier
+
+    def _account_migration(self, direction: str, pages: int, trigger: str) -> None:
+        """Book ``pages`` moved between tiers in one pass: the counter,
+        the cost and the pass's one :class:`TierMigration`."""
+        tier = self.tier
+        if direction == "demote":
+            self.metrics.pages_demoted += pages
+            device_us = tier.write_us
+        else:
+            self.metrics.pages_promoted += pages
+            device_us = tier.read_us
+        # Migration copies are kswapd-style background work; only the
+        # async share surfaces in the workload's runtime.
+        self.metrics.runtime.tier_migration_us += (
+            self.costs.tier_migration_cost_us(pages, device_us) * _ASYNC_WRITE_SHARE
+        )
+        tr = self.trace
+        if tr is not None:
+            if tr.wants(TierMigration):
+                tr.emit(
+                    TierMigration(
+                        time_us=tr.now, direction=direction, pages=pages, trigger=trigger
+                    )
+                )
+            else:
+                tr.count(TierMigration)
+
     def _reclaim(self, n_pages: int, trigger: str, now: int) -> None:
         """Free up to ``n_pages`` LRU-cold DRAM pages.  With a managed
         slow tier, cold pages are *demoted* (migrated down, staying
         resident) while the tier has room; only the overflow is evicted
         to swap.  ``trigger`` records why the pass ran (``"alloc"`` or
         ``"pressure"``)."""
-        tier = self.tier
-        demote = tier is not None and self.tier_policy == "managed"
+        demote = self.tier is not None and self.tier_policy == "managed"
         demote_room = self.frames.free_slow_frames() if demote else 0
         budget = min(n_pages, demote_room + self._swap_free_pages(now))
         if budget <= 0:
@@ -527,53 +590,22 @@ class SimKernel:
         victims = self.lru.select_victims(budget, rng=self.rng, fast_only=demote)
         demoted = evicted = written_back = 0
         for vma, idx in victims:
-            pt = vma.pages
             if demote_room:
                 take = min(demote_room, int(idx.size))
-                dem = idx[:take]
-                self.frames.release(pt.frame[dem])
-                pt.frame[dem] = self.frames.allocate_slow(
-                    take, self._vma_id(vma), dem
-                )
-                pt.tier[dem] = 1
+                self._move_tier(vma, idx[:take], 1)
                 demote_room -= take
                 demoted += take
                 idx = idx[take:]
             if idx.size == 0:
                 continue
-            frames, n_dirty = pt.evict_pages(idx)
-            self.frames.release(frames)
-            # Swap latency is settled per VMA group: the device rounds
-            # each store() internally, so merging groups would change
-            # the charged total (a differential-contract detail).
-            latency = self.swap.store(idx.size, n_dirty)
-            self.metrics.runtime.swapout_us += latency * _ASYNC_WRITE_SHARE
-            self.metrics.pages_swapped_out += idx.size
-            self.metrics.pages_written_back += n_dirty
+            frames, n_dirty = vma.pages.evict_pages(idx)
+            self._swap_out(frames, idx.size, n_dirty)
             self.metrics.reclaim_evictions += idx.size
             evicted += int(idx.size)
             written_back += n_dirty
-        tr = self.trace
         if demoted:
-            self.metrics.pages_demoted += demoted
-            # Demotion writes are kswapd-style background migration; only
-            # the async share surfaces in the workload's runtime.
-            self.metrics.runtime.tier_migration_us += (
-                self.costs.tier_migration_cost_us(demoted, tier.write_us)
-                * _ASYNC_WRITE_SHARE
-            )
-            if tr is not None:
-                if tr.wants(TierMigration):
-                    tr.emit(
-                        TierMigration(
-                            time_us=tr.now,
-                            direction="demote",
-                            pages=demoted,
-                            trigger=trigger,
-                        )
-                    )
-                else:
-                    tr.count(TierMigration)
+            self._account_migration("demote", demoted, trigger)
+        tr = self.trace
         if tr is not None:
             if tr.wants(ReclaimPass):
                 tr.emit(
@@ -591,36 +623,49 @@ class SimKernel:
     # ------------------------------------------------------------------
     # Management operations (scheme-action back-ends; Table 1)
     # ------------------------------------------------------------------
-    def pageout(self, start: int, end: int, now: int) -> int:
+    def pageout(self, start: int, end: int, now: int, *, phys: bool = False) -> int:
         """PAGEOUT: immediately reclaim the address range.  Returns pages
         paged out (0 if swap is full — reclaim silently stops, as
-        madvise_pageout does)."""
+        madvise_pageout does).  With ``phys`` the range is frame
+        addresses; the two address spaces differ only in how a group's
+        candidates are taken and clamped to the free swap slots (what
+        that leaves different is listed in DESIGN.md §13)."""
         total = total_dirty = attempted = 0
-        for vma, lo, hi in self.space.ranges_in(start, end):
+        for vma, sel in self._groups(start, end, phys):
             pt = vma.pages
-            was_dirty = pt.dirty[lo:hi].copy()
-            candidates, _ = pt.pageout_range(lo, hi)
-            if candidates.size == 0:
-                continue
-            attempted += int(candidates.size)
-            allowed = min(candidates.size, self._swap_free_pages(now))
-            if allowed < candidates.size:
-                # Roll the overflow back to present.
-                rollback = candidates[allowed:]
-                pt.rollback_pageout(rollback, was_dirty[rollback - lo])
-                candidates = candidates[:allowed]
-            if candidates.size == 0:
-                continue
-            frames = pt.frame[candidates]
-            self.frames.release(frames[frames >= 0])
-            pt.frame[candidates] = -1
-            pt.tier[candidates] = 0
-            n_dirty = int(np.count_nonzero(was_dirty[candidates - lo]))
-            latency = self.swap.store(candidates.size, n_dirty)
-            self.metrics.runtime.swapout_us += latency * _ASYNC_WRITE_SHARE
-            self.metrics.pages_swapped_out += candidates.size
-            self.metrics.pages_written_back += n_dirty
-            total += candidates.size
+            if phys:
+                # Select, clamp, then evict only what swap can hold.
+                idx = sel[pt.present[sel]]
+                if pt.chunk_huge.any():
+                    idx = idx[~pt.huge_mask(idx)]
+                attempted += int(idx.size)
+                idx = idx[: min(idx.size, self._swap_free_pages(now))]
+                if idx.size == 0:
+                    continue
+                frames, n_dirty = pt.evict_pages(idx, clear_bloat=True)
+            else:
+                # Unmap the whole range (as madvise_pageout walks it),
+                # then roll the overflow back to present.
+                lo = sel.start
+                was_dirty = pt.dirty[sel].copy()
+                idx, _ = pt.pageout_range(lo, sel.stop)
+                if idx.size == 0:
+                    continue
+                attempted += int(idx.size)
+                allowed = min(idx.size, self._swap_free_pages(now))
+                if allowed < idx.size:
+                    rollback = idx[allowed:]
+                    pt.rollback_pageout(rollback, was_dirty[rollback - lo])
+                    idx = idx[:allowed]
+                    if allowed == 0:
+                        continue
+                frames = pt.frame[idx]
+                frames = frames[frames >= 0]
+                pt.frame[idx] = -1
+                pt.tier[idx] = 0
+                n_dirty = int(np.count_nonzero(was_dirty[idx - lo]))
+            self._swap_out(frames, idx.size, n_dirty)
+            total += int(idx.size)
             total_dirty += n_dirty
         tr = self.trace
         # Emit whenever reclaimable candidates existed, even if a full
@@ -630,12 +675,17 @@ class SimKernel:
             tr.emit(
                 PageoutBatch(
                     time_us=tr.now,
-                    paged_out_pages=int(total),
+                    paged_out_pages=total,
                     written_back_pages=total_dirty,
-                    phys=False,
+                    phys=phys,
                 )
             )
         return total
+
+    def pageout_phys(self, start: int, end: int, now: int) -> int:
+        """PAGEOUT on a physical address range: the frames resolve
+        through the rmap to the pages that map them."""
+        return self.pageout(start, end, now, phys=True)
 
     def madvise_willneed(self, start: int, end: int, now: int) -> int:
         """WILLNEED: prefetch swapped pages back in (asynchronously, so
@@ -665,96 +715,35 @@ class SimKernel:
             total += idx.size
         return total
 
-    # -- physical-address variants (rmap-based, like the paddr ops) ------
-    def _frames_in_range(self, start: int, end: int):
-        """Owned frames of the physical range, grouped by VMA:
-        ``[(vma, page_idx_array), ...]``."""
-        lo = max(0, start // PAGE_SIZE)
-        hi = min(self.frames.n_frames, -(-end // PAGE_SIZE))
-        if hi <= lo:
-            return []
-        vma_by_ordinal = {ordinal: vma for vma, ordinal in self._vma_ids.items()}
-        return [
-            (vma_by_ordinal[ordinal], pages)
-            for ordinal, pages in self.frames.rmap_groups(lo, hi)
-        ]
-
-    def pageout_phys(self, start: int, end: int, now: int) -> int:
-        """PAGEOUT on a physical address range: resolve the frames
-        through the rmap and reclaim the mapping pages."""
-        total = total_dirty = attempted = 0
-        for vma, idx in self._frames_in_range(start, end):
-            pt = vma.pages
-            candidates = idx[pt.present[idx]]
-            if pt.chunk_huge.any():
-                candidates = candidates[~pt.huge_mask(candidates)]
-            attempted += int(candidates.size)
-            allowed = min(candidates.size, self._swap_free_pages(now))
-            candidates = candidates[:allowed]
-            if candidates.size == 0:
-                continue
-            frames, n_dirty = pt.evict_pages(candidates, clear_bloat=True)
-            self.frames.release(frames)
-            latency = self.swap.store(candidates.size, n_dirty)
-            self.metrics.runtime.swapout_us += latency * _ASYNC_WRITE_SHARE
-            self.metrics.pages_swapped_out += candidates.size
-            self.metrics.pages_written_back += n_dirty
-            total += int(candidates.size)
-            total_dirty += n_dirty
-        tr = self.trace
-        if tr is not None and attempted:
-            tr.emit(
-                PageoutBatch(
-                    time_us=tr.now,
-                    paged_out_pages=total,
-                    written_back_pages=total_dirty,
-                    phys=True,
-                )
-            )
-        return total
-
-    def lru_prioritize_phys(self, start: int, end: int, now: int) -> int:
-        """LRU_PRIO on a physical range (rmap-resolved)."""
+    def _set_lru_class(self, start: int, end: int, gen: int, phys: bool) -> int:
+        """Place the range's present pages in LRU class ``gen``; returns
+        the pages placed.  The kernel's one ``lru_gen`` store."""
         total = 0
-        for vma, idx in self._frames_in_range(start, end):
+        for vma, sel in self._groups(start, end, phys):
             pt = vma.pages
-            present = idx[pt.present[idx]]
-            pt.lru_gen[present] = 1
-            total += int(present.size)
-        return total
-
-    def lru_deprioritize_phys(self, start: int, end: int, now: int) -> int:
-        """LRU_DEPRIO on a physical range (rmap-resolved)."""
-        total = 0
-        for vma, idx in self._frames_in_range(start, end):
-            pt = vma.pages
-            present = idx[pt.present[idx]]
-            pt.lru_gen[present] = -1
-            total += int(present.size)
+            present = pt.present[sel]
+            pt.lru_gen[sel] = np.where(present, gen, pt.lru_gen[sel])
+            total += int(np.count_nonzero(present))
         return total
 
     def lru_prioritize(self, start: int, end: int, now: int) -> int:
         """LRU_PRIO: place the range's present pages in the protected
         LRU class (active head) — the plain LRU, blind within its scan
         buckets, would treat them like any other recent page."""
-        total = 0
-        for vma, lo, hi in self.space.ranges_in(start, end):
-            pt = vma.pages
-            present = pt.present[lo:hi]
-            pt.lru_gen[lo:hi][present] = 1
-            total += int(np.count_nonzero(present))
-        return total
+        return self._set_lru_class(start, end, 1, False)
 
     def lru_deprioritize(self, start: int, end: int, now: int) -> int:
         """LRU_DEPRIO: place the range in the evict-first LRU class
         (inactive tail)."""
-        total = 0
-        for vma, lo, hi in self.space.ranges_in(start, end):
-            pt = vma.pages
-            present = pt.present[lo:hi]
-            pt.lru_gen[lo:hi][present] = -1
-            total += int(np.count_nonzero(present))
-        return total
+        return self._set_lru_class(start, end, -1, False)
+
+    def lru_prioritize_phys(self, start: int, end: int, now: int) -> int:
+        """LRU_PRIO on a physical range (rmap-resolved)."""
+        return self._set_lru_class(start, end, 1, True)
+
+    def lru_deprioritize_phys(self, start: int, end: int, now: int) -> int:
+        """LRU_DEPRIO on a physical range (rmap-resolved)."""
+        return self._set_lru_class(start, end, -1, True)
 
     def madvise_cold(self, start: int, end: int, now: int) -> int:
         """COLD: deactivate the range — pages become first in line for
@@ -768,94 +757,56 @@ class SimKernel:
         return total
 
     # -- tier migration (MIGRATE_HOT / MIGRATE_COLD back-ends) -----------
-    def _emit_tier_migration(self, direction: str, pages: int) -> None:
-        tr = self.trace
-        if tr is None:
-            return
-        if tr.wants(TierMigration):
-            tr.emit(
-                TierMigration(
-                    time_us=tr.now,
-                    direction=direction,
-                    pages=pages,
-                    trigger="scheme",
-                )
-            )
-        else:
-            tr.count(TierMigration)
-
-    def migrate_cold(self, start: int, end: int, now: int) -> int:
-        """MIGRATE_COLD: demote the range's DRAM-resident pages to the
-        slow tier, making DRAM headroom before pressure forces it.
-        Huge-mapped pages are skipped (a huge mapping cannot span tiers);
-        a flat machine — or a full slow tier — is a no-op.  Returns pages
-        demoted."""
-        tier = self.tier
-        if tier is None:
+    def _migrate(self, start: int, end: int, direction: str) -> int:
+        """Move the range's pages one tier up (``"promote"``) or down
+        (``"demote"``) while the target tier has room; returns pages
+        moved.  A no-op unless a slow tier is attached *and* managed: the
+        unmanaged policy only spills faults."""
+        if self.tier is None or self.tier_policy != "managed":
             return 0
-        room = self.frames.free_slow_frames()
+        frames = self.frames
+        demote = direction == "demote"
+        if demote:
+            room = frames.free_slow_frames()
+        else:
+            # Promotion stops at the high watermark so it never *creates*
+            # the pressure that would demote its own pages right back
+            # (the thrash guard).
+            room = self.watermarks.high_frames(frames.n_fast_frames) - frames.fast_allocated
         total = 0
         for vma, lo, hi in self.space.ranges_in(start, end):
             if room <= 0:
                 break
             pt = vma.pages
-            movable = (
-                pt.present[lo:hi] & (pt.tier[lo:hi] == 0) & (pt.frame[lo:hi] >= 0)
-            )
+            if demote:
+                movable = pt.present[lo:hi] & (pt.tier[lo:hi] == 0) & (pt.frame[lo:hi] >= 0)
+            else:
+                movable = pt.tier[lo:hi] != 0
             idx = np.nonzero(movable)[0].astype(np.int64) + lo
-            if pt.chunk_huge.any():
+            if demote and pt.chunk_huge.any():
+                # A huge mapping cannot span tiers.
                 idx = idx[~pt.huge_mask(idx)]
             idx = idx[:room]
             if idx.size == 0:
                 continue
-            self.frames.release(pt.frame[idx])
-            pt.frame[idx] = self.frames.allocate_slow(
-                idx.size, self._vma_id(vma), idx
-            )
-            pt.tier[idx] = 1
+            self._move_tier(vma, idx, int(demote))
             room -= int(idx.size)
             total += int(idx.size)
         if total:
-            self.metrics.pages_demoted += total
-            self.metrics.runtime.tier_migration_us += (
-                self.costs.tier_migration_cost_us(total, tier.write_us)
-                * _ASYNC_WRITE_SHARE
-            )
-            self._emit_tier_migration("demote", total)
+            self._account_migration(direction, total, "scheme")
         return total
+
+    def migrate_cold(self, start: int, end: int, now: int) -> int:
+        """MIGRATE_COLD: demote the range's DRAM-resident pages to the
+        slow tier, making DRAM headroom before pressure forces it.
+        Huge-mapped pages are skipped; a full slow tier is a no-op.
+        Returns pages demoted."""
+        return self._migrate(start, end, "demote")
 
     def migrate_hot(self, start: int, end: int, now: int) -> int:
         """MIGRATE_HOT: promote the range's slow-resident pages into
-        DRAM.  Watermark-gated: promotion stops at the high watermark so
-        it never *creates* the pressure that would demote its own pages
-        right back (the thrash guard).  Returns pages promoted."""
-        tier = self.tier
-        if tier is None:
-            return 0
-        frames = self.frames
-        room = self.watermarks.high_frames(frames.n_fast_frames) - frames.fast_allocated
-        total = 0
-        for vma, lo, hi in self.space.ranges_in(start, end):
-            if room <= 0:
-                break
-            pt = vma.pages
-            idx = np.nonzero(pt.tier[lo:hi] != 0)[0].astype(np.int64) + lo
-            idx = idx[:room]
-            if idx.size == 0:
-                continue
-            self.frames.release(pt.frame[idx])
-            pt.frame[idx] = frames.allocate(idx.size, self._vma_id(vma), idx)
-            pt.tier[idx] = 0
-            room -= int(idx.size)
-            total += int(idx.size)
-        if total:
-            self.metrics.pages_promoted += total
-            self.metrics.runtime.tier_migration_us += (
-                self.costs.tier_migration_cost_us(total, tier.read_us)
-                * _ASYNC_WRITE_SHARE
-            )
-            self._emit_tier_migration("promote", total)
-        return total
+        DRAM, watermark-gated.  Returns pages promoted."""
+        return self._migrate(start, end, "promote")
 
     def _promote(self, vma, chunks: np.ndarray, now: int) -> int:
         """Promote the given chunks of ``vma``: allocate frames for the
@@ -1009,18 +960,44 @@ class SimKernel:
     # ------------------------------------------------------------------
     # Monitoring hooks
     # ------------------------------------------------------------------
-    def access_probabilities(self, addrs: np.ndarray, window_us: float) -> np.ndarray:
-        """P(accessed bit set) per sample address over ``window_us``.
-
-        Unmapped addresses have no PTE and read as never accessed.
-        """
-        vma_idx, page_idx, mapped = self.space.resolve(addrs)
-        probs = np.zeros(len(addrs), dtype=np.float64)
-        if mapped.any():
+    def _probe(self, keys: np.ndarray, window_us: float, phys: bool, write: bool) -> np.ndarray:
+        """P(bit set) per sample over ``window_us``: the accessed bit, or
+        with ``write`` the dirty bit.  ``keys`` are virtual addresses, or
+        with ``phys`` frame numbers resolved through the rmap.  A sample
+        with no PTE behind it (unmapped address, free frame) reads as
+        never set."""
+        if phys:
+            segment, page = self.frames.owners(keys)
+            known = segment >= 0
+        else:
+            segment, page, known = self.space.resolve(keys)
+        probs = np.zeros(len(keys), dtype=np.float64)
+        if known.any():
             flat = self.space.flat
-            g = flat.page_offset[vma_idx[mapped]] + page_idx[mapped]
-            probs[mapped] = flat.access_probability(g, window_us)
+            segment = segment[known]
+            if phys:
+                segment = self._ordinal_segments()[segment]  # rmap ordinal -> position
+            g = flat.page_offset[segment] + page[known]
+            read = flat.write_probability if write else flat.access_probability
+            probs[known] = read(g, window_us)
         return probs
+
+    def access_probabilities(self, addrs: np.ndarray, window_us: float) -> np.ndarray:
+        """P(accessed bit set) per sample address over ``window_us``."""
+        return self._probe(addrs, window_us, False, False)
+
+    def write_probabilities(self, addrs: np.ndarray, window_us: float) -> np.ndarray:
+        """P(dirty bit set) per sample address over ``window_us`` — the
+        write channel of the monitoring hooks."""
+        return self._probe(addrs, window_us, False, True)
+
+    def frame_access_probabilities(self, frames: np.ndarray, window_us: float) -> np.ndarray:
+        """Physical-space variant: resolve frames through the rmap."""
+        return self._probe(frames, window_us, True, False)
+
+    def frame_write_probabilities(self, frames: np.ndarray, window_us: float) -> np.ndarray:
+        """Physical-space write-probability variant (rmap-resolved)."""
+        return self._probe(frames, window_us, True, True)
 
     def probe_generation(self):
         """Opaque value that changes whenever :meth:`access_probabilities`
@@ -1035,45 +1012,6 @@ class SimKernel:
         """:meth:`probe_generation` for :meth:`frame_access_probabilities`,
         whose answer also moves with the rmap."""
         return self.probe_generation() + (self.frames.rmap_generation,)
-
-    def write_probabilities(self, addrs: np.ndarray, window_us: float) -> np.ndarray:
-        """P(dirty bit set) per sample address over ``window_us`` — the
-        write channel of the monitoring hooks."""
-        vma_idx, page_idx, mapped = self.space.resolve(addrs)
-        probs = np.zeros(len(addrs), dtype=np.float64)
-        if mapped.any():
-            flat = self.space.flat
-            g = flat.page_offset[vma_idx[mapped]] + page_idx[mapped]
-            probs[mapped] = flat.write_probability(g, window_us)
-        return probs
-
-    def frame_write_probabilities(
-        self, frames: np.ndarray, window_us: float
-    ) -> np.ndarray:
-        """Physical-space write-probability variant (rmap-resolved)."""
-        owner_vma, owner_page = self.frames.owners(frames)
-        probs = np.zeros(len(frames), dtype=np.float64)
-        owned = owner_vma >= 0
-        if owned.any():
-            flat = self.space.flat
-            seg = self._ordinal_segments()[owner_vma[owned]]
-            g = flat.page_offset[seg] + owner_page[owned]
-            probs[owned] = flat.write_probability(g, window_us)
-        return probs
-
-    def frame_access_probabilities(
-        self, frames: np.ndarray, window_us: float
-    ) -> np.ndarray:
-        """Physical-space variant: resolve frames through the rmap."""
-        owner_vma, owner_page = self.frames.owners(frames)
-        probs = np.zeros(len(frames), dtype=np.float64)
-        owned = owner_vma >= 0
-        if owned.any():
-            flat = self.space.flat
-            seg = self._ordinal_segments()[owner_vma[owned]]
-            g = flat.page_offset[seg] + owner_page[owned]
-            probs[owned] = flat.access_probability(g, window_us)
-        return probs
 
     def charge_monitor_checks(self, n_checks: int, wakeups: int = 1) -> None:
         """Account CPU time for one kdamond wakeup performing

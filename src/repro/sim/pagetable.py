@@ -471,8 +471,10 @@ class PageTable:
         return chunks, freed_idx
 
     # ------------------------------------------------------------------
-    # Kernel-side transitions (the façade's write paths; these keep the
-    # residency counters exact, so the kernel never pokes the columns)
+    # Kernel-side transitions (the façade's write paths).  Every flip of
+    # ``present``/``swapped`` goes through this class, which keeps the
+    # residency counters exact; the kernel itself stores only ``frame``
+    # and ``tier`` (backing) and ``lru_gen``/``last_touch`` (LRU hints).
     # ------------------------------------------------------------------
     def evict_pages(self, idx: np.ndarray, *, clear_bloat: bool = False):
         """Move present pages ``idx`` to swap (reclaim / phys pageout).

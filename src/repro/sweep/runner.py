@@ -339,7 +339,9 @@ class SweepRunner:
             if cfg.quota is not None:
                 for scheme in schemes:
                     scheme.quota = cfg.quota.fresh_clone()
-            check_schemes(schemes, attrs, context=f"sweep config {name!r}")
+            check_schemes(
+                schemes, attrs, context=f"sweep config {name!r}", phys=cfg.monitor == "paddr"
+            )
 
     def run(self) -> SweepReport:
         started = time.perf_counter()

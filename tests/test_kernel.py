@@ -9,6 +9,8 @@ from repro.sim.machine import GuestSpec, get_instance
 from repro.sim.pagetable import PAGE_SIZE, PAGES_PER_HUGE
 from repro.sim.swap import NoSwapDevice, ZramDevice
 from repro.sim.thp import ThpPolicy
+from repro.trace import TraceBus
+from repro.trace.events import PageoutBatch
 from repro.units import MIB, MSEC, SEC
 
 BASE = 0x7F00_0000_0000
@@ -112,6 +114,38 @@ class TestPageout:
         kernel.apply_access(BASE, BASE + MIB, now=0, epoch_us=EPOCH)
         assert kernel.pageout(BASE, BASE + MIB, now=EPOCH) == 0
         assert kernel.rss_bytes() == MIB
+
+    @pytest.mark.parametrize("phys", [False, True])
+    def test_swap_full_pageout_still_reports_the_attempt(self, small_guest, phys):
+        """Candidates existed, swap held none of them: one zero-page
+        ``PageoutBatch``, every page back (or still) present."""
+        bus = TraceBus()
+        events = []
+        bus.subscribe(PageoutBatch, events.append)
+        kernel = SimKernel(small_guest, swap=NoSwapDevice(), seed=1, trace=bus)
+        kernel.mmap(BASE, 4 * MIB)
+        kernel.apply_access(BASE, BASE + MIB, now=0, epoch_us=EPOCH, write_fraction=1.0)
+        pt = kernel.space.vmas[0].pages
+        if phys:
+            assert kernel.pageout_phys(0, MIB, now=EPOCH) == 0
+        else:
+            assert kernel.pageout(BASE, BASE + MIB, now=EPOCH) == 0
+        assert [(e.paged_out_pages, e.written_back_pages, e.phys) for e in events] == [
+            (0, 0, phys)
+        ]
+        n = MIB // PAGE_SIZE
+        assert pt.present[:n].all() and not pt.swapped.any()
+        assert pt.dirty[:n].all()  # the rollback restores the dirty bits
+        assert kernel.frames.allocated == n
+        assert kernel.metrics.pages_swapped_out == 0
+
+    def test_pageout_of_nothing_present_asks_the_swap_device_nothing(self, kernel):
+        asked = []
+        kernel.swap.free_pages = lambda: asked.append("free_pages") or 0
+        kernel.swap.store = lambda *a: asked.append("store") or 0
+        kernel.mmap(BASE, 4 * MIB)
+        assert kernel.pageout(BASE, BASE + 4 * MIB, now=EPOCH) == 0
+        assert asked == []
 
 
 class TestMadvise:

@@ -18,6 +18,7 @@ from repro.runner.experiment import run_experiment
 from repro.sweep.grid import SweepGrid
 from repro.sweep.points import register_point_function
 from repro.sweep.runner import SweepRunner
+from repro.trace import TraceBus
 
 FIXTURES = Path(__file__).parent / "fixtures"
 BAD = str(FIXTURES / "bad.schemes")
@@ -139,3 +140,36 @@ class TestRunnerFailFast:
         grid = SweepGrid.from_axes("lint_probe_ok", {"config": ["not-a-config"]})
         report = SweepRunner(grid, jobs=1).run()
         assert report.n_failed == 0
+
+
+class TestPaddrActionFailFast:
+    """An action with no physical form is refused where bad scheme sets
+    are, not at the first matching region some simulated seconds in."""
+
+    MATCH = "action hugepage is not supported on physical-address targets"
+
+    @pytest.fixture(autouse=True)
+    def paddr_thp(self, monkeypatch):
+        cfg = ExperimentConfig(
+            name="paddr_thp", monitor="paddr", schemes_text="4K max min min 1s max hugepage"
+        )
+        monkeypatch.setitem(CONFIGS, cfg.name, cfg)
+        return cfg
+
+    def test_run_experiment_rejects_before_the_first_epoch(self, paddr_thp):
+        bus = TraceBus()
+        with pytest.raises(SchemeError, match=self.MATCH):
+            run_experiment("parsec3/swaptions", config=paddr_thp, time_scale=0.05, trace=bus)
+        assert bus.counts.get("EpochEnd", 0) == 0
+
+    def test_sweep_preflight_rejects_before_any_execution(self):
+        executed = []
+        register_point_function("paddr_probe", lambda params: executed.append(params) or {})
+        grid = SweepGrid.from_axes("paddr_probe", {"config": ["paddr_thp"]})
+        with pytest.raises(SchemeError, match=self.MATCH):
+            SweepRunner(grid, jobs=1).run()
+        assert executed == []
+
+    def test_cli_exits_2(self, capsys):
+        assert main(["--time-scale", "0.05", "run", "parsec3/swaptions", "-c", "paddr_thp"]) == 2
+        assert self.MATCH in capsys.readouterr().err

@@ -1,5 +1,7 @@
 """Schemes: patterns, parser, Table 1 actions, the engine."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ParseError, SchemeError
 from repro.monitor.attrs import MonitorAttrs
 from repro.monitor.region import Region
-from repro.schemes.actions import Action, apply_action
+from repro.schemes.actions import PADDR_ACTIONS, Action, apply_action
 from repro.schemes.parser import format_scheme, parse_scheme, parse_schemes
 from repro.schemes.scheme import AccessPattern, Scheme
+from repro.sim.kernel import SimKernel
+from repro.sim.swap import ZramDevice
 from repro.units import MIB, MINUTE, MSEC, SEC, UNLIMITED
 
 from tests.helpers import BASE
@@ -266,6 +270,60 @@ class TestActions:
         assert (pt.lru_gen[: MIB // 4096] == 1).all()
         apply_action(kernel, Action.LRU_DEPRIO, 0, MIB, now=2, phys=True)
         assert (pt.lru_gen[: MIB // 4096] == -1).all()
+
+    def test_action_table_names_resolve_on_the_kernel(self):
+        """Every action but STAT has a virtual back-end, every back-end
+        named is a ``SimKernel`` method, and ``PADDR_ACTIONS`` is exactly
+        what the table gives a physical form (plus STAT, which needs
+        none)."""
+        for action in Action:
+            if action is Action.STAT:
+                assert action.vaddr is None and action.paddr is None
+                continue
+            assert callable(getattr(SimKernel, action.vaddr)), action
+            assert action.paddr is None or callable(getattr(SimKernel, action.paddr)), action
+            assert action.unit in (4096, 2 * MIB)
+        assert PADDR_ACTIONS == {a for a in Action if a.paddr} | {Action.STAT}
+
+    @pytest.mark.parametrize("action", sorted(PADDR_ACTIONS, key=lambda a: a.value))
+    def test_vaddr_and_paddr_forms_agree_on_an_identity_faulted_vma(self, small_guest, action):
+        """Page ``i`` of the VMA sits in frame ``i``, so ``[BASE, BASE+1M)``
+        and frames ``[0, 1M)`` are the same pages: both forms of an
+        action must leave the same residency, frames and metrics."""
+        n = MIB // 4096
+
+        def run(phys):
+            kernel = SimKernel(small_guest, swap=ZramDevice(64 * MIB), seed=7)
+            kernel.mmap(BASE, 4 * MIB)
+            kernel.apply_access(
+                BASE, BASE + 2 * MIB, now=0, epoch_us=self.EPOCH, write_fraction=1.0
+            )
+            pt = kernel.space.vmas[0].pages
+            assert (pt.frame[: 2 * n] == np.arange(2 * n)).all()
+            pt.lru_gen[:n] = 1
+            pt.bloat[:n] = True
+            start = 0 if phys else BASE
+            applied = apply_action(kernel, action, start, start + MIB, now=1, phys=phys)
+            return applied, kernel, pt
+
+        v_applied, v_kernel, v = run(phys=False)
+        p_applied, p_kernel, p = run(phys=True)
+        assert v_applied == p_applied
+        assert (v.present == p.present).all() and (v.swapped == p.swapped).all()
+        assert (v.frame == p.frame).all() and (v.dirty == p.dirty).all()
+        assert v_kernel.frames.allocated == p_kernel.frames.allocated
+        assert v_kernel.swap.used_pages == p_kernel.swap.used_pages
+        assert dataclasses.asdict(v_kernel.metrics) == dataclasses.asdict(p_kernel.metrics)
+        if action is Action.PAGEOUT:
+            assert v_applied == MIB and not v.present[:n].any()
+            # The two intended differences, and nothing past the range.
+            assert (v.lru_gen[:n] == 0).all() and (p.lru_gen[:n] == 1).all()
+            assert v.bloat[:n].all() and not p.bloat[:n].any()
+        elif action is Action.COLD:
+            # A virtual COLD ages recency; the physical one deprioritises.
+            assert (v.lru_gen[:n] == 1).all() and (p.lru_gen[:n] == -1).all()
+        else:
+            assert (v.lru_gen == p.lru_gen).all() and (v.bloat == p.bloat).all()
 
 
 class TestSchemeHelpers:

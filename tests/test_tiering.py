@@ -299,6 +299,23 @@ class TestUnmanagedSpill:
         assert k.metrics.pages_promoted == 0
         assert_clean(k)
 
+    def test_scheme_migrations_are_noops_when_unmanaged(self):
+        """``--tier-policy unmanaged`` "only spills faults": the MIGRATE_*
+        actions move nothing in either direction, even with room."""
+        k = tiered_kernel(dram=16 * MIB, slow=64 * MIB, policy="unmanaged")
+        k.mmap(BASE, 24 * MIB)
+        touch(k, BASE, BASE + 24 * MIB)
+        assert k.frames.allocated_slow > 0 and k.frames.free_slow_frames() > 0
+        tier_before = k.space.flat.tier.copy()
+        assert apply_action(k, Action.MIGRATE_COLD, BASE, BASE + 24 * MIB, now=1) == 0
+        # Free DRAM so a promotion would have room below the watermark.
+        k.pageout(BASE, BASE + 8 * MIB, now=2)
+        tier_before[: 8 * MIB // PAGE_SIZE] = 0
+        assert apply_action(k, Action.MIGRATE_HOT, BASE, BASE + 24 * MIB, now=3) == 0
+        assert (k.space.flat.tier == tier_before).all()
+        assert k.metrics.pages_demoted == 0 and k.metrics.pages_promoted == 0
+        assert_clean(k)
+
 
 # ----------------------------------------------------------------------
 # Sanitizer: the tier checkers fire on corruption
