@@ -53,7 +53,7 @@ from ..runner.experiment import MachineBuild, build_machine, run_experiment
 from ..sanitize.runtime import resolve_sanitizer
 from ..sim.costs import CostModel
 from ..sim.clock import EventQueue
-from ..sim.kernel import Watermarks
+from ..sim.kernel import Watermarks, check_tier_policy
 from ..sim.machine import get_instance, scaled_instance
 from ..sim.pagetable import PAGE_SIZE
 from ..sim.swap import FileSwapDevice, NoSwapDevice, SwapDevice, ZramDevice
@@ -121,10 +121,7 @@ class FleetConfig:
             raise ConfigError(f"unknown swap kind {self.swap!r} ({'|'.join(_SWAP_KINDS)})")
         if self.tier_scale <= 0:
             raise ConfigError(f"tier_scale must be positive: {self.tier_scale}")
-        if self.tier_policy not in ("managed", "unmanaged"):
-            raise ConfigError(
-                f"unknown tier_policy {self.tier_policy!r} (managed | unmanaged)"
-            )
+        check_tier_policy(self.tier_policy)
         if self.tick_ms <= 0 or self.sampling_ms <= 0 or self.tick_ms % self.sampling_ms:
             raise ConfigError(
                 f"tick ({self.tick_ms}ms) must be a positive multiple of the "

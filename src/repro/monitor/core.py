@@ -169,6 +169,7 @@ class DataAccessMonitor:
         seed: int = 0,
         trace: Optional[TraceBus] = None,
         faults=None,
+        sanitizer=None,
     ):
         self.primitive = primitive
         self.attrs = attrs if attrs is not None else MonitorAttrs()
@@ -177,9 +178,9 @@ class DataAccessMonitor:
         #: Optional :class:`repro.faults.FaultInjector` shared with the
         #: run; the sampler consults it for dropped ticks and flaky bits.
         self.faults = faults
-        #: Optional :class:`repro.sanitize.SimSanitizer`, attached by the
-        #: experiment driver after construction.
-        self.sanitizer = None
+        #: Optional :class:`repro.sanitize.SimSanitizer`;
+        #: ``aggregate_tick`` calls its monitor checkpoint.
+        self.sanitizer = sanitizer
         self.rng = np.random.default_rng(seed)
         self.callbacks: List[Callable[[Snapshot], None]] = []
         self.raw_callbacks: List = []

@@ -404,8 +404,6 @@ def restore_run(
     trace = _restored_bus(trace, payload["trace_counters"], queue.clock)
     for holder, attr in _bus_holders(tenant, injector):
         setattr(holder, attr, trace)
-    if trace is not None and tenant.sanitizer is not None:
-        tenant.sanitizer.subscribe(trace, kernel=tenant.kernel, monitor=tenant.monitor)
 
     run = ExperimentRun.from_parts(
         spec=payload["spec"],

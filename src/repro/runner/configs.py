@@ -12,11 +12,16 @@ The ethp/prcl scheme text is the paper's Listing 3, verbatim.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 from ..errors import ConfigError
+from ..lint.schemes import check_schemes
+from ..monitor.attrs import MonitorAttrs
+from ..schemes.parser import parse_schemes
 from ..schemes.quotas import Quota
+from ..schemes.scheme import Scheme
 
 __all__ = ["ExperimentConfig", "CONFIGS", "get_config", "ETHP_SCHEMES", "PRCL_SCHEMES"]
 
@@ -59,6 +64,31 @@ class ExperimentConfig:
             raise ConfigError("schemes require a monitor")
         if self.quota is not None and self.schemes_text is None:
             raise ConfigError("a quota needs schemes to apply to")
+
+    def build_schemes(
+        self,
+        attrs: MonitorAttrs,
+        *,
+        context: str,
+        logger: Optional[logging.Logger] = None,
+    ) -> List[Scheme]:
+        """The configuration's scheme set for a monitor with ``attrs``:
+        parsed, each scheme charging its own clone of the quota, and
+        statically checked.
+
+        Raises :class:`~repro.errors.SchemeError` (naming ``context``)
+        before any simulation time is spent: a scheme set with
+        error-severity diagnostics produces garbage experiments.
+        Warnings go to ``logger`` when one is given.
+        """
+        schemes = parse_schemes(self.schemes_text, attrs)
+        if self.quota is not None:
+            for scheme in schemes:
+                scheme.quota = self.quota.fresh_clone()
+        check_schemes(
+            schemes, attrs, context=context, logger=logger, phys=self.monitor == "paddr"
+        )
+        return schemes
 
 
 CONFIGS = {

@@ -13,21 +13,19 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..errors import ConfigError
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
-from ..lint.schemes import check_schemes
 from ..monitor.attrs import MonitorAttrs
 from ..monitor.core import DataAccessMonitor
 from ..monitor.primitives import PhysicalPrimitive, VirtualPrimitive
 from ..sanitize.runtime import resolve_sanitizer
 from ..schemes.engine import SchemesEngine
-from ..schemes.parser import parse_schemes
 from ..sim.clock import EventQueue
 from ..sim.costs import CostModel
-from ..sim.kernel import SimKernel
+from ..sim.kernel import SimKernel, check_tier_policy
 from ..sim.machine import MachineSpec, TierSpec, get_instance, guest_of, scaled_tier
 from ..sim.swap import FileSwapDevice, NoSwapDevice, ZramDevice
 from ..sim.thp import ThpPolicy
@@ -146,10 +144,6 @@ def build_machine(
     ``tier_scale``, or a ready :class:`~repro.sim.machine.TierSpec`
     (``tier_scale`` is then ignored — the spec is authoritative).
     """
-    if tier_policy not in ("managed", "unmanaged"):
-        raise ConfigError(
-            f"unknown tier_policy {tier_policy!r} (managed | unmanaged)"
-        )
     host = machine if isinstance(machine, MachineSpec) else get_instance(machine)
     slow = None
     if tier is not None:
@@ -159,7 +153,7 @@ def build_machine(
         guest=guest_of(host, slow_tier=slow),
         swap=_build_swap(swap, host),
         swap_kind=swap,
-        tier_policy=tier_policy,
+        tier_policy=check_tier_policy(tier_policy),
     )
 
 
@@ -191,13 +185,6 @@ class TenantBuild:
             self.trace.bind_clock(queue.clock)
         if self.monitor is not None:
             self.monitor.start(queue)
-        if self.sanitizer is not None:
-            if self.engine is not None:
-                self.sanitizer.attach_engine(self.engine)
-            if self.trace is not None:
-                self.sanitizer.subscribe(
-                    self.trace, kernel=self.kernel, monitor=self.monitor
-                )
 
 
 def build_tenant(
@@ -212,7 +199,6 @@ def build_tenant(
     trace: Optional[TraceBus] = None,
     injector: Optional[FaultInjector] = None,
     oom_policy: str = "raise",
-    kernel_cls: type = SimKernel,
     sanitizer=None,
 ) -> TenantBuild:
     """Wire one tenant on ``machine``: kernel, workload, monitor, engine.
@@ -222,9 +208,14 @@ def build_tenant(
     layout is created here so a returned tenant is ready for its first
     epoch.  Seed derivation is the historical contract: kernel ``seed``,
     workload ``seed + 1``, monitor ``seed + 2``.
+
+    This is the one place a run's collaborators are handed out, each as
+    a constructor argument: the trace bus and fault injector to kernel,
+    monitor and engine; the sanitizer to kernel and monitor (and the
+    monitor and engine to it, for the epoch-boundary checks).
     """
     cfg = get_config(config) if isinstance(config, str) else config
-    kernel = kernel_cls(
+    kernel = SimKernel(
         machine.guest,
         swap=machine.swap,
         costs=costs,
@@ -233,13 +224,9 @@ def build_tenant(
         trace=trace,
         faults=injector,
         oom_policy=oom_policy,
+        sanitizer=sanitizer,
+        tier_policy=machine.tier_policy,
     )
-    # The sanitizer and the tier policy are attributes of a built
-    # kernel, not constructor keywords.
-    if sanitizer is not None:
-        kernel.sanitizer = sanitizer
-    if machine.guest.slow_tier is not None:
-        kernel.tier_policy = machine.tier_policy
     work = Workload(spec, kernel, seed=seed + 1)
     work.setup()
 
@@ -256,6 +243,7 @@ def build_tenant(
             seed=seed + 2,
             trace=trace,
             faults=injector,
+            sanitizer=sanitizer,
         )
         if snapshots is not None:
             # Downsample so a full run keeps ~240 snapshots: building a
@@ -266,24 +254,15 @@ def build_tenant(
             stride = max(1, int(n_aggr // target))
             monitor.register_raw_callback(SnapshotRecorder(snapshots, stride))
         if cfg.schemes_text is not None:
-            schemes = parse_schemes(cfg.schemes_text, monitor.attrs)
-            if cfg.quota is not None:
-                for scheme in schemes:
-                    scheme.quota = cfg.quota.fresh_clone()
-            # Fail fast before any simulation time is spent: a scheme
-            # set with error-severity diagnostics produces garbage
-            # experiments.  Warnings are logged, not fatal.
-            check_schemes(
-                schemes,
+            schemes = cfg.build_schemes(
                 monitor.attrs,
                 context=f"config {cfg.name!r}",
                 logger=logging.getLogger("repro.lint"),
-                phys=primitive.phys,
             )
             engine = SchemesEngine(kernel, schemes, trace=trace, faults=injector)
             monitor.attach_engine(engine)
-        if sanitizer is not None:
-            monitor.sanitizer = sanitizer
+    if sanitizer is not None:
+        sanitizer.attach(monitor=monitor, engine=engine)
     return TenantBuild(
         spec=spec,
         cfg=cfg,
@@ -340,10 +319,6 @@ class ExperimentRun:
     sites then cost one ``is None`` check each.  Tracing never touches
     the simulation's RNG streams, so results are identical either way.
 
-    ``kernel_cls`` swaps in an alternative kernel implementation with
-    the same constructor — the differential test harness runs its
-    reference kernel through the exact same driver this way.
-
     ``faults`` injects a seeded fault plan into the run: one
     :class:`~repro.faults.FaultInjector` is shared by the kernel,
     monitor and engine, and the kernel's ``oom_policy`` defaults to
@@ -378,7 +353,6 @@ class ExperimentRun:
         collect_trace: bool = True,
         faults: Optional[FaultPlan] = None,
         oom_policy: Optional[str] = None,
-        kernel_cls: type = SimKernel,
         sanitize=None,
     ):
         self.wall_start = time.perf_counter()
@@ -410,7 +384,6 @@ class ExperimentRun:
             trace=trace,
             injector=injector,
             oom_policy=oom_policy,
-            kernel_cls=kernel_cls,
             sanitizer=sanitizer,
         )
         self.spec = spec
@@ -558,7 +531,7 @@ def run_experiment(
 
 
 def autotune_scheme(
-    workload: str,
+    workload: Union[str, WorkloadSpec],
     *,
     nr_samples: int = 10,
     min_age_range_s: Tuple[float, float] = (0.0, 60.0),
@@ -571,11 +544,12 @@ def autotune_scheme(
     """Auto-tune the prcl scheme for one workload (§4.3).
 
     Returns ``(tuning_result, baseline_run, tuned_run)`` where the tuned
-    run uses the best ``min_age`` the tuner found.  ``trace`` receives
+    run is the tuner's own measurement of the best ``min_age`` it found
+    (a point is simulated once per session).  ``trace`` receives
     one :class:`~repro.trace.events.TuneStep` per sample; the per-sample
     experiment runs keep their own internal buses.  ``run_kwargs``
     (machine, time scale, tier, ...: see :class:`ExperimentRun`) are
-    shared by the baseline, every sample and the tuned run.
+    shared by the baseline and every sample.
 
     ``faults`` applies the plan's ``probe_failure`` specs at the tuner's
     probe hook (retried with exponential backoff in simulated time); the
@@ -585,9 +559,19 @@ def autotune_scheme(
     run_kwargs["seed"] = seed
     baseline = run_experiment(workload, config="baseline", **run_kwargs)
 
-    def evaluate(min_age_s: float):
+    runs: Dict[int, RunResult] = {}
+
+    def run_at(min_age_s: float) -> RunResult:
+        """The prcl run at ``min_age_s``, simulated once per session."""
         min_age_us = max(0, int(min_age_s * 1_000_000))
-        run = run_experiment(workload, config=prcl_config(min_age_us), **run_kwargs)
+        if min_age_us not in runs:
+            runs[min_age_us] = run_experiment(
+                workload, config=prcl_config(min_age_us), **run_kwargs
+            )
+        return runs[min_age_us]
+
+    def evaluate(min_age_s: float):
+        run = run_at(min_age_s)
         return run.runtime_us, run.avg_rss_bytes
 
     lo, hi = min_age_range_s
@@ -602,7 +586,6 @@ def autotune_scheme(
         faults=FaultInjector(faults, trace=trace) if faults is not None else None,
     )
     result = tuner.tune(nr_samples)
-    tuned = run_experiment(
-        workload, config=prcl_config(int(result.best_param * 1_000_000)), **run_kwargs
-    )
-    return result, baseline, tuned
+    # ``best_param`` is the validated fitted peak or a sampled point:
+    # either way the tuner has measured it.
+    return result, baseline, run_at(result.best_param)

@@ -15,8 +15,8 @@ experiments, at epoch boundaries:
   huge-chunk residency, and quota charge sanity;
 * :mod:`repro.sanitize.runtime` — :class:`SimSanitizer`, the harness
   that runs them from the kernel's ``end_epoch`` checkpoint, the
-  monitor's ``aggregate_tick`` checkpoint, and a trace-bus ``EpochEnd``
-  hook, raising :class:`~repro.errors.SanitizerError` with the
+  monitor's ``aggregate_tick`` checkpoint and the fleet scheduler's
+  tick, raising :class:`~repro.errors.SanitizerError` with the
   offending epoch and a state digest.
 
 Determinism contract: checkers never mutate simulation state and never

@@ -1,25 +1,21 @@
-"""The SimSanitizer runtime: checkpoints, the EpochEnd hook, reporting.
+"""The SimSanitizer runtime: one checkpoint per layer, and reporting.
 
-:class:`SimSanitizer` is attached to a kernel and monitor *after*
-construction (``kernel.sanitizer = sanitizer``); neither constructor
-takes it.  The layers call back at their natural barriers:
+A run's :class:`SimSanitizer` is a constructor argument of its kernel
+and monitor, and the layers call back at their natural barriers:
 
 * ``SimKernel.end_epoch`` → :meth:`SimSanitizer.checkpoint_kernel`
-  (frame conservation, exclusivity, counters, huge residency; quota
-  when no trace bus carries the EpochEnd hook);
+  (quota sanity and region state of the engine and monitor handed to
+  :meth:`SimSanitizer.attach`, then frame conservation, exclusivity,
+  counters, huge residency, tier placement);
 * ``DataAccessMonitor.aggregate_tick`` →
   :meth:`SimSanitizer.checkpoint_monitor` (region tiling, and the
   finished sampling plan's last row against a fresh probe);
-* a :class:`~repro.trace.events.EpochEnd` bus subscription
-  (:meth:`SimSanitizer.subscribe`) → cross-layer checks at the epoch
-  boundary, **record-only**: the bus detaches subscribers that raise,
-  so the hook never raises — the direct kernel checkpoint, which runs
-  immediately after the emit in the same ``end_epoch`` call, flushes
-  anything the hook recorded as a :class:`~repro.errors.SanitizerError`.
+* ``FleetScheduler`` tick → :meth:`SimSanitizer.checkpoint_fleet`.
 
-A disabled sanitizer (``enabled=False``) costs one attribute read and
-one ``if`` per checkpoint — the overhead budget the trace benchmark
-gates at under 2%.
+A checkpoint that finds a violation raises
+:class:`~repro.errors.SanitizerError`.  A disabled sanitizer
+(``enabled=False``) costs one attribute read and one ``if`` per
+checkpoint — the overhead budget the trace benchmark gates at under 2%.
 """
 
 from __future__ import annotations
@@ -75,12 +71,17 @@ class SimSanitizer:
         stay attached (the trace-overhead benchmark measures exactly
         this configuration).
     raise_on_violation:
-        When True (the default) a direct checkpoint that finds — or
-        flushes previously recorded — violations raises
-        :class:`SanitizerError`.  Tests set it False to drive the
-        checkers over deliberately corrupted state and inspect
+        When True (the default) a checkpoint that finds violations
+        raises :class:`SanitizerError`.  Tests set it False to drive
+        the checkers over deliberately corrupted state and inspect
         :attr:`violations` instead.
     """
+
+    #: What :meth:`attach` handed over.  Class-level defaults, so a
+    #: sanitizer restored from a checkpoint written before ``attach``
+    #: existed reads ``None`` for what it was never given.
+    _monitor: Optional[Any] = None
+    _engine: Optional[Any] = None
 
     def __init__(self, enabled: bool = True, *, raise_on_violation: bool = True) -> None:
         self.enabled = bool(enabled)
@@ -93,34 +94,13 @@ class SimSanitizer:
         self.monitor_checkpoints = 0
         #: Fleet checkpoints passed (fleet scheduler ticks).
         self.fleet_checkpoints = 0
-        self._engine: Optional[Any] = None
-        self._hooked_kernel: Optional[Any] = None
-        self._hooked_monitor: Optional[Any] = None
-        self._subscribed = False
-        self._unflushed = False
 
-    # ------------------------------------------------------------------
-    # Wiring
-    # ------------------------------------------------------------------
-    def attach_engine(self, engine: Any) -> None:
-        """Register the schemes engine for quota sanity checks."""
+    def attach(self, *, monitor: Optional[Any] = None, engine: Optional[Any] = None) -> None:
+        """Hand over the run's monitor and schemes engine: the kernel
+        checkpoint checks their region state and quotas at every epoch
+        boundary, between the monitor's own aggregation checkpoints."""
+        self._monitor = monitor
         self._engine = engine
-
-    def subscribe(
-        self, bus: Any, *, kernel: Optional[Any] = None, monitor: Optional[Any] = None
-    ) -> None:
-        """Subscribe the cross-layer EpochEnd hook on ``bus``.
-
-        The hook records violations but never raises (the bus would
-        detach a raising subscriber); the kernel checkpoint that follows
-        the emit in ``end_epoch`` raises them.
-        """
-        from ..trace.events import EpochEnd
-
-        self._hooked_kernel = kernel
-        self._hooked_monitor = monitor
-        bus.subscribe(EpochEnd, self._on_epoch_end)
-        self._subscribed = True
 
     # ------------------------------------------------------------------
     # Checkpoints
@@ -130,17 +110,18 @@ class SimSanitizer:
         if not self.enabled:
             return
         found: List[Violation] = []
+        if self._engine is not None:
+            found += check_quota_sanity(self._engine, now)
+        if self._monitor is not None:
+            found += check_region_state(self._monitor, now)
         found += check_frame_conservation(kernel, now)
         found += check_present_swapped(kernel, now)
         found += check_counter_coherence(kernel, now)
         found += check_huge_residency(kernel, now)
         found += check_tier_placement(kernel, now)
-        if self._engine is not None and not self._subscribed:
-            found += check_quota_sanity(self._engine, now)
         epoch = self.epochs_checked
         self.epochs_checked += 1
-        self._record(found, epoch=epoch)
-        self._flush(now)
+        self._report(found, now, epoch=epoch)
 
     def checkpoint_monitor(self, monitor: Any, now: int) -> None:
         """Run the monitor-layer checks; called from ``aggregate_tick``."""
@@ -149,8 +130,7 @@ class SimSanitizer:
         found = check_region_state(monitor, now)
         found += check_sample_lookahead(monitor, now)
         self.monitor_checkpoints += 1
-        self._record(found)
-        self._flush(now)
+        self._report(found, now)
 
     def checkpoint_fleet(self, scheduler: Any, now: int) -> None:
         """Run the fleet-layer checks; called once per fleet tick."""
@@ -158,8 +138,7 @@ class SimSanitizer:
             return
         found = check_fleet_state(scheduler, now)
         self.fleet_checkpoints += 1
-        self._record(found)
-        self._flush(now)
+        self._report(found, now)
 
     def check_all(
         self,
@@ -185,27 +164,14 @@ class SimSanitizer:
             found += check_sample_lookahead(monitor, now)
         if engine is not None:
             found += check_quota_sanity(engine, now)
-        self._record(found)
+        self.violations.extend(found)
         return found
-
-    # ------------------------------------------------------------------
-    # EpochEnd hook (record-only: see class docstring)
-    # ------------------------------------------------------------------
-    def _on_epoch_end(self, event: Any) -> None:
-        if not self.enabled:
-            return
-        now = int(getattr(event, "epoch_end_us", event.time_us))
-        found: List[Violation] = []
-        if self._engine is not None:
-            found += check_quota_sanity(self._engine, now)
-        if self._hooked_monitor is not None:
-            found += check_region_state(self._hooked_monitor, now)
-        self._record(found, epoch=self.epochs_checked)
 
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    def _record(self, found: List[Violation], epoch: Optional[int] = None) -> None:
+    def _report(self, found: List[Violation], now: int, epoch: Optional[int] = None) -> None:
+        """Record a checkpoint's findings and raise them."""
         if not found:
             return
         if epoch is not None:
@@ -220,12 +186,8 @@ class SimSanitizer:
                 for v in found
             ]
         self.violations.extend(found)
-        self._unflushed = True
-
-    def _flush(self, now: int) -> None:
-        if not self.raise_on_violation or not self._unflushed:
+        if not self.raise_on_violation:
             return
-        self._unflushed = False
         lines = "\n  ".join(str(v) for v in self.violations)
         raise SanitizerError(
             f"sanitizer found {len(self.violations)} invariant violation(s) "

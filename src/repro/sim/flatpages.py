@@ -17,10 +17,11 @@ made for the monitor.
 
 Layout invariants:
 
-* segments appear in VMA address order (``AddressSpace.vmas`` order), so
-  concatenation order matches what the per-VMA loops produced — a load-
-  bearing property for RNG-consumption and argpartition identity with
-  the frozen legacy kernel;
+* segments appear in VMA address order (``AddressSpace.vmas`` order):
+  the kernel draws its RNG once over a whole-table candidate set and
+  breaks ``argpartition`` ties by position, so the concatenation order
+  fixes which pages a seed faults, reclaims and promotes — reorder the
+  segments and every seeded result and golden trace changes;
 * ``page_chunk`` maps every page to its *global* 2 MiB chunk id, or -1
   for tail pages past a VMA's last full chunk (chunk alignment is
   VMA-local, so a global ``idx >> 9`` would be wrong);

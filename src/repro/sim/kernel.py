@@ -45,7 +45,7 @@ from .swap import SwapDevice, ZramDevice
 from .thp import ThpPolicy
 from .vma import VMA, AddressSpace
 
-__all__ = ["SimKernel", "Watermarks"]
+__all__ = ["SimKernel", "Watermarks", "check_tier_policy"]
 
 #: Reclaim starts above this fraction of physical frames...
 _HIGH_WATERMARK = 0.96
@@ -62,7 +62,7 @@ class Watermarks:
     fleet scheduler evaluates the *same* values against the shared
     physical pool — that is how per-process and fleet-wide reclaim stay
     on one policy.  Kernels default to the classic kswapd-style pair;
-    assign ``kernel.watermarks`` after construction to override.
+    pass ``SimKernel(watermarks=...)`` to override.
     """
 
     high: float = _HIGH_WATERMARK
@@ -87,6 +87,14 @@ class Watermarks:
 _ASYNC_WRITE_SHARE = 0.3
 
 
+def check_tier_policy(policy: str) -> str:
+    """``policy`` if it names a tier placement policy a kernel
+    implements; :class:`ConfigError` otherwise."""
+    if policy not in ("managed", "unmanaged"):
+        raise ConfigError(f"unknown tier_policy {policy!r} (managed | unmanaged)")
+    return policy
+
+
 class SimKernel:
     """One guest VM's memory subsystem."""
 
@@ -102,6 +110,9 @@ class SimKernel:
         trace: Optional[TraceBus] = None,
         faults=None,
         oom_policy: str = "raise",
+        sanitizer=None,
+        tier_policy: str = "managed",
+        watermarks: Optional[Watermarks] = None,
     ):
         if oom_policy not in ("raise", "shed"):
             raise ConfigError(
@@ -134,19 +145,17 @@ class SimKernel:
         self.trace = trace
         #: Optional :class:`repro.faults.FaultInjector` shared with the run.
         self.faults = faults
-        #: Optional :class:`repro.sanitize.SimSanitizer`, attached by the
-        #: experiment driver after construction.
-        self.sanitizer = None
-        #: Reclaim thresholds; the fleet scheduler assigns its shared
-        #: fleet-wide instance here (same post-construction pattern).
-        self.watermarks = Watermarks()
+        #: Optional :class:`repro.sanitize.SimSanitizer`; ``end_epoch``
+        #: calls its kernel checkpoint.
+        self.sanitizer = sanitizer
+        #: Reclaim thresholds (the classic kswapd-style pair by default).
+        self.watermarks = watermarks if watermarks is not None else Watermarks()
         #: Tier placement policy: ``"managed"`` routes reclaim to
         #: demotion and serves MIGRATE_HOT / MIGRATE_COLD; ``"unmanaged"``
         #: treats DRAM + slow tier as one big pool — faults spill to the
         #: slow tier when DRAM fills and nothing ever migrates (the
         #: Memos-style baseline the placement bench compares against).
-        #: Assigned post-construction, like ``watermarks``.
-        self.tier_policy = "managed"
+        self.tier_policy = check_tier_policy(tier_policy)
         # Slow-tier load-to-use latency relative to DRAM; feeds the
         # per-touch stall surcharge for slow-resident pages.
         self._tier_latency_ratio = (
@@ -375,9 +384,6 @@ class SimKernel:
                 )
             else:
                 tr.count(EpochEnd)
-        # After the emit: the EpochEnd bus hook records cross-layer
-        # findings, and this checkpoint raises them together with its
-        # own (the bus never lets a subscriber raise).
         if self.sanitizer is not None:
             self.sanitizer.checkpoint_kernel(self, now)
 
@@ -908,6 +914,7 @@ class SimKernel:
                 frames = pt.frame[freed_idx]
                 self.frames.release(frames[frames >= 0])
                 pt.frame[freed_idx] = -1
+                pt.tier[freed_idx] = 0
                 self.metrics.thp_freed_pages += int(freed_idx.size)
             self.metrics.thp_demotions += int(demoted.size)
             demotions += int(demoted.size)

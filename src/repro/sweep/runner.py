@@ -318,10 +318,8 @@ class SweepRunner:
         milliseconds instead — before a worker pool is ever spawned.
         Unknown configuration names are left for execution to report.
         """
-        from ..lint.schemes import check_schemes
         from ..monitor.attrs import MonitorAttrs
         from ..runner.configs import CONFIGS
-        from ..schemes.parser import parse_schemes
 
         names = sorted(
             {
@@ -333,15 +331,8 @@ class SweepRunner:
         attrs = MonitorAttrs()
         for name in names:
             cfg = CONFIGS.get(name)
-            if cfg is None or cfg.schemes_text is None:
-                continue
-            schemes = parse_schemes(cfg.schemes_text, attrs)
-            if cfg.quota is not None:
-                for scheme in schemes:
-                    scheme.quota = cfg.quota.fresh_clone()
-            check_schemes(
-                schemes, attrs, context=f"sweep config {name!r}", phys=cfg.monitor == "paddr"
-            )
+            if cfg is not None and cfg.schemes_text is not None:
+                cfg.build_schemes(attrs, context=f"sweep config {name!r}")
 
     def run(self) -> SweepReport:
         started = time.perf_counter()

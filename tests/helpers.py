@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 from pathlib import Path
+from unittest import mock
 
 from repro.units import MSEC
 
@@ -34,6 +35,8 @@ def load_oracle_kernel() -> type:
     The oracle predates the probe-generation counters and keeps none, so
     the adapter answers "unknown": the monitor then asks it about one
     sampling tick at a time, which is the behaviour it was frozen with.
+    It also predates the sanitizer, the slow tier and shared watermarks,
+    so the adapter accepts and drops those constructor keywords.
     """
     path = Path(__file__).resolve().parents[1] / "benchmarks" / "_legacy_kernel.py"
     spec = importlib.util.spec_from_file_location("_legacy_kernel", path)
@@ -41,6 +44,11 @@ def load_oracle_kernel() -> type:
     spec.loader.exec_module(module)
 
     class OracleKernel(module.LegacySimKernel):
+        def __init__(
+            self, guest, *, sanitizer=None, tier_policy="managed", watermarks=None, **kw
+        ):
+            super().__init__(guest, **kw)
+
         def probe_generation(self):
             return None
 
@@ -48,3 +56,11 @@ def load_oracle_kernel() -> type:
             return None
 
     return OracleKernel
+
+
+def oracle_kernel_runs():
+    """A context manager: within the block the experiment driver builds
+    the frozen oracle kernel instead of
+    :class:`~repro.sim.kernel.SimKernel`, so the differential tests run
+    their reference through the real driver."""
+    return mock.patch("repro.runner.experiment.SimKernel", load_oracle_kernel())

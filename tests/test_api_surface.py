@@ -72,6 +72,15 @@ def test_public_classes_and_functions_documented(package):
     assert not undocumented, f"undocumented public items: {undocumented}"
 
 
+def test_run_constructors_take_no_kernel_class():
+    """The differential harness patches the class the driver builds
+    (``tests.helpers.oracle_kernel_runs``); production has no seam."""
+    from repro.runner.experiment import ExperimentRun, build_tenant
+
+    for fn in (ExperimentRun.__init__, build_tenant):
+        assert "kernel_cls" not in inspect.signature(fn).parameters
+
+
 def test_version_string():
     assert repro.__version__.count(".") == 2
 

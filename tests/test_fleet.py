@@ -204,9 +204,13 @@ class TestWatermarks:
 
     def test_kernel_defaults_and_override(self):
         guest = GuestSpec(host=get_instance("i3.metal"), vcpus=4, dram_bytes=256 * MIB)
-        kernel = SimKernel(guest, swap=ZramDevice(128 * MIB), seed=1)
-        assert kernel.watermarks == Watermarks()
-        kernel.watermarks = Watermarks(high=0.5, low=0.4)
+        assert SimKernel(guest, seed=1).watermarks == Watermarks()
+        kernel = SimKernel(
+            guest,
+            swap=ZramDevice(128 * MIB),
+            seed=1,
+            watermarks=Watermarks(high=0.5, low=0.4),
+        )
         assert kernel.watermarks.high_frames(kernel.frames.n_frames) == int(
             kernel.frames.n_frames * 0.5
         )

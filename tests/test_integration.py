@@ -182,7 +182,9 @@ class TestAutotuning:
 
     def test_tuner_beats_manual_on_thrashing_workload(self):
         spec = spec_cyclic(period_s=8)
-        tuning, base, tuned = _autotune_spec(spec)
+        tuning, base, tuned = autotune_scheme(
+            spec, nr_samples=8, min_age_range_s=(0.0, 20.0), seed=1
+        )
         manual = run_experiment(spec, config="prcl", seed=1)
         n_manual = normalize(manual, base)
         n_tuned = normalize(tuned, base)
@@ -190,33 +192,12 @@ class TestAutotuning:
 
     def test_tuned_min_age_clears_retouch_period(self):
         spec = spec_cyclic(period_s=6)
-        tuning, _, _ = _autotune_spec(spec)
+        tuning, _, _ = autotune_scheme(
+            spec, nr_samples=8, min_age_range_s=(0.0, 20.0), seed=1
+        )
         # The idle gap is ~3.6 s within a 6 s period; thrash happens for
         # min_age below it, so the tuner should land above ~2 s.
         assert tuning.best_param > 2.0
-
-
-def _autotune_spec(spec, nr_samples=8, seed=1):
-    """autotune_scheme() accepts workload names; route a raw spec
-    through the same code path."""
-    from repro.tuning.runtime import AutoTuner
-
-    base = run_experiment(spec, config="baseline", seed=seed)
-
-    def evaluate(min_age_s):
-        run = run_experiment(
-            spec, config=prcl_config(int(min_age_s * 1_000_000)), seed=seed
-        )
-        return run.runtime_us, run.avg_rss_bytes
-
-    tuner = AutoTuner(
-        evaluate, (base.runtime_us, base.avg_rss_bytes), 0.0, 20.0, seed=seed + 10
-    )
-    tuning = tuner.tune(nr_samples)
-    tuned = run_experiment(
-        spec, config=prcl_config(int(tuning.best_param * 1_000_000)), seed=seed
-    )
-    return tuning, base, tuned
 
 
 class TestProduction:

@@ -10,7 +10,8 @@ claims *bit identity*: same seed, same workload, same machine → the same
 These tests run every scenario through both kernels — the live
 :class:`~repro.sim.kernel.SimKernel` and the pre-rewrite implementation
 frozen in ``benchmarks/_legacy_kernel.py`` — via the real experiment
-driver (``kernel_cls=``), and compare:
+driver (``tests.helpers.oracle_kernel_runs`` swaps the class it
+builds), and compare:
 
 * the full ``RunResult`` field for field (``wall_clock_us`` excluded);
 * the JSONL trace, byte for byte (event order, payloads, counts).
@@ -36,18 +37,14 @@ from repro.units import GIB, MIB, SEC
 from repro.workloads.base import WorkloadSpec
 from repro.workloads.patterns import CyclicSweep, Hotspot
 
-from tests.helpers import load_oracle_kernel
-
-LegacySimKernel = load_oracle_kernel()
+from tests.helpers import oracle_kernel_runs
 
 
-def traced_run(kernel_cls=None, **kw):
+def traced_run(**kw):
     """One experiment with a full JSONL capture; returns (result, text)."""
     bus = TraceBus(ring_capacity=0)
     buffer = io.StringIO()
     bus.subscribe_all(JsonlTraceSink(buffer))
-    if kernel_cls is not None:
-        kw["kernel_cls"] = kernel_cls
     result = run_experiment(trace=bus, **kw)
     return result, buffer.getvalue()
 
@@ -55,7 +52,8 @@ def traced_run(kernel_cls=None, **kw):
 def assert_identical(**kw):
     """Both kernels, same inputs: identical results and traces."""
     new_result, new_text = traced_run(**kw)
-    old_result, old_text = traced_run(kernel_cls=LegacySimKernel, **kw)
+    with oracle_kernel_runs():
+        old_result, old_text = traced_run(**kw)
     new_dict = dataclasses.asdict(new_result)
     old_dict = dataclasses.asdict(old_result)
     new_dict.pop("wall_clock_us")

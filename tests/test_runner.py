@@ -15,6 +15,7 @@ from repro.runner.experiment import run_experiment
 from repro.runner.results import NormalizedResult, RunResult, average_rows, normalize
 from repro.schemes.actions import Action
 from repro.schemes.parser import parse_schemes
+from repro.sim.machine import scaled_instance
 from repro.units import MIB, SEC
 from repro.workloads.serverless import serverless_spec
 
@@ -219,3 +220,28 @@ class TestRunExperiment:
         full = run_experiment(SMALL, config="baseline", seed=0)
         half = run_experiment(SMALL, config="baseline", seed=0, time_scale=0.5)
         assert half.duration_us == full.duration_us // 2
+
+
+class TestAutotune:
+    def test_a_session_simulates_each_point_once(self, monkeypatch):
+        """Baseline, ten samples, one validation: the tuned run is the
+        tuner's own measurement of the point it chose, not a repeat."""
+        from repro.runner import experiment
+
+        calls = []
+
+        def counting(workload, **kwargs):
+            calls.append(kwargs["config"])
+            return run_experiment(workload, **kwargs)
+
+        monkeypatch.setattr(experiment, "run_experiment", counting)
+        tiny = serverless_spec(footprint_mib=8, cold_share=0.8, duration_s=2)
+        tuning, baseline, tuned = experiment.autotune_scheme(
+            tiny,
+            nr_samples=10,
+            min_age_range_s=(0.0, 2.0),
+            machine=scaled_instance("i3.metal", dram_scale=1 / 1024),
+        )
+        assert len(calls) <= 12
+        assert calls[0] == "baseline" and baseline.config == "baseline"
+        assert tuned.config == f"prcl@{int(tuning.best_param * 1e6) / 1e6:g}s"

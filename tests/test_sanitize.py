@@ -21,7 +21,8 @@ from repro.errors import SanitizerError
 from repro.monitor.attrs import MonitorAttrs
 from repro.monitor.core import DataAccessMonitor
 from repro.monitor.primitives import VirtualPrimitive
-from repro.runner.experiment import run_experiment
+from repro.recovery import checkpoint_run, restore_run
+from repro.runner.experiment import ExperimentRun, build_machine, build_tenant, run_experiment
 from repro.sanitize import SimSanitizer, default_enabled, set_default_enabled
 from repro.schemes.actions import Action
 from repro.schemes.engine import SchemesEngine
@@ -33,12 +34,13 @@ from repro.sim.pagetable import PAGES_PER_HUGE
 from repro.sim.swap import ZramDevice
 from repro.sim.thp import ThpPolicy
 from repro.units import MIB, MSEC
+from repro.workloads.registry import get_workload
 
 BASE = 0x7F00_0000_0000
 EPOCH = 100 * MSEC
 
 
-def worked_kernel():
+def worked_kernel(sanitizer=None):
     """A kernel with interesting state: resident, swapped, and (after a
     khugepaged scan) huge-mapped pages."""
     guest = GuestSpec(host=get_instance("i3.metal"), vcpus=4, dram_bytes=64 * MIB)
@@ -48,6 +50,7 @@ def worked_kernel():
         thp=ThpPolicy(mode="always"),
         seed=7,
         oom_policy="shed",
+        sanitizer=sanitizer,
     )
     kernel.mmap(BASE, 32 * MIB)
     kernel.apply_access(BASE, BASE + 16 * MIB, 0, EPOCH, write_fraction=0.5)
@@ -66,7 +69,7 @@ def checks_found(*, kernel=None, monitor=None, engine=None, now=0):
     return {violation.check for violation in found}
 
 
-def started_monitor(kernel, queue=None):
+def started_monitor(kernel, queue=None, sanitizer=None):
     attrs = MonitorAttrs(
         sampling_interval_us=1 * MSEC,
         aggregation_interval_us=20 * MSEC,
@@ -74,7 +77,9 @@ def started_monitor(kernel, queue=None):
         min_nr_regions=10,
         max_nr_regions=200,
     )
-    monitor = DataAccessMonitor(VirtualPrimitive(kernel), attrs, seed=3)
+    monitor = DataAccessMonitor(
+        VirtualPrimitive(kernel), attrs, seed=3, sanitizer=sanitizer
+    )
     if queue is None:
         monitor.init_regions()
     else:
@@ -194,8 +199,9 @@ class TestMonitorMutations:
         ``change(kernel)`` applied half way; returns the checks that
         fired at the aggregation's checkpoint."""
         kernel = worked_kernel()
-        monitor = started_monitor(kernel)
-        monitor.sanitizer = SimSanitizer(raise_on_violation=False)
+        monitor = started_monitor(
+            kernel, sanitizer=SimSanitizer(raise_on_violation=False)
+        )
         step = monitor.attrs.sampling_interval_us
         ticks = monitor.attrs.max_nr_accesses
         for tick in range(1, ticks + 1):
@@ -271,8 +277,7 @@ class TestRuntime:
         assert sanitizer.violations == [] and sanitizer.epochs_checked == 0
 
     def test_end_epoch_checkpoint_is_wired(self):
-        kernel = worked_kernel()
-        kernel.sanitizer = SimSanitizer()
+        kernel = worked_kernel(sanitizer=SimSanitizer())
         kernel.space.vmas[0].pages.n_present += 1
         with pytest.raises(SanitizerError):
             kernel.end_epoch(2 * EPOCH, compute_us=70_000)
@@ -282,8 +287,7 @@ class TestRuntime:
 
         kernel = worked_kernel()
         queue = EventQueue()
-        monitor = started_monitor(kernel, queue=queue)
-        monitor.sanitizer = SimSanitizer()
+        monitor = started_monitor(kernel, queue=queue, sanitizer=SimSanitizer())
         queue.run_for(100 * MSEC)
         assert monitor.sanitizer.monitor_checkpoints > 0
         assert monitor.sanitizer.violations == []
@@ -305,6 +309,58 @@ class TestRuntime:
             assert default_enabled() is False
         finally:
             set_default_enabled(previous)
+
+
+# ----------------------------------------------------------------------
+# A run's wiring: build_tenant hands the sanitizer to every layer
+# ----------------------------------------------------------------------
+class TestRunWiring:
+    @staticmethod
+    def _started_run(**kwargs):
+        run = ExperimentRun(
+            "parsec3/swaptions", config="prcl", time_scale=0.02, sanitize=True, **kwargs
+        )
+        run.start()
+        run.run_until(2 * run.spec.epoch_us)
+        return run
+
+    def test_build_tenant_hands_one_sanitizer_to_every_layer(self):
+        sanitizer = SimSanitizer()
+        tenant = build_tenant(
+            get_workload("parsec3/swaptions"),
+            config="prcl",
+            machine=build_machine(),
+            sanitizer=sanitizer,
+        )
+        assert tenant.kernel.sanitizer is tenant.monitor.sanitizer is sanitizer
+        # ... and the sanitizer sees the engine: the kernel checkpoint
+        # reports a quota broken on it.
+        tenant.engine.schemes[0].quota = Quota(size_bytes=MIB)
+        tenant.engine.schemes[0].quota._charged = -5
+        with pytest.raises(SanitizerError, match="quota_sanity"):
+            tenant.kernel.end_epoch(EPOCH, compute_us=0.0)
+
+    def test_region_corruption_raised_at_the_epoch_boundary_without_a_bus(self):
+        run = self._started_run(collect_trace=False)
+        assert run.trace is None
+        monitor, sanitizer = run.tenant.monitor, run.tenant.sanitizer
+        monitor._ra.end[-1] -= 4096
+        aggregations = sanitizer.monitor_checkpoints
+        with pytest.raises(SanitizerError, match="region_tiling"):
+            run.tenant.kernel.end_epoch(3 * run.spec.epoch_us, run.compute_us)
+        assert sanitizer.monitor_checkpoints == aggregations
+        assert sanitizer.violations[0].epoch == sanitizer.epochs_checked - 1
+
+    def test_restored_run_still_checks_its_engine(self, tmp_path):
+        path = str(tmp_path / "run.ckpt")
+        checkpoint_run(self._started_run(), path)
+        restored = restore_run(path)
+        tenant = restored.tenant
+        assert tenant.kernel.sanitizer is tenant.monitor.sanitizer is tenant.sanitizer
+        tenant.engine.schemes[0].quota = Quota(size_bytes=MIB)
+        tenant.engine.schemes[0].quota._charged = -5
+        with pytest.raises(SanitizerError, match="quota_sanity"):
+            restored.run_until(restored.spec.duration_us)
 
 
 # ----------------------------------------------------------------------

@@ -28,7 +28,8 @@ import pytest
 
 from repro.errors import AddressSpaceError, ConfigError
 from repro.fleet import FleetConfig, FleetScheduler, run_fleet_naive
-from repro.runner.experiment import build_machine, run_experiment
+from repro.runner.configs import ExperimentConfig
+from repro.runner.experiment import ExperimentRun, build_machine, run_experiment
 from repro.sanitize.checkers import check_frame_conservation, check_tier_placement
 from repro.schemes.actions import Action, apply_action
 from repro.sim.kernel import SimKernel
@@ -64,9 +65,7 @@ def tiered_kernel(dram=16 * MIB, slow=64 * MIB, policy="managed", seed=7):
         dram_bytes=dram,
         slow_tier=make_tier(slow),
     )
-    kernel = SimKernel(guest, swap=ZramDevice(64 * MIB), seed=seed)
-    kernel.tier_policy = policy
-    return kernel
+    return SimKernel(guest, swap=ZramDevice(64 * MIB), seed=seed, tier_policy=policy)
 
 
 def touch(kernel, start, end, now=0):
@@ -317,6 +316,37 @@ class TestUnmanagedSpill:
         assert_clean(k)
 
 
+    def test_nohugepage_clears_the_tier_mark_of_the_bloat_it_frees(self):
+        """A promoted chunk's untouched subpages can sit in the slow tier
+        under the unmanaged policy; NOHUGEPAGE frees them, frame and
+        tier mark both (sanitized: every epoch checks tier placement)."""
+        ethp = ExperimentConfig(
+            name="ethp-unmanaged",
+            monitor="vaddr",
+            thp_mode="madvise",
+            schemes_text=(
+                "min max 1 max min max hugepage\n2M max min min 1s max nohugepage\n"
+            ),
+        )
+        run = ExperimentRun(
+            "splash2x/ocean_ncp",
+            config=ethp,
+            machine=scaled_instance("i3.metal", dram_scale=1 / 256),
+            tier="cxl-dram",
+            tier_scale=0.02,
+            tier_policy="unmanaged",
+            time_scale=0.02,
+            seed=0,
+            sanitize=True,
+        )
+        run.start()
+        run.run_until(run.spec.duration_us)
+        kernel = run.tenant.kernel
+        assert kernel.metrics.thp_freed_pages > 0 and kernel.frames.allocated_slow > 0
+        assert run.tenant.sanitizer.violations == []
+        assert_clean(kernel)
+
+
 # ----------------------------------------------------------------------
 # Sanitizer: the tier checkers fire on corruption
 # ----------------------------------------------------------------------
@@ -421,6 +451,10 @@ class TestBuilders:
     def test_bad_tier_policy_rejected(self):
         with pytest.raises(ConfigError):
             build_machine("i3.metal", tier="cxl-dram", tier_policy="bogus")
+        # ... and by the kernel itself, where the value is read: a typo
+        # must not become a third policy that neither spills nor migrates.
+        with pytest.raises(ConfigError, match="mangaed"):
+            tiered_kernel(policy="mangaed")
 
     def test_batched_fleet_rejects_tiers(self):
         cfg = FleetConfig(
