@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-sanitize bench bench-full bench-e2e-smoke examples figures clean lint fleet-smoke resume-smoke ci
+.PHONY: install test test-sanitize sanitize-smoke bench bench-full bench-e2e-smoke examples figures clean lint fleet-smoke resume-smoke ci
 
 install:
 	pip install -e . --no-build-isolation
@@ -15,6 +15,17 @@ test:
 # and byte-identity test must still pass.
 test-sanitize:
 	DAOS_SANITIZE=1 $(PYTHON) -m pytest -x -q tests/
+
+# The CLI under the sanitizer: seeded chaos (injected swap exhaustion,
+# dropped ticks and pressure spikes must degrade the run without ever
+# corrupting frame/swap/counter state), then a sanitized run and a
+# sanitized two-worker sweep.
+sanitize-smoke:
+	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli --seed 7 --time-scale 0.02 chaos --sanitize
+	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli --seed 3 --time-scale 0.02 chaos --plan examples/faults/smoke.toml
+	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli --seed 5 --time-scale 0.02 run parsec3/swaptions -c prcl --sanitize
+	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli --time-scale 0.02 sweep \
+		--workloads parsec3/swaptions --configs baseline,rec --jobs 2 --no-cache --sanitize
 
 # Static analysis: the project's own linter (scheme semantics +
 # determinism AST pass + DF3xx dataflow pass; fails on error-severity
@@ -92,7 +103,7 @@ resume-smoke:
 	@echo "resume smoke: checkpoint and journal replay are byte-identical"
 
 # What CI gates a PR on, runnable locally, cheapest first.
-ci: lint test test-sanitize bench-e2e-smoke fleet-smoke resume-smoke
+ci: lint test test-sanitize sanitize-smoke bench-e2e-smoke fleet-smoke resume-smoke
 
 # One figure/table at a time, e.g. `make fig7`.
 fig%:

@@ -461,8 +461,12 @@ class ExperimentRun:
         return self.queue.run_until(deadline_us)
 
     def finish(self) -> RunResult:
-        """Stop the monitor and assemble the run's :class:`RunResult`."""
+        """Stop the monitor and assemble the run's :class:`RunResult`.
+        A sanitized run first gets the sanitizer's run-end pass, which
+        raises like any checkpoint."""
         tenant = self.tenant
+        if tenant.sanitizer is not None:
+            tenant.sanitizer.check_run_end(tenant.kernel, self.queue.clock.now)
         if tenant.monitor is not None:
             tenant.monitor.stop()
 

@@ -36,6 +36,7 @@ __all__ = [
     "check_fleet_state",
     "check_frame_conservation",
     "check_tier_placement",
+    "frame_counts_agree",
     "check_present_swapped",
     "check_counter_coherence",
     "check_huge_residency",
@@ -185,14 +186,16 @@ def check_frame_conservation(kernel: Any, now: int) -> List[Violation]:
             )
         else:
             back = flat.page_offset[seg] + frames.owner_page[live]
-            if not np.array_equal(np.sort(flat.frame[back]), np.sort(live)):
+            broken = ~flat.present[back] | (flat.frame[back] != live)
+            if broken.any():
                 out.append(
                     _kernel_violation(
                         kernel,
                         "frame_conservation",
-                        "rmap back-pointers do not round-trip: the frame "
-                        "set reached via owner_vma/owner_page differs from "
-                        "the live frame set",
+                        "rmap back-pointers do not round-trip: "
+                        f"{int(np.count_nonzero(broken))} live frame(s) whose "
+                        "owner_vma/owner_page entry names a page that is not "
+                        "present or whose frame column names another frame",
                         now,
                     )
                 )
@@ -255,6 +258,28 @@ def check_tier_placement(kernel: Any, now: int) -> List[Violation]:
             )
         )
     return out
+
+
+def frame_counts_agree(kernel: Any) -> bool:
+    """The counts :func:`check_frame_conservation` and
+    :func:`check_tier_placement` rest on, without deriving the live set:
+    the pools add up, the VMAs' resident counters add up to the
+    allocated frames, and the slow-tier marks to ``allocated_slow``
+    (a stray mark on a non-present page counts, and so is seen here).
+
+    O(1) plus one pass over the int8 ``tier`` column.  The resident
+    counters are themselves checked against a fresh count every epoch
+    (:func:`check_counter_coherence`), so a page that changes residency
+    without its frame operation breaks an identity here in its own
+    epoch.  Writes no report: a ``False`` sends the caller to the two
+    checkers above, whose names and messages are the known ones.
+    """
+    frames = kernel.frames
+    if frames.allocated + frames.free_frames() + frames.free_slow_frames() != frames.n_frames:
+        return False
+    if sum(vma.pages.resident_pages() for vma in kernel.space.vmas) != frames.allocated:
+        return False
+    return int(np.count_nonzero(kernel.space.flat.tier)) == frames.allocated_slow
 
 
 def check_present_swapped(kernel: Any, now: int) -> List[Violation]:

@@ -5,8 +5,8 @@ and monitor, and the layers call back at their natural barriers:
 
 * ``SimKernel.end_epoch`` → :meth:`SimSanitizer.checkpoint_kernel`
   (quota sanity and region state of the engine and monitor handed to
-  :meth:`SimSanitizer.attach`, then frame conservation, exclusivity,
-  counters, huge residency, tier placement);
+  :meth:`SimSanitizer.attach`, then the kernel checks, in the two
+  classes below);
 * ``DataAccessMonitor.aggregate_tick`` →
   :meth:`SimSanitizer.checkpoint_monitor` (region tiling, and the
   finished sampling plan's last row against a fresh probe);
@@ -16,11 +16,43 @@ A checkpoint that finds a violation raises
 :class:`~repro.errors.SanitizerError`.  A disabled sanitizer
 (``enabled=False``) costs one attribute read and one ``if`` per
 checkpoint — the overhead budget the trace benchmark gates at under 2%.
+
+Two classes of kernel check
+---------------------------
+
+*Every epoch:* quota sanity, region state, present/swapped exclusivity,
+counter coherence, huge residency, and the count identities of
+:func:`~repro.sanitize.checkers.frame_counts_agree`.  A direct store
+into ``present``, ``swapped``, a counter, a quota or the region table
+is reported in the epoch it happens.
+
+*Keyed:* :func:`~repro.sanitize.checkers.check_frame_conservation` and
+:func:`~repro.sanitize.checkers.check_tier_placement` derive the live
+frame set and walk the rmap, which is nearly all of a checkpoint's cost,
+and everything they read (``frame``, ``tier``, the owner arrays, the
+recycled stacks, the allocator counters) changes only inside
+``FrameTable.allocate``/``allocate_slow``/``release`` or a layout
+change.  They run when ``(space.generation, frames.rmap_generation)``
+differs from its value at their last clean pass over this kernel, at a
+process's first checkpoint, when a count identity fails, on every
+:data:`FULL_CHECK_EVERY`-th epoch, and once more at run end
+(:meth:`SimSanitizer.check_run_end`, from ``ExperimentRun.finish``).
+
+So there are two defences.  A transition through ``PageTable`` /
+``FrameTable`` is checked in its own epoch: it moves the key, or, if it
+forgot its frame operation, breaks an identity.  A direct store into
+``frame``, ``tier``, an owner array or a free stack that keeps every
+count intact is found within :data:`FULL_CHECK_EVERY` epochs, or at run
+end at the latest; for the owner arrays and the free stacks it is also
+policed statically (``tests/test_lint_probe_generation.py``: every such
+store under ``src/repro/sim/`` sits beside an ``rmap_generation``
+bump).  That latency bound is the one thing given up against running
+everything every epoch.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import SanitizerError
 from .checkers import (
@@ -34,9 +66,21 @@ from .checkers import (
     check_region_state,
     check_sample_lookahead,
     check_tier_placement,
+    frame_counts_agree,
 )
 
-__all__ = ["SimSanitizer", "default_enabled", "set_default_enabled", "resolve_sanitizer"]
+__all__ = [
+    "FULL_CHECK_EVERY",
+    "SimSanitizer",
+    "default_enabled",
+    "set_default_enabled",
+    "resolve_sanitizer",
+]
+
+#: The keyed kernel checkers run on every this-many-th epoch even when
+#: their key has not moved: the bound on how long a direct store that
+#: keeps every count intact can go unreported.
+FULL_CHECK_EVERY = 64
 
 #: Process-wide default for runs that do not pass ``sanitize=`` —
 #: flipped only at the CLI/conftest boundary (``--sanitize``,
@@ -82,6 +126,10 @@ class SimSanitizer:
     #: existed reads ``None`` for what it was never given.
     _monitor: Optional[Any] = None
     _engine: Optional[Any] = None
+    #: ``(kernel, key)`` of the keyed checkers' last clean pass.  Never
+    #: pickled (``rmap_generation`` restarts at 0 in a restored process),
+    #: so a restored sanitizer reads ``None`` and opens with a full pass.
+    _keyed_clean: Optional[Tuple[Any, Tuple[int, int]]] = None
 
     def __init__(self, enabled: bool = True, *, raise_on_violation: bool = True) -> None:
         self.enabled = bool(enabled)
@@ -102,6 +150,11 @@ class SimSanitizer:
         self._monitor = monitor
         self._engine = engine
 
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        state.pop("_keyed_clean", None)
+        return state
+
     # ------------------------------------------------------------------
     # Checkpoints
     # ------------------------------------------------------------------
@@ -114,14 +167,33 @@ class SimSanitizer:
             found += check_quota_sanity(self._engine, now)
         if self._monitor is not None:
             found += check_region_state(self._monitor, now)
-        found += check_frame_conservation(kernel, now)
+        key = (kernel.space.generation, kernel.frames.rmap_generation)
+        keyed = (
+            self._keyed_clean != (kernel, key)
+            or self.epochs_checked % FULL_CHECK_EVERY == 0
+            or not frame_counts_agree(kernel)
+        )
+        if keyed:
+            found += check_frame_conservation(kernel, now)
         found += check_present_swapped(kernel, now)
         found += check_counter_coherence(kernel, now)
         found += check_huge_residency(kernel, now)
-        found += check_tier_placement(kernel, now)
+        if keyed:
+            found += check_tier_placement(kernel, now)
+            self._keyed_clean = None if found else (kernel, key)
         epoch = self.epochs_checked
         self.epochs_checked += 1
         self._report(found, now, epoch=epoch)
+
+    def check_run_end(self, kernel: Any, now: int) -> None:
+        """The keyed kernel checks once more, whatever the key says;
+        called from ``ExperimentRun.finish``.  Not an epoch boundary, so
+        it leaves ``epochs_checked`` alone."""
+        if not self.enabled:
+            return
+        found = check_frame_conservation(kernel, now)
+        found += check_tier_placement(kernel, now)
+        self._report(found, now)
 
     def checkpoint_monitor(self, monitor: Any, now: int) -> None:
         """Run the monitor-layer checks; called from ``aggregate_tick``."""

@@ -53,7 +53,9 @@ def assert_identical(**kw):
     """Both kernels, same inputs: identical results and traces."""
     new_result, new_text = traced_run(**kw)
     with oracle_kernel_runs():
-        old_result, old_text = traced_run(**kw)
+        # The oracle predates the sanitizer and has none of the state its
+        # run-end pass reads; under DAOS_SANITIZE=1 its run stays plain.
+        old_result, old_text = traced_run(sanitize=False, **kw)
     new_dict = dataclasses.asdict(new_result)
     old_dict = dataclasses.asdict(old_result)
     new_dict.pop("wall_clock_us")

@@ -8,6 +8,11 @@ on one that does not (the same for the rmap's owner arrays and
 ``FrameTable.rmap_generation``).  The sanitizer's ``sample_lookahead``
 check is the runtime net for whatever gets past the syntactic shapes
 matched here (subscript stores, augmented stores and ``.fill()``).
+
+``rmap_generation`` is also half of the key the sanitizer's
+frame-conservation and tier-placement passes wait on
+(``sanitize/runtime.py``), so the allocator's recycled stacks, which
+those passes derive the live frame set from, are held to the same rule.
 """
 
 from __future__ import annotations
@@ -23,6 +28,9 @@ SIM = Path(repro.__file__).resolve().parent / "sim"
 #: Columns the accessed-bit probes read: ``FlatPageTable.access_probability``
 #: (both primitives) and the rmap lookup in front of it (physical only).
 PROBED = {"rate", "chunk_huge", "owner_vma", "owner_page"}
+#: What the sanitizer's keyed checkers read of the allocator beyond the
+#: owner arrays.
+KEYED = {"_recycled", "_recycled_slow"}
 #: Calls that bump ``probe_generation`` on the owning flat table, and the
 #: counters a function may bump (or, restoring, reset) itself.
 BUMPERS = {"_invalidate_chunk_rates", "_bump_probe_generation"}
@@ -30,7 +38,7 @@ COUNTERS = {"probe_generation", "rmap_generation"}
 
 
 def _probed(node: ast.AST) -> bool:
-    return isinstance(node, ast.Attribute) and node.attr in PROBED
+    return isinstance(node, ast.Attribute) and node.attr in PROBED | KEYED
 
 
 def probed_stores(source: str):
@@ -88,6 +96,8 @@ def test_the_walk_sees_the_known_writers():
         "release",
         "__setstate__",
     }
+    # Both owner arrays and both recycled stacks.
+    assert sum(name == "release" for name, _, _ in rmap) == 4
 
 
 def test_bad_corpus_is_caught():
@@ -97,4 +107,5 @@ def test_bad_corpus_is_caught():
         ("collapse", False),
         ("zero", False),
         ("set_rate", True),
+        ("push_free", False),
     ]

@@ -21,9 +21,11 @@ from repro.errors import SanitizerError
 from repro.monitor.attrs import MonitorAttrs
 from repro.monitor.core import DataAccessMonitor
 from repro.monitor.primitives import VirtualPrimitive
-from repro.recovery import checkpoint_run, restore_run
+from repro.recovery import checkpoint_run, restore_run, state_digest
 from repro.runner.experiment import ExperimentRun, build_machine, build_tenant, run_experiment
 from repro.sanitize import SimSanitizer, default_enabled, set_default_enabled
+from repro.sanitize import runtime as sanitize_runtime
+from repro.sanitize.runtime import FULL_CHECK_EVERY
 from repro.schemes.actions import Action
 from repro.schemes.engine import SchemesEngine
 from repro.schemes.quotas import Quota
@@ -148,6 +150,19 @@ class TestKernelMutations:
         assert any(
             v.check == "frame_conservation" and "rmap owner" in v.message for v in found
         )
+
+    def test_swapped_rmap_back_pointers(self):
+        # Two frames of one VMA exchange their owner_page entries: the
+        # set of pages reached through the rmap is unchanged, each
+        # frame's own back-pointer is wrong.
+        kernel = worked_kernel()
+        frames = kernel.frames
+        a, b = frames.allocated_frames()[:2]
+        assert frames.owner_vma[a] == frames.owner_vma[b]
+        frames.owner_page[[a, b]] = frames.owner_page[[b, a]]
+        found = SimSanitizer(raise_on_violation=False).check_all(kernel=kernel)
+        assert [v.check for v in found] == ["frame_conservation"]
+        assert "round-trip" in found[0].message
 
     def test_page_loses_its_frame(self):
         kernel = worked_kernel()
@@ -309,6 +324,149 @@ class TestRuntime:
             assert default_enabled() is False
         finally:
             set_default_enabled(previous)
+
+
+# ----------------------------------------------------------------------
+# The keyed kernel checkers: when they run, and what covers the rest
+# ----------------------------------------------------------------------
+class TestKeyedCheckpoints:
+    @pytest.fixture
+    def keyed_calls(self, monkeypatch):
+        """Names of the keyed checkers, in the order the runtime called them."""
+        calls = []
+        for name in ("check_frame_conservation", "check_tier_placement"):
+            checker = getattr(sanitize_runtime, name)
+
+            def counted(kernel, now, _checker=checker, _name=name):
+                calls.append(_name)
+                return _checker(kernel, now)
+
+            monkeypatch.setattr(sanitize_runtime, name, counted)
+        return calls
+
+    @staticmethod
+    def _key(kernel):
+        return kernel.space.generation, kernel.frames.rmap_generation
+
+    def test_residency_flip_without_its_frame_operation(self, keyed_calls):
+        # Defence: the count identities.  The shape of a transition that
+        # forgot ``frames.release``: the key does not move, the counters
+        # stay coherent, and the resident total no longer equals
+        # ``frames.allocated``.
+        kernel = worked_kernel(sanitizer=SimSanitizer())
+        key = self._key(kernel)
+        assert kernel.sanitizer._keyed_clean == (kernel, key)
+        keyed_calls.clear()
+        flat = kernel.space.flat
+        flat.present[np.flatnonzero(flat.present)[0]] = False
+        kernel.space.vmas[0].pages.n_present -= 1
+        with pytest.raises(SanitizerError, match="frame_conservation"):
+            kernel.end_epoch(2 * EPOCH, compute_us=70_000)
+        assert self._key(kernel) == key  # ... so it was an identity that asked
+        assert keyed_calls == ["check_frame_conservation", "check_tier_placement"]
+
+    def test_stray_tier_mark_breaks_the_slow_count(self, keyed_calls):
+        # Defence: the count identities (tier marks vs ``allocated_slow``).
+        kernel = worked_kernel(sanitizer=SimSanitizer())
+        keyed_calls.clear()
+        flat = kernel.space.flat
+        flat.tier[np.flatnonzero(~flat.present)[0]] = 1
+        with pytest.raises(SanitizerError, match="tier_placement"):
+            kernel.end_epoch(2 * EPOCH, compute_us=70_000)
+        assert keyed_calls == ["check_frame_conservation", "check_tier_placement"]
+
+    @staticmethod
+    def _lose_a_frame(kernel):
+        """A direct store that keeps every count intact."""
+        flat = kernel.space.flat
+        flat.frame[np.flatnonzero(flat.present)[0]] = -1
+
+    def test_count_preserving_store_is_found_within_the_bound(self, keyed_calls):
+        # Defence: the FULL_CHECK_EVERY-th epoch (the static lint is the
+        # other half).  Neither the key nor an identity sees this store.
+        sanitizer = SimSanitizer()
+        kernel = worked_kernel(sanitizer=sanitizer)
+        self._lose_a_frame(kernel)
+        assert "frame_conservation" in checks_found(kernel=kernel)
+        keyed_calls.clear()
+        with pytest.raises(SanitizerError, match="frame_conservation"):
+            for _ in range(FULL_CHECK_EVERY):
+                sanitizer.checkpoint_kernel(kernel, now=2 * EPOCH)
+        assert sanitizer.violations[0].epoch == FULL_CHECK_EVERY
+        assert keyed_calls == ["check_frame_conservation", "check_tier_placement"]
+
+    def test_count_preserving_store_is_found_at_run_end(self):
+        # Defence: the run-end pass, for a run shorter than the bound.
+        run = TestRunWiring._started_run()
+        sanitizer = run.tenant.sanitizer
+        epochs = sanitizer.epochs_checked
+        assert epochs < FULL_CHECK_EVERY
+        self._lose_a_frame(run.tenant.kernel)
+        with pytest.raises(SanitizerError, match="frame_conservation"):
+            run.finish()
+        assert sanitizer.epochs_checked == epochs
+        assert sanitizer.violations[0].epoch is None
+
+    def test_a_frame_operation_moves_the_key(self, keyed_calls):
+        # Defence: the key.
+        sanitizer = SimSanitizer()
+        kernel = worked_kernel(sanitizer=sanitizer)
+        frames = kernel.frames
+        fresh = (BASE + 16 * MIB, BASE + 17 * MIB)
+        keyed_calls.clear()
+        sanitizer.checkpoint_kernel(kernel, now=2 * EPOCH)
+        assert keyed_calls == []
+
+        allocated = frames.allocated
+        kernel.apply_access(*fresh, 2 * EPOCH, EPOCH)
+        assert frames.allocated > allocated  # FrameTable.allocate ran
+        sanitizer.checkpoint_kernel(kernel, now=3 * EPOCH)
+        assert keyed_calls == ["check_frame_conservation", "check_tier_placement"]
+        sanitizer.checkpoint_kernel(kernel, now=4 * EPOCH)
+        assert len(keyed_calls) == 2
+
+        assert kernel.pageout(*fresh, 4 * EPOCH) > 0  # FrameTable.release ran
+        sanitizer.checkpoint_kernel(kernel, now=5 * EPOCH)
+        assert keyed_calls == ["check_frame_conservation", "check_tier_placement"] * 2
+
+    def test_keyed_passes_follow_the_keys_of_a_run(self, keyed_calls, monkeypatch):
+        keys = []
+        every_epoch = sanitize_runtime.check_present_swapped
+
+        def recording(kernel, now):
+            keys.append(self._key(kernel))
+            return every_epoch(kernel, now)
+
+        monkeypatch.setattr(sanitize_runtime, "check_present_swapped", recording)
+        run = TestRunWiring._started_run()
+        run.run_until(run.spec.duration_us)
+        epochs = run.tenant.sanitizer.epochs_checked
+        assert len(keys) == epochs  # the cheap class ran at every one
+        passes = keyed_calls.count("check_frame_conservation")
+        assert passes == keyed_calls.count("check_tier_placement")
+        assert len(set(keys)) <= passes < epochs
+        run.finish()
+        assert keyed_calls.count("check_frame_conservation") == passes + 1
+
+    def test_restored_run_opens_with_a_keyed_pass(self, keyed_calls, tmp_path):
+        # The remembered key is process-local: a restored sanitizer has
+        # none, and what it pickles does not depend on having had one, so
+        # a restored run's state digest equals a straight run's.
+        straight = TestRunWiring._started_run()
+        straight.run_until(straight.spec.duration_us)
+
+        run = TestRunWiring._started_run()
+        run.run_until(3 * run.spec.epoch_us)
+        assert run.tenant.sanitizer._keyed_clean is not None
+        path = str(tmp_path / "run.ckpt")
+        checkpoint_run(run, path)
+        restored = restore_run(path, announce=False)
+        assert restored.tenant.sanitizer._keyed_clean is None
+        keyed_calls.clear()
+        restored.run_until(4 * restored.spec.epoch_us)
+        assert keyed_calls == ["check_frame_conservation", "check_tier_placement"]
+        restored.run_until(restored.spec.duration_us)
+        assert state_digest(restored) == state_digest(straight)
 
 
 # ----------------------------------------------------------------------
