@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-sanitize sanitize-smoke bench bench-full bench-e2e-smoke examples figures clean lint fleet-smoke resume-smoke ci
+.PHONY: install test test-sanitize sanitize-smoke trace-smoke chaos-smoke tiering-smoke bench bench-full bench-e2e-smoke examples figures clean lint fleet-smoke resume-smoke ci
 
 install:
 	pip install -e . --no-build-isolation
@@ -21,11 +21,73 @@ test-sanitize:
 # corrupting frame/swap/counter state), then a sanitized run and a
 # sanitized two-worker sweep.
 sanitize-smoke:
-	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli --seed 7 --time-scale 0.02 chaos --sanitize
-	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli --seed 3 --time-scale 0.02 chaos --plan examples/faults/smoke.toml
+	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli --seed 7 --time-scale 0.02 run parsec3/swaptions \
+		-c rec --faults examples/faults/chaos.toml --sanitize
+	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli --seed 3 --time-scale 0.02 run parsec3/swaptions \
+		-c rec --faults examples/faults/smoke.toml
 	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli --seed 5 --time-scale 0.02 run parsec3/swaptions -c prcl --sanitize
 	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli --time-scale 0.02 sweep \
 		--workloads parsec3/swaptions --configs baseline,rec --jobs 2 --no-cache --sanitize
+
+# Two identical seeded runs must write byte-identical canonical JSONL,
+# and the stream must validate against the event schema (registered
+# kinds, exact fields, monotone sim timestamps).
+trace-smoke:
+	rm -rf /tmp/daos-trace-smoke && mkdir -p /tmp/daos-trace-smoke
+	$(PYTHON) -m repro.cli --seed 5 --time-scale 0.02 run parsec3/swaptions -c rec \
+		--trace /tmp/daos-trace-smoke/a.jsonl
+	$(PYTHON) -m repro.cli --seed 5 --time-scale 0.02 run parsec3/swaptions -c rec \
+		--trace /tmp/daos-trace-smoke/b.jsonl
+	cmp /tmp/daos-trace-smoke/a.jsonl /tmp/daos-trace-smoke/b.jsonl
+	$(PYTHON) -m repro.cli report /tmp/daos-trace-smoke/a.jsonl
+	$(PYTHON) -m repro.cli --seed 5 --time-scale 0.02 run parsec3/swaptions -c prcl \
+		--trace /tmp/daos-trace-smoke/c.jsonl
+	@echo "trace smoke: byte-identical and schema-valid"
+
+# A seeded fault plan must degrade the run, not abort it, and must
+# replay byte-identically: injection decisions come from per-spec RNG
+# substreams keyed off the plan seed alone.  Then the all-kinds plan,
+# and a faulted run and tune that must survive their plan.
+chaos-smoke:
+	rm -rf /tmp/daos-chaos-smoke && mkdir -p /tmp/daos-chaos-smoke
+	$(PYTHON) -m repro.cli --seed 3 --time-scale 0.02 run parsec3/swaptions -c rec \
+		--faults examples/faults/smoke.toml --trace /tmp/daos-chaos-smoke/a.jsonl
+	$(PYTHON) -m repro.cli --seed 3 --time-scale 0.02 run parsec3/swaptions -c rec \
+		--faults examples/faults/smoke.toml --trace /tmp/daos-chaos-smoke/b.jsonl
+	cmp /tmp/daos-chaos-smoke/a.jsonl /tmp/daos-chaos-smoke/b.jsonl
+	$(PYTHON) -m repro.cli report /tmp/daos-chaos-smoke/a.jsonl
+	$(PYTHON) -m repro.cli --seed 7 --time-scale 0.02 run parsec3/swaptions -c rec \
+		--faults examples/faults/chaos.toml
+	$(PYTHON) -m repro.cli --seed 5 --time-scale 0.02 run parsec3/swaptions -c rec \
+		--faults examples/faults/smoke.toml
+	$(PYTHON) -m repro.cli --time-scale 0.02 tune splash2x/volrend -n 4 \
+		--faults examples/faults/smoke.toml
+	@echo "chaos smoke: faulted runs survive and replay byte-identically"
+
+# A seeded run with a slow tier attached and a MIGRATE_HOT/MIGRATE_COLD
+# scheme pair driving placement, twice under the sanitizer (placement
+# invariants checked every epoch): the traces must compare byte for
+# byte.  blackscholes cold-inits 440 MiB that then idles (demotion
+# bait) and re-sweeps another 110 MiB (promotion bait), so at this
+# scale the pair applies in both directions.  Then the unmanaged
+# (first-touch) policy must complete.
+tiering-smoke:
+	rm -rf /tmp/daos-tiering-smoke && mkdir -p /tmp/daos-tiering-smoke
+	printf '4K max 1 max min max migrate_hot\n4K max min min 500ms max migrate_cold\n' \
+		> /tmp/daos-tiering-smoke/tiering.schemes
+	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli --seed 5 --time-scale 0.02 --tier cxl-dram \
+		--tier-scale 0.01 run parsec3/blackscholes \
+		--schemes /tmp/daos-tiering-smoke/tiering.schemes --trace /tmp/daos-tiering-smoke/a.jsonl
+	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli --seed 5 --time-scale 0.02 --tier cxl-dram \
+		--tier-scale 0.01 run parsec3/blackscholes \
+		--schemes /tmp/daos-tiering-smoke/tiering.schemes --trace /tmp/daos-tiering-smoke/b.jsonl
+	cmp /tmp/daos-tiering-smoke/a.jsonl /tmp/daos-tiering-smoke/b.jsonl
+	grep -q '"direction":"demote"' /tmp/daos-tiering-smoke/a.jsonl
+	grep -q '"direction":"promote"' /tmp/daos-tiering-smoke/a.jsonl
+	$(PYTHON) -m repro.cli report /tmp/daos-tiering-smoke/a.jsonl
+	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli --seed 5 --time-scale 0.02 --tier optane-pmm \
+		--tier-scale 0.001 --tier-policy unmanaged run parsec3/swaptions -c baseline
+	@echo "tiering smoke: migrations both ways, byte-identical under the sanitizer"
 
 # Static analysis: the project's own linter (scheme semantics +
 # determinism AST pass + DF3xx dataflow pass; fails on error-severity
@@ -103,7 +165,7 @@ resume-smoke:
 	@echo "resume smoke: checkpoint and journal replay are byte-identical"
 
 # What CI gates a PR on, runnable locally, cheapest first.
-ci: lint test test-sanitize sanitize-smoke bench-e2e-smoke fleet-smoke resume-smoke
+ci: lint test test-sanitize sanitize-smoke trace-smoke chaos-smoke tiering-smoke bench-e2e-smoke fleet-smoke resume-smoke
 
 # One figure/table at a time, e.g. `make fig7`.
 fig%:

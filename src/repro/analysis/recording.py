@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from ..errors import ConfigError, ParseError
 from ..monitor.snapshot import RegionSnapshot, Snapshot
 from .heatmap import Heatmap
 
-__all__ = ["save_record", "load_record", "heatmap_to_pgm"]
+__all__ = ["save_record", "read_record", "load_record", "heatmap_to_pgm"]
 
 #: Format marker so future revisions can evolve the layout.
 _FORMAT = "daos-record-v1"
@@ -59,43 +59,58 @@ def save_record(
     return path
 
 
-def load_record(path: Union[str, Path]) -> List[Snapshot]:
-    """Load snapshots from a record written by :func:`save_record`."""
+def read_record(path: Union[str, Path]) -> Optional[Tuple[dict, List[Snapshot]]]:
+    """One read of a record file: ``(metadata, snapshots)``.
+
+    The metadata holds ``workload``, ``machine``, ``extra`` and
+    ``nr_snapshots``.  Returns ``None`` when the file is readable but is
+    no ``daos-record-v1`` document (a trace, say); raises
+    :class:`~repro.errors.ParseError` naming the file when it cannot be
+    read or its record document is malformed.
+    """
     path = Path(path)
     try:
-        document = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read record {path}: {exc}") from None
-    if document.get("format") != _FORMAT:
-        raise ParseError(
-            f"{path} is not a {_FORMAT} record (format={document.get('format')!r})"
-        )
-    max_nr = int(document["max_nr_accesses"])
-    snapshots = []
-    for entry in document["snapshots"]:
-        regions = tuple(
-            RegionSnapshot(int(s), int(e), int(n), int(a))
-            for s, e, n, a in entry["regions"]
-        )
-        snapshots.append(
-            Snapshot(time_us=int(entry["time_us"]), regions=regions, max_nr_accesses=max_nr)
-        )
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
+    try:
+        document = json.loads(text)
+    except json.JSONDecodeError:
+        return None
+    if not isinstance(document, dict) or document.get("format") != _FORMAT:
+        return None
+    try:
+        max_nr = int(document["max_nr_accesses"])
+        snapshots = [
+            Snapshot(
+                time_us=int(entry["time_us"]),
+                regions=tuple(
+                    RegionSnapshot(int(s), int(e), int(n), int(a))
+                    for s, e, n, a in entry["regions"]
+                ),
+                max_nr_accesses=max_nr,
+            )
+            for entry in document["snapshots"]
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: malformed {_FORMAT} record: {exc!r}") from None
     if not snapshots:
         raise ParseError(f"{path} contains no snapshots")
-    return snapshots
-
-
-def record_metadata(path: Union[str, Path]) -> dict:
-    """Read only a record's metadata (workload, machine, extras)."""
-    document = json.loads(Path(path).read_text())
-    if document.get("format") != _FORMAT:
-        raise ParseError(f"{path} is not a {_FORMAT} record")
-    return {
+    metadata = {
         "workload": document.get("workload", ""),
         "machine": document.get("machine", ""),
         "extra": document.get("extra", {}),
-        "nr_snapshots": len(document.get("snapshots", [])),
+        "nr_snapshots": len(snapshots),
     }
+    return metadata, snapshots
+
+
+def load_record(path: Union[str, Path]) -> List[Snapshot]:
+    """Load snapshots from a record written by :func:`save_record`."""
+    record = read_record(path)
+    if record is None:
+        raise ParseError(f"{path} is not a {_FORMAT} record")
+    return record[1]
 
 
 def heatmap_to_pgm(heatmap: Heatmap, path: Union[str, Path], *, scale: int = 4) -> Path:

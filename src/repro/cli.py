@@ -3,61 +3,50 @@
 Mirrors the upstream user-space tooling's verbs:
 
 * ``daos workloads``                     — list the workload catalog;
-* ``daos record <workload>``             — run under monitoring and print
-  the access-pattern heatmap (Figure 6 for one workload);
-* ``daos run <workload> -c <config>``    — run one configuration and
-  print raw + normalised metrics;
-* ``daos schemes <workload> -f FILE``    — run with a user scheme file
-  (Listing 1/3 format);
+* ``daos run <workload> -c <config>``    — run one experiment and print
+  its report; ``--schemes FILE`` (a Listing 1/3 scheme file in place of
+  the config's schemes), ``--faults PLAN``, ``--trace FILE``,
+  ``--profile FILE``, ``--record FILE`` (``-c rec``/``prec``),
+  ``--sanitize`` and ``--checkpoint FILE`` attach the rest;
+* ``daos report <file>``                 — a saved record's heatmap and
+  working set (Figure 6 for one workload), or a trace's validated
+  summary;
 * ``daos tune <workload>``               — auto-tune the reclamation
   scheme and report the chosen ``min_age`` (Figure 5 for one workload);
-* ``daos wss <workload>``                — working-set-size estimate;
-* ``daos sweep``                         — run a whole grid of
-  experiments across a worker pool with on-disk result caching
-  (``--grid fig3``/``fig7`` presets, or ``--workloads``/``--configs``/
-  ``--seeds`` axes);
-* ``daos trace <workload>``              — run under the trace bus and
-  stream the typed event log as canonical JSONL (``--validate FILE``
-  schema-checks an existing trace instead);
-* ``daos lint``                          — static analysis: scheme
-  semantic diagnostics (``--schemes FILE``) and the determinism AST
-  lint over python trees (defaults to the installed ``repro`` package);
-  exits non-zero only on error-severity findings;
-* ``daos chaos``                         — smoke-run a seeded fault
-  plan (the built-in chaos plan by default) against one workload and
-  report what fired, what degraded, and what recovered;
-* ``daos perf <workload>``               — profile one run: per-layer
-  event/op/estimated-cost counters riding the trace bus, emitted as a
-  deterministic JSON breakdown (same seed → same report, except the
-  ``volatile`` wall-clock block);
-* ``daos fleet``                         — run a whole multi-tenant
-  fleet (thousands of serverless tenants against one shared physical
-  pool) in one process, optionally sharded over the sweep worker pool
-  (``--shards``/``--jobs``); ``--out FILE`` writes the canonical
-  summary JSON two seeded runs of which compare byte-identical;
-  ``--faults PLAN`` injects fleet-level chaos (tenant storms,
-  pool-pressure spikes), ``--journal DIR``/``--resume`` write-ahead
-  journal sharded runs;
+* ``daos sweep``                         — run a grid of experiments
+  across a worker pool with on-disk result caching (``--grid``
+  presets, or ``--workloads``/``--configs``/``--seeds`` axes);
+* ``daos fleet``                         — run a multi-tenant fleet
+  (thousands of serverless tenants, one shared physical pool) in one
+  process, optionally sharded (``--shards``/``--jobs``); ``--out FILE``
+  writes its canonical, byte-stable summary JSON;
 * ``daos resume <checkpoint>``           — complete an interrupted
-  ``run`` or ``fleet`` from its latest crash-consistent checkpoint
-  (written via ``--checkpoint FILE [--checkpoint-every N]``).
+  ``run`` or ``fleet`` from its latest ``--checkpoint FILE`` snapshot;
+* ``daos lint``                          — static analysis: scheme
+  diagnostics (``--schemes FILE``) and the determinism AST lint.
 
 The global flags (``--machine``, ``--seed``, ``--time-scale``,
 ``--tier``, ``--tier-scale``, ``--tier-policy``) precede the verb and
-reach every verb that runs an experiment.  ``run``, ``schemes``,
-``tune`` and ``chaos`` also accept ``--trace FILE`` to write the run's
-event stream alongside their normal report.  ``run``, ``tune``,
-``sweep`` and ``fleet`` accept ``--faults PLAN`` to inject a fault plan
-(TOML/JSON, see ``repro.faults``) into the run.
+reach every verb that runs an experiment.  ``-`` as the file for
+``--trace`` or ``--profile`` means stdout; the human-readable report
+then goes to stderr.
 
-Errors derived from :class:`~repro.errors.DaosError` print one line to
-stderr and exit 2 — except two failure classes with their own codes so
-scripts can tell them apart: a sweep whose points were killed by the
-supervisor's watchdog exits **3**, and a checkpoint that cannot be
-trusted (digest mismatch, format/version skew) exits **4**.  Anything
-else keeps its full traceback (it is a bug, not a usage problem).
+Exit codes are a contract:
 
-Invoke as ``python -m repro.cli`` or via the ``daos`` entry point.
+* **0** — success;
+* **1** — the command ran and found a problem: a sweep with failed
+  points, or error-severity findings from ``lint`` or ``run --schemes``;
+* **2** — a usage error: argparse rejected the command line, or a
+  :class:`~repro.errors.DaosError` (bad workload, config, flag
+  combination, unreadable input, fault plan, simulation failure) ended
+  the command with one ``error:`` line;
+* **3** — a sweep point abandoned by the supervisor's watchdog;
+* **4** — a checkpoint that cannot be trusted (digest mismatch,
+  format/version skew).
+
+Anything else keeps its full traceback (it is a bug, not a usage
+problem).  Invoke as ``python -m repro.cli`` or via the ``daos`` entry
+point.
 """
 
 from __future__ import annotations
@@ -67,16 +56,17 @@ import json
 import logging
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 from .analysis.ascii_plot import ascii_series
 from .analysis.heatmap import build_heatmap, render_heatmap
-from .analysis.recording import heatmap_to_pgm, load_record, record_metadata, save_record
+from .analysis.recording import heatmap_to_pgm, read_record, save_record
 from .analysis.report import format_normalized_rows
 from .analysis.wss import wss_from_snapshots
-from .errors import CheckpointError, ConfigError, DaosError, WatchdogTimeout
-from .faults import builtin_chaos_plan, load_fault_plan
+from .errors import CheckpointError, ConfigError, DaosError, ParseError, WatchdogTimeout
+from .faults import FaultInjector, load_fault_plan
 from .lint import (
     DEFAULT_BASELINE_NAME,
     Severity,
@@ -89,7 +79,7 @@ from .lint import (
     write_baseline,
 )
 from .perf import profile_run
-from .runner.configs import CONFIGS, ExperimentConfig
+from .runner.configs import CONFIGS
 from .runner.experiment import autotune_scheme, run_experiment
 from .runner.results import normalize
 from .sweep.grid import SweepGrid
@@ -150,7 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace_opt = _option_group()
     trace_opt.add_argument(
-        "--trace", metavar="FILE", help="write the run's trace-event JSONL here"
+        "--trace",
+        metavar="FILE",
+        help="write the run's trace-event JSONL here ('-' = stdout)",
     )
     faults_opt = _option_group()
     faults_opt.add_argument(
@@ -178,7 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help="checkpoint every N epochs (fleet: ticks); 0 = once at the midpoint",
+        help="with --checkpoint: every N epochs (fleet: ticks); 0 = once at "
+        "the midpoint",
     )
     pool_opts = _option_group()
     pool_opts.add_argument(
@@ -196,41 +189,41 @@ def build_parser() -> argparse.ArgumentParser:
         "re-execute only the rest",
     )
 
-    def config_opt(default: str) -> argparse.ArgumentParser:
-        # One parent per default: parents share their action objects, so
-        # a set_defaults() on one verb would re-default every other.
-        group = _option_group()
-        group.add_argument("-c", "--config", default=default, choices=sorted(CONFIGS))
-        return group
-
-    rec_config_opt = config_opt("rec")
-
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("workloads", help="list the workload catalog")
 
-    p_record = sub.add_parser("record", help="monitor a workload; print its heatmap")
-    p_record.add_argument("workload")
-    p_record.add_argument("--paddr", action="store_true", help="monitor physical memory")
-    p_record.add_argument("-o", "--output", help="save the record to this file")
-
-    p_report = sub.add_parser("report", help="report on a saved record file")
-    p_report.add_argument("record", help="file written by 'record --output'")
-    p_report.add_argument("--pgm", help="also export the heatmap as a PGM image")
-    p_report.add_argument("--min-freq", type=float, default=0.05)
-
     p_run = sub.add_parser(
         "run",
-        help="run one configuration",
-        parents=[config_opt("baseline"), trace_opt, faults_opt, sanitize_opt, checkpoint_opts],
+        help="run one experiment; flags attach schemes, faults, a trace, "
+        "a profile or a record",
+        parents=[trace_opt, faults_opt, sanitize_opt, checkpoint_opts],
     )
     p_run.add_argument("workload")
-
-    p_schemes = sub.add_parser(
-        "schemes", help="run with a custom scheme file", parents=[trace_opt]
+    p_run.add_argument("-c", "--config", default="baseline", choices=sorted(CONFIGS))
+    p_run.add_argument(
+        "--schemes",
+        metavar="FILE",
+        help="install this scheme file (Listing 1/3 format) in place of the "
+        "config's schemes; error-severity findings exit 1 before the run",
     )
-    p_schemes.add_argument("workload")
-    p_schemes.add_argument("-f", "--file", required=True, help="scheme text file")
+    p_run.add_argument(
+        "--profile", metavar="FILE", help="write the per-layer profile JSON here ('-' = stdout)"
+    )
+    p_run.add_argument(
+        "--record", metavar="FILE", help="save the snapshots of -c rec | prec here"
+    )
+
+    p_report = sub.add_parser(
+        "report", help="render a saved record, or validate and summarise a trace"
+    )
+    p_report.add_argument(
+        "file", help="a record ('run --record FILE') or a trace ('run --trace FILE')"
+    )
+    p_report.add_argument("--pgm", help="also export a record's heatmap as a PGM image")
+    p_report.add_argument(
+        "--min-freq", type=float, default=0.05, help="a record's working-set frequency floor"
+    )
 
     p_tune = sub.add_parser(
         "tune",
@@ -242,10 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_tune.add_argument("workload")
     p_tune.add_argument("-n", "--samples", type=int, default=10)
-
-    p_wss = sub.add_parser("wss", help="estimate the working set size")
-    p_wss.add_argument("workload")
-    p_wss.add_argument("--min-freq", type=float, default=0.05)
 
     p_sweep = sub.add_parser(
         "sweep",
@@ -291,57 +280,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the canonical (volatile-free) report JSON here",
     )
 
-    p_trace = sub.add_parser(
-        "trace",
-        help="run under the trace bus; stream canonical JSONL events",
-        parents=[rec_config_opt],
-    )
-    p_trace.add_argument(
-        "workload", nargs="?", help="workload to trace (omit with --validate)"
-    )
-    p_trace.add_argument(
-        "-o", "--output", help="write the JSONL here (default: stdout)"
-    )
-    p_trace.add_argument(
-        "--validate",
-        metavar="FILE",
-        help="schema-validate an existing trace file and print its summary",
-    )
-
-    p_chaos = sub.add_parser(
-        "chaos",
-        help="smoke-run a seeded fault plan; report faults, retries, degradation",
-        parents=[rec_config_opt, trace_opt, sanitize_opt],
-    )
-    p_chaos.add_argument(
-        "workload",
-        nargs="?",
-        default="parsec3/swaptions",
-        help="workload to torment (default: parsec3/swaptions)",
-    )
-    p_chaos.add_argument(
-        "--plan",
-        metavar="FILE",
-        help="fault plan to run (default: the built-in chaos plan)",
-    )
-
-    p_perf = sub.add_parser(
-        "perf",
-        help="profile one run; emit a per-layer JSON cost breakdown",
-        parents=[rec_config_opt],
-    )
-    p_perf.add_argument("workload")
-    p_perf.add_argument(
-        "-o", "--output", help="write the JSON report here (default: stdout)"
-    )
-
     p_fleet = sub.add_parser(
         "fleet",
         help="run a multi-tenant fleet against one shared physical pool",
         description="Run a multi-tenant fleet against one shared physical "
         "pool.  Of a --faults plan the fleet specs (tenant_storm, "
         "pool_pressure_spike) apply.  --checkpoint needs a single-pool run; "
-        "--journal/--resume need a sharded one (--shards > 1).",
+        "--journal/--resume need a sharded one (--shards > 1); --naive takes "
+        "none of them, nor --out or --sanitize.",
         parents=[pool_opts, faults_opt, sanitize_opt, checkpoint_opts],
     )
     p_fleet.add_argument(
@@ -461,48 +407,33 @@ def _cmd_workloads(args) -> int:
     return 0
 
 
-def _cmd_record(args) -> int:
-    config = ExperimentConfig(
-        name="prec" if args.paddr else "rec",
-        monitor="paddr" if args.paddr else "vaddr",
-        record=True,
-    )
-    result = run_experiment(args.workload, config=config, **_run_kwargs(args))
-    heatmap = build_heatmap(result.snapshots)
-    print(render_heatmap(heatmap, title=f"{args.workload} ({config.name})"))
-    print(
-        f"\nmonitor: {result.monitor_checks} checks, "
-        f"{result.monitor_cpu_share * 100:.2f}% of one CPU"
-    )
-    if args.output:
-        path = save_record(
-            result.snapshots,
-            args.output,
-            workload=args.workload,
-            machine=args.machine,
-            extra={"config": config.name, "seed": args.seed},
-        )
-        print(f"record saved to {path}")
-    return 0
-
-
-def _cmd_report(args) -> int:
-    meta = record_metadata(args.record)
-    snapshots = load_record(args.record)
-    title = meta["workload"] or args.record
+def _print_access_pattern(snapshots, title: str, min_freq: float = 0.05):
+    """A record's heatmap and working set (``run`` and ``report`` share
+    it); returns the heatmap."""
     heatmap = build_heatmap(snapshots)
-    print(render_heatmap(heatmap, title=f"{title} (from record)"))
-    stats = wss_from_snapshots(snapshots, min_frequency=args.min_freq)
-    print(f"\nworking set (>= {args.min_freq:.0%} frequency):")
-    for key in ("p25", "p50", "p75", "mean"):
+    print(render_heatmap(heatmap, title=title))
+    stats = wss_from_snapshots(snapshots, min_frequency=min_freq)
+    print(f"\nworking set (>= {min_freq:.0%} frequency):")
+    for key in ("p0", "p25", "p50", "p75", "p100", "mean"):
         print(f"  {key:>4s}: {format_size(int(stats[key]))}")
-    if args.pgm:
-        path = heatmap_to_pgm(heatmap, args.pgm)
-        print(f"heatmap image written to {path}")
-    return 0
+    return heatmap
 
 
-def _print_run(result, baseline) -> None:
+def _print_trace_summary(summary) -> None:
+    """A trace summary (``TraceSummary.as_dict()`` form) as a table."""
+    print(
+        f"{summary['n_events']} events, "
+        f"t=[{summary['first_time_us']}, {summary['last_time_us']}]us"
+    )
+    for kind, count in summary["counts"].items():
+        print(f"  {kind:20s} {count:>8d}")
+
+
+def _print_run(result, baseline=None, *, tier=None, plan=None, rss_hist=None) -> None:
+    """The run report.  Each section appears when its input exists: the
+    normalised row with a baseline, the tier line with a tier label, the
+    damage block with a fault plan, the heatmap and working set when the
+    config recorded, the event table and RSS histogram with a trace."""
     print(f"runtime      : {result.runtime_us / 1e6:.2f}s")
     print(f"avg RSS      : {result.avg_rss_bytes / MIB:.1f} MiB")
     print(f"peak RSS     : {result.peak_rss_bytes / MIB:.1f} MiB")
@@ -517,6 +448,31 @@ def _print_run(result, baseline) -> None:
     if baseline is not None:
         print()
         print(format_normalized_rows([normalize(result, baseline)]))
+    if tier is not None:
+        print(
+            f"tier         : {tier}, "
+            f"{result.breakdown.get('pages_demoted', 0)} page(s) demoted, "
+            f"{result.breakdown.get('pages_promoted', 0)} promoted"
+        )
+    if plan is not None:
+        counts = result.trace_summary["counts"]
+        print(f"faults       : plan {plan.name} ({len(plan)} spec(s): {', '.join(plan.kinds())})")
+        print(f"faults fired : {counts.get('FaultInjected', 0)}")
+        print(f"retries      : {counts.get('RetryAttempted', 0)}")
+        print(
+            f"degradation  : entered {counts.get('DegradedModeEntered', 0)}x, "
+            f"exited {counts.get('DegradedModeExited', 0)}x, "
+            f"{result.breakdown.get('shed_pages', 0)} page(s) shed"
+        )
+    if result.snapshots:
+        print()
+        _print_access_pattern(result.snapshots, f"{result.workload} ({result.config})")
+    if rss_hist is not None:
+        print()
+        _print_trace_summary(result.trace_summary)
+        if rss_hist.n_values:
+            print("\nEpochEnd.rss_bytes distribution:")
+            print(rss_hist.render())
 
 
 def _run_kwargs(args) -> dict:
@@ -534,61 +490,127 @@ def _run_kwargs(args) -> dict:
 
 
 @contextmanager
-def _jsonl_trace(path, bus=None):
-    """The bus a verb traces its run on, streaming to ``path`` as JSONL.
+def _trace_bus(args):
+    """Yield ``(bus, stdout)``: the bus ``--trace FILE`` streams JSONL
+    from (``None`` without it) and the verb's stdout, which ``-`` as the
+    ``--trace``/``--profile`` file names; the block's prints then go to
+    stderr.  The block wraps the run *and* its report."""
+    stdout = sys.stdout
+    outputs = (args.trace, getattr(args, "profile", None))
+    if outputs == ("-", "-"):
+        raise ConfigError("--trace and --profile cannot both write to stdout")
+    with ExitStack() as stack:
+        bus = sink = None
+        if args.trace:
+            sink = stack.enter_context(
+                JsonlTraceSink(stdout if args.trace == "-" else args.trace)
+            )
+            bus = TraceBus(ring_capacity=0)
+            bus.subscribe_all(sink)
+        if "-" in outputs:
+            stack.enter_context(redirect_stdout(sys.stderr))
+        yield bus, stdout
+        if sink is not None:
+            print(f"trace: {sink.n_written} events written to {args.trace}")
 
-    Without ``path`` this yields ``bus`` unchanged (``None`` lets the run
-    keep its internal bus).  With one, a sink is subscribed to ``bus``
-    (or to a fresh bus), closed however the block exits, and the
-    ``trace: N events`` line is printed after the verb's own report —
-    so the block wraps the run *and* its report.
-    """
-    if not path:
-        yield bus
-        return
-    if bus is None:
-        bus = TraceBus(ring_capacity=0)
-    sink = JsonlTraceSink(path)
-    bus.subscribe_all(sink)
+
+def _read_schemes(path):
+    """A scheme file's text and its semantic diagnostics."""
     try:
-        yield bus
-    finally:
-        sink.close()
-    print(f"trace: {sink.n_written} events written to {path}")
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read scheme file {path}: {exc}") from None
+    return text, analyze_scheme_text(text, file=path)[1]
+
+
+def _run_config(args):
+    """``-c``, with ``--schemes`` swapped in; ``None`` when the scheme
+    file has error-severity findings (printed, like its warnings)."""
+    config = CONFIGS[args.config]
+    if args.schemes:
+        text, diagnostics = _read_schemes(args.schemes)
+        if diagnostics:
+            print(render_text(diagnostics), file=sys.stderr)
+        if any(d.severity is Severity.ERROR for d in diagnostics):
+            print(
+                f"error: {args.schemes} has error-severity scheme diagnostics; "
+                f"fix them (or inspect with `daos lint --schemes {args.schemes}`)",
+                file=sys.stderr,
+            )
+            return None
+        # The runner re-checks internally; silence its duplicate warning log.
+        logging.getLogger("repro.lint").addHandler(logging.NullHandler())
+        config = replace(
+            config, name="custom", monitor=config.monitor or "vaddr", schemes_text=text
+        )
+    if args.record and not config.record:
+        raise ConfigError(f"--record needs a recording config (rec | prec), not {config.name}")
+    return config
 
 
 def _cmd_run(args) -> int:
+    """One experiment with whatever the flags attach, and one report."""
+    config = _run_config(args)
+    if config is None:
+        return 1
     plan = load_fault_plan(args.faults) if args.faults else None
     run_kwargs = _run_kwargs(args)
-    with _jsonl_trace(args.trace) as bus:
-        result = run_experiment(
-            args.workload,
-            config=args.config,
-            trace=bus,
-            faults=plan,
-            sanitize=True if args.sanitize else None,
-            checkpoint=args.checkpoint,
-            checkpoint_every=args.checkpoint_every,
-            **run_kwargs,
+    with _trace_bus(args) as (bus, stdout):
+        rss_hist = None
+        if bus is not None:
+            rss_hist = FieldHistogram("rss_bytes")
+            bus.subscribe(EpochEnd, rss_hist)
+        experiment = dict(
+            config=config, trace=bus, faults=plan, sanitize=True if args.sanitize else None,
+            checkpoint=args.checkpoint, checkpoint_every=args.checkpoint_every, **run_kwargs,
         )
+        if args.profile:
+            profile, result = profile_run(args.workload, **experiment)
+        else:
+            result = run_experiment(args.workload, **experiment)
         baseline = None
-        if args.config != "baseline":
+        if config.name != "baseline":
             baseline = run_experiment(args.workload, config="baseline", **run_kwargs)
-        _print_run(result, baseline)
-        if args.tier:
-            print(
-                f"tier         : {args.tier} [{args.tier_policy}], "
-                f"{result.breakdown.get('pages_demoted', 0)} page(s) demoted, "
-                f"{result.breakdown.get('pages_promoted', 0)} promoted"
+        tier = f"{args.tier} [{args.tier_policy}]" if args.tier else None
+        _print_run(result, baseline, tier=tier, plan=plan, rss_hist=rss_hist)
+        if args.record:
+            extra = {"config": result.config, "seed": result.seed}
+            save_record(
+                result.snapshots, args.record,
+                workload=result.workload, machine=result.machine, extra=extra,
             )
-        if plan is not None:
-            shed = result.breakdown.get("shed_pages", 0)
-            print(
-                f"faults       : plan {plan.name or 'unnamed'} "
-                f"({len(plan)} spec(s)), {shed} page(s) shed"
-            )
+            print(f"record saved to {args.record}")
+        if args.profile:
+            text = json.dumps(profile, indent=2, sort_keys=True) + "\n"
+            if args.profile == "-":
+                stdout.write(text)
+            else:
+                Path(args.profile).write_text(text)
+                print(f"profile written to {args.profile}")
         if args.checkpoint:
             print(f"checkpoint   : latest snapshot in {args.checkpoint}")
+    return 0
+
+
+def _cmd_report(args) -> int:
+    """A record's heatmap and working set, or a trace's validated summary."""
+    record = read_record(args.file)
+    if record is None:
+        if args.pgm:
+            raise ConfigError(f"--pgm needs a record; {args.file} is not one")
+        try:
+            summary = validate_trace_file(args.file)
+        except ParseError as exc:
+            raise ParseError(f"neither a record nor a valid trace: {exc}") from None
+        print(f"{args.file}: valid trace")
+        _print_trace_summary(summary.as_dict())
+        return 0
+    meta, snapshots = record
+    title = f"{meta['workload'] or args.file} (from record)"
+    heatmap = _print_access_pattern(snapshots, title, args.min_freq)
+    if args.pgm:
+        path = heatmap_to_pgm(heatmap, args.pgm)
+        print(f"heatmap image written to {path}")
     return 0
 
 
@@ -597,14 +619,14 @@ def _cmd_resume(args) -> int:
     from .recovery import read_checkpoint_header, resume_checkpoint
 
     header = read_checkpoint_header(args.checkpoint)
+    if args.out and header["kind"] != "fleet":
+        raise ConfigError("--out applies to fleet checkpoints only")
     print(
         f"resuming     : {header['kind']} checkpoint at "
         f"t={header['time_us'] / 1e6:.2f}s "
         f"({header['payload_bytes']} payload bytes)"
     )
-    result = resume_checkpoint(
-        args.checkpoint, strict_version=not args.allow_version_skew
-    )
+    result = resume_checkpoint(args.checkpoint, strict_version=not args.allow_version_skew)
     if header["kind"] == "fleet":
         print(f"fleet        : {result.n_tenants} tenants, {result.n_regions} regions")
         print(f"final RSS    : {format_size(result.final_resident_bytes)}")
@@ -613,43 +635,13 @@ def _cmd_resume(args) -> int:
             Path(args.out).write_text(result.canonical_json() + "\n")
             print(f"summary written to {args.out}")
     else:
-        _print_run(result, None)
-        if args.out:
-            raise ConfigError("--out applies to fleet checkpoints only")
-    return 0
-
-
-def _cmd_schemes(args) -> int:
-    with open(args.file) as handle:
-        text = handle.read()
-    # Static analysis first: refuse to run on errors, surface warnings.
-    _, diagnostics = analyze_scheme_text(text, file=args.file)
-    for diag in diagnostics:
-        print(
-            f"{diag.location()}: {diag.severity.value} {diag.code}: {diag.message}",
-            file=sys.stderr,
-        )
-    if any(d.severity is Severity.ERROR for d in diagnostics):
-        print(
-            f"error: {args.file} has error-severity scheme diagnostics; "
-            f"fix them (or inspect with `daos lint --schemes {args.file}`)",
-            file=sys.stderr,
-        )
-        return 1
-    # The runner re-checks internally; silence its duplicate warning log.
-    logging.getLogger("repro.lint").addHandler(logging.NullHandler())
-    config = ExperimentConfig(name="custom", monitor="vaddr", schemes_text=text)
-    run_kwargs = _run_kwargs(args)
-    with _jsonl_trace(args.trace) as bus:
-        result = run_experiment(args.workload, config=config, trace=bus, **run_kwargs)
-        baseline = run_experiment(args.workload, config="baseline", **run_kwargs)
-        _print_run(result, baseline)
+        _print_run(result)
     return 0
 
 
 def _cmd_tune(args) -> int:
     plan = load_fault_plan(args.faults) if args.faults else None
-    with _jsonl_trace(args.trace) as bus:
+    with _trace_bus(args) as (bus, _):
         tuning, baseline, tuned = autotune_scheme(
             args.workload,
             nr_samples=args.samples,
@@ -673,15 +665,6 @@ def _cmd_tune(args) -> int:
             f"(estimated score {tuning.best_score:.2f})"
         )
         print(format_normalized_rows([normalize(tuned, baseline)]))
-    return 0
-
-
-def _cmd_wss(args) -> int:
-    config = ExperimentConfig(name="rec", monitor="vaddr", record=True)
-    result = run_experiment(args.workload, config=config, **_run_kwargs(args))
-    stats = wss_from_snapshots(result.snapshots, min_frequency=args.min_freq)
-    for key in ("p0", "p25", "p50", "p75", "p100", "mean"):
-        print(f"{key:>5s}: {format_size(int(stats[key]))}")
     return 0
 
 
@@ -820,89 +803,6 @@ def _cmd_sweep(args) -> int:
     return 1 if report.n_failed else 0
 
 
-def _print_trace_summary(summary, stream) -> None:
-    """Render a :class:`~repro.trace.aggregate.TraceSummary` as a table."""
-    print(
-        f"{summary.n_events} events, "
-        f"t=[{summary.first_time_us}, {summary.last_time_us}]us",
-        file=stream,
-    )
-    for kind in sorted(summary.counts):
-        print(f"  {kind:20s} {summary.counts[kind]:>8d}", file=stream)
-
-
-def _cmd_trace(args) -> int:
-    if args.validate:
-        summary = validate_trace_file(args.validate)
-        print(f"{args.validate}: valid trace")
-        _print_trace_summary(summary, sys.stdout)
-        return 0
-    if not args.workload:
-        raise ConfigError("trace needs a workload (or --validate FILE)")
-    bus = TraceBus(ring_capacity=0)
-    rss_hist = FieldHistogram("rss_bytes")
-    bus.subscribe(EpochEnd, rss_hist)
-    if args.output:
-        sink = JsonlTraceSink(args.output)
-        report_stream = sys.stdout
-    else:
-        # JSONL goes to stdout (pipeable); the summary moves to stderr.
-        sink = JsonlTraceSink(sys.stdout)
-        report_stream = sys.stderr
-    bus.subscribe_all(sink)
-    try:
-        run_experiment(args.workload, config=args.config, trace=bus, **_run_kwargs(args))
-    finally:
-        sink.close()
-    _print_trace_summary(bus.summary(), report_stream)
-    if rss_hist.n_values:
-        print("\nEpochEnd.rss_bytes distribution:", file=report_stream)
-        print(rss_hist.render(), file=report_stream)
-    if args.output:
-        print(f"trace: {sink.n_written} events written to {args.output}")
-    return 0
-
-
-def _cmd_chaos(args) -> int:
-    """One fault-plan smoke run: inject, survive, report the damage."""
-    plan = (
-        load_fault_plan(args.plan) if args.plan else builtin_chaos_plan(seed=args.seed)
-    )
-    with _jsonl_trace(args.trace, TraceBus(ring_capacity=0)) as bus:
-        result = run_experiment(
-            args.workload,
-            config=args.config,
-            trace=bus,
-            faults=plan,
-            sanitize=True if args.sanitize else None,
-            **_run_kwargs(args),
-        )
-        counts = bus.summary().counts
-        kinds = ", ".join(sorted(plan.kinds()))
-        print(f"chaos plan   : {plan.name or 'builtin'} ({len(plan)} spec(s): {kinds})")
-        print(f"workload     : {result.workload} [{result.config}], seed {result.seed}")
-        print(f"runtime      : {result.runtime_us / 1e6:.2f}s (run completed)")
-        print(f"faults fired : {counts.get('FaultInjected', 0)}")
-        print(f"retries      : {counts.get('RetryAttempted', 0)}")
-        print(
-            f"degradation  : entered {counts.get('DegradedModeEntered', 0)}x, "
-            f"exited {counts.get('DegradedModeExited', 0)}x, "
-            f"{result.breakdown.get('shed_pages', 0)} page(s) shed"
-        )
-    return 0
-
-
-def _cmd_perf(args) -> int:
-    report, _ = profile_run(args.workload, config=args.config, **_run_kwargs(args))
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.output:
-        Path(args.output).write_text(text + "\n")
-        print(f"perf report written to {args.output}")
-    else:
-        print(text)
-    return 0
-
-
 def _fleet_config_from_args(args):
     from .fleet import FleetConfig
 
@@ -932,8 +832,15 @@ def _cmd_fleet(args) -> int:
     sanitize = args.sanitize or default_enabled()
     plan = load_fault_plan(args.faults) if args.faults else None
     if args.naive:
-        if plan is not None:
-            raise ConfigError("--faults needs the batched scheduler, not --naive")
+        batched_only = [
+            f"--{name}"
+            for name in ("faults", "out", "checkpoint", "journal", "resume", "sanitize")
+            if getattr(args, name)
+        ] + (["--shards"] if args.shards > 1 else [])
+        if batched_only:
+            raise ConfigError(
+                f"{', '.join(batched_only)}: batched scheduler only, not --naive"
+            )
         results = run_fleet_naive(cfg)
         total_rss = sum(r.avg_rss_bytes for r in results)
         print(f"naive fleet  : {len(results)} tenant run(s), one kernel each")
@@ -971,11 +878,7 @@ def _cmd_fleet(args) -> int:
                 "--journal/--resume need a sharded fleet (--shards > 1); "
                 "single-pool runs checkpoint instead (--checkpoint FILE)"
             )
-        injector = None
-        if plan is not None:
-            from .faults import FaultInjector
-
-            injector = FaultInjector(plan)
+        injector = FaultInjector(plan) if plan is not None else None
         if args.checkpoint:
             from .fleet import FleetScheduler
             from .recovery.codec import checkpoint_fleet_stepping
@@ -1016,10 +919,7 @@ def _cmd_fleet(args) -> int:
 def _cmd_lint(args) -> int:
     diagnostics = []
     for scheme_file in args.schemes:
-        with open(scheme_file) as handle:
-            text = handle.read()
-        _, scheme_diags = analyze_scheme_text(text, file=scheme_file)
-        diagnostics.extend(scheme_diags)
+        diagnostics.extend(_read_schemes(scheme_file)[1])
 
     paths = list(args.paths) + list(args.extra_paths)
     if not paths and not args.schemes:
@@ -1051,18 +951,12 @@ def _cmd_lint(args) -> int:
 
 _COMMANDS = {
     "workloads": _cmd_workloads,
-    "record": _cmd_record,
-    "report": _cmd_report,
     "run": _cmd_run,
-    "resume": _cmd_resume,
-    "schemes": _cmd_schemes,
+    "report": _cmd_report,
     "tune": _cmd_tune,
-    "wss": _cmd_wss,
     "sweep": _cmd_sweep,
-    "trace": _cmd_trace,
-    "chaos": _cmd_chaos,
-    "perf": _cmd_perf,
     "fleet": _cmd_fleet,
+    "resume": _cmd_resume,
     "lint": _cmd_lint,
 }
 
@@ -1076,6 +970,8 @@ def main(argv=None) -> int:
 
         set_default_enabled(True)
     try:
+        if getattr(args, "checkpoint_every", 0) and not args.checkpoint:
+            raise ConfigError("--checkpoint-every needs --checkpoint FILE")
         return _COMMANDS[args.command](args)
     except WatchdogTimeout as exc:
         print(f"error: {exc}", file=sys.stderr)

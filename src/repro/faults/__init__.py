@@ -15,7 +15,7 @@ byte-identically.
 """
 
 from .injector import FaultInjector, worker_crash_decision
-from .plan import FaultPlan, builtin_chaos_plan, load_fault_plan
+from .plan import FaultPlan, load_fault_plan
 from .spec import FAULT_KINDS, HOOK_POINTS, FaultSpec
 
 __all__ = [
@@ -25,6 +25,5 @@ __all__ = [
     "FAULT_KINDS",
     "HOOK_POINTS",
     "load_fault_plan",
-    "builtin_chaos_plan",
     "worker_crash_decision",
 ]

@@ -2,7 +2,7 @@
 
 A plan is loaded from a TOML or JSON file (or built programmatically)::
 
-    # chaos.toml
+    # plan.toml
     seed = 11
     [[faults]]
     kind = "swap_full"
@@ -21,15 +21,14 @@ same seeded run replays to a byte-identical trace.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Tuple, Union
 
 from ..errors import FaultError
-from ..units import MSEC, SEC
 from .spec import FaultSpec
 
-__all__ = ["FaultPlan", "load_fault_plan", "builtin_chaos_plan"]
+__all__ = ["FaultPlan", "load_fault_plan"]
 
 try:  # Python 3.11+; TOML plans degrade to a clear error below it.
     import tomllib as _toml
@@ -45,7 +44,7 @@ class FaultPlan:
     #: Seed of the injector's decision RNG (independent of the run seed:
     #: the same chaos can be replayed against different workload seeds).
     seed: int = 0
-    #: Optional human label (reports, ``daos chaos`` output).
+    #: Optional human label (the run report's ``faults`` line).
     name: str = ""
 
     def __post_init__(self):
@@ -151,24 +150,3 @@ def load_fault_plan(path: Union[str, Path]) -> FaultPlan:
     if not plan.name:
         plan = FaultPlan(specs=plan.specs, seed=plan.seed, name=path.stem)
     return plan
-
-
-def builtin_chaos_plan(*, seed: int = 0) -> FaultPlan:
-    """The canned ``daos chaos`` scenario: one of every in-run fault
-    kind, windowed so a short (time-scaled) run crosses all of them."""
-    return FaultPlan.build(
-        [
-            dict(kind="pressure_spike", start=1 * SEC, end=3 * SEC, magnitude=8192),
-            dict(kind="swap_full", start=2 * SEC, end=4 * SEC),
-            dict(kind="flaky_bits", start=0, probability=0.2),
-            dict(kind="drop_sample", start=0, probability=0.05),
-            dict(kind="late_epoch", probability=0.1, magnitude=50 * MSEC),
-            dict(kind="engine_stall", probability=0.1),
-        ],
-        seed=seed,
-        name="builtin-chaos",
-    )
-
-
-# Keep the import visible to linters that scan for unused names.
-_ = field

@@ -1,7 +1,7 @@
 """Performance subsystem: the deterministic profiling harness.
 
 :mod:`repro.perf.profiler` — per-layer operation/estimated-cost counters
-riding the trace bus, surfaced as ``daos perf``.
+riding the trace bus, surfaced as ``daos run --profile FILE``.
 """
 
 from .profiler import PerfProfiler, profile_run

@@ -101,41 +101,32 @@ class PerfProfiler:
 
 
 def profile_run(
-    workload: str,
-    *,
-    config: str = "rec",
-    machine: str = "i3.metal",
-    seed: int = 0,
-    time_scale: float = 0.25,
-    costs: Optional[CostModel] = None,
-    **run_kwargs,
+    workload: str, *, costs: Optional[CostModel] = None, **run_kwargs
 ) -> Tuple[Dict[str, Any], Any]:
     """Run one experiment under the profiler; return ``(report, result)``.
 
-    The report's top level is deterministic for a fixed
-    (workload, config, machine, seed, time_scale); host-dependent
-    figures live under the ``volatile`` key only.  ``run_kwargs`` (tier,
-    swap, ...) go to :class:`~repro.runner.experiment.ExperimentRun`.
+    ``run_kwargs`` go to :func:`~repro.runner.experiment.run_experiment`
+    unchanged (config, machine, seed, time scale, tier, faults, ...: see
+    :class:`~repro.runner.experiment.ExperimentRun`); a ``trace`` bus
+    among them carries the profiler beside its own subscribers.
+    ``costs`` prices the profile, not the run.  The report's top level
+    is deterministic for a fixed set of run parameters; host-dependent
+    figures live under the ``volatile`` key only.
     """
     from ..runner.experiment import run_experiment
 
-    bus = TraceBus(ring_capacity=0)
+    bus = run_kwargs.pop("trace", None)
+    if bus is None:
+        bus = TraceBus(ring_capacity=0)
     profiler = PerfProfiler(costs=costs).attach(bus)
-    result = run_experiment(
-        workload,
-        config=config,
-        machine=machine,
-        seed=seed,
-        time_scale=time_scale,
-        trace=bus,
-        **run_kwargs,
-    )
+    result = run_experiment(workload, trace=bus, **run_kwargs)
     report: Dict[str, Any] = {
-        "workload": workload,
-        "config": config,
-        "machine": machine,
-        "seed": seed,
-        "time_scale": time_scale,
+        "workload": result.workload,
+        "config": result.config,
+        "machine": result.machine,
+        "seed": result.seed,
+        # ExperimentRun's default: a RunResult does not carry its scale.
+        "time_scale": run_kwargs.get("time_scale", 1.0),
         "runtime_us": result.runtime_us,
         "monitor": {
             "checks": result.monitor_checks,

@@ -13,7 +13,6 @@ non-decreasing in simulation time.
 
 from __future__ import annotations
 
-import io
 import json
 import operator
 import typing
@@ -203,10 +202,11 @@ class JsonlTraceSink:
 
 def _iter_lines(source: Union[str, Path, TextIO, Iterable[str]]) -> Iterator[str]:
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as handle:
-            yield from handle
-    elif isinstance(source, io.TextIOBase):
-        yield from source
+        try:
+            with open(source, encoding="utf-8") as handle:
+                yield from handle
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParseError(f"cannot read trace {source}: {exc}") from None
     else:
         yield from source
 
@@ -232,8 +232,10 @@ def validate_trace_file(
     :func:`decode_event`); with ``require_monotone`` (the default),
     timestamps must also be non-decreasing in simulation time.  Raises
     :class:`~repro.errors.ParseError` on the first violation, naming
-    the offending line number.
+    the offending line number (and the file, for a path), or on a file
+    that cannot be read.
     """
+    where = f"{source}: " if isinstance(source, (str, Path)) else ""
     counts: Dict[str, int] = {}
     n_events = 0
     first = last = -1
@@ -245,10 +247,10 @@ def validate_trace_file(
         try:
             event = decode_event(line)
         except ParseError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from exc
+            raise ParseError(f"{where}line {lineno}: {exc}") from exc
         if require_monotone and prev is not None and event.time_us < prev:
             raise ParseError(
-                f"line {lineno}: timestamp {event.time_us} moves backwards "
+                f"{where}line {lineno}: timestamp {event.time_us} moves backwards "
                 f"(previous event at {prev}) — trace is not monotone in sim time"
             )
         prev = event.time_us

@@ -10,6 +10,10 @@ import pytest
 import repro.cli
 from repro.cli import build_parser, main
 
+REPO = Path(__file__).resolve().parent.parent
+CHAOS_PLAN = REPO / "examples" / "faults" / "chaos.toml"
+SMOKE_PLAN = REPO / "examples" / "faults" / "smoke.toml"
+
 
 class TestParser:
     def test_workloads_subcommand(self):
@@ -71,16 +75,17 @@ class TestCommands:
         assert "S/volrend" in out
 
     def test_record_prints_heatmap(self, capsys):
-        rc = main(["--time-scale", "0.1", "record", "splash2x/volrend"])
+        rc = main(["--time-scale", "0.1", "run", "splash2x/volrend", "-c", "rec"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "monitor:" in out
+        assert "monitor CPU" in out
         assert "addr [" in out
 
     def test_wss(self, capsys):
-        rc = main(["--time-scale", "0.1", "wss", "splash2x/volrend"])
+        rc = main(["--time-scale", "0.1", "run", "splash2x/volrend", "-c", "prec"])
         assert rc == 0
         out = capsys.readouterr().out
+        assert "working set" in out
         assert "p50" in out
 
     def test_fleet_smoke(self, capsys, tmp_path):
@@ -111,11 +116,12 @@ class TestCommands:
         scheme_file = tmp_path / "my.schemes"
         scheme_file.write_text("4K max min min 2s max pageout\n")
         rc = main(
-            ["--time-scale", "0.1", "schemes", "splash2x/volrend", "-f", str(scheme_file)]
+            ["--time-scale", "0.1", "run", "splash2x/volrend", "--schemes", str(scheme_file)]
         )
         assert rc == 0
         out = capsys.readouterr().out
         assert "pageout" in out
+        assert "custom" in out  # the normalised row against the baseline
 
 
 class _Captured(Exception):
@@ -133,24 +139,56 @@ _GLOBAL_KWARGS = dict(
 
 
 class TestGlobalFlagsReachEveryVerb:
+    # The ids name the verbs these spellings replaced: each case is how
+    # that verb's experiment is run now.
     @pytest.mark.parametrize(
         "verb_argv, entry_point",
         [
-            (["record", "parsec3/swaptions"], "run_experiment"),
-            (["run", "parsec3/swaptions", "-c", "prcl"], "run_experiment"),
-            (["schemes", "parsec3/swaptions", "-f", "SCHEME_FILE"], "run_experiment"),
-            (["tune", "parsec3/swaptions"], "autotune_scheme"),
-            (["wss", "parsec3/swaptions"], "run_experiment"),
-            (["trace", "parsec3/swaptions"], "run_experiment"),
-            (["chaos"], "run_experiment"),
-            (["perf", "parsec3/swaptions"], "profile_run"),
+            pytest.param(
+                ["run", "parsec3/swaptions", "-c", "rec", "--record", "OUT"],
+                "run_experiment",
+                id="record-run_experiment",
+            ),
+            pytest.param(
+                ["run", "parsec3/swaptions", "-c", "prcl"],
+                "run_experiment",
+                id="run-run_experiment",
+            ),
+            pytest.param(
+                ["run", "parsec3/swaptions", "--schemes", "SCHEME_FILE"],
+                "run_experiment",
+                id="schemes-run_experiment",
+            ),
+            pytest.param(
+                ["tune", "parsec3/swaptions"], "autotune_scheme", id="tune-autotune_scheme"
+            ),
+            pytest.param(
+                ["run", "parsec3/swaptions", "-c", "rec"],
+                "run_experiment",
+                id="wss-run_experiment",
+            ),
+            pytest.param(
+                ["run", "parsec3/swaptions", "-c", "rec", "--trace", "OUT"],
+                "run_experiment",
+                id="trace-run_experiment",
+            ),
+            pytest.param(
+                ["run", "parsec3/swaptions", "-c", "rec", "--faults", str(CHAOS_PLAN)],
+                "run_experiment",
+                id="chaos-run_experiment",
+            ),
+            pytest.param(
+                ["run", "parsec3/swaptions", "-c", "rec", "--profile", "OUT"],
+                "profile_run",
+                id="perf-profile_run",
+            ),
         ],
-        ids=lambda value: value[0] if isinstance(value, list) else None,
     )
     def test_all_six_arrive(self, monkeypatch, tmp_path, verb_argv, entry_point):
         scheme_file = tmp_path / "my.schemes"
         scheme_file.write_text("4K max min min 2s max pageout\n")
-        verb_argv = [str(scheme_file) if a == "SCHEME_FILE" else a for a in verb_argv]
+        placeholders = {"SCHEME_FILE": str(scheme_file), "OUT": str(tmp_path / "out")}
+        verb_argv = [placeholders.get(a, a) for a in verb_argv]
 
         def capture(workload, **kwargs):
             raise _Captured(kwargs)
@@ -176,7 +214,7 @@ class TestSharedFlagsDeclaredOnce:
 
 def _readme_daos_commands():
     """Every ``daos ...`` command line in README.md's fenced blocks."""
-    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    text = (REPO / "README.md").read_text()
     commands = []
     for block in re.findall(r"^```[a-z]*\n(.*?)^```", text, flags=re.S | re.M):
         for line in block.replace("\\\n", " ").splitlines():
@@ -200,3 +238,182 @@ class TestReadmeCommandsParse:
             except SystemExit:
                 rejected.append(command)
         assert rejected == [], capsys.readouterr().err
+
+
+def _exit_code(argv) -> int:
+    """``main``'s exit code, argparse's ``SystemExit`` included."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _write_trace(path):
+    from repro.trace import AccessSampled, JsonlTraceSink
+
+    with JsonlTraceSink(path) as sink:
+        sink(AccessSampled(time_us=1, nr_regions=10, checked=10, hits=4))
+        sink(AccessSampled(time_us=2, nr_regions=10, checked=10, hits=2))
+    return str(path)
+
+
+class TestRunAttachments:
+    @pytest.mark.parametrize("verb", ["schemes", "trace", "chaos", "perf", "record", "wss"])
+    def test_removed_verbs_are_invalid_choices(self, verb, capsys):
+        assert _exit_code([verb, "parsec3/swaptions"]) == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_help_lists_exactly_eight_verbs(self):
+        usage = build_parser().format_usage()
+        assert "{workloads,run,report,tune,sweep,fleet,resume,lint}" in usage
+
+    def test_trace_to_stdout_moves_the_report_to_stderr(self, capsys):
+        argv = ["--seed", "5", "--time-scale", "0.02", "run", "parsec3/swaptions",
+                "-c", "rec", "--trace", "-"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines and all(line.startswith('{"') for line in lines)
+        assert "runtime" in captured.err
+        assert "EpochEnd.rss_bytes distribution" in captured.err
+
+    def test_trace_and_profile_cannot_share_stdout(self, capsys):
+        argv = ["run", "parsec3/swaptions", "--trace", "-", "--profile", "-"]
+        assert main(argv) == 2
+        assert "stdout" in capsys.readouterr().err
+
+    def test_record_needs_a_recording_config(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["run", "parsec3/swaptions", "-c", "prcl", "--record", str(out)]) == 2
+        assert "recording config" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_faults_print_the_damage_block(self, capsys):
+        argv = ["--seed", "3", "--time-scale", "0.02", "run", "parsec3/swaptions",
+                "-c", "rec", "--faults", str(SMOKE_PLAN)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        for line in ("faults       : plan smoke", "faults fired", "retries", "degradation"):
+            assert line in out
+
+    def test_report_summarises_a_trace(self, tmp_path, capsys):
+        trace = _write_trace(tmp_path / "t.jsonl")
+        assert main(["report", trace]) == 0
+        out = capsys.readouterr().out
+        assert "valid trace" in out
+        assert "AccessSampled" in out
+
+
+class TestUnreadableInputs:
+    """Each input a verb reads ends in one ``error:`` line and exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "parsec3/swaptions", "--schemes", "MISSING"],
+            ["lint", "--schemes", "MISSING"],
+        ],
+        ids=["run", "lint"],
+    )
+    def test_missing_scheme_file(self, argv, tmp_path, capsys):
+        missing = str(tmp_path / "nope.schemes")
+        assert main([missing if a == "MISSING" else a for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nope.schemes" in err
+
+    def test_missing_record(self, tmp_path, capsys):
+        assert main(["report", str(tmp_path / "missing.rec")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing.rec" in err
+
+    def test_trace_is_not_read_as_a_record(self, tmp_path, capsys):
+        trace = _write_trace(tmp_path / "trace.jsonl")
+        assert main(["report", trace]) == 0
+        assert "valid trace" in capsys.readouterr().out
+
+    def test_neither_record_nor_trace(self, tmp_path, capsys):
+        junk = tmp_path / "junk.txt"
+        junk.write_text("hello\nworld\n")
+        assert main(["report", str(junk)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: neither a record nor a valid trace")
+        assert "junk.txt" in err and len(err.splitlines()) == 1
+
+    def test_missing_trace(self, tmp_path, capsys):
+        assert main(["report", str(tmp_path / "missing.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing.jsonl" in err
+
+
+class TestIgnoredFlagsRejected:
+    @pytest.mark.parametrize(
+        "flag",
+        [["--out", "OUT"], ["--shards", "3"], ["--checkpoint", "OUT"],
+         ["--journal", "DIR"], ["--resume"], ["--sanitize"]],
+        ids=lambda flag: flag[0],
+    )
+    def test_naive_fleet(self, flag, tmp_path, capsys):
+        out = tmp_path / "f.json"
+        flag = [{"OUT": str(out), "DIR": str(tmp_path)}.get(a, a) for a in flag]
+        argv = ["fleet", "--naive", "-n", "2", "--duration", "5"] + flag
+        assert main(argv) == 2
+        assert "--naive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "parsec3/swaptions"], ["fleet", "-n", "2", "--duration", "5"]],
+        ids=["run", "fleet"],
+    )
+    def test_checkpoint_every_without_checkpoint(self, argv, capsys):
+        assert main(argv + ["--checkpoint-every", "5"]) == 2
+        assert "--checkpoint FILE" in capsys.readouterr().err
+
+    def test_resume_out_on_a_run_checkpoint(self, tmp_path, capsys):
+        ckpt = str(tmp_path / "run.ckpt")
+        assert main(["--time-scale", "0.02", "run", "splash2x/volrend",
+                     "--checkpoint", ckpt]) == 0
+        capsys.readouterr()
+        assert main(["resume", ckpt, "--out", str(tmp_path / "f.json")]) == 2
+        captured = capsys.readouterr()
+        assert "fleet checkpoints only" in captured.err
+        assert "runtime" not in captured.out
+
+
+class TestExitCodes:
+    """The contract in the module docstring and the README, by case."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            pytest.param(["report", "TRACE"], 0, id="0-success"),
+            pytest.param(
+                ["sweep", "--grid", "fig3", "--no-cache", "--retries", "0",
+                 "--faults", "CRASH_PLAN"],
+                1,
+                id="1-sweep-failed-points",
+            ),
+            pytest.param(
+                ["run", "no/such-workload", "--schemes", "BAD_SCHEMES"],
+                1,
+                id="1-scheme-file-errors",
+            ),
+            pytest.param(["run", "parsec3/swaptions", "-c", "warp"], 2, id="2-argparse"),
+            pytest.param(["run", "parsec3/swaptions", "--faults", "BAD_PLAN"], 2,
+                         id="2-daos-error"),
+        ],
+    )
+    def test_exit_code(self, argv, code, tmp_path):
+        crash = tmp_path / "crash.json"
+        crash.write_text('{"seed": 1, "faults": [{"kind": "worker_crash", "probability": 1.0}]}')
+        bad_plan = tmp_path / "bad.json"
+        bad_plan.write_text('{"faults": [{"kind": "gamma_ray"}]}')
+        bad_schemes = tmp_path / "bad.schemes"
+        bad_schemes.write_text("min max 80% max min max pageout\n")
+        paths = {
+            "TRACE": _write_trace(tmp_path / "t.jsonl"),
+            "CRASH_PLAN": str(crash),
+            "BAD_PLAN": str(bad_plan),
+            "BAD_SCHEMES": str(bad_schemes),
+        }
+        assert _exit_code([paths.get(a, a) for a in argv]) == code

@@ -14,6 +14,7 @@ Three layers under test:
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +31,6 @@ from repro.faults import (
     FaultInjector,
     FaultPlan,
     FaultSpec,
-    builtin_chaos_plan,
     load_fault_plan,
     worker_crash_decision,
 )
@@ -55,6 +55,7 @@ from repro.units import MIB, MSEC, SEC
 from tests.helpers import BASE, run_epochs
 
 EPOCH = 100 * MSEC
+CHAOS_PLAN = Path(__file__).resolve().parent.parent / "examples" / "faults" / "chaos.toml"
 
 
 def plan_of(*rows, seed=0):
@@ -106,7 +107,7 @@ class TestFaultSpec:
 
 class TestFaultPlan:
     def test_roundtrip_through_dict(self):
-        plan = builtin_chaos_plan(seed=3)
+        plan = load_fault_plan(CHAOS_PLAN)
         assert FaultPlan.from_dict(plan.to_dict()) == plan
 
     def test_empty_plan_rejected(self):
@@ -118,7 +119,7 @@ class TestFaultPlan:
             FaultPlan.from_dict({"faults": [{"kind": "swap_full"}], "sede": 1})
 
     def test_only_scopes_by_kind(self):
-        plan = builtin_chaos_plan()
+        plan = load_fault_plan(CHAOS_PLAN)
         sub = plan.only("swap_full")
         assert [s.kind for s in sub.specs] == ["swap_full"]
         assert sub.seed == plan.seed

@@ -96,14 +96,14 @@ class TestSchemesCommandAnalysis:
     def test_refuses_error_schemes_before_running(self, capsys):
         # Never reaches the simulator: the workload name is not even
         # resolved, so a bogus one proves the analysis gate came first.
-        rc = main(["schemes", "no/such-workload", "-f", BAD])
+        rc = main(["run", "no/such-workload", "--schemes", BAD])
         assert rc == 1
         err = capsys.readouterr().err
         assert "DS130" in err and "error-severity" in err
 
     def test_prints_warnings_and_still_runs(self, capsys):
         rc = main(
-            ["--time-scale", "0.05", "schemes", "splash2x/volrend", "-f", WARN]
+            ["--time-scale", "0.05", "run", "splash2x/volrend", "--schemes", WARN]
         )
         assert rc == 0
         captured = capsys.readouterr()

@@ -1,4 +1,4 @@
-"""The perf subsystem: profiler, ``daos perf`` verb, hot-path counters.
+"""The perf subsystem: profiler, ``daos run --profile``, hot-path counters.
 
 The profiling harness rides the trace bus — it must never change what a
 run does, and a seeded report must be reproducible except for the
@@ -96,23 +96,29 @@ class TestProfileRun:
 
 
 class TestPerfVerb:
+    """``daos run --profile FILE``, the spelling of the former perf verb."""
+
     def test_parser_defaults(self):
-        args = build_parser().parse_args(["perf", WORKLOAD])
-        assert args.command == "perf"
-        assert args.config == "rec"
-        assert args.output is None
+        args = build_parser().parse_args(["run", WORKLOAD])
+        assert args.command == "run"
+        assert args.config == "baseline"
+        assert args.profile is None
 
     def test_emits_json_breakdown(self, capsys):
-        rc = main(["--time-scale", "0.02", "--seed", "5", "perf", WORKLOAD])
+        rc = main(["--time-scale", "0.02", "--seed", "5", "run", WORKLOAD,
+                   "-c", "rec", "--profile", "-"])
         assert rc == 0
-        report = json.loads(capsys.readouterr().out)
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
         assert report["workload"] == WORKLOAD
         assert "monitor" in report["profile"]["layers"]
         assert report["profile"]["total_events"] > 0
+        assert "runtime" in captured.err  # the human report moved aside
 
     def test_output_file(self, tmp_path, capsys):
         out = tmp_path / "perf.json"
-        rc = main(["--time-scale", "0.02", "perf", WORKLOAD, "-o", str(out)])
+        rc = main(["--time-scale", "0.02", "run", WORKLOAD, "-c", "rec",
+                   "--profile", str(out)])
         assert rc == 0
         assert "written to" in capsys.readouterr().out
         report = json.loads(out.read_text())

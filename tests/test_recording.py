@@ -8,7 +8,7 @@ from repro.analysis.heatmap import build_heatmap
 from repro.analysis.recording import (
     heatmap_to_pgm,
     load_record,
-    record_metadata,
+    read_record,
     save_record,
 )
 from repro.errors import ConfigError, ParseError
@@ -52,7 +52,7 @@ class TestSaveLoad:
             snapshots(), path, workload="parsec3/x", machine="z1d.metal",
             extra={"seed": 3},
         )
-        meta = record_metadata(path)
+        meta, _ = read_record(path)
         assert meta["workload"] == "parsec3/x"
         assert meta["machine"] == "z1d.metal"
         assert meta["extra"] == {"seed": 3}
@@ -112,7 +112,8 @@ class TestCliIntegration:
 
         record = tmp_path / "volrend.record"
         rc = main(
-            ["--time-scale", "0.1", "record", "splash2x/volrend", "-o", str(record)]
+            ["--time-scale", "0.1", "run", "splash2x/volrend", "-c", "rec",
+             "--record", str(record)]
         )
         assert rc == 0
         assert record.exists()
