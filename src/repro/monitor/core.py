@@ -241,17 +241,10 @@ class DataAccessMonitor:
     def start(self, queue: EventQueue) -> None:
         """Initialise regions and register periodic ticks on ``queue``.
 
-        Ticks are registered sampling, aggregation, regions-update, but
-        that only orders their *first* firings.  A periodic event is
-        re-queued when it fires, so the sampling tick that shares an
-        instant with an aggregation always carries a later sequence
-        number than the aggregation (and than the driver's epoch event):
-        at ``t = k * aggregation_interval`` the real order is aggregate →
-        epoch → sample, not kdamond's sample → aggregate.  That sample
-        tick checks a zero-length window — charged and counted, but it
-        can never hit — so under the queue a saturating region reads
-        ``max_nr_accesses - 1`` (pinned in ``tests/test_monitor_fidelity.py``;
-        ROADMAP, "Correctness").
+        Ticks sharing an instant fire in kdamond's order, sample →
+        aggregate → regions update, and before the driver's epoch event
+        (:data:`~repro.sim.clock.SAME_INSTANT_ORDER`), so every
+        aggregation interval carries its full complement of checks.
         """
         if self.running:
             raise MonitorStateError("monitor already running")
@@ -529,8 +522,7 @@ class DataAccessMonitor:
         self._split_regions()
         # Prepare the next sample round *now* (over the post-split
         # regions): the next interval gets its full complement of
-        # aggregation/sampling checks (see start() for the one the
-        # event queue's tie order spends on a zero-length window).
+        # aggregation/sampling checks.
         self._reset_sampling_state(now)
         self.total_aggregations += 1
         if self.sanitizer is not None:

@@ -164,9 +164,7 @@ class TenantBuild:
     Produced by :func:`build_tenant`.  The caller owns the event loop:
     it creates the :class:`~repro.sim.clock.EventQueue`, calls
     :meth:`start` (which binds the trace clock and registers the
-    monitor's periodic ticks — monitor before epoch ticks, so kdamond
-    wins same-instant ties exactly as before the refactor), then drives
-    the epoch loop.
+    monitor's periodic ticks), then drives the epoch loop.
     """
 
     spec: WorkloadSpec
@@ -286,8 +284,9 @@ class ExperimentRun:
     without re-declaring them.  The three seams exist so the recovery
     layer can pause a run at any epoch boundary, snapshot it, and later
     resume a byte-identical continuation.  The wiring order inside is
-    the system's boot order — monitor ticks registered before the epoch
-    tick, khugepaged in between — which fixes same-instant tie-breaking.
+    the system's boot order — monitor ticks, then khugepaged, then the
+    epoch tick; same-instant ties follow the periodics' names
+    (:data:`~repro.sim.clock.SAME_INSTANT_ORDER`), not this order.
 
     ``config`` is a configuration name from
     :data:`~repro.runner.configs.CONFIGS` or a ready
@@ -446,8 +445,8 @@ class ExperimentRun:
         self.compute_us = tenant.work.compute_us_per_epoch(self.guest.cpu_scale)
         kernel.sample_memory(0)
 
-        # First epoch at t=0, the rest via the queue; epoch handlers are
-        # registered after the monitor so monitor ticks win ties.
+        # First epoch at t=0, the rest via the queue; monitor ticks win
+        # same-instant ties with the epoch by name (SAME_INSTANT_ORDER).
         self.run_one_epoch(0)
         self.queue.schedule_periodic(self.spec.epoch_us, self.run_one_epoch, name="epoch")
         self.started = True

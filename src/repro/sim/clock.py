@@ -16,7 +16,18 @@ from typing import Callable, List, Optional, Tuple
 
 from ..errors import CheckpointError, ConfigError
 
-__all__ = ["VirtualClock", "EventQueue", "PeriodicEvent"]
+__all__ = ["SAME_INSTANT_ORDER", "VirtualClock", "EventQueue", "PeriodicEvent"]
+
+#: Same-instant dispatch order of the named periodics, kdamond's loop
+#: order followed by the workload driver.  A stable rank, not the
+#: re-queue sequence number, decides who fires first, so a sampling tick
+#: always precedes the aggregation it shares an instant with, and a
+#: checkpoint restore rebuilds the order from the names alone.  Every
+#: other event (one-shots, unnamed periodics) ranks after these and falls
+#: back to scheduling order.
+SAME_INSTANT_ORDER = ("sample", "aggregate", "update", "khugepaged", "epoch")
+_RANK = {name: rank for rank, name in enumerate(SAME_INSTANT_ORDER)}
+_DEFAULT_RANK = len(SAME_INSTANT_ORDER)
 
 
 class VirtualClock:
@@ -51,7 +62,7 @@ class PeriodicEvent:
     is lazy — the queue drops cancelled entries when they surface.
     """
 
-    __slots__ = ("callback", "period", "cancelled", "name")
+    __slots__ = ("callback", "period", "cancelled", "name", "rank")
 
     def __init__(self, callback: Callable[[int], None], period: int, name: str = ""):
         if period <= 0:
@@ -60,6 +71,7 @@ class PeriodicEvent:
         self.period = int(period)
         self.cancelled = False
         self.name = name or getattr(callback, "__name__", "event")
+        self.rank = _RANK.get(self.name, _DEFAULT_RANK)
 
     def cancel(self) -> None:
         """Stop future firings (lazily dropped from the queue)."""
@@ -69,8 +81,9 @@ class PeriodicEvent:
 class EventQueue:
     """Priority queue of timed callbacks driving a :class:`VirtualClock`.
 
-    Events scheduled for the same instant fire in registration order,
-    which keeps runs bit-for-bit reproducible.
+    Events scheduled for the same instant fire by
+    :data:`SAME_INSTANT_ORDER` rank, then in scheduling order, which
+    keeps runs bit-for-bit reproducible.
     """
 
     def __init__(self, clock: Optional[VirtualClock] = None):
@@ -95,8 +108,9 @@ class EventQueue:
             raise ConfigError(
                 f"cannot schedule in the past: {when} < {self.clock.now}"
             )
+        rank = event.rank if event is not None else _DEFAULT_RANK
         heapq.heappush(
-            self._heap, (int(when), next(self._counter), callback, event)
+            self._heap, (int(when), rank, next(self._counter), callback, event)
         )
 
     def schedule_after(self, delay: int, callback: Callable[[int], None]) -> None:
@@ -122,8 +136,7 @@ class EventQueue:
         ``first_at`` pins the first firing to an absolute virtual time
         instead — checkpoint restore uses it to re-register each pending
         periodic at exactly the instant the interrupted run would have
-        fired it, preserving same-instant tie order via registration
-        order.
+        fired it; same-instant ties follow the names' ranks.
         """
         event = PeriodicEvent(callback, period, name=name)
 
@@ -141,15 +154,15 @@ class EventQueue:
     def pending_periodics(self) -> List[Tuple[str, int, int]]:
         """Snapshot the pending heap as ``(name, next_fire, period)`` rows.
 
-        Rows come back in dispatch order — ``(when, seq)`` — so replaying
-        them through :meth:`schedule_periodic` with ``first_at`` restores
-        identical same-instant tie-breaking.  Cancelled entries are
+        Rows come back in dispatch order — ``(when, rank, seq)`` — so
+        replaying them through :meth:`schedule_periodic` with ``first_at``
+        restores identical same-instant tie-breaking.  Cancelled entries are
         skipped; a pending *one-shot* entry has no handle to re-register
         from, so checkpointing with one in flight is an error.
         """
         rows: List[Tuple[str, int, int]] = []
-        for when, seq, _callback, event in sorted(
-            self._heap, key=lambda entry: (entry[0], entry[1])
+        for when, _rank, _seq, _callback, event in sorted(
+            self._heap, key=lambda entry: entry[:3]
         ):
             if event is None:
                 raise CheckpointError(
@@ -168,7 +181,7 @@ class EventQueue:
         """
         dispatched = 0
         while self._heap and self._heap[0][0] <= deadline:
-            when, _seq, callback, _ = heapq.heappop(self._heap)
+            when, _rank, _seq, callback, _ = heapq.heappop(self._heap)
             self.clock.advance_to(when)
             callback(when)
             dispatched += 1

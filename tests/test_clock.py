@@ -61,6 +61,32 @@ class TestEventQueue:
         queue.run_until(10)
         assert order == ["a", "b", "c"]
 
+    def test_same_instant_periodics_fire_by_name_rank(self):
+        """Registered and re-queued in the wrong order, the named ticks
+        still fire sample → aggregate → epoch at every shared instant,
+        and a snapshot replayed on a fresh queue keeps that order."""
+        queue = EventQueue()
+        order = []
+        for name, period in (("epoch", 20), ("aggregate", 20), ("sample", 5)):
+            queue.schedule_periodic(
+                period, lambda now, name=name: order.append((now, name)), name=name
+            )
+        queue.run_until(40)
+        assert [n for t, n in order if t == 20] == ["sample", "aggregate", "epoch"]
+        rows = queue.pending_periodics()
+        assert [name for name, due, _ in rows if due == 60] == [
+            "aggregate", "epoch"
+        ]
+        replay = EventQueue(VirtualClock(start=40))
+        order.clear()
+        for name, due, period in reversed(rows):
+            replay.schedule_periodic(
+                period, lambda now, name=name: order.append((now, name)),
+                name=name, first_at=due,
+            )
+        replay.run_until(60)
+        assert [n for t, n in order if t == 60] == ["sample", "aggregate", "epoch"]
+
     def test_clock_reaches_deadline_with_empty_queue(self):
         queue = EventQueue()
         queue.run_until(12345)

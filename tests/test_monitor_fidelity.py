@@ -131,9 +131,9 @@ class LoggingMonitor(DataAccessMonitor):
 
 
 class TestSameInstantTickOrder:
-    """Known fidelity gap, pinned (ROADMAP "Correctness"): under the
-    event queue the sample tick sharing an instant with an aggregation
-    fires *after* it, and after the driver's epoch event."""
+    """Under the event queue, the sample tick sharing an instant with an
+    aggregation fires before it, and both before the driver's epoch
+    event: kdamond's order, whatever order the ticks were re-queued in."""
 
     def _run(self, intervals):
         monitor = LoggingMonitor(
@@ -155,30 +155,19 @@ class TestSameInstantTickOrder:
         queue.run_for(intervals * ATTRS.aggregation_interval_us)
         return monitor, maxima
 
-    def test_order_is_aggregate_epoch_sample(self):
+    def test_order_is_sample_aggregate_epoch(self):
         monitor, _ = self._run(3)
         for k in (1, 2, 3):
             instant = k * ATTRS.aggregation_interval_us
             assert [what for now, what in monitor.fired if now == instant] == [
+                "sample",
                 "aggregate",
                 "epoch",
-                "sample",
             ]
 
-    def test_one_check_per_interval_reads_a_zero_length_window(self):
-        """The consequence: every interval is charged its full
-        ``max_nr_accesses`` checks but only ``max - 1`` of them can hit."""
-        _, maxima = self._run(4)
-        assert len(maxima) == 4
-        assert all(m == ATTRS.max_nr_accesses - 1 for m in maxima[1:])
-
-    @pytest.mark.xfail(
-        strict=True,
-        reason="aggregate fires before the same-instant sample tick under "
-        "EventQueue, so one check per interval has a zero-length window",
-    )
     def test_saturating_region_reads_exact_maximum_under_the_queue(self):
         _, maxima = self._run(4)
+        assert len(maxima) == 4
         assert all(m == ATTRS.max_nr_accesses for m in maxima[1:])
 
 
