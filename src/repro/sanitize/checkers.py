@@ -73,7 +73,12 @@ class Violation:
 
 
 def digest_kernel_state(kernel: Any) -> str:
-    """Content hash of the kernel's authoritative page/frame state."""
+    """Content hash of the kernel's authoritative page/frame state.
+
+    The ``digest_*_state`` hashes read raw live NumPy columns mid-run,
+    not result values, so they are not a
+    :func:`~repro.sweep.serialize.fingerprint`.
+    """
     flat = kernel.space.flat
     h = hashlib.sha256()
     for column in (

@@ -150,16 +150,18 @@ class SweepReport:
         Two sweeps of the same grid — serial or pooled, fresh or
         resumed from a journal — produce the *same* canonical dict;
         ``canonical_json`` of it is what ``daos sweep --out`` writes and
-        what the resume byte-identity tests compare.  Volatile result
-        fields (host wall clock, trace roll-ups) are stripped exactly as
-        the cache fingerprint strips them.
+        what the resume byte-identity tests compare, and
+        :func:`~repro.sweep.serialize.fingerprint` hashes it.  Volatile
+        result fields (host wall clock, trace roll-ups) are stripped
+        exactly as the cache fingerprint strips them, and the points'
+        cache keys are left out: they hash the source tree, so the same
+        values under two versions of the code are the same report.
         """
         return {
             "n_points": self.n_total,
             "points": [
                 {
                     "label": o.point.label(),
-                    "key": o.key,
                     "ok": o.ok,
                     "error": o.error,
                     "error_type": o.error_type,
