@@ -57,10 +57,6 @@ class LintConfig:
     #: Methods allowed to store ndarray slice views on ``self`` (DF302):
     #: the flat-table design's sanctioned write-through rebinding points.
     bind_methods: Tuple[str, ...] = ("_bind", "__init__", "__post_init__")
-    #: Files whose basename starts with one of these prefixes are frozen
-    #: differential oracles (pre-refactor code kept verbatim for
-    #: comparison benchmarks); both AST passes skip them entirely.
-    legacy_file_prefixes: Tuple[str, ...] = ("_legacy_",)
 
 
 #: Resolved dotted call targets that read a wall clock.
@@ -418,10 +414,8 @@ def lint_source(
 ) -> List[Diagnostic]:
     """Lint one module's source text — both the determinism (DT2xx) and
     the dataflow (DF3xx) pass; suppression comments applied to the
-    combined findings.  Frozen ``_legacy_*`` oracles are skipped."""
+    combined findings."""
     config = config if config is not None else LintConfig()
-    if Path(filename).name.startswith(tuple(config.legacy_file_prefixes)):
-        return []
     try:
         tree = ast.parse(source, filename=filename)
     except SyntaxError as exc:

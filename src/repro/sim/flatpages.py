@@ -156,10 +156,10 @@ class FlatPageTable:
         """Per-chunk sums of page touch rates (float64), cached until the
         next rate change.
 
-        Summed per segment with the exact ``reshape(...).sum(axis=1)``
-        of the differential oracle's per-VMA tables — summation order is
-        part of the differential contract (``np.add.reduceat`` would
-        change the floating-point result).
+        Summed per segment with an exact ``reshape(...).sum(axis=1)``
+        per VMA — summation order is part of the golden contract
+        (``tests/test_goldens.py``; ``np.add.reduceat`` would change the
+        floating-point result).
         """
         if self._chunk_rates is None:
             out = np.zeros(self.n_chunks, dtype=np.float64)

@@ -532,8 +532,8 @@ class SimKernel:
         """Settle one VMA group's swap-out: free ``frames`` and charge the
         device for ``n_pages`` stored, ``n_dirty`` of them written back.
         Per group, never merged: the device rounds each ``store()``
-        internally, so merging groups would change the charged total (a
-        differential-contract detail)."""
+        internally, so merging groups would change the charged total (an
+        identity-contract detail pinned by ``tests/test_goldens.py``)."""
         self.frames.release(frames)
         latency = self.swap.store(n_pages, n_dirty)
         self.metrics.runtime.swapout_us += latency * _ASYNC_WRITE_SHARE

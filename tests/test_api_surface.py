@@ -73,8 +73,8 @@ def test_public_classes_and_functions_documented(package):
 
 
 def test_run_constructors_take_no_kernel_class():
-    """The differential harness patches the class the driver builds
-    (``tests.helpers.oracle_kernel_runs``); production has no seam."""
+    """The driver builds :class:`~repro.sim.kernel.SimKernel` and nothing
+    else; production has no seam for swapping the kernel class."""
     from repro.runner.experiment import ExperimentRun, build_tenant
 
     for fn in (ExperimentRun.__init__, build_tenant):

@@ -307,9 +307,6 @@ class TestSuppressionAndExemption:
         diags = lint("def f(col):\n    col[1:] += col[:-1]  # daos-lint: disable=DF301\n")
         assert codes_of(diags) == ["DF303"]
 
-    def test_legacy_oracles_exempt(self):
-        assert lint("def f(col):\n    col[1:] += col[:-1]\n", filename="_legacy_kernel.py") == []
-
     def test_unparsable_source_returns_no_df_findings(self):
         assert dataflow_source("def broken(:\n", "mod.py") == []
 
