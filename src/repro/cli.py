@@ -961,6 +961,20 @@ _COMMANDS = {
 }
 
 
+#: The exit-code contract for a library error (module docstring), most
+#: specific class first.  Usage/configuration problems get one line and
+#: code 2; an untrustworthy checkpoint/journal is its own class (4), so
+#: the operator can choose between re-running and skipping the version
+#: check; anything that is not a DaosError is a bug and keeps its
+#: traceback.
+_ERROR_EXIT_CODES = ((WatchdogTimeout, 3), (CheckpointError, 4), (DaosError, 2))
+
+
+def exit_code(exc: DaosError) -> int:
+    """The exit code ``daos`` ends with when ``exc`` stops a command."""
+    return next(code for cls, code in _ERROR_EXIT_CODES if isinstance(exc, cls))
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # The CLI is the environment boundary (DT204): translate the ambient
@@ -973,20 +987,9 @@ def main(argv=None) -> int:
         if getattr(args, "checkpoint_every", 0) and not args.checkpoint:
             raise ConfigError("--checkpoint-every needs --checkpoint FILE")
         return _COMMANDS[args.command](args)
-    except WatchdogTimeout as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except CheckpointError as exc:
-        # An untrustworthy checkpoint/journal is its own failure class:
-        # the operator must decide between re-running and skipping the
-        # version check, so it must not look like a usage error.
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except DaosError as exc:
-        # Usage/configuration problems get one line and a distinct exit
-        # code; anything else is a bug and keeps its full traceback.
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exit_code(exc)
 
 
 if __name__ == "__main__":
