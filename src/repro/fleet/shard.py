@@ -85,7 +85,7 @@ def fleet_shard_point(params: Dict[str, Any]) -> Dict[str, Any]:
     result = FleetScheduler(
         cfg, tenant_range=(int(lo), int(hi)), faults=injector
     ).run()
-    summary = result.as_dict(include_volatile=False)
+    summary = result.canonical_dict()
     summary["digest"] = result.digest()
     return summary
 

@@ -21,15 +21,13 @@ The contract under test, end to end:
 
 from __future__ import annotations
 
-import io
-
 import numpy as np
 import pytest
 
 from repro.errors import AddressSpaceError, ConfigError
 from repro.fleet import FleetConfig, FleetScheduler, run_fleet_naive
 from repro.runner.configs import ExperimentConfig
-from repro.runner.experiment import ExperimentRun, build_machine, run_experiment
+from repro.runner.experiment import ExperimentRun, build_machine
 from repro.sanitize.checkers import check_frame_conservation, check_tier_placement
 from repro.schemes.actions import Action, apply_action
 from repro.sim.kernel import SimKernel
@@ -37,13 +35,13 @@ from repro.sim.machine import GuestSpec, TierSpec, get_instance, scaled_instance
 from repro.sim.pagetable import PAGE_SIZE
 from repro.sim.physmem import FrameTable
 from repro.sim.swap import ZramDevice
-from repro.trace import JsonlTraceSink, TraceBus
+from repro.trace import TraceBus
 from repro.trace.events import TierMigration
 from repro.units import MIB, MSEC, SEC
 from repro.workloads.base import WorkloadSpec
 from repro.workloads.patterns import ColdInit
 
-from tests.helpers import BASE
+from tests.helpers import BASE, traced_run
 
 EPOCH = 100 * MSEC
 
@@ -405,32 +403,27 @@ _DET_WORKLOAD = WorkloadSpec(
 
 
 def _traced_tiered_run():
-    bus = TraceBus(ring_capacity=0)
-    buffer = io.StringIO()
-    bus.subscribe_all(JsonlTraceSink(buffer))
-    result = run_experiment(
-        _DET_WORKLOAD,
+    return traced_run(
+        workload=_DET_WORKLOAD,
         machine=scaled_instance("i3.metal", dram_scale=1 / 2048),
         tier="cxl-dram",
         tier_scale=1 / 4096,
         seed=11,
-        trace=bus,
         sanitize=True,
     )
-    return buffer.getvalue(), bus, result
 
 
 class TestTieredDeterminism:
     def test_same_seed_byte_identical_trace(self):
-        text_a, bus_a, result_a = _traced_tiered_run()
-        text_b, bus_b, result_b = _traced_tiered_run()
+        result_a, text_a = _traced_tiered_run()
+        result_b, text_b = _traced_tiered_run()
         assert text_a == text_b
-        assert bus_a.summary() == bus_b.summary()
+        assert result_a.trace_summary == result_b.trace_summary
         assert result_a.breakdown == result_b.breakdown
 
     def test_tiered_run_actually_migrates(self):
-        text, bus, result = _traced_tiered_run()
-        assert bus.counts.get(TierMigration.kind, 0) > 0
+        result, _ = _traced_tiered_run()
+        assert result.trace_summary["counts"].get(TierMigration.kind, 0) > 0
         assert result.breakdown["pages_demoted"] > 0
         assert result.breakdown["pages_swapped_out"] == 0
 

@@ -33,6 +33,8 @@ from repro.units import MIB, SEC
 from repro.workloads.base import WorkloadSpec
 from repro.workloads.patterns import ColdInit, CyclicSweep, Hotspot
 
+from tests import helpers
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 WORKLOAD = "parsec3/swaptions"
@@ -101,21 +103,15 @@ KERNEL_EVENTS = (ReclaimPass, PageoutBatch, ThpPromotion)
 def _kernel_event_lines(workload, config, *, dram_scale, seed=9):
     """Run one experiment and return its kernel events, canonically
     encoded, in emission order."""
-    bus = TraceBus(ring_capacity=0)
-    buffer = io.StringIO()
-    bus.subscribe_all(JsonlTraceSink(buffer))
-    run_experiment(
-        workload,
+    _, text = helpers.traced_run(
+        workload=workload,
         config=config,
         machine=scaled_instance("i3.metal", dram_scale=dram_scale),
         seed=seed,
         oom_policy="shed",
-        trace=bus,
     )
     return [
-        encode_event(e)
-        for e in read_trace(buffer.getvalue().splitlines())
-        if isinstance(e, KERNEL_EVENTS)
+        encode_event(e) for e in read_trace(text.splitlines()) if isinstance(e, KERNEL_EVENTS)
     ]
 
 
