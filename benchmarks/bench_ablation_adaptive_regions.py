@@ -14,7 +14,7 @@ from repro.analysis.ascii_plot import ascii_table
 from repro.monitor.attrs import MonitorAttrs
 from repro.monitor.core import DataAccessMonitor
 from repro.monitor.primitives import VirtualPrimitive
-from repro.sim.clock import EventQueue
+from repro.clock import EventQueue
 from repro.sim.kernel import SimKernel
 from repro.sim.machine import GuestSpec, get_instance
 from repro.sim.swap import ZramDevice

@@ -13,7 +13,7 @@ from repro.monitor.attrs import MonitorAttrs
 from repro.monitor.core import DataAccessMonitor
 from repro.monitor.overhead import theoretical_bound_cpu_share
 from repro.monitor.primitives import VirtualPrimitive
-from repro.sim.clock import EventQueue
+from repro.clock import EventQueue
 from repro.sim.kernel import SimKernel
 from repro.sim.machine import GuestSpec, get_instance
 from repro.sim.pagetable import PAGE_SIZE

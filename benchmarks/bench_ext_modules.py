@@ -17,7 +17,7 @@ from repro.analysis.ascii_plot import ascii_table
 from repro.modules.lru_sort import LruSortModule, LruSortParams
 from repro.modules.reclaim import ReclaimModule, ReclaimParams
 from repro.monitor.attrs import MonitorAttrs
-from repro.sim.clock import EventQueue
+from repro.clock import EventQueue
 from repro.sim.kernel import SimKernel
 from repro.sim.machine import GuestSpec, get_instance
 from repro.sim.swap import ZramDevice

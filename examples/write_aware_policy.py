@@ -19,7 +19,7 @@ from repro.monitor.primitives import VirtualPrimitive
 from repro.schemes.actions import Action
 from repro.schemes.engine import SchemesEngine
 from repro.schemes.scheme import AccessPattern, Scheme
-from repro.sim.clock import EventQueue
+from repro.clock import EventQueue
 from repro.sim.kernel import SimKernel
 from repro.sim.machine import GuestSpec, get_instance
 from repro.sim.swap import FileSwapDevice

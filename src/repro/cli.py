@@ -79,14 +79,16 @@ from .lint import (
     write_baseline,
 )
 from .perf import profile_run
+from .recovery.codec import checkpoint_fleet_stepping, read_checkpoint_header
 from .runner.configs import CONFIGS
-from .runner.experiment import autotune_scheme, run_experiment
+from .runner.experiment import autotune_scheme, resume_checkpoint, run_experiment
 from .runner.results import normalize
+from .sanitize import default_enabled, set_default_enabled
 from .sweep.grid import SweepGrid
 from .sweep.presets import PRESETS, fig7_grid, summarize_fig7
 from .sweep.runner import SweepRunner
 from .trace import FieldHistogram, JsonlTraceSink, TraceBus, validate_trace_file
-from .trace.events import EpochEnd
+from .trace.events import EpochEnd, WorkerReaped
 from .units import MIB, format_size
 from .workloads.registry import all_workloads
 
@@ -616,8 +618,6 @@ def _cmd_report(args) -> int:
 
 def _cmd_resume(args) -> int:
     """Complete an interrupted run or fleet from its checkpoint file."""
-    from .recovery import read_checkpoint_header, resume_checkpoint
-
     header = read_checkpoint_header(args.checkpoint)
     if args.out and header["kind"] != "fleet":
         raise ConfigError("--out applies to fleet checkpoints only")
@@ -747,9 +747,6 @@ def _cmd_sweep(args) -> int:
         sys.stderr.flush()
 
     plan = load_fault_plan(args.faults) if args.faults else None
-    from .sanitize import default_enabled
-    from .trace.events import WorkerReaped
-
     # A dedicated bus for supervisor events (worker reaps): the sweep
     # itself runs in worker processes, so this bus only ever sees the
     # parent-side supervision stream.
@@ -803,10 +800,12 @@ def _cmd_sweep(args) -> int:
     return 1 if report.n_failed else 0
 
 
-def _fleet_config_from_args(args):
-    from .fleet import FleetConfig
+def _cmd_fleet(args) -> int:
+    """One fleet run: batched scheduler, sharded pools, or the naive loop."""
+    # Deferred: of all the verbs only this one runs the fleet layer.
+    from .fleet import FleetConfig, FleetScheduler, run_fleet, run_fleet_naive, run_fleet_sharded
 
-    return FleetConfig(
+    cfg = FleetConfig(
         n_tenants=args.tenants,
         duration_s=args.duration,
         footprint_mib=args.footprint_mib,
@@ -821,14 +820,6 @@ def _fleet_config_from_args(args):
         tier_policy=args.tier_policy,
         seed=args.seed,
     )
-
-
-def _cmd_fleet(args) -> int:
-    """One fleet run: batched scheduler, sharded pools, or the naive loop."""
-    from .fleet import run_fleet, run_fleet_naive, run_fleet_sharded
-    from .sanitize import default_enabled
-
-    cfg = _fleet_config_from_args(args)
     sanitize = args.sanitize or default_enabled()
     plan = load_fault_plan(args.faults) if args.faults else None
     if args.naive:
@@ -880,9 +871,6 @@ def _cmd_fleet(args) -> int:
             )
         injector = FaultInjector(plan) if plan is not None else None
         if args.checkpoint:
-            from .fleet import FleetScheduler
-            from .recovery.codec import checkpoint_fleet_stepping
-
             scheduler = FleetScheduler(
                 cfg, sanitize=True if sanitize else None, faults=injector
             )
@@ -980,8 +968,6 @@ def main(argv=None) -> int:
     # The CLI is the environment boundary (DT204): translate the ambient
     # switch into the sanitize module's process default exactly once.
     if os.environ.get("DAOS_SANITIZE") == "1":
-        from .sanitize import set_default_enabled
-
         set_default_enabled(True)
     try:
         if getattr(args, "checkpoint_every", 0) and not args.checkpoint:

@@ -45,6 +45,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..clock import EventQueue
 from ..errors import ConfigError
 from ..monitor.attrs import MonitorAttrs
 from ..monitor.batch import BatchMonitorPass, BatchRegionTable
@@ -52,7 +53,6 @@ from ..runner.configs import get_config, prcl_config
 from ..runner.experiment import MachineBuild, build_machine, run_experiment
 from ..sanitize.runtime import resolve_sanitizer
 from ..sim.costs import CostModel
-from ..sim.clock import EventQueue
 from ..sim.kernel import Watermarks, check_tier_policy
 from ..sim.machine import get_instance, scaled_instance
 from ..sim.pagetable import PAGE_SIZE

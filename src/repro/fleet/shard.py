@@ -22,6 +22,8 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from ..errors import ConfigError
+from ..faults.injector import FaultInjector
+from ..faults.plan import FaultPlan
 from ..sweep.grid import SweepGrid, SweepPoint
 from ..sweep.points import register_point_function
 from ..sweep.runner import SweepRunner
@@ -77,9 +79,6 @@ def fleet_shard_point(params: Dict[str, Any]) -> Dict[str, Any]:
     plan_dict = kwargs.pop("faults", None)
     injector = None
     if plan_dict is not None:
-        from ..faults.injector import FaultInjector
-        from ..faults.plan import FaultPlan
-
         injector = FaultInjector(FaultPlan.from_dict(plan_dict))
     cfg = FleetConfig.from_params(kwargs)
     result = FleetScheduler(

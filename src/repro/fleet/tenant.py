@@ -19,6 +19,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from ..errors import ConfigError
 from ..sweep.grid import derive_seed
 from ..units import MIB, SEC
 from ..workloads.base import WorkloadSpec
@@ -144,8 +145,6 @@ def build_tenant_specs(
     """
     lo, hi = tenant_range if tenant_range is not None else (0, n_tenants)
     if not 0 <= lo < hi <= n_tenants:
-        from ..errors import ConfigError
-
         raise ConfigError(f"tenant range [{lo}, {hi}) outside [0, {n_tenants})")
     return [
         build_tenant_spec(

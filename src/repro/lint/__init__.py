@@ -1,31 +1,24 @@
 """Static analysis for the DAOS reproduction (``daos lint``).
 
-Two passes over two very different artifacts, one diagnostic currency:
+Three passes, one diagnostic currency (:mod:`repro.diagnostics`):
 
-* :mod:`repro.lint.schemes` — semantic analysis of DAMOS scheme sets
-  (the paper's ``(size, freq, age) -> action`` interface), catching
+* :mod:`repro.schemes.analyzer` — semantic analysis of DAMOS scheme
+  sets (the paper's ``(size, freq, age) -> action`` interface), catching
   predicates that are empty, unreachable, or contradictory once the
-  monitor's quantization is applied;
-* :mod:`repro.lint.astlint` — a determinism linter over the Python
-  source tree, banning the ambient-state reads (wall clocks, global
-  RNGs, environment, unordered sets) that would break the sweep
-  subsystem's byte-identity and cache-key invariants.
+  monitor's quantization is applied.  It lives with the schemes because
+  every run calls it; this package re-exports it;
+* :mod:`repro.lint.astlint` — a linter over the Python source tree:
+  the ambient-state reads (wall clocks, global RNGs, environment,
+  unordered sets) that would break the sweep subsystem's byte-identity
+  and cache-key invariants, and the package's layer table (DL401);
+* :mod:`repro.lint.dataflow` — the vectorized-state dataflow pass.
 
-Both report :class:`~repro.lint.diagnostics.Diagnostic` objects with
+Every pass reports :class:`~repro.diagnostics.Diagnostic` objects with
 stable codes; see DESIGN.md §9 for the code table and suppression
 syntax.
 """
 
-from .astlint import LintConfig, lint_file, lint_paths, lint_source
-from .dataflow import DataflowConfig, dataflow_source
-from .baseline import (
-    DEFAULT_BASELINE_NAME,
-    apply_baseline,
-    baseline_entry,
-    load_baseline,
-    write_baseline,
-)
-from .diagnostics import (
+from ..diagnostics import (
     CODES,
     Diagnostic,
     Severity,
@@ -36,7 +29,16 @@ from .diagnostics import (
     render_text,
     summarize,
 )
-from .schemes import analyze_scheme_text, analyze_schemes, check_schemes
+from ..schemes.analyzer import analyze_scheme_text, analyze_schemes, check_schemes
+from .astlint import LintConfig, lint_file, lint_paths, lint_source
+from .baseline import (
+    DEFAULT_BASELINE_NAME,
+    apply_baseline,
+    baseline_entry,
+    load_baseline,
+    write_baseline,
+)
+from .dataflow import DataflowConfig, dataflow_source
 
 __all__ = [
     "CODES",

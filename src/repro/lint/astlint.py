@@ -24,6 +24,11 @@ DT205     iterating a syntactic ``set`` expression (set literal,
 DT206     mutable default arguments
 DT207     ``None`` default on a parameter annotated with a
           non-Optional type
+DL401     an import inside the ``repro`` package that points up (or
+          sideways across) the layer table :data:`LAYERS`, at module
+          top or inside a function; a package ``__init__`` counts at
+          the layer of its lowest member, because importing any member
+          runs it
 ========  ============================================================
 
 Suppression: append ``# daos-lint: disable=DT204`` (comma-separated
@@ -40,7 +45,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .diagnostics import Diagnostic, Severity, make_diagnostic
+from ..diagnostics import Diagnostic, Severity, make_diagnostic
+from .dataflow import DataflowConfig, dataflow_source
 
 __all__ = ["LintConfig", "lint_source", "lint_file", "lint_paths"]
 
@@ -98,6 +104,31 @@ _AMBIENT_RNG_CALLS = {"os.urandom", "uuid.uuid4"}
 
 _MUTABLE_DEFAULT_CALLS = {"list", "dict", "set", "frozenset"}
 
+#: The package's layers, lowest first (DESIGN.md §3).  Each row holds
+#: peer entries; an entry is a module or a package with everything under
+#: it.  A module of the ``repro`` package may import its own entry or an
+#: entry of a lower row, nothing else (DL401), so the packages form a
+#: DAG by construction.  ``repro/__init__`` exports lazily (PEP 562, no
+#: import statement), the one sanctioned way to reach up.
+LAYERS: Tuple[Tuple[str, ...], ...] = (
+    ("repro.errors",),
+    ("repro.units", "repro.clock", "repro.version", "repro.diagnostics"),
+    ("repro.trace",),
+    ("repro.faults", "repro.tuning"),
+    ("repro.sim",),
+    ("repro.sanitize",),
+    ("repro.monitor",),
+    ("repro.schemes",),
+    ("repro.modules", "repro.workloads"),
+    ("repro.recovery",),
+    ("repro.runner",),
+    ("repro.analysis", "repro.perf"),
+    ("repro.sweep",),
+    ("repro.fleet",),
+    ("repro.lint",),
+    ("repro.cli",),
+)
+
 _SUPPRESS_RE = re.compile(
     r"#\s*daos-lint:\s*disable(?:=(?P<codes>[A-Z0-9,\s]+))?", re.IGNORECASE
 )
@@ -153,6 +184,37 @@ class _ImportTable:
         return ".".join(reversed(parts))
 
 
+def _layer_of(name: str) -> Optional[Tuple[int, str]]:
+    """``(row, entry)`` of the :data:`LAYERS` entry a dotted module name
+    falls under; a package that only contains entries (the root) takes
+    its lowest one.  None when the table does not cover ``name``."""
+    under = []
+    for row, entries in enumerate(LAYERS):
+        for entry in entries:
+            if name == entry or name.startswith(entry + "."):
+                return row, entry
+            if entry.startswith(name + "."):
+                under.append((row, entry))
+    return min(under) if under else None
+
+
+def _layer_name(row: int) -> str:
+    return ", ".join(entry.rpartition(".")[2] for entry in LAYERS[row])
+
+
+def _module_of(filename: str) -> Optional[Tuple[str, bool]]:
+    """``(dotted name, is_package)`` of a file under a ``repro``
+    directory, or None for files outside the package."""
+    parts = Path(filename).parts
+    if "repro" not in parts or not parts[-1].endswith(".py"):
+        return None
+    names = list(parts[len(parts) - 1 - parts[::-1].index("repro"):-1])
+    stem = parts[-1][: -len(".py")]
+    if stem != "__init__":
+        names.append(stem)
+    return ".".join(names), stem == "__init__"
+
+
 def _is_set_expression(node: ast.AST) -> bool:
     if isinstance(node, (ast.Set, ast.SetComp)):
         return True
@@ -200,6 +262,7 @@ class _Visitor(ast.NodeVisitor):
         self.in_fingerprint_module = any(
             part in config.fingerprint_parts for part in parts
         )
+        self.module = _module_of(filename)
 
     # -- helpers -------------------------------------------------------
     def emit(self, code: str, message: str, node: ast.AST,
@@ -229,11 +292,49 @@ class _Visitor(ast.NodeVisitor):
     # -- imports -------------------------------------------------------
     def visit_Import(self, node: ast.Import) -> None:
         self.imports.add_import(node)
+        for alias in node.names:
+            self._check_layer(alias.name, None, node)
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         self.imports.add_import_from(node)
+        if self.module is not None:
+            source = node.module or ""
+            if node.level:
+                name, is_package = self.module
+                base = name.split(".")[: len(name.split(".")) - (0 if is_package else 1)]
+                base = base[: len(base) - node.level + 1]
+                source = ".".join(base + ([node.module] if node.module else []))
+            # One finding per statement: the first name that reaches up.
+            any(self._check_layer(f"{source}.{alias.name}", source, node) for alias in node.names)
         self.generic_visit(node)
+
+    def _check_layer(self, target: str, parent: Optional[str], node: ast.AST) -> bool:
+        """DL401 for one imported name, ``target`` (a module, or an
+        attribute of ``parent``); returns whether it was reported."""
+        if self.module is None or not (target == "repro" or target.startswith("repro.")):
+            return False
+        name = self.module[0]
+        here = _layer_of(name)
+        there = _layer_of(target) or (_layer_of(parent) if parent else None)
+        if here is None or there is None:
+            missing = name if here is None else target
+            self.emit("DL401", f"{missing} is not in the layer table (astlint.LAYERS)", node)
+            return True
+        if there[1] == here[1] or there[0] < here[0]:
+            return False
+        shown = parent if parent and _layer_of(parent) == there else target
+        if there[0] == here[0]:
+            where = f"sideways to its peer {there[1].rpartition('.')[2]}"
+        else:
+            where = f"up to layer {_layer_name(there[0])}"
+        self.emit(
+            "DL401",
+            f"{name} (layer {_layer_name(here[0])}) imports {shown} {where}; "
+            f"imports must point down astlint.LAYERS",
+            node,
+        )
+        return True
 
     # -- calls ---------------------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
@@ -435,8 +536,6 @@ def lint_source(
     diagnostics = list(visitor.diagnostics)
     # Pass 3 shares the tree walk conceptually but keeps its own visitor
     # (module: repro.lint.dataflow); findings merge into one report.
-    from .dataflow import DataflowConfig, dataflow_source
-
     diagnostics.extend(
         dataflow_source(
             source,

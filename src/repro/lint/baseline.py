@@ -19,8 +19,8 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ..diagnostics import Diagnostic
 from ..errors import ParseError
-from .diagnostics import Diagnostic
 
 __all__ = [
     "DEFAULT_BASELINE_NAME",

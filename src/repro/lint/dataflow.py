@@ -56,7 +56,7 @@ import ast
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
-from .diagnostics import Diagnostic, Severity, make_diagnostic
+from ..diagnostics import Diagnostic, Severity, make_diagnostic
 
 __all__ = ["DataflowConfig", "dataflow_source"]
 

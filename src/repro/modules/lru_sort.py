@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from ..clock import EventQueue
 from ..errors import ConfigError
 from ..monitor.attrs import MonitorAttrs
 from ..monitor.core import DataAccessMonitor
@@ -29,7 +30,6 @@ from ..schemes.engine import SchemesEngine
 from ..schemes.quotas import Quota
 from ..schemes.scheme import AccessPattern, Scheme
 from ..schemes.watermarks import Watermarks
-from ..sim.clock import EventQueue
 from ..sim.kernel import SimKernel
 from ..trace.bus import TraceBus
 from ..units import GIB, SEC, UNLIMITED

@@ -45,8 +45,8 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
+from ..clock import EventQueue
 from ..errors import MonitorStateError
-from ..sim.clock import EventQueue
 from ..trace.bus import TraceBus
 from ..trace.events import AccessSampled, RegionsAggregated
 from .attrs import MonitorAttrs
@@ -243,7 +243,7 @@ class DataAccessMonitor:
 
         Ticks sharing an instant fire in kdamond's order, sample →
         aggregate → regions update, and before the driver's epoch event
-        (:data:`~repro.sim.clock.SAME_INSTANT_ORDER`), so every
+        (:data:`~repro.clock.SAME_INSTANT_ORDER`), so every
         aggregation interval carries its full complement of checks.
         """
         if self.running:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Tuple
 
+from ..runner.experiment import run_experiment
 from ..sim.costs import CostModel
 from ..trace.bus import TraceBus
 from ..trace.events import TraceEvent, event_payload
@@ -113,8 +114,6 @@ def profile_run(
     is deterministic for a fixed set of run parameters; host-dependent
     figures live under the ``volatile`` key only.
     """
-    from ..runner.experiment import run_experiment
-
     bus = run_kwargs.pop("trace", None)
     if bus is None:
         bus = TraceBus(ring_capacity=0)

@@ -1,17 +1,19 @@
-"""Crash consistency for the reproduction: checkpoints, journals, supervision.
+"""Crash consistency for the reproduction: checkpoint files and journals.
 
-Three defenses, one package (DESIGN.md §16):
+Two defenses, one package (DESIGN.md §16):
 
 * :mod:`repro.recovery.codec` — a versioned, digest-stamped checkpoint
-  codec over the full simulation state; ``restore()`` proves the repo's
-  strongest contract: a run checkpointed at epoch *k* and resumed is
-  byte-identical to the uninterrupted run.
+  file format over the full simulation state: header, digest, atomic
+  write, detach/reattach of live objects, the run and fleet writers and
+  the fleet restore.  A run checkpointed at epoch *k* and resumed is
+  byte-identical to the uninterrupted run; the run side of restore
+  (:func:`~repro.runner.experiment.restore_run`) lives with the run.
 * :mod:`repro.recovery.journal` — a write-ahead journal for sweeps and
   sharded fleet runs; ``--resume`` replays completed points and
   re-executes only in-flight ones.
-* :mod:`repro.recovery.supervisor` — per-worker supervision over the
-  sweep spawn pool: liveness heartbeats, deterministic watchdog
-  timeouts, stuck-worker reaping and seeded-backoff reassignment.
+
+The package sits below :mod:`repro.runner`; the sweep's supervised
+worker pool is :class:`~repro.sweep.supervisor.PointSupervisor`.
 """
 
 from .codec import (
@@ -21,24 +23,18 @@ from .codec import (
     checkpoint_run_stepping,
     read_checkpoint_header,
     restore_fleet,
-    restore_run,
-    resume_checkpoint,
     state_digest,
 )
 from .journal import JOURNAL_FORMAT, SweepJournal
-from .supervisor import PointSupervisor
 
 __all__ = [
     "CHECKPOINT_FORMAT",
     "JOURNAL_FORMAT",
-    "PointSupervisor",
     "SweepJournal",
     "checkpoint_fleet",
     "checkpoint_run",
     "checkpoint_run_stepping",
     "read_checkpoint_header",
     "restore_fleet",
-    "restore_run",
-    "resume_checkpoint",
     "state_digest",
 ]

@@ -3,7 +3,7 @@
 A checkpoint is one file with two parts:
 
 * **line 1** — a JSON header: format tag, checkpoint kind, virtual time,
-  the repo's :func:`~repro.sweep.cache.code_version_tag`, and the
+  the repo's :func:`~repro.version.code_version_tag`, and the
   SHA-256 + byte length of the payload;
 * **the rest** — a pickle of the full simulation graph: kernel page
   table columns, frame stack, swap device, LRU state and counters; the
@@ -15,15 +15,18 @@ A checkpoint is one file with two parts:
 
 The file is written atomically (temp + :func:`os.replace`) so a crash
 mid-write leaves either the previous checkpoint or none — never a torn
-one.  :func:`restore_run` re-verifies the digest before unpickling and
-raises :class:`~repro.errors.CheckpointError` (CLI exit code 4) on any
-mismatch.
+one.  :func:`read_checkpoint` re-verifies the header and the digest
+before unpickling and raises :class:`~repro.errors.CheckpointError`
+(CLI exit code 4) on any mismatch.  This module owns the file format
+and the detach/reattach of live objects; rebuilding a run's event loop
+from the payload is :func:`~repro.runner.experiment.restore_run`'s
+job, next to the ``start()`` whose periodics it re-registers.
 
 What makes restore *byte-identical* rather than merely plausible:
 
 * the event queue's heap is rebuilt by re-registering every periodic
   under its name at its recorded due time; the name's rank
-  (:data:`~repro.sim.clock.SAME_INSTANT_ORDER`) restores same-instant
+  (:data:`~repro.clock.SAME_INSTANT_ORDER`) restores same-instant
   tie-breaking;
 * live object identity — the trace bus — is rewired onto the restored
   graph through the same attachment points construction uses, while the
@@ -47,26 +50,37 @@ from contextlib import contextmanager
 from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..clock import EventQueue, VirtualClock
 from ..errors import CheckpointError
-from ..sim.clock import EventQueue, VirtualClock
 from ..trace.bus import TraceBus
 from ..trace.events import CheckpointWritten, RunResumed
+from ..version import code_version_tag
 
 __all__ = [
     "CHECKPOINT_FORMAT",
+    "announce_resumed",
     "checkpoint_run",
     "checkpoint_run_stepping",
     "checkpoint_fleet",
     "checkpoint_fleet_stepping",
+    "read_checkpoint",
     "read_checkpoint_header",
-    "restore_run",
+    "reattach_run",
     "restore_fleet",
-    "resume_checkpoint",
     "state_digest",
 ]
 
 #: Format tag on line 1 of every checkpoint file; bump on layout breaks.
 CHECKPOINT_FORMAT = "daos-ckpt-v1"
+
+#: Header fields every reader relies on, with their JSON type.
+_HEADER_FIELDS = (
+    ("kind", str),
+    ("time_us", int),
+    ("code_version", str),
+    ("payload_sha256", str),
+    ("payload_bytes", int),
+)
 
 #: Stable pickle protocol: the digest is part of the restore contract,
 #: so the encoding must not drift with the interpreter's default.
@@ -151,8 +165,6 @@ def _commit(
 ) -> str:
     """Atomically write header + payload, then announce the checkpoint
     on ``trace``; returns the 16-hex-char restore identity."""
-    from ..sweep.cache import code_version_tag
-
     digest = hashlib.sha256(blob).hexdigest()
     header = {
         "format": CHECKPOINT_FORMAT,
@@ -184,7 +196,9 @@ def _commit(
 
 
 def read_checkpoint_header(path: str) -> Dict[str, Any]:
-    """Parse and validate line 1 of a checkpoint file (no unpickling)."""
+    """Parse and validate line 1 of a checkpoint file (no unpickling):
+    the format tag, and each field of :data:`_HEADER_FIELDS` present
+    with its JSON type."""
     try:
         with open(path, "rb") as fh:
             line = fh.readline()
@@ -199,42 +213,49 @@ def read_checkpoint_header(path: str) -> Dict[str, Any]:
             f"{path!r} is not a {CHECKPOINT_FORMAT} checkpoint "
             f"(format={header.get('format') if isinstance(header, dict) else line[:40]!r})"
         )
+    for name, kind in _HEADER_FIELDS:
+        value = header.get(name)
+        # bool is an int to isinstance, but never a valid time or size.
+        if not isinstance(value, kind) or isinstance(value, bool):
+            got = "missing" if name not in header else f"a {type(value).__name__}"
+            raise CheckpointError(
+                f"malformed checkpoint header in {path!r}: field {name!r} "
+                f"must be a {kind.__name__}, is {got}"
+            )
     return header
 
 
-def _read_file(
-    path: str, *, expect_kind: Optional[str], strict_version: bool
+def read_checkpoint(
+    path: str, *, kind: str, strict_version: bool
 ) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-    """Read, digest-verify and unpickle a checkpoint file."""
-    from ..sweep.cache import code_version_tag
-
+    """Read, digest-verify and unpickle a ``kind`` checkpoint file;
+    returns ``(header, payload)``."""
     header = read_checkpoint_header(path)
-    if expect_kind is not None and header.get("kind") != expect_kind:
+    if header["kind"] != kind:
         raise CheckpointError(
-            f"{path!r} holds a {header.get('kind')!r} checkpoint, "
-            f"expected {expect_kind!r}"
+            f"{path!r} holds a {header['kind']!r} checkpoint, expected {kind!r}"
         )
     with open(path, "rb") as fh:
         fh.readline()
         blob = fh.read()
-    if len(blob) != header.get("payload_bytes"):
+    if len(blob) != header["payload_bytes"]:
         raise CheckpointError(
             f"checkpoint {path!r} is truncated: "
-            f"{len(blob)} of {header.get('payload_bytes')} payload bytes"
+            f"{len(blob)} of {header['payload_bytes']} payload bytes"
         )
     digest = hashlib.sha256(blob).hexdigest()
-    if digest != header.get("payload_sha256"):
+    if digest != header["payload_sha256"]:
         raise CheckpointError(
             f"checkpoint digest mismatch in {path!r}: "
-            f"file carries {header.get('payload_sha256')[:16]}, "
+            f"file carries {header['payload_sha256'][:16]}, "
             f"payload hashes to {digest[:16]} — refusing to restore"
         )
     if strict_version:
         current = code_version_tag()
-        if header.get("code_version") != current:
+        if header["code_version"] != current:
             raise CheckpointError(
                 f"checkpoint {path!r} was written by code version "
-                f"{header.get('code_version')!r}, this tree is {current!r} "
+                f"{header['code_version']!r}, this tree is {current!r} "
                 f"(pass --allow-version-skew to restore anyway)"
             )
     try:
@@ -247,36 +268,40 @@ def _read_file(
         # failure can be of any type.
         raise CheckpointError(
             f"checkpoint {path!r} written by code version "
-            f"{header.get('code_version')!r} cannot be loaded by this tree "
+            f"{header['code_version']!r} cannot be loaded by this tree "
             f"({code_version_tag()!r}): {type(exc).__name__}: {exc}"
         ) from exc
     return header, payload
 
 
-def _restored_bus(
-    trace: Optional[TraceBus], counters: Optional[Dict[str, Any]], clock: VirtualClock
-) -> Optional[TraceBus]:
-    """The bus a restored simulation continues on, bound to ``clock``:
+def _restored_loop(
+    payload: Dict[str, Any], trace: Optional[TraceBus]
+) -> Tuple[EventQueue, Optional[TraceBus]]:
+    """An empty event queue at the payload's instant, and the bus the
+    restored simulation continues on, bound to that queue's clock:
     ``trace`` if given, else a fresh internal bus whenever the original
     had one (its counters were saved); ``None`` stays ``None`` (the
     ``collect_trace=False`` path)."""
+    queue = EventQueue(VirtualClock(start=int(payload["clock_now"])))
+    counters = payload["trace_counters"]
     if counters is not None:
         if trace is None:
             trace = TraceBus(ring_capacity=0)
         trace.restore_counters(counters)
     if trace is not None:
-        trace.bind_clock(clock)
-    return trace
+        trace.bind_clock(queue.clock)
+    return queue, trace
 
 
-def _announce_resumed(trace: Optional[TraceBus], header: Dict[str, Any]) -> None:
+def announce_resumed(trace: Optional[TraceBus], header: Dict[str, Any]) -> None:
+    """Emit the ``RunResumed`` event of a restore from ``header``."""
     if trace is not None:
         trace.emit(
             RunResumed(
                 time_us=trace.now,
                 target=header["kind"],
                 digest=header["payload_sha256"][:16],
-                checkpoint_time_us=int(header["time_us"]),
+                checkpoint_time_us=header["time_us"],
             )
         )
 
@@ -332,6 +357,18 @@ def _run_detach_pairs(run) -> List[Tuple[Any, str, Any]]:
     return pairs
 
 
+def reattach_run(
+    payload: Dict[str, Any], trace: Optional[TraceBus]
+) -> Tuple[EventQueue, Optional[TraceBus]]:
+    """Rewire a run payload's tenant onto a fresh loop: returns the empty
+    event queue at the checkpoint's instant and the bus now held by every
+    :func:`_bus_holders` entry.  The caller re-registers the periodics."""
+    queue, trace = _restored_loop(payload, trace)
+    for holder, attr in _bus_holders(payload["tenant"], payload["injector"]):
+        setattr(holder, attr, trace)
+    return queue, trace
+
+
 def _run_payload_bytes(run) -> Tuple[bytes, int]:
     """Serialize a paused run; returns ``(blob, clock_now)``."""
     if run.queue is None:
@@ -378,75 +415,6 @@ def checkpoint_run(run, path: str, *, sequence: int = 1) -> str:
     """
     blob, clock_now = _run_payload_bytes(run)
     return _commit(path, "run", clock_now, blob, run.trace, sequence)
-
-
-def restore_run(
-    path: str,
-    *,
-    trace: Optional[TraceBus] = None,
-    strict_version: bool = True,
-    announce: bool = True,
-):
-    """Reconstruct a paused :class:`~repro.runner.experiment.ExperimentRun`.
-
-    The returned run is ready for ``run_until`` / ``finish`` and is
-    byte-identical in behavior to the run the checkpoint was taken from:
-    same heap order, same RNG streams, same counters.  ``trace`` supplies
-    an external bus; by default a fresh internal bus is created whenever
-    the original run had one, and its counters are restored.
-    """
-    from ..runner.experiment import ExperimentRun
-
-    header, payload = _read_file(
-        path, expect_kind="run", strict_version=strict_version
-    )
-    tenant = payload["tenant"]
-    injector = payload["injector"]
-    clock_now = int(payload["clock_now"])
-    queue = EventQueue(VirtualClock(start=clock_now))
-    trace = _restored_bus(trace, payload["trace_counters"], queue.clock)
-    for holder, attr in _bus_holders(tenant, injector):
-        setattr(holder, attr, trace)
-
-    run = ExperimentRun.from_parts(
-        spec=payload["spec"],
-        host=payload["host"],
-        guest=payload["guest"],
-        tenant=tenant,
-        injector=injector,
-        seed=payload["seed"],
-        compute_us=payload["compute_us"],
-    )
-    run.queue = queue
-
-    # -- rebuild the heap: every periodic back at its recorded due time,
-    #    via the stable name → callback map (the name fixes tie order).
-    handlers: Dict[str, Any] = {}
-    monitor = tenant.monitor
-    if monitor is not None:
-        monitor.running = False
-        monitor._events = []
-        handlers.update(monitor.tick_handlers())
-    handlers["khugepaged"] = tenant.kernel.khugepaged_scan
-    handlers["epoch"] = run.run_one_epoch
-
-    monitor_events = []
-    monitor_names = {"sample", "aggregate", "update"}
-    for name, due, period in payload["periodics"]:
-        callback = handlers.get(name)
-        if callback is None:
-            raise CheckpointError(
-                f"checkpoint {path!r} names unknown periodic {name!r}"
-            )
-        event = queue.schedule_periodic(period, callback, name=name, first_at=due)
-        if monitor is not None and name in monitor_names:
-            monitor_events.append(event)
-    if monitor is not None:
-        monitor.adopt_events(monitor_events)
-
-    if announce:
-        _announce_resumed(trace, header)
-    return run
 
 
 def checkpoint_run_stepping(
@@ -508,13 +476,9 @@ def restore_fleet(
     """Reconstruct a paused :class:`~repro.fleet.scheduler.FleetScheduler`.
 
     Ready for ``queue.run_until(cfg.duration_us)`` then ``finish()``."""
-    header, payload = _read_file(
-        path, expect_kind="fleet", strict_version=strict_version
-    )
+    header, payload = read_checkpoint(path, kind="fleet", strict_version=strict_version)
     scheduler = payload["scheduler"]
-    clock_now = int(payload["clock_now"])
-    queue = EventQueue(VirtualClock(start=clock_now))
-    trace = _restored_bus(trace, payload["trace_counters"], queue.clock)
+    queue, trace = _restored_loop(payload, trace)
     scheduler.trace = trace
     if scheduler.faults is not None:
         scheduler.faults.bind_trace(trace)
@@ -529,7 +493,7 @@ def restore_fleet(
     scheduler.wall_start = time.perf_counter()
 
     if announce:
-        _announce_resumed(trace, header)
+        announce_resumed(trace, header)
     return scheduler
 
 
@@ -546,28 +510,3 @@ def checkpoint_fleet_stepping(
         every_ticks,
         partial(checkpoint_fleet, scheduler, path),
     )
-
-
-# ----------------------------------------------------------------------
-# One-call resume
-# ----------------------------------------------------------------------
-def resume_checkpoint(
-    path: str, *, trace: Optional[TraceBus] = None, strict_version: bool = True
-):
-    """Restore *any* checkpoint and drive it to completion.
-
-    Dispatches on the header's ``kind``: returns a
-    :class:`~repro.runner.results.RunResult` for ``"run"`` checkpoints,
-    a :class:`~repro.fleet.result.FleetResult` for ``"fleet"`` ones.
-    This is the engine behind ``daos resume FILE``.
-    """
-    kind = read_checkpoint_header(path).get("kind")
-    if kind == "run":
-        run = restore_run(path, trace=trace, strict_version=strict_version)
-        run.run_until(run.spec.duration_us)
-        return run.finish()
-    if kind == "fleet":
-        scheduler = restore_fleet(path, trace=trace, strict_version=strict_version)
-        scheduler.queue.run_until(scheduler.cfg.duration_us)
-        return scheduler.finish()
-    raise CheckpointError(f"unknown checkpoint kind {kind!r} in {path!r}")

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..errors import ConfigError
-from ..lint.schemes import check_schemes
 from ..monitor.attrs import MonitorAttrs
+from ..schemes.analyzer import check_schemes
 from ..schemes.parser import parse_schemes
 from ..schemes.quotas import Quota
 from ..schemes.scheme import Scheme

@@ -13,17 +13,25 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from ..errors import ConfigError
+from ..clock import EventQueue
+from ..errors import CheckpointError, ConfigError
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
 from ..monitor.attrs import MonitorAttrs
 from ..monitor.core import DataAccessMonitor
 from ..monitor.primitives import PhysicalPrimitive, VirtualPrimitive
+from ..recovery.codec import (
+    announce_resumed,
+    checkpoint_run_stepping,
+    read_checkpoint,
+    read_checkpoint_header,
+    reattach_run,
+    restore_fleet,
+)
 from ..sanitize.runtime import resolve_sanitizer
 from ..schemes.engine import SchemesEngine
-from ..sim.clock import EventQueue
 from ..sim.costs import CostModel
 from ..sim.kernel import SimKernel, check_tier_policy
 from ..sim.machine import MachineSpec, TierSpec, get_instance, guest_of, scaled_tier
@@ -45,7 +53,10 @@ __all__ = [
     "build_machine",
     "build_tenant",
     "ExperimentRun",
+    "restore_run",
+    "resume_checkpoint",
     "run_experiment",
+    "quick_run",
     "autotune_scheme",
 ]
 
@@ -162,7 +173,7 @@ class TenantBuild:
     """One fully wired tenant: kernel, workload, monitoring stack.
 
     Produced by :func:`build_tenant`.  The caller owns the event loop:
-    it creates the :class:`~repro.sim.clock.EventQueue`, calls
+    it creates the :class:`~repro.clock.EventQueue`, calls
     :meth:`start` (which binds the trace clock and registers the
     monitor's periodic ticks), then drives the epoch loop.
     """
@@ -286,7 +297,7 @@ class ExperimentRun:
     resume a byte-identical continuation.  The wiring order inside is
     the system's boot order — monitor ticks, then khugepaged, then the
     epoch tick; same-instant ties follow the periodics' names
-    (:data:`~repro.sim.clock.SAME_INSTANT_ORDER`), not this order.
+    (:data:`~repro.clock.SAME_INSTANT_ORDER`), not this order.
 
     ``config`` is a configuration name from
     :data:`~repro.runner.configs.CONFIGS` or a ready
@@ -504,6 +515,85 @@ class ExperimentRun:
         )
 
 
+def restore_run(
+    path: str,
+    *,
+    trace: Optional[TraceBus] = None,
+    strict_version: bool = True,
+    announce: bool = True,
+) -> ExperimentRun:
+    """Reconstruct a paused :class:`ExperimentRun` from a checkpoint file.
+
+    The returned run is ready for ``run_until`` / ``finish`` and is
+    byte-identical in behavior to the run the checkpoint was taken from:
+    same heap order, same RNG streams, same counters.  ``trace`` supplies
+    an external bus; by default a fresh internal bus is created whenever
+    the original run had one, and its counters are restored.  The file
+    format and the bus rewiring are :mod:`repro.recovery.codec`'s; this
+    re-registers the periodics :meth:`ExperimentRun.start` named.
+    """
+    header, payload = read_checkpoint(path, kind="run", strict_version=strict_version)
+    queue, trace = reattach_run(payload, trace)
+    tenant = payload["tenant"]
+    run = ExperimentRun.from_parts(
+        spec=payload["spec"],
+        host=payload["host"],
+        guest=payload["guest"],
+        tenant=tenant,
+        injector=payload["injector"],
+        seed=payload["seed"],
+        compute_us=payload["compute_us"],
+    )
+    run.queue = queue
+
+    # -- rebuild the heap: every periodic back at its recorded due time,
+    #    via the stable name → callback map (the name fixes tie order).
+    handlers: Dict[str, Callable[[int], None]] = {
+        "khugepaged": tenant.kernel.khugepaged_scan,
+        "epoch": run.run_one_epoch,
+    }
+    monitor = tenant.monitor
+    monitor_events = []
+    if monitor is not None:
+        monitor.running = False
+        monitor._events = []
+        handlers.update(monitor.tick_handlers())
+    for name, due, period in payload["periodics"]:
+        callback = handlers.get(name)
+        if callback is None:
+            raise CheckpointError(f"checkpoint {path!r} names unknown periodic {name!r}")
+        event = queue.schedule_periodic(period, callback, name=name, first_at=due)
+        if monitor is not None and name in ("sample", "aggregate", "update"):
+            monitor_events.append(event)
+    if monitor is not None:
+        monitor.adopt_events(monitor_events)
+
+    if announce:
+        announce_resumed(trace, header)
+    return run
+
+
+def resume_checkpoint(
+    path: str, *, trace: Optional[TraceBus] = None, strict_version: bool = True
+):
+    """Restore *any* checkpoint and drive it to completion.
+
+    Dispatches on the header's ``kind``: returns a :class:`RunResult`
+    for ``"run"`` checkpoints, a :class:`~repro.fleet.result.FleetResult`
+    for ``"fleet"`` ones.  This is the engine behind ``daos resume FILE``.
+    """
+    kind = read_checkpoint_header(path)["kind"]
+    if kind == "run":
+        run = restore_run(path, trace=trace, strict_version=strict_version)
+        run.run_until(run.spec.duration_us)
+        return run.finish()
+    if kind == "fleet":
+        scheduler = restore_fleet(path, trace=trace, strict_version=strict_version)
+        scheduler.queue.run_until(scheduler.cfg.duration_us)
+        return scheduler.finish()
+    raise CheckpointError(f"unknown checkpoint kind {kind!r} in {path!r}")
+
+
 def run_experiment(
     workload: Union[str, WorkloadSpec],
     *,
@@ -525,12 +615,16 @@ def run_experiment(
     run = ExperimentRun(workload, **run_kwargs)
     run.start()
     if checkpoint is not None:
-        from ..recovery.codec import checkpoint_run_stepping
-
         checkpoint_run_stepping(run, checkpoint, every_epochs=checkpoint_every)
     else:
         run.run_until(run.spec.duration_us)
     return run.finish()
+
+
+def quick_run(workload: str, *, config: str = "baseline", machine: str = "i3.metal", **kwargs):
+    """Run one (workload, configuration, machine) experiment and return
+    its :class:`RunResult`; exported as ``repro.quick_run``."""
+    return run_experiment(workload, config=config, machine=machine, **kwargs)
 
 
 def autotune_scheme(

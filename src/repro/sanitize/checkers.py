@@ -27,6 +27,7 @@ from typing import Any, List, Optional
 import numpy as np
 
 from ..errors import MonitorStateError
+from ..sim.pagetable import PAGES_PER_HUGE
 
 __all__ = [
     "Violation",
@@ -350,8 +351,6 @@ def check_counter_coherence(kernel: Any, now: int) -> List[Violation]:
 
 def check_huge_residency(kernel: Any, now: int) -> List[Violation]:
     """Huge-mapped chunks are fully resident (every subpage present)."""
-    from ..sim.pagetable import PAGES_PER_HUGE
-
     flat = kernel.space.flat
     if not flat.n_chunks or not flat.chunk_huge.any():
         return []

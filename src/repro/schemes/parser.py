@@ -27,7 +27,7 @@ from typing import List, Optional
 
 from ..errors import ParseError
 from ..monitor.attrs import MonitorAttrs
-from ..units import UNLIMITED, parse_percent, parse_size, parse_time
+from ..units import UNLIMITED, format_size, format_time, parse_percent, parse_size, parse_time
 from .actions import Action
 from .scheme import AccessPattern, Scheme
 
@@ -87,8 +87,6 @@ def format_scheme(scheme: Scheme, attrs: Optional[MonitorAttrs] = None) -> str:
     ``parse_scheme(format_scheme(s))`` reproduces ``s`` (round-trip
     property, covered by tests).
     """
-    from ..units import format_size, format_time
-
     p = scheme.pattern
 
     def freq(value: float) -> str:

@@ -6,7 +6,8 @@ subsystem (reclaim, THP promotion/demotion, madvise hints), and the
 evaluation runs on AWS EC2 bare-metal hosts with QEMU/KVM guests.  This
 package provides the synthetic equivalent of that whole substrate:
 
-* :mod:`repro.sim.clock` — discrete-event virtual time,
+* :mod:`repro.clock` — discrete-event virtual time (a base module the
+  trace bus needs too; re-exported here),
 * :mod:`repro.sim.machine` — the Table 2 instance catalog and guest VMs,
 * :mod:`repro.sim.vma` — VMAs and address spaces,
 * :mod:`repro.sim.pagetable` — page-granular state with accessed-bit
@@ -19,7 +20,7 @@ package provides the synthetic equivalent of that whole substrate:
 * :mod:`repro.sim.kernel` — the façade tying the above together.
 """
 
-from .clock import EventQueue, PeriodicEvent, VirtualClock
+from ..clock import EventQueue, PeriodicEvent, VirtualClock
 from .costs import CostModel
 from .kernel import SimKernel
 from .lru import LruReclaimer

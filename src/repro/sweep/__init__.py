@@ -14,7 +14,12 @@ seed) points.  This package turns that shape into infrastructure:
 * :mod:`~repro.sweep.cache` — the content-addressed on-disk result
   cache (key = point spec + code version tag);
 * :mod:`~repro.sweep.runner` — :class:`~repro.sweep.runner.SweepRunner`,
-  executing a grid across a ``multiprocessing`` pool with cache resume;
+  executing a grid in process or across the worker pool, with cache
+  resume and the write-ahead journal;
+* :mod:`~repro.sweep.supervisor` — the worker pool:
+  :class:`~repro.sweep.supervisor.PointSupervisor` (spawn workers,
+  heartbeats, watchdog, seeded-backoff reassignment) and the worker
+  protocol both execution paths share;
 * :mod:`~repro.sweep.presets` — the paper's figure grids, ready-made.
 """
 
@@ -23,6 +28,7 @@ from .grid import SweepGrid, SweepPoint, derive_seed
 from .points import get_point_function, register_point_function
 from .runner import SweepOutcome, SweepReport, SweepRunner
 from .serialize import canonical_json, decode_value, encode_value, fingerprint
+from .supervisor import PointSupervisor
 
 __all__ = [
     "SweepGrid",
@@ -31,6 +37,7 @@ __all__ = [
     "SweepRunner",
     "SweepReport",
     "SweepOutcome",
+    "PointSupervisor",
     "ResultCache",
     "code_version_tag",
     "point_key",

@@ -6,10 +6,10 @@ Layout (all JSON, one file per completed point)::
         <key[:2]>/<key>.json      # fan-out to keep directories small
 
 where ``key = sha256(canonical point spec + code version tag)``.  The
-version tag hashes every ``.py`` file of the installed ``repro``
-package, so *any* code change invalidates the whole cache — stale
-results can never leak across versions.  ``REPRO_SWEEP_VERSION_TAG``
-overrides the tag (tests pin it; deployments can use a release id).
+version tag (:func:`~repro.version.code_version_tag`) hashes every
+``.py`` file of the installed ``repro`` package, so *any* code change
+invalidates the whole cache — stale results can never leak across
+versions.
 
 Writes are atomic (tempfile + ``os.replace``), so a sweep killed mid
 write never leaves a corrupt entry, and concurrent workers writing the
@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
 from ..errors import ParseError
+from ..version import code_version_tag
 from .grid import SweepPoint
 from .serialize import canonical_json, decode_value
 
@@ -33,31 +34,6 @@ __all__ = ["code_version_tag", "point_key", "ResultCache"]
 
 #: Payload format marker, bumped on incompatible layout changes.
 _FORMAT = "daos-sweep-v1"
-
-_version_tag_cache: Optional[str] = None
-
-
-def code_version_tag() -> str:
-    """Hash of the ``repro`` package's source files (cached per process)."""
-    # The version tag is a pure function of the installed sources, so
-    # every spawn-pool worker recomputes the identical value; caching
-    # it per process only saves the rehash.
-    global _version_tag_cache  # daos-lint: disable=DF320
-    # The documented cache-pinning knob (tests and deployments set it);
-    # it feeds the cache key, never a result value.
-    override = os.environ.get("REPRO_SWEEP_VERSION_TAG")  # daos-lint: disable=DT204
-    if override:
-        return override
-    if _version_tag_cache is None:
-        package_root = Path(__file__).resolve().parent.parent
-        digest = hashlib.sha256()
-        for path in sorted(package_root.rglob("*.py")):
-            digest.update(str(path.relative_to(package_root)).encode("utf-8"))
-            digest.update(b"\0")
-            digest.update(path.read_bytes())
-            digest.update(b"\0")
-        _version_tag_cache = digest.hexdigest()[:16]
-    return _version_tag_cache
 
 
 def point_key(point: SweepPoint, version_tag: Optional[str] = None) -> str:

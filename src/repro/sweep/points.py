@@ -20,7 +20,9 @@ from __future__ import annotations
 import importlib
 from typing import Any, Callable, Dict
 
+from ..analysis.score_model import score_curve
 from ..errors import ConfigError
+from ..runner.experiment import run_experiment
 
 __all__ = ["register_point_function", "get_point_function"]
 
@@ -63,8 +65,6 @@ def _experiment_point(params: Dict[str, Any]):
     Parameters mirror the function's signature: ``workload`` (required),
     ``config``, ``machine``, ``seed``, ``time_scale``, ``swap``.
     """
-    from ..runner.experiment import run_experiment
-
     kwargs = dict(params)
     try:
         workload = kwargs.pop("workload")
@@ -75,8 +75,6 @@ def _experiment_point(params: Dict[str, Any]):
 
 def _score_curve_point(params: Dict[str, Any]):
     """One Figure 3 analytic score curve (no simulation involved)."""
-    from ..analysis.score_model import score_curve
-
     kwargs = dict(params)
     case_id = kwargs.pop("case", None)
     n_points = kwargs.pop("n_points", 41)

@@ -10,7 +10,12 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence
 
+from ..analysis.ascii_plot import ascii_series
+from ..analysis.patterns import classify_score_pattern
+from ..analysis.report import fig7_table
+from ..analysis.score_model import CASES
 from ..errors import ConfigError
+from ..runner.results import normalize
 from .grid import SweepGrid
 from .runner import SweepReport
 
@@ -41,8 +46,6 @@ FIG7_SUBSET = (
 # ----------------------------------------------------------------------
 def fig3_grid(n_points: int = 41) -> SweepGrid:
     """The six score-model cases, one point per case."""
-    from ..analysis.score_model import CASES
-
     return SweepGrid.from_points(
         "score_curve",
         [
@@ -54,9 +57,6 @@ def fig3_grid(n_points: int = 41) -> SweepGrid:
 
 def summarize_fig3(report: SweepReport) -> str:
     """Classify each computed curve and render it as ASCII."""
-    from ..analysis.ascii_plot import ascii_series
-    from ..analysis.patterns import classify_score_pattern
-
     lines = ["Figure 3: six score patterns for varying PAGEOUT aggressiveness"]
     for outcome in report.outcomes:
         if not outcome.ok:
@@ -112,9 +112,6 @@ def fig7_grid(
 def summarize_fig7(report: SweepReport) -> str:
     """Normalise each run against its workload's baseline and render the
     Figure 7 table."""
-    from ..analysis.report import fig7_table
-    from ..runner.results import normalize
-
     runs = [o.value for o in report.outcomes if o.ok]
     baselines = {r.workload: r for r in runs if r.config == "baseline"}
     per_config: Dict[str, List] = {}

@@ -2,7 +2,8 @@
 
 Execution contract (the determinism tests pin it down):
 
-* every point is executed by :func:`_execute_payload`, whether serially
+* every point is executed by
+  :func:`~repro.sweep.supervisor.execute_payload`, whether serially
   (``jobs=1``) or in a pool worker — both paths produce the *encoded*
   canonical form, so a pooled sweep is byte-identical to a serial one;
 * a point's randomness comes entirely from its parameters (the
@@ -18,62 +19,25 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-import traceback as traceback_module
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from ..errors import ConfigError, FaultError, SweepError
+from ..errors import ConfigError, SweepError
 from ..faults.injector import worker_crash_decision
+from ..monitor.attrs import MonitorAttrs
+from ..recovery.journal import SweepJournal
+from ..runner.configs import CONFIGS
+from ..sanitize import default_enabled, set_default_enabled
 from .cache import ResultCache, code_version_tag, point_key
 from .grid import SweepGrid, SweepPoint
-from .points import get_point_function
 from .serialize import _strip_volatile, canonical_json, decode_value, encode_value
+from .supervisor import PointSupervisor, RawResult, execute_payload
 
 __all__ = ["SweepRunner", "SweepReport", "SweepOutcome"]
 
 #: progress(done, total, outcome) — invoked once per finished point.
 ProgressFn = Callable[[int, int, "SweepOutcome"], None]
-
-#: ``(index, encoded_json, error, error_type, traceback, wall_s)`` —
-#: what one execution attempt reports back to the parent.
-RawResult = Tuple[int, Optional[str], Optional[str], Optional[str], Optional[str], float]
-
-
-def _execute_payload(payload: Tuple[int, str, tuple, bool]) -> RawResult:
-    """Run one point; returns a :data:`RawResult`.
-
-    Module-level so ``spawn`` workers can unpickle it.  Encoding happens
-    *inside* the executing process: the parent only ever sees the
-    canonical form, keeping pool and serial paths exactly equivalent.
-    ``crash`` is the parent's pre-computed ``worker_crash`` fault
-    decision — shipped in the payload so the serial and pool paths
-    agree without sharing RNG state across processes.
-    """
-    index, fn_name, items, crash = payload
-    start = time.perf_counter()
-    try:
-        if crash:
-            raise FaultError("injected sweep worker crash")
-        fn = get_point_function(fn_name)
-        value = fn(dict(items))
-        encoded = canonical_json(encode_value(value))
-        return index, encoded, None, None, None, time.perf_counter() - start
-    except Exception as exc:  # noqa: BLE001 — one bad point must not kill the sweep
-        error = f"{type(exc).__name__}: {exc}"
-        tb = traceback_module.format_exc()
-        return index, None, error, type(exc).__name__, tb, time.perf_counter() - start
-
-
-def _init_worker(sanitize: bool) -> None:
-    """Pool-worker initializer: spawn workers import a clean interpreter,
-    so the parent's sanitize default must be re-established explicitly.
-    Sanitizer checks are read-only and RNG-free — point values (and so
-    cache keys) are identical either way."""
-    from ..sanitize import set_default_enabled
-
-    set_default_enabled(sanitize)
-
 
 @dataclass
 class SweepOutcome:
@@ -227,7 +191,7 @@ class SweepRunner:
     worker is terminated and its point synthesized as a
     ``WatchdogTimeout`` failure; the serial path cannot preempt and
     ignores the timeout).  Pooled execution runs under the
-    :class:`~repro.recovery.supervisor.PointSupervisor` — one process
+    :class:`~repro.sweep.supervisor.PointSupervisor` — one process
     per in-flight point with heartbeats, so a worker killed outright
     (``SIGKILL``) is reaped and its point reassigned instead of
     stalling the sweep.  ``faults`` applies a fault plan's
@@ -320,9 +284,6 @@ class SweepRunner:
         milliseconds instead — before a worker pool is ever spawned.
         Unknown configuration names are left for execution to report.
         """
-        from ..monitor.attrs import MonitorAttrs
-        from ..runner.configs import CONFIGS
-
         names = sorted(
             {
                 params["config"]
@@ -375,8 +336,6 @@ class SweepRunner:
         # --- journal replay + write-ahead setup --------------------------
         journal = None
         if self.journal_dir is not None:
-            from ..recovery.journal import SweepJournal
-
             journal = SweepJournal(self.journal_dir)
             if self.resume:
                 entries = journal.load()
@@ -455,15 +414,13 @@ class SweepRunner:
         try:
             if pending:
                 if self.jobs == 1 or len(pending) == 1:
-                    from ..sanitize import default_enabled, set_default_enabled
-
                     previous = default_enabled()
                     set_default_enabled(previous or self.sanitize)
                     try:
                         for index in pending:
                             attempt = 0
                             while True:
-                                raw = _execute_payload(make_payload(index, attempt))
+                                raw = execute_payload(make_payload(index, attempt))
                                 if raw[2] is None or attempt >= self.retries:
                                     break
                                 attempt += 1
@@ -473,8 +430,6 @@ class SweepRunner:
                 else:
                     # Supervised fan-out: one process per in-flight point,
                     # heartbeats, a watchdog, seeded-backoff reassignment.
-                    from ..recovery.supervisor import PointSupervisor
-
                     PointSupervisor(
                         jobs=min(self.jobs, len(pending)),
                         sanitize=self.sanitize,

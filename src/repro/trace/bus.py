@@ -23,8 +23,8 @@ import logging
 from collections import deque
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Type
 
+from ..clock import VirtualClock
 from ..errors import ConfigError
-from ..sim.clock import VirtualClock
 from .aggregate import TraceSummary
 from .events import TraceEvent
 

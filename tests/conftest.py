@@ -33,7 +33,7 @@ from repro.sanitize import set_default_enabled
 if os.environ.get("DAOS_SANITIZE") == "1":
     set_default_enabled(True)
 
-from repro.sim.clock import EventQueue
+from repro.clock import EventQueue
 from repro.sim.costs import CostModel
 from repro.sim.kernel import SimKernel
 from repro.sim.machine import GuestSpec, get_instance

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.sim.clock import EventQueue, VirtualClock
+from repro.clock import EventQueue, VirtualClock
 
 
 class TestVirtualClock:

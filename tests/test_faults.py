@@ -43,7 +43,7 @@ from repro.fleet import FleetConfig, FleetScheduler
 from repro.monitor.attrs import MonitorAttrs
 from repro.monitor.core import DataAccessMonitor
 from repro.monitor.primitives import VirtualPrimitive
-from repro.sim.clock import EventQueue
+from repro.clock import EventQueue
 from repro.sim.kernel import SimKernel
 from repro.sim.machine import GuestSpec, get_instance
 from repro.runner.experiment import run_experiment

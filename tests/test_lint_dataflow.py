@@ -323,7 +323,7 @@ class TestGoldenCorpus:
 
     def test_corpus_covers_every_df_code(self):
         """A DF code added to the registry must gain a corpus file."""
-        from repro.lint.diagnostics import CODES
+        from repro.diagnostics import CODES
 
         registered = {c for c in CODES if c.startswith("DF")}
         assert registered == set(CORPUS)

@@ -8,7 +8,7 @@ from repro.modules.lru_sort import LruSortModule, LruSortParams
 from repro.modules.reclaim import ReclaimModule, ReclaimParams
 from repro.monitor.attrs import MonitorAttrs
 from repro.schemes.actions import Action
-from repro.sim.clock import EventQueue
+from repro.clock import EventQueue
 from repro.sim.kernel import SimKernel
 from repro.sim.machine import GuestSpec, get_instance
 from repro.sim.swap import ZramDevice

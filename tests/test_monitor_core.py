@@ -8,7 +8,7 @@ from repro.monitor.attrs import MonitorAttrs
 from repro.monitor.core import DataAccessMonitor
 from repro.monitor.overhead import measure_overhead, theoretical_bound_cpu_share
 from repro.monitor.primitives import PhysicalPrimitive, VirtualPrimitive
-from repro.sim.clock import EventQueue
+from repro.clock import EventQueue
 from repro.units import MIB, MSEC, SEC
 
 from tests.helpers import BASE, run_epochs

@@ -25,7 +25,7 @@ from repro.monitor.attrs import MonitorAttrs
 from repro.monitor.core import DataAccessMonitor
 from repro.monitor.primitives import MonitoringPrimitive
 from repro.monitor.region import MIN_REGION_SIZE, Region, regions_intersecting
-from repro.sim.clock import EventQueue
+from repro.clock import EventQueue
 from repro.units import MIB, MSEC
 
 from tests.helpers import BASE

@@ -21,7 +21,7 @@ from repro.monitor.core import DataAccessMonitor
 from repro.monitor.primitives import VirtualPrimitive
 from repro.schemes.engine import SchemesEngine
 from repro.schemes.parser import parse_scheme
-from repro.sim.clock import EventQueue
+from repro.clock import EventQueue
 from repro.sim.kernel import SimKernel
 from repro.sim.machine import GuestSpec, get_instance
 from repro.sim.pagetable import PAGES_PER_HUGE

@@ -28,15 +28,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import CheckpointError, ConfigError, DaosError, WatchdogTimeout
 from repro.faults import FaultPlan
-from repro.recovery import (
-    SweepJournal,
-    checkpoint_run,
-    read_checkpoint_header,
-    restore_run,
-    resume_checkpoint,
-    state_digest,
-)
+from repro.recovery import SweepJournal, checkpoint_run, read_checkpoint_header, state_digest
 from repro.recovery.codec import CHECKPOINT_FORMAT, checkpoint_fleet_stepping
+from repro.runner import restore_run, resume_checkpoint
 from repro.runner.experiment import ExperimentRun, run_experiment
 from repro.sweep.grid import SweepGrid
 from repro.sweep.points import register_point_function
@@ -560,6 +554,16 @@ class TestSupervisor:
 # ----------------------------------------------------------------------
 # CLI exit codes
 # ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def checkpoint_file(tmp_path_factory):
+    """One intact run checkpoint, shared by the header-damage cases."""
+    path = tmp_path_factory.mktemp("ck") / "ck.bin"
+    run = fresh_run()
+    run.run_until(2 * run.spec.epoch_us)
+    checkpoint_run(run, str(path))
+    return path
+
+
 class TestExitCodes:
     """Exit 3 (watchdog) and 4 (untrusted checkpoint) vs the generic 2."""
 
@@ -594,6 +598,31 @@ class TestExitCodes:
         path.write_bytes(bytes(blob))
         assert main(["resume", str(path)]) == 4
         assert "refusing to restore" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field", ["kind", "time_us", "code_version", "payload_sha256", "payload_bytes"]
+    )
+    @pytest.mark.parametrize("damage", ["missing", "wrong type"])
+    def test_malformed_header_field_exits_4(
+        self, field, damage, checkpoint_file, tmp_path, capsys
+    ):
+        """A header that parses but lacks a field, or carries it as the
+        wrong type, is a CheckpointError naming the field — never a
+        TypeError or KeyError out of the reader."""
+        from repro.cli import main
+
+        line, _, payload = checkpoint_file.read_bytes().partition(b"\n")
+        header = json.loads(line)
+        if damage == "missing":
+            del header[field]
+        else:
+            header[field] = [header[field]]  # a list is no field's type
+        path = tmp_path / "ck.bin"
+        path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + payload)
+        with pytest.raises(CheckpointError, match=f"field '{field}'"):
+            read_checkpoint_header(str(path))
+        assert main(["resume", str(path)]) == 4
+        assert f"field '{field}'" in capsys.readouterr().err
 
     def test_unloadable_checkpoint_exits_4(self, tmp_path, capsys):
         from repro.cli import main

@@ -21,8 +21,14 @@ from repro.errors import SanitizerError
 from repro.monitor.attrs import MonitorAttrs
 from repro.monitor.core import DataAccessMonitor
 from repro.monitor.primitives import VirtualPrimitive
-from repro.recovery import checkpoint_run, restore_run, state_digest
-from repro.runner.experiment import ExperimentRun, build_machine, build_tenant, run_experiment
+from repro.recovery import checkpoint_run, state_digest
+from repro.runner.experiment import (
+    ExperimentRun,
+    build_machine,
+    build_tenant,
+    restore_run,
+    run_experiment,
+)
 from repro.sanitize import SimSanitizer, default_enabled, set_default_enabled
 from repro.sanitize import runtime as sanitize_runtime
 from repro.sanitize.runtime import FULL_CHECK_EVERY
@@ -298,7 +304,7 @@ class TestRuntime:
             kernel.end_epoch(2 * EPOCH, compute_us=70_000)
 
     def test_monitor_tick_checkpoint_is_wired(self):
-        from repro.sim.clock import EventQueue
+        from repro.clock import EventQueue
 
         kernel = worked_kernel()
         queue = EventQueue()

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError, ParseError
-from repro.sim.clock import VirtualClock
+from repro.clock import VirtualClock
 from repro.trace import (
     EVENT_TYPES,
     AccessSampled,
