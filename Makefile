@@ -139,12 +139,19 @@ examples:
 	for ex in examples/*.py; do echo "=== $$ex ==="; $(PYTHON) $$ex; done
 
 # The fleet acceptance bar, locally: a seeded 10k-tenant fleet run
-# twice under the sanitizer, canonical summaries byte-identical.
+# twice under the sanitizer, canonical summaries byte-identical.  Then
+# four shards on the sweep's worker pool must merge to the same summary
+# (per-shard digests included) as the serial path.
 fleet-smoke:
 	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli --seed 42 fleet -n 10000 --out /tmp/daos-fleet-a.json
 	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli --seed 42 fleet -n 10000 --out /tmp/daos-fleet-b.json
 	cmp /tmp/daos-fleet-a.json /tmp/daos-fleet-b.json
-	@echo "fleet smoke: byte-identical under the sanitizer"
+	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli --seed 42 fleet -n 2000 --duration 120 \
+		--shards 4 -j 2 --out /tmp/daos-fleet-sharded-a.json
+	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli --seed 42 fleet -n 2000 --duration 120 \
+		--shards 4 --out /tmp/daos-fleet-sharded-b.json
+	cmp /tmp/daos-fleet-sharded-a.json /tmp/daos-fleet-sharded-b.json
+	@echo "fleet smoke: byte-identical under the sanitizer, pool == serial"
 
 # Crash-recovery proof from the CLI (the tier-1 property tests do the
 # arbitrary-epoch and SIGKILL versions): a checkpointed fleet resumed
@@ -152,6 +159,11 @@ fleet-smoke:
 # as the uninterrupted run, and a journaled sweep replayed with
 # --resume into a *fresh* cache must produce the same canonical report
 # — proving the values come from the write-ahead journal, not the cache.
+# Then a genuinely interrupted pooled sweep: SIGKILLed 1.5 s in
+# (mid-grid on a 2-CPU host; no chance to clean up), --resume replays
+# the journaled points and runs the rest, and the report must match an
+# uninterrupted one wherever the kill landed.  Last, a faulted fleet checkpointed mid-run must resume
+# onto the uninterrupted digest.
 resume-smoke:
 	rm -rf /tmp/daos-resume-smoke && mkdir -p /tmp/daos-resume-smoke
 	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli --seed 42 fleet -n 500 \
@@ -170,6 +182,24 @@ resume-smoke:
 		--cache-dir /tmp/daos-resume-smoke/cache-b \
 		--out /tmp/daos-resume-smoke/sweep-resumed.json
 	cmp /tmp/daos-resume-smoke/sweep-full.json /tmp/daos-resume-smoke/sweep-resumed.json
+	$(PYTHON) -m repro.cli --time-scale 0.2 sweep \
+		--workloads parsec3/swaptions,parsec3/dedup,parsec3/freqmine --configs baseline,prcl --seeds 0,1 -j 2 \
+		--cache-dir /tmp/daos-resume-smoke/ref-cache --out /tmp/daos-resume-smoke/kill-ref.json
+	timeout --signal=KILL 1.5 $(PYTHON) -m repro.cli --time-scale 0.2 sweep \
+		--workloads parsec3/swaptions,parsec3/dedup,parsec3/freqmine --configs baseline,prcl --seeds 0,1 -j 2 \
+		--journal /tmp/daos-resume-smoke/kill-wal --cache-dir /tmp/daos-resume-smoke/killed-cache \
+		--out /tmp/daos-resume-smoke/killed.json || true
+	$(PYTHON) -m repro.cli --time-scale 0.2 sweep \
+		--workloads parsec3/swaptions,parsec3/dedup,parsec3/freqmine --configs baseline,prcl --seeds 0,1 -j 2 \
+		--journal /tmp/daos-resume-smoke/kill-wal --resume \
+		--cache-dir /tmp/daos-resume-smoke/resumed-cache --out /tmp/daos-resume-smoke/kill-resumed.json
+	cmp /tmp/daos-resume-smoke/kill-ref.json /tmp/daos-resume-smoke/kill-resumed.json
+	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli --seed 42 fleet -n 500 --duration 180 \
+		--faults examples/faults/fleet.toml --checkpoint /tmp/daos-resume-smoke/chaos.ckpt \
+		--out /tmp/daos-resume-smoke/chaos-full.json
+	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli resume /tmp/daos-resume-smoke/chaos.ckpt \
+		--out /tmp/daos-resume-smoke/chaos-resumed.json
+	cmp /tmp/daos-resume-smoke/chaos-full.json /tmp/daos-resume-smoke/chaos-resumed.json
 	@echo "resume smoke: checkpoint and journal replay are byte-identical"
 
 # What CI gates a PR on, runnable locally, cheapest first.

@@ -274,7 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-point wall-clock timeout (pool mode only)",
+        help="per-point wall-clock timeout, counted from when the point is "
+        "sent to a worker, so a fresh worker's import time counts "
+        "against its first point (pool mode only)",
     )
     p_sweep.add_argument(
         "-o", "--out",

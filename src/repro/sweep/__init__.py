@@ -17,7 +17,7 @@ seed) points.  This package turns that shape into infrastructure:
   executing a grid in process or across the worker pool, with cache
   resume and the write-ahead journal;
 * :mod:`~repro.sweep.supervisor` — the worker pool:
-  :class:`~repro.sweep.supervisor.PointSupervisor` (spawn workers,
+  :class:`~repro.sweep.supervisor.PointSupervisor` (persistent spawn workers,
   heartbeats, watchdog, seeded-backoff reassignment) and the worker
   protocol both execution paths share;
 * :mod:`~repro.sweep.presets` — the paper's figure grids, ready-made.

@@ -5,7 +5,8 @@ Execution contract (the determinism tests pin it down):
 * every point is executed by
   :func:`~repro.sweep.supervisor.execute_payload`, whether serially
   (``jobs=1``) or in a pool worker — both paths produce the *encoded*
-  canonical form, so a pooled sweep is byte-identical to a serial one;
+  canonical form, so a pooled sweep is byte-identical to a serial one,
+  and both release the point's memory before the next point runs;
 * a point's randomness comes entirely from its parameters (the
   ``seed``), never from worker identity or scheduling order;
 * results are reported in grid order regardless of completion order;
@@ -180,21 +181,23 @@ class SweepReport:
 class SweepRunner:
     """Execute a :class:`~repro.sweep.grid.SweepGrid`.
 
-    ``jobs=1`` runs in-process; ``jobs>1`` fans out over a
-    ``multiprocessing`` pool (``spawn`` start method: workers import a
-    clean interpreter, so results cannot depend on parent-process
-    state).  ``cache_dir=None`` disables caching entirely.
+    ``jobs=1`` runs in-process; ``jobs>1`` fans out over at most
+    ``jobs`` persistent ``spawn`` workers (each imports a clean
+    interpreter once and then runs point after point; results cannot
+    depend on parent-process state or on which worker ran which point).
+    ``cache_dir=None`` disables caching entirely.
 
     Robustness knobs: a failed attempt is retried up to ``retries``
     times before the point is reported failed; ``point_timeout_s`` is
-    the supervisor's watchdog deadline per pooled attempt (a past-due
-    worker is terminated and its point synthesized as a
-    ``WatchdogTimeout`` failure; the serial path cannot preempt and
-    ignores the timeout).  Pooled execution runs under the
-    :class:`~repro.sweep.supervisor.PointSupervisor` — one process
-    per in-flight point with heartbeats, so a worker killed outright
-    (``SIGKILL``) is reaped and its point reassigned instead of
-    stalling the sweep.  ``faults`` applies a fault plan's
+    the supervisor's watchdog deadline per pooled attempt, counted from
+    when the point is sent to a worker (a past-due worker is terminated
+    and its point synthesized as a ``WatchdogTimeout`` failure; the
+    serial path cannot preempt and ignores the timeout).  Pooled
+    execution runs under the
+    :class:`~repro.sweep.supervisor.PointSupervisor` — heartbeats and
+    a watchdog per worker, so a worker killed outright (``SIGKILL``) is
+    reaped, never reused, and its point reassigned instead of stalling
+    the sweep.  ``faults`` applies a fault plan's
     ``worker_crash`` / ``worker_hang`` specs: decisions are a stateless
     hash of ``(plan.seed, point_index)``, computed in the parent, so
     they never perturb point *values* — cache keys stay valid under any
@@ -381,14 +384,10 @@ class SweepRunner:
                     ),
                 )
                 return
-            value = decode_value(json.loads(encoded))
+            parsed = json.loads(encoded)
+            value = decode_value(parsed)
             if self.cache is not None:
-                self.cache.put(
-                    key,
-                    json.loads(encoded),
-                    point=point,
-                    meta={"wall_s": wall_s},
-                )
+                self.cache.put(key, parsed, point=point, meta={"wall_s": wall_s})
             if journal is not None:
                 # Write-ahead of the *report*, behind the execution: the
                 # line is durable before the outcome is observable, so a
@@ -428,10 +427,10 @@ class SweepRunner:
                     finally:
                         set_default_enabled(previous)
                 else:
-                    # Supervised fan-out: one process per in-flight point,
-                    # heartbeats, a watchdog, seeded-backoff reassignment.
+                    # Supervised fan-out: persistent workers, heartbeats,
+                    # a watchdog, seeded-backoff reassignment.
                     PointSupervisor(
-                        jobs=min(self.jobs, len(pending)),
+                        jobs=self.jobs,
                         sanitize=self.sanitize,
                         timeout_s=self.point_timeout_s,
                         retries=self.retries,

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import io
+import os
+import time
+from pathlib import Path
 
 from repro.runner.experiment import run_experiment
 from repro.trace import JsonlTraceSink, TraceBus
@@ -35,3 +38,19 @@ def traced_run(**kw):
     bus.subscribe_all(JsonlTraceSink(buffer))
     result = run_experiment(trace=bus, **kw)
     return result, buffer.getvalue()
+
+
+# ----------------------------------------------------------------------
+# Sweep point functions for the worker-pool tests, reached through the
+# "module:attribute" path so a spawn worker can resolve them.
+# ----------------------------------------------------------------------
+def pid_point(params):
+    """The executing process's pid (which worker ran the point)."""
+    return {"pid": os.getpid()}
+
+
+def sleepy_point(params):
+    """Drop a ``<pid>-<x>`` marker in ``params["dir"]``, sleep, return 3x."""
+    Path(params["dir"], f"{os.getpid()}-{params['x']}").touch()
+    time.sleep(params["sleep_s"])
+    return {"value": float(params["x"]) * 3.0}

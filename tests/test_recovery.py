@@ -13,13 +13,16 @@ torn journal tails are repaired rather than replayed.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -32,13 +35,17 @@ from repro.recovery import SweepJournal, checkpoint_run, read_checkpoint_header,
 from repro.recovery.codec import CHECKPOINT_FORMAT, checkpoint_fleet_stepping
 from repro.runner import restore_run, resume_checkpoint
 from repro.runner.experiment import ExperimentRun, run_experiment
+from repro.sim.physmem import FrameTable
+from repro.sweep import PointSupervisor
 from repro.sweep.grid import SweepGrid
 from repro.sweep.points import register_point_function
 from repro.sweep.presets import fig3_grid
 from repro.sweep.runner import SweepRunner
 from repro.sweep.serialize import _strip_volatile, encode_value
+from repro.sweep.supervisor import execute_payload
 from repro.trace import TraceBus
 from repro.trace.events import CheckpointWritten, RunResumed, WorkerReaped
+from tests.test_goldens import _SWEEP as GOLDEN_SWEEP
 
 #: The smallest catalog workload — checkpoint tests re-run it a lot.
 WORKLOAD = "splash2x/volrend"
@@ -549,6 +556,103 @@ class TestSupervisor:
         for outcome in report.failures():
             assert outcome.error_type == "WatchdogTimeout"
             assert "watchdog deadline" in outcome.error
+
+
+class TestWorkerPool:
+    """The supervisor's persistent workers: bounded, replaced when
+    killed, and all joined by the time ``run()`` returns or raises."""
+
+    def test_jobs_bound_the_worker_processes(self):
+        grid = SweepGrid.from_axes("tests.helpers:pid_point", {"x": list(range(6))})
+        report = SweepRunner(grid, jobs=2).run()
+        assert report.n_failed == 0
+        assert len({value["pid"] for value in report.values()}) <= 2
+
+    def test_sigkilled_worker_is_reaped_and_replaced(self, tmp_path):
+        grid = SweepGrid.from_axes(
+            "tests.helpers:sleepy_point",
+            {"x": [1, 2, 3, 4]},
+            fixed={"dir": str(tmp_path), "sleep_s": 0.6},
+        )
+        killed = []
+
+        def kill_first_worker():
+            deadline = time.monotonic() + 60.0
+            while not killed and time.monotonic() < deadline:
+                for marker in tmp_path.iterdir():
+                    pid = int(marker.name.split("-")[0])
+                    assert pid in {p.pid for p in multiprocessing.active_children()}
+                    os.kill(pid, signal.SIGKILL)
+                    killed.append((pid, marker.name.split("-")[1]))
+                    break
+                time.sleep(0.01)
+
+        events = []
+        bus = TraceBus(ring_capacity=0)
+        bus.subscribe(WorkerReaped, events.append)
+        killer = threading.Thread(target=kill_first_worker)
+        killer.start()
+        try:
+            report = SweepRunner(grid, jobs=2, retries=1, trace=bus).run()
+        finally:
+            killer.join(timeout=60.0)
+        assert not killer.is_alive()
+        assert killed, "no worker ever started a point"
+        pid, x = killed[0]
+        assert [(e.reason, e.will_retry) for e in events] == [("crashed", True)]
+        retried = [m.name for m in tmp_path.iterdir() if m.name.endswith(f"-{x}")]
+        assert len(retried) == 2  # the killed attempt and its reassignment
+        assert f"{pid}-{x}" in retried
+        serial = SweepRunner(grid, jobs=1).run()
+        assert report.canonical_json() == serial.canonical_json()
+
+    def test_no_worker_outlives_the_run(self):
+        grid = SweepGrid.from_axes("tests.helpers:pid_point", {"x": list(range(4))})
+        SweepRunner(grid, jobs=2).run()
+        assert multiprocessing.active_children() == []
+
+        def explode(done, total, outcome):
+            raise RuntimeError("progress callback failed")
+
+        with pytest.raises(RuntimeError, match="progress callback"):
+            SweepRunner(grid, jobs=2, progress=explode).run()
+        assert multiprocessing.active_children() == []
+
+
+class TestWorkerIsolation:
+    """Nothing a point leaves behind reaches the next point in a worker."""
+
+    def test_reverse_order_in_one_worker_matches_fresh_processes(self):
+        points = GOLDEN_SWEEP.points()
+
+        def make_payload(index, attempt):
+            return (index, points[index].fn, points[index].items, False)
+
+        def values(order, supervisor):
+            got = {}
+            supervisor.execute(
+                order, make_payload, lambda raw, attempts: got.__setitem__(raw[0], raw)
+            )
+            assert supervisor.reaped == []
+            assert all(raw[2] is None for raw in got.values())
+            return {i: _strip_volatile(json.loads(raw[1])) for i, raw in got.items()}
+
+        one_worker = values(list(reversed(range(len(points)))), PointSupervisor(jobs=1))
+        fresh = {}
+        for index in range(len(points)):
+            fresh.update(values([index], PointSupervisor(jobs=1)))
+        assert one_worker == fresh
+
+    def test_no_frame_table_survives_a_point(self):
+        def live_frame_tables():
+            return sum(isinstance(o, FrameTable) for o in gc.get_objects())
+
+        gc.collect()
+        before = live_frame_tables()
+        point = GOLDEN_SWEEP.points()[0]
+        raw = execute_payload((0, point.fn, point.items, False))
+        assert raw[2] is None
+        assert live_frame_tables() == before
 
 
 # ----------------------------------------------------------------------
