@@ -21,7 +21,9 @@ digests moved.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import io
 import json
 import os
 import tempfile
@@ -30,22 +32,32 @@ from pathlib import Path
 
 import pytest
 
+from repro.clock import EventQueue
 from repro.errors import CheckpointError
 from repro.faults import load_fault_plan
 from repro.fleet import FleetConfig, run_fleet, run_fleet_sharded
+from repro.modules.lru_sort import LruSortModule, LruSortParams
+from repro.modules.reclaim import ReclaimModule, ReclaimParams
+from repro.monitor.attrs import MonitorAttrs
 from repro.recovery import checkpoint_run
 from repro.runner import restore_run, resume_checkpoint
 from repro.runner.configs import PRCL_SCHEMES, ExperimentConfig
 from repro.runner.experiment import ExperimentRun, run_experiment
-from repro.sim.machine import scaled_instance
+from repro.schemes.filters import AddressFilter
+from repro.schemes.quotas import Quota
+from repro.schemes.stats import WssEstimator
+from repro.sim.kernel import SimKernel
+from repro.sim.machine import GuestSpec, get_instance, scaled_instance
+from repro.sim.swap import ZramDevice
 from repro.sweep.grid import SweepGrid
 from repro.sweep.runner import SweepRunner
 from repro.sweep.serialize import fingerprint
-from repro.units import GIB, MIB, SEC
+from repro.trace import JsonlTraceSink, TraceBus
+from repro.units import GIB, MIB, MSEC, SEC
 from repro.workloads.base import WorkloadSpec
 from repro.workloads.patterns import CyclicSweep, Hotspot
 
-from tests.helpers import traced_run
+from tests.helpers import BASE, run_epochs, traced_run
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDENS = FIXTURES / "goldens.json"
@@ -219,6 +231,183 @@ CASES["thp-unmanaged"] = partial(
         schemes_text="min max 1 max min max hugepage\n2M max min min 1s max nohugepage\n",
     ),
     tier_scale=0.02, tier_policy="unmanaged", seed=0, **_TIERED,
+)
+
+# ----------------------------------------------------------------------
+# Schemes-engine paths the configurations above never take: a quota
+# that splits a region, address filters, the reclaim and LRU-sort
+# modules (quota + watermarks; the physical LRU back-ends), WILLNEED
+# and COLD, and a STAT scheme feeding a working-set estimator.
+# ----------------------------------------------------------------------
+#: A region-splitting budget: not a page multiple, so a region clipped
+#: at the budget leaves a visible sub-page remainder in ``QuotaCharged``.
+_SPLIT_QUOTA = Quota(size_bytes=10 * MIB + 1000, reset_interval_us=1 * SEC)
+
+
+@case("schemes-quota-split")
+def quota_split():
+    """A pageout scheme under a quota below what it matches: regions are
+    ranked by priority, charged one by one, and the one that outgrows
+    what is left of the budget is split."""
+    result, trace = traced_run(
+        workload=_pressure_spec(96 * MIB, 4 * SEC, 8 * SEC),
+        config=ExperimentConfig(
+            name="pageout-quota",
+            monitor="vaddr",
+            schemes_text="4K max min min 1s max pageout\n",
+            quota=_SPLIT_QUOTA,
+        ),
+        seed=5,
+    )
+    charges = [json.loads(line) for line in trace.splitlines() if '"QuotaCharged"' in line]
+    assert len({c["time_us"] for c in charges}) < len(charges), "one charge per window"
+    assert any(c["remaining_bytes"] == 1000 for c in charges), "no region was split"
+    return result, trace
+
+
+def _tweaked_run(tweak, **kw):
+    """``traced_run`` with ``tweak(run)`` applied between construction
+    and the first epoch (installing what the scheme text cannot say)."""
+    bus = TraceBus(ring_capacity=0)
+    buffer = io.StringIO()
+    bus.subscribe_all(JsonlTraceSink(buffer))
+    run = ExperimentRun(trace=bus, **kw)
+    extra = tweak(run)
+    run.start()
+    run.run_until(run.spec.duration_us)
+    return {"result": fingerprint(run.finish()), "extra": extra()}, buffer.getvalue()
+
+
+def _filter_heap(run):
+    """Allow the prcl pageout on the first half of the largest VMA
+    only, with a 4 MiB hole rejected in its middle."""
+    vma = max(run.tenant.kernel.space.vmas, key=lambda v: v.size)
+    half = vma.start + (vma.size // 2 & ~(MIB - 1))
+    hole = vma.start + (vma.size // 4 & ~(MIB - 1))
+    scheme = run.tenant.engine.schemes[0]
+    scheme.filters = [
+        AddressFilter(vma.start, half),
+        AddressFilter(hole, hole + 4 * MIB, allow=False),
+    ]
+    return lambda: {"sz_applied": scheme.stats.sz_applied, "nr_applied": scheme.stats.nr_applied}
+
+
+CASES["schemes-address-filter"] = partial(
+    _tweaked_run,
+    _filter_heap,
+    workload="parsec3/freqmine",
+    config="prcl",
+    seed=5,
+    time_scale=0.02,
+)
+
+#: Page out what idles for a second, prefetch it back when it heats
+#: up again, deactivate what cools: the sweep revisits every band, and
+#: DRAM is small enough that prefetches trigger reclaim.
+_WILLNEED_COLD = ExperimentConfig(
+    name="willneed-cold",
+    monitor="vaddr",
+    schemes_text=(
+        "4K max min min 1s max pageout\n"
+        "4K max 10% max min max willneed\n"
+        "4K max min 5% 300ms max cold\n"
+    ),
+)
+CASES["schemes-willneed-cold"] = partial(
+    traced_run,
+    workload=_pressure_spec(160 * MIB, 3 * SEC, 8 * SEC),
+    config=_WILLNEED_COLD,
+    machine=scaled_instance("i3.metal", dram_scale=1 / 4096),
+    seed=9,
+    oom_policy="shed",
+)
+
+
+def _stat_wss(run):
+    """Record the hot-pattern STAT scheme's matched bytes per interval
+    into a :class:`WssEstimator`."""
+    scheme = run.tenant.engine.schemes[0]
+    estimator = WssEstimator()
+    seen = [0]
+
+    def record(monitor, now):
+        estimator.record(now, scheme.stats.sz_tried - seen[0])
+        seen[0] = scheme.stats.sz_tried
+
+    run.tenant.monitor.register_raw_callback(record)
+    return lambda: {
+        "points": len(estimator.points),
+        "p50": estimator.percentile(50),
+        "p90": estimator.percentile(90),
+        "average": estimator.average(),
+        "nr_tried": scheme.stats.nr_tried,
+        "nr_applied": scheme.stats.nr_applied,
+    }
+
+
+CASES["schemes-stat-wss"] = partial(
+    _tweaked_run,
+    _stat_wss,
+    workload="splash2x/ocean_ncp",
+    config=ExperimentConfig(
+        name="stat-wss", monitor="vaddr", schemes_text="4K max 5% max min max stat\n"
+    ),
+    seed=3,
+    time_scale=0.02,
+)
+
+#: Monitoring fast enough for a few seconds of simulated time.
+_MODULE_ATTRS = MonitorAttrs(
+    sampling_interval_us=1 * MSEC,
+    aggregation_interval_us=20 * MSEC,
+    regions_update_interval_us=200 * MSEC,
+    min_nr_regions=10,
+    max_nr_regions=200,
+)
+
+
+def _module_story(make_module, *, dram_mib, n_epochs):
+    """One module on a bare kernel under a 4 MiB hotspot over 64 MiB of
+    once-touched memory; the value is the module's stats and the
+    kernel's metrics."""
+    queue = EventQueue()
+    bus = TraceBus(queue.clock, ring_capacity=0)
+    buffer = io.StringIO()
+    bus.subscribe_all(JsonlTraceSink(buffer))
+    guest = GuestSpec(host=get_instance("i3.metal"), vcpus=4, dram_bytes=dram_mib * MIB)
+    kernel = SimKernel(guest, swap=ZramDevice(128 * MIB), seed=7, trace=bus)
+    kernel.mmap(BASE, 64 * MIB)
+    module = make_module(kernel, bus)
+    module.start(queue)
+    kernel.apply_access(BASE, BASE + 48 * MIB, now=0, epoch_us=100 * MSEC)
+    run_epochs(
+        kernel, queue, [dict(start=BASE, end=BASE + 4 * MIB, touches_per_page=2000)], n_epochs
+    )
+    value = {"module": module.stats(), "kernel": dataclasses.asdict(kernel.metrics)}
+    return value, buffer.getvalue()
+
+
+CASES["module-reclaim"] = partial(
+    _module_story,
+    lambda kernel, bus: ReclaimModule(
+        kernel,
+        ReclaimParams(min_age_us=200 * MSEC, quota_sz_bytes=6 * MIB + 512),
+        _MODULE_ATTRS,
+        trace=bus,
+    ),
+    dram_mib=64,
+    n_epochs=30,
+)
+CASES["module-lru-sort-phys"] = partial(
+    _module_story,
+    lambda kernel, bus: LruSortModule(
+        kernel,
+        LruSortParams(cold_min_age_us=200 * MSEC, quota_sz_bytes=8 * MIB + 512),
+        _MODULE_ATTRS,
+        trace=bus,
+    ),
+    dram_mib=96,
+    n_epochs=25,
 )
 
 #: Every run-level fault kind at once.
