@@ -259,10 +259,6 @@ class RegionArray:
             out.append(region)
         return out
 
-    def view(self, index: int) -> RegionView:
-        """A write-through object view of row ``index``."""
-        return RegionView(self, index)
-
     def views(self) -> List[RegionView]:
         """Write-through views of every row, in address order."""
         return [RegionView(self, i) for i in range(self.n)]

@@ -103,6 +103,8 @@ def apply_action(
 ) -> int:
     """Apply ``action`` to ``[start, end)``; returns bytes operated on.
 
+    The scalar adapter over :meth:`~repro.sim.kernel.SimKernel.scheme_pass`:
+    a one-row pass, so a single range takes exactly the engine's path.
     ``phys`` selects the physical-address back-ends: the range is frame
     addresses resolved through the reverse map, and only
     :data:`PADDR_ACTIONS` are available.  STAT touches nothing and
@@ -114,6 +116,4 @@ def apply_action(
     if phys:
         require_paddr_support(action)
     backend = action.paddr if phys else action.vaddr
-    if backend is None:
-        return end - start  # STAT
-    return getattr(kernel, backend)(start, end, now) * action.unit
+    return int(kernel.scheme_pass(backend, [start], [end], now, unit=action.unit)[0])

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from ..errors import SchemeError
 from ..units import SEC, UNLIMITED
 
@@ -80,27 +82,30 @@ class Quota:
 
 
 def priority(
-    nr_accesses: int,
-    age: int,
+    nr_accesses,
+    age,
     max_nr_accesses: int,
     *,
     prefer_cold: bool,
     weight_nr_accesses: float = 0.5,
     weight_age: float = 0.5,
-) -> float:
+):
     """Region priority under quota pressure, higher = applied first.
 
     Follows the upstream formula's spirit: a blend of (inverse) access
     frequency and age, each normalised to [0, 1] and weighted by the
-    quota's prioritisation weights.
+    quota's prioritisation weights.  ``nr_accesses`` and ``age`` may be
+    scalars or NumPy arrays (one priority per region, broadcast): the
+    engine ranks a whole pass with one call, and a scalar call returns
+    the same float the array path computes for that region.
     """
     if max_nr_accesses <= 0:
         raise SchemeError("max_nr_accesses must be positive")
     total = weight_nr_accesses + weight_age
     if total <= 0:
         raise SchemeError("priority weights cannot both be zero")
-    freq = min(1.0, nr_accesses / max_nr_accesses)
+    freq = np.minimum(1.0, np.divide(nr_accesses, max_nr_accesses))
     # Ages beyond ~100 aggregations saturate.
-    age_score = min(1.0, age / 100.0)
+    age_score = np.minimum(1.0, np.divide(age, 100.0))
     freq_score = (1.0 - freq) if prefer_cold else freq
     return (freq_score * weight_nr_accesses + age_score * weight_age) / total

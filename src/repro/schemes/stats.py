@@ -28,14 +28,16 @@ class SchemeStats:
     #: schemes may skip intervals).
     nr_intervals: int = 0
 
-    def record_tried(self, nbytes: int) -> None:
-        """Count a region that matched the scheme's pattern."""
-        self.nr_tried += 1
+    def record_tried(self, nbytes: int, regions: int = 1) -> None:
+        """Count ``regions`` regions of ``nbytes`` in total that matched
+        the scheme's pattern."""
+        self.nr_tried += regions
         self.sz_tried += nbytes
 
-    def record_applied(self, nbytes: int) -> None:
-        """Count bytes the action actually operated on."""
-        self.nr_applied += 1
+    def record_applied(self, nbytes: int, regions: int = 1) -> None:
+        """Count bytes the action actually operated on, over ``regions``
+        regions."""
+        self.nr_applied += regions
         self.sz_applied += nbytes
 
     def avg_tried_bytes_per_interval(self) -> float:

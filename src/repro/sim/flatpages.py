@@ -69,6 +69,7 @@ class FlatPageTable:
         "n_chunks",
         "page_offset",
         "chunk_offset",
+        "_knots",
         "vma_ordinal",
         "page_chunk",
         "present",
@@ -109,6 +110,14 @@ class FlatPageTable:
         self.chunk_offset = co
         self.n_pages = int(po[-1])
         self.n_chunks = int(co[-1])
+        # Address -> flat-table page position as np.interp knots: slope
+        # 1 / PAGE_SIZE inside a VMA (VMA k spans positions po[k] to
+        # po[k + 1]), flat across a gap.  PAGE_SIZE is a power of two and
+        # addresses stay far below 2**53, so every position is exact.
+        self._knots = (
+            np.array([(v.start, v.end) for v in vmas], dtype=np.float64).ravel(),
+            np.repeat(po, 2)[1:-1].astype(np.float64),
+        )
 
         for name in _PAGE_COLUMNS:
             dtype = getattr(tables[0], name).dtype if tables else bool
@@ -143,6 +152,19 @@ class FlatPageTable:
     # ------------------------------------------------------------------
     # Derived whole-table views
     # ------------------------------------------------------------------
+    def page_spans(self, starts: np.ndarray, ends: np.ndarray):
+        """Flat page intervals ``[lo, hi)`` of the address ranges
+        ``[starts, ends)``: the pages ``AddressSpace.ranges_in`` yields
+        for each range.  The VMAs a range overlaps are adjacent segments
+        here (address order; gaps hold no pages), so one interval covers
+        them."""
+        if self.n_vmas == 0:
+            empty = np.zeros(np.shape(starts), dtype=np.int64)
+            return empty, empty
+        lo = np.interp(starts, *self._knots).astype(np.int64)  # floor: positions >= 0
+        hi = np.ceil(np.interp(ends, *self._knots)).astype(np.int64)
+        return lo, hi
+
     def huge_page_mask(self, idx=None) -> np.ndarray:
         """Which pages (all, or global indices ``idx``) sit inside a
         huge-mapped chunk."""

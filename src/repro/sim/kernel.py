@@ -6,10 +6,11 @@ device and THP machinery, and exposes:
 * the **access path** used by workloads (:meth:`apply_access`,
   :meth:`begin_epoch` / :meth:`end_epoch`) — faults, frame allocation,
   LRU pressure reclaim, cost accounting;
-* the **management operations** used by scheme actions (:meth:`pageout`,
-  :meth:`madvise_hugepage`, :meth:`madvise_nohugepage`,
-  :meth:`madvise_cold`, :meth:`madvise_willneed`) — the Table 1 action
-  back-ends;
+* the **management operations** used by scheme actions: one batched
+  entry per scheme pass (:meth:`scheme_pass`) over the Table 1 action
+  back-ends (:meth:`pageout`, :meth:`madvise_hugepage`,
+  :meth:`madvise_nohugepage`, :meth:`madvise_cold`,
+  :meth:`madvise_willneed`, ...);
 * the **monitoring hooks** used by the Data Access Monitor
   (:meth:`access_probabilities`, :meth:`charge_monitor_checks`).
 
@@ -93,6 +94,56 @@ def check_tier_policy(policy: str) -> str:
     if policy not in ("managed", "unmanaged"):
         raise ConfigError(f"unknown tier_policy {policy!r} (managed | unmanaged)")
     return policy
+
+
+#: What each scheme back-end acts on, as the per-page column
+#: :meth:`SimKernel.scheme_pass` tests before calling it: a row whose
+#: pages hold none of it is one the back-end would leave untouched,
+#: storing and emitting nothing.  ``"owned"`` is a frame the rmap maps
+#: (the physical back-ends); ``"promote"``/``"demote"`` are the pages a
+#: migration could move.  The THP pair is not listed: it runs on every row.
+_CANDIDATES = {
+    "pageout": "present",
+    "madvise_cold": "present",
+    "lru_prioritize": "present",
+    "lru_deprioritize": "present",
+    "madvise_willneed": "swapped",
+    "migrate_hot": "promote",
+    "migrate_cold": "demote",
+    "pageout_phys": "owned",
+    "lru_prioritize_phys": "owned",
+    "lru_deprioritize_phys": "owned",
+}
+
+
+def _any_in(column: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per interval ``[lo[i], hi[i])`` of the boolean ``column``: does
+    any entry hold?
+
+    One ``reduceat`` over the interleaved bounds: each even output
+    reduces exactly its own interval; the odd outputs, the stretches
+    between intervals, are dropped (intervals are taken in ascending
+    order, so those add at most one pass over ``column``).  ``reduceat``
+    wants every bound below ``column.size``: bounds are clamped to the
+    last entry, which the intervals running to the end then OR in.
+    Empty intervals, for which ``reduceat`` returns the entry at the
+    bound, are masked."""
+    last = column.size - 1
+    order = None
+    if lo.size > 1 and (lo[1:] < lo[:-1]).any():
+        order = np.argsort(lo, kind="stable")
+        lo, hi = lo[order], hi[order]
+    bounds = np.empty(2 * lo.size, dtype=np.int64)
+    bounds[0::2] = lo
+    bounds[1::2] = hi
+    np.minimum(bounds, last, out=bounds)
+    hit = np.logical_or.reduceat(column, bounds)[0::2]
+    if column[last]:
+        hit |= hi > last
+    hit &= hi > lo
+    if order is not None:
+        hit[order] = hit.copy()
+    return hit
 
 
 class SimKernel:
@@ -629,6 +680,125 @@ class SimKernel:
     # ------------------------------------------------------------------
     # Management operations (scheme-action back-ends; Table 1)
     # ------------------------------------------------------------------
+    def scheme_pass(
+        self,
+        backend: Optional[str],
+        starts,
+        ends,
+        now: int,
+        *,
+        unit: int = PAGE_SIZE,
+        budget: Optional[int] = None,
+        regions=None,
+        on_charge=None,
+    ) -> np.ndarray:
+        """Apply the back-end named ``backend`` to the rows ``[starts[i],
+        ends[i])`` in row order; returns the bytes applied per row (the
+        back-end's count times ``unit``).  The one way a scheme pass
+        enters the kernel.
+
+        All rows are first resolved at once, against the VMA bounds (or
+        the rmap, for a ``*_phys`` back-end), and tested on the
+        back-end's candidate column (:data:`_CANDIDATES`).  Rows without
+        a candidate page are dropped; the back-end runs once per
+        remaining row, so the swap, migration and pageout-batch
+        accounting stay per row and per VMA group.  Dropping is exact:
+        within one pass candidates only disappear, except that a
+        WILLNEED prefetch may reclaim a later row's pages into swap, so
+        those rows are retested after any call that swapped pages out.
+        ``backend=None`` (STAT) touches nothing and applies every row's
+        whole size.
+
+        ``budget`` caps the bytes applied, consumed region by region in
+        row order: a region larger than what is left is clipped to end
+        at its start plus what is left, rounded down to a page.
+        ``regions`` is ``(index, region_starts, region_ends)`` when rows
+        are pieces of larger regions (a scheme's address filters): row
+        ``i`` lies in region ``index[i]``, and a region's rows are
+        adjacent.  By default every row is its own region.
+        ``on_charge(region, nbytes)`` is called after each region that
+        applied bytes, before the next region's first call.
+        """
+        starts = np.asarray(starts, dtype=np.int64)
+        ends = np.asarray(ends, dtype=np.int64)
+        applied = np.zeros(starts.size, dtype=np.int64)
+        kind = _CANDIDATES.get(backend) if backend is not None else None
+        if kind is None:
+            todo = list(range(starts.size))
+        else:
+            todo = self._has_candidates(kind, starts, ends).nonzero()[0].tolist()
+        if not todo:
+            return applied
+        call = getattr(self, backend) if backend is not None else None
+        if regions is None:
+            index, region_starts, region_ends = None, starts, ends
+        else:
+            index, region_starts, region_ends = regions
+        starts_l, ends_l = starts.tolist(), ends.tolist()
+        left = budget
+        region = -1
+        limit = got = 0
+        swapped_out = self.metrics.pages_swapped_out
+        pos = 0
+        while pos < len(todo):
+            i = todo[pos]
+            pos += 1
+            r = i if index is None else int(index[i])
+            if r != region:
+                if got:
+                    if left is not None:
+                        left -= got
+                    if on_charge is not None:
+                        on_charge(region, got)
+                region, got = r, 0
+                if left is not None:
+                    lo, hi = int(region_starts[r]), int(region_ends[r])
+                    limit = hi if hi - lo <= left else lo + (left & ~(PAGE_SIZE - 1))
+            start, end = starts_l[i], ends_l[i]
+            if left is not None:
+                end = min(end, limit)
+            if end <= start:
+                continue
+            nbytes = end - start if call is None else call(start, end, now) * unit
+            applied[i] = nbytes
+            got += nbytes
+            if kind == "swapped" and self.metrics.pages_swapped_out != swapped_out:
+                swapped_out = self.metrics.pages_swapped_out
+                rest = self._has_candidates(kind, starts[i + 1 :], ends[i + 1 :])
+                todo[pos:] = (rest.nonzero()[0] + (i + 1)).tolist()
+        if got and on_charge is not None:
+            on_charge(region, got)
+        return applied
+
+    def _has_candidates(self, kind: str, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        """One boolean per row: does ``[starts[i], ends[i])`` hold a page
+        of candidate ``kind`` (a :data:`_CANDIDATES` value)?  One pass
+        over the candidate column, read in place where it is stored as
+        booleans already."""
+        if kind in ("promote", "demote") and self._migration_room(kind == "demote") <= 0:
+            return np.zeros(starts.size, dtype=bool)
+        if kind == "owned":
+            # Frame addresses, clamped to the frame table as _groups does.
+            n_frames = self.frames.n_frames
+            lo = np.clip(starts // PAGE_SIZE, 0, n_frames)
+            hi = np.clip(-(-ends // PAGE_SIZE), 0, n_frames)
+            column = self.frames.owner_vma >= 0
+        else:
+            flat = self.space.flat
+            lo, hi = flat.page_spans(starts, ends)
+            if kind == "promote":
+                column = flat.tier.view(bool)  # tiers are 0 and 1
+            elif kind == "demote":
+                # DRAM-resident: present on tier 0 (a page off tier 0 is
+                # present).  _migrate's frame and huge-page checks only
+                # narrow this further.
+                column = flat.present.view(np.int8) > flat.tier
+            else:
+                column = getattr(flat, kind)
+        if column.size == 0:
+            return np.zeros(starts.size, dtype=bool)
+        return _any_in(column, lo, hi)
+
     def pageout(self, start: int, end: int, now: int, *, phys: bool = False) -> int:
         """PAGEOUT: immediately reclaim the address range.  Returns pages
         paged out (0 if swap is full — reclaim silently stops, as
@@ -763,22 +933,28 @@ class SimKernel:
         return total
 
     # -- tier migration (MIGRATE_HOT / MIGRATE_COLD back-ends) -----------
+    def _migration_room(self, demote: bool) -> int:
+        """Pages a migration may move right now; 0 unless a slow tier is
+        attached *and* managed (the unmanaged policy only spills
+        faults).  Within one scheme pass it only shrinks: each move
+        fills the target tier."""
+        if self.tier is None or self.tier_policy != "managed":
+            return 0
+        frames = self.frames
+        if demote:
+            return frames.free_slow_frames()
+        # Promotion stops at the high watermark so it never *creates*
+        # the pressure that would demote its own pages right back (the
+        # thrash guard).
+        return self.watermarks.high_frames(frames.n_fast_frames) - frames.fast_allocated
+
     def _migrate(self, start: int, end: int, direction: str) -> int:
         """Move the range's pages one tier up (``"promote"``) or down
         (``"demote"``) while the target tier has room; returns pages
         moved.  A no-op unless a slow tier is attached *and* managed: the
         unmanaged policy only spills faults."""
-        if self.tier is None or self.tier_policy != "managed":
-            return 0
-        frames = self.frames
         demote = direction == "demote"
-        if demote:
-            room = frames.free_slow_frames()
-        else:
-            # Promotion stops at the high watermark so it never *creates*
-            # the pressure that would demote its own pages right back
-            # (the thrash guard).
-            room = self.watermarks.high_frames(frames.n_fast_frames) - frames.fast_allocated
+        room = self._migration_room(demote)
         total = 0
         for vma, lo, hi in self.space.ranges_in(start, end):
             if room <= 0:

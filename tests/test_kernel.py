@@ -148,6 +148,67 @@ class TestPageout:
         assert asked == []
 
 
+class TestSchemePass:
+    """The batched entry's candidate test at the edges a row can have."""
+
+    def _kernel(self, kernel):
+        kernel.mmap(BASE, 4 * MIB)
+        kernel.mmap(BASE + 8 * MIB, 4 * MIB)
+        # Only the first page of the second VMA and the last page of the
+        # table are present.
+        kernel.apply_access(BASE + 8 * MIB, BASE + 8 * MIB + PAGE_SIZE, now=0, epoch_us=EPOCH)
+        kernel.apply_access(BASE + 12 * MIB - PAGE_SIZE, BASE + 12 * MIB, now=0, epoch_us=EPOCH)
+        return kernel
+
+    def test_rows_are_tested_page_by_page(self, kernel):
+        k = self._kernel(kernel)
+        rows = [
+            (BASE, BASE + 4 * MIB),  # nothing present
+            (BASE + 4 * MIB, BASE + 8 * MIB + 1),  # gap, then one byte of the page
+            (BASE + 8 * MIB - 1, BASE + 8 * MIB),  # ends where the page starts
+            (BASE + 4 * MIB, BASE + 8 * MIB),  # the gap alone
+            (BASE + 12 * MIB - 1, BASE + 20 * MIB),  # the table's last page, and past it
+            (BASE + 8 * MIB + PAGE_SIZE, BASE + 12 * MIB - PAGE_SIZE),
+            (BASE + 8 * MIB + PAGE_SIZE, BASE + 12 * MIB),  # up to the last page
+        ]
+        starts, ends = (np.array(c, dtype=np.int64) for c in zip(*rows))
+        want = [False, True, False, False, True, False, True]
+        assert k._has_candidates("present", starts, ends).tolist() == want
+        # Any row order (quota ranking) gives the same answers.
+        order = np.array([4, 1, 6, 5, 0, 3, 2])
+        got = k._has_candidates("present", starts[order], ends[order])
+        assert got.tolist() == [want[i] for i in order]
+
+    def test_rows_without_candidates_are_not_called(self, kernel):
+        k = self._kernel(kernel)
+        calls = []
+        pageout = k.pageout
+        k.pageout = lambda start, end, now: calls.append((start, end)) or pageout(start, end, now)
+        starts = [BASE, BASE + 8 * MIB, BASE + 10 * MIB]
+        ends = [BASE + 4 * MIB, BASE + 10 * MIB, BASE + 12 * MIB]
+        applied = k.scheme_pass("pageout", starts, ends, EPOCH)
+        assert applied.tolist() == [0, PAGE_SIZE, PAGE_SIZE]
+        assert calls == [(BASE + 8 * MIB, BASE + 10 * MIB), (BASE + 10 * MIB, BASE + 12 * MIB)]
+        assert k.scheme_pass("pageout", [BASE], [BASE + 12 * MIB], EPOCH).tolist() == [0]
+        assert len(calls) == 2
+
+    def test_budget_clips_regions_in_row_order(self, kernel):
+        kernel.mmap(BASE, 4 * MIB)
+        kernel.apply_access(BASE, BASE + 4 * MIB, now=0, epoch_us=EPOCH)
+        charges = []
+        applied = kernel.scheme_pass(
+            "pageout",
+            [BASE + 2 * MIB, BASE],
+            [BASE + 4 * MIB, BASE + 2 * MIB],
+            EPOCH,
+            budget=3 * MIB + 100,
+            on_charge=lambda region, nbytes: charges.append((region, nbytes)),
+        )
+        assert applied.tolist() == [2 * MIB, MIB]
+        assert charges == [(0, 2 * MIB), (1, MIB)]
+        assert kernel.rss_bytes() == MIB
+
+
 class TestMadvise:
     def test_willneed_prefetches(self, kernel):
         kernel.mmap(BASE, 4 * MIB)

@@ -250,3 +250,52 @@ def test_same_seed_storms_are_identical(storm):
         )
 
     assert run() == run()
+
+
+# --- the scheme pass's candidate test -----------------------------------------
+@given(storm=ops, data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_candidate_test_matches_the_per_range_loop(storm, data):
+    """``scheme_pass`` drops a row only when the back-end's own walk
+    (``ranges_in`` for a virtual range, the frame table for a physical
+    one) finds nothing to act on.  Rows come in any order, start and
+    end near mapping edges (often off a page boundary) and may cover
+    gaps, as filter pieces and quota-ranked regions do."""
+    kernel = _fresh_kernel()
+    _drive(kernel, storm)
+    edges = [a for vma in kernel.space.vmas for a in (vma.start, vma.end)]
+    n_frames = kernel.frames.n_frames
+    near = st.integers(-8 * 4096, 8 * 4096)
+    rows = data.draw(
+        st.lists(
+            st.tuples(st.sampled_from(edges), near, st.integers(1, 64 * 4096)),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    starts = np.array([max(0, edge + off) for edge, off, _ in rows], dtype=np.int64)
+    ends = starts + np.array([size for _, _, size in rows], dtype=np.int64)
+
+    def walk(column, start, end):
+        return any(
+            getattr(vma.pages, column)[lo:hi].any()
+            for vma, lo, hi in kernel.space.ranges_in(start, end)
+        )
+
+    for kind in ("present", "swapped"):
+        got = kernel._has_candidates(kind, starts, ends)
+        want = [walk(kind, s, e) for s, e in zip(starts.tolist(), ends.tolist())]
+        assert got.tolist() == want, kind
+
+    # Physical rows: the same shapes folded onto the frame table's end.
+    phys_starts = (n_frames - 64) * 4096 + starts % (128 * 4096)
+    phys_ends = phys_starts + (ends - starts)
+    got = kernel._has_candidates("owned", phys_starts, phys_ends)
+    want = [
+        bool((kernel.frames.owner_vma[s // 4096 : -(-e // 4096)] >= 0).any())
+        for s, e in zip(phys_starts.tolist(), phys_ends.tolist())
+    ]
+    assert got.tolist() == want
+
+    # Migration needs a managed slow tier: a flat kernel drops every row.
+    assert not kernel._has_candidates("demote", starts, ends).any()

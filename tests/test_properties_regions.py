@@ -207,7 +207,7 @@ def test_merge_two_weighted_averages_stay_in_range(
     # Any two counts in [0, 20] are within the threshold, so the pair
     # folds; both rows were stable, so each aged by one first.
     assert ra.age_and_merge(threshold=20, sz_limit=left.size + right.size) == 1
-    merged = ra.view(0)
+    (merged,) = ra.views()
     assert merged.size == left.size + right.size
     assert min(left_nr, right_nr) <= merged.nr_accesses <= max(left_nr, right_nr)
     assert min(left_age, right_age) + 1 <= merged.age <= max(left_age, right_age) + 1

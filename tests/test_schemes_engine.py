@@ -1,5 +1,6 @@
 """SchemesEngine: application against live monitoring, quotas, watermarks."""
 
+import numpy as np
 import pytest
 
 from repro.errors import SchemeError
@@ -7,6 +8,7 @@ from repro.lint import check_schemes
 from repro.monitor.attrs import MonitorAttrs
 from repro.monitor.core import DataAccessMonitor
 from repro.monitor.primitives import VirtualPrimitive
+from repro.runner.experiment import ExperimentRun
 from repro.schemes.actions import Action
 from repro.schemes.engine import SchemesEngine
 from repro.schemes.parser import parse_scheme
@@ -14,6 +16,7 @@ from repro.schemes.quotas import Quota, priority
 from repro.schemes.scheme import AccessPattern, Scheme
 from repro.schemes.stats import SchemeStats, WssEstimator
 from repro.schemes.watermarks import Watermarks
+from repro.trace import PageoutBatch, SchemeApplied, TraceBus
 from repro.units import MIB, MSEC, SEC, UNLIMITED
 
 from tests.helpers import BASE, run_epochs
@@ -211,3 +214,115 @@ class TestStats:
         est = WssEstimator()
         assert est.percentile(50) == 0.0
         assert est.average() == 0.0
+
+
+class TestBatchedPass:
+    """The engine's pass is one kernel entry over the region table."""
+
+    def test_prcl_run_enters_the_kernel_once_per_scheme_and_aggregation(self, monkeypatch):
+        run = ExperimentRun("parsec3/freqmine", config="prcl", seed=5, time_scale=0.02)
+        kernel = run.tenant.kernel
+        passes, calls = [], []
+        scheme_pass = kernel.scheme_pass
+        pageout = kernel.pageout
+
+        def counted_pass(backend, starts, ends, now, **kw):
+            passes.append((now, backend, len(starts)))
+            return scheme_pass(backend, starts, ends, now, **kw)
+
+        def checked_pageout(start, end, now):
+            # Only rows that hold a present page reach the back-end.
+            assert any(
+                vma.pages.present[lo:hi].any() for vma, lo, hi in kernel.space.ranges_in(start, end)
+            )
+            calls.append((start, end))
+            return pageout(start, end, now)
+
+        monkeypatch.setattr(kernel, "scheme_pass", counted_pass)
+        monkeypatch.setattr(kernel, "pageout", checked_pageout)
+        run.start()
+        run.run_until(run.spec.duration_us)
+        run.finish()
+        scheme = run.tenant.engine.schemes[0]
+        times = [now for now, _, _ in passes]
+        assert len(times) == len(set(times)) <= scheme.stats.nr_intervals
+        assert {backend for _, backend, _ in passes} == {"pageout"}
+        # Most matching rows were paged out already: they are skipped
+        # without a call, and every call that is made pages something out.
+        assert 0 < len(calls) < sum(n for _, _, n in passes) // 4
+        assert run.trace.counts["PageoutBatch"] == len(calls)
+
+    def test_pass_over_paged_out_regions_is_silent(self, kernel, fast_attrs):
+        bus = TraceBus(ring_capacity=0)
+        events = []
+        bus.subscribe_all(events.append)
+        kernel.trace = bus
+        kernel.mmap(BASE, 16 * MIB)
+        kernel.apply_access(BASE, BASE + 16 * MIB, now=0, epoch_us=100 * MSEC)
+        monitor = DataAccessMonitor(VirtualPrimitive(kernel), fast_attrs, seed=3)
+        monitor.init_regions()
+        scheme = parse_scheme("min max min max min max pageout", fast_attrs)
+        engine = SchemesEngine(kernel, [scheme], trace=bus)
+        engine.apply(monitor, now=1)
+        assert kernel.rss_bytes() == 0
+        assert any(isinstance(e, PageoutBatch) for e in events)
+        before = (
+            kernel.space.generation,
+            kernel.frames.rmap_generation,
+            kernel.probe_generation(),
+            kernel.frame_probe_generation(),
+        )
+        events.clear()
+        engine.apply(monitor, now=2)
+        assert not any(isinstance(e, PageoutBatch) for e in events)
+        assert [type(e) for e in events] == [SchemeApplied]
+        assert events[0].bytes_tried == 16 * MIB and events[0].bytes_applied == 0
+        assert before == (
+            kernel.space.generation,
+            kernel.frames.rmap_generation,
+            kernel.probe_generation(),
+            kernel.frame_probe_generation(),
+        )
+
+    @pytest.mark.parametrize("prefer_cold", [True, False])
+    def test_quota_order_is_stable_descending(self, kernel, fast_attrs, prefer_cold):
+        kernel.mmap(BASE, 64 * MIB)
+        monitor = DataAccessMonitor(VirtualPrimitive(kernel), fast_attrs, seed=3)
+        monitor.init_regions()
+        ra = monitor._ra
+        # Few distinct (nr_accesses, age) pairs: most priorities tie.
+        ra.nr_accesses[:] = np.arange(ra.n) % 3 * 5
+        ra.age[:] = np.arange(ra.n) % 2 * 40
+        action = "pageout" if prefer_cold else "willneed"
+        scheme = parse_scheme(f"min max min max min max {action}", fast_attrs)
+        scheme.quota = Quota(size_bytes=1 * MIB)
+        order = []
+        scheme_pass = kernel.scheme_pass
+
+        def recorded(backend, starts, ends, now, **kw):
+            order.extend(starts.tolist())
+            return scheme_pass(backend, starts, ends, now, **kw)
+
+        kernel.scheme_pass = recorded
+        SchemesEngine(kernel, [scheme]).apply(monitor, now=1)
+        views = ra.views()
+        expected = sorted(
+            views,
+            key=lambda r: priority(
+                r.nr_accesses, r.age, fast_attrs.max_nr_accesses, prefer_cold=prefer_cold
+            ),
+            reverse=True,
+        )
+        assert order == [r.start for r in expected]
+        assert len(set(order)) == ra.n > 3  # ties were actually exercised
+
+    def test_array_priority_matches_scalar_calls(self):
+        nr = np.array([0, 3, 7, 20, 25])
+        age = np.array([0, 50, 99, 100, 400])
+        for prefer_cold in (True, False):
+            batch = priority(nr, age, 20, prefer_cold=prefer_cold, weight_age=0.7)
+            scalar = [
+                priority(n, a, 20, prefer_cold=prefer_cold, weight_age=0.7)
+                for n, a in zip(nr.tolist(), age.tolist())
+            ]
+            assert batch.tolist() == scalar
