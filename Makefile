@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-sanitize sanitize-smoke sweep-smoke trace-smoke chaos-smoke tiering-smoke bench bench-full bench-e2e-smoke examples figures clean lint fleet-smoke resume-smoke ci
+.PHONY: install test test-sanitize sanitize-smoke sweep-smoke trace-smoke chaos-smoke tiering-smoke bench bench-full bench-smoke bench-e2e-smoke examples figures clean lint fleet-smoke resume-smoke ci
 
 install:
 	pip install -e . --no-build-isolation
@@ -128,6 +128,13 @@ bench-output:
 bench-full:
 	REPRO_BENCH_FULL=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
+# Every figure/table benchmark once at CI size: simulated durations
+# shrunk to 5%, first failure stops.  The end-to-end benchmark has its
+# own self-check below, so its directory is skipped here.
+bench-smoke:
+	REPRO_BENCH_SCALE=0.05 $(PYTHON) -m pytest benchmarks -x -q -p no:cacheprovider \
+		--ignore=benchmarks/e2e
+
 # The end-to-end benchmark's self-check (benchmarks/e2e/README.md): all
 # seven workloads at 1/20 size, under 30 s.  Catches a renamed callable
 # in LAYER_SPANS or a metric name drifting from BENCHMARK.json before
@@ -203,7 +210,7 @@ resume-smoke:
 	@echo "resume smoke: checkpoint and journal replay are byte-identical"
 
 # What CI gates a PR on, runnable locally, cheapest first.
-ci: lint test test-sanitize sanitize-smoke sweep-smoke trace-smoke chaos-smoke tiering-smoke bench-e2e-smoke fleet-smoke resume-smoke
+ci: lint test test-sanitize sanitize-smoke sweep-smoke trace-smoke chaos-smoke tiering-smoke bench-smoke bench-e2e-smoke fleet-smoke resume-smoke
 
 # One figure/table at a time, e.g. `make fig7`.
 fig%:
