@@ -55,7 +55,7 @@ from repro.sweep.serialize import fingerprint
 from repro.trace import JsonlTraceSink, TraceBus
 from repro.units import GIB, MIB, MSEC, SEC
 from repro.workloads.base import WorkloadSpec
-from repro.workloads.patterns import CyclicSweep, Hotspot
+from repro.workloads.patterns import ColdInit, CyclicSweep, Hotspot
 
 from tests.helpers import BASE, run_epochs, traced_run
 
@@ -410,6 +410,72 @@ CASES["module-lru-sort-phys"] = partial(
     n_epochs=25,
 )
 
+# ----------------------------------------------------------------------
+# Sampling paths the paper's attributes never take: the dirty-bit write
+# channel feeding a write-aware scheme, and epochs plus a regions update
+# landing *inside* aggregation intervals (with the default attributes
+# every epoch coincides with an aggregation).
+# ----------------------------------------------------------------------
+#: Read-warm and write-warm bands at the same touch rate, a hot band
+#: that is partly written, and a cold-initialised tail.
+_WRITE_MIX = WorkloadSpec(
+    name="write-mix",
+    suite="diff",
+    footprint=128 * MIB,
+    duration_us=8 * SEC,
+    components=(
+        Hotspot(0, 32 * MIB, touches_per_sec=20.0, write_fraction=1.0),
+        Hotspot(32 * MIB, 32 * MIB, touches_per_sec=20.0),
+        Hotspot(64 * MIB, 16 * MIB, touches_per_sec=2000.0, write_fraction=0.3),
+        ColdInit(80 * MIB, 48 * MIB, init_us=1 * SEC),
+    ),
+)
+
+
+def _clean_only(run):
+    """Restrict the warm-pageout scheme to regions never seen written
+    (``max_wfreq = 0``), as the write-awareness extension does."""
+    scheme = run.tenant.engine.schemes[0]
+    scheme.pattern = dataclasses.replace(scheme.pattern, max_wfreq=0.0)
+    return lambda: {"sz_applied": scheme.stats.sz_applied, "nr_applied": scheme.stats.nr_applied}
+
+
+CASES["track-writes-wfreq"] = partial(
+    _tweaked_run,
+    _clean_only,
+    workload=_WRITE_MIX,
+    config=ExperimentConfig(
+        name="prcl-clean", monitor="vaddr", schemes_text="4K max min 20% 1s max pageout\n"
+    ),
+    attrs=MonitorAttrs(track_writes=True),
+    seed=5,
+)
+
+#: 200 ms aggregations over 100 ms epochs, regions updates every 300 ms:
+#: every other epoch and two of three updates fall inside an interval.
+_OFFBEAT_ATTRS = MonitorAttrs(
+    aggregation_interval_us=200 * MSEC, regions_update_interval_us=300 * MSEC
+)
+_OFFBEAT = dict(workload="parsec3/freqmine", config="prcl", attrs=_OFFBEAT_ATTRS, seed=5,
+                time_scale=0.02)
+CASES["offbeat-intervals"] = partial(traced_run, **_OFFBEAT)
+
+
+@case("offbeat-intervals-restored")
+def offbeat_restored():
+    """Checkpoint at epoch 5 (500 ms, half way through the 400-600 ms
+    aggregation interval), restore from the file, finish."""
+    run = ExperimentRun(**_OFFBEAT)
+    run.start()
+    run.run_until(5 * run.spec.epoch_us)
+    with tempfile.TemporaryDirectory() as scratch:
+        path = str(Path(scratch) / "run.ckpt")
+        checkpoint_run(run, path)
+        resumed = restore_run(path)
+    resumed.run_until(resumed.spec.duration_us)
+    return resumed.finish(), None
+
+
 #: Every run-level fault kind at once.
 CASES["chaos"] = partial(
     traced_run,
@@ -479,6 +545,7 @@ for _name, (_file, _) in PARENT_CHECKPOINTS.items():
 
 SAME_RESULT = [
     ("registry-splash2x/ocean_ncp-rec", "registry-splash2x/ocean_ncp-rec-restored"),
+    ("offbeat-intervals", "offbeat-intervals-restored"),
     ("fleet-200-jobs1", "fleet-200-jobs2"),
     ("sweep-4pt-jobs1", "sweep-4pt-jobs2"),
 ]
