@@ -62,7 +62,7 @@ class PeriodicEvent:
     is lazy — the queue drops cancelled entries when they surface.
     """
 
-    __slots__ = ("callback", "period", "cancelled", "name", "rank")
+    __slots__ = ("callback", "period", "cancelled", "name", "rank", "queue")
 
     def __init__(self, callback: Callable[[int], None], period: int, name: str = ""):
         if period <= 0:
@@ -72,6 +72,8 @@ class PeriodicEvent:
         self.cancelled = False
         self.name = name or getattr(callback, "__name__", "event")
         self.rank = _RANK.get(self.name, _DEFAULT_RANK)
+        #: The queue the event is registered on, for :meth:`EventQueue.run_ahead`.
+        self.queue: Optional["EventQueue"] = None
 
     def cancel(self) -> None:
         """Stop future firings (lazily dropped from the queue)."""
@@ -90,6 +92,11 @@ class EventQueue:
         self.clock = clock if clock is not None else VirtualClock()
         self._heap: list = []
         self._counter = itertools.count()
+        #: While :meth:`run_until` dispatches a periodic: the event, the
+        #: call's deadline, and the last of its firings served so far.
+        self._firing: Optional[PeriodicEvent] = None
+        self._deadline = 0
+        self._served = 0
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -139,13 +146,18 @@ class EventQueue:
         fired it; same-instant ties follow the names' ranks.
         """
         event = PeriodicEvent(callback, period, name=name)
+        event.queue = self
 
-        def fire(now: int, _event=event) -> None:
+        def fire(now: int, _event: PeriodicEvent = event) -> None:
             if _event.cancelled:
                 return
-            _event.callback(now)
+            self._firing, self._served = _event, now
+            try:
+                _event.callback(now)
+            finally:
+                self._firing = None
             if not _event.cancelled:
-                self._schedule(now + _event.period, fire, _event)
+                self._schedule(self._served + _event.period, fire, _event)
 
         when = first_at if first_at is not None else self.clock.now + phase + event.period
         self._schedule(when, fire, event)
@@ -180,6 +192,7 @@ class EventQueue:
         ``deadline`` even if the queue drains earlier.
         """
         dispatched = 0
+        self._deadline = deadline
         while self._heap and self._heap[0][0] <= deadline:
             when, _rank, _seq, callback, _ = heapq.heappop(self._heap)
             self.clock.advance_to(when)
@@ -187,6 +200,30 @@ class EventQueue:
             dispatched += 1
         self.clock.advance_to(max(self.clock.now, deadline))
         return dispatched
+
+    def run_ahead(self, event: PeriodicEvent) -> int:
+        """How many of ``event``'s firings its current call may serve.
+
+        Called from ``event``'s callback while :meth:`run_until`
+        dispatches it at ``now``: returns ``k >= 1``, the number of its
+        firings ``now, now + period, ...`` that come before every other
+        pending entry by ``(when, rank)`` and by the call's deadline, so
+        nothing else could have run between them.  The callback must
+        serve all ``k``, advancing :attr:`clock` to each one's instant;
+        the periodic is next scheduled one period after the last.
+        Anywhere else (a direct call, another event's callback) the
+        answer is 1: outside dispatch there is no limit to tell.
+        """
+        if event is not self._firing:
+            return 1
+        now = self.clock.now
+        last = self._deadline
+        if self._heap:
+            when, rank = self._heap[0][:2]
+            last = min(last, when if event.rank < rank else when - 1)
+        rows = max(1, (last - now) // event.period + 1)
+        self._served = now + (rows - 1) * event.period
+        return rows
 
     def run_for(self, duration: int) -> int:
         """Dispatch events for ``duration`` microseconds of virtual time."""

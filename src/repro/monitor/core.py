@@ -30,17 +30,15 @@ Region state lives in a struct-of-arrays
 out fresh write-through :class:`~repro.monitor.region.RegionView`
 objects on every read.
 
-Between two aggregations the region layout is fixed, so the sample
-addresses and hit uniforms of every sampling tick in the interval depend
-only on the monitor's RNG and the region columns.  :class:`_SamplePlan`
-draws them in one block and asks the primitive about all rounds at once;
-each ``sample_tick`` then consumes one row (DESIGN.md §12, "Sampling
-lookahead").  Results are bit-identical to drawing tick by tick.
+The sampling ticks the event queue has due before any other event fire
+as one ``sample_tick`` call: their randomness is one block, the
+primitive is asked about all of them at once, and each still does its
+own counting, charging and tracing (DESIGN.md §12, "Sampling batches").
+Results are bit-identical to sampling tick by tick.
 """
 
 from __future__ import annotations
 
-import copy
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -57,109 +55,24 @@ from .snapshot import Snapshot
 __all__ = ["DataAccessMonitor"]
 
 
-class _SamplePlan:
-    """The randomness of ``rounds`` consecutive sampling ticks over one
-    fixed region layout, drawn as one block from the monitor's stream.
+def _probe(ask, checks: np.ndarray, window: int, period: int) -> np.ndarray:
+    """``ask(addrs, window)`` for every row of ``checks``: row 0 over
+    ``window``, later rows over the sampling ``period``, one call per
+    distinct window."""
+    if window != period and len(checks) > 1:
+        rest = checks[1:]
+        return np.concatenate(
+            (ask(checks[0], window)[None, :], ask(rest.ravel(), period).reshape(rest.shape))
+        )
+    return ask(checks.ravel(), window).reshape(checks.shape)
 
-    ``rng.random((rounds, draws, n))`` yields exactly the doubles of
-    ``rounds * draws`` consecutive ``rng.random(n)`` calls, in the
-    per-tick order: hit uniforms, write-hit uniforms (``track_writes``
-    only), pick uniforms.  Row ``j`` checks the addresses row ``j - 1``
-    picked; row 0 checks the addresses pending when the plan was made.
-    With ``addrs`` of ``None`` the single row only picks (nothing valid
-    is pending), as the tick-by-tick sampler did.
-    """
 
-    __slots__ = (
-        "attrs",
-        "rng_state",
-        "block",
-        "rounds",
-        "cursor",
-        "due",
-        "since",
-        "window0",
-        "picks",
-        "check_addrs",
-        "probs",
-        "hits",
-        "generation",
-    )
-
-    def __init__(self, rng, ra, rounds, addrs, attrs, now, since):
-        self.attrs = attrs
-        draws = 1 if addrs is None else 3 if attrs.track_writes else 2
-        #: Generator state before the block, for :meth:`rewind` (a
-        #: one-round plan is spent by the tick that draws it).
-        self.rng_state = rng.bit_generator.state if rounds > 1 else None
-        self.block = rng.random((rounds, draws, ra.n))
-        self.rounds = rounds
-        #: Rows served so far.
-        self.cursor = 0
-        #: The ``now`` and ``_pending_since`` the next row was planned
-        #: for; a tick arriving with anything else ends the plan.
-        self.due = now
-        self.since = since
-        #: Row 0's check window; every later row's is the sampling
-        #: interval, which ``due``/``since`` enforce.
-        self.window0 = now - since
-        self.picks = ra.sampling_addrs(self.block[:, -1])
-        if addrs is not None:
-            addrs = addrs[None, :]
-            if rounds > 1:
-                addrs = np.concatenate((addrs, self.picks[:-1]))
-        self.check_addrs = addrs
-        #: Planned probabilities and the hits they give, ``(rounds, n)``.
-        self.probs = self.hits = None
-        #: ``primitive.probe_generation()`` when ``probs`` was last
-        #: resolved; every row from that tick on holds under it.
-        self.generation = None
-
-    def window(self, row: int) -> int:
-        """The check window row ``row`` was planned over."""
-        return self.window0 if row == 0 else self.attrs.sampling_interval_us
-
-    def resolve(self, row: int, primitive, generation) -> None:
-        """Ask the primitive about rows ``row`` onwards and settle their
-        hits: one call per distinct window (only row 0's can differ)."""
-        ask = primitive.access_probabilities
-        addrs = self.check_addrs[row:]
-        window, period = self.window(row), self.attrs.sampling_interval_us
-        if window != period and len(addrs) > 1:
-            rest = addrs[1:]
-            probs = np.concatenate(
-                (
-                    ask(addrs[0], window)[None, :],
-                    ask(rest.ravel(), period).reshape(rest.shape),
-                )
-            )
-        else:
-            probs = ask(addrs.ravel(), window).reshape(addrs.shape)
-        hits = self.block[row:, 0] < probs
-        if row == 0:
-            self.probs, self.hits = probs, hits
-        else:  # the generation moved under a live plan: redo what is left
-            self.probs[row:] = probs
-            self.hits[row:] = hits
-        self.generation = generation
-
-    def rewind(self, rng) -> None:
-        """Put ``rng`` where tick-by-tick draws would stand after the
-        rows served so far: back to the state before the block, then
-        past exactly the doubles those rows consumed."""
-        rng.bit_generator.state = self.rng_state
-        rng.random(self.cursor * self.block[0].size)
+def _count(hits: Optional[np.ndarray]) -> int:
+    return int(np.count_nonzero(hits)) if hits is not None else 0
 
 
 class DataAccessMonitor:
     """One monitoring context over one primitive (≈ upstream damon_ctx)."""
-
-    #: The sampling lookahead in force (see :class:`_SamplePlan`); a
-    #: finished one stays until the next sampling tick replaces it, for
-    #: the sanitizer's cross-check.  Never pickled: a class-level default,
-    #: so a restored monitor (or a checkpoint written before plans
-    #: existed) reads ``None`` and simply plans again.
-    _plan: Optional[_SamplePlan] = None
 
     def __init__(
         self,
@@ -215,7 +128,6 @@ class DataAccessMonitor:
     def regions(self, value) -> None:
         """Install a new region list (tests and layout updates assign
         plain :class:`Region` lists here); resets the sampling state."""
-        self._close_plan()
         self._ra = RegionArray.from_regions(list(value))
         self._addrs: Optional[np.ndarray] = None
         self._acc = np.zeros(self._ra.n, dtype=np.int64)
@@ -282,10 +194,12 @@ class DataAccessMonitor:
         """Adopt re-registered periodic handles after a checkpoint
         restore.  Unlike :meth:`start` this must *not* re-derive the
         region layout — the restored RegionArray (ages, access counts,
-        sampling addresses) is the monitor's state."""
+        sampling addresses) is the monitor's state.  The handles are kept
+        in :meth:`start`'s order, sampling first."""
         if self.running:
             raise MonitorStateError("monitor already running")
-        self._events = list(events)
+        order = list(self.tick_handlers())
+        self._events = sorted(events, key=lambda event: order.index(event.name))
         self.running = True
 
     # ------------------------------------------------------------------
@@ -350,123 +264,104 @@ class DataAccessMonitor:
     # Sampling tick: check previous sample pages, prepare the next
     # ------------------------------------------------------------------
     def sample_tick(self, now: int) -> None:
-        """One sampling interval: check the pending sample pages, then
-        pick (and clear) the next round's sample pages.
+        """Serve the sampling intervals due from ``now``: each checks the
+        pending sample pages, then picks (and clears) the next ones.
 
-        The randomness and the probabilities come from the current
-        :class:`_SamplePlan` row; everything a tick *does* (counters,
-        charge, pending state, trace) still happens here, per tick.
+        Dispatched by the event queue, one call serves every interval
+        due before any other pending event
+        (:meth:`~repro.clock.EventQueue.run_ahead`), so nothing can change
+        what a probe answers between them.  A direct call serves one, and
+        so does a run with a fault injector, whose drops and flaky bits
+        are decided tick by tick.
         """
         faults = self.faults
+        rows, clock = 1, None
+        if faults is None and self._events:
+            event = self._events[0]
+            rows, clock = event.queue.run_ahead(event), event.queue.clock
         # An injected drop_sample fault loses the whole tick's checks
         # (a missed kdamond wakeup): counters stay put, the next sample
-        # round is still prepared below.
+        # round is still prepared.
         dropped = faults is not None and faults.drop_sample_tick(now)
-        generation = self.primitive.probe_generation()
-        plan = self._plan
-        if (
-            plan is None
-            or plan.cursor == plan.rounds
-            or now != plan.due
-            or self._pending_since != plan.since
-            or plan.attrs is not self.attrs
-            or faults is not None
-        ):
-            plan = self._begin_plan(now, dropped, generation)
-        row = plan.cursor
-        checked = 0
-        hits = whits = None
-        if plan.check_addrs is not None:
-            if plan.hits is None or generation != plan.generation:
-                plan.resolve(row, self.primitive, generation)
-            hits = plan.hits[row]
-            if faults is not None:
-                flaky = faults.flaky_bit_mask(now, hits.size)
-            else:
-                flaky = None
-            if flaky is not None:
-                # A lost PTE read clears both channels of the sample.
-                hits &= ~flaky
-            self._acc += hits
-            if self.attrs.track_writes:
-                wprobs = self.primitive.write_probabilities(
-                    plan.check_addrs[row], plan.window(row)
-                )
-                whits = plan.block[row, 1] < wprobs
-                if flaky is not None:
-                    whits &= ~flaky
-                self._wacc += whits
-            checked = hits.size
-            self.total_checks += checked
-        # The kdamond wakeup itself costs CPU even on a tick that only
-        # prepares the next sample round.
-        self.primitive.charge_checks(checked, wakeups=1)
-        # prepare_access_checks: pick and clear next sample pages.
-        self._addrs = plan.picks[row]
-        self._pending_since = plan.since = now
-        plan.due = now + self.attrs.sampling_interval_us
-        plan.cursor = row + 1
-        tr = self.trace
-        if tr is not None:
-            if tr.wants(AccessSampled):
-                tr.emit(
-                    AccessSampled(
-                        time_us=tr.now,
-                        nr_regions=self._ra.n,
-                        checked=checked,
-                        hits=int(np.count_nonzero(hits)) if hits is not None else 0,
-                        write_hits=(
-                            int(np.count_nonzero(whits)) if whits is not None else 0
-                        ),
-                    )
-                )
-            else:
-                tr.count(AccessSampled)
-
-    def _begin_plan(self, now: int, dropped: bool, generation) -> _SamplePlan:
-        """Draw the next plan.  It looks a whole aggregation interval
-        ahead only when the primitive can say whether its answer moved
-        (``generation``), no fault injector wants a say per tick
-        (``drop_sample_tick`` removes a draw from the stream), and the
-        write channel is off (``dirty`` has too many writers to version
-        cheaply); otherwise it is one round, drawn and asked per tick."""
-        self._close_plan()
         addrs = self._addrs
         if dropped or addrs is None or addrs.size != self._ra.n:
-            addrs = None
+            # Nothing valid is pending: the first interval only picks.
+            self._sample_rows(now, 1, None, clock)
+            rows -= 1
+            now += self.attrs.sampling_interval_us
+            addrs = self._addrs
+        if rows:
+            self._sample_rows(now, rows, addrs, clock)
+
+    def _sample_rows(self, now: int, rows: int, addrs, clock) -> None:
+        """``rows`` consecutive sampling intervals from ``now``, one row
+        each, over the fixed region layout; ``addrs`` are the addresses
+        pending for row 0 (``None``: row 0 only picks).
+
+        ``rng.random((rows, draws, n))`` yields exactly the doubles of
+        ``rows * draws`` consecutive ``rng.random(n)`` calls, in the
+        per-tick order: hit uniforms, write-hit uniforms (``track_writes``
+        only), pick uniforms.  Row ``j`` checks what row ``j - 1``
+        picked, and the primitive is asked once per distinct window
+        (only row 0's can differ).  Everything a tick *does* (counters,
+        charge, pending state, trace) still happens per row, at the
+        row's instant.
+        """
         attrs = self.attrs
-        lookahead = (
-            addrs is not None
-            and generation is not None
-            and self.faults is None
-            and not attrs.track_writes
-        )
-        rounds = attrs.max_nr_accesses if lookahead else 1
-        self._plan = _SamplePlan(
-            self.rng, self._ra, rounds, addrs, attrs, now, self._pending_since
-        )
-        return self._plan
-
-    def _close_plan(self) -> None:
-        """End the plan before anything else draws from ``self.rng`` or
-        changes the layout: rewind the generator past the unserved rows
-        and mark them gone."""
-        plan = self._plan
-        if plan is not None and plan.cursor < plan.rounds:
-            plan.rewind(self.rng)
-            plan.rounds = plan.cursor
-
-    def __getstate__(self):
-        """Pickle without the plan and with the generator where drawing
-        tick by tick would have left it, so a checkpoint is the same
-        bytes whether or not a plan is live and a restored monitor just
-        plans again.  The live generator is not disturbed."""
-        state = self.__dict__.copy()
-        plan = state.pop("_plan", None)
-        if plan is not None and plan.cursor < plan.rounds:
-            state["rng"] = copy.deepcopy(self.rng)
-            plan.rewind(state["rng"])
-        return state
+        period = attrs.sampling_interval_us
+        draws = 1 if addrs is None else 3 if attrs.track_writes else 2
+        block = self.rng.random((rows, draws, self._ra.n))
+        picks = self._ra.sampling_addrs(block[:, -1])
+        hits = whits = None
+        if addrs is not None:
+            checks = np.concatenate((addrs[None, :], picks[:-1]))
+            window = now - self._pending_since
+            primitive = self.primitive
+            hits = block[:, 0] < _probe(primitive.access_probabilities, checks, window, period)
+            if attrs.track_writes:
+                whits = block[:, 1] < _probe(
+                    primitive.write_probabilities, checks, window, period
+                )
+        faults, tr = self.faults, self.trace
+        for row in range(rows):
+            when = now + row * period
+            if clock is not None:
+                clock.advance_to(when)
+            checked = 0
+            row_hits = row_whits = None
+            if hits is not None:
+                row_hits = hits[row]
+                flaky = None if faults is None else faults.flaky_bit_mask(when, row_hits.size)
+                if flaky is not None:
+                    # A lost PTE read clears both channels of the sample.
+                    row_hits &= ~flaky
+                self._acc += row_hits
+                if whits is not None:
+                    row_whits = whits[row]
+                    if flaky is not None:
+                        row_whits &= ~flaky
+                    self._wacc += row_whits
+                checked = row_hits.size
+                self.total_checks += checked
+            # The kdamond wakeup itself costs CPU even on a tick that
+            # only prepares the next sample round.
+            self.primitive.charge_checks(checked, wakeups=1)
+            # prepare_access_checks: pick and clear next sample pages.
+            self._addrs = picks[row]
+            self._pending_since = when
+            if tr is not None:
+                if tr.wants(AccessSampled):
+                    tr.emit(
+                        AccessSampled(
+                            time_us=tr.now,
+                            nr_regions=self._ra.n,
+                            checked=checked,
+                            hits=_count(row_hits),
+                            write_hits=_count(row_whits),
+                        )
+                    )
+                else:
+                    tr.count(AccessSampled)
 
     # ------------------------------------------------------------------
     # Aggregation tick: merge/age → callbacks → schemes → reset → split
@@ -475,9 +370,6 @@ class DataAccessMonitor:
         """One aggregation interval: merge/age, callbacks, schemes,
         counter reset, split, next-round prepare — in upstream kdamond
         order."""
-        # Merge, split and the next-round prepare all draw from the RNG
-        # and reshape the layout the plan was drawn over.
-        self._close_plan()
         # Publish accumulated counts (and the last pending sample
         # addresses, for introspection) into the region table.  Raises
         # MonitorStateError if the accumulators have diverged in length

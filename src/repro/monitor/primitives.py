@@ -46,21 +46,13 @@ class MonitoringPrimitive:
         The simulation exposes probabilities rather than raw bits (see
         :mod:`repro.sim.pagetable`); the monitor draws the Bernoulli
         outcome itself, keeping all randomness under its seeded RNG.
+
+        The answer must be a pure function of the target's state and the
+        arguments, elementwise in ``addrs``: the monitor asks about the
+        addresses of several sampling ticks in one call (nothing runs
+        between them), so asking never changes what a later ask returns.
         """
         raise NotImplementedError
-
-    def probe_generation(self):
-        """Opaque value that changes whenever :meth:`access_probabilities`
-        could answer differently for the same arguments, or ``None`` for
-        "unknown" (the default).
-
-        A primitive that reports one lets the monitor ask about a whole
-        aggregation interval's sample addresses in one call and reuse
-        the answer while the value holds; with ``None`` the monitor asks
-        once per sampling tick.  Values are only compared for equality,
-        and only between calls on the same primitive.
-        """
-        return None
 
     def write_probabilities(self, addrs: np.ndarray, window_us: float) -> np.ndarray:
         """P(dirty bit set) per sample address — the write channel used
@@ -95,9 +87,6 @@ class VirtualPrimitive(MonitoringPrimitive):
     def access_probabilities(self, addrs: np.ndarray, window_us: float) -> np.ndarray:
         return self.kernel.access_probabilities(addrs, window_us)
 
-    def probe_generation(self):
-        return self.kernel.probe_generation()
-
     def write_probabilities(self, addrs: np.ndarray, window_us: float) -> np.ndarray:
         return self.kernel.write_probabilities(addrs, window_us)
 
@@ -129,9 +118,6 @@ class PhysicalPrimitive(MonitoringPrimitive):
     def access_probabilities(self, addrs: np.ndarray, window_us: float) -> np.ndarray:
         frames = np.asarray(addrs, dtype=np.int64) // PAGE_SIZE
         return self.kernel.frame_access_probabilities(frames, window_us)
-
-    def probe_generation(self):
-        return self.kernel.frame_probe_generation()
 
     def write_probabilities(self, addrs: np.ndarray, window_us: float) -> np.ndarray:
         frames = np.asarray(addrs, dtype=np.int64) // PAGE_SIZE

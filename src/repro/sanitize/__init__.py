@@ -11,8 +11,7 @@ experiments, at epoch boundaries:
   kernel / monitor / engine returning :class:`Violation` lists:
   frame conservation vs. the rmap, present/swapped exclusivity,
   O(1)-counter coherence vs. full recounts, region tiling byte for
-  byte, the sampling plan's lookahead against a fresh probe,
-  huge-chunk residency, and quota charge sanity;
+  byte, huge-chunk residency, and quota charge sanity;
 * :mod:`repro.sanitize.runtime` — :class:`SimSanitizer`, the harness
   that runs them from the kernel's ``end_epoch`` checkpoint, the
   monitor's ``aggregate_tick`` checkpoint and the fleet scheduler's
@@ -34,7 +33,6 @@ from .checkers import (
     check_present_swapped,
     check_quota_sanity,
     check_region_state,
-    check_sample_lookahead,
     digest_kernel_state,
     digest_region_state,
 )
@@ -50,7 +48,6 @@ __all__ = [
     "check_counter_coherence",
     "check_huge_residency",
     "check_region_state",
-    "check_sample_lookahead",
     "check_quota_sanity",
     "digest_kernel_state",
     "digest_region_state",

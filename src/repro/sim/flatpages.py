@@ -36,7 +36,7 @@ from typing import List
 
 import numpy as np
 
-from .pagetable import PAGES_PER_HUGE, next_probe_generation
+from .pagetable import PAGES_PER_HUGE
 
 __all__ = ["FlatPageTable"]
 
@@ -86,17 +86,10 @@ class FlatPageTable:
         "chunk_huge",
         "chunk_promoted_at",
         "_chunk_rates",
-        "probe_generation",
     )
 
     def __init__(self, vmas: List, generation: int):
         self.generation = generation
-        #: Renewed by the bound page tables on every store into a column
-        #: :meth:`access_probability` reads (``rate``, ``chunk_huge``), so
-        #: an unchanged value means an unchanged answer.  Drawn from one
-        #: process-wide sequence: a table rebuilt from a pickle at the
-        #: same layout ``generation`` never repeats an earlier value.
-        self.probe_generation = next_probe_generation()
         tables = [v.pages for v in vmas]
         self.n_vmas = len(tables)
         counts = np.array([pt.n_pages for pt in tables], dtype=np.int64)

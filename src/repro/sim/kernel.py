@@ -1182,20 +1182,6 @@ class SimKernel:
         """Physical-space write-probability variant (rmap-resolved)."""
         return self._probe(frames, window_us, True, True)
 
-    def probe_generation(self):
-        """Opaque value that changes whenever :meth:`access_probabilities`
-        could answer differently for the same arguments: the layout
-        generation (what addresses resolve to) paired with the flat
-        table's ``probe_generation``, renewed by every ``rate`` or
-        ``chunk_huge`` store."""
-        space = self.space
-        return space.generation, space.flat.probe_generation
-
-    def frame_probe_generation(self):
-        """:meth:`probe_generation` for :meth:`frame_access_probabilities`,
-        whose answer also moves with the rmap."""
-        return self.probe_generation() + (self.frames.rmap_generation,)
-
     def charge_monitor_checks(self, n_checks: int, wakeups: int = 1) -> None:
         """Account CPU time for one kdamond wakeup performing
         ``n_checks`` accessed-bit checks, and pass the interference

@@ -25,7 +25,6 @@ separately through :meth:`PageTable.touch_range`.
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
 import numpy as np
@@ -41,13 +40,6 @@ PAGES_PER_HUGE = HUGE_PAGE_SIZE // PAGE_SIZE  # 512
 
 #: last_touch value for pages never touched.
 NEVER = np.int64(-(1 << 62))
-
-#: Where every flat table's ``probe_generation`` values come from.  One
-#: process-wide sequence, so a table rebuilt at an unchanged layout
-#: generation (unpickle) can never show a value that an earlier table
-#: showed for other contents.  Values are opaque: compared for equality
-#: by the monitor's sampling plan, never stored in a result.
-next_probe_generation = itertools.count().__next__
 
 
 class PageTable:
@@ -196,20 +188,9 @@ class PageTable:
 
     def _invalidate_chunk_rates(self) -> None:
         """Every ``rate`` store ends here: drop the owning flat table's
-        chunk-sum cache and tell the monitor its planned answers may be
-        stale."""
+        chunk-sum cache."""
         if self._owner is not None:
             self._owner._chunk_rates = None
-        self._bump_probe_generation()
-
-    def _bump_probe_generation(self) -> None:
-        """Tell the owning flat table that an accessed-bit read of this
-        VMA may answer differently from now on (see
-        :attr:`~repro.sim.flatpages.FlatPageTable.probe_generation`).
-        ``chunk_huge`` stores, which leave the rate sums alone, call it
-        directly."""
-        if self._owner is not None:
-            self._owner.probe_generation = next_probe_generation()
 
     # ------------------------------------------------------------------
     # Bounds helpers
@@ -442,7 +423,6 @@ class PageTable:
         self.bloat[new_idx[self.last_touch[new_idx] > NEVER]] = False
         self.chunk_huge[chunks] = True
         self.chunk_promoted_at[chunks] = now
-        self._bump_probe_generation()
         self.n_present += int(new_idx.size)
         self.n_swapped -= n_swapped
         return chunks, new_idx, n_swapped
@@ -466,7 +446,6 @@ class PageTable:
         self.present[freed_idx] = False
         self.bloat[freed_idx] = False
         self.chunk_huge[chunks] = False
-        self._bump_probe_generation()
         self.n_present -= int(freed_idx.size)
         return chunks, freed_idx
 

@@ -73,11 +73,10 @@ class FrameTable:
         self.allocated_slow = 0
         #: High-water mark, for reporting.
         self.peak_allocated = 0
-        #: Bumped on every store into the owner arrays, so the physical
-        #: monitoring primitive can tell when a frame → page answer may
-        #: have moved (``SimKernel.frame_probe_generation``).  Not
-        #: pickled and zero on restore, where the flat table's value it
-        #: is paired with is always new.
+        #: Bumped on every store into the owner arrays, so the
+        #: sanitizer's keyed checks can tell when the frame → page map
+        #: may have moved.  Not pickled and zero on restore, where the
+        #: sanitizer's cached key is not carried over either.
         self.rmap_generation = 0
 
     # ------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Virtual clock and event queue."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
-from repro.clock import EventQueue, VirtualClock
+from repro.clock import SAME_INSTANT_ORDER, EventQueue, VirtualClock
 
 
 class TestVirtualClock:
@@ -177,3 +179,124 @@ class TestEventQueue:
         assert len(queue) == 1
         queue.run_until(5)
         assert len(queue) == 0
+
+
+# ----------------------------------------------------------------------
+# run_ahead: a periodic serving its due firings in one call
+# ----------------------------------------------------------------------
+def _batching(queue, log, label):
+    """A periodic callback serving every firing ``run_ahead`` grants,
+    logging each at its own instant."""
+    handle = {}
+
+    def tick(now):
+        event = handle["event"]
+        for row in range(queue.run_ahead(event)):
+            queue.clock.advance_to(now + row * event.period)
+            log.append((queue.clock.now, label))
+
+    return tick, handle
+
+
+class TestRunAhead:
+    def test_one_outside_dispatch(self):
+        queue = EventQueue()
+        tick, handle = _batching(queue, [], "b")
+        handle["event"] = queue.schedule_periodic(10, tick)
+        assert queue.run_ahead(handle["event"]) == 1
+
+    def test_bounded_by_the_next_entry_and_the_deadline(self):
+        queue = EventQueue()
+        log = []
+        tick, handle = _batching(queue, log, "b")
+        handle["event"] = queue.schedule_periodic(10, tick, name="sample")
+        queue.schedule_at(45, lambda now: log.append((now, "shot")))
+        # Three dispatches: the one-shot ends the first batch, the
+        # deadline the second.
+        assert queue.run_until(75) == 3
+        assert log == [(10, "b"), (20, "b"), (30, "b"), (40, "b"), (45, "shot"),
+                       (50, "b"), (60, "b"), (70, "b")]
+        assert queue.pending_periodics() == [("sample", 80, 10)]
+
+    def test_a_same_instant_tie_goes_by_rank(self):
+        fired = {}
+        for name in ("sample", "epoch"):
+            queue = EventQueue()
+            log = []
+            tick, handle = _batching(queue, log, "b")
+            handle["event"] = queue.schedule_periodic(10, tick, name=name)
+            queue.schedule_periodic(30, lambda now: log.append((now, "x")), name="aggregate")
+            queue.run_until(40)
+            fired[name] = log
+        assert fired["sample"][:4] == [(10, "b"), (20, "b"), (30, "b"), (30, "x")]
+        assert fired["epoch"][:4] == [(10, "b"), (20, "b"), (30, "x"), (30, "b")]
+
+
+#: Names with a same-instant rank, one without, and the callback's own.
+_NAMES = st.sampled_from(SAME_INSTANT_ORDER + ("fleet-tick", ""))
+_PERIODIC = st.tuples(_NAMES, st.integers(1, 40), st.integers(0, 30))
+_SHOT = st.tuples(
+    st.integers(0, 300),
+    st.sampled_from(("log", "cancel", "period", "spawn")),
+    st.integers(0, 8),
+    st.integers(1, 25),
+)
+
+
+def _replay(periodics, batcher, shots, deadlines, *, batching):
+    """Dispatch one scenario; returns everything that fired, as
+    ``(instant, label)`` in firing order, plus the clock at each pause.
+    Periodic ``len(periodics)`` is the batcher; with ``batching`` off
+    its callback serves one firing per call, as a plain periodic does."""
+    queue = EventQueue()
+    log = []
+    handles = []
+    for index, (name, period, phase) in enumerate(periodics):
+        label = f"p{index}"
+        handles.append(
+            queue.schedule_periodic(
+                period, lambda now, label=label: log.append((now, label)), phase=phase, name=name
+            )
+        )
+    name, period, phase = batcher
+    if batching:
+        tick, handle = _batching(queue, log, "batcher")
+    else:
+        tick, handle = (lambda now: log.append((now, "batcher"))), {}
+    handles.append(queue.schedule_periodic(period, tick, phase=phase, name=name))
+    handle["event"] = handles[-1]
+
+    def shot(when, kind, target, value):
+        def fire(now):
+            log.append((now, f"{kind}-{target}"))
+            event = handles[target % len(handles)]
+            if kind == "cancel":
+                event.cancel()
+            elif kind == "period":
+                event.period = value
+            elif kind == "spawn":
+                queue.schedule_at(now + value, lambda t: log.append((t, "spawned")))
+
+        queue.schedule_at(when, fire)
+
+    for args in shots:
+        shot(*args)
+    for deadline in sorted(deadlines):
+        queue.run_until(deadline)
+        log.append(("pause", queue.clock.now))
+    return log
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    periodics=st.lists(_PERIODIC, max_size=4),
+    batcher=_PERIODIC,
+    shots=st.lists(_SHOT, max_size=8),
+    deadlines=st.lists(st.integers(0, 400), min_size=1, max_size=5),
+)
+def test_a_batching_periodic_fires_as_a_plain_one(periodics, batcher, shots, deadlines):
+    """Same firing instants, in the same order relative to every other
+    event, whatever else is queued and wherever ``run_until`` pauses."""
+    plain = _replay(periodics, batcher, shots, deadlines, batching=False)
+    batched = _replay(periodics, batcher, shots, deadlines, batching=True)
+    assert batched == plain

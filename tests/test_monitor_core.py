@@ -1,5 +1,7 @@
 """DataAccessMonitor: the kdamond loop on the simulated kernel."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from repro.monitor.core import DataAccessMonitor
 from repro.monitor.overhead import measure_overhead, theoretical_bound_cpu_share
 from repro.monitor.primitives import PhysicalPrimitive, VirtualPrimitive
 from repro.clock import EventQueue
+from repro.runner.experiment import run_experiment
+from repro.sim.kernel import SimKernel
 from repro.units import MIB, MSEC, SEC
 
 from tests.helpers import BASE, run_epochs
@@ -341,3 +345,43 @@ class TestPhysicalPrimitive:
         (start, end), = primitive.target_ranges()
         assert start == 0
         assert end == kernel.guest.dram_bytes
+
+
+class TestSamplingBatches:
+    """Design pin: under the event queue, the sampling ticks of one
+    aggregation interval fire as one ``sample_tick`` call and ask the
+    kernel once per channel.  With the paper's attributes nothing else
+    is due inside an interval: epochs coincide with aggregations and
+    rank after them, regions updates come once per second."""
+
+    @pytest.mark.parametrize("track_writes", [False, True])
+    def test_one_sample_call_and_one_probe_per_channel_per_interval(self, track_writes):
+        calls = {"sample": 0, "probe": 0}
+        sample_tick = DataAccessMonitor.sample_tick
+
+        def counted_sample(self, now):
+            calls["sample"] += 1
+            sample_tick(self, now)
+
+        def counted(probe):
+            def wrapper(self, *args):
+                calls["probe"] += 1
+                return probe(self, *args)
+
+            return wrapper
+
+        with mock.patch.object(DataAccessMonitor, "sample_tick", counted_sample), \
+                mock.patch.object(SimKernel, "access_probabilities",
+                                  counted(SimKernel.access_probabilities)), \
+                mock.patch.object(SimKernel, "write_probabilities",
+                                  counted(SimKernel.write_probabilities)):
+            result = run_experiment(
+                "parsec3/freqmine",
+                config="prcl",
+                time_scale=0.02,
+                attrs=MonitorAttrs(track_writes=track_writes),
+            )
+        intervals = result.duration_us // MonitorAttrs().aggregation_interval_us
+        assert calls["sample"] == intervals
+        assert calls["probe"] == intervals * (2 if track_writes else 1)
+        assert result.monitor_checks > 0

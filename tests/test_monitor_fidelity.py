@@ -26,6 +26,7 @@ from repro.monitor.core import DataAccessMonitor
 from repro.monitor.primitives import MonitoringPrimitive
 from repro.monitor.region import MIN_REGION_SIZE, Region, regions_intersecting
 from repro.clock import EventQueue
+from repro.trace import AccessSampled, TraceBus
 from repro.units import MIB, MSEC
 
 from tests.helpers import BASE
@@ -115,15 +116,16 @@ class WindowedSaturatingPrimitive(SaturatingPrimitive):
 
 
 class LoggingMonitor(DataAccessMonitor):
-    """Records which tick fired when."""
+    """Records which tick fired when: aggregations per call, sampling
+    ticks per ``AccessSampled`` event at the queue's clock (a dispatched
+    ``sample_tick`` call serves every tick due before the next event)."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, *args, queue, **kwargs):
+        super().__init__(*args, trace=TraceBus(queue.clock, ring_capacity=0), **kwargs)
         self.fired = []
-
-    def sample_tick(self, now):
-        self.fired.append((now, "sample"))
-        super().sample_tick(now)
+        self.trace.subscribe(
+            AccessSampled, lambda event: self.fired.append((event.time_us, "sample"))
+        )
 
     def aggregate_tick(self, now):
         self.fired.append((now, "aggregate"))
@@ -136,10 +138,10 @@ class TestSameInstantTickOrder:
     event: kdamond's order, whatever order the ticks were re-queued in."""
 
     def _run(self, intervals):
-        monitor = LoggingMonitor(
-            WindowedSaturatingPrimitive([(BASE, BASE + 4 * MIB)]), ATTRS, seed=3
-        )
         queue = EventQueue()
+        monitor = LoggingMonitor(
+            WindowedSaturatingPrimitive([(BASE, BASE + 4 * MIB)]), ATTRS, seed=3, queue=queue
+        )
         maxima = []
         monitor.register_callback(
             lambda snap: maxima.append(max(r.nr_accesses for r in snap.regions))

@@ -1,13 +1,15 @@
-"""Sampling lookahead changes no result bit: a metamorphic property.
+"""Sampling batches change no result bit: a metamorphic property.
 
-Two monitors with the same seed watch twin kernels.  One primitive
-(virtual or physical) reports its ``probe_generation``, so the monitor
-plans a whole aggregation interval of sampling ahead; the other is the
-same primitive with the generation forced to ``None``, so every plan is
-one round, drawn and asked per tick: the tick-by-tick sampler.  Whatever
-interleaving of ticks and kernel or layout changes drives them, the two
-must agree after every step on every counter, every region column and
-the RNG position.  No frozen oracle is involved.
+Two monitors with the same seed watch twin kernels, each on its own
+event queue carrying the same sampling, aggregation and regions-update
+periodics.  One monitor was started on its queue, so a dispatched
+``sample_tick`` serves every sampling tick due before the next event
+(``EventQueue.run_ahead``); the other's ticks were registered by hand
+under the same names, so each call serves one tick: the tick-by-tick
+sampler.  Whatever kernel and layout changes the two queues carry as
+one-shot events, and wherever ``run_until`` pauses them, the twins must
+agree at every pause on every counter, every region column and the RNG
+position.  No frozen oracle is involved.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.clock import EventQueue
 from repro.monitor.attrs import MonitorAttrs
 from repro.monitor.core import DataAccessMonitor
 from repro.monitor.primitives import PhysicalPrimitive, VirtualPrimitive
@@ -43,28 +46,43 @@ FIXED = ((BASE, 8 * MIB), (BASE + 64 * MIB, 4 * MIB))
 SLOTS = tuple((BASE + (128 + 16 * i) * MIB, 2 * MIB) for i in range(3))
 
 
-def blind(primitive_cls):
-    """The same target, unable to say whether its answer moved."""
+class CountingMonitor(DataAccessMonitor):
+    """Counts ``sample_tick`` calls."""
 
-    class Blind(primitive_cls):
-        def probe_generation(self):
-            return None
+    calls = 0
 
-    return Blind
+    def sample_tick(self, now):
+        self.calls += 1
+        super().sample_tick(now)
 
 
 class Twin:
-    """One kernel + monitor, with the steps both twins take."""
+    """One kernel + monitor + queue, with the changes both twins make."""
 
-    def __init__(self, primitive_cls):
+    def __init__(self, primitive_cls, *, batched):
         guest = GuestSpec(host=get_instance("i3.metal"), vcpus=4, dram_bytes=256 * MIB)
         self.kernel = SimKernel(guest, swap=ZramDevice(32 * MIB), seed=7)
         for start, size in FIXED:
             self.kernel.mmap(start, size)
         self.slots = {}
-        self.monitor = DataAccessMonitor(primitive_cls(self.kernel), ATTRS, seed=11)
-        self.monitor.init_regions()
-        self.now = 0
+        self.monitor = CountingMonitor(primitive_cls(self.kernel), ATTRS, seed=11)
+        self.queue = EventQueue()
+        if batched:
+            self.monitor.start(self.queue)
+        else:
+            # start()'s registrations without handing the monitor its
+            # handles: every call serves one tick.
+            self.monitor.init_regions()
+            periods = (
+                ATTRS.sampling_interval_us,
+                ATTRS.aggregation_interval_us,
+                ATTRS.regions_update_interval_us,
+            )
+            for (name, tick), period in zip(self.monitor.tick_handlers().items(), periods):
+                self.queue.schedule_periodic(period, tick, name=name)
+
+    def schedule(self, when, op, *args):
+        self.queue.schedule_at(when, lambda now: getattr(self, "do_" + op)(now, *args))
 
     def pages(self, which):
         vmas = self.kernel.space.vmas
@@ -75,43 +93,33 @@ class Twin:
         lo = int(lo * (pt.n_pages - 1))
         return pt, lo, min(pt.n_pages, lo + 1 + int(span * pt.n_pages))
 
-    def step(self, op, *args):
-        getattr(self, "do_" + op)(*args)
+    # -- a sampling tick off the beat (a direct call: one row) ------------
+    def do_sample(self, now):
+        self.monitor.sample_tick(now)
 
-    # -- monitor ticks ---------------------------------------------------
-    def do_sample(self, dt):
-        self.now += dt
-        self.monitor.sample_tick(self.now)
-
-    def do_aggregate(self):
-        self.monitor.aggregate_tick(self.now)
-
-    def do_update(self):
-        self.monitor.regions_update_tick(self.now)
-
-    # -- everything the probe generation covers --------------------------
-    def do_set_rate(self, which, lo, span, rate):
+    # -- what the accessed-bit probes read --------------------------------
+    def do_set_rate(self, now, which, lo, span, rate):
         pt, lo, hi = self.page_range(which, lo, span)
         pt.set_rate(lo, hi, rate)
 
-    def do_add_rate(self, which, lo, span, rate):
+    def do_add_rate(self, now, which, lo, span, rate):
         pt, lo, hi = self.page_range(which, lo, span)
         pt.add_rate(lo, hi, rate)
 
-    def do_add_write_rate(self, which, lo, span, rate):
+    def do_add_write_rate(self, now, which, lo, span, rate):
         pt, lo, hi = self.page_range(which, lo, span)
         pt.add_write_rate(lo, hi, rate)
 
-    def do_clear_rates(self):
+    def do_clear_rates(self, now):
         self.kernel.space.clear_rates()
 
-    def do_promote(self, which, chunk):
+    def do_promote(self, now, which, chunk):
         pt = self.pages(which)
-        pt.promote_chunks(np.array([chunk % pt.n_chunks]), self.now)
+        pt.promote_chunks(np.array([chunk % pt.n_chunks]), now)
 
-    def do_demote(self, which, chunk):
+    def do_demote(self, now, which, chunk):
         pt = self.pages(which)
-        pt.demote_chunks(np.array([chunk % pt.n_chunks]), self.now)
+        pt.demote_chunks(np.array([chunk % pt.n_chunks]), now)
 
     # -- the rmap (what the physical probe also reads) --------------------
     def byte_range(self, which, lo, span):
@@ -120,34 +128,33 @@ class Twin:
         _, lo, hi = self.page_range(which, lo, span)
         return vma.start + lo * 4096, vma.start + hi * 4096
 
-    def do_touch(self, which, lo, span):
+    def do_touch(self, now, which, lo, span):
         start, end = self.byte_range(which, lo, span)
-        self.kernel.apply_access(start, end, self.now, 100 * MSEC)
+        self.kernel.apply_access(start, end, now, 100 * MSEC)
 
-    def do_pageout(self, which, lo, span):
+    def do_pageout(self, now, which, lo, span):
         start, end = self.byte_range(which, lo, span)
-        self.kernel.pageout(start, end, self.now)
+        self.kernel.pageout(start, end, now)
 
     # -- layout ------------------------------------------------------------
-    def do_mmap(self, slot):
+    def do_mmap(self, now, slot):
         if slot not in self.slots:
             self.slots[slot] = self.kernel.mmap(*SLOTS[slot])
 
-    def do_munmap(self, slot):
+    def do_munmap(self, now, slot):
         if slot in self.slots:
             self.kernel.munmap(self.slots.pop(slot))
 
-    def do_assign_regions(self, keep):
+    def do_assign_regions(self, now, keep):
         regions = self.monitor._ra.to_regions()
         self.monitor.regions = regions[: max(1, int(keep * len(regions)))]
 
-    def do_track_writes(self, flag):
+    def do_track_writes(self, now, flag):
         self.monitor.attrs = dataclasses.replace(self.monitor.attrs, track_writes=flag)
 
 
-def assert_twins_agree(planned: Twin, unplanned: Twin, step) -> None:
-    a, b = planned.monitor, unplanned.monitor
-    where = f"after {step!r}"
+def assert_twins_agree(batched: Twin, single: Twin, where) -> None:
+    a, b = batched.monitor, single.monitor
     for name in ("_acc", "_wacc"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), f"{name} {where}"
     assert (a._addrs is None) == (b._addrs is None), f"_addrs {where}"
@@ -157,25 +164,40 @@ def assert_twins_agree(planned: Twin, unplanned: Twin, step) -> None:
         assert np.array_equal(getattr(a._ra, name), getattr(b._ra, name)), f"{name} {where}"
     assert a._pending_since == b._pending_since, where
     assert a.total_checks == b.total_checks, where
-    # Exact: twenty ``+=`` of one float, not ``20 * x``.
-    assert planned.kernel.metrics.monitor_cpu_us == unplanned.kernel.metrics.monitor_cpu_us, where
-    assert planned.kernel.metrics.monitor_checks == unplanned.kernel.metrics.monitor_checks, where
-    # The planning monitor's live generator runs ahead of the rows it has
-    # served; the position it reports for a checkpoint is the rewound one.
-    rewound = a.__getstate__()["rng"].bit_generator.state
-    assert rewound == b.rng.bit_generator.state, f"rng position {where}"
+    assert a.total_aggregations == b.total_aggregations, where
+    # Exact: one ``+=`` per tick, in tick order, not ``rows * x``.
+    assert batched.kernel.metrics.monitor_cpu_us == single.kernel.metrics.monitor_cpu_us, where
+    assert batched.kernel.metrics.monitor_checks == single.kernel.metrics.monitor_checks, where
+    assert a.rng.bit_generator.state == b.rng.bit_generator.state, f"rng position {where}"
+    assert batched.queue.clock.now == single.queue.clock.now, where
+
+
+def drive(primitive_cls, steps):
+    """Run ``steps`` on both twins, comparing them at every pause;
+    returns the twins."""
+    batched = Twin(primitive_cls, batched=True)
+    single = Twin(primitive_cls, batched=False)
+    now = 0
+    for gap, pause, op in steps:
+        now += gap
+        for twin in (batched, single):
+            twin.schedule(now, *op)
+        if pause:
+            for twin in (batched, single):
+                twin.queue.run_until(now)
+            assert_twins_agree(batched, single, f"at t={now} after {op!r}")
+    for twin in (batched, single):
+        twin.queue.run_until(now + 2 * ATTRS.aggregation_interval_us)
+    assert_twins_agree(batched, single, "at the end")
+    return batched, single
 
 
 fraction = st.floats(0.0, 1.0, allow_nan=False)
 rate = st.sampled_from((0.0, 40.0, 700.0, 5000.0))
 which = st.integers(0, 4)
 slot = st.integers(0, len(SLOTS) - 1)
-STEP = st.one_of(
-    # Mostly on the beat, so plans live long enough to be overtaken.
-    st.tuples(st.just("sample"), st.sampled_from((PERIOD,) * 6 + (0, 300, 2 * PERIOD))),
-    st.tuples(st.just("sample"), st.just(PERIOD)),
-    st.tuples(st.just("aggregate")),
-    st.tuples(st.just("update")),
+OP = st.one_of(
+    st.tuples(st.just("sample")),
     st.tuples(st.just("set_rate"), which, fraction, fraction, rate),
     st.tuples(st.just("add_rate"), which, fraction, fraction, rate),
     st.tuples(st.just("add_write_rate"), which, fraction, fraction, rate),
@@ -189,53 +211,54 @@ STEP = st.one_of(
     st.tuples(st.just("assign_regions"), fraction),
     st.tuples(st.just("track_writes"), st.booleans()),
 )
+#: On a tick, off the beat, inside an interval, across several.
+GAP = st.sampled_from((0, PERIOD, 3 * PERIOD, 300, 7 * PERIOD + 450, 25 * PERIOD, 230 * PERIOD))
+STEP = st.tuples(GAP, st.booleans(), OP)
 
-BEAT = ("sample", PERIOD)
-#: A rate change under a live plan: the case the generation exists for.
-#: (Resident first: the physical probe only sees pages that hold a frame.)
-RATE_MID_PLAN = (
-    [("touch", 0, 0.0, 1.0)] + [BEAT] * 4 + [("set_rate", 0, 0.0, 1.0, 5000.0)] + [BEAT] * 6
-)
-#: A huge mapping coarsens what later rows see (chunk-total rates).
-PROMOTE_MID_PLAN = (
-    [("set_rate", 0, 0.0, 0.001, 5000.0)] + [BEAT] * 4 + [("promote", 0, 0)] + [BEAT] * 6
-)
-#: A layout change with a plan in flight: the update tick must rewind.
-UPDATE_MID_PLAN = [BEAT] * 5 + [("mmap", 0), ("update",)] + [BEAT] * 3 + [("aggregate",)]
-#: Frames change hands under a live plan: the physical probe's rmap.
-RMAP_MID_PLAN = (
-    [("touch", 0, 0.0, 1.0), ("set_rate", 0, 0.0, 1.0, 5000.0)]
-    + [BEAT] * 4
-    + [("pageout", 0, 0.0, 0.5)]
-    + [BEAT] * 4
-    + [("touch", 0, 0.0, 0.25)]
-    + [BEAT] * 4
-)
+#: A rate change half way through an interval: the batch must end there.
+RATE_MID_INTERVAL = [
+    (0, False, ("touch", 0, 0.0, 1.0)),
+    (5 * PERIOD, False, ("set_rate", 0, 0.0, 1.0, 5000.0)),
+    (6 * PERIOD, True, ("clear_rates",)),
+]
+#: A huge mapping coarsens what later ticks see (chunk-total rates).
+PROMOTE_MID_INTERVAL = [
+    (0, False, ("set_rate", 0, 0.0, 0.001, 5000.0)),
+    (4 * PERIOD + 300, True, ("promote", 0, 0)),
+]
+#: A layout change the next regions update picks up, paused mid-interval.
+MMAP_BEFORE_UPDATE = [(190 * PERIOD, False, ("mmap", 0)), (15 * PERIOD, True, ("sample",))]
+#: Frames change hands inside intervals: the physical probe's rmap.
+RMAP_MID_INTERVAL = [
+    (0, False, ("touch", 0, 0.0, 1.0)),
+    (0, False, ("set_rate", 0, 0.0, 1.0, 5000.0)),
+    (4 * PERIOD, False, ("pageout", 0, 0.0, 0.5)),
+    (4 * PERIOD, True, ("touch", 0, 0.0, 0.25)),
+    (3 * PERIOD, False, ("track_writes", True)),
+    (7 * PERIOD + 450, True, ("assign_regions", 0.5)),
+]
 
 PRIMITIVES = pytest.mark.parametrize("primitive_cls", [VirtualPrimitive, PhysicalPrimitive])
 
 
 @PRIMITIVES
 @settings(max_examples=40, deadline=None)
-@given(steps=st.lists(STEP, min_size=1, max_size=60))
-@example(steps=RATE_MID_PLAN)
-@example(steps=PROMOTE_MID_PLAN)
-@example(steps=UPDATE_MID_PLAN)
-@example(steps=RMAP_MID_PLAN)
+@given(steps=st.lists(STEP, min_size=1, max_size=30))
+@example(steps=RATE_MID_INTERVAL)
+@example(steps=PROMOTE_MID_INTERVAL)
+@example(steps=MMAP_BEFORE_UPDATE)
+@example(steps=RMAP_MID_INTERVAL)
 def test_lookahead_equals_tick_by_tick(primitive_cls, steps):
-    planned, unplanned = Twin(primitive_cls), Twin(blind(primitive_cls))
-    for step in steps:
-        planned.step(*step)
-        unplanned.step(*step)
-        assert_twins_agree(planned, unplanned, step)
+    drive(primitive_cls, steps)
 
 
 @PRIMITIVES
 def test_the_planning_twin_really_looks_ahead(primitive_cls):
-    """The property above is vacuous if both twins sample tick by tick."""
-    planned, unplanned = Twin(primitive_cls), Twin(blind(primitive_cls))
-    for twin in (planned, unplanned):
-        for _ in range(3):
-            twin.do_sample(PERIOD)
-    assert planned.monitor._plan.rounds == ATTRS.max_nr_accesses
-    assert unplanned.monitor._plan.rounds == 1
+    """The property above is vacuous if both twins sample tick by tick:
+    with nothing else queued, the started monitor serves an aggregation
+    interval's ticks in one call."""
+    batched, single = drive(primitive_cls, [])
+    intervals = 2
+    assert batched.monitor.total_aggregations == single.monitor.total_aggregations == intervals
+    assert batched.monitor.calls == intervals
+    assert single.monitor.calls == intervals * ATTRS.max_nr_accesses

@@ -214,41 +214,6 @@ class TestMonitorMutations:
         monitor._ra.start[1] -= 4096
         assert "region_tiling" in checks_found(monitor=monitor)
 
-    @staticmethod
-    def _interval_with_rate_change(change):
-        """One aggregation interval of hand-driven sampling with
-        ``change(kernel)`` applied half way; returns the checks that
-        fired at the aggregation's checkpoint."""
-        kernel = worked_kernel()
-        monitor = started_monitor(
-            kernel, sanitizer=SimSanitizer(raise_on_violation=False)
-        )
-        step = monitor.attrs.sampling_interval_us
-        ticks = monitor.attrs.max_nr_accesses
-        for tick in range(1, ticks + 1):
-            if tick == ticks // 2:
-                assert monitor._plan.cursor < monitor._plan.rounds  # rows planned ahead
-                change(kernel)
-            monitor.sample_tick(tick * step)
-        monitor.aggregate_tick(ticks * step)
-        assert monitor.sanitizer.monitor_checkpoints == 1
-        return {violation.check for violation in monitor.sanitizer.violations}
-
-    def test_rate_store_that_skips_the_probe_generation(self):
-        # The stale-lookahead shape: a new writer of ``rate`` that goes
-        # around PageTable, so rows planned ahead keep the old answer.
-        def poke(kernel):
-            kernel.space.flat.rate[:] = 4000.0
-
-        assert self._interval_with_rate_change(poke) == {"sample_lookahead"}
-
-    def test_rate_store_through_the_page_table_is_clean(self):
-        def declare(kernel):
-            pages = kernel.space.vmas[0].pages
-            pages.set_rate(0, pages.n_pages, 4000.0)
-
-        assert self._interval_with_rate_change(declare) == set()
-
 
 # ----------------------------------------------------------------------
 # Seeded engine-state mutations

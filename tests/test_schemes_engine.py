@@ -269,8 +269,8 @@ class TestBatchedPass:
         before = (
             kernel.space.generation,
             kernel.frames.rmap_generation,
-            kernel.probe_generation(),
-            kernel.frame_probe_generation(),
+            kernel.space.flat.rate.tobytes(),
+            kernel.space.flat.chunk_huge.tobytes(),
         )
         events.clear()
         engine.apply(monitor, now=2)
@@ -280,8 +280,8 @@ class TestBatchedPass:
         assert before == (
             kernel.space.generation,
             kernel.frames.rmap_generation,
-            kernel.probe_generation(),
-            kernel.frame_probe_generation(),
+            kernel.space.flat.rate.tobytes(),
+            kernel.space.flat.chunk_huge.tobytes(),
         )
 
     @pytest.mark.parametrize("prefer_cold", [True, False])
