@@ -20,7 +20,6 @@ from __future__ import annotations
 import importlib
 from typing import Any, Callable, Dict
 
-from ..analysis.score_model import score_curve
 from ..errors import ConfigError
 from ..runner.experiment import run_experiment
 
@@ -75,6 +74,10 @@ def _experiment_point(params: Dict[str, Any]):
 
 def _score_curve_point(params: Dict[str, Any]):
     """One Figure 3 analytic score curve (no simulation involved)."""
+    # Imported here: the sweep worker's entry point would otherwise load
+    # the whole analysis package for the one point kind that needs it.
+    from ..analysis.score_model import score_curve
+
     kwargs = dict(params)
     case_id = kwargs.pop("case", None)
     n_points = kwargs.pop("n_points", 41)

@@ -103,6 +103,6 @@ def test_importing_the_errors_module_loads_nothing_else():
 def test_sweep_worker_entry_loads_no_cli_fleet_or_source_linters():
     loaded = _loaded_by("import repro.sweep.supervisor")
     banned = ("repro.cli", "repro.fleet", "repro.lint.astlint", "repro.lint.dataflow",
-              "repro.lint.baseline")
+              "repro.lint.baseline", "repro.analysis")
     assert not [name for name in loaded if name.startswith(banned)], loaded
     assert "repro.runner.experiment" in loaded  # the points it runs
