@@ -112,6 +112,8 @@ lint:
 	else echo "ruff not installed; skipping (pip install -e .[lint])"; fi
 	@if command -v mypy >/dev/null 2>&1; then \
 		mypy src/repro/units.py src/repro/errors.py \
+			src/repro/clock.py src/repro/version.py src/repro/diagnostics.py \
+			src/repro/schemes/analyzer.py \
 			src/repro/trace src/repro/lint src/repro/sanitize \
 		&& { mypy || true; }; \
 	else echo "mypy not installed; skipping (pip install -e .[lint])"; fi
