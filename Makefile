@@ -113,7 +113,7 @@ lint:
 	@if command -v mypy >/dev/null 2>&1; then \
 		mypy src/repro/units.py src/repro/errors.py \
 			src/repro/clock.py src/repro/version.py src/repro/diagnostics.py \
-			src/repro/schemes/analyzer.py \
+			src/repro/monitor/region.py src/repro/schemes/analyzer.py \
 			src/repro/trace src/repro/lint src/repro/sanitize \
 		&& { mypy || true; }; \
 	else echo "mypy not installed; skipping (pip install -e .[lint])"; fi

@@ -37,17 +37,14 @@ class StaticGridMonitor(DataAccessMonitor):
     sampling' strawman with a fixed uniform grid."""
 
     def aggregate_tick(self, now: int) -> None:
-        for region, count in zip(self.regions, self._acc):
-            region.nr_accesses = int(count)
+        self.regions.nr_accesses[:] = self._acc
         if self.callbacks:
             snapshot = self.snapshot(now)
             for callback in self.callbacks:
                 callback(snapshot)
         for raw in self.raw_callbacks:
             raw(self, now)
-        for region in self.regions:
-            region.last_nr_accesses = region.nr_accesses
-            region.nr_accesses = 0
+        self.regions.reset_counters()
         self._reset_sampling_state()
         self.total_aggregations += 1
 
@@ -67,11 +64,9 @@ def run_with(monitor_cls, seed=5):
     errors = []
 
     def measure(mon, now):
-        est = sum(
-            r.size
-            for r in mon.regions
-            if r.nr_accesses >= 0.5 * mon.attrs.max_nr_accesses
-        )
+        ra = mon.regions
+        hot = ra.nr_accesses >= 0.5 * mon.attrs.max_nr_accesses
+        est = int((ra.end - ra.start)[hot].sum())
         errors.append(abs(est - HOT) / HOT)
 
     monitor.register_raw_callback(measure)

@@ -25,7 +25,7 @@ from .attrs import MonitorAttrs
 from .batch import BatchMonitorPass, BatchRegionTable, BatchTickStats
 from .core import DataAccessMonitor
 from .primitives import MonitoringPrimitive, PhysicalPrimitive, VirtualPrimitive
-from .region import MIN_REGION_SIZE, Region, RegionArray, RegionView
+from .region import MIN_REGION_SIZE, RegionArray
 from .snapshot import RegionSnapshot, Snapshot
 
 __all__ = [
@@ -37,10 +37,8 @@ __all__ = [
     "MonitorAttrs",
     "MonitoringPrimitive",
     "PhysicalPrimitive",
-    "Region",
     "RegionArray",
     "RegionSnapshot",
-    "RegionView",
     "Snapshot",
     "VirtualPrimitive",
 ]

@@ -25,10 +25,9 @@ keeps the count at or below ``max_nr_regions``.  Together they bound the
 overhead from above and the accuracy from below, independent of the size
 of the monitored memory — the paper's central mechanism.
 
-Region state lives in a struct-of-arrays
-:class:`~repro.monitor.region.RegionArray`; ``monitor.regions`` hands
-out fresh write-through :class:`~repro.monitor.region.RegionView`
-objects on every read.
+Region state is one :class:`~repro.monitor.region.RegionArray` of
+parallel columns; ``monitor.regions`` is that table itself, and
+assigning a table installs it.
 
 The sampling ticks the event queue has due before any other event fire
 as one ``sample_tick`` call: their randomness is one block, the
@@ -49,7 +48,7 @@ from ..trace.bus import TraceBus
 from ..trace.events import AccessSampled, RegionsAggregated
 from .attrs import MonitorAttrs
 from .primitives import MonitoringPrimitive
-from .region import MIN_REGION_SIZE, Region, RegionArray, regions_intersecting
+from .region import MIN_REGION_SIZE, RegionArray
 from .snapshot import Snapshot
 
 __all__ = ["DataAccessMonitor"]
@@ -99,7 +98,7 @@ class DataAccessMonitor:
         self.raw_callbacks: List = []
         self.engine = None  # attached SchemesEngine, if any
         self.running = False
-        self.regions = []  # installs an empty RegionArray via the setter
+        self.regions = RegionArray()
         # Sampling state: addresses whose accessed bits were cleared at
         # _pending_since, to be checked at the next sampling tick.
         self._pending_since = 0
@@ -115,23 +114,20 @@ class DataAccessMonitor:
         self._events = []
 
     # ------------------------------------------------------------------
-    # Region storage: struct-of-arrays with an object-view façade
+    # Region storage
     # ------------------------------------------------------------------
     @property
-    def regions(self) -> List:
-        """The region list as write-through views over the backing
-        :class:`RegionArray`: a fresh list per read, positional, stale
-        after the next structural pass."""
-        return self._ra.views()
+    def regions(self) -> RegionArray:
+        """The region table.  Its columns are live: a write is seen by
+        the next pass, and a structural pass (merge, split, layout
+        update) replaces them."""
+        return self._ra
 
     @regions.setter
-    def regions(self, value) -> None:
-        """Install a new region list (tests and layout updates assign
-        plain :class:`Region` lists here); resets the sampling state."""
-        self._ra = RegionArray.from_regions(list(value))
-        self._addrs: Optional[np.ndarray] = None
-        self._acc = np.zeros(self._ra.n, dtype=np.int64)
-        self._wacc = np.zeros(self._ra.n, dtype=np.int64)
+    def regions(self, table: RegionArray) -> None:
+        """Install a region table; resets the sampling state."""
+        self._ra = table
+        self._reset_sampling_state()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -211,29 +207,27 @@ class DataAccessMonitor:
         ranges = self.primitive.target_ranges()
         self._seen_generation = self.primitive.layout_generation()
         total = sum(end - start for start, end in ranges)
-        out: List[Region] = []
+        starts: List[int] = []
+        ends: List[int] = []
         for start, end in ranges:
             share = max(1, round(self.attrs.min_nr_regions * (end - start) / total))
-            out.extend(self._evenly_split(start, end, share))
-        self.regions = out
+            cuts = self._evenly_split(start, end, share)
+            starts += cuts
+            ends += cuts[1:] + [end]
+        self.regions = RegionArray.from_bounds(starts, ends)
 
     @staticmethod
-    def _evenly_split(start: int, end: int, pieces: int) -> List[Region]:
+    def _evenly_split(start: int, end: int, pieces: int) -> List[int]:
+        """The row starts of ``[start, end)`` cut into at most ``pieces``
+        rows of one page-aligned step, the last row taking the rest."""
         size = end - start
         pieces = max(1, min(pieces, size // MIN_REGION_SIZE))
         if pieces <= 1:
-            return [Region(start, end)]
-        step = (size // pieces) & ~(MIN_REGION_SIZE - 1)
-        step = max(step, MIN_REGION_SIZE)
-        out = []
-        cursor = start
-        for _ in range(pieces - 1):
-            if end - (cursor + step) < MIN_REGION_SIZE:
-                break
-            out.append(Region(cursor, cursor + step))
-            cursor += step
-        out.append(Region(cursor, end))
-        return out
+            return [start]
+        step = max((size // pieces) & ~(MIN_REGION_SIZE - 1), MIN_REGION_SIZE)
+        # No step may leave a last row below the minimum size.
+        pieces = min(pieces, (size - MIN_REGION_SIZE) // step + 1)
+        return list(range(start, start + pieces * step, step))
 
     def regions_update_tick(self, now: int) -> None:
         """Re-derive target ranges when the layout changed (mmap/munmap,
@@ -243,7 +237,7 @@ class DataAccessMonitor:
             return
         self._seen_generation = generation
         ranges = self.primitive.target_ranges()
-        self.regions = regions_intersecting(self._ra.to_regions(), ranges)
+        self.regions = self._ra.clipped_to(ranges)
         if self._ra.n == 0:
             self.init_regions()
         self._reset_sampling_state(now)
@@ -252,13 +246,12 @@ class DataAccessMonitor:
         """Clear the accumulators; with ``now`` given, also prepare the
         next sample round immediately (pick and "clear" sample pages),
         so no sampling tick is spent merely preparing."""
-        self._acc = np.zeros(self._ra.n, dtype=np.int64)
-        self._wacc = np.zeros(self._ra.n, dtype=np.int64)
-        if now is None:
-            self._addrs = None
-        else:
+        self._addrs: Optional[np.ndarray] = None
+        if now is not None:
             self._addrs = self._ra.pick_sampling_addrs(self.rng)
             self._pending_since = now
+        self._acc = np.zeros(self._ra.n, dtype=np.int64)
+        self._wacc = np.zeros(self._ra.n, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Sampling tick: check previous sample pages, prepare the next

@@ -8,8 +8,8 @@ intervals that frequency has been stable — recency).
 
 The paper's overhead bound (§3.1) promises at most ``max_nr_regions``
 checks per sampling interval; the constant in front of it is what this
-module keeps small.  :class:`RegionArray` is the monitor's region table
-as parallel NumPy columns::
+module keeps small.  :class:`RegionArray` is a run's region table, one
+row per region, as parallel NumPy columns::
 
     start / end / nr_accesses / last_nr_accesses / nr_writes   int64
     age / sampling_addr                                        int64
@@ -17,41 +17,31 @@ as parallel NumPy columns::
 
 and runs the per-aggregation passes — counter publish, merge+age,
 counter reset, split, sampling-address choice — as whole-column
-vector operations.
+vector operations.  The table is built from row bounds
+(:meth:`RegionArray.from_bounds`) and re-laid over new target ranges
+after a layout change (:meth:`RegionArray.clipped_to`); there is no row
+object.
 
 Determinism contract: every pass is a pure function of the column state
 and the monitor's seeded RNG; the RNG is drawn in fixed-size batches
 (one batch per pass, sized by the region count), so the same seed
 produces the same region trajectory on every run and on every machine.
-
-:class:`RegionView` is the object façade for callbacks, invariant checks
-and the schemes engine's per-region action loop: it reads and writes the
-backing columns in place, so ``view.age = 0`` is visible to the next
-vectorized pass.  Views are positional — valid until the next structural
-pass (merge/split/layout update) reorders the table — and cost nothing
-to make, so consumers ask for fresh ones.
-
-:class:`Region` is a free-standing row: what ``monitor.regions = [...]``
-and ``init_regions`` build a table from, and what the (rare, row-based)
-layout-change path :func:`regions_intersecting` clips.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from bisect import bisect_left, bisect_right
+from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import ConfigError, MonitorStateError
 from ..sim.pagetable import PAGE_SHIFT, PAGE_SIZE
 
-__all__ = [
-    "MIN_REGION_SIZE",
-    "Region",
-    "RegionArray",
-    "RegionView",
-    "regions_intersecting",
-]
+if TYPE_CHECKING:
+    import numpy.typing as npt
+
+__all__ = ["MIN_REGION_SIZE", "RegionArray"]
 
 #: Regions never shrink below one page: the sampling granularity.
 MIN_REGION_SIZE = PAGE_SIZE
@@ -68,166 +58,34 @@ _INT_COLUMNS = (
 )
 #: Every column of a region row; ``write_ewma`` is the float64 one.
 _COLUMNS = _INT_COLUMNS + ("write_ewma",)
-
-
-class _Row:
-    """What a region row says about itself, wherever its columns live
-    (:class:`Region`: its own slots; :class:`RegionView`: a table)."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return (
-            f"Region({self.start:#x}-{self.end:#x}, "
-            f"nr={self.nr_accesses}, age={self.age})"
-        )
-
-    @property
-    def size(self) -> int:
-        return self.end - self.start
-
-    def overlaps(self, start: int, end: int) -> bool:
-        """Does this region intersect ``[start, end)``?"""
-        return self.start < end and start < self.end
-
-
-class Region(_Row):
-    """One monitoring region.
-
-    ``last_nr_accesses`` holds the previous aggregation's count; the
-    aging step compares it with the fresh count to decide between
-    incrementing and resetting ``age``.
-    """
-
-    __slots__ = _COLUMNS
-
-    def __init__(self, start: int, end: int):
-        if end - start < MIN_REGION_SIZE:
-            raise ConfigError(
-                f"region [{start:#x}, {end:#x}) below minimum size {MIN_REGION_SIZE}"
-            )
-        self.start = int(start)
-        self.end = int(end)
-        self.nr_accesses = 0
-        self.last_nr_accesses = 0
-        self.nr_writes = 0
-        # Peak-hold write indicator: rises to the per-aggregation write
-        # count immediately, decays slowly while the region idles.  A
-        # periodically-rewritten region stays visibly "dirty" through
-        # its idle windows, where the instantaneous ``nr_writes`` reads
-        # zero — which is what write-aware schemes must see.
-        self.write_ewma = 0.0
-        self.age = 0
-        self.sampling_addr = int(start)
-
-
-def regions_intersecting(
-    regions: List[Region], ranges: List[tuple]
-) -> List[Region]:
-    """Clip an existing region list to a new set of target ranges.
-
-    Used by the regions-update step: regions overlapping the new layout
-    survive (clipped to it, keeping their counters — monitoring history
-    is preserved across mmap/munmap), and uncovered parts of the new
-    ranges get fresh regions.
-
-    Every byte of every range at least ``MIN_REGION_SIZE`` long ends up
-    covered (the tiling invariant): pieces that fall below the minimum
-    region size — clipped survivors and gap-fill slivers alike — are
-    absorbed into the adjacent region instead of being dropped, so
-    mapped memory never silently leaves monitoring.
-    """
-    out: List[Region] = []
-    for range_start, range_end in ranges:
-        # Tile the range with (start, end, source-or-None) pieces:
-        # clipped survivors interleaved with gap fills, any size.
-        pieces: List[tuple] = []
-        covered = range_start
-        for region in regions:
-            if not region.overlaps(range_start, range_end):
-                continue
-            lo = max(region.start, range_start)
-            hi = min(region.end, range_end)
-            if lo > covered:
-                pieces.append((covered, lo, None))
-            pieces.append((lo, hi, region))
-            covered = hi
-        if range_end > covered:
-            pieces.append((covered, range_end, None))
-        # Absorb sub-minimum slivers into the next piece (the last one
-        # into the previous): neighbours extend over them, keeping their
-        # own counters.
-        merged: List[tuple] = []
-        carry: Optional[int] = None
-        for start, end, source in pieces:
-            if carry is not None:
-                start = carry
-                carry = None
-            if end - start < MIN_REGION_SIZE:
-                carry = start
-                continue
-            merged.append((start, end, source))
-        if carry is not None:
-            if merged:
-                last_start, _, last_source = merged[-1]
-                merged[-1] = (last_start, range_end, last_source)
-            # else: the whole range is below the minimum region size —
-            # too small to monitor at page granularity; skip it.
-        for start, end, source in merged:
-            region = Region(start, end)
-            if source is not None:
-                region.nr_accesses = source.nr_accesses
-                region.last_nr_accesses = source.last_nr_accesses
-                region.nr_writes = source.nr_writes
-                region.write_ewma = source.write_ewma
-                region.age = source.age
-            out.append(region)
-    return out
-
-
-def _column(name: str, cast: type) -> property:
-    """A :class:`RegionView` attribute over column ``name``: reads and
-    writes go straight to the view's row (``cast`` so consumers see
-    plain Python numbers)."""
-
-    def fget(view):
-        return cast(getattr(view._ra, name)[view._i])
-
-    def fset(view, value) -> None:
-        getattr(view._ra, name)[view._i] = value
-
-    return property(fget, fset)
-
-
-class RegionView(_Row):
-    """One region of a :class:`RegionArray`, viewed as an object.
-
-    Attribute reads/writes go straight to the backing columns; the view
-    quacks exactly like :class:`Region` for the schemes engine,
-    snapshots and tests.  Positional: stale after the next structural
-    pass of the owning array.
-    """
-
-    __slots__ = ("_ra", "_i")
-
-    def __init__(self, ra: RegionArray, index: int):
-        self._ra = ra
-        self._i = index
-
-    start = _column("start", int)
-    end = _column("end", int)
-    nr_accesses = _column("nr_accesses", int)
-    last_nr_accesses = _column("last_nr_accesses", int)
-    nr_writes = _column("nr_writes", int)
-    write_ewma = _column("write_ewma", float)
-    age = _column("age", int)
-    sampling_addr = _column("sampling_addr", int)
+#: The monitoring history a row keeps through a layout change.
+_HISTORY = ("nr_accesses", "last_nr_accesses", "nr_writes", "write_ewma", "age")
 
 
 class RegionArray:
-    """The monitor's region table as parallel NumPy columns."""
+    """The monitor's region table as parallel NumPy columns.
+
+    ``last_nr_accesses`` holds the previous aggregation's count; the
+    aging step compares it with the fresh count to decide between
+    incrementing and resetting ``age``.  ``write_ewma`` is a peak-hold
+    write indicator: it rises to the per-aggregation write count at
+    once and decays slowly while the region idles, so a periodically
+    rewritten region stays visibly "dirty" through idle windows where
+    ``nr_writes`` reads zero — which is what write-aware schemes must
+    see.
+    """
 
     __slots__ = _COLUMNS + ("generation",)
+
+    start: np.ndarray
+    end: np.ndarray
+    nr_accesses: np.ndarray
+    last_nr_accesses: np.ndarray
+    nr_writes: np.ndarray
+    age: np.ndarray
+    sampling_addr: np.ndarray
+    write_ewma: np.ndarray
+    generation: int
 
     def __init__(self, n: int = 0):
         for name in _INT_COLUMNS:
@@ -237,31 +95,67 @@ class RegionArray:
         self.generation = 0
 
     # ------------------------------------------------------------------
-    # Construction / conversion
+    # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_regions(cls, regions: Sequence) -> RegionArray:
-        """Build a column table from Region-like objects (copies)."""
-        ra = cls(len(regions))
-        for name in _COLUMNS:
-            getattr(ra, name)[:] = [getattr(region, name) for region in regions]
+    def from_bounds(cls, starts: npt.ArrayLike, ends: npt.ArrayLike) -> RegionArray:
+        """Fresh rows ``[starts[i], ends[i])``: counters zero, each row
+        sampling its own start.  Raises :class:`ConfigError` for a row
+        below ``MIN_REGION_SIZE``."""
+        start = np.array(starts, dtype=np.int64)
+        ra = cls(start.size)
+        ra.start, ra.sampling_addr = start, start.copy()
+        ra.end[:] = ends
+        undersized = ra._undersized()
+        if undersized:
+            raise ConfigError(f"{undersized} below minimum size {MIN_REGION_SIZE}")
         return ra
 
-    def to_regions(self) -> List[Region]:
-        """Materialise real :class:`Region` copies (layout updates use
-        these so the clipping logic stays in one place)."""
-        out: List[Region] = []
-        rows = zip(*(getattr(self, name).tolist() for name in _COLUMNS))
-        for start, end, *counters in rows:
-            region = Region(start, end)
-            for name, value in zip(_COLUMNS[2:], counters):
-                setattr(region, name, value)
-            out.append(region)
-        return out
+    def clipped_to(self, ranges: Iterable[Tuple[int, int]]) -> RegionArray:
+        """The table re-laid over new target ``ranges`` (a layout change).
 
-    def views(self) -> List[RegionView]:
-        """Write-through views of every row, in address order."""
-        return [RegionView(self, i) for i in range(self.n)]
+        Rows overlapping a range survive clipped to it and keep their
+        counters — monitoring history outlives mmap/munmap — and the
+        uncovered parts of the ranges become fresh rows.  Every byte of
+        every range at least ``MIN_REGION_SIZE`` long stays covered (the
+        tiling invariant): a piece below the minimum, clipped survivor
+        and gap fill alike, is absorbed into the next piece (the last
+        one into the previous), which keeps its own counters.  A whole
+        range below the minimum is too small to monitor at page
+        granularity and gets no row.  The table must be sorted and
+        non-overlapping, as every pass keeps it.
+        """
+        row_start, row_end = self.start.tolist(), self.end.tolist()
+        starts: List[int] = []
+        ends: List[int] = []
+        sources: List[int] = []  # the surviving row of each output row, -1: fresh
+        for range_start, range_end in ranges:
+            # The pieces tiling the range, as (end, source): each starts
+            # where the previous one ends.
+            pieces: List[Tuple[int, int]] = []
+            covered = range_start
+            for i in range(bisect_right(row_end, range_start), bisect_left(row_start, range_end)):
+                if row_start[i] > covered:
+                    pieces.append((row_start[i], -1))
+                covered = min(row_end[i], range_end)
+                pieces.append((covered, i))
+            if range_end > covered:
+                pieces.append((range_end, -1))
+            cursor, first = range_start, len(starts)
+            for end, source in pieces:
+                if end - cursor >= MIN_REGION_SIZE:
+                    starts.append(cursor)
+                    ends.append(end)
+                    sources.append(source)
+                    cursor = end
+            if cursor < range_end and len(starts) > first:
+                ends[-1] = range_end
+        out = RegionArray.from_bounds(starts, ends)
+        source = np.array(sources, dtype=np.int64)
+        kept = source >= 0
+        for name in _HISTORY:
+            getattr(out, name)[kept] = getattr(self, name)[source[kept]]
+        return out
 
     # ------------------------------------------------------------------
     # Introspection
@@ -275,34 +169,52 @@ class RegionArray:
         """Bytes covered by all regions."""
         return int((self.end - self.start).sum())
 
+    def _undersized(self) -> str:
+        """The first row below ``MIN_REGION_SIZE``, described; ``""``
+        when there is none."""
+        sizes = self.end - self.start
+        if not self.n or int(sizes.min()) >= MIN_REGION_SIZE:
+            return ""
+        i = int(sizes.argmin())
+        return f"region [{int(self.start[i]):#x}, {int(self.end[i]):#x})"
+
     def check_invariants(
         self, ranges: Optional[Iterable[Tuple[int, int]]] = None
     ) -> None:
         """Structural invariants: minimum size, sortedness, and — when
-        ``ranges`` is given — the tiling invariant (regions cover the
-        target ranges byte for byte)."""
-        sizes = self.end - self.start
-        if self.n and int(sizes.min()) < MIN_REGION_SIZE:
-            i = int(sizes.argmin())
-            raise MonitorStateError(
-                f"undersized region [{int(self.start[i]):#x}, "
-                f"{int(self.end[i]):#x})"
-            )
+        ``ranges`` is given — the tiling invariant (the regions tile the
+        target ranges byte for byte: every region lies inside one range
+        and together they cover every range's bytes)."""
+        undersized = self._undersized()
+        if undersized:
+            raise MonitorStateError(f"undersized {undersized}")
         if self.n > 1 and bool((self.start[1:] < self.end[:-1]).any()):
             i = int((self.start[1:] < self.end[:-1]).argmax()) + 1
             raise MonitorStateError(
                 f"overlapping region [{int(self.start[i]):#x}, "
                 f"{int(self.end[i]):#x})"
             )
-        if ranges is not None:
-            expected = sum(end - start for start, end in ranges)
-            covered = self.total_bytes()
-            if covered != expected:
-                raise MonitorStateError(
-                    f"regions cover {covered} bytes but the target ranges "
-                    f"span {expected} — the region list no longer tiles "
-                    f"the monitored address space"
-                )
+        if ranges is None:
+            return
+        bounds = np.array(sorted(ranges), dtype=np.int64).reshape(-1, 2)
+        expected = int((bounds[:, 1] - bounds[:, 0]).sum())
+        covered = self.total_bytes()
+        if covered != expected:
+            raise MonitorStateError(
+                f"regions cover {covered} bytes but the target ranges "
+                f"span {expected} — the region list no longer tiles "
+                f"the monitored address space"
+            )
+        # The range each row starts in; it must also end there.
+        j = np.searchsorted(bounds[:, 0], self.start, side="right") - 1
+        outside = (j < 0) | (self.end > bounds[j, 1])
+        if outside.any():
+            i = int(outside.argmax())
+            raise MonitorStateError(
+                f"region [{int(self.start[i]):#x}, {int(self.end[i]):#x}) "
+                f"lies in no single target range — the region list no "
+                f"longer tiles the monitored address space"
+            )
 
     # ------------------------------------------------------------------
     # The per-aggregation vector passes
@@ -463,7 +375,7 @@ class RegionArray:
         self.nr_writes = np.repeat(self.nr_writes, counts)
         self.write_ewma = np.repeat(self.write_ewma, counts)
         self.age = np.repeat(self.age, counts)
-        # Fresh children sample from their own start, as a fresh Region
+        # Fresh children sample from their own start, as a fresh row
         # does; unsplit rows keep their sampling address.
         out_sampling = out_start.copy()
         unsplit = np.flatnonzero(counts == 1)

@@ -97,7 +97,7 @@ def digest_kernel_state(kernel: Any) -> str:
 
 def digest_region_state(monitor: Any) -> str:
     """Content hash of the monitor's region table."""
-    ra = monitor._ra
+    ra = monitor.regions
     h = hashlib.sha256()
     for column in (ra.start, ra.end, ra.nr_accesses, ra.age):
         h.update(np.ascontiguousarray(column).tobytes())

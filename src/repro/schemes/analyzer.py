@@ -70,7 +70,7 @@ _OPPOSING = (
     frozenset({Action.MIGRATE_HOT, Action.MIGRATE_COLD}),
 )
 
-#: Tolerance mirroring AccessPattern.matches' bound rounding slack.
+#: Tolerance mirroring AccessPattern.match_mask's bound rounding slack.
 _EPS = 1e-9
 
 

@@ -104,7 +104,7 @@ class SchemesEngine:
         # Physical-address monitors hand out frame-address regions;
         # actions must go through the rmap-based back-ends.
         phys = monitor.primitive.phys
-        ra = monitor._ra
+        ra = monitor.regions
         tr = self.trace
         for scheme_index, scheme in enumerate(self.schemes):
             if scheme.watermarks is not None:

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..errors import SchemeError
 from ..monitor.attrs import MonitorAttrs
-from ..monitor.region import Region, RegionArray
+from ..monitor.region import RegionArray
 from ..units import UNLIMITED, format_size, format_time
 from .actions import Action
 from .filters import AddressFilter
@@ -64,11 +64,6 @@ class AccessPattern:
             raise SchemeError(
                 f"bad write-frequency range [{self.min_wfreq}, {self.max_wfreq}]"
             )
-
-    def matches(self, region: Region, attrs: MonitorAttrs) -> bool:
-        """Does ``region`` (with counters in ``attrs`` units) fit the
-        pattern?  :meth:`match_mask` over a one-row table."""
-        return bool(self.match_mask(RegionArray.from_regions([region]), attrs)[0])
 
     def match_mask(self, ra: RegionArray, attrs: MonitorAttrs) -> np.ndarray:
         """One boolean per row of the region table ``ra`` (counters in

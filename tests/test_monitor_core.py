@@ -180,10 +180,10 @@ class TestAccuracy:
             [dict(start=BASE, end=BASE + 16 * MIB, touches_per_page=3000)],
             n_epochs=20,
         )
-        age_before = max(r.age for r in monitor.regions)
+        age_before = int(monitor.regions.age.max())
         # Phase 2: everything goes cold.
         run_epochs(kernel, queue, [], n_epochs=3)
-        ages_after = [r.age for r in monitor.regions]
+        ages_after = monitor.regions.age.tolist()
         assert min(ages_after) < age_before
 
     def test_snapshot_frequency_normalisation(self, kernel, fast_attrs, queue):
@@ -283,7 +283,7 @@ class TestLayoutUpdates:
         )
         kernel.mmap(BASE + 32 * MIB, 16 * MIB)
         queue.run_for(fast_attrs.regions_update_interval_us * 2)
-        covered_end = max(r.end for r in monitor.regions)
+        covered_end = int(monitor.regions.end.max())
         assert covered_end >= BASE + 32 * MIB
 
     def test_no_change_means_no_rederive(self, kernel, fast_attrs, queue):
@@ -296,9 +296,9 @@ class TestLayoutUpdates:
             [dict(start=BASE, end=BASE + 4 * MIB, touches_per_page=500)],
             n_epochs=5,
         )
-        table_before = monitor._ra
+        table_before = monitor.regions
         monitor.regions_update_tick(queue.clock.now)
-        assert monitor._ra is table_before
+        assert monitor.regions is table_before
 
 
 class TestDeterminism:
@@ -318,7 +318,9 @@ class TestDeterminism:
                 [dict(start=BASE, end=BASE + 8 * MIB, touches_per_page=800)],
                 n_epochs=12,
             )
-            return [(r.start, r.end, r.nr_accesses, r.age) for r in monitor.regions]
+            ra = monitor.regions
+            columns = (ra.start, ra.end, ra.nr_accesses, ra.age)
+            return list(zip(*(column.tolist() for column in columns)))
 
         assert run() == run()
 

@@ -7,10 +7,11 @@ Three real bugs, each with a test that fails on the pre-fix code:
    interval only *prepared* and the observable access-count ceiling was
    ``aggregation/sampling − 1``, never the ``attrs.max_nr_accesses``
    the schemes engine quantizes against.
-2. **Dropped address-space slivers** — ``regions_intersecting`` used to
-   silently discard sub-``MIN_REGION_SIZE`` pieces (clipped survivors
-   and gap fills), so after layout churn the region list stopped tiling
-   the target ranges: mapped bytes left monitoring forever.
+2. **Dropped address-space slivers** — layout clipping (now
+   ``RegionArray.clipped_to``) used to silently discard
+   sub-``MIN_REGION_SIZE`` pieces (clipped survivors and gap fills), so
+   after layout churn the region list stopped tiling the target ranges:
+   mapped bytes left monitoring forever.
 3. **Silent zip truncation** — the counter-publish step used to
    ``zip()`` regions with the accumulator arrays; a length divergence
    (a callback mutating the region list mid-interval) dropped counts
@@ -24,7 +25,7 @@ from repro.errors import MonitorStateError
 from repro.monitor.attrs import MonitorAttrs
 from repro.monitor.core import DataAccessMonitor
 from repro.monitor.primitives import MonitoringPrimitive
-from repro.monitor.region import MIN_REGION_SIZE, Region, regions_intersecting
+from repro.monitor.region import MIN_REGION_SIZE, RegionArray
 from repro.clock import EventQueue
 from repro.trace import AccessSampled, TraceBus
 from repro.units import MIB, MSEC
@@ -98,7 +99,7 @@ class TestSamplingCheckNotLost:
         queue = EventQueue()
         seen = []
         monitor.register_raw_callback(
-            lambda mon, now: seen.extend(r.nr_accesses for r in mon.regions)
+            lambda mon, now: seen.extend(mon.regions.nr_accesses.tolist())
         )
         monitor.start(queue)
         queue.run_for(6 * ATTRS.aggregation_interval_us)
@@ -176,51 +177,56 @@ class TestSameInstantTickOrder:
 # ----------------------------------------------------------------------
 # Fix 2: layout clipping never drops bytes
 # ----------------------------------------------------------------------
-def _counted(start, end, nr=7, last=5, age=3, writes=2):
-    region = Region(start, end)
-    region.nr_accesses = nr
-    region.last_nr_accesses = last
-    region.age = age
-    region.nr_writes = writes
-    return region
+def _counted(*rows, last=5, age=3, writes=2):
+    """A table of ``(start, end, nr_accesses)`` rows."""
+    ra = RegionArray.from_bounds([row[0] for row in rows], [row[1] for row in rows])
+    ra.nr_accesses[:] = [row[2] for row in rows]
+    ra.last_nr_accesses[:] = last
+    ra.age[:] = age
+    ra.nr_writes[:] = writes
+    return ra
+
+
+def _bounds(ra):
+    return list(zip(ra.start.tolist(), ra.end.tolist()))
 
 
 class TestRegionsIntersectingTiling:
     def test_sub_min_gap_sliver_is_absorbed_not_dropped(self):
         """A sub-page hole between two survivors used to vanish from
         monitoring; now the next region extends down over it."""
-        regions = [_counted(0, K, nr=1), _counted(K + K // 2, 3 * K, nr=9)]
+        regions = _counted((0, K, 1), (K + K // 2, 3 * K, 9))
         ranges = [(0, 3 * K)]
-        out = regions_intersecting(regions, ranges)
-        assert sum(r.size for r in out) == 3 * K  # tiling: no lost bytes
-        covering = next(r for r in out if r.start <= K + K // 2 < r.end)
-        assert covering.start == K  # extended over the sliver
-        assert covering.nr_accesses == 9  # keeping its own counters
+        out = regions.clipped_to(ranges)
+        assert out.total_bytes() == 3 * K  # tiling: no lost bytes
+        (i,) = [i for i, (s, e) in enumerate(_bounds(out)) if s <= K + K // 2 < e]
+        assert out.start[i] == K  # extended over the sliver
+        assert out.nr_accesses[i] == 9  # keeping its own counters
 
     def test_sub_min_clipped_survivor_is_absorbed_not_dropped(self):
         """A survivor clipped below the minimum size used to be
         discarded (with its bytes); now the previous region extends over
         it."""
-        regions = [_counted(0, K, nr=4), _counted(K, 2 * K, nr=8)]
+        regions = _counted((0, K, 4), (K, 2 * K, 8))
         ranges = [(0, K + K // 4)]
-        out = regions_intersecting(regions, ranges)
-        assert sum(r.size for r in out) == K + K // 4
-        assert len(out) == 1
-        assert (out[0].start, out[0].end) == (0, K + K // 4)
-        assert out[0].nr_accesses == 4
+        out = regions.clipped_to(ranges)
+        assert out.total_bytes() == K + K // 4
+        assert out.n == 1
+        assert _bounds(out) == [(0, K + K // 4)]
+        assert out.nr_accesses[0] == 4
 
     def test_aligned_layouts_unchanged(self):
         """Page-aligned clipping (the common case) behaves exactly as
         before: survivors keep counters, uncovered space gets fresh
         regions."""
-        regions = [_counted(0, 2 * K, nr=6), _counted(2 * K, 4 * K, nr=2)]
+        regions = _counted((0, 2 * K, 6), (2 * K, 4 * K, 2))
         ranges = [(K, 6 * K)]
-        out = regions_intersecting(regions, ranges)
-        assert [(r.start, r.end) for r in out] == [(K, 2 * K), (2 * K, 4 * K), (4 * K, 6 * K)]
-        assert [r.nr_accesses for r in out] == [6, 2, 0]
+        out = regions.clipped_to(ranges)
+        assert _bounds(out) == [(K, 2 * K), (2 * K, 4 * K), (4 * K, 6 * K)]
+        assert out.nr_accesses.tolist() == [6, 2, 0]
 
     def test_whole_range_below_minimum_is_skipped(self):
-        assert regions_intersecting([_counted(0, K)], [(0, K // 2)]) == []
+        assert _counted((0, K, 7)).clipped_to([(0, K // 2)]).n == 0
 
     def test_monitor_invariants_include_tiling(self):
         """check_invariants now asserts the region list covers the
@@ -230,7 +236,8 @@ class TestRegionsIntersectingTiling:
         )
         monitor.init_regions()
         monitor.check_invariants()  # tiles after init
-        monitor.regions = monitor.regions[:-1]  # break the tiling
+        ra = monitor.regions
+        monitor.regions = RegionArray.from_bounds(ra.start[:-1], ra.end[:-1])  # break the tiling
         with pytest.raises(MonitorStateError, match="tile"):
             monitor.check_invariants()
 
@@ -241,7 +248,7 @@ class TestRegionsIntersectingTiling:
 class TestCounterPublishStrict:
     def _monitor(self):
         monitor = DataAccessMonitor(primitive=None, attrs=ATTRS, seed=2)
-        monitor.regions = [Region(0, K), Region(K, 2 * K), Region(2 * K, 3 * K)]
+        monitor.regions = RegionArray.from_bounds([0, K, 2 * K], [K, 2 * K, 3 * K])
         return monitor
 
     def test_short_accumulator_raises_with_both_lengths(self):
@@ -261,7 +268,7 @@ class TestCounterPublishStrict:
         monitor._acc = np.array([1, 2, 3], dtype=np.int64)
         published = []
         monitor.register_raw_callback(
-            lambda mon, now: published.extend(r.nr_accesses for r in mon.regions)
+            lambda mon, now: published.extend(mon.regions.nr_accesses.tolist())
         )
         monitor.aggregate_tick(ATTRS.aggregation_interval_us)
         # Merge may fold the similar-count neighbours; the weighted

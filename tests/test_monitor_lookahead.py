@@ -25,7 +25,7 @@ from repro.clock import EventQueue
 from repro.monitor.attrs import MonitorAttrs
 from repro.monitor.core import DataAccessMonitor
 from repro.monitor.primitives import PhysicalPrimitive, VirtualPrimitive
-from repro.monitor.region import _INT_COLUMNS
+from repro.monitor.region import _COLUMNS, _INT_COLUMNS, RegionArray
 from repro.sim.kernel import SimKernel
 from repro.sim.machine import GuestSpec, get_instance
 from repro.sim.swap import ZramDevice
@@ -146,8 +146,11 @@ class Twin:
             self.kernel.munmap(self.slots.pop(slot))
 
     def do_assign_regions(self, now, keep):
-        regions = self.monitor._ra.to_regions()
-        self.monitor.regions = regions[: max(1, int(keep * len(regions)))]
+        ra = self.monitor.regions
+        head = RegionArray(min(ra.n, max(1, int(keep * ra.n))))
+        for name in _COLUMNS:
+            getattr(head, name)[:] = getattr(ra, name)[: head.n]
+        self.monitor.regions = head
 
     def do_track_writes(self, now, flag):
         self.monitor.attrs = dataclasses.replace(self.monitor.attrs, track_writes=flag)

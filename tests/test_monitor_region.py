@@ -1,48 +1,38 @@
-"""Region table: split, merge, aging math, layout clipping."""
+"""Region table: construction, split, merge, aging math, layout
+clipping, the tiling check."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ConfigError
-from repro.monitor.region import (
-    MIN_REGION_SIZE,
-    Region,
-    RegionArray,
-    regions_intersecting,
-)
+from repro.errors import ConfigError, MonitorStateError
+from repro.monitor.region import MIN_REGION_SIZE, RegionArray
 
 K = MIN_REGION_SIZE
 
 
 class TestRegion:
     def test_minimum_size_enforced(self):
-        with pytest.raises(ConfigError):
-            Region(0, K - 1)
+        with pytest.raises(ConfigError, match="below minimum size"):
+            RegionArray.from_bounds([0], [K - 1])
+        with pytest.raises(ConfigError, match=r"\[0x1000, 0x1fff\)"):
+            RegionArray.from_bounds([0, K], [K, 2 * K - 1])
 
     def test_fresh_counters(self):
-        region = Region(0, 10 * K)
-        assert region.nr_accesses == 0
-        assert region.age == 0
-        assert region.size == 10 * K
-
-    def test_overlaps(self):
-        region = Region(10 * K, 20 * K)
-        assert region.overlaps(0, 11 * K)
-        assert region.overlaps(19 * K, 30 * K)
-        assert not region.overlaps(0, 10 * K)
-        assert not region.overlaps(20 * K, 30 * K)
+        ra = RegionArray.from_bounds([0, 10 * K], [10 * K, 12 * K])
+        assert ra.nr_accesses.tolist() == [0, 0]
+        assert ra.age.tolist() == [0, 0]
+        assert (ra.end - ra.start).tolist() == [10 * K, 2 * K]
+        assert ra.sampling_addr.tolist() == [0, 10 * K]
 
 
 def table(*rows):
     """A RegionArray from ``(start_page, end_page, counters)`` rows."""
-    regions = []
-    for start, end, counters in rows:
-        region = Region(start * K, end * K)
+    ra = RegionArray.from_bounds([row[0] * K for row in rows], [row[1] * K for row in rows])
+    for i, (_, _, counters) in enumerate(rows):
         for name, value in counters.items():
-            setattr(region, name, value)
-        regions.append(region)
-    return RegionArray.from_regions(regions)
+            getattr(ra, name)[i] = value
+    return ra
 
 
 def bounds(ra):
@@ -113,42 +103,60 @@ class TestMerge:
 
 class TestIntersecting:
     def test_surviving_regions_keep_counters(self):
-        region = Region(0, 10 * K)
-        region.nr_accesses = 9
-        region.age = 4
-        out = regions_intersecting([region], [(0, 10 * K)])
-        assert len(out) == 1
-        assert out[0].nr_accesses == 9
-        assert out[0].age == 4
+        ra = table((0, 10, dict(nr_accesses=9, age=4)))
+        out = ra.clipped_to([(0, 10 * K)])
+        assert out.n == 1
+        assert out.nr_accesses.tolist() == [9]
+        assert out.age.tolist() == [4]
 
     def test_clipped_to_new_range(self):
-        region = Region(0, 10 * K)
-        out = regions_intersecting([region], [(2 * K, 6 * K)])
-        assert [(r.start, r.end) for r in out] == [(2 * K, 6 * K)]
+        out = table((0, 10, {})).clipped_to([(2 * K, 6 * K)])
+        assert bounds(out) == [(2 * K, 6 * K)]
 
     def test_uncovered_ranges_get_fresh_regions(self):
-        region = Region(0, 4 * K)
-        out = regions_intersecting([region], [(0, 10 * K)])
-        assert [(r.start, r.end) for r in out] == [(0, 4 * K), (4 * K, 10 * K)]
-        assert out[1].nr_accesses == 0
+        out = table((0, 4, {})).clipped_to([(0, 10 * K)])
+        assert bounds(out) == [(0, 4 * K), (4 * K, 10 * K)]
+        assert out.nr_accesses[1] == 0
 
     def test_disjoint_region_dropped(self):
-        region = Region(100 * K, 110 * K)
-        out = regions_intersecting([region], [(0, 10 * K)])
-        assert [(r.start, r.end) for r in out] == [(0, 10 * K)]
+        out = table((100, 110, {})).clipped_to([(0, 10 * K)])
+        assert bounds(out) == [(0, 10 * K)]
 
     def test_multiple_ranges(self):
-        regions = [Region(0, 10 * K), Region(20 * K, 30 * K)]
-        out = regions_intersecting(regions, [(0, 10 * K), (20 * K, 30 * K)])
-        assert len(out) == 2
+        ra = table((0, 10, {}), (20, 30, {}))
+        out = ra.clipped_to([(0, 10 * K), (20 * K, 30 * K)])
+        assert out.n == 2
 
     def test_regions_tile_ranges_without_overlap(self):
-        regions = [Region(K, 3 * K), Region(5 * K, 8 * K)]
-        out = regions_intersecting(regions, [(0, 10 * K)])
+        out = table((1, 3, {}), (5, 8, {})).clipped_to([(0, 10 * K)])
         prev = 0
-        for region in out:
-            assert region.start >= prev
-            prev = region.end
+        for start, end in bounds(out):
+            assert start >= prev
+            prev = end
+
+
+class TestTilingCheck:
+    """``check_invariants(ranges)``: the regions tile the ranges byte
+    for byte, so equal byte totals are not enough."""
+
+    def test_tiling_table_passes(self):
+        table((0, 4, {}), (4, 10, {}), (20, 28, {})).check_invariants(
+            [(0, 10 * K), (20 * K, 28 * K)]
+        )
+
+    def test_region_straddling_a_range_end_fails(self):
+        ra = RegionArray.from_bounds([5 * K], [15 * K])
+        with pytest.raises(MonitorStateError, match="no single target range"):
+            ra.check_invariants([(0, 10 * K)])
+
+    def test_gap_balanced_by_a_stray_region_fails(self):
+        ra = RegionArray.from_bounds([0, 20 * K], [2 * K, 28 * K])
+        with pytest.raises(MonitorStateError, match=r"\[0x14000, 0x1c000\)"):
+            ra.check_invariants([(0, 10 * K)])
+
+    def test_byte_total_mismatch_fails(self):
+        with pytest.raises(MonitorStateError, match="cover 4096 bytes"):
+            table((0, 1, {})).check_invariants([(0, 2 * K)])
 
 
 class TestSamplingAddrs:

@@ -111,10 +111,10 @@ class MonitorMachine(RuleBasedStateMachine):
 
     @invariant()
     def counters_within_ceilings(self):
-        for region in self.monitor.regions:
-            assert 0 <= region.nr_accesses <= ATTRS.max_nr_accesses
-            assert 0 <= region.nr_writes <= ATTRS.max_nr_accesses
-            assert region.age >= 0
+        ra = self.monitor.regions
+        for column in (ra.nr_accesses, ra.nr_writes):
+            assert ((0 <= column) & (column <= ATTRS.max_nr_accesses)).all()
+        assert (ra.age >= 0).all()
 
     @invariant()
     def page_state_consistent(self):

@@ -13,6 +13,10 @@ changes and checks, after every update:
   same storm end with identical region tables (the struct-of-arrays
   engine consumes randomness as a pure function of the region state).
 
+The column clipping pass itself (``RegionArray.clipped_to``) is held to
+the row-based clipping it replaced, copied below as the reference: on
+random tables and range sets, every column must come out equal.
+
 Byte-identity of pool vs serial sweeps with the array engine is covered
 end-to-end by ``tests/test_sweep_determinism.py`` (fingerprint
 comparison), which runs against the same monitor code path.
@@ -20,11 +24,15 @@ comparison), which runs against the same monitor code path.
 
 from __future__ import annotations
 
+from typing import List, Optional
+
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.monitor.attrs import MonitorAttrs
 from repro.monitor.core import DataAccessMonitor
 from repro.monitor.primitives import VirtualPrimitive
+from repro.monitor.region import _COLUMNS, MIN_REGION_SIZE, RegionArray
 from repro.sim.kernel import SimKernel
 from repro.sim.machine import GuestSpec, get_instance
 from repro.sim.swap import ZramDevice
@@ -77,32 +85,34 @@ def test_tiling_and_history_survive_churn(storm):
     now = 0
     for op in storm:
         # Stamp distinctive counters so preservation is observable.
-        spans = []
-        for i, region in enumerate(monitor.regions):
-            region.nr_accesses = (i % 19) + 1
-            region.last_nr_accesses = i % 7
-            region.age = i % 13
-            spans.append((region.start, region.end, (i % 19) + 1, i % 7, i % 13))
+        ra = monitor.regions
+        i = np.arange(ra.n)
+        ra.nr_accesses[:] = (i % 19) + 1
+        ra.last_nr_accesses[:] = i % 7
+        ra.age[:] = i % 13
+        spans = _rows(ra)
         _apply_op(kernel, vmas, op)
         now += ATTRS.regions_update_interval_us
         monitor.regions_update_tick(now)
         # Tiling: regions cover the target ranges byte for byte.
         monitor.check_invariants()
-        total = sum(r.size for r in monitor.regions)
+        ra = monitor.regions
+        total = int((ra.end - ra.start).sum())
         expected = sum(e - s for s, e in monitor.primitive.target_ranges())
         assert total == expected
         # History: any region inside a surviving old span keeps the
         # counters that span carried (layouts here are page-aligned, so
         # no sliver absorption can rewrite boundaries).
-        for region in monitor.regions:
-            owners = [
-                s for s in spans if s[0] <= region.start and region.end <= s[1]
-            ]
+        for start, end, nr, last, age in _rows(ra):
+            owners = [s for s in spans if s[0] <= start and end <= s[1]]
             if owners:
-                _, _, nr, last, age = owners[0]
-                assert region.nr_accesses == nr
-                assert region.last_nr_accesses == last
-                assert region.age == age
+                assert (nr, last, age) == owners[0][2:]
+
+
+def _rows(ra):
+    """``(start, end, nr_accesses, last_nr_accesses, age)`` per row."""
+    columns = (ra.start, ra.end, ra.nr_accesses, ra.last_nr_accesses, ra.age)
+    return list(zip(*(column.tolist() for column in columns)))
 
 
 @given(storm=ops)
@@ -118,9 +128,137 @@ def test_same_seed_storms_are_identical(storm):
             monitor.regions_update_tick(now)
             monitor.sample_tick(now)
             monitor.aggregate_tick(now + ATTRS.aggregation_interval_us)
-        return [
-            (r.start, r.end, r.nr_accesses, r.last_nr_accesses, r.age)
-            for r in monitor.regions
-        ]
+        return _rows(monitor.regions)
 
     assert run() == run()
+
+
+# ----------------------------------------------------------------------
+# The column clipping pass against the row-based clipping it replaced
+# ----------------------------------------------------------------------
+class _ReferenceRegion:
+    """The free-standing region row the reference clips."""
+
+    def __init__(self, start: int, end: int):
+        assert end - start >= MIN_REGION_SIZE
+        self.start, self.end = start, end
+        self.nr_accesses = self.last_nr_accesses = self.nr_writes = self.age = 0
+        self.write_ewma = 0.0
+        self.sampling_addr = start
+
+    def overlaps(self, start: int, end: int) -> bool:
+        return self.start < end and start < self.end
+
+
+def _reference_intersecting(regions: List, ranges: List[tuple]) -> List:
+    """Row-based layout clipping, as the monitor did it before the
+    column pass (``regions_intersecting``)."""
+    out: List = []
+    for range_start, range_end in ranges:
+        pieces: List[tuple] = []
+        covered = range_start
+        for region in regions:
+            if not region.overlaps(range_start, range_end):
+                continue
+            lo = max(region.start, range_start)
+            hi = min(region.end, range_end)
+            if lo > covered:
+                pieces.append((covered, lo, None))
+            pieces.append((lo, hi, region))
+            covered = hi
+        if range_end > covered:
+            pieces.append((covered, range_end, None))
+        merged: List[tuple] = []
+        carry: Optional[int] = None
+        for start, end, source in pieces:
+            if carry is not None:
+                start = carry
+                carry = None
+            if end - start < MIN_REGION_SIZE:
+                carry = start
+                continue
+            merged.append((start, end, source))
+        if carry is not None:
+            if merged:
+                last_start, _, last_source = merged[-1]
+                merged[-1] = (last_start, range_end, last_source)
+        for start, end, source in merged:
+            region = _ReferenceRegion(start, end)
+            if source is not None:
+                region.nr_accesses = source.nr_accesses
+                region.last_nr_accesses = source.last_nr_accesses
+                region.nr_writes = source.nr_writes
+                region.write_ewma = source.write_ewma
+                region.age = source.age
+            out.append(region)
+    return out
+
+
+K = MIN_REGION_SIZE
+#: Byte lengths mixing whole pages with sub-page remainders, so clipped
+#: rows and gaps land on and off page boundaries.
+_lengths = st.builds(
+    lambda pages, tail: pages * K + tail,
+    st.integers(0, 6),
+    st.one_of(st.just(0), st.integers(1, K - 1)),
+)
+
+
+#: The columns a case draws per row, in ``_layout_cases`` order.
+_DRAWN = ("nr_accesses", "last_nr_accesses", "nr_writes", "write_ewma", "age", "sampling_addr")
+
+
+@st.composite
+def _layout_cases(draw):
+    """A sorted, non-overlapping table with random counters and a
+    sorted, non-overlapping range set over the same span."""
+    rows = []
+    cursor = draw(st.integers(0, 3 * K))
+    for _ in range(draw(st.integers(0, 12))):
+        cursor += draw(_lengths)  # gap before the row, maybe none
+        size = K + draw(_lengths)
+        rows.append((cursor, cursor + size))
+        cursor += size
+    ranges = []
+    cursor = draw(st.integers(0, 3 * K))
+    for _ in range(draw(st.integers(0, 5))):
+        cursor += draw(_lengths)
+        size = draw(st.one_of(st.integers(1, K), _lengths.filter(bool), st.integers(K, 40 * K)))
+        ranges.append((cursor, cursor + size))
+        cursor += size
+    counters = st.integers(0, 1_000)
+    history = [
+        (
+            draw(counters),
+            draw(counters),
+            draw(counters),
+            draw(st.floats(0.0, 100.0, allow_nan=False)),
+            draw(counters),
+            draw(st.integers(0, (end - start) // K - 1)) * K + start,
+        )
+        for start, end in rows
+    ]
+    return rows, history, ranges
+
+
+@given(case=_layout_cases())
+@settings(max_examples=300, deadline=None)
+def test_column_clipping_equals_row_clipping(case):
+    rows, history, ranges = case
+    ra = RegionArray.from_bounds([s for s, _ in rows], [e for _, e in rows])
+    reference = []
+    for i, ((start, end), values) in enumerate(zip(rows, history)):
+        region = _ReferenceRegion(start, end)
+        for name, value in zip(_DRAWN, values):
+            getattr(ra, name)[i] = value
+            setattr(region, name, value)
+        reference.append(region)
+    out = ra.clipped_to(ranges)
+    expected = _reference_intersecting(reference, ranges)
+    assert out.n == len(expected)
+    for name in _COLUMNS:
+        assert getattr(out, name).tolist() == [getattr(r, name) for r in expected], name
+    assert out.start.dtype == out.sampling_addr.dtype == np.int64
+    assert out.write_ewma.dtype == np.float64
+    # What survives tiles every range a region fits in.
+    out.check_invariants([(s, e) for s, e in ranges if e - s >= MIN_REGION_SIZE])

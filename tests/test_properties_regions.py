@@ -20,7 +20,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.monitor.attrs import MonitorAttrs
 from repro.monitor.core import DataAccessMonitor
-from repro.monitor.region import MIN_REGION_SIZE, Region, RegionArray
+from repro.monitor.region import MIN_REGION_SIZE, RegionArray
 from repro.units import MSEC
 
 K = MIN_REGION_SIZE
@@ -35,7 +35,7 @@ ATTRS = MonitorAttrs(
 )
 
 
-def _monitor(regions) -> DataAccessMonitor:
+def _monitor(regions: RegionArray) -> DataAccessMonitor:
     """A monitor whose primitive is never touched by merge/split."""
     monitor = DataAccessMonitor(primitive=None, attrs=ATTRS, seed=11)
     monitor.regions = regions
@@ -44,7 +44,7 @@ def _monitor(regions) -> DataAccessMonitor:
 
 @st.composite
 def region_lists(draw, min_n=1, max_n=30, max_pages=16, gaps="maybe"):
-    """A sorted, non-overlapping region list with random counters.
+    """A sorted, non-overlapping region table with random counters.
 
     ``gaps`` — "maybe": random gaps; "never": fully adjacent;
     "always": at least one page between consecutive regions.
@@ -52,29 +52,34 @@ def region_lists(draw, min_n=1, max_n=30, max_pages=16, gaps="maybe"):
     n = draw(st.integers(min_n, max_n))
     lo = {"maybe": 0, "never": 0, "always": 1}[gaps]
     hi = {"maybe": 3, "never": 0, "always": 3}[gaps]
-    regions = []
+    starts, ends = [], []
     cursor = 0
     for _ in range(n):
         cursor += draw(st.integers(lo, hi)) * K
-        size = draw(st.integers(1, max_pages)) * K
-        region = Region(cursor, cursor + size)
-        region.nr_accesses = draw(st.integers(0, 20))
-        region.last_nr_accesses = draw(st.integers(0, 20))
-        region.age = draw(st.integers(0, 60))
-        cursor += size
-        regions.append(region)
-    return regions
+        starts.append(cursor)
+        cursor += draw(st.integers(1, max_pages)) * K
+        ends.append(cursor)
+    ra = RegionArray.from_bounds(starts, ends)
+    ra.nr_accesses[:] = [draw(st.integers(0, 20)) for _ in range(n)]
+    ra.last_nr_accesses[:] = [draw(st.integers(0, 20)) for _ in range(n)]
+    ra.age[:] = [draw(st.integers(0, 60)) for _ in range(n)]
+    return ra
 
 
-def _covered_bytes(regions) -> int:
-    return sum(r.size for r in regions)
+def _sizes(ra: RegionArray) -> list:
+    return (ra.end - ra.start).tolist()
 
 
-def _assert_sorted_nonoverlapping(regions) -> None:
-    for left, right in zip(regions, regions[1:]):
-        assert left.end <= right.start, f"{left!r} overlaps {right!r}"
-    for region in regions:
-        assert region.size >= MIN_REGION_SIZE
+def _covered_bytes(ra: RegionArray) -> int:
+    return sum(_sizes(ra))
+
+
+def _assert_sorted_nonoverlapping(ra: RegionArray) -> None:
+    rows = list(zip(ra.start.tolist(), ra.end.tolist()))
+    for left, right in zip(rows, rows[1:]):
+        assert left[1] <= right[0], f"{left} overlaps {right}"
+    for size in _sizes(ra):
+        assert size >= MIN_REGION_SIZE
 
 
 # ----------------------------------------------------------------------
@@ -84,12 +89,12 @@ def _assert_sorted_nonoverlapping(regions) -> None:
 @settings(max_examples=200)
 def test_merge_preserves_bytes_and_structure(regions, threshold):
     before_bytes = _covered_bytes(regions)
-    before_n = len(regions)
+    before_n = regions.n
     monitor = _monitor(regions)
     monitor._merge_regions(threshold)
     after = monitor.regions
     assert _covered_bytes(after) == before_bytes
-    assert len(after) <= before_n
+    assert after.n <= before_n
     _assert_sorted_nonoverlapping(after)
 
 
@@ -102,10 +107,10 @@ def test_merge_respects_min_nr_regions_floor(regions, threshold):
     total = _covered_bytes(regions)
     sz_limit = total // ATTRS.min_nr_regions
     assume(sz_limit >= MIN_REGION_SIZE)
-    assume(all(r.size <= sz_limit for r in regions))
+    assume(all(size <= sz_limit for size in _sizes(regions)))
     monitor = _monitor(regions)
     monitor._merge_regions(threshold)
-    assert len(monitor.regions) >= ATTRS.min_nr_regions
+    assert monitor.regions.n >= ATTRS.min_nr_regions
 
 
 # ----------------------------------------------------------------------
@@ -114,12 +119,12 @@ def test_merge_respects_min_nr_regions_floor(regions, threshold):
 @given(regions=region_lists(max_n=55))
 @settings(max_examples=200)
 def test_split_respects_max_nr_regions_ceiling(regions):
-    assume(len(regions) <= ATTRS.max_nr_regions)
+    assume(regions.n <= ATTRS.max_nr_regions)
     before_bytes = _covered_bytes(regions)
     monitor = _monitor(regions)
     monitor._split_regions()
     after = monitor.regions
-    assert len(after) <= ATTRS.max_nr_regions
+    assert after.n <= ATTRS.max_nr_regions
     assert _covered_bytes(after) == before_bytes
     _assert_sorted_nonoverlapping(after)
 
@@ -127,18 +132,20 @@ def test_split_respects_max_nr_regions_ceiling(regions):
 @given(regions=region_lists())
 @settings(max_examples=100)
 def test_split_children_inherit_counters(regions):
-    parents = [
-        (r.start, r.end, r.nr_accesses, r.last_nr_accesses, r.age) for r in regions
-    ]
+    parents = _rows(regions)
     monitor = _monitor(regions)
     monitor._split_regions()
-    for child in monitor.regions:
-        parent = next(
-            p for p in parents if p[0] <= child.start and child.end <= p[1]
-        )
-        assert child.nr_accesses == parent[2]
-        assert child.last_nr_accesses == parent[3]
-        assert child.age == parent[4]
+    for start, end, nr, last, age in _rows(monitor.regions):
+        parent = next(p for p in parents if p[0] <= start and end <= p[1])
+        assert nr == parent[2]
+        assert last == parent[3]
+        assert age == parent[4]
+
+
+def _rows(ra: RegionArray) -> list:
+    """``(start, end, nr_accesses, last_nr_accesses, age)`` per row."""
+    columns = (ra.start, ra.end, ra.nr_accesses, ra.last_nr_accesses, ra.age)
+    return list(zip(*(column.tolist() for column in columns)))
 
 
 # ----------------------------------------------------------------------
@@ -153,12 +160,12 @@ def test_cycles_stay_bounded(regions, thresholds):
     total = _covered_bytes(regions)
     sz_limit = total // ATTRS.min_nr_regions
     assume(sz_limit >= MIN_REGION_SIZE)
-    assume(all(r.size <= sz_limit for r in regions))
+    assume(all(size <= sz_limit for size in _sizes(regions)))
     monitor = _monitor(regions)
     for threshold in thresholds:
         monitor._merge_regions(threshold)
         monitor._split_regions()
-        assert ATTRS.min_nr_regions <= len(monitor.regions) <= ATTRS.max_nr_regions
+        assert ATTRS.min_nr_regions <= monitor.regions.n <= ATTRS.max_nr_regions
         assert _covered_bytes(monitor.regions) == total
         monitor.check_invariants()
 
@@ -172,15 +179,15 @@ def test_aging_resets_exactly_on_changed_count(regions, threshold):
     """With gaps everywhere (no merge can fire), the aging rule is
     exactly observable: age resets iff the access count moved by more
     than the merge threshold, and increments otherwise."""
-    before = [(r.nr_accesses, r.last_nr_accesses, r.age) for r in regions]
+    before = [row[2:] for row in _rows(regions)]
     monitor = _monitor(regions)
     monitor._merge_regions(threshold)
-    assert len(monitor.regions) == len(before)
-    for region, (nr, last, age) in zip(monitor.regions, before):
+    assert monitor.regions.n == len(before)
+    for new_age, (nr, last, age) in zip(monitor.regions.age.tolist(), before):
         if abs(nr - last) > threshold:
-            assert region.age == 0, "changed count must reset the age"
+            assert new_age == 0, "changed count must reset the age"
         else:
-            assert region.age == age + 1, "stable count must increment the age"
+            assert new_age == age + 1, "stable count must increment the age"
 
 
 # ----------------------------------------------------------------------
@@ -197,18 +204,17 @@ def test_aging_resets_exactly_on_changed_count(regions, threshold):
 def test_merge_two_weighted_averages_stay_in_range(
     left_pages, right_pages, left_nr, right_nr, left_age, right_age
 ):
-    left = Region(0, left_pages * K)
-    right = Region(left_pages * K, (left_pages + right_pages) * K)
-    left.nr_accesses = left.last_nr_accesses = left_nr
-    right.nr_accesses = right.last_nr_accesses = right_nr
-    left.age, right.age = left_age, right_age
-    left.sampling_addr = left.end - K
-    ra = RegionArray.from_regions([left, right])
+    cut = left_pages * K
+    size = (left_pages + right_pages) * K
+    ra = RegionArray.from_bounds([0, cut], [cut, size])
+    ra.nr_accesses[:] = ra.last_nr_accesses[:] = [left_nr, right_nr]
+    ra.age[:] = [left_age, right_age]
+    ra.sampling_addr[0] = cut - K
     # Any two counts in [0, 20] are within the threshold, so the pair
     # folds; both rows were stable, so each aged by one first.
-    assert ra.age_and_merge(threshold=20, sz_limit=left.size + right.size) == 1
-    (merged,) = ra.views()
-    assert merged.size == left.size + right.size
-    assert min(left_nr, right_nr) <= merged.nr_accesses <= max(left_nr, right_nr)
-    assert min(left_age, right_age) + 1 <= merged.age <= max(left_age, right_age) + 1
-    assert merged.sampling_addr == left.sampling_addr
+    assert ra.age_and_merge(threshold=20, sz_limit=size) == 1
+    assert ra.n == 1
+    assert int(ra.end[0] - ra.start[0]) == size
+    assert min(left_nr, right_nr) <= ra.nr_accesses[0] <= max(left_nr, right_nr)
+    assert min(left_age, right_age) + 1 <= ra.age[0] <= max(left_age, right_age) + 1
+    assert ra.sampling_addr[0] == cut - K

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ParseError, SchemeError
 from repro.monitor.attrs import MonitorAttrs
-from repro.monitor.region import Region
+from repro.monitor.region import RegionArray
 from repro.schemes.actions import PADDR_ACTIONS, Action, apply_action
 from repro.schemes.parser import format_scheme, parse_scheme, parse_schemes
 from repro.schemes.scheme import AccessPattern, Scheme
@@ -23,47 +23,54 @@ K = 4096
 
 
 def region(start_k, end_k, nr=0, age=0):
-    r = Region(start_k * K, end_k * K)
-    r.nr_accesses = nr
-    r.age = age
-    return r
+    """A one-row region table."""
+    ra = RegionArray.from_bounds([start_k * K], [end_k * K])
+    ra.nr_accesses[0] = nr
+    ra.age[0] = age
+    return ra
+
+
+def matches(pattern, ra, attrs=ATTRS):
+    """Does the pattern match the table's one row?"""
+    (hit,) = pattern.match_mask(ra, attrs).tolist()
+    return hit
 
 
 class TestAccessPattern:
     def test_size_match(self):
         pattern = AccessPattern(min_size=10 * K, max_size=100 * K)
-        assert pattern.matches(region(0, 50), ATTRS)
-        assert not pattern.matches(region(0, 2), ATTRS)
-        assert not pattern.matches(region(0, 200), ATTRS)
+        assert matches(pattern, region(0, 50))
+        assert not matches(pattern, region(0, 2))
+        assert not matches(pattern, region(0, 200))
 
     def test_size_bounds_inclusive(self):
         pattern = AccessPattern(min_size=10 * K, max_size=10 * K)
-        assert pattern.matches(region(0, 10), ATTRS)
+        assert matches(pattern, region(0, 10))
 
     def test_freq_match(self):
         pattern = AccessPattern(min_freq=0.25, max_freq=1.0)
-        assert pattern.matches(region(0, 10, nr=5), ATTRS)  # 5/20 = 25%
-        assert not pattern.matches(region(0, 10, nr=4), ATTRS)
+        assert matches(pattern, region(0, 10, nr=5))  # 5/20 = 25%
+        assert not matches(pattern, region(0, 10, nr=4))
 
     def test_zero_freq_band(self):
         pattern = AccessPattern(min_freq=0.0, max_freq=0.0)
-        assert pattern.matches(region(0, 10, nr=0), ATTRS)
-        assert not pattern.matches(region(0, 10, nr=1), ATTRS)
+        assert matches(pattern, region(0, 10, nr=0))
+        assert not matches(pattern, region(0, 10, nr=1))
 
     def test_age_match_in_time_units(self):
         pattern = AccessPattern(min_age_us=5 * SEC)
         # 5 s at a 100 ms aggregation = age 50.
-        assert pattern.matches(region(0, 10, age=50), ATTRS)
-        assert not pattern.matches(region(0, 10, age=49), ATTRS)
+        assert matches(pattern, region(0, 10, age=50))
+        assert not matches(pattern, region(0, 10, age=49))
 
     def test_age_max_band(self):
         pattern = AccessPattern(min_age_us=0, max_age_us=1 * SEC)
-        assert pattern.matches(region(0, 10, age=10), ATTRS)
-        assert not pattern.matches(region(0, 10, age=11), ATTRS)
+        assert matches(pattern, region(0, 10, age=10))
+        assert not matches(pattern, region(0, 10, age=11))
 
     def test_unbounded_age(self):
         pattern = AccessPattern(min_age_us=2 * MINUTE)
-        assert pattern.matches(region(0, 10, age=10_000_000), ATTRS)
+        assert matches(pattern, region(0, 10, age=10_000_000))
 
     def test_invalid_ranges_rejected(self):
         with pytest.raises(SchemeError):

@@ -289,7 +289,7 @@ class TestBatchedPass:
         kernel.mmap(BASE, 64 * MIB)
         monitor = DataAccessMonitor(VirtualPrimitive(kernel), fast_attrs, seed=3)
         monitor.init_regions()
-        ra = monitor._ra
+        ra = monitor.regions
         # Few distinct (nr_accesses, age) pairs: most priorities tie.
         ra.nr_accesses[:] = np.arange(ra.n) % 3 * 5
         ra.age[:] = np.arange(ra.n) % 2 * 40
@@ -305,15 +305,15 @@ class TestBatchedPass:
 
         kernel.scheme_pass = recorded
         SchemesEngine(kernel, [scheme]).apply(monitor, now=1)
-        views = ra.views()
+        nr, age, start = ra.nr_accesses.tolist(), ra.age.tolist(), ra.start.tolist()
         expected = sorted(
-            views,
-            key=lambda r: priority(
-                r.nr_accesses, r.age, fast_attrs.max_nr_accesses, prefer_cold=prefer_cold
+            range(ra.n),
+            key=lambda i: priority(
+                nr[i], age[i], fast_attrs.max_nr_accesses, prefer_cold=prefer_cold
             ),
             reverse=True,
         )
-        assert order == [r.start for r in expected]
+        assert order == [start[i] for i in expected]
         assert len(set(order)) == ra.n > 3  # ties were actually exercised
 
     def test_array_priority_matches_scalar_calls(self):

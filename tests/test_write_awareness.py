@@ -98,30 +98,26 @@ class TestWriteAwareSchemes:
             AccessPattern(min_wfreq=0.9, max_wfreq=0.2)
 
     def test_clean_only_pattern(self):
-        from repro.monitor.region import Region
+        from repro.monitor.region import RegionArray
 
         attrs = WATTRS
         pattern = AccessPattern(max_wfreq=0.0)
-        clean = Region(0, 8 * MIB)
-        clean.nr_accesses = 10
-        dirty = Region(8 * MIB, 16 * MIB)
-        dirty.nr_accesses = 10
-        dirty.nr_writes = 10
-        assert pattern.matches(clean, attrs)
-        assert not pattern.matches(dirty, attrs)
+        # Row 0 clean, row 1 dirty.
+        ra = RegionArray.from_bounds([0, 8 * MIB], [8 * MIB, 16 * MIB])
+        ra.nr_accesses[:] = 10
+        ra.nr_writes[1] = 10
+        assert pattern.match_mask(ra, attrs).tolist() == [True, False]
 
     def test_write_heavy_pattern(self):
-        from repro.monitor.region import Region
+        from repro.monitor.region import RegionArray
 
         attrs = WATTRS
         pattern = AccessPattern(min_wfreq=0.5)
-        dirty = Region(0, MIB)
-        dirty.nr_accesses = 15
-        dirty.nr_writes = 15
-        assert pattern.matches(dirty, attrs)
-        clean = Region(MIB, 2 * MIB)
-        clean.nr_accesses = 15
-        assert not pattern.matches(clean, attrs)
+        # Row 0 dirty, row 1 clean.
+        ra = RegionArray.from_bounds([0, MIB], [MIB, 2 * MIB])
+        ra.nr_accesses[:] = 15
+        ra.nr_writes[0] = 15
+        assert pattern.match_mask(ra, attrs).tolist() == [True, False]
 
     def test_engine_targets_clean_memory_only(self, kernel, queue):
         """A clean-only PAGEOUT scheme must reclaim the read-cold part
