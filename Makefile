@@ -107,7 +107,7 @@ tiering-smoke:
 # of the tree while it is incrementally typed.
 lint:
 	test -z "$$(git ls-files '*.pyc')"
-	$(PYTHON) -m repro.cli lint src/repro --paths tests --paths benchmarks
+	$(PYTHON) -m repro.cli lint src/repro tests benchmarks
 	@if command -v ruff >/dev/null 2>&1; then ruff check src tests benchmarks; \
 	else echo "ruff not installed; skipping (pip install -e .[lint])"; fi
 	@if command -v mypy >/dev/null 2>&1; then \

@@ -38,8 +38,9 @@ Exit codes are a contract:
   points, or error-severity findings from ``lint`` or ``run --schemes``;
 * **2** — a usage error: argparse rejected the command line, or a
   :class:`~repro.errors.DaosError` (bad workload, config, flag
-  combination, unreadable input, fault plan, simulation failure) ended
-  the command with one ``error:`` line;
+  combination, unreadable input, output file in a missing directory,
+  fault plan, simulation failure) ended the command with one ``error:``
+  line;
 * **3** — a sweep point abandoned by the supervisor's watchdog;
 * **4** — a checkpoint that cannot be trusted (digest mismatch,
   format/version skew).
@@ -67,17 +68,7 @@ from .analysis.report import format_normalized_rows
 from .analysis.wss import wss_from_snapshots
 from .errors import CheckpointError, ConfigError, DaosError, ParseError, WatchdogTimeout
 from .faults import FaultInjector, load_fault_plan
-from .lint import (
-    DEFAULT_BASELINE_NAME,
-    Severity,
-    analyze_scheme_text,
-    apply_baseline,
-    lint_paths,
-    load_baseline,
-    render_json,
-    render_text,
-    write_baseline,
-)
+from .lint import analyze_scheme_text, has_errors, lint_paths, render_json, render_text
 from .perf import profile_run
 from .recovery.codec import checkpoint_fleet_stepping, read_checkpoint_header
 from .runner.configs import CONFIGS
@@ -368,15 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
         "unless only --schemes is given)",
     )
     p_lint.add_argument(
-        "--paths",
-        action="append",
-        default=[],
-        dest="extra_paths",
-        metavar="PATH",
-        help="additional python files or trees to lint (repeatable; "
-        "Makefile targets use this to cover benchmarks/ and tests/)",
-    )
-    p_lint.add_argument(
         "--schemes",
         action="append",
         default=[],
@@ -386,17 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_lint.add_argument(
         "--format", choices=("text", "json"), default="text", help="report format"
-    )
-    p_lint.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help=f"baseline file of grandfathered findings "
-        f"(default: ./{DEFAULT_BASELINE_NAME} when present)",
-    )
-    p_lint.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write the current findings as the new baseline and exit 0",
     )
     return parser
 
@@ -535,7 +506,7 @@ def _run_config(args):
         text, diagnostics = _read_schemes(args.schemes)
         if diagnostics:
             print(render_text(diagnostics), file=sys.stderr)
-        if any(d.severity is Severity.ERROR for d in diagnostics):
+        if has_errors(diagnostics):
             print(
                 f"error: {args.schemes} has error-severity scheme diagnostics; "
                 f"fix them (or inspect with `daos lint --schemes {args.schemes}`)",
@@ -911,32 +882,15 @@ def _cmd_lint(args) -> int:
     for scheme_file in args.schemes:
         diagnostics.extend(_read_schemes(scheme_file)[1])
 
-    paths = list(args.paths) + list(args.extra_paths)
+    paths = args.paths
     if not paths and not args.schemes:
         # Default target: the installed repro package itself.
         paths = [Path(__file__).resolve().parent]
     if paths:
         diagnostics.extend(lint_paths(paths, relative_to=Path.cwd()))
 
-    baseline_path = Path(args.baseline) if args.baseline else Path(DEFAULT_BASELINE_NAME)
-    if args.write_baseline:
-        write_baseline(baseline_path, diagnostics, root=Path.cwd())
-        print(f"baseline with {len(diagnostics)} entrie(s) written to {baseline_path}")
-        return 0
-    n_baselined = 0
-    if args.baseline or baseline_path.exists():
-        entries = load_baseline(baseline_path)
-        diagnostics, n_baselined = apply_baseline(
-            diagnostics, entries, root=Path.cwd()
-        )
-
-    if args.format == "json":
-        print(render_json(diagnostics))
-    else:
-        print(render_text(diagnostics))
-        if n_baselined:
-            print(f"({n_baselined} baselined finding(s) not shown)")
-    return 1 if any(d.severity is Severity.ERROR for d in diagnostics) else 0
+    print(render_json(diagnostics) if args.format == "json" else render_text(diagnostics))
+    return 1 if has_errors(diagnostics) else 0
 
 
 _COMMANDS = {
@@ -965,6 +919,27 @@ def exit_code(exc: DaosError) -> int:
     return next(code for cls, code in _ERROR_EXIT_CODES if isinstance(exc, cls))
 
 
+#: Each verb's output-file options (``--<dest>``).  ``resume``'s
+#: positional ``checkpoint`` is an input, so only its ``--out`` counts.
+_OUTPUT_DESTS = {
+    "run": ("trace", "profile", "record", "checkpoint"),
+    "tune": ("trace",),
+    "fleet": ("out", "checkpoint"),
+    "sweep": ("out",),
+    "resume": ("out",),
+    "report": ("pgm",),
+}
+
+
+def _check_output_dirs(args) -> None:
+    """Refuse an output file whose directory does not exist, before the
+    verb does any work (``-`` is stdout and always writable)."""
+    for dest in _OUTPUT_DESTS.get(args.command, ()):
+        path = getattr(args, dest)
+        if path and path != "-" and not Path(path).parent.is_dir():
+            raise ConfigError(f"--{dest} {path}: directory {Path(path).parent} does not exist")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # The CLI is the environment boundary (DT204): translate the ambient
@@ -974,6 +949,7 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "checkpoint_every", 0) and not args.checkpoint:
             raise ConfigError("--checkpoint-every needs --checkpoint FILE")
+        _check_output_dirs(args)
         return _COMMANDS[args.command](args)
     except DaosError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,9 +21,7 @@ DL4xx     Package layering (DAOS Layers)
 ========  ==========================================================
 
 The full table lives in :data:`CODES` (and DESIGN.md §9).  Reporters:
-:func:`render_text` for humans, :func:`render_json` /
-:func:`diagnostics_from_json` for machines (round-trip safe, covered by
-tests).
+:func:`render_text` for humans, :func:`render_json` for machines.
 """
 
 from __future__ import annotations
@@ -39,11 +37,9 @@ __all__ = [
     "Severity",
     "Diagnostic",
     "CODES",
-    "max_severity",
     "has_errors",
     "render_text",
     "render_json",
-    "diagnostics_from_json",
     "summarize",
 ]
 
@@ -57,17 +53,6 @@ class Severity(enum.Enum):
     INFO = "info"
     WARNING = "warning"
     ERROR = "error"
-
-    @property
-    def rank(self) -> int:
-        return {"info": 0, "warning": 1, "error": 2}[self.value]
-
-    @classmethod
-    def parse(cls, token: str) -> "Severity":
-        try:
-            return cls(token)
-        except ValueError:
-            raise ParseError(f"unknown severity {token!r}") from None
 
 
 #: Stable code registry: code -> (default severity, one-line title).
@@ -133,6 +118,7 @@ class Diagnostic:
         return ":".join(parts)
 
     def to_dict(self) -> Dict[str, Any]:
+        """The diagnostic as one JSON-ready record of :func:`render_json`."""
         return {
             "code": self.code,
             "severity": self.severity.value,
@@ -142,21 +128,6 @@ class Diagnostic:
             "column": self.column,
             "source": self.source,
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Diagnostic":
-        try:
-            return cls(
-                code=str(data["code"]),
-                severity=Severity.parse(str(data["severity"])),
-                message=str(data["message"]),
-                file=data.get("file"),
-                line=data.get("line"),
-                column=data.get("column"),
-                source=str(data.get("source", "schemes")),
-            )
-        except KeyError as exc:
-            raise ParseError(f"diagnostic record missing field {exc}") from None
 
 
 def make_diagnostic(
@@ -187,16 +158,8 @@ def make_diagnostic(
 # ----------------------------------------------------------------------
 # Aggregation helpers
 # ----------------------------------------------------------------------
-def max_severity(diagnostics: Iterable[Diagnostic]) -> Optional[Severity]:
-    """The worst severity present, or None for a clean run."""
-    worst: Optional[Severity] = None
-    for diag in diagnostics:
-        if worst is None or diag.severity.rank > worst.rank:
-            worst = diag.severity
-    return worst
-
-
 def has_errors(diagnostics: Iterable[Diagnostic]) -> bool:
+    """Whether any finding has error severity (the lint exit-1 rule)."""
     return any(d.severity is Severity.ERROR for d in diagnostics)
 
 
@@ -242,7 +205,8 @@ def render_text(diagnostics: Sequence[Diagnostic]) -> str:
 
 
 def render_json(diagnostics: Sequence[Diagnostic]) -> str:
-    """Machine-readable report; inverse of :func:`diagnostics_from_json`."""
+    """Machine-readable report: format tag, severity counts and the
+    sorted diagnostics as :meth:`Diagnostic.to_dict` records."""
     document = {
         "format": JSON_FORMAT,
         "summary": summarize(diagnostics),
@@ -250,14 +214,3 @@ def render_json(diagnostics: Sequence[Diagnostic]) -> str:
     }
     return json.dumps(document, indent=2, sort_keys=True)
 
-
-def diagnostics_from_json(text: str) -> List[Diagnostic]:
-    """Parse a :func:`render_json` document back into diagnostics."""
-    try:
-        document = json.loads(text)
-    except ValueError as exc:
-        raise ParseError(f"not a lint JSON document: {exc}") from None
-    if not isinstance(document, dict) or document.get("format") != JSON_FORMAT:
-        raise ParseError(f"unknown lint document format: {document.get('format')!r}"
-                         if isinstance(document, dict) else "not a lint JSON document")
-    return [Diagnostic.from_dict(entry) for entry in document.get("diagnostics", [])]

@@ -14,38 +14,28 @@ Three passes, one diagnostic currency (:mod:`repro.diagnostics`):
 * :mod:`repro.lint.dataflow` — the vectorized-state dataflow pass.
 
 Every pass reports :class:`~repro.diagnostics.Diagnostic` objects with
-stable codes; see DESIGN.md §9 for the code table and suppression
-syntax.
+stable codes.  The one exception mechanism is an inline
+``# daos-lint: disable=CODE`` comment on the offending line; see
+DESIGN.md §9 for the code table and the suppression syntax.
 """
 
 from ..diagnostics import (
     CODES,
     Diagnostic,
     Severity,
-    diagnostics_from_json,
     has_errors,
-    max_severity,
     render_json,
     render_text,
     summarize,
 )
 from ..schemes.analyzer import analyze_scheme_text, analyze_schemes, check_schemes
-from .astlint import LintConfig, lint_file, lint_paths, lint_source
-from .baseline import (
-    DEFAULT_BASELINE_NAME,
-    apply_baseline,
-    baseline_entry,
-    load_baseline,
-    write_baseline,
-)
-from .dataflow import DataflowConfig, dataflow_source
+from .astlint import lint_file, lint_paths, lint_source
+from .dataflow import dataflow_source
 
 __all__ = [
     "CODES",
     "Diagnostic",
     "Severity",
-    "LintConfig",
-    "DataflowConfig",
     "dataflow_source",
     "analyze_schemes",
     "analyze_scheme_text",
@@ -53,15 +43,8 @@ __all__ = [
     "lint_source",
     "lint_file",
     "lint_paths",
-    "load_baseline",
-    "write_baseline",
-    "apply_baseline",
-    "baseline_entry",
-    "DEFAULT_BASELINE_NAME",
     "render_text",
     "render_json",
-    "diagnostics_from_json",
     "has_errors",
-    "max_severity",
     "summarize",
 ]

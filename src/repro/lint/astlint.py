@@ -16,7 +16,7 @@ DT203     seedless ``np.random.default_rng()`` and the legacy global
           NumPy RNG (``np.random.seed`` / ``rand`` / …), plus
           ``os.urandom`` / ``uuid.uuid4`` / ``secrets.*``
 DT204     ``os.environ`` / ``os.getenv`` outside the CLI boundary
-          (``cli.py``, ``conftest.py``)
+          (:data:`ENV_ALLOWED_FILES`)
 DT205     iterating a syntactic ``set`` expression (set literal,
           set comprehension, ``set(...)`` / ``frozenset(...)`` call);
           error inside fingerprint-feeding modules (``sweep/``),
@@ -32,37 +32,26 @@ DL401     an import inside the ``repro`` package that points up (or
 ========  ============================================================
 
 Suppression: append ``# daos-lint: disable=DT204`` (comma-separated
-codes, or a bare ``disable`` for all) to the offending line.  Findings
-that predate the linter can instead live in a committed baseline file
-(:mod:`repro.lint.baseline`).
+codes, or a bare ``disable`` for all) to the offending line.  It is the
+only exception mechanism; the meta tests hold ``src/repro`` at zero
+findings.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..diagnostics import Diagnostic, Severity, make_diagnostic
-from .dataflow import DataflowConfig, dataflow_source
+from ..errors import ConfigError
+from .dataflow import FINGERPRINT_PARTS, dataflow_source
 
-__all__ = ["LintConfig", "lint_source", "lint_file", "lint_paths"]
+__all__ = ["ENV_ALLOWED_FILES", "lint_source", "lint_file", "lint_paths"]
 
-
-@dataclass(frozen=True)
-class LintConfig:
-    """Knobs of the determinism and dataflow passes."""
-
-    #: Basenames allowed to read the environment (DT204).
-    env_allowed_files: Tuple[str, ...] = ("cli.py", "conftest.py")
-    #: A path containing one of these parts feeds sweep fingerprints:
-    #: DT205 (and DF320) escalate from warning to error there.
-    fingerprint_parts: Tuple[str, ...] = ("sweep",)
-    #: Methods allowed to store ndarray slice views on ``self`` (DF302):
-    #: the flat-table design's sanctioned write-through rebinding points.
-    bind_methods: Tuple[str, ...] = ("_bind", "__init__", "__post_init__")
+#: Basenames allowed to read the environment (DT204): the CLI boundary.
+ENV_ALLOWED_FILES: Tuple[str, ...] = ("cli.py", "conftest.py")
 
 
 #: Resolved dotted call targets that read a wall clock.
@@ -251,17 +240,13 @@ def _annotation_requires_value(annotation: Optional[ast.AST]) -> bool:
 
 
 class _Visitor(ast.NodeVisitor):
-    def __init__(self, filename: str, config: LintConfig) -> None:
+    def __init__(self, filename: str) -> None:
         self.filename = filename
-        self.config = config
         self.imports = _ImportTable()
         self.diagnostics: List[Diagnostic] = []
-        name = Path(filename).name
-        self.env_allowed = name in config.env_allowed_files
-        parts = Path(filename).parts
-        self.in_fingerprint_module = any(
-            part in config.fingerprint_parts for part in parts
-        )
+        path = Path(filename)
+        self.env_allowed = path.name in ENV_ALLOWED_FILES
+        self.in_fingerprint_module = any(part in FINGERPRINT_PARTS for part in path.parts)
         self.module = _module_of(filename)
 
     # -- helpers -------------------------------------------------------
@@ -510,13 +495,10 @@ def _apply_suppressions(
     return kept
 
 
-def lint_source(
-    source: str, filename: str, config: Optional[LintConfig] = None
-) -> List[Diagnostic]:
+def lint_source(source: str, filename: str) -> List[Diagnostic]:
     """Lint one module's source text — both the determinism (DT2xx) and
     the dataflow (DF3xx) pass; suppression comments applied to the
     combined findings."""
-    config = config if config is not None else LintConfig()
     try:
         tree = ast.parse(source, filename=filename)
     except SyntaxError as exc:
@@ -531,57 +513,52 @@ def lint_source(
                 source="ast",
             )
         ]
-    visitor = _Visitor(filename, config)
+    visitor = _Visitor(filename)
     visitor.visit(tree)
     diagnostics = list(visitor.diagnostics)
     # Pass 3 shares the tree walk conceptually but keeps its own visitor
     # (module: repro.lint.dataflow); findings merge into one report.
-    diagnostics.extend(
-        dataflow_source(
-            source,
-            filename,
-            DataflowConfig(
-                bind_methods=config.bind_methods,
-                fingerprint_parts=config.fingerprint_parts,
-            ),
-        )
-    )
+    diagnostics.extend(dataflow_source(source, filename))
     return _apply_suppressions(diagnostics, source.splitlines())
 
 
 def lint_file(
-    path: Union[str, Path],
-    config: Optional[LintConfig] = None,
-    *,
-    display_path: Optional[str] = None,
+    path: Union[str, Path], *, display_path: Optional[str] = None
 ) -> List[Diagnostic]:
+    """Lint one Python file, reporting it as ``display_path`` (default:
+    ``path``); a file that is not UTF-8 is a DT200 finding."""
     path = Path(path)
-    return lint_source(
-        path.read_text(encoding="utf-8"),
-        display_path if display_path is not None else str(path),
-        config,
-    )
+    filename = display_path if display_path is not None else str(path)
+    try:
+        source = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        return [
+            make_diagnostic(
+                "DT200", f"file does not parse: not UTF-8 ({exc.reason})",
+                file=filename, source="ast",
+            )
+        ]
+    return lint_source(source, filename)
 
 
 def lint_paths(
-    paths: Iterable[Union[str, Path]],
-    config: Optional[LintConfig] = None,
-    *,
-    relative_to: Optional[Path] = None,
+    paths: Iterable[Union[str, Path]], *, relative_to: Optional[Path] = None
 ) -> List[Diagnostic]:
     """Lint files and directory trees (``**/*.py``), in sorted order.
 
-    ``relative_to`` shortens diagnostic paths (and therefore baseline
-    entries) to be location-independent.
+    ``relative_to`` shortens diagnostic paths to be location-independent.
+    A path that does not exist raises :class:`~repro.errors.ConfigError`
+    before any file is linted.
     """
-    config = config if config is not None else LintConfig()
     files: List[Path] = []
     for entry in paths:
         entry = Path(entry)
         if entry.is_dir():
             files.extend(sorted(entry.rglob("*.py")))
-        else:
+        elif entry.exists():
             files.append(entry)
+        else:
+            raise ConfigError(f"cannot lint {entry}: no such file or directory")
     out: List[Diagnostic] = []
     for file_path in files:
         display = str(file_path)
@@ -592,5 +569,5 @@ def lint_paths(
                 ).as_posix()
             except ValueError:
                 display = str(file_path)
-        out.extend(lint_file(file_path, config, display_path=display))
+        out.extend(lint_file(file_path, display_path=display))
     return out

@@ -40,9 +40,8 @@ DF330     a ``bare except:`` / ``except Exception:`` /
           recovery path into silent data loss
 ========  ============================================================
 
-Suppression and baseline support are shared with the determinism pass:
-append ``# daos-lint: disable=DF301`` to the offending line, or commit
-the finding to the lint baseline file.
+Suppression is shared with the determinism pass: append
+``# daos-lint: disable=DF301`` to the offending line.
 
 The checks are deliberately conservative — they fire on the syntactic
 shapes above, not on inferred types — so a clean tree stays achievable
@@ -53,25 +52,21 @@ laundered through intermediate locals.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
+from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..diagnostics import Diagnostic, Severity, make_diagnostic
 
-__all__ = ["DataflowConfig", "dataflow_source"]
+__all__ = ["BIND_METHODS", "FINGERPRINT_PARTS", "dataflow_source"]
 
+#: Methods allowed to store slice views on ``self`` (DF302): the
+#: sanctioned write-through rebinding points of the flat-table design
+#: (:meth:`repro.sim.pagetable.PageTable._bind`).
+BIND_METHODS: Tuple[str, ...] = ("_bind", "__init__", "__post_init__")
 
-@dataclass(frozen=True)
-class DataflowConfig:
-    """Knobs of the vectorized-state pass."""
-
-    #: Methods allowed to store slice views on ``self`` (DF302): the
-    #: sanctioned write-through rebinding points of the flat-table
-    #: design (:meth:`repro.sim.pagetable.PageTable._bind`).
-    bind_methods: Tuple[str, ...] = ("_bind", "__init__", "__post_init__")
-    #: A path containing one of these parts feeds sweep fingerprints:
-    #: DF320 escalates from warning to error there.
-    fingerprint_parts: Tuple[str, ...] = ("sweep",)
+#: A path containing one of these parts feeds sweep fingerprints: DT205
+#: and DF320 escalate from warning to error there.
+FINGERPRINT_PARTS: Tuple[str, ...] = ("sweep",)
 
 
 #: Name-suffix → unit class for DF310.  ``nr_`` is a prefix class.
@@ -158,14 +153,11 @@ def _slots_mention_generation(class_node: ast.ClassDef) -> bool:
 
 
 class _DataflowVisitor(ast.NodeVisitor):
-    def __init__(self, filename: str, config: DataflowConfig) -> None:
+    def __init__(self, filename: str) -> None:
         self.filename = filename
-        self.config = config
         self.diagnostics: List[Diagnostic] = []
-        from pathlib import Path
-
         self.in_fingerprint_module = any(
-            part in config.fingerprint_parts for part in Path(filename).parts
+            part in FINGERPRINT_PARTS for part in Path(filename).parts
         )
         # Stack of (class_node, has_generation_slot).
         self._class_stack: List[Tuple[ast.ClassDef, bool]] = []
@@ -259,9 +251,7 @@ class _DataflowVisitor(ast.NodeVisitor):
 
     # -- DF302: storing a slice view on self ----------------------------
     def visit_Assign(self, node: ast.Assign) -> None:
-        in_bind = any(
-            name in self.config.bind_methods for name in self._func_stack
-        )
+        in_bind = any(name in BIND_METHODS for name in self._func_stack)
         if not in_bind:
             for target in node.targets:
                 elts = target.elts if isinstance(target, ast.Tuple) else [target]
@@ -467,9 +457,7 @@ class _DataflowVisitor(ast.NodeVisitor):
         )
 
 
-def dataflow_source(
-    source: str, filename: str, config: Optional[DataflowConfig] = None
-) -> List[Diagnostic]:
+def dataflow_source(source: str, filename: str) -> List[Diagnostic]:
     """Run the DF3xx pass over one module's source text.
 
     Suppression comments are *not* applied here — the combined
@@ -477,11 +465,10 @@ def dataflow_source(
     once over both passes' findings.  A file that does not parse
     returns no DF findings (the determinism pass reports DT200).
     """
-    config = config if config is not None else DataflowConfig()
     try:
         tree = ast.parse(source, filename=filename)
     except SyntaxError:
         return []
-    visitor = _DataflowVisitor(filename, config)
+    visitor = _DataflowVisitor(filename)
     visitor.visit(tree)
     return visitor.diagnostics

@@ -154,6 +154,7 @@ class SweepJournal:
         os.fsync(self._fh.fileno())
 
     def close(self) -> None:
+        """Close the journal file; safe to call more than once."""
         if self._fh is not None:
             self._fh.close()
             self._fh = None

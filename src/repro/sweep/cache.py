@@ -54,6 +54,7 @@ class ResultCache:
         self.root.mkdir(parents=True, exist_ok=True)
 
     def path_for(self, key: str) -> Path:
+        """Where the result for cache key ``key`` lives (existing or not)."""
         return self.root / key[:2] / f"{key}.json"
 
     def __contains__(self, key: str) -> bool:

@@ -131,6 +131,7 @@ class SweepGrid:
 
     # ------------------------------------------------------------------
     def points(self) -> List[SweepPoint]:
+        """The grid's points in execution order (a fresh list)."""
         return list(self._points)
 
     def __len__(self) -> int:

@@ -102,6 +102,7 @@ class SweepReport:
         return [o.value for o in self.outcomes if o.ok]
 
     def failures(self) -> List[SweepOutcome]:
+        """Failed points' outcomes, grid order."""
         return [o for o in self.outcomes if not o.ok]
 
     def watchdog_failures(self) -> List[SweepOutcome]:
@@ -137,6 +138,7 @@ class SweepReport:
         }
 
     def canonical_json(self) -> str:
+        """:meth:`canonical_dict` as canonical JSON text."""
         return canonical_json(self.canonical_dict())
 
     def raise_if_failed(self, limit: int = 5) -> None:
@@ -301,6 +303,9 @@ class SweepRunner:
                 cfg.build_schemes(attrs, context=f"sweep config {name!r}")
 
     def run(self) -> SweepReport:
+        """Run every point of the grid: scheme preflight, then cache
+        hits and journal replays, then the rest in-process or on the
+        pool; one outcome per point, in grid order."""
         started = time.perf_counter()
         points = self.grid.points()
         self._preflight_schemes(points)

@@ -15,12 +15,18 @@ import repro
 PACKAGES = [
     "repro",
     "repro.analysis",
+    "repro.faults",
     "repro.fleet",
+    "repro.lint",
     "repro.modules",
     "repro.monitor",
+    "repro.perf",
+    "repro.recovery",
     "repro.runner",
+    "repro.sanitize",
     "repro.schemes",
     "repro.sim",
+    "repro.sweep",
     "repro.trace",
     "repro.tuning",
     "repro.workloads",

@@ -345,6 +345,38 @@ class TestUnreadableInputs:
         assert err.startswith("error: ") and "missing.jsonl" in err
 
 
+class TestOutputDirectoryChecked:
+    """An output file in a missing directory is refused before the verb
+    runs: one ``error:`` line naming the flag, exit 2, no simulation."""
+
+    CASES = [
+        (["run", "parsec3/swaptions", "--trace", "OUT"], "--trace"),
+        (["run", "parsec3/swaptions", "--profile", "OUT"], "--profile"),
+        (["run", "parsec3/swaptions", "-c", "rec", "--record", "OUT"], "--record"),
+        (["run", "parsec3/swaptions", "--checkpoint", "OUT"], "--checkpoint"),
+        (["tune", "parsec3/swaptions", "--trace", "OUT"], "--trace"),
+        (["fleet", "-n", "2", "-o", "OUT"], "--out"),
+        (["fleet", "-n", "2", "--checkpoint", "OUT"], "--checkpoint"),
+        (["sweep", "--grid", "fig3", "-o", "OUT"], "--out"),
+        (["resume", "run.ckpt", "-o", "OUT"], "--out"),
+        (["report", "run.rec", "--pgm", "OUT"], "--pgm"),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, flag", CASES, ids=[f"{argv[0]}{flag}" for argv, flag in CASES]
+    )
+    def test_missing_directory(self, argv, flag, tmp_path, monkeypatch, capsys):
+        def forbidden(args):
+            raise AssertionError("the verb ran despite a bad output path")
+
+        monkeypatch.setitem(repro.cli._COMMANDS, argv[0], forbidden)
+        out = str(tmp_path / "missing" / "out.file")
+        assert main([out if a == "OUT" else a for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} {out}: directory ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 class TestIgnoredFlagsRejected:
     @pytest.mark.parametrize(
         "flag",

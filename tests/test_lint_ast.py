@@ -7,28 +7,16 @@ findings, so any new nondeterminism sneaks in only past a failing test.
 
 from __future__ import annotations
 
+import json
 import textwrap
 from pathlib import Path
 
 import repro
-from repro.lint import (
-    LintConfig,
-    Severity,
-    apply_baseline,
-    baseline_entry,
-    diagnostics_from_json,
-    lint_file,
-    lint_paths,
-    lint_source,
-    load_baseline,
-    render_json,
-    render_text,
-    write_baseline,
-)
+from repro.lint import Severity, lint_paths, lint_source, render_json, render_text
 
 
-def lint(code, filename="mod.py", config=None):
-    return lint_source(textwrap.dedent(code), filename, config)
+def lint(code, filename="mod.py"):
+    return lint_source(textwrap.dedent(code), filename)
 
 
 def codes_of(diagnostics):
@@ -154,65 +142,13 @@ class TestSuppressionAndParse:
         assert diags[0].severity is Severity.ERROR
 
 
-class TestBaseline:
-    def _write_bad_module(self, path):
-        path.write_text("import time\n\nstamp = time.time()\n")
-
-    def test_roundtrip_absorbs_findings(self, tmp_path):
-        mod = tmp_path / "legacy.py"
-        self._write_bad_module(mod)
-        diags = lint_file(mod, display_path="legacy.py")
-        assert codes_of(diags) == ["DT201"]
-
-        baseline_path = tmp_path / ".daos-lint-baseline.json"
-        write_baseline(baseline_path, diags, root=tmp_path)
-        entries = load_baseline(baseline_path)
-        assert len(entries) == 1
-
-        kept, absorbed = apply_baseline(diags, entries, root=tmp_path)
-        assert kept == [] and absorbed == 1
-
-    def test_baseline_survives_line_drift(self, tmp_path):
-        # Entries match on (file, code, stripped line text), so inserting
-        # lines above the finding must not resurrect it.
-        mod = tmp_path / "legacy.py"
-        self._write_bad_module(mod)
-        old = lint_file(mod, display_path="legacy.py")
-        entries = [baseline_entry(d, root=tmp_path) for d in old]
-
-        mod.write_text("import time\n\n# a new comment\n\nstamp = time.time()\n")
-        new = lint_file(mod, display_path="legacy.py")
-        assert new[0].line != old[0].line
-        kept, absorbed = apply_baseline(new, entries, root=tmp_path)
-        assert kept == [] and absorbed == 1
-
-    def test_new_findings_not_absorbed(self, tmp_path):
-        mod = tmp_path / "legacy.py"
-        self._write_bad_module(mod)
-        entries = [
-            baseline_entry(d, root=tmp_path)
-            for d in lint_file(mod, display_path="legacy.py")
-        ]
-        mod.write_text(
-            "import time\nimport random\n"
-            "stamp = time.time()\nx = random.random()\n"
-        )
-        kept, absorbed = apply_baseline(
-            lint_file(mod, display_path="legacy.py"), entries, root=tmp_path
-        )
-        assert absorbed == 1
-        assert codes_of(kept) == ["DT202"]
-
-    def test_missing_baseline_file_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "nope.json") == []
-
-
 class TestReporters:
     def test_json_roundtrip(self):
         diags = lint("import time\nstamp = time.time()\n", filename="a/b.py")
-        payload = render_json(diags)
-        back = diagnostics_from_json(payload)
-        assert back == diags
+        document = json.loads(render_json(diags))
+        assert document["format"] == "daos-lint-v1"
+        assert document["summary"] == {"error": 1, "warning": 0, "info": 0}
+        assert document["diagnostics"] == [d.to_dict() for d in diags]
 
     def test_text_render_mentions_code_and_location(self):
         diags = lint("import time\nstamp = time.time()\n", filename="a/b.py")
@@ -223,7 +159,7 @@ class TestReporters:
 class TestMetaSourceTreeClean:
     def test_repro_package_has_no_findings(self):
         """The shipped tree must satisfy its own determinism linter —
-        including warnings, so the committed baseline can stay empty."""
+        including warnings, so inline suppressions stay the only exception."""
         pkg = Path(repro.__file__).resolve().parent
-        diags = lint_paths([pkg], LintConfig(), relative_to=pkg.parent)
+        diags = lint_paths([pkg], relative_to=pkg.parent)
         assert diags == [], render_text(diags)

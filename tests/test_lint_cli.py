@@ -12,7 +12,6 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.errors import SchemeError
-from repro.lint import diagnostics_from_json
 from repro.runner.configs import CONFIGS, ExperimentConfig
 from repro.runner.experiment import run_experiment
 from repro.sweep.grid import SweepGrid
@@ -34,8 +33,6 @@ class TestParser:
         assert args.paths == []
         assert args.schemes == []
         assert args.format == "text"
-        assert args.baseline is None
-        assert not args.write_baseline
 
     def test_lint_options(self):
         args = build_parser().parse_args(
@@ -62,13 +59,16 @@ class TestLintCommand:
 
     def test_json_format_roundtrips(self, capsys):
         assert main(["lint", "--schemes", BAD, "--format", "json"]) == 1
-        payload = capsys.readouterr().out
-        diags = diagnostics_from_json(payload)
-        assert sorted(d.code for d in diags) == [
+        document = json.loads(capsys.readouterr().out)
+        diags = document["diagnostics"]
+        assert sorted(d["code"] for d in diags) == [
             "DS103", "DS120", "DS120", "DS120", "DS130", "DS150",
         ]
-        # and it is plain JSON a CI consumer can parse directly
-        assert json.loads(payload)["format"] == "daos-lint-v1"
+        assert all(
+            set(d) == {"code", "severity", "message", "file", "line", "column", "source"}
+            for d in diags
+        )
+        assert document["format"] == "daos-lint-v1"
 
     def test_default_target_source_tree_is_clean(self, capsys):
         """`daos lint` with no arguments lints the shipped package —
@@ -76,20 +76,20 @@ class TestLintCommand:
         assert main(["lint"]) == 0
         assert "0 error(s)" in capsys.readouterr().out
 
-    def test_write_baseline_then_clean(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("target", ["missing.py", "missing_dir/"])
+    def test_missing_path_is_a_usage_error(self, target, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        mod = tmp_path / "legacy.py"
-        mod.write_text("import time\nstamp = time.time()\n")
+        assert main(["lint", target]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "missing" in err and "no such file or directory" in err
 
-        assert main(["lint", "legacy.py"]) == 1
-        capsys.readouterr()
-        assert main(["lint", "legacy.py", "--write-baseline"]) == 0
-        assert (tmp_path / ".daos-lint-baseline.json").exists()
-        capsys.readouterr()
-        # Grandfathered finding no longer fails, and is reported as such.
-        assert main(["lint", "legacy.py"]) == 0
+    def test_undecodable_file_is_dt200(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "latin1.py").write_bytes(b"name = '\xe9t\xe9'\n")
+        assert main(["lint", "latin1.py"]) == 1
         out = capsys.readouterr().out
-        assert "1 baselined" in out
+        assert "latin1.py: error DT200: file does not parse: not UTF-8" in out
 
 
 class TestSchemesCommandAnalysis:

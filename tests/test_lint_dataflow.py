@@ -15,8 +15,8 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.lint import LintConfig, Severity, lint_paths, lint_source, render_text
-from repro.lint.dataflow import DataflowConfig, dataflow_source
+from repro.lint import Severity, lint_paths, lint_source, render_text
+from repro.lint.dataflow import dataflow_source
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "bad_dataflow"
 
@@ -31,8 +31,8 @@ CORPUS = {
 }
 
 
-def lint(code, filename="mod.py", config=None):
-    return lint_source(textwrap.dedent(code), filename, config)
+def lint(code, filename="mod.py"):
+    return lint_source(textwrap.dedent(code), filename)
 
 
 def codes_of(diagnostics):
@@ -334,11 +334,6 @@ class TestGoldenCorpus:
         # (The directory also holds the probe-generation policy's corpus.)
         assert {p.suffix for p in FIXTURES.iterdir()} == {".txt"}
 
-    def test_dataflow_config_matches_lint_config(self):
-        lc, dc = LintConfig(), DataflowConfig()
-        assert dc.bind_methods == lc.bind_methods
-        assert dc.fingerprint_parts == lc.fingerprint_parts
-
 
 class TestMetaSourceTreeClean:
     def test_repro_package_has_no_df_findings(self):
@@ -347,7 +342,7 @@ class TestMetaSourceTreeClean:
         pkg = Path(repro.__file__).resolve().parent
         diags = [
             d
-            for d in lint_paths([pkg], LintConfig(), relative_to=pkg.parent)
+            for d in lint_paths([pkg], relative_to=pkg.parent)
             if d.code.startswith("DF")
         ]
         assert diags == [], render_text(diags)
