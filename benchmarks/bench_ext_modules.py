@@ -49,12 +49,12 @@ def pressure_run(module_cls, params, *, seed=3, duration_us=12 * SEC):
         module = module_cls(kernel, params, ATTRS, seed=seed)
         module.start(queue)
     hot_pages = HOT // 4096
-    vma = kernel.space.vmas[0]
+    flat = kernel.space.flat  # one VMA: its pages start at index 0
     hot_faults = {"n": 0}
 
     def epoch(now):
         kernel.begin_epoch()
-        before = int(np.count_nonzero(vma.pages.swapped[:hot_pages]))
+        before = int(np.count_nonzero(flat.swapped[:hot_pages]))
         kernel.apply_access(
             BASE, BASE + HOT, now, 100 * MSEC, touches_per_page=2000, stall_weight=0.0
         )

@@ -932,12 +932,17 @@ _OUTPUT_DESTS = {
 
 
 def _check_output_dirs(args) -> None:
-    """Refuse an output file whose directory does not exist, before the
-    verb does any work (``-`` is stdout and always writable)."""
+    """Refuse an output file whose directory does not exist, or that is
+    itself a directory, before the verb does any work (``-`` is stdout
+    and always writable)."""
     for dest in _OUTPUT_DESTS.get(args.command, ()):
         path = getattr(args, dest)
-        if path and path != "-" and not Path(path).parent.is_dir():
+        if not path or path == "-":
+            continue
+        if not Path(path).parent.is_dir():
             raise ConfigError(f"--{dest} {path}: directory {Path(path).parent} does not exist")
+        if Path(path).is_dir():
+            raise ConfigError(f"--{dest} {path}: is a directory, not a file")
 
 
 def main(argv=None) -> int:

@@ -1,7 +1,7 @@
 """Pass 3: the vectorized-state dataflow linter (DF3xx).
 
 PRs 5 and 6 rewrote the monitor and kernel hot paths as struct-of-arrays
-engines (:mod:`repro.monitor.region`, :mod:`repro.sim.flatpages`)
+engines (:mod:`repro.monitor.region`, :mod:`repro.sim.pagetable`)
 whose correctness rests on conventions that nothing previously checked:
 generation-counter cache invalidation, write-through slice views, O(1)
 shadow counters, and strict unit discipline.  This pass walks the same
@@ -15,7 +15,7 @@ DF301     a class whose ``__slots__`` declares a ``generation``
           view caches keyed off the generation go stale silently
 DF302     a public instance attribute is assigned an ndarray *slice*
           (``self.x = arr[a:b]`` or ``arr[some_sl]``) outside
-          ``__init__`` / the sanctioned bind methods — storing a view
+          ``__init__`` / ``__post_init__`` — storing a view
           across method boundaries is the stale-façade hazard: the
           base array may be rebound while the stored view keeps
           writing to orphaned storage
@@ -59,10 +59,8 @@ from ..diagnostics import Diagnostic, Severity, make_diagnostic
 
 __all__ = ["BIND_METHODS", "FINGERPRINT_PARTS", "dataflow_source"]
 
-#: Methods allowed to store slice views on ``self`` (DF302): the
-#: sanctioned write-through rebinding points of the flat-table design
-#: (:meth:`repro.sim.pagetable.PageTable._bind`).
-BIND_METHODS: Tuple[str, ...] = ("_bind", "__init__", "__post_init__")
+#: Methods allowed to store slice views on ``self`` (DF302).
+BIND_METHODS: Tuple[str, ...] = ("__init__", "__post_init__")
 
 #: A path containing one of these parts feeds sweep fingerprints: DT205
 #: and DF320 escalate from warning to error there.

@@ -50,8 +50,13 @@ from contextlib import contextmanager
 from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..clock import EventQueue, VirtualClock
 from ..errors import CheckpointError
+from ..sim.pagetable import FlatPageTable
+from ..sim.physmem import FrameTable
+from ..sim.vma import VMA
 from ..trace.bus import TraceBus
 from ..trace.events import CheckpointWritten, RunResumed
 from ..version import code_version_tag
@@ -127,8 +132,6 @@ def _canonicalize_dtypes(root: Any) -> None:
     ``pickle.loads`` removes the only identity difference a round trip
     introduces.
     """
-    import numpy as np
-
     seen = set()
     stack = [root]
     while stack:
@@ -158,6 +161,118 @@ def _canonicalize_dtypes(root: Any) -> None:
                     for name in obj.__slots__
                     if isinstance(name, str) and hasattr(obj, name)
                 )
+
+
+# ----------------------------------------------------------------------
+# The page-state converter
+# ----------------------------------------------------------------------
+class _PayloadUnpickler(pickle.Unpickler):
+    """Unpickles a payload, taking in the older layout of a kernel's
+    page state on the way.
+
+    That layout kept one page table per VMA (``VMA.pages``, a
+    ``repro.sim.pagetable.PageTable``), an rmap of ``(owner_vma,
+    owner_page)`` pairs naming a VMA by a kernel-assigned ordinal, the
+    kernel's ordinal map (``_vma_ids`` and its lookup caches) and, in the
+    LRU, a bound method of that map.  Those objects load as stand-ins
+    holding their raw state; :meth:`convert` then builds the one page
+    table and the flat owner column from them.  A payload in the current
+    layout passes through unchanged.
+    """
+
+    def __init__(self, file) -> None:
+        super().__init__(file)
+        old_pages = self.old_pages = {}  # id(VMA) -> its page table's slots
+
+        class OldVMA(VMA):
+            __slots__ = ()
+
+            def __setstate__(self, state) -> None:
+                slots = dict(state[1])
+                if "pages" in slots:
+                    old_pages[id(self)] = slots.pop("pages").state[1]
+                for name, value in slots.items():
+                    setattr(self, name, value)
+                self.__class__ = VMA
+
+        self._stand_ins = {
+            ("repro.sim.vma", "VMA"): OldVMA,
+            ("repro.sim.pagetable", "PageTable"): _RawState,
+            ("repro.sim.physmem", "FrameTable"): _OldFrameTable,
+            ("builtins", "getattr"): _getattr_unless_gone,
+        }
+
+    def find_class(self, module: str, name: str) -> Any:
+        stand_in = self._stand_ins.get((module, name))
+        return stand_in if stand_in is not None else super().find_class(module, name)
+
+    def convert(self, payload: Dict[str, Any]) -> None:
+        """Rebuild the run kernel's page state if it is in the old layout."""
+        if not self.old_pages:
+            return
+        kernel = payload["tenant"].kernel
+        state = vars(kernel)
+        ordinal = state.pop("_vma_ids")
+        segment_of = np.full(state.pop("_next_vma_ordinal"), -1, dtype=np.int64)
+        del state["_ordinal_lut"], state["_ordinal_lut_gen"]
+        del kernel.lru._ordinal_segments
+        space = kernel.space
+        del space._flat
+        flat = space.flat = FlatPageTable()
+        for k, vma in enumerate(space.vmas):
+            old = self.old_pages[id(vma)]
+            flat.insert_segment(k, old["n_pages"])
+            page, chunk = int(flat.page_offset[k]), int(flat.chunk_offset[k])
+            for name, column in old.items():
+                if isinstance(column, np.ndarray):
+                    at = chunk if name.startswith("chunk_") else page
+                    getattr(flat, name)[at : at + column.size] = column
+            flat.n_present += old["n_present"]
+            flat.n_swapped += old["n_swapped"]
+            segment_of[ordinal[vma]] = k
+        space.rebuild_lookup()
+
+        def owners(vma_ids, pages):
+            return np.where(vma_ids >= 0, flat.page_offset[segment_of[vma_ids]] + pages, -1)
+
+        frames = kernel.frames
+        old = vars(frames).pop("_old_state")
+        old["owner"] = owners(old.pop("owner_vma"), old.pop("owner_page"))
+        old["_slow_owner"] = owners(old.pop("_slow_owner_vma"), old.pop("_slow_owner_page"))
+        frames.__setstate__(old)
+
+
+class _RawState:
+    """Stand-in for a pickled object the converter reads, not restores."""
+
+    def __setstate__(self, state) -> None:
+        self.state = state
+
+
+class _OldFrameTable(FrameTable):
+    """A frame table whose old-layout rmap waits for the converter."""
+
+    def __setstate__(self, state) -> None:
+        self.__class__ = FrameTable
+        if "owner_vma" in state:
+            self._old_state = state
+        else:
+            self.__setstate__(state)
+
+
+def _getattr_unless_gone(obj: Any, name: str) -> Any:
+    """``getattr`` as pickled bound methods call it, except for the
+    old layout's ``SimKernel._ordinal_segments``, which no longer exists
+    (the converter drops the reference)."""
+    return None if name == "_ordinal_segments" else getattr(obj, name)
+
+
+def _loads(blob: bytes) -> Dict[str, Any]:
+    unpickler = _PayloadUnpickler(io.BytesIO(blob))
+    payload = unpickler.load()
+    unpickler.convert(payload)
+    _canonicalize_dtypes(payload)
+    return payload
 
 
 def _commit(
@@ -259,8 +374,7 @@ def read_checkpoint(
                 f"(pass --allow-version-skew to restore anyway)"
             )
     try:
-        payload = pickle.loads(blob)
-        _canonicalize_dtypes(payload)
+        payload = _loads(blob)
     except Exception as exc:
         # The digest held, so these are the bytes the writer produced;
         # what failed is rebuilding its classes in this tree (a moved

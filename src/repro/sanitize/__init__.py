@@ -1,7 +1,7 @@
 """SimSanitizer: runtime cross-checks of the vectorized fast paths.
 
 The struct-of-arrays engines (:mod:`repro.monitor.region`,
-:mod:`repro.sim.flatpages`) keep redundant state — O(1) shadow counters,
+:mod:`repro.sim.pagetable`) keep redundant state — O(1) shadow counters,
 a frame table mirroring page-table columns, a swap-device usage count —
 that property tests only exercise under synthetic storms.  This package
 promotes those invariants into reusable checkers that run *inside* real

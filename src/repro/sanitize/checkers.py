@@ -152,8 +152,8 @@ def check_frame_conservation(kernel: Any, now: int) -> List[Violation]:
         # The counter and the stack disagree; the rmap cross-checks
         # below would only repeat the same corruption.
         return out
-    if live.size and (frames.owner_vma[live] < 0).any():
-        n_orphans = int(np.count_nonzero(frames.owner_vma[live] < 0))
+    if live.size and (frames.owner[live] < 0).any():
+        n_orphans = int(np.count_nonzero(frames.owner[live] < 0))
         out.append(
             _kernel_violation(
                 kernel,
@@ -178,19 +178,18 @@ def check_frame_conservation(kernel: Any, now: int) -> List[Violation]:
             )
         )
     if live.size:
-        seg = kernel._ordinal_segments()[frames.owner_vma[live]]
-        if (seg < 0).any():
-            n_stale = int(np.count_nonzero(seg < 0))
+        back = frames.owner[live]
+        if (back >= flat.n_pages).any():
+            n_stale = int(np.count_nonzero(back >= flat.n_pages))
             out.append(
                 _kernel_violation(
                     kernel,
                     "frame_conservation",
-                    f"{n_stale} frame(s) owned by an unmapped VMA",
+                    f"{n_stale} frame(s) owned by a page past the page table",
                     now,
                 )
             )
         else:
-            back = flat.page_offset[seg] + frames.owner_page[live]
             broken = ~flat.present[back] | (flat.frame[back] != live)
             if broken.any():
                 out.append(
@@ -199,8 +198,8 @@ def check_frame_conservation(kernel: Any, now: int) -> List[Violation]:
                         "frame_conservation",
                         "rmap back-pointers do not round-trip: "
                         f"{int(np.count_nonzero(broken))} live frame(s) whose "
-                        "owner_vma/owner_page entry names a page that is not "
-                        "present or whose frame column names another frame",
+                        "owner entry names a page that is not present or "
+                        "whose frame column names another frame",
                         now,
                     )
                 )
@@ -268,12 +267,12 @@ def check_tier_placement(kernel: Any, now: int) -> List[Violation]:
 def frame_counts_agree(kernel: Any) -> bool:
     """The counts :func:`check_frame_conservation` and
     :func:`check_tier_placement` rest on, without deriving the live set:
-    the pools add up, the VMAs' resident counters add up to the
-    allocated frames, and the slow-tier marks to ``allocated_slow``
+    the pools add up, the page table's resident counter equals the
+    allocated frames, and the slow-tier marks ``allocated_slow``
     (a stray mark on a non-present page counts, and so is seen here).
 
     O(1) plus one pass over the int8 ``tier`` column.  The resident
-    counters are themselves checked against a fresh count every epoch
+    counter is itself checked against a fresh count every epoch
     (:func:`check_counter_coherence`), so a page that changes residency
     without its frame operation breaks an identity here in its own
     epoch.  Writes no report: a ``False`` sends the caller to the two
@@ -282,7 +281,7 @@ def frame_counts_agree(kernel: Any) -> bool:
     frames = kernel.frames
     if frames.allocated + frames.free_frames() + frames.free_slow_frames() != frames.n_frames:
         return False
-    if sum(vma.pages.resident_pages() for vma in kernel.space.vmas) != frames.allocated:
+    if kernel.space.flat.n_present != frames.allocated:
         return False
     return int(np.count_nonzero(kernel.space.flat.tier)) == frames.allocated_slow
 
@@ -318,30 +317,22 @@ def check_present_swapped(kernel: Any, now: int) -> List[Violation]:
 
 
 def check_counter_coherence(kernel: Any, now: int) -> List[Violation]:
-    """Every VMA's O(1) resident/swapped counters equal a fresh count of
-    the underlying columns."""
+    """The page table's O(1) resident/swapped counters equal a fresh
+    count of the underlying columns."""
     out: List[Violation] = []
-    for vma in kernel.space.vmas:
-        pt = vma.pages
-        resident = int(np.count_nonzero(pt.present))
-        if pt.resident_pages() != resident:
+    flat = kernel.space.flat
+    for counter, column, state in (
+        ("n_present", flat.present, "present"),
+        ("n_swapped", flat.swapped, "swapped"),
+    ):
+        fresh = int(np.count_nonzero(column))
+        if getattr(flat, counter) != fresh:
             out.append(
                 _kernel_violation(
                     kernel,
                     "counter_coherence",
-                    f"VMA@{vma.start:#x}: resident_pages() == "
-                    f"{pt.resident_pages()} but {resident} page(s) are present",
-                    now,
-                )
-            )
-        swapped = int(np.count_nonzero(pt.swapped))
-        if pt.swapped_pages() != swapped:
-            out.append(
-                _kernel_violation(
-                    kernel,
-                    "counter_coherence",
-                    f"VMA@{vma.start:#x}: swapped_pages() == "
-                    f"{pt.swapped_pages()} but {swapped} page(s) are swapped",
+                    f"{counter} == {getattr(flat, counter)} but {fresh} "
+                    f"page(s) are {state}",
                     now,
                 )
             )

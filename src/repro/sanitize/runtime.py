@@ -28,7 +28,7 @@ is reported in the epoch it happens.
 *Keyed:* :func:`~repro.sanitize.checkers.check_frame_conservation` and
 :func:`~repro.sanitize.checkers.check_tier_placement` derive the live
 frame set and walk the rmap, which is nearly all of a checkpoint's cost,
-and everything they read (``frame``, ``tier``, the owner arrays, the
+and everything they read (``frame``, ``tier``, the owner column, the
 recycled stacks, the allocator counters) changes only inside
 ``FrameTable.allocate``/``allocate_slow``/``release`` or a layout
 change.  They run when ``(space.generation, frames.rmap_generation)``
@@ -37,12 +37,12 @@ process's first checkpoint, when a count identity fails, on every
 :data:`FULL_CHECK_EVERY`-th epoch, and once more at run end
 (:meth:`SimSanitizer.check_run_end`, from ``ExperimentRun.finish``).
 
-So there are two defences.  A transition through ``PageTable`` /
+So there are two defences.  A transition through ``FlatPageTable`` /
 ``FrameTable`` is checked in its own epoch: it moves the key, or, if it
 forgot its frame operation, breaks an identity.  A direct store into
-``frame``, ``tier``, an owner array or a free stack that keeps every
+``frame``, ``tier``, the owner column or a free stack that keeps every
 count intact is found within :data:`FULL_CHECK_EVERY` epochs, or at run
-end at the latest; for the owner arrays and the free stacks it is also
+end at the latest; for the owner column and the free stacks it is also
 policed statically: a test walks ``src/repro/sim/`` and requires every
 such store to sit beside an ``rmap_generation`` bump.  That latency
 bound is the one thing given up against running everything every epoch.

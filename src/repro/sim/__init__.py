@@ -10,9 +10,11 @@ package provides the synthetic equivalent of that whole substrate:
   trace bus needs too; re-exported here),
 * :mod:`repro.sim.machine` — the Table 2 instance catalog and guest VMs,
 * :mod:`repro.sim.vma` — VMAs and address spaces,
-* :mod:`repro.sim.pagetable` — page-granular state with accessed-bit
-  semantics,
-* :mod:`repro.sim.physmem` — frame allocation and the reverse map,
+* :mod:`repro.sim.pagetable` — the one page table per address space:
+  page-granular state with accessed-bit semantics, one flat index, one
+  segment per VMA,
+* :mod:`repro.sim.physmem` — frame allocation and the reverse map
+  (frame → flat page index),
 * :mod:`repro.sim.swap` — ZRAM and file-backed swap devices,
 * :mod:`repro.sim.thp` — the transparent-huge-page policy knob,
 * :mod:`repro.sim.lru` — the two-list LRU reclaim baseline,
@@ -33,7 +35,7 @@ from .machine import (
     scaled_instance,
 )
 from .metrics import KernelMetrics, MemoryTimeline, RuntimeBreakdown
-from .pagetable import HUGE_PAGE_SIZE, PAGE_SIZE, PAGES_PER_HUGE, PageTable
+from .pagetable import HUGE_PAGE_SIZE, PAGE_SIZE, PAGES_PER_HUGE, FlatPageTable
 from .physmem import FrameTable
 from .swap import FileSwapDevice, NoSwapDevice, SwapDevice, ZramDevice
 from .thp import ThpPolicy
@@ -44,6 +46,7 @@ __all__ = [
     "CostModel",
     "EventQueue",
     "FileSwapDevice",
+    "FlatPageTable",
     "FrameTable",
     "GuestSpec",
     "HUGE_PAGE_SIZE",
@@ -54,7 +57,6 @@ __all__ = [
     "NoSwapDevice",
     "PAGES_PER_HUGE",
     "PAGE_SIZE",
-    "PageTable",
     "PeriodicEvent",
     "RuntimeBreakdown",
     "SimKernel",

@@ -185,11 +185,7 @@ class SimKernel:
         self.swap = swap if swap is not None else ZramDevice()
         self.costs = costs if costs is not None else CostModel()
         self.thp_policy = thp if thp is not None else ThpPolicy(mode="never")
-        self.lru = LruReclaimer(
-            self.space,
-            frames=self.frames,
-            ordinal_segments=self._ordinal_segments,
-        )
+        self.lru = LruReclaimer(self.space, frames=self.frames)
         self.rng = rng if rng is not None else np.random.default_rng(seed)
         self.metrics = KernelMetrics()
         #: Optional trace bus; every management path emits through it.
@@ -218,13 +214,6 @@ class SimKernel:
         #: allocation cannot be backed; ``"shed"`` grants what fits,
         #: reverts the rest of the batch, and enters degraded mode.
         self.oom_policy = oom_policy
-        self._vma_ids = {}  # VMA -> ordinal used in the frame table's rmap
-        # Ordinals are monotonic, never reused: a dict-length ordinal
-        # would collide with a live VMA's rmap tags after any munmap.
-        self._next_vma_ordinal = 0
-        # ordinal -> position in space.vmas, cached per layout generation.
-        self._ordinal_lut: Optional[np.ndarray] = None
-        self._ordinal_lut_gen = -1
         self._oom_reclaim_failed = False
         self._degraded_reason = ""
         self._degraded_since_us = 0
@@ -233,63 +222,53 @@ class SimKernel:
     # Layout
     # ------------------------------------------------------------------
     def mmap(self, start: int, size: int, name: str = "") -> VMA:
-        """Map ``[start, start + size)`` and register it with the rmap."""
+        """Map ``[start, start + size)``.  A mapping below others shifts
+        their pages up the page table; the rmap follows."""
         vma = self.space.mmap(start, size, name)
-        self._vma_ids[vma] = self._next_vma_ordinal
-        self._next_vma_ordinal += 1
+        seg = self.space.segment(vma)
+        if seg.stop < self.space.flat.n_pages:
+            self.frames.shift_owners(seg.start, seg.stop - seg.start)
         return vma
 
     def munmap(self, vma: VMA) -> None:
-        """Tear a mapping down: frames freed, swap slots discarded."""
-        pt = vma.pages
-        resident = np.nonzero(pt.present)[0]
-        frames = pt.frame[resident]
+        """Tear a mapping down: frames freed, swap slots discarded, and
+        the pages above it compacted down the page table (the rmap
+        follows)."""
+        seg = self.space.segment(vma)
+        flat = self.space.flat
+        frames = flat.frame[seg][flat.present[seg]]
         frames = frames[frames >= 0]
         if frames.size:
             self.frames.release(frames)
-        swapped = pt.swapped_pages()
+        swapped = int(np.count_nonzero(flat.swapped[seg]))
         if swapped:
             self.swap.discard(swapped)
         self.space.munmap(vma)
-        del self._vma_ids[vma]
-
-    def _ordinal_segments(self) -> np.ndarray:
-        """Map rmap ordinals to flat-table segment indices (positions in
-        ``space.vmas``); -1 for ordinals whose VMA was unmapped."""
-        if self._ordinal_lut_gen != self.space.generation:
-            lut = np.full(self._next_vma_ordinal, -1, dtype=np.int64)
-            for pos, vma in enumerate(self.space.vmas):
-                lut[self._vma_ids[vma]] = pos
-            self._ordinal_lut = lut
-            self._ordinal_lut_gen = self.space.generation
-        return self._ordinal_lut
+        self.frames.shift_owners(seg.stop, seg.start - seg.stop)
 
     def _groups(self, start: int, end: int, phys: bool):
-        """Resolve an action's range to ``(vma, selection)`` groups, where
-        ``selection`` indexes the columns of ``vma.pages``: one *slice*
-        per overlapping VMA in address order for a virtual range (never an
-        ``arange``, so column reads stay views), one index array per
-        owning VMA for a physical range of frame addresses (rmap order:
-        ordinals ascending, pages by frame number)."""
+        """Resolve an action's range to page selections, one per VMA
+        segment: a *slice* per overlapping VMA in address order for a
+        virtual range (never an ``arange``, so column reads stay views),
+        an index array per owning segment for a physical range of frame
+        addresses (segments ascending, pages by frame number)."""
         if not phys:
-            for vma, lo, hi in self.space.ranges_in(start, end):
-                yield vma, slice(lo, hi)
+            for lo, hi in self.space.spans(start, end):
+                yield slice(lo, hi)
             return
         lo = max(0, start // PAGE_SIZE)
         hi = min(self.frames.n_frames, -(-end // PAGE_SIZE))
         if hi <= lo:
             return
-        vmas = self.space.vmas
-        segments = self._ordinal_segments()
-        for ordinal, pages in self.frames.rmap_groups(lo, hi):
-            yield vmas[segments[ordinal]], pages
+        pages = self.frames.owner[lo:hi]
+        yield from self.space.flat.split_segments(pages[pages >= 0])
 
     # ------------------------------------------------------------------
     # Epoch lifecycle (driven by the workload runner)
     # ------------------------------------------------------------------
     def begin_epoch(self) -> None:
         """Reset per-epoch touch rates before the workload declares new ones."""
-        self.space.clear_rates()
+        self.space.flat.clear_rates()
 
     def apply_access(
         self,
@@ -324,8 +303,8 @@ class SimKernel:
             rate = touches_per_page / (epoch_us / 1e6)
         else:
             rate = fraction * touches_per_page / (epoch_us / 1e6)
-        for vma, lo, hi in self.space.ranges_in(start, end):
-            pt = vma.pages
+        pt = self.space.flat
+        for lo, hi in self.space.spans(start, end):
             result = pt.touch_range(
                 lo,
                 hi,
@@ -357,14 +336,14 @@ class SimKernel:
                     granted = need_frames
                 if granted < need_frames:
                     shed_pages = need_frames - granted
-                    major, minor = self._shed_batch(pt, major, minor, granted)
+                    major, minor = self._shed_batch(major, minor, granted)
                     self.metrics.shed_pages += shed_pages
                     self._enter_degraded("oom", now)
                 alloc_for = np.concatenate((major, minor)) if major.size and minor.size else (
                     major if major.size else minor
                 )
                 if alloc_for.size:
-                    self._allocate_mapped(vma, alloc_for)
+                    self._allocate_mapped(alloc_for)
             if major.size:
                 latency = self.swap.load(major.size)
                 latency += self.costs.major_fault_overhead_us(major.size)
@@ -384,7 +363,7 @@ class SimKernel:
             if effective_touches > 0:
                 total_touches = effective_touches * stall_weight
                 if pt.chunk_huge.any():
-                    huge_hits = pt.huge_mask(touched)
+                    huge_hits = pt.huge_page_mask(touched)
                     huge_fraction = float(np.count_nonzero(huge_hits)) / touched.size
                 else:
                     huge_fraction = 0.0
@@ -466,21 +445,20 @@ class SimKernel:
             free += self.frames.free_slow_frames()
         return free
 
-    def _allocate_mapped(self, vma, idx: np.ndarray) -> None:
-        """Back pages ``idx`` of ``vma`` with frames: DRAM first, with the
+    def _allocate_mapped(self, idx: np.ndarray) -> None:
+        """Back pages ``idx`` with frames: DRAM first, with the
         unmanaged-tier overflow spilling to slow frames.  Sets the page
         table's ``frame`` and ``tier`` columns.  The caller guarantees
         ``idx.size <= _allocatable()`` (via ``_ensure_frames`` or shed)."""
-        pt = vma.pages
-        vid = self._vma_ids[vma]
+        pt = self.space.flat
         n = int(idx.size)
         n_fast = min(n, self.frames.free_frames()) if self._tier_spill else n
         if n_fast:
             part = idx[:n_fast]
-            pt.frame[part] = self.frames.allocate(n_fast, vid, part)
+            pt.frame[part] = self.frames.allocate(n_fast, part)
         if n_fast < n:
             part = idx[n_fast:]
-            pt.frame[part] = self.frames.allocate_slow(n - n_fast, vid, part)
+            pt.frame[part] = self.frames.allocate_slow(n - n_fast, part)
             pt.tier[part] = 1
 
     def _free_after_reclaim(self, needed: int, now: int) -> int:
@@ -498,8 +476,7 @@ class SimKernel:
                 f"(need {needed}, free {self._allocatable()})"
             )
 
-    @staticmethod
-    def _shed_batch(pt, major: np.ndarray, minor: np.ndarray, granted: int):
+    def _shed_batch(self, major: np.ndarray, minor: np.ndarray, granted: int):
         """Trim an allocation batch to ``granted`` frames.
 
         Major faults keep priority (the workload is blocked on data that
@@ -508,7 +485,7 @@ class SimKernel:
         """
         keep_major = min(major.size, granted)
         keep_minor = granted - keep_major
-        pt.revert_faults(major[keep_major:], minor[keep_minor:])
+        self.space.flat.revert_faults(major[keep_major:], minor[keep_minor:])
         return major[:keep_major], minor[:keep_minor]
 
     def _enter_degraded(self, reason: str, now: int) -> None:
@@ -580,7 +557,7 @@ class SimKernel:
         self._reclaim(allocated - low, "pressure", now)
 
     def _swap_out(self, frames: np.ndarray, n_pages: int, n_dirty: int) -> None:
-        """Settle one VMA group's swap-out: free ``frames`` and charge the
+        """Settle one segment group's swap-out: free ``frames`` and charge the
         device for ``n_pages`` stored, ``n_dirty`` of them written back.
         Per group, never merged: the device rounds each ``store()``
         internally, so merging groups would change the charged total (an
@@ -591,13 +568,13 @@ class SimKernel:
         self.metrics.pages_swapped_out += n_pages
         self.metrics.pages_written_back += n_dirty
 
-    def _move_tier(self, vma, idx: np.ndarray, tier: int) -> None:
-        """Re-back resident pages ``idx`` of ``vma`` with frames of
-        ``tier`` (0 = DRAM, 1 = slow).  The caller has checked the room."""
-        pt = vma.pages
+    def _move_tier(self, idx: np.ndarray, tier: int) -> None:
+        """Re-back resident pages ``idx`` with frames of ``tier``
+        (0 = DRAM, 1 = slow).  The caller has checked the room."""
+        pt = self.space.flat
         self.frames.release(pt.frame[idx])
         allocate = self.frames.allocate_slow if tier else self.frames.allocate
-        pt.frame[idx] = allocate(int(idx.size), self._vma_ids[vma], idx)
+        pt.frame[idx] = allocate(int(idx.size), idx)
         pt.tier[idx] = tier
 
     def _account_migration(self, direction: str, pages: int, trigger: str) -> None:
@@ -646,16 +623,16 @@ class SimKernel:
         # path (the demotion loop below fills it first).
         victims = self.lru.select_victims(budget, rng=self.rng, fast_only=demote)
         demoted = evicted = written_back = 0
-        for vma, idx in victims:
+        for idx in victims:
             if demote_room:
                 take = min(demote_room, int(idx.size))
-                self._move_tier(vma, idx[:take], 1)
+                self._move_tier(idx[:take], 1)
                 demote_room -= take
                 demoted += take
                 idx = idx[take:]
             if idx.size == 0:
                 continue
-            frames, n_dirty = vma.pages.evict_pages(idx)
+            frames, n_dirty = self.space.flat.evict_pages(idx)
             self._swap_out(frames, idx.size, n_dirty)
             self.metrics.reclaim_evictions += idx.size
             evicted += int(idx.size)
@@ -782,10 +759,10 @@ class SimKernel:
             n_frames = self.frames.n_frames
             lo = np.clip(starts // PAGE_SIZE, 0, n_frames)
             hi = np.clip(-(-ends // PAGE_SIZE), 0, n_frames)
-            column = self.frames.owner_vma >= 0
+            column = self.frames.owner >= 0
         else:
             flat = self.space.flat
-            lo, hi = flat.page_spans(starts, ends)
+            lo, hi = self.space.page_spans(starts, ends)
             if kind == "promote":
                 column = flat.tier.view(bool)  # tiers are 0 and 1
             elif kind == "demote":
@@ -807,13 +784,13 @@ class SimKernel:
         candidates are taken and clamped to the free swap slots (what
         that leaves different is listed in DESIGN.md §13)."""
         total = total_dirty = attempted = 0
-        for vma, sel in self._groups(start, end, phys):
-            pt = vma.pages
+        pt = self.space.flat
+        for sel in self._groups(start, end, phys):
             if phys:
                 # Select, clamp, then evict only what swap can hold.
                 idx = sel[pt.present[sel]]
                 if pt.chunk_huge.any():
-                    idx = idx[~pt.huge_mask(idx)]
+                    idx = idx[~pt.huge_page_mask(idx)]
                 attempted += int(idx.size)
                 idx = idx[: min(idx.size, self._swap_free_pages(now))]
                 if idx.size == 0:
@@ -867,8 +844,8 @@ class SimKernel:
         """WILLNEED: prefetch swapped pages back in (asynchronously, so
         only a small share of the read latency reaches the workload)."""
         total = 0
-        for vma, lo, hi in self.space.ranges_in(start, end):
-            pt = vma.pages
+        pt = self.space.flat
+        for lo, hi in self.space.spans(start, end):
             idx = pt.swap_in_range(lo, hi)
             if idx.size == 0:
                 continue
@@ -884,7 +861,7 @@ class SimKernel:
                     continue
             else:
                 self._ensure_frames(idx.size, now)
-            self._allocate_mapped(vma, idx)
+            self._allocate_mapped(idx)
             latency = self.swap.load(idx.size)
             self.metrics.runtime.swapout_us += latency * _ASYNC_WRITE_SHARE
             self.metrics.pages_swapped_in += idx.size
@@ -895,8 +872,8 @@ class SimKernel:
         """Place the range's present pages in LRU class ``gen``; returns
         the pages placed.  The kernel's one ``lru_gen`` store."""
         total = 0
-        for vma, sel in self._groups(start, end, phys):
-            pt = vma.pages
+        pt = self.space.flat
+        for sel in self._groups(start, end, phys):
             present = pt.present[sel]
             pt.lru_gen[sel] = np.where(present, gen, pt.lru_gen[sel])
             total += int(np.count_nonzero(present))
@@ -925,8 +902,8 @@ class SimKernel:
         """COLD: deactivate the range — pages become first in line for
         pressure reclaim by aging their recency to the epoch floor."""
         total = 0
-        for vma, lo, hi in self.space.ranges_in(start, end):
-            pt = vma.pages
+        pt = self.space.flat
+        for lo, hi in self.space.spans(start, end):
             present = pt.present[lo:hi]
             pt.last_touch[lo:hi][present] = np.iinfo(np.int64).min // 2 + 1
             total += int(np.count_nonzero(present))
@@ -956,10 +933,10 @@ class SimKernel:
         demote = direction == "demote"
         room = self._migration_room(demote)
         total = 0
-        for vma, lo, hi in self.space.ranges_in(start, end):
+        pt = self.space.flat
+        for lo, hi in self.space.spans(start, end):
             if room <= 0:
                 break
-            pt = vma.pages
             if demote:
                 movable = pt.present[lo:hi] & (pt.tier[lo:hi] == 0) & (pt.frame[lo:hi] >= 0)
             else:
@@ -967,11 +944,11 @@ class SimKernel:
             idx = np.nonzero(movable)[0].astype(np.int64) + lo
             if demote and pt.chunk_huge.any():
                 # A huge mapping cannot span tiers.
-                idx = idx[~pt.huge_mask(idx)]
+                idx = idx[~pt.huge_page_mask(idx)]
             idx = idx[:room]
             if idx.size == 0:
                 continue
-            self._move_tier(vma, idx, int(demote))
+            self._move_tier(idx, int(demote))
             room -= int(idx.size)
             total += int(idx.size)
         if total:
@@ -990,19 +967,16 @@ class SimKernel:
         DRAM, watermark-gated.  Returns pages promoted."""
         return self._migrate(start, end, "promote")
 
-    def _promote(self, vma, chunks: np.ndarray, now: int) -> int:
-        """Promote the given chunks of ``vma``: allocate frames for the
+    def _promote(self, chunks: np.ndarray, now: int) -> int:
+        """Promote the given chunks (of one VMA): allocate frames for the
         bloat pages, settle swap accounting, charge allocation latency."""
-        pt = vma.pages
+        pt = self.space.flat
         if chunks.size and self.tier is not None and self.tier_policy == "managed":
             # A huge mapping must not span tiers under managed placement:
             # chunks holding slow-resident pages stay 4 KiB-mapped until
             # MIGRATE_HOT pulls them up.  (Unmanaged mode interleaves
             # freely — there the hardware, not the kernel, owns placement.)
-            chunks = np.asarray(chunks, dtype=np.int64)
-            pages = (
-                chunks[:, None] * PAGES_PER_HUGE + np.arange(PAGES_PER_HUGE)
-            ).ravel()
+            pages = pt.chunk_pages(chunks)
             has_slow = (
                 (pt.tier[pages] != 0).reshape(-1, PAGES_PER_HUGE).any(axis=1)
             )
@@ -1025,7 +999,7 @@ class SimKernel:
             return 0
         if new_idx.size:
             self._ensure_frames(new_idx.size, now)
-            self._allocate_mapped(vma, new_idx)
+            self._allocate_mapped(new_idx)
         if n_swapped:
             latency = self.swap.load(n_swapped)
             self.metrics.runtime.swapout_us += latency * _ASYNC_WRITE_SHARE
@@ -1051,41 +1025,34 @@ class SimKernel:
         """HUGEPAGE: promote every 2 MiB chunk fully inside the range that
         has at least one present page.  Returns promotions performed."""
         promotions = 0
-        for vma, lo, hi in self.space.ranges_in(start, end):
-            pt = vma.pages
-            chunk_lo = -(-lo // PAGES_PER_HUGE)
-            chunk_hi = min(hi // PAGES_PER_HUGE, pt.n_chunks)
+        pt = self.space.flat
+        for lo, hi in self.space.spans(start, end):
+            chunk_lo, chunk_hi = pt.chunk_span(lo, hi, inner=True)
             if chunk_hi <= chunk_lo:
                 continue
-            if pt.chunk_huge[chunk_lo:chunk_hi].all():
+            huge = pt.chunk_huge[chunk_lo:chunk_hi]
+            if huge.all():
                 continue  # fast path: the whole span is already huge
-            candidates = np.arange(chunk_lo, chunk_hi, dtype=np.int64)
-            candidates = candidates[~pt.chunk_huge[chunk_lo:chunk_hi]]
-            if candidates.size == 0:
-                continue
-            pages = (
-                candidates[:, None] * PAGES_PER_HUGE + np.arange(PAGES_PER_HUGE)
-            ).ravel()
+            candidates = np.arange(chunk_lo, chunk_hi, dtype=np.int64)[~huge]
+            pages = pt.chunk_pages(candidates)
             has_present = (
                 pt.present[pages].reshape(-1, PAGES_PER_HUGE).any(axis=1)
             )
-            promotions += self._promote(vma, candidates[has_present], now)
+            promotions += self._promote(candidates[has_present], now)
         return promotions
 
     def madvise_nohugepage(self, start: int, end: int, now: int) -> int:
         """NOHUGEPAGE: demote huge chunks in the range; subpages untouched
         since promotion are freed (bloat recovery)."""
         demotions = 0
-        for vma, lo, hi in self.space.ranges_in(start, end):
-            pt = vma.pages
-            chunk_lo = lo // PAGES_PER_HUGE
-            chunk_hi = min(-(-hi // PAGES_PER_HUGE), pt.n_chunks)
+        pt = self.space.flat
+        for lo, hi in self.space.spans(start, end):
+            chunk_lo, chunk_hi = pt.chunk_span(lo, hi, inner=False)
             if chunk_hi <= chunk_lo:
                 continue
             if not pt.chunk_huge[chunk_lo:chunk_hi].any():
                 continue  # fast path: nothing huge in the span
-            candidates = np.arange(chunk_lo, chunk_hi, dtype=np.int64)
-            demoted, freed_idx = pt.demote_chunks(candidates, now)
+            demoted, freed_idx = pt.demote_chunks(np.arange(chunk_lo, chunk_hi), now)
             if freed_idx.size:
                 frames = pt.frame[freed_idx]
                 self.frames.release(frames[frames >= 0])
@@ -1110,34 +1077,20 @@ class SimKernel:
         if flat.n_chunks == 0:
             return result
         # Eligibility is one whole-table pass; promotion stays per VMA
-        # (chunk indices — and the frame/swap settlement — are VMA-local).
-        counts = flat.chunk_present_counts()
-        eligible_mask = (counts >= threshold) & ~flat.chunk_huge
-        if not eligible_mask.any():
+        # segment (its frame/swap settlement and reclaim are per call).
+        eligible = (flat.chunk_present_counts() >= threshold) & ~flat.chunk_huge
+        if not eligible.any():
             return result
-        co = flat.chunk_offset
-        stale = False
-        for ordinal, vma in enumerate(self.space.vmas):
-            if stale:
-                # An earlier VMA's promotion may have reclaimed pages out
-                # of this one, so its precomputed counts are stale —
-                # recompute the segment the way the lazy per-VMA scan did.
-                pt = vma.pages
-                if pt.n_chunks == 0:
-                    continue
-                present = pt.present[: pt.n_chunks * PAGES_PER_HUGE]
-                per_chunk = present.reshape(pt.n_chunks, PAGES_PER_HUGE).sum(axis=1)
-                eligible = np.nonzero((per_chunk >= threshold) & ~pt.chunk_huge)[0]
-            else:
-                eligible = np.nonzero(
-                    eligible_mask[co[ordinal] : co[ordinal + 1]]
-                )[0]
-            if eligible.size == 0:
+        for _, c, nc in flat.segment_bounds():
+            chunks = np.nonzero(eligible[c : c + nc])[0] + c
+            if chunks.size == 0:
                 continue
-            stale = True
             bloat_before = self.metrics.thp_bloat_pages
-            result["promotions"] += self._promote(vma, eligible, now)
+            result["promotions"] += self._promote(chunks, now)
             result["bloat_pages"] += self.metrics.thp_bloat_pages - bloat_before
+            # The promotion's reclaim may have moved pages of the later
+            # segments: recount them.
+            eligible = (flat.chunk_present_counts() >= threshold) & ~flat.chunk_huge
         return result
 
     # ------------------------------------------------------------------
@@ -1149,20 +1102,13 @@ class SimKernel:
         with ``phys`` frame numbers resolved through the rmap.  A sample
         with no PTE behind it (unmapped address, free frame) reads as
         never set."""
-        if phys:
-            segment, page = self.frames.owners(keys)
-            known = segment >= 0
-        else:
-            segment, page, known = self.space.resolve(keys)
+        idx = self.frames.owners(keys) if phys else self.space.resolve(keys)
+        known = idx >= 0
         probs = np.zeros(len(keys), dtype=np.float64)
         if known.any():
             flat = self.space.flat
-            segment = segment[known]
-            if phys:
-                segment = self._ordinal_segments()[segment]  # rmap ordinal -> position
-            g = flat.page_offset[segment] + page[known]
             read = flat.write_probability if write else flat.access_probability
-            probs[known] = read(g, window_us)
+            probs[known] = read(idx[known], window_us)
         return probs
 
     def access_probabilities(self, addrs: np.ndarray, window_us: float) -> np.ndarray:

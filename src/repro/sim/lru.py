@@ -15,7 +15,7 @@ vectorized.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -39,41 +39,27 @@ class LruReclaimer:
         space: AddressSpace,
         *,
         frames=None,
-        ordinal_segments=None,
         activation_window_us: int = 10 * SEC,
     ):
         if activation_window_us <= 0:
             raise ConfigError("activation window must be positive")
         self.space = space
-        #: Optional :class:`~repro.sim.physmem.FrameTable` plus a
-        #: callable mapping its rmap ordinals to ``space.vmas`` positions
-        #: (the kernel provides both).  With them, sparse-residency
-        #: victim selection enumerates the allocated frames instead of
-        #: scanning the whole page table.
+        #: Optional :class:`~repro.sim.physmem.FrameTable` (the kernel
+        #: provides it).  With it, sparse-residency victim selection
+        #: enumerates the allocated frames instead of scanning the whole
+        #: page table.
         self.frames = frames
-        self._ordinal_segments = ordinal_segments
         self.activation_window_us = activation_window_us
         self.total_evicted = 0
 
     # ------------------------------------------------------------------
-    def list_sizes(self, now: int) -> Tuple[int, int]:
-        """(active, inactive) page counts at virtual time ``now``."""
-        flat = self.space.flat
-        if flat.n_pages == 0:
-            return 0, 0
-        cutoff = now - self.activation_window_us
-        recent = flat.last_touch >= cutoff
-        active = int(np.count_nonzero(flat.present & recent))
-        inactive = int(np.count_nonzero(flat.present & ~recent))
-        return active, inactive
-
     def select_victims(
         self,
         n_pages: int,
         rng: Optional[np.random.Generator] = None,
         *,
         fast_only: bool = False,
-    ) -> List[Tuple[object, np.ndarray]]:
+    ) -> List[np.ndarray]:
         """Pick ~``n_pages`` least-recently-touched present pages.
 
         ``fast_only`` restricts candidates to DRAM-resident pages — the
@@ -90,33 +76,26 @@ class LruReclaimer:
         exactly what the LRU_PRIO / LRU_DEPRIO scheme actions improve
         on: the monitor knows recency at aggregation granularity.)
 
-        Returns ``[(vma, page_indices), ...]``; the caller performs the
-        actual state transition so swap latency and accounting live in
-        one place (the kernel façade).
+        Returns the chosen page indices split per VMA segment, segments
+        ascending; the caller performs the actual state transition so
+        swap latency and accounting live in one place (the kernel
+        façade).
         """
         if n_pages <= 0:
             return []
-        # One whole-table masked pass over the flat concatenated page
-        # table; segment order equals VMA address order, so the stamp
-        # sequence (and hence RNG consumption and argpartition output)
-        # is element-for-element what the per-VMA gather produced.
+        # One whole-table masked pass over the page table: pages in
+        # index order, so segments in VMA address order.
         flat = self.space.flat
         if flat.n_pages == 0:
             return []
         frames = self.frames
-        if (
-            frames is not None
-            and self._ordinal_segments is not None
-            and frames.peak_allocated * 8 < flat.n_pages
-        ):
+        if frames is not None and frames.peak_allocated * 8 < flat.n_pages:
             # Sparse residency: every evictable page owns a frame, so the
             # frame table's live set IS the candidate set — O(allocated)
             # instead of an O(n_pages) mask scan.  Sorting restores the
             # ascending page order the mask scan produces, so the RNG
             # tie-break mapping (and hence the selection) is identical.
-            fr = frames.allocated_frames()
-            seg = self._ordinal_segments()[frames.owner_vma[fr]]
-            idx = flat.page_offset[seg] + frames.owner_page[fr]
+            idx = frames.owner[frames.allocated_frames()]
             idx.sort()
             if flat.chunk_huge.any():
                 idx = idx[~flat.huge_page_mask(idx)]
@@ -143,11 +122,5 @@ class LruReclaimer:
         stamps = stamps + gens * 1e12
         take = min(n_pages, stamps.size)
         order = np.argpartition(stamps, take - 1)[:take]
-        chosen = idx[order]
-        ordinals = flat.vma_ordinal[chosen]
-        victims: List[Tuple[object, np.ndarray]] = []
-        for ordinal in np.unique(ordinals):
-            sel = chosen[ordinals == ordinal] - flat.page_offset[ordinal]
-            victims.append((self.space.vmas[int(ordinal)], sel))
         self.total_evicted += take
-        return victims
+        return flat.split_segments(idx[order])

@@ -1,4 +1,4 @@
-"""Page-granular state for one VMA.
+"""The page table: page-granular state for one address space.
 
 The monitor only ever interacts with memory through two operations —
 *clear the accessed bit of a page* and *was this page accessed since the
@@ -14,13 +14,26 @@ for each page.  A page's accessed bit, cleared at time ``t0`` and read at
 Poisson model of whether at least one touch landed in the window.  This
 reproduces exactly the statistics the kernel monitor sees from real PTE
 accessed bits, while letting the simulation emit accesses at epoch
-granularity instead of one event per load instruction.  Rates are
-declared here, per VMA; the probability is read in one place, off the
-address space's flat table
-(:meth:`repro.sim.flatpages.FlatPageTable.access_probability`).
+granularity instead of one event per load instruction.  Concrete page
+touches (faults, RSS changes, LRU recency) are applied separately
+through :meth:`FlatPageTable.touch_range`.
 
-Concrete page touches (faults, RSS changes, LRU recency) are applied
-separately through :meth:`PageTable.touch_range`.
+Layout
+------
+One set of page columns and one set of 2 MiB chunk columns per address
+space, addressed by one flat page index.  Each VMA owns one *segment*:
+segment ``k`` (the ``k``-th VMA in address order) holds pages
+``[page_offset[k], page_offset[k + 1])`` and chunks
+``[chunk_offset[k], chunk_offset[k + 1])``.
+
+* Segments are in VMA address order.  The kernel draws its RNG once
+  over a whole-table candidate set and breaks ``argpartition`` ties by
+  position, so this order fixes which pages a seed faults, reclaims and
+  promotes; reorder the segments and every seeded result changes.
+* Chunk alignment is segment-local: a segment's ``j``-th chunk covers
+  its pages ``[512 j, 512 j + 512)``, and the tail pages past its last
+  full chunk belong to no chunk (a huge page needs a full, aligned
+  2 MiB of VMA).
 """
 
 from __future__ import annotations
@@ -31,7 +44,7 @@ import numpy as np
 
 from ..errors import AddressSpaceError, ConfigError
 
-__all__ = ["PAGE_SIZE", "PAGE_SHIFT", "HUGE_PAGE_SIZE", "PAGES_PER_HUGE", "PageTable"]
+__all__ = ["PAGE_SIZE", "PAGE_SHIFT", "HUGE_PAGE_SIZE", "PAGES_PER_HUGE", "FlatPageTable"]
 
 PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT  # 4 KiB
@@ -41,9 +54,30 @@ PAGES_PER_HUGE = HUGE_PAGE_SIZE // PAGE_SIZE  # 512
 #: last_touch value for pages never touched.
 NEVER = np.int64(-(1 << 62))
 
+#: Page columns, name -> (dtype, value of a freshly mapped page).
+_PAGE_COLUMNS = {
+    "present": (bool, False),
+    "swapped": (bool, False),
+    "rate": (np.float32, 0.0),
+    "write_rate": (np.float32, 0.0),
+    "dirty": (bool, False),
+    "last_touch": (np.int64, NEVER),
+    "touch_count": (np.int64, 0),
+    "frame": (np.int64, -1),
+    "bloat": (bool, False),
+    "lru_gen": (np.int8, 0),
+    "tier": (np.int8, 0),
+}
 
-class PageTable:
-    """State arrays for ``n_pages`` contiguous virtual pages.
+#: Chunk columns, name -> (dtype, value of a freshly mapped chunk).
+_CHUNK_COLUMNS = {
+    "chunk_huge": (bool, False),
+    "chunk_promoted_at": (np.int64, NEVER),
+}
+
+
+class FlatPageTable:
+    """State arrays for every page of one address space.
 
     Attributes
     ----------
@@ -53,6 +87,10 @@ class PageTable:
         Page content lives on the swap device.
     rate : float32[n]
         Current-epoch touch rate in touches/second (accessed-bit model).
+    write_rate : float32[n]
+        Current-epoch write rate (dirty-bit model; write channel).
+    dirty : bool[n]
+        PTE dirty bit: set on write, cleared by writeback.
     last_touch : int64[n]
         Virtual time (usec) of the most recent concrete touch; ``NEVER``
         if untouched.  Drives the LRU baseline and THP demotion.
@@ -60,10 +98,6 @@ class PageTable:
         Cumulative concrete touches — ground truth for accuracy tests.
     frame : int64[n]
         Physical frame number, or -1 when not present.
-    write_rate : float32[n]
-        Current-epoch write rate (dirty-bit model; write channel).
-    dirty : bool[n]
-        PTE dirty bit: set on write, cleared by writeback.
     bloat : bool[n]
         Resident purely due to a huge-page promotion, never touched —
         the only pages a demotion may free.
@@ -78,119 +112,142 @@ class PageTable:
         The 2 MiB chunk is mapped by a huge page.
     chunk_promoted_at : int64[n_chunks]
         Virtual time of the chunk's most recent promotion (``NEVER`` if
-        never promoted); used to return bloat on demotion.
+        never promoted).
+    n_present, n_swapped : int
+        Incremental residency counters: every transition that flips
+        ``present``/``swapped`` is a method of this class and keeps them
+        exact, so RSS reads are O(1).
     """
 
     __slots__ = (
         "n_pages",
-        "present",
-        "swapped",
-        "rate",
-        "write_rate",
-        "dirty",
-        "last_touch",
-        "touch_count",
-        "frame",
-        "bloat",
-        "lru_gen",
-        "tier",
         "n_chunks",
-        "chunk_huge",
-        "chunk_promoted_at",
+        "page_offset",
+        "chunk_offset",
+        *_PAGE_COLUMNS,
+        *_CHUNK_COLUMNS,
         "n_present",
         "n_swapped",
-        "_owner",
         "_rate_slices",
+        "_chunk_rates",
     )
 
-    def __init__(self, n_pages: int):
-        if n_pages <= 0:
-            raise ConfigError(f"a VMA needs at least one page: {n_pages}")
-        self.n_pages = int(n_pages)
-        self.present = np.zeros(n_pages, dtype=bool)
-        self.swapped = np.zeros(n_pages, dtype=bool)
-        self.rate = np.zeros(n_pages, dtype=np.float32)
-        # Write channel (the paper's stated future work: distinguishing
-        # reads from writes).  ``dirty`` models the PTE dirty bit: set on
-        # write, cleared by writeback (swap-out); ``write_rate`` is the
-        # per-epoch write rate feeding the dirty-bit sampling model.
-        self.write_rate = np.zeros(n_pages, dtype=np.float32)
-        self.dirty = np.zeros(n_pages, dtype=bool)
-        self.last_touch = np.full(n_pages, NEVER, dtype=np.int64)
-        self.touch_count = np.zeros(n_pages, dtype=np.int64)
-        self.frame = np.full(n_pages, -1, dtype=np.int64)
-        # Pages made resident purely by a huge-page promotion and never
-        # touched since: the only pages a demotion may free (they carry
-        # no application data).
-        self.bloat = np.zeros(n_pages, dtype=bool)
-        # LRU placement class: -1 = deprioritised (inactive tail),
-        # 0 = normal, +1 = prioritised (active head).  Reclaim consumes
-        # lower classes first; the LRU_PRIO/LRU_DEPRIO actions set it.
-        self.lru_gen = np.zeros(n_pages, dtype=np.int8)
-        # Memory tier of the backing frame (0 = DRAM, 1 = slow tier);
-        # meaningful only while present, and kept 0 otherwise.
-        self.tier = np.zeros(n_pages, dtype=np.int8)
-        # Only chunks fully inside the mapping can be huge-mapped (a huge
-        # page needs a full, aligned 2 MiB of VMA); tail pages past the
-        # last full chunk are never huge.
-        self.n_chunks = n_pages // PAGES_PER_HUGE
-        self.chunk_huge = np.zeros(self.n_chunks, dtype=bool)
-        self.chunk_promoted_at = np.full(self.n_chunks, NEVER, dtype=np.int64)
-        # Incremental residency accounting: every state transition that
-        # flips ``present``/``swapped`` goes through a method of this
-        # class and keeps these counters exact, so RSS reads are O(1)
-        # instead of a whole-table count.
+    def __init__(self):
+        self.n_pages = 0
+        self.n_chunks = 0
+        self.page_offset = np.zeros(1, dtype=np.int64)
+        self.chunk_offset = np.zeros(1, dtype=np.int64)
+        for name, (dtype, _) in {**_PAGE_COLUMNS, **_CHUNK_COLUMNS}.items():
+            setattr(self, name, np.zeros(0, dtype=dtype))
         self.n_present = 0
         self.n_swapped = 0
-        # The FlatPageTable this table's columns are views into (None
-        # while standalone); rate mutations invalidate its chunk cache.
-        self._owner = None
         # Ranges written by rate declarations since the last clear, so
         # the epoch-boundary reset zeroes only what was touched instead
         # of the whole table.  ``None`` = lost track, do a full fill.
         self._rate_slices = []
+        # Per-chunk rate sums, cached until the next rate change.
+        self._chunk_rates = None
 
-    def __getstate__(self):
-        """Pickle as a standalone table: no owner.
+    # ------------------------------------------------------------------
+    # Layout
+    # ------------------------------------------------------------------
+    def insert_segment(self, k: int, n_pages: int) -> None:
+        """Insert a segment of ``n_pages`` fresh pages as segment ``k``.
 
-        The column arrays may be views into a
-        :class:`~repro.sim.flatpages.FlatPageTable`; pickling serializes
-        their *values* (a view materializes as a copy), and carrying the
-        owner along would both duplicate the flat storage in the payload
-        and leave the restored table bound to an orphaned flat.  The
-        address space rebuilds and rebinds the flat table on first use.
+        Every column is resized to its exact new size, one at a time, so
+        the peak is the table plus one column.  Later segments' indices
+        grow by ``n_pages`` (the rmap follows through
+        :meth:`repro.sim.physmem.FrameTable.shift_owners`).
         """
-        state = {name: getattr(self, name) for name in self.__slots__}
-        state["_owner"] = None
-        return (None, state)
+        if n_pages <= 0:
+            raise ConfigError(f"a segment needs at least one page: {n_pages}")
+        n_chunks = n_pages // PAGES_PER_HUGE
+        p, c = int(self.page_offset[k]), int(self.chunk_offset[k])
+        for columns, at, n in ((_PAGE_COLUMNS, p, n_pages), (_CHUNK_COLUMNS, c, n_chunks)):
+            for name, (dtype, fill) in columns.items():
+                # A short tail appended to a long column grows its buffer in
+                # place (realloc, no copy; numpy zero-fills the tail).  Any
+                # other shape, or a buffer something else holds, is copied
+                # into fresh zero pages, which stay lazy until written.
+                try:
+                    if at != getattr(self, name).size or n > at:
+                        raise ValueError(name)
+                    getattr(self, name).resize(at + n, refcheck=True)
+                except ValueError:
+                    old = getattr(self, name)
+                    new = np.zeros(old.size + n, dtype=dtype)
+                    new[:at], new[at + n :] = old[:at], old[at:]
+                    setattr(self, name, new)
+                if fill:
+                    getattr(self, name)[at : at + n] = fill
+        po, co = self.page_offset, self.chunk_offset
+        self.page_offset = np.concatenate((po[: k + 1], po[k:] + n_pages))
+        self.chunk_offset = np.concatenate((co[: k + 1], co[k:] + n_chunks))
+        self._layout_changed()
 
-    def _bind(self, flat, page_sl: slice, chunk_sl: slice) -> None:
-        """Rebind every column to a slice view of ``flat``'s storage.
+    def remove_segment(self, k: int) -> None:
+        """Drop segment ``k``; later segments' indices shrink by its size."""
+        p, q = int(self.page_offset[k]), int(self.page_offset[k + 1])
+        c, d = int(self.chunk_offset[k]), int(self.chunk_offset[k + 1])
+        self.n_present -= int(np.count_nonzero(self.present[p:q]))
+        self.n_swapped -= int(np.count_nonzero(self.swapped[p:q]))
+        for columns, lo, hi in ((_PAGE_COLUMNS, p, q), (_CHUNK_COLUMNS, c, d)):
+            for name in columns:
+                old = getattr(self, name)
+                setattr(self, name, np.concatenate((old[:lo], old[hi:])))
+        po, co = self.page_offset, self.chunk_offset
+        self.page_offset = np.concatenate((po[:k], po[k + 1 :] - (q - p)))
+        self.chunk_offset = np.concatenate((co[:k], co[k + 1 :] - (d - c)))
+        self._layout_changed()
 
-        Called by :class:`repro.sim.flatpages.FlatPageTable` after it
-        copied this table's current state into its flat arrays.  Views
-        share memory, so all per-VMA methods keep writing through.
-        """
-        self.present = flat.present[page_sl]
-        self.swapped = flat.swapped[page_sl]
-        self.rate = flat.rate[page_sl]
-        self.write_rate = flat.write_rate[page_sl]
-        self.dirty = flat.dirty[page_sl]
-        self.last_touch = flat.last_touch[page_sl]
-        self.touch_count = flat.touch_count[page_sl]
-        self.frame = flat.frame[page_sl]
-        self.bloat = flat.bloat[page_sl]
-        self.lru_gen = flat.lru_gen[page_sl]
-        self.tier = flat.tier[page_sl]
-        self.chunk_huge = flat.chunk_huge[chunk_sl]
-        self.chunk_promoted_at = flat.chunk_promoted_at[chunk_sl]
-        self._owner = flat
+    def _layout_changed(self) -> None:
+        self.n_pages = int(self.page_offset[-1])
+        self.n_chunks = int(self.chunk_offset[-1])
+        # Recorded rate ranges name old positions: clear everything next.
+        self._rate_slices = None
+        self._chunk_rates = None
 
-    def _invalidate_chunk_rates(self) -> None:
-        """Every ``rate`` store ends here: drop the owning flat table's
-        chunk-sum cache."""
-        if self._owner is not None:
-            self._owner._chunk_rates = None
+    def segment_bounds(self):
+        """``(first page, first chunk, chunk count)`` per segment."""
+        po, co = self.page_offset.tolist(), self.chunk_offset.tolist()
+        for k in range(len(po) - 1):
+            yield po[k], co[k], co[k + 1] - co[k]
+
+    def chunk_of(self, idx: np.ndarray) -> np.ndarray:
+        """The chunk of each page ``idx``, or -1 for a tail page past its
+        segment's last full chunk."""
+        ends = (idx.min(), idx.max()) if idx.size else (0, 0)
+        seg = np.searchsorted(self.page_offset, ends, side="right") - 1
+        # Pages of one segment, the common case, share its offsets.
+        seg = seg[0] if seg[0] == seg[1] else np.searchsorted(self.page_offset, idx, "right") - 1
+        chunk = self.chunk_offset[seg] + ((idx - self.page_offset[seg]) >> 9)  # 512 pages each
+        chunk[chunk >= self.chunk_offset[seg + 1]] = -1
+        return chunk
+
+    def chunk_pages(self, chunks: np.ndarray) -> np.ndarray:
+        """The pages of ``chunks``, chunk by chunk (512 per chunk)."""
+        seg = np.searchsorted(self.chunk_offset, chunks, side="right") - 1
+        first = self.page_offset[seg] + (chunks - self.chunk_offset[seg]) * PAGES_PER_HUGE
+        return (first[:, None] + np.arange(PAGES_PER_HUGE)).ravel()
+
+    def chunk_span(self, lo: int, hi: int, *, inner: bool):
+        """The chunks ``[first, last)`` of the segment holding the pages
+        ``[lo, hi)`` that lie wholly inside the span (``inner``) or
+        overlap it."""
+        k = int(np.searchsorted(self.page_offset, lo, side="right")) - 1
+        p, c0, c1 = (int(self.page_offset[k]), int(self.chunk_offset[k]),
+                     int(self.chunk_offset[k + 1]))
+        if inner:
+            first, last = -(-(lo - p) // PAGES_PER_HUGE), (hi - p) // PAGES_PER_HUGE
+        else:
+            first, last = (lo - p) // PAGES_PER_HUGE, -(-(hi - p) // PAGES_PER_HUGE)
+        return c0 + first, c0 + min(last, c1 - c0)
+
+    def split_segments(self, idx: np.ndarray):
+        """``idx`` split into one array per segment it touches, segments
+        ascending, each keeping the order of ``idx``."""
+        seg = np.searchsorted(self.page_offset, idx, side="right") - 1
+        return [idx[seg == k] for k in np.unique(seg)]
 
     # ------------------------------------------------------------------
     # Bounds helpers
@@ -200,6 +257,12 @@ class PageTable:
             raise AddressSpaceError(
                 f"page range [{lo}, {hi}) outside table of {self.n_pages} pages"
             )
+
+    def _check_chunks(self, chunks: np.ndarray) -> np.ndarray:
+        chunks = np.asarray(chunks, dtype=np.int64)
+        if chunks.size and (int(chunks.max()) >= self.n_chunks or int(chunks.min()) < 0):
+            raise AddressSpaceError(f"chunk index outside [0, {self.n_chunks})")
+        return chunks
 
     # ------------------------------------------------------------------
     # Concrete touches (channel 1: faults, RSS, recency)
@@ -242,50 +305,32 @@ class PageTable:
             # (sweeps, streams, hotspots).  Slice assignments avoid the
             # index gather/scatter of the general path; fault indices
             # from nonzero match the gathered ones element for element.
-            sl = slice(lo, hi)
-            major = np.nonzero(self.swapped[sl])[0] + lo
-            minor = np.nonzero(~(self.present[sl] | self.swapped[sl]))[0] + lo
-            self.present[sl] = True
-            self.swapped[sl] = False
-            self.bloat[sl] = False
-            self.last_touch[sl] = now
-            self.touch_count[sl] += max(1, int(round(touches)))
+            sel = slice(lo, hi)
             touched = np.arange(lo, hi, dtype=np.int64)
-            if write_fraction >= 1.0:
-                self.dirty[sl] = True
-            elif write_fraction > 0.0:
-                if rng is None:
-                    raise ConfigError("fractional writes require an RNG")
-                writers = touched[rng.random(touched.size) < write_fraction]
-                self.dirty[writers] = True
-            self.n_present += int(major.size + minor.size)
-            self.n_swapped -= int(major.size)
-            return {"touched": touched, "major": major, "minor": minor}
-        if stride > 1:
-            touched = np.arange(lo, hi, stride, dtype=np.int64)
+            major = np.nonzero(self.swapped[sel])[0] + lo
+            minor = np.nonzero(~(self.present[sel] | self.swapped[sel]))[0] + lo
         else:
-            if rng is None:
+            if stride > 1:
+                touched = np.arange(lo, hi, stride, dtype=np.int64)
+            elif rng is None:
                 raise ConfigError("fractional touch requires an RNG")
-            mask = rng.random(hi - lo) < fraction
-            touched = np.nonzero(mask)[0].astype(np.int64) + lo
-
-        swapped = self.swapped[touched]
-        present = self.present[touched]
-        major = touched[swapped]
-        minor = touched[~present & ~swapped]
-
-        self.present[touched] = True
-        self.swapped[touched] = False
-        self.bloat[touched] = False
-        self.last_touch[touched] = now
-        self.touch_count[touched] += max(1, int(round(touches)))
+            else:
+                touched = np.nonzero(rng.random(hi - lo) < fraction)[0].astype(np.int64) + lo
+            sel = touched
+            swapped = self.swapped[touched]
+            major = touched[swapped]
+            minor = touched[~self.present[touched] & ~swapped]
+        self.present[sel] = True
+        self.swapped[sel] = False
+        self.bloat[sel] = False
+        self.last_touch[sel] = now
+        self.touch_count[sel] += max(1, int(round(touches)))
         if write_fraction >= 1.0:
-            self.dirty[touched] = True
+            self.dirty[sel] = True
         elif write_fraction > 0.0:
             if rng is None:
                 raise ConfigError("fractional writes require an RNG")
-            writers = touched[rng.random(touched.size) < write_fraction]
-            self.dirty[writers] = True
+            self.dirty[touched[rng.random(touched.size) < write_fraction]] = True
         self.n_present += int(major.size + minor.size)
         self.n_swapped -= int(major.size)
         return {"touched": touched, "major": major, "minor": minor}
@@ -301,15 +346,6 @@ class PageTable:
             else:
                 slices.append((lo, hi))
 
-    def set_rate(self, lo: int, hi: int, rate_per_sec: float) -> None:
-        """Declare the touch rate of ``[lo, hi)`` for the current epoch."""
-        self._check_range(lo, hi)
-        if rate_per_sec < 0:
-            raise ConfigError(f"rate must be non-negative: {rate_per_sec}")
-        self.rate[lo:hi] = rate_per_sec
-        self._record_rate_slice(lo, hi)
-        self._invalidate_chunk_rates()
-
     def add_rate(self, lo: int, hi: int, rate_per_sec: float, stride: int = 1) -> None:
         """Accumulate touch rate over ``[lo, hi)`` — bursts may overlap."""
         self._check_range(lo, hi)
@@ -319,7 +355,7 @@ class PageTable:
             raise ConfigError(f"stride must be at least 1: {stride}")
         self.rate[lo:hi:stride] += rate_per_sec
         self._record_rate_slice(lo, hi)
-        self._invalidate_chunk_rates()
+        self._chunk_rates = None
 
     def add_write_rate(self, lo: int, hi: int, rate_per_sec: float, stride: int = 1) -> None:
         """Accumulate write rate over ``[lo, hi)`` (dirty-bit channel)."""
@@ -348,16 +384,88 @@ class PageTable:
                 self.rate[lo:hi] = 0.0
                 self.write_rate[lo:hi] = 0.0
         self._rate_slices = []
-        self._invalidate_chunk_rates()
+        self._chunk_rates = None
 
-    def huge_mask(self, idx: np.ndarray) -> np.ndarray:
-        """Which of pages ``idx`` sit inside a huge-mapped chunk."""
+    # ------------------------------------------------------------------
+    # Derived whole-table views
+    # ------------------------------------------------------------------
+    def huge_page_mask(self, idx: Optional[np.ndarray] = None) -> np.ndarray:
+        """Which pages (all, or the indices ``idx``) sit inside a
+        huge-mapped chunk."""
+        if idx is None:
+            mask = np.zeros(self.n_pages, dtype=bool)
+            if self.chunk_huge.any():
+                for p, c, nc in self.segment_bounds():
+                    mask[p : p + nc * PAGES_PER_HUGE] = np.repeat(
+                        self.chunk_huge[c : c + nc], PAGES_PER_HUGE
+                    )
+            return mask
         idx = np.asarray(idx, dtype=np.int64)
-        if self.n_chunks == 0 or not self.chunk_huge.any():
+        if not self.chunk_huge.any():
             return np.zeros(idx.shape, dtype=bool)
-        chunk_ids = idx >> 9
-        safe = np.minimum(chunk_ids, self.n_chunks - 1)
-        return self.chunk_huge[safe] & (chunk_ids < self.n_chunks)
+        return np.append(self.chunk_huge, False)[self.chunk_of(idx)]  # -1: no chunk
+
+    def chunk_total_rates(self) -> np.ndarray:
+        """Per-chunk sums of page touch rates (float64), cached until the
+        next rate change.
+
+        Summed per segment with an exact ``reshape(...).sum(axis=1)`` —
+        summation order is part of the golden contract
+        (``tests/test_goldens.py``; ``np.add.reduceat`` would change the
+        floating-point result).
+        """
+        if self._chunk_rates is None:
+            out = np.zeros(self.n_chunks, dtype=np.float64)
+            for p, c, nc in self.segment_bounds():
+                if nc:
+                    seg = self.rate[p : p + nc * PAGES_PER_HUGE]
+                    out[c : c + nc] = seg.reshape(nc, PAGES_PER_HUGE).sum(
+                        axis=1, dtype=np.float64
+                    )
+            self._chunk_rates = out
+        return self._chunk_rates
+
+    def chunk_present_counts(self) -> np.ndarray:
+        """Present 4 KiB pages per (full) chunk, whole-table."""
+        out = np.zeros(self.n_chunks, dtype=np.int64)
+        for p, c, nc in self.segment_bounds():
+            if nc:
+                seg = self.present[p : p + nc * PAGES_PER_HUGE]
+                out[c : c + nc] = seg.reshape(nc, PAGES_PER_HUGE).sum(axis=1)
+        return out
+
+    # ------------------------------------------------------------------
+    # Probability models
+    # ------------------------------------------------------------------
+    def access_probability(self, idx: np.ndarray, window_us: float) -> np.ndarray:
+        """P(accessed bit set) for pages ``idx`` over a ``window_us``
+        window.
+
+        For pages inside a huge-mapped chunk the accessed bit lives in the
+        PMD entry, so a touch *anywhere in the chunk* sets it; the
+        effective rate is the chunk's total rate.  This mirrors hardware:
+        huge mappings coarsen what the monitor can see.
+        """
+        rates = self.rate[idx].astype(np.float64)
+        if self.chunk_huge.any():
+            chunk = self.chunk_of(idx)
+            in_huge = np.append(self.chunk_huge, False)[chunk]  # -1: no chunk
+            if in_huge.any():
+                rates = np.where(in_huge, self.chunk_total_rates()[chunk], rates)
+        return 1.0 - np.exp(-rates * (window_us / 1e6))
+
+    def write_probability(self, idx: np.ndarray, window_us: float) -> np.ndarray:
+        """P(dirty bit observed set) for pages ``idx``.
+
+        Unlike the accessed bit (which the monitor clears each check),
+        the dirty bit *persists* until writeback cleans it — clearing it
+        would corrupt writeback bookkeeping.  A page already dirty reads
+        as written with certainty; an as-yet-clean page may be caught by
+        a write landing within the check window.
+        """
+        rates = self.write_rate[idx].astype(np.float64)
+        fresh = 1.0 - np.exp(-rates * (window_us / 1e6))
+        return np.where(self.dirty[idx], 1.0, fresh)
 
     # ------------------------------------------------------------------
     # State transitions used by scheme actions and reclaim
@@ -373,7 +481,7 @@ class PageTable:
         self._check_range(lo, hi)
         candidates = self.present[lo:hi].copy()
         if self.chunk_huge.any():
-            candidates &= ~self.huge_mask(np.arange(lo, hi, dtype=np.int64))
+            candidates &= ~self.huge_page_mask(np.arange(lo, hi, dtype=np.int64))
         idx = np.nonzero(candidates)[0].astype(np.int64) + lo
         n_dirty = int(np.count_nonzero(self.dirty[idx]))
         self.present[idx] = False
@@ -397,7 +505,7 @@ class PageTable:
         return idx
 
     def promote_chunks(self, chunks: np.ndarray, now: int):
-        """Map the given (full) chunks with huge pages.
+        """Map the given chunks with huge pages.
 
         All 512 pages of each chunk become resident — this is exactly
         THP's memory bloat.  Already-huge chunks are skipped.  Returns
@@ -406,13 +514,11 @@ class PageTable:
         caller allocates frames for them), and how many of those were
         swapped out (the caller settles the swap device's accounting).
         """
-        chunks = np.asarray(chunks, dtype=np.int64)
-        if chunks.size and (int(chunks.max()) >= self.n_chunks or int(chunks.min()) < 0):
-            raise AddressSpaceError(f"chunk index outside [0, {self.n_chunks})")
+        chunks = self._check_chunks(chunks)
         chunks = chunks[~self.chunk_huge[chunks]]
         if chunks.size == 0:
             return chunks, np.empty(0, dtype=np.int64), 0
-        pages = (chunks[:, None] * PAGES_PER_HUGE + np.arange(PAGES_PER_HUGE)).ravel()
+        pages = self.chunk_pages(chunks)
         new_idx = pages[~self.present[pages]]
         n_swapped = int(np.count_nonzero(self.swapped[pages]))
         self.present[pages] = True
@@ -435,13 +541,11 @@ class PageTable:
         (the Ingens-style bloat recovery the paper's ``ethp`` relies on).
         Returns ``(demoted_chunks, freed_page_idx)``.
         """
-        chunks = np.asarray(chunks, dtype=np.int64)
-        if chunks.size and (int(chunks.max()) >= self.n_chunks or int(chunks.min()) < 0):
-            raise AddressSpaceError(f"chunk index outside [0, {self.n_chunks})")
+        chunks = self._check_chunks(chunks)
         chunks = chunks[self.chunk_huge[chunks]]
         if chunks.size == 0:
             return chunks, np.empty(0, dtype=np.int64)
-        pages = (chunks[:, None] * PAGES_PER_HUGE + np.arange(PAGES_PER_HUGE)).ravel()
+        pages = self.chunk_pages(chunks)
         freed_idx = pages[self.bloat[pages] & self.present[pages]]
         self.present[freed_idx] = False
         self.bloat[freed_idx] = False
@@ -513,15 +617,3 @@ class PageTable:
         self.tier[idx] = 0
         self.n_present -= int(idx.size)
         self.n_swapped += int(idx.size)
-
-    # ------------------------------------------------------------------
-    # Accounting
-    # ------------------------------------------------------------------
-    def resident_pages(self) -> int:
-        """Number of DRAM-resident pages (RSS contribution); O(1) via
-        the incremental counter."""
-        return self.n_present
-
-    def swapped_pages(self) -> int:
-        """Number of pages currently on the swap device; O(1)."""
-        return self.n_swapped

@@ -4,7 +4,9 @@ The physical-address monitoring primitive (the paper's ``prec``
 configuration) monitors the guest's whole physical address space and uses
 the kernel's reverse map (rmap) to find, for a physical frame, the page
 table entry that maps it.  :class:`FrameTable` provides the synthetic
-equivalents: a frame allocator plus ``frame → (vma, page)`` owner arrays.
+equivalents: a frame allocator plus a ``frame → page`` owner column,
+holding each frame's page-table index
+(:class:`~repro.sim.pagetable.FlatPageTable`).
 
 The free list is an array-backed stack so that allocating or releasing
 millions of frames (a multi-GiB workload's first-touch epoch) is a single
@@ -12,8 +14,6 @@ slice operation, never a per-frame Python loop.
 """
 
 from __future__ import annotations
-
-from typing import Tuple
 
 import numpy as np
 
@@ -51,9 +51,9 @@ class FrameTable:
         #: checkpoint restore.
         self.tier = np.zeros(self.n_frames, dtype=np.int8)
         self.tier[self.n_fast_frames :] = 1
-        # Owner arrays: index = frame number. -1 = free.
-        self.owner_vma = np.full(self.n_frames, -1, dtype=np.int64)
-        self.owner_page = np.full(self.n_frames, -1, dtype=np.int64)
+        # The rmap: index = frame number, value = the owning page's
+        # page-table index.  -1 = free.
+        self.owner = np.full(self.n_frames, -1, dtype=np.int64)
         # Never-allocated fast frames are [_next_fresh, n_fast_frames);
         # released ones sit in the recycled stack [0, _recycled_top).
         self._next_fresh = 0
@@ -73,7 +73,7 @@ class FrameTable:
         self.allocated_slow = 0
         #: High-water mark, for reporting.
         self.peak_allocated = 0
-        #: Bumped on every store into the owner arrays, so the
+        #: Bumped on every store into the owner column, so the
         #: sanitizer's keyed checks can tell when the frame → page map
         #: may have moved.  Not pickled and zero on restore, where the
         #: sanitizer's cached key is not carried over either.
@@ -87,24 +87,18 @@ class FrameTable:
 
         The arrays are sized to the *machine's* physical memory, but a
         workload only ever touches ``[0, _next_fresh)`` of the owner
-        arrays (lowest-first allocation) and ``[0, _recycled_top)`` of
+        column (lowest-first allocation) and ``[0, _recycled_top)`` of
         the recycled stack — everything past those marks is the
         constructor's fill values.  Storing just the prefixes keeps a
         checkpoint proportional to the workload's footprint instead of
         the machine's capacity (hundreds of MB of ``-1``).
         """
         state = dict(self.__dict__)
-        state["owner_vma"] = self.owner_vma[: self._next_fresh].copy()
-        state["owner_page"] = self.owner_page[: self._next_fresh].copy()
+        state["owner"] = self.owner[: self._next_fresh].copy()
         state["_recycled"] = self._recycled[: self._recycled_top].copy()
         # Slow-pool live prefixes: owners of [n_fast_frames,
         # _next_fresh_slow) plus the slow recycled stack.
-        state["_slow_owner_vma"] = self.owner_vma[
-            self.n_fast_frames : self._next_fresh_slow
-        ].copy()
-        state["_slow_owner_page"] = self.owner_page[
-            self.n_fast_frames : self._next_fresh_slow
-        ].copy()
+        state["_slow_owner"] = self.owner[self.n_fast_frames : self._next_fresh_slow].copy()
         state["_recycled_slow"] = self._recycled_slow[: self._recycled_slow_top].copy()
         # Derived from the frame-number split; rebuilt on restore.
         del state["tier"]
@@ -112,28 +106,13 @@ class FrameTable:
         return state
 
     def __setstate__(self, state):
-        empty = np.empty(0, dtype=np.int64)
-        slow_vma = state.pop("_slow_owner_vma", empty)
-        slow_page = state.pop("_slow_owner_page", empty)
-        # Pre-tier checkpoints carry neither the split nor the slow pool.
-        state.setdefault("n_fast_frames", state["n_frames"])
-        state.setdefault("n_slow_frames", 0)
-        state.setdefault("_next_fresh_slow", state["n_fast_frames"])
-        state.setdefault("_recycled_slow", empty)
-        state.setdefault("_recycled_slow_top", 0)
-        state.setdefault("allocated_slow", 0)
+        slow = state.pop("_slow_owner")
         self.__dict__.update(state)
         n = self.n_frames
-        prefix = self.owner_vma
-        self.owner_vma = np.full(n, -1, dtype=np.int64)
-        self.owner_vma[: prefix.size] = prefix
-        self.owner_vma[self.n_fast_frames : self.n_fast_frames + slow_vma.size] = slow_vma
-        prefix = self.owner_page
-        self.owner_page = np.full(n, -1, dtype=np.int64)
-        self.owner_page[: prefix.size] = prefix
-        self.owner_page[
-            self.n_fast_frames : self.n_fast_frames + slow_page.size
-        ] = slow_page
+        prefix = self.owner
+        self.owner = np.full(n, -1, dtype=np.int64)
+        self.owner[: prefix.size] = prefix
+        self.owner[self.n_fast_frames : self.n_fast_frames + slow.size] = slow
         prefix = self._recycled
         self._recycled = np.zeros(self.n_fast_frames, dtype=np.int64)
         self._recycled[: prefix.size] = prefix
@@ -163,9 +142,9 @@ class FrameTable:
         """Unallocated slow-tier frame count (0 on a flat machine)."""
         return self.n_slow_frames - self.allocated_slow
 
-    def allocate(self, count: int, vma_id: int, page_idx: np.ndarray) -> np.ndarray:
-        """Allocate ``count`` fast frames owned by pages ``page_idx`` of
-        VMA ``vma_id``.  Raises :class:`AddressSpaceError` when DRAM is
+    def allocate(self, count: int, page_idx: np.ndarray) -> np.ndarray:
+        """Allocate ``count`` fast frames owned by pages ``page_idx``.
+        Raises :class:`AddressSpaceError` when DRAM is
         exhausted — the kernel façade triggers reclaim before letting
         that happen."""
         if count == 0:
@@ -188,14 +167,13 @@ class FrameTable:
             )
             self._next_fresh += fresh
         frames = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        self.owner_vma[frames] = vma_id
-        self.owner_page[frames] = np.asarray(page_idx, dtype=np.int64)
+        self.owner[frames] = np.asarray(page_idx, dtype=np.int64)
         self.rmap_generation += 1
         self.allocated += count
         self.peak_allocated = max(self.peak_allocated, self.allocated)
         return frames
 
-    def allocate_slow(self, count: int, vma_id: int, page_idx: np.ndarray) -> np.ndarray:
+    def allocate_slow(self, count: int, page_idx: np.ndarray) -> np.ndarray:
         """Allocate ``count`` slow-tier frames (demotion target).  Raises
         :class:`AddressSpaceError` when the slow tier is exhausted — the
         reclaim path sizes its demotion budget by ``free_slow_frames``
@@ -224,8 +202,7 @@ class FrameTable:
             )
             self._next_fresh_slow += fresh
         frames = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        self.owner_vma[frames] = vma_id
-        self.owner_page[frames] = np.asarray(page_idx, dtype=np.int64)
+        self.owner[frames] = np.asarray(page_idx, dtype=np.int64)
         self.rmap_generation += 1
         self.allocated += count
         self.allocated_slow += count
@@ -237,10 +214,9 @@ class FrameTable:
         frames = np.asarray(frames, dtype=np.int64)
         if frames.size == 0:
             return
-        if (self.owner_vma[frames] < 0).any():
+        if (self.owner[frames] < 0).any():
             raise AddressSpaceError("double free of a physical frame")
-        self.owner_vma[frames] = -1
-        self.owner_page[frames] = -1
+        self.owner[frames] = -1
         self.rmap_generation += 1
         self.allocated -= frames.size
         if self.n_slow_frames:
@@ -257,12 +233,21 @@ class FrameTable:
         self._recycled_top = top + frames.size
 
     # ------------------------------------------------------------------
-    def owners(self, frames: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """rmap lookup: ``(vma_id, page_idx)`` per frame; -1 entries are free."""
+    def owners(self, frames: np.ndarray) -> np.ndarray:
+        """rmap lookup: the owning page per frame; -1 entries are free."""
         frames = np.asarray(frames, dtype=np.int64)
         if frames.size and (int(frames.max()) >= self.n_frames or int(frames.min()) < 0):
             raise AddressSpaceError("frame number out of range")
-        return self.owner_vma[frames], self.owner_page[frames]
+        return self.owner[frames]
+
+    def shift_owners(self, first: int, delta: int) -> None:
+        """Renumber the owners from page ``first`` on by ``delta``: the
+        page table gained (or lost) ``|delta|`` pages before them.  The
+        one remap a layout change costs the rmap."""
+        for lo, hi in ((0, self._next_fresh), (self.n_fast_frames, self._next_fresh_slow)):
+            moved = np.nonzero(self.owner[lo:hi] >= first)[0] + lo
+            self.owner[moved] += delta
+        self.rmap_generation += 1
 
     def allocated_frames(self) -> np.ndarray:
         """All currently allocated frame numbers, ascending.
@@ -283,29 +268,6 @@ class FrameTable:
         mask[self._recycled_slow[: self._recycled_slow_top] - self.n_fast_frames] = False
         slow = np.nonzero(mask)[0] + self.n_fast_frames
         return np.concatenate([fast, slow])
-
-    def rmap_groups(self, lo: int, hi: int):
-        """Owned frames of ``[lo, hi)`` grouped by owning VMA.
-
-        Returns ``[(vma_id, page_idx), ...]`` with VMA ids ascending and
-        each group's page indices in frame-number order (the order a
-        linear scan of the range would visit them) — one vectorized pass
-        instead of one owner-array scan per VMA.
-        """
-        ov = self.owner_vma[lo:hi]
-        owned = np.nonzero(ov >= 0)[0]
-        if owned.size == 0:
-            return []
-        ids = ov[owned]
-        order = np.argsort(ids, kind="stable")
-        ids = ids[order]
-        pages = self.owner_page[lo:hi][owned[order]]
-        uniq, starts = np.unique(ids, return_index=True)
-        bounds = np.append(starts, ids.size)
-        return [
-            (int(uniq[i]), pages[bounds[i] : bounds[i + 1]])
-            for i in range(uniq.size)
-        ]
 
     def span_bytes(self) -> int:
         """Size of the physical address space in bytes."""

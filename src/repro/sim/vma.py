@@ -5,26 +5,28 @@ find what to monitor (upstream DAMON's "three regions" heuristic: the
 three contiguous spans separated by the two biggest unmapped gaps, which
 in practice are heap | mmap area | stack), and resolves sample addresses
 to page-table entries.  :class:`AddressSpace` provides both, with
-vectorized address → (vma, page) resolution for the monitor's hot path.
+vectorized address → flat page index resolution for the monitor's hot
+path.  Its page table (:class:`~repro.sim.pagetable.FlatPageTable`)
+holds one segment per VMA, in address order.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
 from ..errors import AddressSpaceError, ConfigError
-from .flatpages import FlatPageTable
-from .pagetable import PAGE_SIZE, PageTable
+from .pagetable import PAGE_SHIFT, PAGE_SIZE, FlatPageTable
 
 __all__ = ["VMA", "AddressSpace"]
 
 
 class VMA:
-    """One mapped region ``[start, end)`` with its page table."""
+    """One mapped region ``[start, end)``; its pages are a segment of
+    the address space's page table."""
 
-    __slots__ = ("start", "end", "name", "pages")
+    __slots__ = ("start", "end", "name")
 
     def __init__(self, start: int, end: int, name: str = ""):
         if start % PAGE_SIZE or end % PAGE_SIZE:
@@ -36,7 +38,6 @@ class VMA:
         self.start = int(start)
         self.end = int(end)
         self.name = name
-        self.pages = PageTable((end - start) // PAGE_SIZE)
 
     def __repr__(self):
         return f"VMA({self.start:#x}, {self.end:#x}, {self.name!r})"
@@ -45,61 +46,39 @@ class VMA:
     def size(self) -> int:
         return self.end - self.start
 
-    def page_index(self, addr: int) -> int:
-        """Page index of ``addr`` within this VMA."""
-        if not self.start <= addr < self.end:
-            raise AddressSpaceError(f"{addr:#x} outside {self!r}")
-        return (addr - self.start) // PAGE_SIZE
-
 
 class AddressSpace:
-    """An ordered, non-overlapping collection of VMAs.
+    """An ordered, non-overlapping collection of VMAs and their page
+    table.
 
-    Mutation (``mmap``/``munmap``) invalidates the cached lookup arrays,
-    which are rebuilt lazily; the monitor's vectorized resolution path
-    only ever reads them.
+    ``mmap``/``munmap`` resize :attr:`flat` and rebuild the lookup
+    arrays on the spot; the monitor's vectorized resolution path only
+    ever reads them.
     """
 
     def __init__(self, name: str = "proc"):
         self.name = name
         self.vmas: List[VMA] = []
-        self._starts: Optional[np.ndarray] = None
-        self._ends: Optional[np.ndarray] = None
+        #: The page table: one segment per VMA, in address order.
+        self.flat = FlatPageTable()
         #: bumped on every layout change; the monitor's regions-update
         #: tick compares it to decide whether to re-derive target regions.
         self.generation = 0
-        self._flat: Optional[FlatPageTable] = None
+        self.rebuild_lookup()
 
-    def __getstate__(self):
-        """Pickle without the flat table or lookup caches.
-
-        A pickled numpy view materializes as an independent copy, which
-        would silently sever the write-through binding between per-VMA
-        page tables and the flat storage on restore.  Dropping ``_flat``
-        (and the lazily-rebuilt lookup arrays) instead makes the first
-        ``flat`` access after unpickling rebuild the storage from the
-        VMAs' columns and rebind the views — the same path a layout
-        change takes.
-        """
-        state = dict(self.__dict__)
-        state["_flat"] = None
-        state["_starts"] = None
-        state["_ends"] = None
-        return state
-
-    @property
-    def flat(self) -> FlatPageTable:
-        """The concatenated struct-of-arrays page table for this space.
-
-        Built lazily and rebuilt after any layout change (tracked via
-        ``generation``); building rebinds every VMA's page-table columns
-        to views into the flat storage, so per-VMA and whole-table code
-        always read/write the same bytes.
-        """
-        flat = self._flat
-        if flat is None or flat.generation != self.generation:
-            flat = self._flat = FlatPageTable(self.vmas, self.generation)
-        return flat
+    def rebuild_lookup(self) -> None:
+        """Derive the address lookup arrays from ``vmas`` and the page
+        table's segment offsets."""
+        self._starts = np.array([v.start for v in self.vmas], dtype=np.int64)
+        self._ends = np.array([v.end for v in self.vmas], dtype=np.int64)
+        # Address -> page position as np.interp knots: slope 1 / PAGE_SIZE
+        # inside a VMA (VMA k spans positions po[k] to po[k + 1]), flat
+        # across a gap.  PAGE_SIZE is a power of two and addresses stay
+        # far below 2**53, so every position is exact.
+        self._knots = (
+            np.stack((self._starts, self._ends), axis=1).ravel().astype(np.float64),
+            np.repeat(self.flat.page_offset, 2)[1:-1].astype(np.float64),
+        )
 
     # ------------------------------------------------------------------
     # Layout mutation
@@ -113,96 +92,83 @@ class AddressSpace:
                     f"mapping [{start:#x}, {end:#x}) overlaps {vma!r}"
                 )
         vma = VMA(start, end, name)
-        self.vmas.append(vma)
-        self.vmas.sort(key=lambda v: v.start)
-        self._starts = self._ends = None
+        k = int(np.searchsorted(self._starts, vma.start))
+        self.vmas.insert(k, vma)
+        self.flat.insert_segment(k, vma.size // PAGE_SIZE)
+        self.rebuild_lookup()
         self.generation += 1
         return vma
 
     def munmap(self, vma: VMA) -> None:
-        """Remove a VMA from the space."""
+        """Remove a VMA and its pages from the space."""
+        k = self._position(vma)
+        del self.vmas[k]
+        self.flat.remove_segment(k)
+        self.rebuild_lookup()
+        self.generation += 1
+
+    def _position(self, vma: VMA) -> int:
         try:
-            self.vmas.remove(vma)
+            return self.vmas.index(vma)
         except ValueError:
             raise AddressSpaceError(f"{vma!r} not in {self.name}") from None
-        self._starts = self._ends = None
-        self.generation += 1
+
+    def segment(self, vma: VMA) -> slice:
+        """The page-table span ``[lo, hi)`` of ``vma``'s pages."""
+        k = self._position(vma)
+        po = self.flat.page_offset
+        return slice(int(po[k]), int(po[k + 1]))
 
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def _lookup_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        if self._starts is None:
-            self._starts = np.array([v.start for v in self.vmas], dtype=np.int64)
-            self._ends = np.array([v.end for v in self.vmas], dtype=np.int64)
-        return self._starts, self._ends
-
-    def find(self, addr: int) -> Optional[VMA]:
-        """The VMA containing ``addr``, or ``None`` for a gap."""
-        starts, ends = self._lookup_arrays()
-        if starts.size == 0:
-            return None
-        i = int(np.searchsorted(starts, addr, side="right")) - 1
-        if i >= 0 and addr < ends[i]:
-            return self.vmas[i]
-        return None
-
-    def resolve(self, addrs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized address resolution.
-
-        Returns ``(vma_idx, page_idx, mapped)`` arrays: the VMA index and
-        page index for each address, and a boolean mask of which
-        addresses fall inside a mapping.  Unmapped entries carry
-        ``vma_idx == -1``.
-        """
+    def resolve(self, addrs: np.ndarray) -> np.ndarray:
+        """Vectorized address resolution: the page-table index of each
+        address, or -1 where it falls outside every mapping."""
         addrs = np.asarray(addrs, dtype=np.int64)
-        starts, ends = self._lookup_arrays()
+        starts, ends = self._starts, self._ends
         if starts.size == 0:
-            neg = np.full(addrs.shape, -1, dtype=np.int64)
-            return neg, neg.copy(), np.zeros(addrs.shape, dtype=bool)
-        vma_idx = np.searchsorted(starts, addrs, side="right") - 1
-        in_range = vma_idx >= 0
-        safe = np.where(in_range, vma_idx, 0)
-        mapped = in_range & (addrs < ends[safe])
-        page_idx = (addrs - starts[safe]) >> 12
-        vma_idx = np.where(mapped, vma_idx, -1)
-        page_idx = np.where(mapped, page_idx, -1)
-        return vma_idx, page_idx, mapped
+            return np.full(addrs.shape, -1, dtype=np.int64)
+        k = np.searchsorted(starts, addrs, side="right") - 1
+        safe = np.maximum(k, 0)
+        mapped = (k >= 0) & (addrs < ends[safe])
+        idx = self.flat.page_offset[safe] + ((addrs - starts[safe]) >> PAGE_SHIFT)
+        return np.where(mapped, idx, -1)
 
-    # ------------------------------------------------------------------
-    # Range iteration (bulk operations split per VMA)
-    # ------------------------------------------------------------------
-    def ranges_in(self, start: int, end: int) -> Iterable[Tuple[VMA, int, int]]:
-        """Yield ``(vma, page_lo, page_hi)`` for each VMA overlapping
-        ``[start, end)``, in address order, with page indices local to
-        the VMA.  A plain scan: every workload maps a handful of VMAs
-        (heap, data, stack).
+    def spans(self, start: int, end: int) -> Iterable[Tuple[int, int]]:
+        """Yield the page-table span ``(lo, hi)`` of ``[start, end)``
+        within each VMA it overlaps, in address order.  A partly covered
+        page counts.  A plain scan: every workload maps a handful of
+        VMAs (heap, data, stack).
         """
         if end <= start:
             return
-        for vma in self.vmas:
+        po = self.flat.page_offset
+        for k, vma in enumerate(self.vmas):
             if vma.end <= start or vma.start >= end:
                 continue
-            lo_addr = max(start, vma.start)
-            hi_addr = min(end, vma.end)
-            lo = (lo_addr - vma.start) // PAGE_SIZE
-            hi = -(-(hi_addr - vma.start) // PAGE_SIZE)
-            yield vma, lo, hi
+            lo = (max(start, vma.start) - vma.start) // PAGE_SIZE
+            hi = -(-(min(end, vma.end) - vma.start) // PAGE_SIZE)
+            yield int(po[k]) + lo, int(po[k]) + hi
+
+    def page_spans(self, starts: np.ndarray, ends: np.ndarray):
+        """Page-table spans ``[lo, hi)`` of the address ranges
+        ``[starts, ends)``: the union of what :meth:`spans` yields for
+        each range.  The VMAs a range overlaps are adjacent segments
+        (address order; gaps hold no pages), so one span covers them."""
+        if not self.vmas:
+            empty = np.zeros(np.shape(starts), dtype=np.int64)
+            return empty, empty
+        lo = np.interp(starts, *self._knots).astype(np.int64)  # floor: positions >= 0
+        hi = np.ceil(np.interp(ends, *self._knots)).astype(np.int64)
+        return lo, hi
 
     # ------------------------------------------------------------------
     # Derived views
     # ------------------------------------------------------------------
-    def mapped_bytes(self) -> int:
-        """Total bytes covered by the VMAs."""
-        return sum(v.size for v in self.vmas)
-
     def resident_bytes(self) -> int:
         """DRAM-resident bytes across all VMAs (the RSS)."""
-        return sum(v.pages.resident_pages() for v in self.vmas) * PAGE_SIZE
-
-    def swapped_bytes(self) -> int:
-        """Bytes currently held on the swap device."""
-        return sum(v.pages.swapped_pages() for v in self.vmas) * PAGE_SIZE
+        return self.flat.n_present * PAGE_SIZE
 
     def span(self) -> Tuple[int, int]:
         """Lowest and highest mapped address."""
@@ -234,11 +200,3 @@ class AddressSpace:
             cursor = gap_end
         regions.append((cursor, hi))
         return [r for r in regions if r[1] > r[0]]
-
-    # ------------------------------------------------------------------
-    # Epoch maintenance
-    # ------------------------------------------------------------------
-    def clear_rates(self) -> None:
-        """Reset every VMA's touch rates at an epoch boundary."""
-        for vma in self.vmas:
-            vma.pages.clear_rates()

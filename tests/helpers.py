@@ -7,12 +7,42 @@ import os
 import time
 from pathlib import Path
 
+import numpy as np
+
 from repro.runner.experiment import run_experiment
+from repro.sim.pagetable import PAGE_SIZE
 from repro.trace import JsonlTraceSink, TraceBus
 from repro.units import MSEC
 
 #: Base address used by most unit tests (2 MiB aligned).
 BASE = 0x7F00_0000_0000
+
+
+def mapped_bytes(space):
+    """Total bytes covered by ``space``'s VMAs."""
+    return sum(v.size for v in space.vmas)
+
+
+def swapped_bytes(space):
+    """Bytes of ``space`` held on the swap device."""
+    return space.flat.n_swapped * PAGE_SIZE
+
+
+def set_rate(flat, lo, hi, rate_per_sec):
+    """Overwrite the touch rate of pages ``[lo, hi)`` of the page table
+    ``flat`` for the current epoch: a zeroed range plus ``add_rate``,
+    which records the range for the epoch's clear."""
+    flat.rate[lo:hi] = 0.0
+    flat.add_rate(lo, hi, rate_per_sec)
+
+
+def lru_list_sizes(lru, now):
+    """(active, inactive) page counts of ``lru`` at virtual time ``now``:
+    present pages touched within its activation window, and the rest."""
+    flat = lru.space.flat
+    recent = flat.last_touch >= now - lru.activation_window_us
+    active = int(np.count_nonzero(flat.present & recent))
+    return active, int(np.count_nonzero(flat.present)) - active
 
 
 def run_epochs(kernel, queue, bursts, n_epochs, epoch_us=100 * MSEC, compute_us=None):

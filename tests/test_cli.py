@@ -346,8 +346,9 @@ class TestUnreadableInputs:
 
 
 class TestOutputDirectoryChecked:
-    """An output file in a missing directory is refused before the verb
-    runs: one ``error:`` line naming the flag, exit 2, no simulation."""
+    """An output file in a missing directory, or one that is an existing
+    directory, is refused before the verb runs: one ``error:`` line
+    naming the flag, exit 2, no simulation."""
 
     CASES = [
         (["run", "parsec3/swaptions", "--trace", "OUT"], "--trace"),
@@ -375,6 +376,19 @@ class TestOutputDirectoryChecked:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag} {out}: directory ")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, flag", CASES, ids=[f"{argv[0]}{flag}" for argv, flag in CASES]
+    )
+    def test_existing_directory(self, argv, flag, tmp_path, monkeypatch, capsys):
+        def forbidden(args):
+            raise AssertionError("the verb ran despite a bad output path")
+
+        monkeypatch.setitem(repro.cli._COMMANDS, argv[0], forbidden)
+        out = str(tmp_path)
+        assert main([out if a == "OUT" else a for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {flag} {out}: is a directory, not a file\n"
 
 
 class TestIgnoredFlagsRejected:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
+from repro.sanitize import SimSanitizer
 from repro.sim.kernel import SimKernel
 from repro.sim.machine import GuestSpec, get_instance
 from repro.sim.pagetable import PAGE_SIZE, PAGES_PER_HUGE
@@ -46,9 +47,10 @@ class TestAccessPath:
         kernel.apply_access(
             BASE, BASE + MIB, now=0, epoch_us=EPOCH, touches_per_page=50
         )
-        assert vma.pages.rate[0] == pytest.approx(500.0)  # 50 / 0.1 s
+        lo = kernel.space.segment(vma).start
+        assert kernel.space.flat.rate[lo] == pytest.approx(500.0)  # 50 / 0.1 s
         kernel.begin_epoch()
-        assert vma.pages.rate[0] == 0.0
+        assert kernel.space.flat.rate[lo] == 0.0
 
     def test_access_spanning_gap(self, kernel):
         kernel.mmap(BASE, MIB)
@@ -90,6 +92,26 @@ class TestMunmap:
         assert kernel.swap.used_pages == 0
         assert kernel.rss_bytes() == 0
 
+    def test_layout_changes_renumber_the_rmap(self, kernel):
+        """A mapping below resident pages shifts them up the page table,
+        an unmapping compacts them down; the rmap follows both ways."""
+        high = kernel.mmap(BASE + 64 * MIB, 4 * MIB)
+        kernel.apply_access(
+            high.start, high.start + MIB, now=0, epoch_us=EPOCH, touches_per_page=1000
+        )
+        low = kernel.mmap(BASE, 2 * MIB)
+        kernel.apply_access(BASE, BASE + MIB, now=EPOCH, epoch_us=EPOCH)
+        flat = kernel.space.flat
+        assert kernel.space.segment(high) == slice(512, 1536)
+        assert list(kernel.frames.owners(np.arange(2))) == [512, 513]
+        kernel.munmap(low)
+        assert kernel.space.segment(high) == slice(0, 1024)
+        assert list(kernel.frames.owners(np.arange(2))) == [0, 1]
+        assert (flat.frame[kernel.frames.owners(np.arange(256))] == np.arange(256)).all()
+        probs = kernel.frame_access_probabilities(np.array([0]), window_us=5000)
+        assert probs[0] > 0.9
+        assert SimSanitizer().check_all(kernel=kernel) == []
+
 
 class TestPageout:
     def test_pageout_reduces_rss(self, kernel):
@@ -125,7 +147,7 @@ class TestPageout:
         kernel = SimKernel(small_guest, swap=NoSwapDevice(), seed=1, trace=bus)
         kernel.mmap(BASE, 4 * MIB)
         kernel.apply_access(BASE, BASE + MIB, now=0, epoch_us=EPOCH, write_fraction=1.0)
-        pt = kernel.space.vmas[0].pages
+        pt = kernel.space.flat
         if phys:
             assert kernel.pageout_phys(0, MIB, now=EPOCH) == 0
         else:
@@ -221,12 +243,11 @@ class TestMadvise:
         assert kernel.metrics.runtime.major_fault_us == 0
 
     def test_cold_deactivates_for_lru(self, kernel):
-        vma = kernel.mmap(BASE, 4 * MIB)
+        kernel.mmap(BASE, 4 * MIB)
         kernel.apply_access(BASE, BASE + 2 * MIB, now=0, epoch_us=EPOCH)
         kernel.madvise_cold(BASE, BASE + MIB, now=EPOCH)
         victims = kernel.lru.select_victims(10)
-        (victim_vma, idx), = victims
-        assert victim_vma is vma
+        (idx,) = victims
         assert (idx < MIB // PAGE_SIZE).all()
 
     def test_hugepage_promotes_and_bloats(self, kernel):

@@ -114,17 +114,16 @@ class TestDF302StoredSliceViews:
             == []
         )
 
-    def test_bind_method_allowed(self):
-        assert (
-            lint(
-                """\
-                class W:
-                    def _bind(self, arr, lo, hi):
-                        self.hot = arr[lo:hi]
-                """
-            )
-            == []
+    def test_bind_method_flagged(self):
+        # No method is sanctioned to rebind columns to views any more.
+        diags = lint(
+            """\
+            class W:
+                def _bind(self, arr, lo, hi):
+                    self.hot = arr[lo:hi]
+            """
         )
+        assert codes_of(diags) == ["DF302"]
 
     def test_scalar_index_allowed(self):
         assert (

@@ -4,7 +4,7 @@ The sanitizer's keyed checks (frame conservation, tier placement) walk
 the rmap and derive the live frame set only when
 ``(space.generation, FrameTable.rmap_generation)`` has moved since their
 last clean pass (``sanitize/runtime.py``).  That only works if *every*
-store into the owner arrays, or into the allocator's recycled stacks
+store into the owner column, or into the allocator's recycled stacks
 the live set is derived from, sits in a function that bumps
 ``rmap_generation``, so this test walks ``src/repro/sim/`` and fails on
 one that does not.  It matches the syntactic shapes of such stores:
@@ -21,14 +21,17 @@ import repro
 FIXTURE = Path(__file__).resolve().parent / "fixtures" / "bad_dataflow" / "rmap_generation.txt"
 SIM = Path(repro.__file__).resolve().parent / "sim"
 
-#: The rmap's owner arrays and the allocator's recycled stacks.
-KEYED = {"owner_vma", "owner_page", "_recycled", "_recycled_slow"}
+#: The rmap's owner column and the allocator's recycled stacks; any
+#: ``owner_*`` column counts too (the corpus's older rmap had two).
+KEYED = {"owner", "_recycled", "_recycled_slow"}
 #: The counter a function must bump (or, restoring, reset) itself.
 COUNTER = "rmap_generation"
 
 
 def _keyed(node: ast.AST) -> bool:
-    return isinstance(node, ast.Attribute) and node.attr in KEYED
+    return isinstance(node, ast.Attribute) and (
+        node.attr in KEYED or node.attr.startswith("owner_")
+    )
 
 
 def keyed_stores(source: str):
@@ -79,11 +82,12 @@ def test_the_walk_sees_the_known_writers():
         "allocate",
         "allocate_slow",
         "release",
+        "shift_owners",
         "__setstate__",
     }
     assert all(bumps for _, _, bumps in rmap)
-    # Both owner arrays and both recycled stacks.
-    assert sum(name == "release" for name, _, _ in rmap) == 4
+    # The owner column and both recycled stacks.
+    assert sum(name == "release" for name, _, _ in rmap) == 3
 
 
 def test_bad_corpus_is_caught():

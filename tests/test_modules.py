@@ -74,7 +74,7 @@ class TestReclaimModule:
         stats = module.stats()
         assert stats["reclaimed_bytes"] > 8 * MIB
         # The hot head stays resident.
-        assert kernel.space.vmas[0].pages.present[:1024].all()
+        assert kernel.space.flat.present[:1024].all()
 
     def test_deactivates_when_pressure_relieved(self, queue):
         kernel = make_kernel(dram_mib=64, swap_mib=128)
@@ -148,7 +148,7 @@ class TestLruSortModule:
             2048, rng=np.random.default_rng(1)
         )  # 8 MiB worth
         hot_evicted = sum(
-            int(np.count_nonzero(idx < 8 * MIB // 4096)) for _, idx in victims
+            int(np.count_nonzero(idx < 8 * MIB // 4096)) for idx in victims
         )
         # At most a sliver of the hot 8 MiB gets picked.
         assert hot_evicted < 200

@@ -31,7 +31,7 @@ from repro.sim.machine import GuestSpec, get_instance
 from repro.sim.swap import ZramDevice
 from repro.units import MIB, MSEC
 
-from tests.helpers import BASE
+from tests.helpers import BASE, set_rate
 
 ATTRS = MonitorAttrs(
     sampling_interval_us=1 * MSEC,
@@ -84,14 +84,24 @@ class Twin:
     def schedule(self, when, op, *args):
         self.queue.schedule_at(when, lambda now: getattr(self, "do_" + op)(now, *args))
 
-    def pages(self, which):
-        vmas = self.kernel.space.vmas
-        return vmas[which % len(vmas)].pages
+    def segment(self, which):
+        """The page-table row ``(first page, pages, first chunk, chunks)``
+        of VMA ``which``."""
+        flat = self.kernel.space.flat
+        k = which % len(self.kernel.space.vmas)
+        po, co = flat.page_offset, flat.chunk_offset
+        return int(po[k]), int(po[k + 1] - po[k]), int(co[k]), int(co[k + 1] - co[k])
 
     def page_range(self, which, lo, span):
-        pt = self.pages(which)
-        lo = int(lo * (pt.n_pages - 1))
-        return pt, lo, min(pt.n_pages, lo + 1 + int(span * pt.n_pages))
+        """A page span of VMA ``which``, in VMA-local page numbers."""
+        _, n_pages, _, _ = self.segment(which)
+        lo = int(lo * (n_pages - 1))
+        return lo, min(n_pages, lo + 1 + int(span * n_pages))
+
+    def flat_range(self, which, lo, span):
+        first, _, _, _ = self.segment(which)
+        lo, hi = self.page_range(which, lo, span)
+        return self.kernel.space.flat, first + lo, first + hi
 
     # -- a sampling tick off the beat (a direct call: one row) ------------
     def do_sample(self, now):
@@ -99,33 +109,33 @@ class Twin:
 
     # -- what the accessed-bit probes read --------------------------------
     def do_set_rate(self, now, which, lo, span, rate):
-        pt, lo, hi = self.page_range(which, lo, span)
-        pt.set_rate(lo, hi, rate)
+        pt, lo, hi = self.flat_range(which, lo, span)
+        set_rate(pt, lo, hi, rate)
 
     def do_add_rate(self, now, which, lo, span, rate):
-        pt, lo, hi = self.page_range(which, lo, span)
+        pt, lo, hi = self.flat_range(which, lo, span)
         pt.add_rate(lo, hi, rate)
 
     def do_add_write_rate(self, now, which, lo, span, rate):
-        pt, lo, hi = self.page_range(which, lo, span)
+        pt, lo, hi = self.flat_range(which, lo, span)
         pt.add_write_rate(lo, hi, rate)
 
     def do_clear_rates(self, now):
-        self.kernel.space.clear_rates()
+        self.kernel.space.flat.clear_rates()
 
     def do_promote(self, now, which, chunk):
-        pt = self.pages(which)
-        pt.promote_chunks(np.array([chunk % pt.n_chunks]), now)
+        _, _, first, n_chunks = self.segment(which)
+        self.kernel.space.flat.promote_chunks(np.array([first + chunk % n_chunks]), now)
 
     def do_demote(self, now, which, chunk):
-        pt = self.pages(which)
-        pt.demote_chunks(np.array([chunk % pt.n_chunks]), now)
+        _, _, first, n_chunks = self.segment(which)
+        self.kernel.space.flat.demote_chunks(np.array([first + chunk % n_chunks]), now)
 
     # -- the rmap (what the physical probe also reads) --------------------
     def byte_range(self, which, lo, span):
         vmas = self.kernel.space.vmas
         vma = vmas[which % len(vmas)]
-        _, lo, hi = self.page_range(which, lo, span)
+        lo, hi = self.page_range(which, lo, span)
         return vma.start + lo * 4096, vma.start + hi * 4096
 
     def do_touch(self, now, which, lo, span):

@@ -24,7 +24,6 @@ from repro.schemes.parser import parse_scheme
 from repro.clock import EventQueue
 from repro.sim.kernel import SimKernel
 from repro.sim.machine import GuestSpec, get_instance
-from repro.sim.pagetable import PAGES_PER_HUGE
 from repro.sim.swap import ZramDevice
 from repro.units import MIB, MSEC
 
@@ -118,25 +117,20 @@ class MonitorMachine(RuleBasedStateMachine):
 
     @invariant()
     def page_state_consistent(self):
-        for vma in self.kernel.space.vmas:
-            pt = vma.pages
-            assert not (pt.present & pt.swapped).any()
-            assert not (pt.bloat & ~pt.present).any()
-            for chunk in np.nonzero(pt.chunk_huge)[0]:
-                lo = int(chunk) * PAGES_PER_HUGE
-                assert pt.present[lo : lo + PAGES_PER_HUGE].all()
+        pt = self.kernel.space.flat
+        assert not (pt.present & pt.swapped).any()
+        assert not (pt.bloat & ~pt.present).any()
+        huge = np.nonzero(pt.chunk_huge)[0]
+        assert pt.present[pt.chunk_pages(huge)].all()
 
     @invariant()
     def frame_accounting_consistent(self):
-        total_frames = 0
-        for vma in self.kernel.space.vmas:
-            pt = vma.pages
-            have_frame = pt.frame >= 0
-            # Present pages (outside a mid-fault window, which cannot
-            # happen between rules) all hold frames and vice versa.
-            assert (have_frame == pt.present).all()
-            total_frames += int(np.count_nonzero(have_frame))
-        assert total_frames == self.kernel.frames.allocated
+        pt = self.kernel.space.flat
+        have_frame = pt.frame >= 0
+        # Present pages (outside a mid-fault window, which cannot
+        # happen between rules) all hold frames and vice versa.
+        assert (have_frame == pt.present).all()
+        assert int(np.count_nonzero(have_frame)) == self.kernel.frames.allocated
 
 
 MonitorMachine.TestCase.settings = settings(

@@ -1,26 +1,35 @@
-"""PageTable: touches, faults, rates, accessed-bit model, THP chunks."""
+"""FlatPageTable: touches, faults, rates, accessed-bit model, THP chunks,
+and the segment layout (one segment per VMA, one flat page index)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import AddressSpaceError, ConfigError
-from repro.sim.pagetable import HUGE_PAGE_SIZE, PAGE_SIZE, PAGES_PER_HUGE, PageTable
+from repro.sim.pagetable import HUGE_PAGE_SIZE, NEVER, PAGES_PER_HUGE, FlatPageTable
 from repro.sim.vma import AddressSpace
+from tests.helpers import set_rate
+
+
+def table(*sizes):
+    """A page table with one segment per size, in order."""
+    pt = FlatPageTable()
+    for k, n_pages in enumerate(sizes):
+        pt.insert_segment(k, n_pages)
+    return pt
 
 
 @pytest.fixture
 def pt():
     """Four full huge chunks worth of pages."""
-    return PageTable(4 * PAGES_PER_HUGE)
+    return table(4 * PAGES_PER_HUGE)
 
 
 @pytest.fixture
 def space():
-    """An address space of one VMA, four huge chunks long: the flat
-    table's page indices equal the VMA's, so rates declared through
-    ``space.vmas[0].pages`` are read back at the same index from
-    ``space.flat`` — the table ``SimKernel.access_probabilities`` reads."""
+    """An address space of one VMA, four huge chunks long: its page
+    indices are the VMA's, and ``space.flat`` is the table
+    ``SimKernel.access_probabilities`` reads."""
     space = AddressSpace()
     space.mmap(0, 4 * HUGE_PAGE_SIZE)
     return space
@@ -91,8 +100,8 @@ class TestTouchRange:
 
 class TestRates:
     def test_set_rate_overwrites(self, pt):
-        pt.set_rate(0, 10, 100.0)
-        pt.set_rate(0, 10, 40.0)
+        set_rate(pt, 0, 10, 100.0)
+        set_rate(pt, 0, 10, 40.0)
         assert (pt.rate[:10] == 40.0).all()
 
     def test_add_rate(self, pt):
@@ -127,17 +136,17 @@ class TestAccessProbability:
         assert (probs == 0.0).all()
 
     def test_high_rate_nearly_certain(self, space):
-        space.vmas[0].pages.add_rate(0, 10, 10000.0)
+        space.flat.add_rate(0, 10, 10000.0)
         probs = space.flat.access_probability(np.arange(10), window_us=5000)
         assert (probs > 0.99).all()
 
     def test_poisson_formula(self, space):
-        space.vmas[0].pages.add_rate(0, 1, 20.0)  # 20 touches/s over a 5 ms window
+        space.flat.add_rate(0, 1, 20.0)  # 20 touches/s over a 5 ms window
         prob = space.flat.access_probability(np.array([0]), window_us=5000)[0]
         assert prob == pytest.approx(1.0 - np.exp(-0.1))
 
     def test_longer_window_higher_probability(self, space):
-        space.vmas[0].pages.add_rate(0, 1, 20.0)
+        space.flat.add_rate(0, 1, 20.0)
         p_short = space.flat.access_probability(np.array([0]), 1000)[0]
         p_long = space.flat.access_probability(np.array([0]), 50000)[0]
         assert p_long > p_short
@@ -145,16 +154,16 @@ class TestAccessProbability:
     def test_huge_chunk_shares_accessed_bit(self, space):
         # Touch only page 0 at a high rate, then promote chunk 0: the
         # PMD accessed bit makes every page of the chunk look accessed.
-        flat, pt = space.flat, space.vmas[0].pages
-        pt.touch_range(0, 1, now=1)
-        pt.add_rate(0, 1, 5000.0)
-        pt.promote_chunks(np.array([0]), now=2)
+        flat = space.flat
+        flat.touch_range(0, 1, now=1)
+        flat.add_rate(0, 1, 5000.0)
+        flat.promote_chunks(np.array([0]), now=2)
         cold_page_in_chunk = PAGES_PER_HUGE - 1
         prob = flat.access_probability(np.array([cold_page_in_chunk]), 5000)[0]
         assert prob > 0.9
 
     def test_non_huge_chunk_keeps_page_granularity(self, space):
-        space.vmas[0].pages.add_rate(0, 1, 5000.0)
+        space.flat.add_rate(0, 1, 5000.0)
         prob = space.flat.access_probability(np.array([1]), 5000)[0]
         assert prob == 0.0
 
@@ -188,7 +197,7 @@ class TestPageout:
 
 class TestHugeChunks:
     def test_chunk_count_floors(self):
-        pt = PageTable(PAGES_PER_HUGE + 7)
+        pt = table(PAGES_PER_HUGE + 7)
         assert pt.n_chunks == 1
 
     def test_promote_makes_whole_chunk_resident(self, pt):
@@ -243,7 +252,7 @@ class TestHugeChunks:
         pt.promote_chunks(np.array([0]), now=2)
         pt.demote_chunks(np.array([0]), now=3)
         assert pt.present[3:7].all()
-        assert pt.resident_pages() == 4
+        assert pt.n_present == 4
 
     def test_chunk_out_of_range_rejected(self, pt):
         with pytest.raises(AddressSpaceError):
@@ -252,14 +261,15 @@ class TestHugeChunks:
     def test_huge_mask(self, pt):
         pt.touch_range(0, 1, now=1)
         pt.promote_chunks(np.array([0]), now=2)
-        mask = pt.huge_mask(np.array([0, PAGES_PER_HUGE - 1, PAGES_PER_HUGE]))
+        mask = pt.huge_page_mask(np.array([0, PAGES_PER_HUGE - 1, PAGES_PER_HUGE]))
         assert list(mask) == [True, True, False]
+        assert (pt.huge_page_mask() == (np.arange(pt.n_pages) < PAGES_PER_HUGE)).all()
 
     def test_huge_mask_tail_pages(self):
-        pt = PageTable(PAGES_PER_HUGE + 7)
+        pt = table(PAGES_PER_HUGE + 7)
         pt.touch_range(0, 1, now=1)
         pt.promote_chunks(np.array([0]), now=2)
-        mask = pt.huge_mask(np.array([PAGES_PER_HUGE + 3]))
+        mask = pt.huge_page_mask(np.array([PAGES_PER_HUGE + 3]))
         assert not mask[0]
 
 
@@ -293,7 +303,7 @@ class TestWriteChannel:
         assert not pt.dirty[:20].any()
 
     def test_write_probability_follows_write_rate(self, space):
-        space.vmas[0].pages.add_write_rate(0, 5, 10000.0)
+        space.flat.add_write_rate(0, 5, 10000.0)
         probs = space.flat.write_probability(np.arange(10), window_us=5000)
         assert (probs[:5] > 0.99).all()
         assert (probs[5:] == 0.0).all()
@@ -311,17 +321,17 @@ class TestWriteChannel:
 class TestAccounting:
     def test_resident_pages(self, pt):
         pt.touch_range(0, 33, now=1)
-        assert pt.resident_pages() == 33
+        assert pt.n_present == 33
 
     def test_swapped_pages(self, pt):
         pt.touch_range(0, 33, now=1)
         pt.pageout_range(0, 10)
-        assert pt.swapped_pages() == 10
-        assert pt.resident_pages() == 23
+        assert pt.n_swapped == 10
+        assert pt.n_present == 23
 
     def test_empty_table_rejected(self):
         with pytest.raises(ConfigError):
-            PageTable(0)
+            table(0)
 
 
 class TestStateInvariants:
@@ -338,7 +348,7 @@ class TestStateInvariants:
     def test_present_and_swapped_disjoint(self, ops):
         """A page is never simultaneously resident and swapped, and
         huge-mapped chunks are always fully resident."""
-        pt = PageTable(4 * PAGES_PER_HUGE)
+        pt = table(4 * PAGES_PER_HUGE)
         now = 0
         for op, chunk in ops:
             now += 1
@@ -360,3 +370,84 @@ class TestStateInvariants:
                     assert pt.present[c * PAGES_PER_HUGE : (c + 1) * PAGES_PER_HUGE].all()
             # Bloat pages are always resident and never swapped.
             assert not (pt.bloat & ~pt.present).any()
+
+
+class TestSegments:
+    """One segment per VMA: chunk alignment is segment-local, and
+    inserting or removing a segment moves the pages after it."""
+
+    def test_chunks_align_to_their_segment(self):
+        pt = table(PAGES_PER_HUGE + 7, 2 * PAGES_PER_HUGE)
+        assert pt.n_chunks == 3
+        assert list(pt.page_offset) == [0, PAGES_PER_HUGE + 7, 3 * PAGES_PER_HUGE + 7]
+        assert list(pt.chunk_offset) == [0, 1, 3]
+        second = PAGES_PER_HUGE + 7
+        pages = np.array([0, PAGES_PER_HUGE + 3, second, second + PAGES_PER_HUGE])
+        assert list(pt.chunk_of(pages)) == [0, -1, 1, 2]
+        assert list(pt.chunk_pages(np.array([1]))[[0, -1]]) == [second, second + PAGES_PER_HUGE - 1]
+
+    def test_promote_in_a_later_segment(self):
+        pt = table(PAGES_PER_HUGE + 7, 2 * PAGES_PER_HUGE)
+        second = PAGES_PER_HUGE + 7
+        pt.touch_range(second, second + 1, now=1)
+        chunks, new_idx, _ = pt.promote_chunks(np.array([1]), now=2)
+        assert list(chunks) == [1]
+        assert new_idx.min() == second + 1 and new_idx.max() == second + PAGES_PER_HUGE - 1
+        pages = np.array([second - 1, second, second + PAGES_PER_HUGE])
+        assert pt.huge_page_mask(pages).tolist() == [False, True, False]
+        assert pt.chunk_present_counts().tolist() == [0, PAGES_PER_HUGE, 0]
+
+    def test_chunk_span(self):
+        pt = table(PAGES_PER_HUGE + 7, 2 * PAGES_PER_HUGE)
+        second = PAGES_PER_HUGE + 7
+        assert pt.chunk_span(1, PAGES_PER_HUGE + 7, inner=True) == (1, 1)
+        assert pt.chunk_span(1, PAGES_PER_HUGE + 7, inner=False) == (0, 1)
+        assert pt.chunk_span(second, second + PAGES_PER_HUGE + 1, inner=True) == (1, 2)
+        assert pt.chunk_span(second, second + PAGES_PER_HUGE + 1, inner=False) == (1, 3)
+
+    def test_split_segments_keeps_order(self):
+        pt = table(10, 10, 10)
+        parts = pt.split_segments(np.array([25, 3, 12, 1, 21]))
+        assert [p.tolist() for p in parts] == [[3, 1], [12], [25, 21]]
+
+    def test_insert_moves_later_pages(self):
+        pt = table(10, 10)
+        pt.touch_range(12, 14, now=5)
+        pt.add_rate(12, 14, 3.0)
+        pt.insert_segment(1, 4)
+        assert pt.n_pages == 24
+        assert list(pt.page_offset) == [0, 10, 14, 24]
+        assert pt.present[16:18].all() and pt.present.sum() == 2
+        assert (pt.last_touch[16:18] == 5).all()
+        assert not pt.present[10:14].any() and (pt.frame[10:14] == -1).all()
+        pt.clear_rates()
+        assert not pt.rate.any()
+
+    def test_append_keeps_pages_and_fills_the_new_ones(self):
+        # A short tail grows the columns in place; with a column held
+        # elsewhere, that column is copied instead and the holder keeps
+        # the old array.
+        for hold in (False, True):
+            pt = table(2 * PAGES_PER_HUGE)
+            pt.touch_range(0, 3, now=7)
+            pt.frame[:3] = [5, 6, 7]
+            held = pt.frame if hold else None
+            pt.insert_segment(1, 10)
+            assert pt.n_pages == 2 * PAGES_PER_HUGE + 10 and pt.n_chunks == 2
+            assert list(pt.frame[:4]) == [5, 6, 7, -1] and (pt.frame[-10:] == -1).all()
+            assert (pt.last_touch[:3] == 7).all() and (pt.last_touch[-10:] == NEVER).all()
+            assert pt.present[:3].all() and not pt.present[3:].any()
+            if hold:
+                assert held is not pt.frame and held.size == 2 * PAGES_PER_HUGE
+
+    def test_remove_drops_pages_and_counts(self):
+        pt = table(10, 10, 10)
+        pt.touch_range(0, 2, now=1)
+        pt.touch_range(12, 15, now=1)
+        pt.pageout_range(12, 13)
+        pt.touch_range(25, 26, now=1)
+        pt.remove_segment(1)
+        assert pt.n_pages == 20
+        assert list(pt.page_offset) == [0, 10, 20]
+        assert (pt.n_present, pt.n_swapped) == (3, 0)
+        assert pt.present[[0, 1, 15]].all()

@@ -43,7 +43,7 @@ class TestConservation:
         guest = GuestSpec(host=get_instance("i3.metal"), vcpus=4, dram_bytes=256 * MIB)
         kernel = SimKernel(guest, swap=ZramDevice(128 * MIB), seed=2)
         kernel.mmap(BASE, 64 * MIB)
-        pt = kernel.space.vmas[0].pages
+        pt = kernel.space.flat
         now = 0
         ever_touched = np.zeros(pt.n_pages, dtype=bool)
         for op, slot, span in ops:

@@ -151,21 +151,20 @@ class TestKernelMutations:
     def test_orphaned_frame_owner(self):
         kernel = worked_kernel()
         live = kernel.frames.allocated_frames()
-        kernel.frames.owner_vma[live[0]] = -1
+        kernel.frames.owner[live[0]] = -1
         found = SimSanitizer(raise_on_violation=False).check_all(kernel=kernel)
         assert any(
             v.check == "frame_conservation" and "rmap owner" in v.message for v in found
         )
 
     def test_swapped_rmap_back_pointers(self):
-        # Two frames of one VMA exchange their owner_page entries: the
-        # set of pages reached through the rmap is unchanged, each
-        # frame's own back-pointer is wrong.
+        # Two frames exchange their owner entries: the set of pages
+        # reached through the rmap is unchanged, each frame's own
+        # back-pointer is wrong.
         kernel = worked_kernel()
         frames = kernel.frames
         a, b = frames.allocated_frames()[:2]
-        assert frames.owner_vma[a] == frames.owner_vma[b]
-        frames.owner_page[[a, b]] = frames.owner_page[[b, a]]
+        frames.owner[[a, b]] = frames.owner[[b, a]]
         found = SimSanitizer(raise_on_violation=False).check_all(kernel=kernel)
         assert [v.check for v in found] == ["frame_conservation"]
         assert "round-trip" in found[0].message
@@ -179,13 +178,13 @@ class TestKernelMutations:
 
     def test_resident_counter_drift(self):
         kernel = worked_kernel()
-        kernel.space.vmas[0].pages.n_present += 1
+        kernel.space.flat.n_present += 1
         assert "counter_coherence" in checks_found(kernel=kernel)
 
     def test_swapped_counter_drift(self):
         kernel = worked_kernel()
-        kernel.space.vmas[0].pages.n_swapped += 1
-        # The per-VMA counter and the device usage cross-check both see it.
+        kernel.space.flat.n_swapped += 1
+        # The table's counter and the device usage cross-check both see it.
         assert "counter_coherence" in checks_found(kernel=kernel)
 
     def test_huge_chunk_not_fully_resident(self):
@@ -264,7 +263,7 @@ class TestRuntime:
 
     def test_end_epoch_checkpoint_is_wired(self):
         kernel = worked_kernel(sanitizer=SimSanitizer())
-        kernel.space.vmas[0].pages.n_present += 1
+        kernel.space.flat.n_present += 1
         with pytest.raises(SanitizerError):
             kernel.end_epoch(2 * EPOCH, compute_us=70_000)
 
@@ -330,7 +329,7 @@ class TestKeyedCheckpoints:
         keyed_calls.clear()
         flat = kernel.space.flat
         flat.present[np.flatnonzero(flat.present)[0]] = False
-        kernel.space.vmas[0].pages.n_present -= 1
+        flat.n_present -= 1
         with pytest.raises(SanitizerError, match="frame_conservation"):
             kernel.end_epoch(2 * EPOCH, compute_us=70_000)
         assert self._key(kernel) == key  # ... so it was an identity that asked

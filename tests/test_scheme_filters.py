@@ -110,7 +110,7 @@ class TestEngineWithFilters:
         # Everything cold after one initial touch.
         kernel.apply_access(BASE, BASE + 64 * MIB, now=0, epoch_us=100 * MSEC)
         run_epochs(kernel, queue, [], n_epochs=20)
-        pt = kernel.space.vmas[0].pages
+        pt = kernel.space.flat
         lo = 16 * MIB // 4096
         hi = 32 * MIB // 4096
         assert pt.present[lo:hi].all()  # the arena survived
@@ -126,7 +126,7 @@ class TestEngineWithFilters:
         monitor.start(queue)
         kernel.apply_access(BASE, BASE + 64 * MIB, now=0, epoch_us=100 * MSEC)
         run_epochs(kernel, queue, [], n_epochs=20)
-        pt = kernel.space.vmas[0].pages
+        pt = kernel.space.flat
         # Only the first 8 MiB may have been touched by the scheme.
         assert pt.present[8 * MIB // 4096 :].all()
         assert not pt.present[: 8 * MIB // 4096].all()

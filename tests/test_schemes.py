@@ -239,14 +239,14 @@ class TestActions:
         kernel.apply_access(BASE, BASE + MIB, now=0, epoch_us=self.EPOCH)
         applied = apply_action(kernel, Action.LRU_PRIO, BASE, BASE + MIB, now=1)
         assert applied == MIB
-        pt = kernel.space.vmas[0].pages
+        pt = kernel.space.flat
         assert (pt.lru_gen[: MIB // 4096] == 1).all()
 
     def test_lru_deprio_sets_evict_first_class(self, kernel):
         kernel.mmap(BASE, 4 * MIB)
         kernel.apply_access(BASE, BASE + MIB, now=0, epoch_us=self.EPOCH)
         apply_action(kernel, Action.LRU_DEPRIO, BASE, BASE + MIB, now=1)
-        pt = kernel.space.vmas[0].pages
+        pt = kernel.space.flat
         assert (pt.lru_gen[: MIB // 4096] == -1).all()
 
     def test_phys_pageout_via_rmap(self, kernel):
@@ -273,7 +273,7 @@ class TestActions:
         kernel.mmap(BASE, 4 * MIB)
         kernel.apply_access(BASE, BASE + MIB, now=0, epoch_us=self.EPOCH)
         assert apply_action(kernel, Action.LRU_PRIO, 0, MIB, now=1, phys=True) == MIB
-        pt = kernel.space.vmas[0].pages
+        pt = kernel.space.flat
         assert (pt.lru_gen[: MIB // 4096] == 1).all()
         apply_action(kernel, Action.LRU_DEPRIO, 0, MIB, now=2, phys=True)
         assert (pt.lru_gen[: MIB // 4096] == -1).all()
@@ -305,7 +305,7 @@ class TestActions:
             kernel.apply_access(
                 BASE, BASE + 2 * MIB, now=0, epoch_us=self.EPOCH, write_fraction=1.0
             )
-            pt = kernel.space.vmas[0].pages
+            pt = kernel.space.flat
             assert (pt.frame[: 2 * n] == np.arange(2 * n)).all()
             pt.lru_gen[:n] = 1
             pt.bloat[:n] = True

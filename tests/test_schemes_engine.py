@@ -233,7 +233,7 @@ class TestBatchedPass:
         def checked_pageout(start, end, now):
             # Only rows that hold a present page reach the back-end.
             assert any(
-                vma.pages.present[lo:hi].any() for vma, lo, hi in kernel.space.ranges_in(start, end)
+                kernel.space.flat.present[lo:hi].any() for lo, hi in kernel.space.spans(start, end)
             )
             calls.append((start, end))
             return pageout(start, end, now)

@@ -13,6 +13,8 @@ from repro.sim.thp import ThpPolicy
 from repro.sim.vma import AddressSpace
 from repro.units import MIB, MSEC, SEC
 
+from tests.helpers import lru_list_sizes
+
 BASE = 0x7F00_0000_0000
 
 
@@ -55,10 +57,10 @@ class TestKhugepaged:
         result = kernel.khugepaged_scan(now=2)
         assert result["promotions"] == 1
         assert result["bloat_pages"] == PAGES_PER_HUGE - 100
-        pt = vma.pages
+        pt = kernel.space.flat
         assert pt.chunk_huge[0]
         # Every page the collapse made resident is backed by a frame.
-        assert pt.resident_pages() == PAGES_PER_HUGE
+        assert pt.n_present == PAGES_PER_HUGE
         assert (pt.frame[pt.present] >= 0).all()
         assert kernel.frames.allocated == PAGES_PER_HUGE
         assert SimSanitizer().check_all(kernel=kernel, now=2) == []
@@ -68,7 +70,7 @@ class TestKhugepaged:
             small_guest, 10, mode="always", min_present_pages=64
         )
         assert kernel.khugepaged_scan(now=2)["promotions"] == 0
-        assert not vma.pages.chunk_huge.any()
+        assert not kernel.space.flat.chunk_huge.any()
 
     def test_scan_is_idempotent(self, small_guest):
         kernel, _ = self._kernel_with_sparse_chunk(small_guest, 100, mode="always")
@@ -87,25 +89,34 @@ class TestKhugepaged:
 class TestLru:
     def _space(self):
         space = AddressSpace()
-        vma = space.mmap(BASE, 4 * MIB)
-        return space, vma
+        space.mmap(BASE, 4 * MIB)
+        return space
 
     @staticmethod
-    def _touch(vma, lo, hi, now):
+    def _touch(space, lo, hi, now):
         """Touch pages and assign frames (pages without frames are
         mid-fault and not evictable)."""
-        vma.pages.touch_range(lo, hi, now=now)
-        vma.pages.frame[lo:hi] = np.arange(lo, hi)
+        space.flat.touch_range(lo, hi, now=now)
+        space.flat.frame[lo:hi] = np.arange(lo, hi)
 
     def test_selects_least_recently_touched(self):
-        space, vma = self._space()
-        self._touch(vma, 0, 10, now=100 * SEC)
-        self._touch(vma, 10, 20, now=50 * SEC)  # an older scan bucket
+        space = self._space()
+        self._touch(space, 0, 10, now=100 * SEC)
+        self._touch(space, 10, 20, now=50 * SEC)  # an older scan bucket
         lru = LruReclaimer(space)
         victims = lru.select_victims(10)
-        (victim_vma, idx), = victims
-        assert victim_vma is vma
+        (idx,) = victims
         assert sorted(idx) == list(range(10, 20))
+
+    def test_victims_split_per_vma(self):
+        space = self._space()
+        space.mmap(BASE + 8 * MIB, 4 * MIB)
+        self._touch(space, 1020, 1030, now=1)
+        victims = LruReclaimer(space).select_victims(100)
+        assert [sorted(idx) for idx in victims] == [
+            list(range(1020, 1024)),
+            list(range(1024, 1030)),
+        ]
 
     def test_ordering_is_approximate_within_scan_interval(self):
         """Timestamps inside one scan interval are indistinguishable —
@@ -113,47 +124,47 @@ class TestLru:
         import numpy as np
         from repro.sim.lru import LRU_SCAN_INTERVAL_US
 
-        space, vma = self._space()
-        self._touch(vma, 0, 100, now=10 * SEC)
-        self._touch(vma, 100, 200, now=10 * SEC + LRU_SCAN_INTERVAL_US // 2)
+        space = self._space()
+        self._touch(space, 0, 100, now=10 * SEC)
+        self._touch(space, 100, 200, now=10 * SEC + LRU_SCAN_INTERVAL_US // 2)
         lru = LruReclaimer(space)
         picks = set()
         for seed in range(5):
             victims = lru.select_victims(50, rng=np.random.default_rng(seed))
-            (_, idx), = victims
+            (idx,) = victims
             picks.add(tuple(sorted(idx)))
         # Different seeds pick different victims from the shared bucket.
         assert len(picks) > 1
 
     def test_caps_at_available(self):
-        space, vma = self._space()
-        self._touch(vma, 0, 5, now=1)
+        space = self._space()
+        self._touch(space, 0, 5, now=1)
         lru = LruReclaimer(space)
         victims = lru.select_victims(100)
-        assert sum(idx.size for _, idx in victims) == 5
+        assert sum(idx.size for idx in victims) == 5
 
     def test_zero_request(self):
-        space, _ = self._space()
+        space = self._space()
         assert LruReclaimer(space).select_victims(0) == []
 
     def test_huge_pages_not_evictable(self):
-        space, vma = self._space()
-        self._touch(vma, 0, PAGES_PER_HUGE, now=1)
-        vma.pages.promote_chunks(np.array([0]), now=2)
+        space = self._space()
+        self._touch(space, 0, PAGES_PER_HUGE, now=1)
+        space.flat.promote_chunks(np.array([0]), now=2)
         victims = LruReclaimer(space).select_victims(100)
         assert victims == []
 
     def test_list_sizes(self):
-        space, vma = self._space()
-        self._touch(vma, 0, 10, now=1 * SEC)
-        self._touch(vma, 10, 30, now=20 * SEC)
+        space = self._space()
+        self._touch(space, 0, 10, now=1 * SEC)
+        self._touch(space, 10, 30, now=20 * SEC)
         lru = LruReclaimer(space, activation_window_us=10 * SEC)
-        active, inactive = lru.list_sizes(now=25 * SEC)
+        active, inactive = lru_list_sizes(lru, now=25 * SEC)
         assert active == 20
         assert inactive == 10
 
     def test_invalid_window_rejected(self):
-        space, _ = self._space()
+        space = self._space()
         with pytest.raises(ConfigError):
             LruReclaimer(space, activation_window_us=0)
 

@@ -90,8 +90,8 @@ class TestFrameTableTwoPool:
 
     def test_fast_and_slow_allocations_are_disjoint(self):
         ft = FrameTable(4 * MIB, 8 * MIB)
-        fast = ft.allocate(10, 0, np.arange(10))
-        slow = ft.allocate_slow(10, 0, np.arange(10, 20))
+        fast = ft.allocate(10, np.arange(10))
+        slow = ft.allocate_slow(10, np.arange(10, 20))
         assert fast.max() < ft.n_fast_frames
         assert slow.min() >= ft.n_fast_frames
         assert ft.allocated == 20
@@ -100,28 +100,28 @@ class TestFrameTableTwoPool:
 
     def test_conservation_across_both_pools(self):
         ft = FrameTable(4 * MIB, 8 * MIB)
-        ft.allocate(7, 0, np.arange(7))
-        ft.allocate_slow(5, 0, np.arange(7, 12))
+        ft.allocate(7, np.arange(7))
+        ft.allocate_slow(5, np.arange(7, 12))
         assert ft.allocated + ft.free_frames() + ft.free_slow_frames() == ft.n_frames
 
     def test_release_returns_frames_to_their_own_pool(self):
         ft = FrameTable(4 * MIB, 8 * MIB)
-        fast = ft.allocate(4, 0, np.arange(4))
-        slow = ft.allocate_slow(4, 0, np.arange(4, 8))
+        fast = ft.allocate(4, np.arange(4))
+        slow = ft.allocate_slow(4, np.arange(4, 8))
         free_fast, free_slow = ft.free_frames(), ft.free_slow_frames()
         ft.release(np.concatenate([fast, slow]))
         assert ft.free_frames() == free_fast + 4
         assert ft.free_slow_frames() == free_slow + 4
         assert ft.allocated == 0 and ft.allocated_slow == 0
         # Recycled frames come back from the same pool they left.
-        assert ft.allocate(4, 0, np.arange(4)).max() < ft.n_fast_frames
-        assert ft.allocate_slow(4, 0, np.arange(4, 8)).min() >= ft.n_fast_frames
+        assert ft.allocate(4, np.arange(4)).max() < ft.n_fast_frames
+        assert ft.allocate_slow(4, np.arange(4, 8)).min() >= ft.n_fast_frames
 
     def test_slow_pool_exhaustion_raises(self):
         ft = FrameTable(4 * MIB, PAGE_SIZE)
-        ft.allocate_slow(1, 0, np.arange(1))
+        ft.allocate_slow(1, np.arange(1))
         with pytest.raises(AddressSpaceError):
-            ft.allocate_slow(1, 0, np.arange(1, 2))
+            ft.allocate_slow(1, np.arange(1, 2))
 
     def test_flat_table_has_no_slow_pool(self):
         ft = FrameTable(4 * MIB)

@@ -8,6 +8,8 @@ from repro.sim.pagetable import PAGE_SIZE
 from repro.sim.vma import VMA, AddressSpace
 from repro.units import KIB, MIB
 
+from tests.helpers import mapped_bytes, swapped_bytes
+
 BASE = 0x1_0000_0000
 
 
@@ -21,19 +23,21 @@ class TestVMA:
             VMA(BASE, BASE)
 
     def test_size_and_pages(self):
-        vma = VMA(BASE, BASE + 16 * PAGE_SIZE)
+        space = AddressSpace()
+        vma = space.mmap(BASE, 16 * PAGE_SIZE)
         assert vma.size == 16 * PAGE_SIZE
-        assert vma.pages.n_pages == 16
+        assert space.segment(vma) == slice(0, 16)
+        assert space.flat.n_pages == 16
 
     def test_page_index(self):
-        vma = VMA(BASE, BASE + 16 * PAGE_SIZE)
-        assert vma.page_index(BASE) == 0
-        assert vma.page_index(BASE + 5 * PAGE_SIZE + 100) == 5
+        space = AddressSpace()
+        space.mmap(BASE, 16 * PAGE_SIZE)
+        assert list(space.resolve(np.array([BASE, BASE + 5 * PAGE_SIZE + 100]))) == [0, 5]
 
     def test_page_index_out_of_range(self):
-        vma = VMA(BASE, BASE + PAGE_SIZE)
-        with pytest.raises(AddressSpaceError):
-            vma.page_index(BASE + PAGE_SIZE)
+        space = AddressSpace()
+        space.mmap(BASE, PAGE_SIZE)
+        assert list(space.resolve(np.array([BASE + PAGE_SIZE]))) == [-1]
 
 
 class TestAddressSpace:
@@ -60,6 +64,16 @@ class TestAddressSpace:
         vma = space.mmap(BASE, MIB)
         space.munmap(vma)
         assert space.vmas == []
+        assert space.flat.n_pages == 0
+
+    def test_segments_follow_address_order(self):
+        space = AddressSpace()
+        high = space.mmap(BASE + 10 * MIB, MIB)
+        low = space.mmap(BASE, 2 * MIB)
+        assert space.segment(low) == slice(0, 512)
+        assert space.segment(high) == slice(512, 768)
+        space.munmap(low)
+        assert space.segment(high) == slice(0, 256)
 
     def test_munmap_unknown_rejected(self):
         space = AddressSpace()
@@ -78,13 +92,11 @@ class TestAddressSpace:
 
     def test_find(self):
         space = AddressSpace()
-        vma = space.mmap(BASE, MIB)
-        assert space.find(BASE + 100) is vma
-        assert space.find(BASE - 1) is None
-        assert space.find(BASE + MIB) is None
+        space.mmap(BASE, MIB)
+        assert list(space.resolve(np.array([BASE + 100, BASE - 1, BASE + MIB]))) == [0, -1, -1]
 
     def test_find_empty_space(self):
-        assert AddressSpace().find(BASE) is None
+        assert list(AddressSpace().resolve(np.array([BASE]))) == [-1]
 
 
 class TestResolve:
@@ -95,59 +107,55 @@ class TestResolve:
         addrs = np.array(
             [BASE, BASE + MIB - 1, BASE + 2 * MIB, BASE + 10 * MIB + PAGE_SIZE]
         )
-        vma_idx, page_idx, mapped = space.resolve(addrs)
-        assert list(mapped) == [True, True, False, True]
-        assert list(vma_idx) == [0, 0, -1, 1]
-        assert page_idx[0] == 0
-        assert page_idx[1] == MIB // PAGE_SIZE - 1
-        assert page_idx[3] == 1
+        idx = space.resolve(addrs)
+        assert list(idx) == [0, MIB // PAGE_SIZE - 1, -1, MIB // PAGE_SIZE + 1]
 
     def test_resolve_empty_space(self):
         space = AddressSpace()
-        _, _, mapped = space.resolve(np.array([BASE]))
-        assert not mapped.any()
+        assert list(space.resolve(np.array([BASE]))) == [-1]
 
     def test_resolve_below_first_vma(self):
         space = AddressSpace()
         space.mmap(BASE, MIB)
-        vma_idx, _, mapped = space.resolve(np.array([BASE - PAGE_SIZE]))
-        assert not mapped[0]
-        assert vma_idx[0] == -1
+        assert list(space.resolve(np.array([BASE - PAGE_SIZE]))) == [-1]
 
 
 class TestRangesIn:
     def test_single_vma_clip(self):
         space = AddressSpace()
         space.mmap(BASE, MIB)
-        ranges = list(space.ranges_in(BASE + PAGE_SIZE, BASE + 3 * PAGE_SIZE))
-        assert len(ranges) == 1
-        _, lo, hi = ranges[0]
-        assert (lo, hi) == (1, 3)
+        assert list(space.spans(BASE + PAGE_SIZE, BASE + 3 * PAGE_SIZE)) == [(1, 3)]
 
     def test_spans_multiple_vmas(self):
         space = AddressSpace()
         space.mmap(BASE, MIB)
         space.mmap(BASE + 2 * MIB, MIB)
-        ranges = list(space.ranges_in(BASE, BASE + 3 * MIB))
-        assert len(ranges) == 2
+        assert list(space.spans(BASE, BASE + 3 * MIB)) == [(0, 256), (256, 512)]
 
     def test_gap_only_range_is_empty(self):
         space = AddressSpace()
         space.mmap(BASE, MIB)
         space.mmap(BASE + 4 * MIB, MIB)
-        assert list(space.ranges_in(BASE + 2 * MIB, BASE + 3 * MIB)) == []
+        assert list(space.spans(BASE + 2 * MIB, BASE + 3 * MIB)) == []
 
     def test_partial_page_rounds_up(self):
         space = AddressSpace()
         space.mmap(BASE, MIB)
-        ranges = list(space.ranges_in(BASE, BASE + PAGE_SIZE + 7))
-        _, lo, hi = ranges[0]
-        assert (lo, hi) == (0, 2)
+        assert list(space.spans(BASE, BASE + PAGE_SIZE + 7)) == [(0, 2)]
 
     def test_empty_range(self):
         space = AddressSpace()
         space.mmap(BASE, MIB)
-        assert list(space.ranges_in(BASE + MIB, BASE)) == []
+        assert list(space.spans(BASE + MIB, BASE)) == []
+
+    def test_page_spans_cover_what_spans_yields(self):
+        space = AddressSpace()
+        space.mmap(BASE, MIB)
+        space.mmap(BASE + 2 * MIB, MIB)
+        starts = np.array([BASE + PAGE_SIZE + 7, BASE + MIB, BASE - MIB])
+        ends = np.array([BASE + 3 * MIB, BASE + 2 * MIB + 1, BASE])
+        lo, hi = space.page_spans(starts, ends)
+        assert list(zip(lo.tolist(), hi.tolist())) == [(1, 512), (256, 257), (0, 0)]
 
 
 class TestThreeRegions:
@@ -185,18 +193,18 @@ class TestThreeRegions:
 class TestAccounting:
     def test_mapped_and_resident_bytes(self):
         space = AddressSpace()
-        vma = space.mmap(BASE, MIB)
-        assert space.mapped_bytes() == MIB
+        space.mmap(BASE, MIB)
+        assert mapped_bytes(space) == MIB
         assert space.resident_bytes() == 0
-        vma.pages.touch_range(0, 10, now=1)
+        space.flat.touch_range(0, 10, now=1)
         assert space.resident_bytes() == 10 * PAGE_SIZE
 
     def test_swapped_bytes(self):
         space = AddressSpace()
-        vma = space.mmap(BASE, MIB)
-        vma.pages.touch_range(0, 10, now=1)
-        vma.pages.pageout_range(0, 4)  # returns (idx, n_dirty)
-        assert space.swapped_bytes() == 4 * PAGE_SIZE
+        space.mmap(BASE, MIB)
+        space.flat.touch_range(0, 10, now=1)
+        space.flat.pageout_range(0, 4)  # returns (idx, n_dirty)
+        assert swapped_bytes(space) == 4 * PAGE_SIZE
 
     def test_span(self):
         space = AddressSpace()
@@ -206,7 +214,9 @@ class TestAccounting:
 
     def test_clear_rates_cascades(self):
         space = AddressSpace()
-        vma = space.mmap(BASE, MIB)
-        vma.pages.add_rate(0, 10, 5.0)
-        space.clear_rates()
-        assert not vma.pages.rate.any()
+        space.mmap(BASE, MIB)
+        space.mmap(BASE + 4 * MIB, MIB)
+        space.flat.add_rate(0, 10, 5.0)
+        space.flat.add_rate(300, 310, 5.0)
+        space.flat.clear_rates()
+        assert not space.flat.rate.any()

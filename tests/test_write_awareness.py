@@ -146,7 +146,7 @@ class TestWriteAwareSchemes:
             ],
             n_epochs=30,
         )
-        pt = kernel.space.vmas[0].pages
+        pt = kernel.space.flat
         write_hot_pages = slice(8 * MIB // 4096, 16 * MIB // 4096)
         assert pt.present[write_hot_pages].all()  # never paged out
         assert scheme.stats.sz_applied > 16 * MIB  # cold clean memory went
