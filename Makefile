@@ -30,13 +30,24 @@ sanitize-smoke:
 		--workloads parsec3/swaptions --configs baseline,rec --jobs 2 --no-cache --sanitize
 
 # The sweep CLI on a spawn pool, twice into one cache: the second run
-# must be served entirely from the cache.
+# must be served entirely from the cache.  Then a recording grid (the
+# rec points carry snapshots) cold and warm into one cache: the warm
+# report, decoded from the cache and encoded again, must equal the
+# cold one byte for byte.
 sweep-smoke:
-	rm -rf /tmp/daos-sweep-smoke
+	rm -rf /tmp/daos-sweep-smoke /tmp/daos-sweep-smoke-rec && mkdir -p /tmp/daos-sweep-smoke-rec
 	$(PYTHON) -m repro.cli sweep --grid fig3 --jobs 2 --cache-dir /tmp/daos-sweep-smoke
 	$(PYTHON) -m repro.cli sweep --grid fig3 --jobs 2 --cache-dir /tmp/daos-sweep-smoke \
 		| grep '6 cached, 0 replayed, 0 executed, 0 failed'
-	@echo "sweep smoke: the second sweep is all cache hits"
+	$(PYTHON) -m repro.cli --time-scale 0.02 sweep --workloads parsec3/swaptions \
+		--configs baseline,rec --jobs 2 --cache-dir /tmp/daos-sweep-smoke-rec/cache \
+		--out /tmp/daos-sweep-smoke-rec/cold.json
+	$(PYTHON) -m repro.cli --time-scale 0.02 sweep --workloads parsec3/swaptions \
+		--configs baseline,rec --jobs 2 --cache-dir /tmp/daos-sweep-smoke-rec/cache \
+		--out /tmp/daos-sweep-smoke-rec/warm.json \
+		| grep '2 cached, 0 replayed, 0 executed, 0 failed'
+	cmp /tmp/daos-sweep-smoke-rec/cold.json /tmp/daos-sweep-smoke-rec/warm.json
+	@echo "sweep smoke: the second sweeps are all cache hits, the warm report equals the cold"
 
 # Two identical seeded runs must write byte-identical canonical JSONL,
 # and the stream must validate against the event schema (registered

@@ -46,11 +46,6 @@ class Heatmap:
     def addr_bins(self) -> int:
         return self.grid.shape[1]
 
-    def hottest_bucket(self) -> Tuple[int, int]:
-        """(time_bin, addr_bin) of the maximum intensity."""
-        flat = int(np.argmax(self.grid))
-        return flat // self.addr_bins, flat % self.addr_bins
-
 
 def _active_span(snapshots: Sequence[Snapshot]) -> Tuple[int, int]:
     """The largest contiguous address span with any recorded activity.
@@ -63,7 +58,7 @@ def _active_span(snapshots: Sequence[Snapshot]) -> Tuple[int, int]:
     # Monitor regions tile each target range without holes, so any gap
     # bigger than a fraction of the *mapped* bytes is a layout gap
     # (heap | mmap | stack), not pattern structure.
-    regions = sorted((r.start, r.end) for r in snapshots[-1].regions)
+    regions = sorted(zip(snapshots[-1].start, snapshots[-1].end))
     spans: List[Tuple[int, int]] = []
     span_start, prev_end = regions[0][0], regions[0][1]
     mapped = sum(end - start for start, end in regions)
@@ -79,10 +74,9 @@ def _active_span(snapshots: Sequence[Snapshot]) -> Tuple[int, int]:
         s_lo, s_hi = span
         total = 0.0
         for snap in snapshots:
-            for region in snap.regions:
-                if region.start < s_hi and region.end > s_lo:
-                    overlap = min(region.end, s_hi) - max(region.start, s_lo)
-                    total += overlap * region.nr_accesses
+            for start, end, nr in zip(snap.start, snap.end, snap.nr_accesses):
+                if start < s_hi and end > s_lo:
+                    total += (min(end, s_hi) - max(start, s_lo)) * nr
         return total
 
     return max(spans, key=activity)
@@ -96,7 +90,7 @@ def build_heatmap(
     addr_range: Optional[Tuple[int, int]] = None,
 ) -> Heatmap:
     """Rasterise recorded snapshots into a :class:`Heatmap`."""
-    snapshots = [s for s in snapshots if s.regions]
+    snapshots = [s for s in snapshots if s.start]
     if not snapshots:
         raise ConfigError("no snapshots to build a heatmap from")
     if time_bins < 1 or addr_bins < 1:
@@ -114,13 +108,13 @@ def build_heatmap(
     for snap in snapshots:
         t_bin = min(time_bins - 1, int((snap.time_us - t0) / span_t * time_bins))
         max_nr = max(1, snap.max_nr_accesses)
-        for region in snap.regions:
-            if region.end <= addr_lo or region.start >= addr_hi:
+        for start, end, nr in zip(snap.start, snap.end, snap.nr_accesses):
+            if end <= addr_lo or start >= addr_hi:
                 continue
-            y0 = max(0, int((region.start - addr_lo) / bucket_bytes))
-            y1 = min(addr_bins, int(np.ceil((region.end - addr_lo) / bucket_bytes)))
-            freq = min(1.0, region.nr_accesses / max_nr)
-            size = region.end - region.start
+            y0 = max(0, int((start - addr_lo) / bucket_bytes))
+            y1 = min(addr_bins, int(np.ceil((end - addr_lo) / bucket_bytes)))
+            freq = min(1.0, nr / max_nr)
+            size = end - start
             grid[t_bin, y0:y1] += freq * size
             weight[t_bin, y0:y1] += size
     nonzero = weight > 0

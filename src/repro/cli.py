@@ -86,6 +86,17 @@ from .workloads.registry import all_workloads
 __all__ = ["main", "build_parser"]
 
 
+def _int_at_least(minimum: int):
+    """An argparse ``type=`` for an integer flag: below ``minimum`` is a
+    usage error (exit 2) before any simulation starts."""
+    def parse(text: str) -> int:
+        if int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text}")
+        return int(text)
+    parse.__name__ = "int"  # argparse's "invalid int value" message
+    return parse
+
+
 def _option_group() -> argparse.ArgumentParser:
     """An empty parent parser: each shared flag is declared once on one
     of these and inherited by its verbs via ``parents=[...]``."""
@@ -101,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     # and precede the verb: declaring them on the verb parsers too would
     # let each sub-namespace's defaults clobber the root's values.
     parser.add_argument("--machine", default="i3.metal", help="instance type (Table 2)")
-    parser.add_argument("--seed", type=int, default=0, help="simulation seed")
+    parser.add_argument("--seed", type=_int_at_least(0), default=0, help="simulation seed")
     parser.add_argument(
         "--time-scale",
         type=float,
@@ -160,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     checkpoint_opts.add_argument(
         "--checkpoint-every",
-        type=int,
+        type=_int_at_least(0),
         default=0,
         metavar="N",
         help="with --checkpoint: every N epochs (fleet: ticks); 0 = once at "
@@ -168,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pool_opts = _option_group()
     pool_opts.add_argument(
-        "-j", "--jobs", type=int, default=1, help="worker processes (1 = in-process)"
+        "-j", "--jobs", type=_int_at_least(1), default=1, help="worker processes (1 = in-process)"
     )
     pool_opts.add_argument(
         "--journal",
@@ -317,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="swap backend for reclaimed pages (default zram)",
     )
     p_fleet.add_argument(
-        "--shards", type=int, default=1,
+        "--shards", type=_int_at_least(1), default=1,
         help="split the fleet into this many pools over the sweep runner",
     )
     p_fleet.add_argument(

@@ -5,12 +5,17 @@ interval, the monitor freezes the region state into a :class:`Snapshot`
 and invokes every registered callback with it (§3.1: "the monitoring
 result is passed to the user by a user-registered callback that is
 invoked for each aggregation interval").
+
+A snapshot holds its region table as five column tuples of ints, like
+the monitor's own struct-of-arrays table: decoding a recorded run from
+the sweep cache then builds no object per region.  ``regions`` is a
+read-only row view built on demand; it is never stored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Iterable, Sequence, Tuple
 
 __all__ = ["RegionSnapshot", "Snapshot"]
 
@@ -36,62 +41,53 @@ class RegionSnapshot:
             return 0.0
         return min(1.0, self.nr_accesses / max_nr_accesses)
 
-    def write_frequency(self, max_nr_accesses: int) -> float:
-        """Write frequency as a fraction of the sampling checks."""
-        if max_nr_accesses <= 0:
-            return 0.0
-        return min(1.0, self.nr_writes / max_nr_accesses)
-
 
 @dataclass(frozen=True)
 class Snapshot:
-    """All regions at one aggregation instant."""
+    """All regions at one aggregation instant, as parallel columns."""
 
     time_us: int
-    regions: Tuple[RegionSnapshot, ...]
+    start: Tuple[int, ...]
+    end: Tuple[int, ...]
+    nr_accesses: Tuple[int, ...]
+    age: Tuple[int, ...]
+    #: Write-channel counters; zeros unless the monitor tracks writes.
+    nr_writes: Tuple[int, ...]
     #: Number of sampling checks per aggregation — the ceiling for
     #: ``nr_accesses``, needed to turn counts into frequencies.
     max_nr_accesses: int
 
     @classmethod
     def from_columns(
-        cls,
-        time_us: int,
-        start,
-        end,
-        nr_accesses,
-        age,
-        nr_writes,
-        max_nr_accesses: int,
+        cls, time_us: int, start, end, nr_accesses, age, nr_writes, max_nr_accesses: int
     ) -> "Snapshot":
         """Freeze parallel column arrays (the monitor's struct-of-arrays
-        region table) into a snapshot in one pass, without an
-        intermediate region-object materialisation."""
-        regions = tuple(
-            RegionSnapshot(s, e, n, a, w)
-            for s, e, n, a, w in zip(
-                start.tolist(),
-                end.tolist(),
-                nr_accesses.tolist(),
-                age.tolist(),
-                nr_writes.tolist(),
-            )
-        )
-        return cls(time_us=time_us, regions=regions, max_nr_accesses=max_nr_accesses)
+        region table) into a snapshot."""
+        columns = (start, end, nr_accesses, age, nr_writes)
+        return cls(time_us, *(tuple(c.tolist()) for c in columns), max_nr_accesses)
 
-    def total_size(self) -> int:
-        """Bytes covered by all regions."""
-        return sum(r.size for r in self.regions)
+    @classmethod
+    def from_rows(
+        cls, time_us: int, rows: Iterable[Sequence[int]], max_nr_accesses: int
+    ) -> "Snapshot":
+        """A snapshot from ``[start, end, nr_accesses, age, nr_writes]``
+        rows (the cache's encoded form)."""
+        columns = tuple(zip(*rows)) or ((),) * 5
+        return cls(time_us, *columns, max_nr_accesses)
+
+    @property
+    def regions(self) -> Tuple[RegionSnapshot, ...]:
+        """The region table as rows, built on each access."""
+        return tuple(
+            map(RegionSnapshot, self.start, self.end, self.nr_accesses, self.age, self.nr_writes)
+        )
 
     def hot_bytes(self, min_frequency: float) -> int:
         """Bytes in regions at or above ``min_frequency`` — a working-set
         style summary used by examples and the STAT tests."""
+        max_nr = self.max_nr_accesses
         return sum(
-            r.size
-            for r in self.regions
-            if r.frequency(self.max_nr_accesses) >= min_frequency
+            e - s
+            for s, e, n in zip(self.start, self.end, self.nr_accesses)
+            if (min(1.0, n / max_nr) if max_nr > 0 else 0.0) >= min_frequency
         )
-
-    def matching(self, predicate) -> List[RegionSnapshot]:
-        """Regions for which ``predicate(region)`` holds."""
-        return [r for r in self.regions if predicate(r)]

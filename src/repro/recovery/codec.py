@@ -54,6 +54,7 @@ import numpy as np
 
 from ..clock import EventQueue, VirtualClock
 from ..errors import CheckpointError
+from ..monitor.snapshot import Snapshot
 from ..sim.pagetable import FlatPageTable
 from ..sim.physmem import FrameTable
 from ..sim.vma import VMA
@@ -164,11 +165,11 @@ def _canonicalize_dtypes(root: Any) -> None:
 
 
 # ----------------------------------------------------------------------
-# The page-state converter
+# The old-layout converter
 # ----------------------------------------------------------------------
 class _PayloadUnpickler(pickle.Unpickler):
-    """Unpickles a payload, taking in the older layout of a kernel's
-    page state on the way.
+    """Unpickles a payload, taking in older layouts on the way: a
+    kernel's page state, and snapshots holding ``RegionSnapshot`` rows.
 
     That layout kept one page table per VMA (``VMA.pages``, a
     ``repro.sim.pagetable.PageTable``), an rmap of ``(owner_vma,
@@ -199,6 +200,7 @@ class _PayloadUnpickler(pickle.Unpickler):
             ("repro.sim.vma", "VMA"): OldVMA,
             ("repro.sim.pagetable", "PageTable"): _RawState,
             ("repro.sim.physmem", "FrameTable"): _OldFrameTable,
+            ("repro.monitor.snapshot", "Snapshot"): _OldSnapshot,
             ("builtins", "getattr"): _getattr_unless_gone,
         }
 
@@ -258,6 +260,19 @@ class _OldFrameTable(FrameTable):
             self._old_state = state
         else:
             self.__setstate__(state)
+
+
+class _OldSnapshot(Snapshot):
+    """A snapshot whose state may hold ``regions`` rows.  It is built
+    through ``__init__`` so its attribute names are the interned ones a
+    fresh snapshot has, which keeps a re-pickled state digest equal."""
+
+    def __setstate__(self, state) -> None:
+        object.__setattr__(self, "__class__", Snapshot)
+        if "regions" in state:
+            rows = [(r.start, r.end, r.nr_accesses, r.age, r.nr_writes) for r in state["regions"]]
+            state = vars(Snapshot.from_rows(state["time_us"], rows, state["max_nr_accesses"]))
+        Snapshot.__init__(self, **state)
 
 
 def _getattr_unless_gone(obj: Any, name: str) -> Any:

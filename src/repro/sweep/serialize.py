@@ -10,6 +10,10 @@ identity is simply the SHA-256 of its canonical encoding.
 host, not the simulation, so :func:`fingerprint` strips it before
 hashing.  Cached payloads keep it (it is useful data), which is why the
 cache stores the full encoding and fingerprints are computed separately.
+
+A :class:`~repro.monitor.snapshot.Snapshot` encodes its columns as one
+``[start, end, nr_accesses, age, nr_writes]`` row per region and decodes
+the rows straight back into columns: a cache hit builds no region objects.
 """
 
 from __future__ import annotations
@@ -17,12 +21,12 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import fields
-from typing import Any, Dict
+from typing import Any
 
 import numpy as np
 
 from ..errors import ParseError
-from ..monitor.snapshot import RegionSnapshot, Snapshot
+from ..monitor.snapshot import Snapshot
 from ..runner.results import NormalizedResult, RunResult
 
 __all__ = ["encode_value", "decode_value", "canonical_json", "fingerprint"]
@@ -82,20 +86,13 @@ def encode_value(value: Any) -> Any:
             },
         }
     if isinstance(value, Snapshot):
-        # Flat rows, matching the recording file format's compactness.
+        # One row per region, matching the recording file's compactness.
+        columns = (value.start, value.end, value.nr_accesses, value.age, value.nr_writes)
         return {
             _TAG: "Snapshot",
             "time_us": value.time_us,
             "max_nr_accesses": value.max_nr_accesses,
-            "regions": [
-                [r.start, r.end, r.nr_accesses, r.age, r.nr_writes]
-                for r in value.regions
-            ],
-        }
-    if isinstance(value, RegionSnapshot):
-        return {
-            _TAG: "RegionSnapshot",
-            "row": [value.start, value.end, value.nr_accesses, value.age, value.nr_writes],
+            "regions": list(map(list, zip(*columns))),
         }
     raise ParseError(f"cannot encode {type(value).__name__} value for the sweep cache")
 
@@ -121,13 +118,7 @@ def decode_value(value: Any) -> Any:
             **{k: decode_value(v) for k, v in value["fields"].items()}
         )
     if tag == "Snapshot":
-        return Snapshot(
-            time_us=value["time_us"],
-            max_nr_accesses=value["max_nr_accesses"],
-            regions=tuple(RegionSnapshot(*row) for row in value["regions"]),
-        )
-    if tag == "RegionSnapshot":
-        return RegionSnapshot(*value["row"])
+        return Snapshot.from_rows(value["time_us"], value["regions"], value["max_nr_accesses"])
     raise ParseError(f"unknown encoding tag {tag!r} in sweep cache payload")
 
 
@@ -169,8 +160,3 @@ def fingerprint(value: Any) -> str:
     encoded = canonical_dict() if canonical_dict is not None else encode_value(value)
     text = canonical_json(_strip_volatile(encoded))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def result_fields(result: RunResult) -> Dict[str, Any]:
-    """Field-name → value mapping (for field-by-field golden tests)."""
-    return {f.name: getattr(result, f.name) for f in fields(RunResult)}

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import os
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,26 @@ def set_rate(flat, lo, hi, rate_per_sec):
     which records the range for the epoch's clear."""
     flat.rate[lo:hi] = 0.0
     flat.add_rate(lo, hi, rate_per_sec)
+
+
+def result_fields(result):
+    """Field-name → value mapping of a ``RunResult`` (for field-by-field
+    comparisons)."""
+    return {f.name: getattr(result, f.name) for f in fields(result)}
+
+
+def write_frequency(region, max_nr_accesses):
+    """A :class:`~repro.monitor.snapshot.RegionSnapshot`'s write
+    frequency as a fraction of the sampling checks."""
+    if max_nr_accesses <= 0:
+        return 0.0
+    return min(1.0, region.nr_writes / max_nr_accesses)
+
+
+def hottest_bucket(heatmap):
+    """``(time_bin, addr_bin)`` of a heatmap's maximum intensity."""
+    flat = int(np.argmax(heatmap.grid))
+    return flat // heatmap.addr_bins, flat % heatmap.addr_bins
 
 
 def lru_list_sizes(lru, now):

@@ -12,15 +12,14 @@ from repro.monitor.snapshot import RegionSnapshot, Snapshot
 from repro.runner.results import NormalizedResult
 from repro.units import MIB, SEC
 
+from tests.helpers import hottest_bucket
+
 BASE = 0x7F00_0000_0000
 
 
 def snap(time_us, regions, max_nr=20):
-    return Snapshot(
-        time_us=time_us,
-        regions=tuple(RegionSnapshot(*r) for r in regions),
-        max_nr_accesses=max_nr,
-    )
+    """A snapshot of ``(start, end, nr_accesses, age)`` rows, no writes."""
+    return Snapshot.from_rows(time_us, [(*r, 0) for r in regions], max_nr)
 
 
 def hot_cold_snapshots(n=10):
@@ -52,11 +51,13 @@ class TestSnapshotType:
 
     def test_total_size(self):
         s = hot_cold_snapshots(1)[0]
-        assert s.total_size() == 64 * MIB
+        assert sum(s.end) - sum(s.start) == 64 * MIB
 
     def test_matching(self):
+        # The row view rebuilds each region from the columns.
         s = hot_cold_snapshots(1)[0]
-        assert len(s.matching(lambda r: r.nr_accesses > 0)) == 1
+        hot = [r for r in s.regions if r.nr_accesses > 0]
+        assert hot == [RegionSnapshot(BASE, BASE + 32 * MIB, 18, 0, 0)]
 
 
 class TestHeatmap:
@@ -107,7 +108,7 @@ class TestHeatmap:
 
     def test_hottest_bucket(self):
         heatmap = build_heatmap(hot_cold_snapshots(), time_bins=4, addr_bins=4)
-        _, y = heatmap.hottest_bucket()
+        _, y = hottest_bucket(heatmap)
         assert y < 2  # in the hot (low-address) half
 
 

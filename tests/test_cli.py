@@ -426,6 +426,46 @@ class TestIgnoredFlagsRejected:
         assert "runtime" not in captured.out
 
 
+class TestNumericFlagsChecked:
+    """An out-of-range numeric flag is an argparse usage error: exit 2,
+    one ``error:`` line naming the flag, no simulation."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--seed", "-1", "run", "parsec3/swaptions"], "--seed"),
+            (["--seed", "-1", "fleet", "-n", "2"], "--seed"),
+            (["fleet", "-n", "2", "--shards", "0"], "--shards"),
+            (["fleet", "-n", "2", "-j", "0"], "-j/--jobs"),
+            (["sweep", "--grid", "fig3", "-j", "0"], "-j/--jobs"),
+            (["run", "parsec3/swaptions", "--checkpoint", "OUT", "--checkpoint-every", "-3"],
+             "--checkpoint-every"),
+            (["fleet", "-n", "2", "--checkpoint", "OUT", "--checkpoint-every", "x"],
+             "--checkpoint-every"),
+        ],
+        ids=["run-seed", "fleet-seed", "shards", "fleet-jobs", "sweep-jobs",
+             "checkpoint-every", "checkpoint-every-not-int"],
+    )
+    def test_rejected(self, argv, flag, tmp_path, monkeypatch, capsys):
+        def forbidden(args):
+            raise AssertionError("the verb ran despite a bad numeric flag")
+
+        verb = next(a for a in argv if a in repro.cli._COMMANDS)
+        monkeypatch.setitem(repro.cli._COMMANDS, verb, forbidden)
+        out = tmp_path / "f.ckpt"
+        assert _exit_code([str(out) if a == "OUT" else a for a in argv]) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"argument {flag}:" in errors[0]
+        assert "Traceback" not in err and not out.exists()
+
+    def test_checkpoint_every_zero_is_the_midpoint(self):
+        args = build_parser().parse_args(
+            ["run", "parsec3/swaptions", "--checkpoint", "f", "--checkpoint-every", "0"]
+        )
+        assert args.checkpoint_every == 0
+
+
 class TestExitCodes:
     """The contract in the module docstring and the README, by case."""
 

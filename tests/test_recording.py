@@ -12,7 +12,7 @@ from repro.analysis.recording import (
     save_record,
 )
 from repro.errors import ConfigError, ParseError
-from repro.monitor.snapshot import RegionSnapshot, Snapshot
+from repro.monitor.snapshot import Snapshot
 from repro.units import MIB, SEC
 
 BASE = 0x7F00_0000_0000
@@ -22,13 +22,13 @@ def snapshots(n=6):
     out = []
     for i in range(n):
         out.append(
-            Snapshot(
-                time_us=i * SEC,
-                regions=(
-                    RegionSnapshot(BASE, BASE + 8 * MIB, 15 + i % 3, i),
-                    RegionSnapshot(BASE + 8 * MIB, BASE + 64 * MIB, 0, i),
-                ),
-                max_nr_accesses=20,
+            Snapshot.from_rows(
+                i * SEC,
+                [
+                    (BASE, BASE + 8 * MIB, 15 + i % 3, i, 0),
+                    (BASE + 8 * MIB, BASE + 64 * MIB, 0, i, 0),
+                ],
+                20,
             )
         )
     return out

@@ -18,6 +18,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -32,6 +33,8 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import CheckpointError, ConfigError, DaosError, WatchdogTimeout
 from repro.faults import FaultPlan
 from repro.recovery import SweepJournal, checkpoint_run, read_checkpoint_header, state_digest
+from repro.monitor.snapshot import RegionSnapshot, Snapshot
+from repro.recovery import codec
 from repro.recovery.codec import CHECKPOINT_FORMAT, checkpoint_fleet_stepping
 from repro.runner import restore_run, resume_checkpoint
 from repro.runner.experiment import ExperimentRun, run_experiment
@@ -196,6 +199,36 @@ class TestCheckpointCodec:
         assert str(path) in message
         assert "older-tree" in message and "reader-code" in message
         assert isinstance(info.value.__cause__, ModuleNotFoundError)
+
+    def test_row_layout_snapshots_load_as_columns(self):
+        """A payload pickled when a snapshot held ``regions`` as a tuple
+        of ``RegionSnapshot`` rows loads as the column layout, and pickles
+        again exactly like a snapshot built in this layout."""
+        rows = [(0, 4096, 5, 2, 1), (4096, 16384, 0, 9, 0)]
+
+        def row_layout(time_us, rows, max_nr):
+            snapshot = object.__new__(Snapshot)
+            regions = tuple(RegionSnapshot(*r) for r in rows)
+            vars(snapshot).update(time_us=time_us, regions=regions, max_nr_accesses=max_nr)
+            return snapshot
+
+        old = pickle.dumps(
+            {"snapshots": [row_layout(7, rows, 20), row_layout(8, [], 20)]}, protocol=4
+        )
+        assert b"RegionSnapshot" in old
+        fresh = [Snapshot.from_rows(7, rows, 20), Snapshot.from_rows(8, [], 20)]
+        again = [Snapshot.from_rows(7, rows, 20), Snapshot.from_rows(8, [], 20)]
+        # The current layout passes through unchanged.
+        current = pickle.dumps({"snapshots": again}, protocol=4)
+        for blob in (old, current):
+            loaded = codec._loads(blob)["snapshots"]
+            assert [type(s) for s in loaded] == [Snapshot, Snapshot]
+            assert loaded == fresh
+            # Pickled next to fresh snapshots, the loaded ones share their
+            # attribute-name strings, as the state digest needs.
+            assert pickle.dumps((loaded, fresh), protocol=4) == pickle.dumps(
+                (again, fresh), protocol=4
+            )
 
 
 class TestInterruptAnywhere:

@@ -9,6 +9,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.monitor.snapshot import RegionSnapshot, Snapshot
 from repro.runner.results import RunResult
@@ -19,8 +20,9 @@ from repro.sweep.serialize import (
     decode_value,
     encode_value,
     fingerprint,
-    result_fields,
 )
+
+from tests.helpers import result_fields
 
 
 def full_result() -> RunResult:
@@ -42,14 +44,7 @@ def full_result() -> RunResult:
         monitor_cpu_us=77.5,
         scheme_stats={"0:pageout": {"nr_tried": 3, "sz_tried": 4096}},
         snapshots=[
-            Snapshot(
-                time_us=100,
-                max_nr_accesses=20,
-                regions=(
-                    RegionSnapshot(0, 4096, 5, 2, 1),
-                    RegionSnapshot(4096, 16384, 0, 9, 0),
-                ),
-            )
+            Snapshot.from_rows(100, [(0, 4096, 5, 2, 1), (4096, 16384, 0, 9, 0)], 20)
         ],
         wall_clock_us=98765.4321,
     )
@@ -92,6 +87,48 @@ class TestSerializationRoundTrip:
         assert canonical_json(encode_value(full_result())) == canonical_json(
             encode_value(full_result())
         )
+
+
+def reference_snapshot_encoding(snapshot):
+    """The row-object encoder that predates the column layout, kept
+    verbatim (over the row view) as the cache format's reference."""
+    return {
+        "__daos__": "Snapshot",
+        "time_us": snapshot.time_us,
+        "max_nr_accesses": snapshot.max_nr_accesses,
+        "regions": [
+            [r.start, r.end, r.nr_accesses, r.age, r.nr_writes]
+            for r in snapshot.regions
+        ],
+    }
+
+
+_COUNT = st.integers(min_value=0, max_value=2**31)
+_ADDR = st.integers(min_value=0, max_value=2**57)
+
+
+@st.composite
+def snapshots(draw):
+    """Random snapshots through the monitor's column constructor: empty
+    tables, and a ``nr_writes`` column of zeros half of the time."""
+    rows = draw(st.lists(st.tuples(_ADDR, _ADDR, _COUNT, _COUNT, _COUNT), max_size=12))
+    if draw(st.booleans()):
+        rows = [(s, e, n, a, 0) for s, e, n, a, _ in rows]
+    columns = np.array(rows, dtype=np.int64).reshape(len(rows), 5).T
+    return Snapshot.from_columns(draw(_COUNT), *columns, draw(_COUNT))
+
+
+class TestSnapshotColumns:
+    @settings(max_examples=200)
+    @given(snapshots())
+    def test_encoding_matches_row_reference_and_round_trips(self, snapshot):
+        encoded = encode_value(snapshot)
+        text = canonical_json(encoded)
+        assert text == canonical_json(reference_snapshot_encoding(snapshot))
+        decoded = decode_value(json.loads(text))
+        assert decoded == snapshot
+        assert decoded.regions == snapshot.regions
+        assert all(isinstance(c, tuple) for c in (decoded.start, decoded.nr_writes))
 
 
 class TestGoldenEncoding:

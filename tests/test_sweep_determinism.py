@@ -13,7 +13,9 @@ import pytest
 from repro.runner.experiment import run_experiment
 from repro.sweep.grid import SweepGrid
 from repro.sweep.runner import SweepRunner
-from repro.sweep.serialize import fingerprint, result_fields
+from repro.sweep.serialize import fingerprint
+
+from tests.helpers import result_fields
 
 #: Small and fast, but exercising monitor + schemes + quota-less prcl
 #: path ("prcl") and the recording path with snapshots ("rec").

@@ -18,7 +18,7 @@ from repro.schemes.engine import SchemesEngine
 from repro.schemes.scheme import AccessPattern, Scheme
 from repro.units import MIB, MSEC, SEC
 
-from tests.helpers import BASE, run_epochs
+from tests.helpers import BASE, run_epochs, write_frequency
 
 WATTRS = MonitorAttrs(
     sampling_interval_us=1 * MSEC,
@@ -61,7 +61,7 @@ class TestMonitorWriteTracking:
         write_hot = sum(
             r.size
             for r in last.regions
-            if r.write_frequency(last.max_nr_accesses) > 0.5
+            if write_frequency(r, last.max_nr_accesses) > 0.5
         )
         assert 4 * MIB < write_hot < 16 * MIB
 
