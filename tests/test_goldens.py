@@ -34,7 +34,7 @@ import pytest
 
 from repro.clock import EventQueue
 from repro.errors import CheckpointError
-from repro.faults import load_fault_plan
+from repro.faults import FaultInjector, load_fault_plan
 from repro.fleet import FleetConfig, run_fleet, run_fleet_sharded
 from repro.modules.lru_sort import LruSortModule, LruSortParams
 from repro.modules.reclaim import ReclaimModule, ReclaimParams
@@ -515,6 +515,51 @@ for _jobs in (1, 2):
         run_fleet_sharded(_FLEET, n_shards=4, jobs=j), None
     )
     CASES[f"sweep-4pt-jobs{_jobs}"] = lambda j=_jobs: (SweepRunner(_SWEEP, jobs=j).run(), None)
+
+
+# ----------------------------------------------------------------------
+# The fleet's other paths, one single-pool run each on the same 200
+# tenants: the shed grant, a swapless pool, the scheme off, file swap,
+# and the chaos plan long enough for both its storm and its spike.
+# ----------------------------------------------------------------------
+def _fleet_case(check, **overrides):
+    def run():
+        result = run_fleet(dataclasses.replace(_FLEET, **overrides))
+        check(result)
+        return result, None
+
+    return run
+
+
+def _sheds(r):
+    assert r.degraded_ticks > 0 and r.shed_pages > 0, "the pool never shed"
+
+
+def _no_pageout_yet_degraded(r):
+    assert r.pageout_pages == 0 and r.degraded_ticks > 0, "swapless pool paged out or never shed"
+
+
+def _reclaims_without_scheme(r):
+    assert r.pageout_pages == 0 and r.reclaim_passes > 0, "baseline paged out or never reclaimed"
+
+
+def _file_swap_pages_out(r):
+    assert r.pageout_pages > 0 and r.major_faults > 0, "file swap never paged out or faulted back"
+
+
+CASES["fleet-shed"] = _fleet_case(_sheds, pool_ratio=0.1)
+CASES["fleet-noswap"] = _fleet_case(_no_pageout_yet_degraded, swap="none")
+CASES["fleet-baseline"] = _fleet_case(_reclaims_without_scheme, min_age_s=0)
+CASES["fleet-file"] = _fleet_case(_file_swap_pages_out, swap="file", pool_ratio=0.2)
+
+
+@case("fleet-chaos")
+def fleet_chaos():
+    injector = FaultInjector(load_fault_plan(ROOT / "examples" / "faults" / "fleet.toml"))
+    result = run_fleet(dataclasses.replace(_FLEET, duration_s=160.0), faults=injector)
+    assert all(injector.fire_counts), "the storm or the pressure spike never fired"
+    return result, None
+
 
 # ----------------------------------------------------------------------
 # Checkpoints an older tree wrote.  The two files are committed once and
