@@ -159,19 +159,27 @@ examples:
 	for ex in examples/*.py; do echo "=== $$ex ==="; $(PYTHON) $$ex; done
 
 # The fleet acceptance bar, locally: a seeded 10k-tenant fleet run
-# twice under the sanitizer, canonical summaries byte-identical.  Then
-# four shards on the sweep's worker pool must merge to the same summary
-# (per-shard digests included) as the serial path.
+# twice under the sanitizer, canonical summaries byte-identical, then
+# the same at 180 s under the fleet chaos plan (the windows of its
+# tenant storm and pool pressure spike both open, so the storm path
+# runs at gate scale).  Then four shards on the sweep's worker pool must
+# merge to the same summary (per-shard digests included) as the serial
+# path.
 fleet-smoke:
 	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli --seed 42 fleet -n 10000 --out /tmp/daos-fleet-a.json
 	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli --seed 42 fleet -n 10000 --out /tmp/daos-fleet-b.json
 	cmp /tmp/daos-fleet-a.json /tmp/daos-fleet-b.json
+	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli --seed 42 fleet -n 10000 --duration 180 \
+		--faults examples/faults/fleet.toml --out /tmp/daos-fleet-chaos-a.json
+	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli --seed 42 fleet -n 10000 --duration 180 \
+		--faults examples/faults/fleet.toml --out /tmp/daos-fleet-chaos-b.json
+	cmp /tmp/daos-fleet-chaos-a.json /tmp/daos-fleet-chaos-b.json
 	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli --seed 42 fleet -n 2000 --duration 120 \
 		--shards 4 -j 2 --out /tmp/daos-fleet-sharded-a.json
 	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli --seed 42 fleet -n 2000 --duration 120 \
 		--shards 4 --out /tmp/daos-fleet-sharded-b.json
 	cmp /tmp/daos-fleet-sharded-a.json /tmp/daos-fleet-sharded-b.json
-	@echo "fleet smoke: byte-identical under the sanitizer, pool == serial"
+	@echo "fleet smoke: byte-identical under the sanitizer, with and without the chaos plan; pool == serial"
 
 # Crash-recovery proof from the CLI (the tier-1 property tests do the
 # arbitrary-epoch and SIGKILL versions): a checkpointed fleet resumed

@@ -120,10 +120,6 @@ class EventQueue:
             self._heap, (int(when), rank, next(self._counter), callback, event)
         )
 
-    def schedule_after(self, delay: int, callback: Callable[[int], None]) -> None:
-        """Run ``callback(now)`` once ``delay`` microseconds from now."""
-        self.schedule_at(self.clock.now + int(delay), callback)
-
     def schedule_periodic(
         self,
         period: int,

@@ -6,13 +6,15 @@ one swap device and one sim clock.  Tenants are modelled at *region*
 granularity: each contributes a handful of converged monitor regions
 (cold image in fixed-size chunks, one hot, one warm — see
 :mod:`repro.monitor.batch`), and every simulation tick is a set of
-vectorized passes over the fleet-wide region table:
+vectorized passes over the fleet-wide region table.  Each pass works on
+the rows it can change: per-kind row sets (cold, hot, warm) fixed at
+build time, and the nonzero rows of what it sums.
 
 1. **access/fault pass** — boot ramps, hot cores and warm duty cycles
    demand pages; swapped pages fault back (major) and new pages fault
    in (minor), charged from the shared pool;
-2. **batched monitor pass** — one binomial draw samples every region's
-   ``nr_accesses``; ages grow across idle aggregations;
+2. **batched monitor pass** — one binomial over the rows with p > 0
+   samples ``nr_accesses``; ages grow across idle aggregations;
 3. **scheme pass** — the paper's ``min_age`` PAGEOUT evicts aged-idle
    regions to swap, fleet-wide in one pass;
 4. **pressure pass** — when the pool crosses the shared
@@ -32,15 +34,16 @@ measures against.
 
 Determinism: tenant traits come from per-tenant seeds, the only runtime
 randomness is the monitor's sampling stream, and the RNG consumed per
-tick depends on the table shape alone — a seeded fleet run replays
-byte-identically (the CI smoke job and the sanitizer both hold it to
-that).
+tick depends on which rows have p > 0, a function of the seeded state —
+a seeded fleet run replays byte-identically (the CI smoke job and the
+sanitizer both hold it to that).
 """
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -105,6 +108,10 @@ class FleetConfig:
     cold_region_mib: int = 16
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.type == "float" and not 0 <= value < math.inf:
+                raise ConfigError(f"{field.name} must be finite and non-negative: {value}")
         if self.n_tenants < 1:
             raise ConfigError(f"fleet needs at least one tenant: {self.n_tenants}")
         if self.duration_s <= 0:
@@ -306,17 +313,32 @@ class FleetScheduler:
         self.resident = np.zeros(self.table.n_regions, dtype=np.int64)
         self.swapped = np.zeros(self.table.n_regions, dtype=np.int64)
         self.last_touch = np.full(self.table.n_regions, -1, dtype=np.int64)
+        self._index_kinds()
 
-        # Per-region gathers of per-tenant parameters (layout is fixed,
-        # so gathering once beats a fancy index every tick).
-        tid = self.table.tenant
-        self._boot = np.array([t.boot_us for t in self.tenants], dtype=np.int64)[tid]
-        self._init = np.array([t.init_us for t in self.tenants], dtype=np.int64)[tid]
-        self._period = np.array([t.warm_period_us for t in self.tenants], dtype=np.int64)[tid]
-        self._phase = np.array([t.warm_phase_us for t in self.tenants], dtype=np.int64)[tid]
-        self._duty = np.array([t.warm_duty for t in self.tenants], dtype=np.float64)[tid]
-        self._hot_p = np.array([t.hot_p for t in self.tenants], dtype=np.float64)[tid]
-        self._warm_p = np.array([t.warm_p for t in self.tenants], dtype=np.float64)[tid]
+    def _index_kinds(self) -> None:
+        """Row sets per kind, from ``kind``, and the tenant parameters
+        each kind reads.  A tenant has one hot and one warm row, so the
+        i-th of either is tenant i's; only cold rows gather per row."""
+        self.cold_rows = np.flatnonzero(self.kind == _KIND_COLD)
+        self.hot_rows = np.flatnonzero(self.kind == _KIND_HOT)
+        self.warm_rows = np.flatnonzero(self.kind == _KIND_WARM)
+
+        def column(name: str, dtype: Any) -> np.ndarray:
+            return np.array([getattr(t, name) for t in self.tenants], dtype=dtype)
+
+        cold_tenant = self.table.tenant[self.cold_rows]
+        size = self.table.size_pages
+        self._boot = column("boot_us", np.int64)
+        self._cold_boot = self._boot[cold_tenant]
+        self._cold_init = column("init_us", np.int64)[cold_tenant]
+        self._cold_size = size[self.cold_rows]
+        self._hot_size = size[self.hot_rows]
+        self._hot_p = column("hot_p", np.float64)
+        self._warm_size = size[self.warm_rows]
+        self._warm_p = column("warm_p", np.float64)
+        self._warm_phase = column("warm_phase_us", np.int64)
+        self._warm_period = column("warm_period_us", np.int64)
+        self._warm_on = (column("warm_duty", np.float64) * self._warm_period).astype(np.int64)
 
     # ------------------------------------------------------------------
     # One tick
@@ -324,38 +346,41 @@ class FleetScheduler:
     def _tick(self, now: int) -> None:
         cfg = self.cfg
         tab = self.table
-        size = tab.size_pages
-        is_cold = self.kind == _KIND_COLD
-        is_hot = self.kind == _KIND_HOT
-        is_warm = self.kind == _KIND_WARM
+        cold, hot, warm = self.cold_rows, self.hot_rows, self.warm_rows
 
+        # Per tenant, so per hot row and per warm row.
         elapsed = now - self._boot
-        alive = elapsed >= 0
-        in_init = alive & (elapsed < self._init)
-        warm_active = alive & is_warm & (
-            (elapsed + self._phase) % self._period
-            < (self._duty * self._period).astype(np.int64)
-        )
+        booted = elapsed >= 0
+        alive = booted[tab.tenant]
+        warm_on = booted & ((elapsed + self._warm_phase) % self._warm_period < self._warm_on)
         if self.faults is not None and self.faults.fleet_storm_active(now):
             # Tenant storm: a thundering herd wakes every live warm
             # region at once; the shed path absorbs what the pool
             # cannot back, so the fleet degrades instead of aborting.
-            warm_active = alive & is_warm
+            warm_on = booted
+        cold_elapsed = now - self._cold_boot
+        cold_alive = cold_elapsed >= 0
+        # Cold rows still in their boot ramp (init_us >= 1): only they
+        # need the division; every other live cold row targets its
+        # whole size, frac == 1.0 exactly.
+        ramp = np.flatnonzero(cold_alive & (cold_elapsed < self._cold_init))
+        ramp_rows = cold[ramp]
 
         # -- demand ----------------------------------------------------
-        frac = np.clip(elapsed / np.maximum(self._init, 1), 0.0, 1.0)
-        cold_target = (size * frac).astype(np.int64)
-        demand = np.zeros_like(size)
+        cold_target = np.where(cold_alive, self._cold_size, 0)
+        cold_target[ramp] = (
+            self._cold_size[ramp] * (cold_elapsed[ramp] / self._cold_init[ramp])
+        ).astype(np.int64)
+        demand = np.zeros_like(tab.size_pages)
         # Cold pages are touched exactly once: whatever was evicted
         # stays in swap, so demand excludes swapped pages.
-        np.copyto(
-            demand,
-            np.clip(cold_target - self.resident - self.swapped, 0, None),
-            where=is_cold & alive,
-        )
-        np.copyto(demand, size - self.resident, where=is_hot & alive)
-        np.copyto(demand, size - self.resident, where=warm_active)
-        touched = (is_cold & in_init) | (is_hot & alive) | warm_active
+        demand[cold] = np.clip(cold_target - self.resident[cold] - self.swapped[cold], 0, None)
+        demand[hot] = np.where(booted, self._hot_size - self.resident[hot], 0)
+        demand[warm] = np.where(warm_on, self._warm_size - self.resident[warm], 0)
+        touched = np.zeros(tab.n_regions, dtype=bool)
+        touched[ramp_rows] = True
+        touched[hot] = booted
+        touched[warm] = warm_on
 
         # -- capacity: alloc-triggered reclaim, then shed --------------
         need = int(demand.sum())
@@ -368,25 +393,26 @@ class FleetScheduler:
             cum = np.cumsum(demand)
             grant = np.clip(free - (cum - demand), 0, demand)
             shed = demand - grant
-            self.shed_pages += np.bincount(
-                tab.tenant, weights=shed, minlength=len(self.tenants)
-            ).astype(np.int64)
+            rows = np.flatnonzero(shed > 0)
+            self.shed_pages += self._per_tenant(rows, shed[rows]).astype(np.int64)
             self.degraded_ticks += 1
         else:
             grant = demand
 
-        from_swap = np.where(is_cold, 0, np.minimum(grant, self.swapped))
-        fresh = grant - from_swap
-
         # -- apply faults ----------------------------------------------
-        self.resident += grant
-        self.swapped -= from_swap
-        self.pool.charge(int(grant.sum()))
+        rows = np.flatnonzero(grant > 0)
+        granted = grant[rows]
+        from_swap = np.where(
+            self.kind[rows] == _KIND_COLD, 0, np.minimum(granted, self.swapped[rows])
+        )
+        self.resident[rows] += granted
+        self.swapped[rows] -= from_swap
+        self.pool.charge(int(granted.sum()))
         total_in = int(from_swap.sum())
         if total_in:
             self.swap_device.load(total_in)
-        per_tenant_major = np.bincount(tab.tenant, weights=from_swap, minlength=len(self.tenants))
-        per_tenant_fresh = np.bincount(tab.tenant, weights=fresh, minlength=len(self.tenants))
+        per_tenant_major = self._per_tenant(rows, from_swap)
+        per_tenant_fresh = self._per_tenant(rows, granted - from_swap)
         self.major_faults += per_tenant_major.astype(np.int64)
         self.minor_faults += per_tenant_fresh.astype(np.int64)
         self.stall_us += per_tenant_major * (
@@ -396,17 +422,17 @@ class FleetScheduler:
         self.last_touch[touched] = now
 
         # -- batched monitor pass --------------------------------------
-        p = (
-            np.where(is_cold & in_init, COLD_INIT_P, 0.0)
-            + np.where(is_hot & alive, self._hot_p, 0.0)
-            + np.where(warm_active, self._warm_p, 0.0)
-        )
+        p = np.zeros(tab.n_regions, dtype=np.float64)
+        p[ramp_rows] = COLD_INIT_P
+        p[hot] = np.where(booted, self._hot_p, 0.0)
+        p[warm] = np.where(warm_on, self._warm_p, 0.0)
         self.monitor.tick(p, alive)
 
         # -- scheme pass: fleet-wide min_age PAGEOUT -------------------
         if cfg.min_age_us > 0:
-            idle = tab.idle_mask(cfg.min_age_us) & (self.resident > 0) & alive
-            self._pageout(idle, now)
+            # age >= min_age > 0 already means alive and unaccessed.
+            rows = np.flatnonzero(tab.age_us >= cfg.min_age_us)
+            self._pageout(rows[self.resident[rows] > 0], now)
 
         # -- pressure pass: shared watermarks --------------------------
         extra = (
@@ -429,9 +455,15 @@ class FleetScheduler:
         if self.sanitizer is not None:
             self.sanitizer.checkpoint_fleet(self, now)
 
-    def _pageout(self, mask: np.ndarray, now: int) -> None:
-        """Scheme PAGEOUT of every masked region, clamped by swap slots."""
-        pages = np.where(mask, self.resident, 0)
+    def _per_tenant(self, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Per-tenant float sums of ``weights`` over ``rows``.  A row left
+        out must weigh 0: a 0.0 term changes no sum, so this equals the
+        full-table bincount."""
+        return np.bincount(self.table.tenant[rows], weights=weights, minlength=len(self.tenants))
+
+    def _pageout(self, rows: np.ndarray, now: int) -> None:
+        """Scheme PAGEOUT of the given rows, clamped by swap slots."""
+        pages = self.resident[rows]
         allowed = self.swap_device.free_pages()
         total = int(pages.sum())
         if total > allowed:
@@ -440,16 +472,12 @@ class FleetScheduler:
             total = int(pages.sum())
         if total <= 0:
             return
-        self.resident -= pages
-        self.swapped += pages
+        self.resident[rows] -= pages
+        self.swapped[rows] += pages
         self.pool.release(total)
         self.swap_device.store(total, total)
-        tid = self.table.tenant
-        n = len(self.tenants)
-        self.pageout_pages += np.bincount(tid, weights=pages, minlength=n).astype(np.int64)
-        self.pageout_batches += np.bincount(
-            tid, weights=(pages > 0), minlength=n
-        ).astype(np.int64)
+        self.pageout_pages += self._per_tenant(rows, pages).astype(np.int64)
+        self.pageout_batches += self._per_tenant(rows, pages > 0).astype(np.int64)
         if self.trace is not None:
             self.trace.count(PageoutBatch)
 
@@ -469,13 +497,13 @@ class FleetScheduler:
         total = int(take.sum())
         if total <= 0:
             return 0
+        taken = np.flatnonzero(take)
+        order, take = order[taken], take[taken]
         self.resident[order] -= take
         self.swapped[order] += take
         self.pool.release(total)
         self.swap_device.store(total, total)
-        self.evicted_pages += np.bincount(
-            self.table.tenant[order], weights=take, minlength=len(self.tenants)
-        ).astype(np.int64)
+        self.evicted_pages += self._per_tenant(order, take).astype(np.int64)
         self.reclaim_passes += 1
         if self.trace is not None:
             self.trace.count(ReclaimPass)

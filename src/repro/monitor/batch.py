@@ -11,7 +11,8 @@ The sampling and aggregation semantics mirror the per-process monitor:
 every sampling interval each region gets one access check (a Bernoulli
 draw against the region's access probability), and each aggregation
 interval the per-region ``nr_accesses`` is the number of positive
-checks — drawn here as one vectorized binomial over all regions — while
+checks — drawn here as one vectorized binomial over the alive regions
+with p > 0 (the others read 0) — while
 ``age`` grows across idle aggregations and resets on access, exactly
 the inputs a ``min_age``-guarded PAGEOUT scheme consumes.
 
@@ -73,11 +74,6 @@ class BatchRegionTable:
         #: Microseconds of consecutive idle aggregations (0 while hot).
         self.age_us = np.zeros(self.n_regions, dtype=np.int64)
 
-    def idle_mask(self, min_age_us: int) -> np.ndarray:
-        """Regions idle for at least ``min_age_us`` — the PAGEOUT scheme
-        predicate, evaluated fleet-wide in one comparison."""
-        return (self.nr_accesses == 0) & (self.age_us >= int(min_age_us))
-
 
 @dataclass(frozen=True)
 class BatchTickStats:
@@ -116,18 +112,22 @@ class BatchMonitorPass:
         ``p_access`` is the per-region probability that one sampling
         check observes an access; ``alive`` masks tenants that have not
         booted yet (their regions are neither sampled nor aged).  The
-        binomial is drawn over the full table every tick — masked rows
-        draw with p=0 — so the RNG stream consumed is a function of the
-        table shape alone, which is what makes seeded replays
-        byte-identical regardless of boot staggering.
+        binomial is drawn only over the alive rows with p > 0, in row
+        order.  NumPy draws nothing for p == 0, so this is the stream a
+        full-table draw with masked rows at p == 0 consumes: which rows
+        have p > 0 fixes it, and seeded replays are byte-identical
+        because p is a function of the seeded state.
         """
         t = self.table
-        p = np.where(alive, np.clip(p_access, 0.0, 1.0), 0.0)
-        draws = self.rng.binomial(self.samples_per_agg, p)
-        t.nr_accesses[:] = np.where(alive, draws, 0)
-        idle = alive & (t.nr_accesses == 0)
-        agg = self.attrs.aggregation_interval_us
-        t.age_us[:] = np.where(idle, t.age_us + agg, 0)
+        rows = np.flatnonzero(alive & (p_access > 0))
+        t.nr_accesses.fill(0)
+        t.nr_accesses[rows] = self.rng.binomial(
+            self.samples_per_agg, np.minimum(p_access[rows], 1.0)
+        )
+        # Idle alive regions age one interval; accessed or unborn read 0.
+        t.age_us += self.attrs.aggregation_interval_us
+        t.age_us[rows[t.nr_accesses[rows] > 0]] = 0
+        t.age_us *= alive
         checks = int(np.count_nonzero(alive)) * self.samples_per_agg
         cpu_us = self.costs.monitor_check_cost_us(checks, self.samples_per_agg)
         self.total_checks += checks

@@ -47,10 +47,6 @@ class OverheadReport:
             return 0.0
         return self.monitor_cpu_us / self.elapsed_us
 
-    @property
-    def within_bound(self) -> bool:
-        return self.cpu_share <= self.bound_cpu_share * (1.0 + 1e-9)
-
 
 def theoretical_bound_cpu_share(attrs: MonitorAttrs, costs: CostModel) -> float:
     """CPU share ceiling: one wakeup plus ``max_nr_regions`` checks per

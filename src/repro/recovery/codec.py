@@ -169,16 +169,19 @@ def _canonicalize_dtypes(root: Any) -> None:
 # ----------------------------------------------------------------------
 class _PayloadUnpickler(pickle.Unpickler):
     """Unpickles a payload, taking in older layouts on the way: a
-    kernel's page state, and snapshots holding ``RegionSnapshot`` rows.
+    kernel's page state, snapshots holding ``RegionSnapshot`` rows, and
+    a fleet scheduler with per-region tenant parameters.
 
-    That layout kept one page table per VMA (``VMA.pages``, a
+    The old kernel layout kept one page table per VMA (``VMA.pages``, a
     ``repro.sim.pagetable.PageTable``), an rmap of ``(owner_vma,
     owner_page)`` pairs naming a VMA by a kernel-assigned ordinal, the
     kernel's ordinal map (``_vma_ids`` and its lookup caches) and, in the
     LRU, a bound method of that map.  Those objects load as stand-ins
     holding their raw state; :meth:`convert` then builds the one page
-    table and the flat owner column from them.  A payload in the current
-    layout passes through unchanged.
+    table and the flat owner column from them.  The old fleet layout
+    gathered seven tenant parameters per region; :meth:`convert` drops
+    them and rebuilds the row sets from ``kind`` and the tenant specs.
+    A payload in the current layout passes through unchanged.
     """
 
     def __init__(self, file) -> None:
@@ -209,7 +212,13 @@ class _PayloadUnpickler(pickle.Unpickler):
         return stand_in if stand_in is not None else super().find_class(module, name)
 
     def convert(self, payload: Dict[str, Any]) -> None:
-        """Rebuild the run kernel's page state if it is in the old layout."""
+        """Rebuild a fleet's row sets and a run kernel's page state if
+        they are in the old layout."""
+        scheduler = payload.get("scheduler")
+        if scheduler is not None and "_duty" in vars(scheduler):
+            for name in ("_boot", "_init", "_period", "_phase", "_duty", "_hot_p", "_warm_p"):
+                delattr(scheduler, name)
+            scheduler._index_kinds()
         if not self.old_pages:
             return
         kernel = payload["tenant"].kernel

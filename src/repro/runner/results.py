@@ -62,15 +62,6 @@ class RunResult:
             return 0.0
         return self.monitor_cpu_us / self.duration_us
 
-    @property
-    def sim_speedup(self) -> float:
-        """Virtual seconds simulated per host wall-clock second — the
-        simulator's own throughput metric (0.0 when timing was not
-        recorded, e.g. on hand-built results)."""
-        if self.wall_clock_us <= 0:
-            return 0.0
-        return self.duration_us / self.wall_clock_us
-
 
 @dataclass(frozen=True)
 class NormalizedResult:

@@ -86,12 +86,6 @@ class SchemesEngine:
         """Append a scheme; schemes apply in installation order."""
         self.schemes.append(scheme)
 
-    def replace_schemes(self, schemes: Iterable[Scheme]) -> None:
-        """Swap the installed schemes (the auto-tuner does this between
-        sampling runs); statistics of the outgoing schemes are kept by
-        their owners."""
-        self.schemes = list(schemes)
-
     # ------------------------------------------------------------------
     def apply(self, monitor, now: int) -> None:
         """One engine pass: called by the monitor at every aggregation."""

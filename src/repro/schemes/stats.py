@@ -40,13 +40,6 @@ class SchemeStats:
         self.nr_applied += regions
         self.sz_applied += nbytes
 
-    def avg_tried_bytes_per_interval(self) -> float:
-        """Mean matched bytes per engine interval — the WSS estimate when
-        the scheme is a STAT over the hot-pattern."""
-        if self.nr_intervals == 0:
-            return 0.0
-        return self.sz_tried / self.nr_intervals
-
 
 @dataclass
 class WssEstimator:

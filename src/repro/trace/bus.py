@@ -142,11 +142,6 @@ class TraceBus:
         self._wants_all = self._ring is not None or bool(self._all_handlers)
         return found
 
-    @property
-    def has_subscribers(self) -> bool:
-        """Whether any handler is currently attached."""
-        return bool(self._all_handlers) or any(self._handlers.values())
-
     # ------------------------------------------------------------------
     # Emission
     # ------------------------------------------------------------------

@@ -391,6 +391,26 @@ class TestOutputDirectoryChecked:
         assert err == f"error: {flag} {out}: is a directory, not a file\n"
 
 
+class TestFleetFloatsChecked:
+    """A non-finite or negative float reaches ``FleetConfig`` and is
+    refused there: one ``error:`` line naming the field, exit 2."""
+
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--duration", "nan", "duration_s"),
+            ("--min-age", "nan", "min_age_s"),
+            ("--pool-ratio", "inf", "pool_ratio"),
+            ("--pool-gib", "-1", "pool_gib"),
+        ],
+    )
+    def test_rejected(self, flag, value, field, capsys):
+        assert main(["fleet", "-n", "10", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be finite and non-negative")
+        assert len(err.splitlines()) == 1
+
+
 class TestIgnoredFlagsRejected:
     @pytest.mark.parametrize(
         "flag",

@@ -40,14 +40,6 @@ class TestEventQueue:
         queue.run_until(100)
         assert fired == [100]
 
-    def test_schedule_after(self):
-        queue = EventQueue()
-        fired = []
-        queue.run_until(50)
-        queue.schedule_after(25, lambda now: fired.append(now))
-        queue.run_until(100)
-        assert fired == [75]
-
     def test_cannot_schedule_in_past(self):
         queue = EventQueue()
         queue.run_until(100)

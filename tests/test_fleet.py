@@ -12,15 +12,18 @@ Covers the multi-tenant contract end to end:
 * sharded runs merge deterministically and agree between the serial
   and spawn-pool sweep paths;
 * the corrupted-state checkers actually fire (the sanitizer's fleet
-  checkpoint is only as good as :func:`check_fleet_state`).
+  checkpoint is only as good as :func:`check_fleet_state`);
+* NumPy's binomial draws nothing for p == 0, which the batched
+  monitor's draw over the p > 0 rows relies on to stay exact.
 """
 
 from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import ConfigError
 from repro.fleet import (
@@ -349,3 +352,26 @@ class TestShards:
         serial = run_fleet_sharded(cfg, n_shards=2)
         pooled = run_fleet_sharded(cfg, n_shards=2, jobs=2)
         assert serial == pooled
+
+
+# ----------------------------------------------------------------------
+# The sampling stream
+# ----------------------------------------------------------------------
+@settings(max_examples=80, deadline=None)
+@given(
+    p=st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), max_size=400),
+    seed=st.integers(0, 2**63 - 1),
+)
+@example(p=[0.0] * 64, seed=0)
+@example(p=[1.0, 0.0] * 32, seed=0)
+def test_binomial_skips_zero_p_rows_without_drawing(p, seed):
+    """A full-table draw equals the draw over the p > 0 rows, in values
+    and in final generator state.  If a NumPy upgrade breaks this, the
+    fleet digests would move; this fails first and says why."""
+    p = np.array(p, dtype=np.float64)
+    full, subset = np.random.default_rng(seed), np.random.default_rng(seed)
+    everything = full.binomial(200, p)
+    rows = np.flatnonzero(p > 0)
+    assert np.array_equal(everything[rows], subset.binomial(200, p[rows]))
+    assert not everything[p == 0].any()
+    assert full.bit_generator.state == subset.bit_generator.state

@@ -67,12 +67,6 @@ class TestEngineApplication:
         engine = SchemesEngine(kernel, [first, second])
         assert engine.schemes == [first, second]
 
-    def test_replace_schemes(self, kernel):
-        engine = SchemesEngine(kernel)
-        scheme = Scheme(pattern=AccessPattern(), action=Action.STAT)
-        engine.replace_schemes([scheme])
-        assert engine.schemes == [scheme]
-
     def test_validate_rejects_hot_pageout(self, kernel):
         scheme = Scheme(
             pattern=AccessPattern(min_freq=0.8), action=Action.PAGEOUT
@@ -193,13 +187,6 @@ class TestStats:
         assert stats.sz_tried == 300
         assert stats.nr_applied == 1
         assert stats.sz_applied == 150
-
-    def test_avg_tried_per_interval(self):
-        stats = SchemeStats()
-        stats.nr_intervals = 4
-        stats.record_tried(100)
-        stats.record_tried(100)
-        assert stats.avg_tried_bytes_per_interval() == 50.0
 
     def test_wss_estimator_percentiles(self):
         est = WssEstimator()

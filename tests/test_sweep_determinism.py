@@ -80,7 +80,6 @@ def test_pool_sweep_matches_in_process(grid, in_process_results):
 def test_wall_clock_is_recorded_but_not_identity(in_process_results):
     result = in_process_results[0]
     assert result.wall_clock_us > 0  # the new timing metric is populated
-    assert result.sim_speedup > 0
 
 
 def test_trace_summary_travels_through_sweep(grid, in_process_results):

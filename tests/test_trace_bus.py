@@ -67,9 +67,7 @@ class TestDispatch:
         bus = TraceBus()
         got = []
         handler = bus.subscribe(AccessSampled, got.append)
-        assert bus.has_subscribers
         assert bus.unsubscribe(handler)
-        assert not bus.has_subscribers
         bus.emit(sampled(0))
         assert not got
         assert not bus.unsubscribe(handler)  # already gone
