@@ -31,9 +31,10 @@ sanitize-smoke:
 
 # The sweep CLI on a spawn pool, twice into one cache: the second run
 # must be served entirely from the cache.  Then a recording grid (the
-# rec points carry snapshots) cold and warm into one cache: the warm
-# report, decoded from the cache and encoded again, must equal the
-# cold one byte for byte.
+# rec points carry snapshots) cold into a cache; the rec entry is then
+# truncated, so the next run must miss it, re-execute it and report the
+# cold bytes; a last warm run is all hits.  Every report, decoded from
+# the cache and encoded again, must equal the cold one byte for byte.
 sweep-smoke:
 	rm -rf /tmp/daos-sweep-smoke /tmp/daos-sweep-smoke-rec && mkdir -p /tmp/daos-sweep-smoke-rec
 	$(PYTHON) -m repro.cli sweep --grid fig3 --jobs 2 --cache-dir /tmp/daos-sweep-smoke
@@ -42,12 +43,18 @@ sweep-smoke:
 	$(PYTHON) -m repro.cli --time-scale 0.02 sweep --workloads parsec3/swaptions \
 		--configs baseline,rec --jobs 2 --cache-dir /tmp/daos-sweep-smoke-rec/cache \
 		--out /tmp/daos-sweep-smoke-rec/cold.json
+	grep -la '\["config","rec"\]' /tmp/daos-sweep-smoke-rec/cache/*/*.json | xargs truncate -s 100
+	$(PYTHON) -m repro.cli --time-scale 0.02 sweep --workloads parsec3/swaptions \
+		--configs baseline,rec --jobs 2 --cache-dir /tmp/daos-sweep-smoke-rec/cache \
+		--out /tmp/daos-sweep-smoke-rec/miss.json \
+		| grep '1 cached, 0 replayed, 1 executed, 0 failed'
+	cmp /tmp/daos-sweep-smoke-rec/cold.json /tmp/daos-sweep-smoke-rec/miss.json
 	$(PYTHON) -m repro.cli --time-scale 0.02 sweep --workloads parsec3/swaptions \
 		--configs baseline,rec --jobs 2 --cache-dir /tmp/daos-sweep-smoke-rec/cache \
 		--out /tmp/daos-sweep-smoke-rec/warm.json \
 		| grep '2 cached, 0 replayed, 0 executed, 0 failed'
 	cmp /tmp/daos-sweep-smoke-rec/cold.json /tmp/daos-sweep-smoke-rec/warm.json
-	@echo "sweep smoke: the second sweeps are all cache hits, the warm report equals the cold"
+	@echo "sweep smoke: a truncated entry re-runs, the second sweeps are all cache hits, every report equals the cold"
 
 # Two identical seeded runs must write byte-identical canonical JSONL,
 # and the stream must validate against the event schema (registered

@@ -55,6 +55,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from contextlib import ExitStack, contextmanager, redirect_stdout
@@ -97,6 +98,21 @@ def _int_at_least(minimum: int):
     return parse
 
 
+def _positive_float(text: str) -> float:
+    """An argparse ``type=``: a float flag must be finite and positive."""
+    if not 0 < float(text) < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+    return float(text)
+
+
+def _seed_list(text: str) -> list:
+    """``--seeds``: comma-separated seeds, each in ``--seed``'s range."""
+    return [_int_at_least(0)(seed) for seed in text.split(",") if seed.strip()]
+
+
+_positive_float.__name__, _seed_list.__name__ = "float", "comma-separated int"
+
+
 def _option_group() -> argparse.ArgumentParser:
     """An empty parent parser: each shared flag is declared once on one
     of these and inherited by its verbs via ``parents=[...]``."""
@@ -115,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=_int_at_least(0), default=0, help="simulation seed")
     parser.add_argument(
         "--time-scale",
-        type=float,
+        type=_positive_float,
         default=0.25,
         help="scale workload durations (1.0 = the paper's full runs)",
     )
@@ -129,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--tier-scale",
-        type=float,
+        type=_positive_float,
         default=1.0,
         help="scale the slow tier's capacity (with --tier)",
     )
@@ -256,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--configs", default="baseline,rec", help="comma-separated configuration names"
     )
-    p_sweep.add_argument("--seeds", default="0", help="comma-separated seeds")
+    p_sweep.add_argument("--seeds", type=_seed_list, default="0", help="comma-separated seeds")
     p_sweep.add_argument(
         "--cache-dir",
         default=".daos-sweep-cache",
@@ -273,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument(
         "--point-timeout",
-        type=float,
+        type=_positive_float,
         default=None,
         metavar="SECONDS",
         help="per-point wall-clock timeout, counted from when the point is "
@@ -465,14 +481,8 @@ def _run_kwargs(args) -> dict:
     """The six global flags as :class:`~repro.runner.experiment.ExperimentRun`
     keywords — the one place the CLI maps flags to run parameters, so
     every experiment-running verb honours all six."""
-    return dict(
-        machine=args.machine,
-        seed=args.seed,
-        time_scale=args.time_scale,
-        tier=args.tier,
-        tier_scale=args.tier_scale,
-        tier_policy=args.tier_policy,
-    )
+    names = ("machine", "seed", "time_scale", "tier", "tier_scale", "tier_policy")
+    return {name: getattr(args, name) for name in names}
 
 
 @contextmanager
@@ -633,13 +643,10 @@ def _cmd_tune(args) -> int:
             faults=plan,
             **_run_kwargs(args),
         )
-        xs = [p for p, _ in tuning.samples]
-        ys = [s for _, s in tuning.samples]
         grid_x, grid_y = tuning.trend.grid(60)
         print(
             ascii_series(
-                xs,
-                ys,
+                *zip(*tuning.samples),  # (min_age, score) pairs
                 title=f"{args.workload}: score vs min_age (samples *, fitted curve .)",
                 overlay=(list(grid_x), list(grid_y), "."),
             )
@@ -681,10 +688,6 @@ def _sweep_grid_from_args(args):
         raise ConfigError("sweep needs --grid or --workloads")
     workloads = _parse_workloads(args.workloads)
     configs = [c.strip() for c in args.configs.split(",") if c.strip()]
-    try:
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    except ValueError:
-        raise ConfigError(f"--seeds must be comma-separated integers: {args.seeds!r}")
     for config in configs:
         if config not in CONFIGS:
             raise ConfigError(f"unknown configuration {config!r} in --configs")
@@ -698,7 +701,7 @@ def _sweep_grid_from_args(args):
         )
     grid = SweepGrid.from_axes(
         "experiment",
-        {"workload": workloads, "config": configs, "seed": seeds},
+        {"workload": workloads, "config": configs, "seed": args.seeds},
         fixed=fixed,
     )
     summarize = summarize_fig7 if "baseline" in configs else None
@@ -720,12 +723,9 @@ def _cmd_sweep(args) -> int:
     grid, summarize = _sweep_grid_from_args(args)
 
     def progress(done, total, outcome) -> None:
-        if outcome.cached:
-            status = "cached"
-        elif outcome.replayed:
-            status = "replay"
-        else:
-            status = "FAILED" if not outcome.ok else "ran"
+        status = "cached" if outcome.cached else "replay" if outcome.replayed else (
+            "ran" if outcome.ok else "FAILED"
+        )
         line = f"\rsweep [{done}/{total}] {status:6s} {outcome.point.label():<60.60s}"
         sys.stderr.write(line)
         sys.stderr.flush()

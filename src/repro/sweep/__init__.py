@@ -9,8 +9,9 @@ seed) points.  This package turns that shape into infrastructure:
   worker process can resolve ("experiment" runs one
   :func:`~repro.runner.experiment.run_experiment`);
 * :mod:`~repro.sweep.serialize` — canonical JSON encoding of results,
-  and :func:`~repro.sweep.serialize.fingerprint` for byte-identical
-  result comparison;
+  :func:`~repro.sweep.serialize.fingerprint` for byte-identical
+  result comparison, and the cache's storage form (snapshot region
+  tables in one int64 column block);
 * :mod:`~repro.sweep.cache` — the content-addressed on-disk result
   cache (key = point spec + code version tag);
 * :mod:`~repro.sweep.runner` — :class:`~repro.sweep.runner.SweepRunner`,

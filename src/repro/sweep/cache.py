@@ -1,6 +1,6 @@
 """Content-addressed on-disk cache of completed sweep points.
 
-Layout (all JSON, one file per completed point)::
+Layout (one file per completed point)::
 
     <cache_dir>/
         <key[:2]>/<key>.json      # fan-out to keep directories small
@@ -10,6 +10,15 @@ version tag (:func:`~repro.version.code_version_tag`) hashes every
 ``.py`` file of the installed ``repro`` package, so *any* code change
 invalidates the whole cache — stale results can never leak across
 versions.
+
+An entry is a header line and a column block.  The header is one JSON
+line: ``format``, ``key``, ``fn``, ``params``, ``meta``, the block's
+byte count (``block_bytes``) and ``result``, the value's storage
+encoding (:func:`~repro.sweep.serialize.encode_stored`).  After the
+newline comes the block: the region tables of every snapshot in the
+result as five little-endian int64 columns.  The entry is a storage
+form only; a result's identity is still its canonical JSON
+(:func:`~repro.sweep.serialize.fingerprint`).
 
 Writes are atomic (tempfile + ``os.replace``), so a sweep killed mid
 write never leaves a corrupt entry, and concurrent workers writing the
@@ -28,12 +37,12 @@ from typing import Any, Dict, Optional, Tuple, Union
 from ..errors import ParseError
 from ..version import code_version_tag
 from .grid import SweepPoint
-from .serialize import canonical_json, decode_value
+from .serialize import canonical_json, decode_stored, encode_stored
 
 __all__ = ["code_version_tag", "point_key", "ResultCache"]
 
 #: Payload format marker, bumped on incompatible layout changes.
-_FORMAT = "daos-sweep-v1"
+_FORMAT = "daos-sweep-v2"
 
 
 def point_key(point: SweepPoint, version_tag: Optional[str] = None) -> str:
@@ -57,9 +66,6 @@ class ResultCache:
         """Where the result for cache key ``key`` lives (existing or not)."""
         return self.root / key[:2] / f"{key}.json"
 
-    def __contains__(self, key: str) -> bool:
-        return self.path_for(key).exists()
-
     # ------------------------------------------------------------------
     def get(self, key: str) -> Optional[Tuple[Any, Dict[str, Any]]]:
         """``(decoded result, meta)`` for ``key``, or None on miss.
@@ -68,43 +74,56 @@ class ResultCache:
         place for post-mortems) — the sweep then simply re-runs the
         point and overwrites it.
         """
-        path = self.path_for(key)
         try:
-            document = json.loads(path.read_text())
+            data = self.path_for(key).read_bytes()
+            newline = data.index(b"\n")
+            header = json.loads(data[:newline])
         except (OSError, ValueError):
             return None
-        if document.get("format") != _FORMAT or document.get("key") != key:
+        block = memoryview(data)[newline + 1 :]
+        if (
+            not isinstance(header, dict)
+            or header.get("format") != _FORMAT
+            or header.get("key") != key
+            or header.get("block_bytes") != len(block)
+        ):
             return None
         try:
-            return decode_value(document["result"]), dict(document.get("meta", {}))
-        except (KeyError, ParseError, TypeError):
+            return decode_stored(header["result"], block), dict(header.get("meta", {}))
+        except (KeyError, ParseError, TypeError, ValueError):
             return None
 
     def put(
         self,
         key: str,
-        encoded_result: Any,
+        value: Any,
         *,
         point: Optional[SweepPoint] = None,
         meta: Optional[Dict[str, Any]] = None,
     ) -> Path:
-        """Atomically store an *encoded* result under ``key``."""
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        document = {
+        """Atomically store the result ``value`` under ``key``.  A value
+        the block cannot hold is a :class:`~repro.errors.ParseError`,
+        raised before any file is written."""
+        encoded, block = encode_stored(value)
+        header = {
             "format": _FORMAT,
             "key": key,
             "fn": point.fn if point is not None else None,
             "params": [[n, v] for n, v in point.items] if point is not None else None,
             "meta": meta or {},
-            "result": encoded_result,
+            "block_bytes": len(block),
+            "result": encoded,
         }
+        path = self.path_for(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
         handle = tempfile.NamedTemporaryFile(
-            "w", dir=path.parent, prefix=".tmp-", suffix=".json", delete=False
+            "wb", dir=path.parent, prefix=".tmp-", suffix=".json", delete=False
         )
         try:
             with handle:
-                handle.write(json.dumps(document, separators=(",", ":")))
+                handle.write(json.dumps(header, separators=(",", ":")).encode("utf-8"))
+                handle.write(b"\n")
+                handle.write(block)
             os.replace(handle.name, path)
         except BaseException:
             try:
@@ -113,8 +132,3 @@ class ResultCache:
                 pass
             raise
         return path
-
-    # ------------------------------------------------------------------
-    def count(self) -> int:
-        """Number of cached entries."""
-        return sum(1 for _ in self.root.glob("*/*.json"))

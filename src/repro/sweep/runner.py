@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from ..errors import ConfigError, SweepError
+from ..errors import ConfigError, ParseError, SweepError
 from ..faults.injector import worker_crash_decision
 from ..monitor.attrs import MonitorAttrs
 from ..recovery.journal import SweepJournal
@@ -227,8 +228,8 @@ class SweepRunner:
             raise ConfigError(f"jobs must be at least 1: {jobs}")
         if retries < 0:
             raise ConfigError(f"retries cannot be negative: {retries}")
-        if point_timeout_s is not None and point_timeout_s <= 0:
-            raise ConfigError(f"point timeout must be positive: {point_timeout_s}")
+        if point_timeout_s is not None and not 0 < point_timeout_s < math.inf:
+            raise ConfigError(f"point timeout must be finite and positive: {point_timeout_s}")
         if resume and journal_dir is None:
             raise ConfigError("--resume needs a journal directory")
         self.grid = grid
@@ -389,10 +390,14 @@ class SweepRunner:
                     ),
                 )
                 return
-            parsed = json.loads(encoded)
-            value = decode_value(parsed)
+            value = decode_value(json.loads(encoded))
             if self.cache is not None:
-                self.cache.put(key, parsed, point=point, meta={"wall_s": wall_s})
+                try:
+                    self.cache.put(key, value, point=point, meta={"wall_s": wall_s})
+                except ParseError:
+                    # Not storable (a snapshot value outside int64): the
+                    # point still reports, it is just never a cache hit.
+                    pass
             if journal is not None:
                 # Write-ahead of the *report*, behind the execution: the
                 # line is durable before the outcome is observable, so a

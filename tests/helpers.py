@@ -43,6 +43,12 @@ def result_fields(result):
     return {f.name: getattr(result, f.name) for f in fields(result)}
 
 
+def cache_files(cache):
+    """Every file under a :class:`~repro.sweep.cache.ResultCache`'s
+    root, sorted: its entries and any temporary file a write left."""
+    return sorted(path for path in cache.root.rglob("*") if path.is_file())
+
+
 def write_frequency(region, max_nr_accesses):
     """A :class:`~repro.monitor.snapshot.RegionSnapshot`'s write
     frequency as a fraction of the sampling checks."""

@@ -462,9 +462,22 @@ class TestNumericFlagsChecked:
              "--checkpoint-every"),
             (["fleet", "-n", "2", "--checkpoint", "OUT", "--checkpoint-every", "x"],
              "--checkpoint-every"),
+            (["--time-scale", "nan", "run", "parsec3/swaptions"], "--time-scale"),
+            (["--time-scale", "inf", "run", "parsec3/swaptions"], "--time-scale"),
+            (["--time-scale", "-1", "sweep", "--workloads", "parsec3/swaptions"], "--time-scale"),
+            (["--time-scale", "nan", "sweep", "--workloads", "parsec3/swaptions"], "--time-scale"),
+            (["--tier-scale", "0", "run", "parsec3/swaptions"], "--tier-scale"),
+            (["--tier-scale", "inf", "fleet", "-n", "2"], "--tier-scale"),
+            (["sweep", "--workloads", "parsec3/swaptions", "--seeds", "-3"], "--seeds"),
+            (["sweep", "--workloads", "parsec3/swaptions", "--seeds", "0,x"], "--seeds"),
+            (["sweep", "--grid", "fig3", "-j", "2", "--point-timeout", "nan"], "--point-timeout"),
+            (["sweep", "--grid", "fig3", "-j", "2", "--point-timeout", "0"], "--point-timeout"),
         ],
         ids=["run-seed", "fleet-seed", "shards", "fleet-jobs", "sweep-jobs",
-             "checkpoint-every", "checkpoint-every-not-int"],
+             "checkpoint-every", "checkpoint-every-not-int", "time-scale-nan",
+             "time-scale-inf", "sweep-time-scale-negative", "sweep-time-scale-nan",
+             "tier-scale-zero", "fleet-tier-scale-inf", "sweep-seeds-negative",
+             "sweep-seeds-not-int", "point-timeout-nan", "point-timeout-zero"],
     )
     def test_rejected(self, argv, flag, tmp_path, monkeypatch, capsys):
         def forbidden(args):

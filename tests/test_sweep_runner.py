@@ -59,6 +59,11 @@ class TestSerialExecution:
         with pytest.raises(ConfigError):
             SweepRunner(square_grid, jobs=0)
 
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_point_timeout_must_be_finite_and_positive(self, square_grid, timeout):
+        with pytest.raises(ConfigError, match="finite and positive"):
+            SweepRunner(square_grid, point_timeout_s=timeout)
+
 
 class TestCacheResume:
     def test_second_run_fully_cached(self, square_grid, tmp_path, monkeypatch):
