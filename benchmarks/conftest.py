@@ -2,7 +2,9 @@
 
 Every benchmark regenerates one of the paper's tables or figures and
 writes the rows/series to ``benchmarks/out/<name>.txt`` (also echoed to
-stdout, visible with ``pytest -s``).
+stdout, visible with ``pytest -s``).  Those committed files are made at
+the default scale; a run at any other ``REPRO_BENCH_SCALE`` writes to
+``benchmarks/out/scale-<value>/`` instead, which git ignores.
 
 Scale knobs (environment variables):
 
@@ -28,10 +30,13 @@ from pathlib import Path
 
 import pytest
 
-OUT_DIR = Path(__file__).parent / "out"
-
 #: Default time scale for workload durations.
-SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.15"))
+DEFAULT_SCALE = 0.15
+SCALE = float(os.environ.get("REPRO_BENCH_SCALE", str(DEFAULT_SCALE)))
+#: Report directory: the committed outputs at the default scale only.
+OUT_DIR = Path(__file__).parent / "out"
+if SCALE != DEFAULT_SCALE:
+    OUT_DIR = OUT_DIR / f"scale-{SCALE:g}"
 #: Full grids instead of representative subsets.
 FULL = os.environ.get("REPRO_BENCH_FULL", "0") == "1"
 #: Worker processes for sweep-based benchmarks.
@@ -54,7 +59,7 @@ def effective_scale(spec, min_duration_s: float = MIN_DURATION_S) -> float:
 
 
 class BenchReport:
-    """Collects lines and writes them to benchmarks/out/<name>.txt."""
+    """Collects lines and writes them to ``OUT_DIR/<name>.txt``."""
 
     def __init__(self, name: str):
         self.name = name

@@ -35,7 +35,8 @@ Exit codes are a contract:
 
 * **0** — success;
 * **1** — the command ran and found a problem: a sweep with failed
-  points, or error-severity findings from ``lint`` or ``run --schemes``;
+  points, error-severity findings from ``lint`` or ``run --schemes``,
+  or a reader that closed stdout before the command finished writing;
 * **2** — a usage error: argparse rejected the command line, or a
   :class:`~repro.errors.DaosError` (bad workload, config, flag
   combination, unreadable input, output file in a missing directory,
@@ -87,22 +88,23 @@ from .workloads.registry import all_workloads
 __all__ = ["main", "build_parser"]
 
 
-def _int_at_least(minimum: int):
-    """An argparse ``type=`` for an integer flag: below ``minimum`` is a
-    usage error (exit 2) before any simulation starts."""
-    def parse(text: str) -> int:
-        if int(text) < minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text}")
-        return int(text)
-    parse.__name__ = "int"  # argparse's "invalid int value" message
+def _checked(cast, accept, wanted: str):
+    """An argparse ``type=``: a value ``accept`` refuses (NaN fails every
+    comparison) is a usage error (exit 2) before any simulation starts."""
+    def parse(text: str):
+        if not accept(cast(text)):
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text}")
+        return cast(text)
+    parse.__name__ = cast.__name__  # argparse's "invalid int value" message
     return parse
 
 
-def _positive_float(text: str) -> float:
-    """An argparse ``type=``: a float flag must be finite and positive."""
-    if not 0 < float(text) < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
-    return float(text)
+def _int_at_least(minimum: int):
+    return _checked(int, lambda n: n >= minimum, f"at least {minimum}")
+
+
+_positive_float = _checked(float, lambda x: 0 < x < math.inf, "finite and positive")
+_unit_float = _checked(float, lambda x: 0 <= x <= 1, "in [0, 1]")
 
 
 def _seed_list(text: str) -> list:
@@ -110,7 +112,7 @@ def _seed_list(text: str) -> list:
     return [_int_at_least(0)(seed) for seed in text.split(",") if seed.strip()]
 
 
-_positive_float.__name__, _seed_list.__name__ = "float", "comma-separated int"
+_seed_list.__name__ = "comma-separated int"
 
 
 def _option_group() -> argparse.ArgumentParser:
@@ -144,9 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
         "migrate_hot/migrate_cold actions",
     )
     parser.add_argument(
-        "--tier-scale",
-        type=_positive_float,
-        default=1.0,
+        "--tier-scale", type=_positive_float, default=1.0,
         help="scale the slow tier's capacity (with --tier)",
     )
     parser.add_argument(
@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_report.add_argument("--pgm", help="also export a record's heatmap as a PGM image")
     p_report.add_argument(
-        "--min-freq", type=float, default=0.05, help="a record's working-set frequency floor"
+        "--min-freq", type=_unit_float, default=0.05, help="a record's working-set frequency floor"
     )
 
     p_tune = sub.add_parser(
@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[trace_opt, faults_opt],
     )
     p_tune.add_argument("workload")
-    p_tune.add_argument("-n", "--samples", type=int, default=10)
+    p_tune.add_argument("-n", "--samples", type=_int_at_least(2), default=10)
 
     p_sweep = sub.add_parser(
         "sweep",
@@ -749,6 +749,8 @@ def _cmd_sweep(args) -> int:
         trace=supervisor_bus,
     )
     report = runner.run()
+    if args.out:  # before the tables: a reader that stops early keeps the file
+        Path(args.out).write_text(report.canonical_json() + "\n")
     sys.stderr.write("\n")
     print(
         f"{report.n_total} points: {report.n_cached} cached, "
@@ -775,7 +777,6 @@ def _cmd_sweep(args) -> int:
         print()
         print(summarize(report))
     if args.out:
-        Path(args.out).write_text(report.canonical_json() + "\n")
         print(f"report written to {args.out}")
     if report.watchdog_failures():
         # The distinct exit code scripts key on: points died to the
@@ -966,10 +967,19 @@ def main(argv=None) -> int:
         if getattr(args, "checkpoint_every", 0) and not args.checkpoint:
             raise ConfigError("--checkpoint-every needs --checkpoint FILE")
         _check_output_dirs(args)
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed reader surfaces here, not at exit
+        return code
     except DaosError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code(exc)
+    except BrokenPipeError:
+        # The reader closed stdout (``daos ... | head -1``).  Point fd 1 at
+        # devnull so the interpreter's final flush cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
 """Performance subsystem: the deterministic profiling harness.
 
-:mod:`repro.perf.profiler` — per-layer operation/estimated-cost counters
-riding the trace bus, surfaced as ``daos run --profile FILE``.
+:mod:`repro.perf.profiler` — the run's own cost ledger filed by layer,
+surfaced as ``daos run --profile FILE``.
 """
 
-from .profiler import PerfProfiler, profile_run
+from .profiler import profile_run
 
-__all__ = ["PerfProfiler", "profile_run"]
+__all__ = ["profile_run"]

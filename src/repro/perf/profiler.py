@@ -1,124 +1,99 @@
-"""Deterministic per-layer profiling over the trace bus.
+"""Per-layer profile of one run, read off the run's own cost ledger.
 
-The :class:`PerfProfiler` is a plain bus subscriber: it files every
-event under the layer its class declares (monitor / schemes / kernel /
-tuner / faults / recovery / sweep) and rolls up three columns per layer —
+A run charges every modelled microsecond into its
+:class:`~repro.sim.metrics.RuntimeBreakdown` and counts faults, swap,
+tier moves, monitor checks and scheme applications beside it; the
+:class:`~repro.runner.results.RunResult` carries that ledger, and
+:func:`profile_run` files it by the layer that paid:
 
-* **events** — events observed,
-* **ops** — the domain operations those events stand for (access checks,
-  evicted pages, promoted chunks, ...), taken from the payload field the
-  event class names as its ``ops_field``,
-* **est_cost_us** — estimated CPU microseconds for the operations with a
-  cost formula in :class:`~repro.sim.costs.CostModel` (monitor checks,
-  THP allocations, fault handling); layers without a formula report 0.
+* **modelled_us** — the breakdown components the layer pays, each also
+  listed by name: ``compute_us`` under ``workload``; memory stall, fault
+  service, swap-out, THP allocation and tier migration under ``kernel``;
+  monitor interference under ``monitor``;
+* **counters** — fault, swap and tier counts under ``kernel``; checks,
+  CPU and CPU share under ``monitor``; the summed scheme stats under
+  ``schemes``;
+* **events** — the trace bus's count of the events the layer emitted,
+  filed by the ``layer`` each event class declares.
 
-Everything is a pure function of the event stream, so two same-seed runs
-produce byte-identical reports; the only volatile figure (host wall
-clock) is quarantined in a separate ``volatile`` section by
-:func:`profile_run`.
+``profile.modelled_total_us`` sums the breakdown in its declared order,
+the sum :meth:`~repro.sim.metrics.RuntimeBreakdown.total_us` makes, so
+it equals ``runtime_us`` to the last digit.  Nothing subscribes to the
+bus: a profiled run takes the plain run's code path.  The report is
+deterministic for a fixed set of run parameters; the host wall clock is
+quarantined under ``volatile``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import fields
+from typing import Any, Dict, Tuple
 
 from ..runner.experiment import run_experiment
-from ..sim.costs import CostModel
-from ..trace.bus import TraceBus
-from ..trace.events import TraceEvent, event_payload
+from ..runner.results import RunResult
+from ..sim.metrics import RuntimeBreakdown
+from ..trace.events import EVENT_TYPES
 
-__all__ = ["PerfProfiler", "profile_run"]
+__all__ = ["profile_run"]
 
-class PerfProfiler:
-    """Per-layer op/cost counters riding a :class:`TraceBus`.
-
-    Subscribe with ``bus.subscribe_all(profiler)`` (or
-    :meth:`attach`); read the roll-up with :meth:`report`.
-    """
-
-    def __init__(self, costs: Optional[CostModel] = None):
-        self.costs = costs if costs is not None else CostModel()
-        self._events: Dict[str, int] = {}
-        self._ops: Dict[str, int] = {}
-        self._cost_us: Dict[str, float] = {}
-        # Last-seen lifetime fault counters from EpochEnd, for deltas.
-        self._seen_major = 0
-        self._seen_minor = 0
-
-    def attach(self, bus: TraceBus) -> "PerfProfiler":
-        """Subscribe to every event on ``bus``; returns self."""
-        bus.subscribe_all(self)
-        return self
-
-    # -- subscriber entry point ----------------------------------------
-    def __call__(self, event: TraceEvent) -> None:
-        kind = event.kind
-        layer = event.layer
-        payload = event_payload(event)
-        ops = int(payload[event.ops_field]) if event.ops_field is not None else 1
-        self._events[layer] = self._events.get(layer, 0) + 1
-        self._ops[layer] = self._ops.get(layer, 0) + ops
-        cost = self._estimate_cost_us(kind, payload)
-        if cost:
-            self._cost_us[layer] = self._cost_us.get(layer, 0.0) + cost
-
-    def _estimate_cost_us(self, kind: str, payload: Dict[str, Any]) -> float:
-        if kind == "AccessSampled":
-            return self.costs.monitor_check_cost_us(
-                int(payload["checked"]), wakeups=1
-            )
-        if kind == "ThpPromotion":
-            return self.costs.thp_alloc_cost_us(int(payload["promoted_chunks"]))
-        if kind == "EpochEnd":
-            # EpochEnd carries *lifetime* fault counters; charge deltas.
-            major = int(payload.get("major_faults", 0))
-            minor = int(payload.get("minor_faults", 0))
-            cost = self.costs.major_fault_overhead_us(
-                max(0, major - self._seen_major)
-            ) + self.costs.minor_fault_cost_us(max(0, minor - self._seen_minor))
-            self._seen_major = max(self._seen_major, major)
-            self._seen_minor = max(self._seen_minor, minor)
-            return cost
-        if kind == "TuneStep":
-            return float(payload.get("runtime_us", 0.0))
-        return 0.0
-
-    # -- reporting ------------------------------------------------------
-    def report(self) -> Dict[str, Any]:
-        """Deterministic per-layer roll-up (sorted keys, rounded costs)."""
-        layers = {}
-        for layer in sorted(set(self._events)):
-            layers[layer] = {
-                "events": self._events.get(layer, 0),
-                "ops": self._ops.get(layer, 0),
-                "est_cost_us": round(self._cost_us.get(layer, 0.0), 3),
-            }
-        total_cost = round(sum(self._cost_us.values()), 3)
-        return {
-            "layers": layers,
-            "total_events": sum(self._events.values()),
-            "total_est_cost_us": total_cost,
-        }
+#: The layer that pays each :class:`RuntimeBreakdown` component.
+_PAYER = {
+    "compute_us": "workload",
+    "memory_stall_us": "kernel",
+    "major_fault_us": "kernel",
+    "minor_fault_us": "kernel",
+    "swapout_us": "kernel",
+    "thp_alloc_us": "kernel",
+    "monitor_interference_us": "monitor",
+    "tier_migration_us": "kernel",
+}
+#: The kernel's fault, swap and tier counters in ``RunResult.breakdown``.
+_KERNEL_COUNTERS = (
+    "major_faults",
+    "minor_faults",
+    "pages_swapped_out",
+    "pages_swapped_in",
+    "pages_written_back",
+    "pages_demoted",
+    "pages_promoted",
+)
+_SCHEME_STATS = ("nr_tried", "sz_tried", "nr_applied", "sz_applied")
 
 
-def profile_run(
-    workload: str, *, costs: Optional[CostModel] = None, **run_kwargs
-) -> Tuple[Dict[str, Any], Any]:
-    """Run one experiment under the profiler; return ``(report, result)``.
+def _layers(result: RunResult) -> Dict[str, Dict[str, Any]]:
+    """The run's ledger filed by layer (see the module docstring)."""
+    layers: Dict[str, Dict[str, Any]] = {}
+
+    def layer(name: str) -> Dict[str, Any]:
+        return layers.setdefault(name, {"modelled_us": 0.0, "events": 0})
+
+    for f in fields(RuntimeBreakdown):
+        paid = layer(_PAYER[f.name])
+        paid[f.name] = result.breakdown[f.name]
+        paid["modelled_us"] += result.breakdown[f.name]
+    layer("kernel").update({name: result.breakdown[name] for name in _KERNEL_COUNTERS})
+    layer("monitor").update(
+        monitor_checks=result.monitor_checks,
+        monitor_cpu_us=result.monitor_cpu_us,
+        cpu_share=result.monitor_cpu_share,
+    )
+    stats = result.scheme_stats.values()
+    layer("schemes").update({s: sum(st[s] for st in stats) for s in _SCHEME_STATS})
+    for kind, n in (result.trace_summary or {}).get("counts", {}).items():
+        layer(EVENT_TYPES[kind].layer)["events"] += n
+    return layers
+
+
+def profile_run(workload: str, **run_kwargs) -> Tuple[Dict[str, Any], RunResult]:
+    """Run one experiment and profile its ledger; return ``(report, result)``.
 
     ``run_kwargs`` go to :func:`~repro.runner.experiment.run_experiment`
-    unchanged (config, machine, seed, time scale, tier, faults, ...: see
-    :class:`~repro.runner.experiment.ExperimentRun`); a ``trace`` bus
-    among them carries the profiler beside its own subscribers.
-    ``costs`` prices the profile, not the run.  The report's top level
-    is deterministic for a fixed set of run parameters; host-dependent
-    figures live under the ``volatile`` key only.
+    unchanged (config, machine, seed, time scale, tier, faults, trace
+    bus, checkpoint, ...), so ``result`` is the one a plain run returns.
+    The report's top level is deterministic for a fixed set of run
+    parameters; host-dependent figures live under ``volatile`` only.
     """
-    bus = run_kwargs.pop("trace", None)
-    if bus is None:
-        bus = TraceBus(ring_capacity=0)
-    profiler = PerfProfiler(costs=costs).attach(bus)
-    result = run_experiment(workload, trace=bus, **run_kwargs)
+    result = run_experiment(workload, **run_kwargs)
     report: Dict[str, Any] = {
         "workload": result.workload,
         "config": result.config,
@@ -127,12 +102,13 @@ def profile_run(
         # ExperimentRun's default: a RunResult does not carry its scale.
         "time_scale": run_kwargs.get("time_scale", 1.0),
         "runtime_us": result.runtime_us,
-        "monitor": {
-            "checks": result.monitor_checks,
-            "cpu_share": round(result.monitor_cpu_share, 6),
+        "profile": {
+            "layers": _layers(result),
+            "modelled_total_us": sum(
+                result.breakdown[f.name] for f in fields(RuntimeBreakdown)
+            ),
         },
-        "profile": profiler.report(),
-        "events": dict(sorted(bus.summary().counts.items())),
+        "events": (result.trace_summary or {}).get("counts", {}),
         "volatile": {"wall_clock_us": result.wall_clock_us},
     }
     return report, result

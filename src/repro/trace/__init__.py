@@ -13,7 +13,7 @@ a seeded run's trace is byte-identical across invocations and the
 stream is monotone in simulation time by construction.
 """
 
-from .aggregate import EventCounter, FieldHistogram, FieldSum, TraceSummary
+from .aggregate import EventCounter, FieldHistogram, TraceSummary
 from .bus import Subscriber, TraceBus
 from .events import (
     EVENT_TYPES,
@@ -65,7 +65,6 @@ __all__ = [
     "TraceSummary",
     "EventCounter",
     "FieldHistogram",
-    "FieldSum",
     "JsonlTraceSink",
     "encode_event",
     "decode_event",

@@ -19,7 +19,7 @@ from typing import Any, Callable, Dict, Optional
 
 from .events import TraceEvent, event_payload
 
-__all__ = ["TraceSummary", "EventCounter", "FieldHistogram", "FieldSum"]
+__all__ = ["TraceSummary", "EventCounter", "FieldHistogram"]
 
 
 @dataclass(frozen=True)
@@ -76,36 +76,6 @@ class EventCounter:
     def total(self) -> int:
         """Events counted so far."""
         return sum(self.counts.values())
-
-
-class FieldSum:
-    """Running sum (and count) over one numeric event field.
-
-    The cheapest reducer: where :class:`FieldHistogram` keeps a
-    distribution, this keeps only the total — enough for throughput
-    and cost roll-ups (e.g. total ``checked`` across ``AccessSampled``
-    events) without per-event allocation.
-    """
-
-    def __init__(self, field_name: str) -> None:
-        self.field_name = field_name
-        self.n_values = 0
-        self.total = 0.0
-
-    def __call__(self, event: TraceEvent) -> None:
-        """Accumulate the event's field value (subscriber entry point)."""
-        value = event_payload(event).get(self.field_name)
-        if value is None:
-            return
-        self.n_values += 1
-        self.total += float(value)
-
-    @property
-    def mean(self) -> float:
-        """Arithmetic mean of the recorded values (0.0 when empty)."""
-        if not self.n_values:
-            return 0.0
-        return self.total / self.n_values
 
 
 class FieldHistogram:

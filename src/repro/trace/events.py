@@ -23,7 +23,7 @@ payload field (:attr:`EpochEnd.epoch_end_us`).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, ClassVar, Dict, Optional, Type
+from typing import Any, ClassVar, Dict, Type
 
 __all__ = [
     "TraceEvent",
@@ -53,15 +53,13 @@ __all__ = [
 EVENT_TYPES: Dict[str, Type["TraceEvent"]] = {}
 
 
-def _register(layer: str, ops_field: Optional[str] = None):
+def _register(layer: str):
     """Class decorator adding the event type to :data:`EVENT_TYPES`,
-    declaring its :attr:`~TraceEvent.layer` and
-    :attr:`~TraceEvent.ops_field` on the way."""
+    declaring its :attr:`~TraceEvent.layer` on the way."""
 
     def register(cls: Type["TraceEvent"]) -> Type["TraceEvent"]:
         cls.kind = cls.__name__
         cls.layer = layer
-        cls.ops_field = ops_field
         EVENT_TYPES[cls.kind] = cls
         return cls
 
@@ -77,9 +75,6 @@ class TraceEvent:
     #: The layer that emits the event.  Registration requires one, so a
     #: profile never files an event under a catch-all.
     layer: ClassVar[str] = ""
-    #: Payload field counting the domain operations one event stands for
-    #: (access checks, evicted pages, ...); ``None`` = one op per event.
-    ops_field: ClassVar[Optional[str]] = None
 
     #: Simulation time of emission, in microseconds.  Never wall time.
     time_us: int
@@ -93,7 +88,7 @@ def event_payload(event: TraceEvent) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 # Monitor events
 # ----------------------------------------------------------------------
-@_register("monitor", ops_field="checked")
+@_register("monitor")
 @dataclass(frozen=True, slots=True)
 class AccessSampled(TraceEvent):
     """One monitor sampling tick: the pending sample pages were checked.
@@ -112,7 +107,7 @@ class AccessSampled(TraceEvent):
     write_hits: int = 0
 
 
-@_register("monitor", ops_field="nr_regions")
+@_register("monitor")
 @dataclass(frozen=True, slots=True)
 class RegionsAggregated(TraceEvent):
     """One aggregation interval closed: counters published, regions
@@ -133,7 +128,7 @@ class RegionsAggregated(TraceEvent):
 # ----------------------------------------------------------------------
 # Schemes-engine events
 # ----------------------------------------------------------------------
-@_register("schemes", ops_field="bytes_applied")
+@_register("schemes")
 @dataclass(frozen=True, slots=True)
 class SchemeApplied(TraceEvent):
     """One scheme finished an engine pass with at least one matching
@@ -151,7 +146,7 @@ class SchemeApplied(TraceEvent):
     bytes_applied: int
 
 
-@_register("schemes", ops_field="charged_bytes")
+@_register("schemes")
 @dataclass(frozen=True, slots=True)
 class QuotaCharged(TraceEvent):
     """A scheme's charge quota absorbed one application's cost."""
@@ -178,7 +173,7 @@ class WatermarkTransition(TraceEvent):
 # ----------------------------------------------------------------------
 # Kernel events
 # ----------------------------------------------------------------------
-@_register("kernel", ops_field="evicted_pages")
+@_register("kernel")
 @dataclass(frozen=True, slots=True)
 class ReclaimPass(TraceEvent):
     """One LRU reclaim pass (pressure- or allocation-triggered)."""
@@ -209,7 +204,7 @@ class TierMigration(TraceEvent):
     trigger: str
 
 
-@_register("kernel", ops_field="promoted_chunks")
+@_register("kernel")
 @dataclass(frozen=True, slots=True)
 class ThpPromotion(TraceEvent):
     """Huge-page promotions performed (madvise or khugepaged path)."""
@@ -222,7 +217,7 @@ class ThpPromotion(TraceEvent):
     swapped_in_pages: int
 
 
-@_register("kernel", ops_field="paged_out_pages")
+@_register("kernel")
 @dataclass(frozen=True, slots=True)
 class PageoutBatch(TraceEvent):
     """An explicit PAGEOUT (scheme action / madvise) reclaimed a range."""

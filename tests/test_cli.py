@@ -3,6 +3,8 @@
 import inspect
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -472,12 +474,19 @@ class TestNumericFlagsChecked:
             (["sweep", "--workloads", "parsec3/swaptions", "--seeds", "0,x"], "--seeds"),
             (["sweep", "--grid", "fig3", "-j", "2", "--point-timeout", "nan"], "--point-timeout"),
             (["sweep", "--grid", "fig3", "-j", "2", "--point-timeout", "0"], "--point-timeout"),
+            (["report", "f.rec", "--min-freq", "nan"], "--min-freq"),
+            (["report", "f.rec", "--min-freq", "-1"], "--min-freq"),
+            (["report", "f.rec", "--min-freq", "1.5"], "--min-freq"),
+            (["tune", "parsec3/swaptions", "-n", "0"], "-n/--samples"),
+            (["tune", "parsec3/swaptions", "-n", "1"], "-n/--samples"),
         ],
         ids=["run-seed", "fleet-seed", "shards", "fleet-jobs", "sweep-jobs",
              "checkpoint-every", "checkpoint-every-not-int", "time-scale-nan",
              "time-scale-inf", "sweep-time-scale-negative", "sweep-time-scale-nan",
              "tier-scale-zero", "fleet-tier-scale-inf", "sweep-seeds-negative",
-             "sweep-seeds-not-int", "point-timeout-nan", "point-timeout-zero"],
+             "sweep-seeds-not-int", "point-timeout-nan", "point-timeout-zero",
+             "min-freq-nan", "min-freq-negative", "min-freq-above-one",
+             "tune-samples-zero", "tune-samples-one"],
     )
     def test_rejected(self, argv, flag, tmp_path, monkeypatch, capsys):
         def forbidden(args):
@@ -536,3 +545,44 @@ class TestExitCodes:
             "BAD_SCHEMES": str(bad_schemes),
         }
         assert _exit_code([paths.get(a, a) for a in argv]) == code
+
+
+class TestClosedStdout:
+    """``daos ... | head -1``: a reader that goes away ends the verb with
+    exit 1 (README "Exit codes") and no traceback, and a file the verb
+    writes is written in full.  The child's stdout is a pipe whose read
+    end is closed before the child's first line: the verbs print only
+    after simulating, so the broken pipe is certain, where a reader that
+    leaves after some lines races the child's remaining writes."""
+
+    @staticmethod
+    def _daos(argv, cwd, *, close_stdout):
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "--time-scale", "0.02", *argv],
+            cwd=cwd,
+            env={"PYTHONPATH": str(REPO / "src")},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        if close_stdout:
+            child.stdout.close()
+            child.stdout = None
+        _, err = child.communicate(timeout=300)
+        return child.returncode, err.decode()
+
+    def test_run(self, tmp_path):
+        code, err = self._daos(
+            ["run", "parsec3/swaptions", "-c", "rec"], tmp_path, close_stdout=True
+        )
+        assert "Traceback" not in err and "Exception ignored" not in err, err
+        assert code == 1
+
+    def test_sweep_writes_out_first(self, tmp_path):
+        argv = ["sweep", "--workloads", "parsec3/swaptions", "--configs", "baseline,rec",
+                "--no-cache", "--out"]
+        code, err = self._daos([*argv, "closed.json"], tmp_path, close_stdout=True)
+        assert "Traceback" not in err and "Exception ignored" not in err, err
+        assert code == 1
+        assert self._daos([*argv, "intact.json"], tmp_path, close_stdout=False)[0] == 0
+        closed = (tmp_path / "closed.json").read_bytes()
+        assert closed == (tmp_path / "intact.json").read_bytes()
