@@ -177,16 +177,18 @@ fleet-smoke:
 	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli --seed 42 fleet -n 10000 --out /tmp/daos-fleet-b.json
 	cmp /tmp/daos-fleet-a.json /tmp/daos-fleet-b.json
 	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli --seed 42 fleet -n 10000 --duration 180 \
-		--faults examples/faults/fleet.toml --out /tmp/daos-fleet-chaos-a.json
+		--faults examples/faults/fleet-10k.toml --out /tmp/daos-fleet-chaos-a.json
 	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli --seed 42 fleet -n 10000 --duration 180 \
-		--faults examples/faults/fleet.toml --out /tmp/daos-fleet-chaos-b.json
+		--faults examples/faults/fleet-10k.toml --out /tmp/daos-fleet-chaos-b.json
 	cmp /tmp/daos-fleet-chaos-a.json /tmp/daos-fleet-chaos-b.json
+	! grep -q '"reclaim_passes":0,' /tmp/daos-fleet-chaos-a.json \
+		|| { echo "fleet chaos run never reached the pressure pass" >&2; exit 1; }
 	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli --seed 42 fleet -n 2000 --duration 120 \
 		--shards 4 -j 2 --out /tmp/daos-fleet-sharded-a.json
 	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli --seed 42 fleet -n 2000 --duration 120 \
 		--shards 4 --out /tmp/daos-fleet-sharded-b.json
 	cmp /tmp/daos-fleet-sharded-a.json /tmp/daos-fleet-sharded-b.json
-	@echo "fleet smoke: byte-identical under the sanitizer, with and without the chaos plan; pool == serial"
+	@echo "fleet smoke: byte-identical under the sanitizer, with and without the chaos plan (which reaches the pressure pass); pool == serial"
 
 # Crash-recovery proof from the CLI (the tier-1 property tests do the
 # arbitrary-epoch and SIGKILL versions): a checkpointed fleet resumed
@@ -197,8 +199,12 @@ fleet-smoke:
 # Then a genuinely interrupted pooled sweep: SIGKILLed 1.5 s in
 # (mid-grid on a 2-CPU host; no chance to clean up), --resume replays
 # the journaled points and runs the rest, and the report must match an
-# uninterrupted one wherever the kill landed.  Last, a faulted fleet checkpointed mid-run must resume
-# onto the uninterrupted digest.
+# uninterrupted one wherever the kill landed.  Then a faulted fleet
+# checkpointed mid-run, whose chaos plan must reach the pressure pass,
+# must resume onto the uninterrupted digest.  Last, the checkpoint
+# format from the CLI: a daos-ckpt-v1 file exits 4 with one error line
+# naming its format, and the pinned v2 run fixture (another tree's code
+# version) resumes with --allow-version-skew.
 resume-smoke:
 	rm -rf /tmp/daos-resume-smoke && mkdir -p /tmp/daos-resume-smoke
 	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli --seed 42 fleet -n 500 \
@@ -230,12 +236,19 @@ resume-smoke:
 		--cache-dir /tmp/daos-resume-smoke/resumed-cache --out /tmp/daos-resume-smoke/kill-resumed.json
 	cmp /tmp/daos-resume-smoke/kill-ref.json /tmp/daos-resume-smoke/kill-resumed.json
 	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli --seed 42 fleet -n 500 --duration 180 \
-		--faults examples/faults/fleet.toml --checkpoint /tmp/daos-resume-smoke/chaos.ckpt \
+		--faults examples/faults/fleet-500.toml --checkpoint /tmp/daos-resume-smoke/chaos.ckpt \
 		--out /tmp/daos-resume-smoke/chaos-full.json
+	! grep -q '"reclaim_passes":0,' /tmp/daos-resume-smoke/chaos-full.json \
+		|| { echo "fleet chaos run never reached the pressure pass" >&2; exit 1; }
 	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli resume /tmp/daos-resume-smoke/chaos.ckpt \
 		--out /tmp/daos-resume-smoke/chaos-resumed.json
 	cmp /tmp/daos-resume-smoke/chaos-full.json /tmp/daos-resume-smoke/chaos-resumed.json
-	@echo "resume smoke: checkpoint and journal replay are byte-identical"
+	$(PYTHON) -m repro.cli resume tests/fixtures/parent-run.ckpt \
+		2> /tmp/daos-resume-smoke/v1.err; test $$? -eq 4
+	test "$$(grep -c '^error:' /tmp/daos-resume-smoke/v1.err)" -eq 1
+	grep -q '^error:.*daos-ckpt-v1' /tmp/daos-resume-smoke/v1.err
+	$(PYTHON) -m repro.cli resume --allow-version-skew tests/fixtures/parent-run-v2.ckpt
+	@echo "resume smoke: checkpoint and journal replay are byte-identical; v1 files are refused"
 
 # What CI gates a PR on, runnable locally, cheapest first.
 ci: lint test test-sanitize sanitize-smoke sweep-smoke trace-smoke chaos-smoke tiering-smoke bench-smoke bench-e2e-smoke fleet-smoke resume-smoke

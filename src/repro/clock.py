@@ -159,16 +159,17 @@ class EventQueue:
         self._schedule(when, fire, event)
         return event
 
-    def pending_periodics(self) -> List[Tuple[str, int, int]]:
-        """Snapshot the pending heap as ``(name, next_fire, period)`` rows.
+    def pending_events(self) -> List[Tuple[PeriodicEvent, int]]:
+        """Snapshot the pending heap as ``(handle, next_fire)`` pairs.
 
-        Rows come back in dispatch order — ``(when, rank, seq)`` — so
-        replaying them through :meth:`schedule_periodic` with ``first_at``
-        restores identical same-instant tie-breaking.  Cancelled entries are
-        skipped; a pending *one-shot* entry has no handle to re-register
-        from, so checkpointing with one in flight is an error.
+        Pairs come back in dispatch order — ``(when, rank, seq)`` — so
+        re-registering them through :meth:`schedule_periodic` with
+        ``first_at`` restores identical same-instant tie-breaking.
+        Cancelled entries are skipped; a pending *one-shot* entry has no
+        handle to re-register from, so checkpointing with one in flight
+        is an error.
         """
-        rows: List[Tuple[str, int, int]] = []
+        pairs: List[Tuple[PeriodicEvent, int]] = []
         for when, _rank, _seq, _callback, event in sorted(
             self._heap, key=lambda entry: entry[:3]
         ):
@@ -178,8 +179,8 @@ class EventQueue:
                 )
             if event.cancelled:
                 continue
-            rows.append((event.name, int(when), int(event.period)))
-        return rows
+            pairs.append((event, int(when)))
+        return pairs
 
     def run_until(self, deadline: int) -> int:
         """Dispatch events up to and including ``deadline``.

@@ -88,10 +88,6 @@ class FaultInjector:
         # Firings per spec (events emitted / opportunities taken).
         self.fire_counts: List[int] = [0] * len(plan.specs)
 
-    def bind_trace(self, trace: Optional[TraceBus]) -> None:
-        """Attach the run's trace bus (injection events land there)."""
-        self._trace = trace
-
     # ------------------------------------------------------------------
     # decision engines
     # ------------------------------------------------------------------

@@ -277,8 +277,8 @@ class FleetScheduler:
         self.peak_resident_pages = 0
         self.peak_system_bytes = 0
 
-        # Run-loop state, populated by start_loop(); kept as attributes
-        # (not locals) so the recovery codec can detach and restore them.
+        # Run-loop state, populated by start_loop(); the recovery codec
+        # pickles the queue as a reference and binds a fresh one.
         self.queue: Optional[EventQueue] = None
         self.wall_start = 0.0
 
@@ -527,6 +527,20 @@ class FleetScheduler:
         self.queue = queue
         return queue
 
+    def __getstate__(self) -> Dict[str, Any]:
+        """A checkpoint holds simulation state, so the host-time stamp
+        stays behind (:func:`~repro.recovery.codec.restore_fleet` stamps
+        the restored fleet)."""
+        state = dict(vars(self))
+        del state["wall_start"]
+        return state
+
+    def periodic_handlers(self) -> Dict[str, Any]:
+        """Periodic name → callback of what :meth:`start_loop`
+        registers; a checkpoint restore binds the re-registered handle
+        through it."""
+        return {"fleet-tick": self._tick}
+
     def run(self) -> FleetResult:
         """Drive the fleet to ``duration_us`` and freeze the result."""
         self.start_loop()
@@ -536,7 +550,6 @@ class FleetScheduler:
     def finish(self) -> FleetResult:
         """Flush per-tenant telemetry and freeze the :class:`FleetResult`."""
         cfg = self.cfg
-        wall_start = getattr(self, "wall_start", time.perf_counter())
         if self.trace is not None:
             # Per-tenant attribution rides the bus's no-materialisation
             # fast path: one bulk flush of the accumulated counters.
@@ -586,7 +599,7 @@ class FleetScheduler:
             stall_p50_us=float(np.percentile(self.stall_us, 50)),
             stall_p99_us=float(np.percentile(self.stall_us, 99)),
             stall_total_us=float(self.stall_us.sum()),
-            wall_clock_us=(time.perf_counter() - wall_start) * 1e6,
+            wall_clock_us=(time.perf_counter() - self.wall_start) * 1e6,
         )
 
 

@@ -178,25 +178,12 @@ class DataAccessMonitor:
 
     def tick_handlers(self) -> dict:
         """Periodic-name → bound-tick map, mirroring :meth:`start`'s
-        registration names.  Checkpoint restore uses it to re-register
-        the monitor's pending ticks on a fresh queue."""
+        registration names and order."""
         return {
             "sample": self.sample_tick,
             "aggregate": self.aggregate_tick,
             "update": self.regions_update_tick,
         }
-
-    def adopt_events(self, events) -> None:
-        """Adopt re-registered periodic handles after a checkpoint
-        restore.  Unlike :meth:`start` this must *not* re-derive the
-        region layout — the restored RegionArray (ages, access counts,
-        sampling addresses) is the monitor's state.  The handles are kept
-        in :meth:`start`'s order, sampling first."""
-        if self.running:
-            raise MonitorStateError("monitor already running")
-        order = list(self.tick_handlers())
-        self._events = sorted(events, key=lambda event: order.index(event.name))
-        self.running = True
 
     # ------------------------------------------------------------------
     # Region initialisation and layout updates

@@ -3,11 +3,12 @@
 Two defenses, one package (DESIGN.md §16):
 
 * :mod:`repro.recovery.codec` — a versioned, digest-stamped checkpoint
-  file format over the full simulation state: header, digest, atomic
-  write, detach/reattach of live objects, the run and fleet writers and
-  the fleet restore.  A run checkpointed at epoch *k* and resumed is
-  byte-identical to the uninterrupted run; the run side of restore
-  (:func:`~repro.runner.experiment.restore_run`) lives with the run.
+  file format over the full simulation state: header, a pickle with
+  columns and live handles by reference, a column block, atomic write,
+  the run and fleet writers, the reader and the fleet restore.  A run
+  checkpointed at epoch *k* and resumed is byte-identical to the
+  uninterrupted run; :func:`~repro.runner.experiment.restore_run` is
+  the run's entry point.
 * :mod:`repro.recovery.journal` — a write-ahead journal for sweeps and
   sharded fleet runs; ``--resume`` replays completed points and
   re-executes only in-flight ones.

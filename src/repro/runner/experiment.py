@@ -27,7 +27,6 @@ from ..recovery.codec import (
     checkpoint_run_stepping,
     read_checkpoint,
     read_checkpoint_header,
-    reattach_run,
     restore_fleet,
 )
 from ..sanitize.runtime import resolve_sanitizer
@@ -404,33 +403,22 @@ class ExperimentRun:
         self.compute_us: float = 0.0
         self.started = False
 
-    @classmethod
-    def from_parts(
-        cls,
-        *,
-        spec: WorkloadSpec,
-        host: MachineSpec,
-        guest,
-        tenant: TenantBuild,
-        injector: Optional[FaultInjector],
-        seed: int,
-        compute_us: float,
-    ) -> "ExperimentRun":
-        """Rebuild a run around already-restored components (codec path);
-        skips construction entirely — the caller wires queue and trace."""
-        run = object.__new__(cls)
-        run.wall_start = time.perf_counter()
-        run.spec = spec
-        run.host = host
-        run.guest = guest
-        run.tenant = tenant
-        run.injector = injector
-        run.trace = tenant.trace
-        run.seed = seed
-        run.queue = None
-        run.compute_us = compute_us
-        run.started = True
-        return run
+    def __getstate__(self) -> dict:
+        """A checkpoint holds simulation state, so the host-time stamp
+        stays behind (:func:`restore_run` stamps the restored run)."""
+        state = dict(vars(self))
+        del state["wall_start"]
+        return state
+
+    def periodic_handlers(self) -> Dict[str, Callable[[int], None]]:
+        """Periodic name → callback of every periodic :meth:`start`
+        registers; a checkpoint restore binds the re-registered handles
+        through it."""
+        tenant = self.tenant
+        handlers = {"khugepaged": tenant.kernel.khugepaged_scan, "epoch": self.run_one_epoch}
+        if tenant.monitor is not None:
+            handlers.update(tenant.monitor.tick_handlers())
+        return handlers
 
     def run_one_epoch(self, now: int) -> None:
         """One workload epoch: run it, then charge its costs at its end."""
@@ -529,45 +517,13 @@ def restore_run(
     same heap order, same RNG streams, same counters.  ``trace`` supplies
     an external bus; by default a fresh internal bus is created whenever
     the original run had one, and its counters are restored.  The file
-    format and the bus rewiring are :mod:`repro.recovery.codec`'s; this
-    re-registers the periodics :meth:`ExperimentRun.start` named.
+    format, the queue and the handle binding are
+    :func:`~repro.recovery.codec.read_checkpoint`'s.
     """
-    header, payload = read_checkpoint(path, kind="run", strict_version=strict_version)
-    queue, trace = reattach_run(payload, trace)
-    tenant = payload["tenant"]
-    run = ExperimentRun.from_parts(
-        spec=payload["spec"],
-        host=payload["host"],
-        guest=payload["guest"],
-        tenant=tenant,
-        injector=payload["injector"],
-        seed=payload["seed"],
-        compute_us=payload["compute_us"],
+    header, run, trace = read_checkpoint(
+        path, kind="run", strict_version=strict_version, trace=trace
     )
-    run.queue = queue
-
-    # -- rebuild the heap: every periodic back at its recorded due time,
-    #    via the stable name → callback map (the name fixes tie order).
-    handlers: Dict[str, Callable[[int], None]] = {
-        "khugepaged": tenant.kernel.khugepaged_scan,
-        "epoch": run.run_one_epoch,
-    }
-    monitor = tenant.monitor
-    monitor_events = []
-    if monitor is not None:
-        monitor.running = False
-        monitor._events = []
-        handlers.update(monitor.tick_handlers())
-    for name, due, period in payload["periodics"]:
-        callback = handlers.get(name)
-        if callback is None:
-            raise CheckpointError(f"checkpoint {path!r} names unknown periodic {name!r}")
-        event = queue.schedule_periodic(period, callback, name=name, first_at=due)
-        if monitor is not None and name in ("sample", "aggregate", "update"):
-            monitor_events.append(event)
-    if monitor is not None:
-        monitor.adopt_events(monitor_events)
-
+    run.wall_start = time.perf_counter()
     if announce:
         announce_resumed(trace, header)
     return run

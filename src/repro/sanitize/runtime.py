@@ -118,11 +118,6 @@ class SimSanitizer:
         :attr:`violations` instead.
     """
 
-    #: What :meth:`attach` handed over.  Class-level defaults, so a
-    #: sanitizer restored from a checkpoint written before ``attach``
-    #: existed reads ``None`` for what it was never given.
-    _monitor: Optional[Any] = None
-    _engine: Optional[Any] = None
     #: ``(kernel, key)`` of the keyed checkers' last clean pass.  Never
     #: pickled (``rmap_generation`` restarts at 0 in a restored process),
     #: so a restored sanitizer reads ``None`` and opens with a full pass.
@@ -139,6 +134,9 @@ class SimSanitizer:
         self.monitor_checkpoints = 0
         #: Fleet checkpoints passed (fleet scheduler ticks).
         self.fleet_checkpoints = 0
+        #: What :meth:`attach` handed over.
+        self._monitor: Optional[Any] = None
+        self._engine: Optional[Any] = None
 
     def attach(self, *, monitor: Optional[Any] = None, engine: Optional[Any] = None) -> None:
         """Hand over the run's monitor and schemes engine: the kernel

@@ -14,7 +14,9 @@ all pays one ``is None`` check per site.
 Robustness contract: a subscriber that raises is **detached and
 reported once** (collected in :attr:`TraceBus.subscriber_errors`, logged
 as a warning); it can never abort the simulation or starve the other
-subscribers of the same event.
+subscribers of the same event.  The one exception is
+:class:`BrokenPipeError`: the reader of a streamed trace is gone (``daos
+run --trace - | head -1``), so it propagates and ends the run.
 """
 
 from __future__ import annotations
@@ -217,6 +219,8 @@ class TraceBus:
         for handler in handlers:
             try:
                 handler(event)
+            except BrokenPipeError:
+                raise
             except Exception as exc:  # noqa: BLE001 — isolation is the contract
                 broken.append((handler, exc))
         for handler, exc in broken:

@@ -16,7 +16,7 @@ time-consuming even for experts" (§3.3); the runtime automates it:
 
 from .fit import TrendEstimate, estimate_trend, find_peaks
 from .runtime import AutoTuner, TuningResult
-from .sampler import SamplePlan, plan_samples
+from .sampler import SamplePlan
 from .score import ScoreFunction, default_score_function
 
 __all__ = [
@@ -28,5 +28,4 @@ __all__ = [
     "default_score_function",
     "estimate_trend",
     "find_peaks",
-    "plan_samples",
 ]

@@ -4,7 +4,8 @@ The runtime takes (§3.5 "Inputs"): the base scheme to tune, the workload
 to run, a time limit, and optionally custom metrics / a custom score
 function.  Here the workload execution is abstracted behind an
 ``evaluate`` callable so the tuner itself is pure control logic —
-``repro.runner.autotune`` wires it to real simulated runs.
+:func:`repro.runner.experiment.autotune_scheme` wires it to real
+simulated runs.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import TuningError
 
-__all__ = ["SamplePlan", "plan_samples", "nr_samples_for_budget"]
+__all__ = ["SamplePlan", "nr_samples_for_budget"]
 
 #: Share of samples used for the global exploration phase.
 GLOBAL_SHARE = 0.6
@@ -81,11 +81,3 @@ class SamplePlan:
         points = best + (self.rng.random(self.nr_local) * 2.0 - 1.0) * window
         clipped = np.clip(points, self.lo, self.hi)
         return sorted(float(p) for p in clipped)
-
-
-def plan_samples(
-    lo: float, hi: float, nr_samples: int, rng: np.random.Generator
-) -> SamplePlan:
-    """Build a :class:`SamplePlan` (thin constructor kept for symmetry
-    with :func:`nr_samples_for_budget`)."""
-    return SamplePlan(lo=lo, hi=hi, nr_samples=nr_samples, rng=rng)

@@ -577,6 +577,17 @@ class TestClosedStdout:
         assert "Traceback" not in err and "Exception ignored" not in err, err
         assert code == 1
 
+    def test_run_trace_to_stdout(self, tmp_path):
+        """``--trace -`` streams into the closed pipe mid-run: the run
+        ends there, with no detached-subscriber warning and no
+        event-count line."""
+        code, err = self._daos(
+            ["run", "parsec3/swaptions", "-c", "rec", "--trace", "-"], tmp_path, close_stdout=True
+        )
+        assert "Traceback" not in err and "Exception ignored" not in err, err
+        assert "detached" not in err and "events written" not in err, err
+        assert code == 1
+
     def test_sweep_writes_out_first(self, tmp_path):
         argv = ["sweep", "--workloads", "parsec3/swaptions", "--configs", "baseline,rec",
                 "--no-cache", "--out"]

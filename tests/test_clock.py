@@ -67,7 +67,7 @@ class TestEventQueue:
             )
         queue.run_until(40)
         assert [n for t, n in order if t == 20] == ["sample", "aggregate", "epoch"]
-        rows = queue.pending_periodics()
+        rows = [(event.name, due, event.period) for event, due in queue.pending_events()]
         assert [name for name, due, _ in rows if due == 60] == [
             "aggregate", "epoch"
         ]
@@ -208,7 +208,7 @@ class TestRunAhead:
         assert queue.run_until(75) == 3
         assert log == [(10, "b"), (20, "b"), (30, "b"), (40, "b"), (45, "shot"),
                        (50, "b"), (60, "b"), (70, "b")]
-        assert queue.pending_periodics() == [("sample", 80, 10)]
+        assert queue.pending_events() == [(handle["event"], 80)]
 
     def test_a_same_instant_tie_goes_by_rank(self):
         fired = {}

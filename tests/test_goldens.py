@@ -32,6 +32,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.clock import EventQueue
 from repro.errors import CheckpointError
 from repro.faults import FaultInjector, load_fault_plan
@@ -562,13 +563,20 @@ def fleet_chaos():
 
 
 # ----------------------------------------------------------------------
-# Checkpoints an older tree wrote.  The two files are committed once and
+# Checkpoints pinned as files.  The two v2 files are committed once and
 # never regenerated (REPRO_REGEN_GOLDEN refreshes the digests, not the
-# files), so a change that stops old state from unpickling fails here.
-# The tree at commit a8884e5 wrote both, with its code version tag
-# pinned to "a8884e5" and the sanitizer on, from the specs below paused
-# half way: the run at epoch 60 of 80 (past its first prcl pageout), the
-# fleet at tick 30 of 60.
+# files), so a change that stops pinned state from unpickling fails
+# here; a layout break bumps the format tag and re-pins them, it never
+# adds a converter.  They were written from the specs below with the
+# code version tag pinned to "daos-ckpt-v2-pin"
+# (REPRO_SWEEP_VERSION_TAG) and the sanitizer on, paused half way: the
+# run at epoch 60 of 80 (past its first prcl pageout;
+# ``run_experiment(**PARENT_RUN, sanitize=True, checkpoint=...,
+# checkpoint_every=60)``), the fleet at tick 30 of 60
+# (``checkpoint_fleet_stepping`` on ``FleetScheduler(PARENT_FLEET,
+# sanitize=True)``).  The tree at commit a8884e5 wrote the same two
+# states as daos-ckpt-v1 files; they stay to show an older format is
+# refused, not read.
 # ----------------------------------------------------------------------
 PARENT_RUN = dict(
     workload=_pressure_spec(32 * MIB, 2 * SEC, 8 * SEC),
@@ -580,9 +588,10 @@ PARENT_FLEET = FleetConfig(n_tenants=20, duration_s=60.0, arrival_window_s=10.0,
 
 #: golden case -> (checkpoint file, the uninterrupted run it resumes).
 PARENT_CHECKPOINTS = {
-    "parent-run-checkpoint": ("parent-run.ckpt", lambda: run_experiment(**PARENT_RUN)),
-    "parent-fleet-checkpoint": ("parent-fleet.ckpt", lambda: run_fleet(PARENT_FLEET)),
+    "parent-run-checkpoint": ("parent-run-v2.ckpt", lambda: run_experiment(**PARENT_RUN)),
+    "parent-fleet-checkpoint": ("parent-fleet-v2.ckpt", lambda: run_fleet(PARENT_FLEET)),
 }
+V1_CHECKPOINTS = ["parent-run.ckpt", "parent-fleet.ckpt"]
 for _name, (_file, _) in PARENT_CHECKPOINTS.items():
     CASES[_name] = lambda f=_file: (
         resume_checkpoint(str(FIXTURES / f), strict_version=False), None
@@ -637,8 +646,17 @@ def test_parent_checkpoint_resumes_to_the_uninterrupted_result(name):
 @pytest.mark.parametrize("name", list(PARENT_CHECKPOINTS))
 def test_parent_checkpoint_fails_the_strict_version_check(name):
     path = str(FIXTURES / PARENT_CHECKPOINTS[name][0])
-    with pytest.raises(CheckpointError, match="code version 'a8884e5'"):
+    with pytest.raises(CheckpointError, match="code version 'daos-ckpt-v2-pin'"):
         resume_checkpoint(path)
+
+
+@pytest.mark.parametrize("name", V1_CHECKPOINTS)
+def test_v1_checkpoint_is_refused_naming_its_format(name, capsys):
+    path = str(FIXTURES / name)
+    with pytest.raises(CheckpointError, match="daos-ckpt-v1"):
+        resume_checkpoint(path, strict_version=False)
+    assert main(["resume", path]) == 4
+    assert "daos-ckpt-v1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("pair", SAME_RESULT, ids="=".join)

@@ -18,7 +18,6 @@ import hashlib
 import json
 import multiprocessing
 import os
-import pickle
 import signal
 import subprocess
 import sys
@@ -33,7 +32,6 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import CheckpointError, ConfigError, DaosError, WatchdogTimeout
 from repro.faults import FaultPlan
 from repro.recovery import SweepJournal, checkpoint_run, read_checkpoint_header, state_digest
-from repro.monitor.snapshot import RegionSnapshot, Snapshot
 from repro.recovery import codec
 from repro.recovery.codec import CHECKPOINT_FORMAT, checkpoint_fleet_stepping
 from repro.runner import restore_run, resume_checkpoint
@@ -76,9 +74,12 @@ def fresh_run(trace=None) -> ExperimentRun:
 
 def write_unloadable_checkpoint(path: Path) -> None:
     """A well-formed checkpoint file (valid header, matching digest)
-    whose payload pickles a class no tree has: what a checkpoint written
-    before a class moved or lost a slot looks like to a later reader."""
-    blob = b"crepro.gone\nThing\n."
+    whose graph pickles a class no tree has: what a checkpoint written
+    before a class moved or lost a slot looks like to a later reader.
+    The v2 writer pickles its opening rows (no periodics, no bus)."""
+    writer = codec._Writer({})
+    writer.dump(([], None))
+    blob = writer.buffer.getvalue() + b"crepro.gone\nThing\n."
     header = {
         "format": CHECKPOINT_FORMAT,
         "kind": "run",
@@ -86,6 +87,7 @@ def write_unloadable_checkpoint(path: Path) -> None:
         "code_version": "older-tree",
         "payload_sha256": hashlib.sha256(blob).hexdigest(),
         "payload_bytes": len(blob),
+        "pickle_bytes": len(blob),
     }
     path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + blob)
 
@@ -200,36 +202,6 @@ class TestCheckpointCodec:
         assert "older-tree" in message and "reader-code" in message
         assert isinstance(info.value.__cause__, ModuleNotFoundError)
 
-    def test_row_layout_snapshots_load_as_columns(self):
-        """A payload pickled when a snapshot held ``regions`` as a tuple
-        of ``RegionSnapshot`` rows loads as the column layout, and pickles
-        again exactly like a snapshot built in this layout."""
-        rows = [(0, 4096, 5, 2, 1), (4096, 16384, 0, 9, 0)]
-
-        def row_layout(time_us, rows, max_nr):
-            snapshot = object.__new__(Snapshot)
-            regions = tuple(RegionSnapshot(*r) for r in rows)
-            vars(snapshot).update(time_us=time_us, regions=regions, max_nr_accesses=max_nr)
-            return snapshot
-
-        old = pickle.dumps(
-            {"snapshots": [row_layout(7, rows, 20), row_layout(8, [], 20)]}, protocol=4
-        )
-        assert b"RegionSnapshot" in old
-        fresh = [Snapshot.from_rows(7, rows, 20), Snapshot.from_rows(8, [], 20)]
-        again = [Snapshot.from_rows(7, rows, 20), Snapshot.from_rows(8, [], 20)]
-        # The current layout passes through unchanged.
-        current = pickle.dumps({"snapshots": again}, protocol=4)
-        for blob in (old, current):
-            loaded = codec._loads(blob)["snapshots"]
-            assert [type(s) for s in loaded] == [Snapshot, Snapshot]
-            assert loaded == fresh
-            # Pickled next to fresh snapshots, the loaded ones share their
-            # attribute-name strings, as the state digest needs.
-            assert pickle.dumps((loaded, fresh), protocol=4) == pickle.dumps(
-                (again, fresh), protocol=4
-            )
-
 
 class TestInterruptAnywhere:
     """The tentpole property: interrupt at *any* epoch, restore, and the
@@ -293,22 +265,21 @@ class TestInterruptAnywhere:
         assert ours.rng.bit_generator.state == theirs.rng.bit_generator.state
         assert ours.total_checks == theirs.total_checks
 
-    def test_monitor_pickle_carries_no_plan(self):
-        """The monitor pickles as its plain attributes, the ones every
-        earlier tree wrote, so an older checkpoint (restored with
-        ``--allow-version-skew``) loads the same way."""
-        import pickle
-
-        from repro.recovery.codec import _detached, _run_detach_pairs
-
+    def test_monitor_pickle_carries_no_plan(self, tmp_path):
+        """The monitor pickles as its plain attributes, through the
+        checkpoint writer: no lookahead plan, and its tick handles by
+        reference, bound again to live handles that call it."""
         run = fresh_run()
         monitor = run.tenant.monitor
         run.run_until(run.spec.epoch_us + 3 * monitor.attrs.sampling_interval_us)
         assert "__getstate__" not in vars(type(monitor))
-        with _detached(_run_detach_pairs(run)):
-            restored = pickle.loads(pickle.dumps(monitor))
+        path = str(tmp_path / "ck.bin")
+        checkpoint_run(run, path)
+        restored = restore_run(path, announce=False).tenant.monitor
         assert set(vars(restored)) == set(vars(monitor))
         assert "_plan" not in vars(restored)
+        assert [event.name for event in restored._events] == ["sample", "aggregate", "update"]
+        assert all(event.callback.__self__ is restored for event in restored._events)
 
 
 # ----------------------------------------------------------------------
