@@ -162,8 +162,10 @@ bench-smoke:
 bench-e2e-smoke:
 	$(PYTHON) benchmarks/e2e/run.py --smoke
 
+# Every example end to end; the first one that fails stops the target
+# with its exit status.
 examples:
-	for ex in examples/*.py; do echo "=== $$ex ==="; $(PYTHON) $$ex; done
+	for ex in examples/*.py; do echo "=== $$ex ==="; $(PYTHON) $$ex || exit 1; done
 
 # The fleet acceptance bar, locally: a seeded 10k-tenant fleet run
 # twice under the sanitizer, canonical summaries byte-identical, then
@@ -251,7 +253,7 @@ resume-smoke:
 	@echo "resume smoke: checkpoint and journal replay are byte-identical; v1 files are refused"
 
 # What CI gates a PR on, runnable locally, cheapest first.
-ci: lint test test-sanitize sanitize-smoke sweep-smoke trace-smoke chaos-smoke tiering-smoke bench-smoke bench-e2e-smoke fleet-smoke resume-smoke
+ci: lint test examples test-sanitize sanitize-smoke sweep-smoke trace-smoke chaos-smoke tiering-smoke bench-smoke bench-e2e-smoke fleet-smoke resume-smoke
 
 # One figure/table at a time, e.g. `make fig7`.
 fig%:

@@ -38,10 +38,6 @@ class StaticGridMonitor(DataAccessMonitor):
 
     def aggregate_tick(self, now: int) -> None:
         self.regions.nr_accesses[:] = self._acc
-        if self.callbacks:
-            snapshot = self.snapshot(now)
-            for callback in self.callbacks:
-                callback(snapshot)
         for raw in self.raw_callbacks:
             raw(self, now)
         self.regions.reset_counters()

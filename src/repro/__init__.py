@@ -35,9 +35,9 @@ use (PEP 562), so a process pays only for the layers it touches.
 
 Quickstart::
 
-    from repro import quick_run
+    from repro import run_experiment
 
-    result = quick_run("parsec3/blackscholes", config="prcl")
+    result = run_experiment("parsec3/blackscholes", config="prcl")
     print(result.runtime_us, result.avg_rss_bytes)
 """
 
@@ -64,7 +64,7 @@ _EXPORTS = {
     "instance_catalog": "repro.sim",
     "parse_scheme": "repro.schemes",
     "parse_schemes": "repro.schemes",
-    "quick_run": "repro.runner.experiment",
+    "run_experiment": "repro.runner.experiment",
 }
 
 __all__ = sorted([*_EXPORTS, "__version__"])

@@ -16,17 +16,16 @@ def ascii_series(
     width: int = 70,
     height: int = 16,
     title: str = "",
-    marker: str = "*",
     overlay: Optional[Tuple[Sequence[float], Sequence[float], str]] = None,
 ) -> str:
-    """Scatter ``ys`` over ``xs`` on a character grid.
+    """Scatter ``ys`` over ``xs`` on a character grid, marked ``*``.
 
     ``overlay`` optionally draws a second series (e.g. the tuner's fitted
     curve over its samples — Figure 5) with its own marker.
     """
     if len(xs) != len(ys) or not xs:
         raise ConfigError("xs and ys must be equal-length, non-empty")
-    series = [(list(xs), list(ys), marker)]
+    series = [(list(xs), list(ys), "*")]
     if overlay is not None:
         oxs, oys, omark = overlay
         if len(oxs) != len(oys) or not oxs:
@@ -56,8 +55,8 @@ def ascii_series(
     return "\n".join(lines)
 
 
-def ascii_table(headers: Sequence[str], rows: Sequence[Sequence], *, floatfmt: str = ".3f") -> str:
-    """Render a fixed-width table."""
+def ascii_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
+    """Render a fixed-width table; floats print with three decimals."""
     if not headers:
         raise ConfigError("a table needs headers")
     rendered: List[List[str]] = [list(map(str, headers))]
@@ -67,7 +66,7 @@ def ascii_table(headers: Sequence[str], rows: Sequence[Sequence], *, floatfmt: s
                 f"row has {len(row)} cells, expected {len(headers)}: {row!r}"
             )
         rendered.append(
-            [format(c, floatfmt) if isinstance(c, float) else str(c) for c in row]
+            [format(c, ".3f") if isinstance(c, float) else str(c) for c in row]
         )
     widths = [max(len(r[i]) for r in rendered) for i in range(len(headers))]
     out = []

@@ -10,6 +10,7 @@ images — all dependency-free.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -52,8 +53,17 @@ def save_record(
             for snap in snapshots
         ],
     }
+    # Write a sibling temp file and rename it over ``path``: a write
+    # that fails part-way leaves the previous record whole.
     path = Path(path)
-    path.write_text(json.dumps(document, separators=(",", ":")))
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as handle:
+            handle.write(json.dumps(document, separators=(",", ":")))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 

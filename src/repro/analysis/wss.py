@@ -23,13 +23,12 @@ def wss_from_snapshots(
     snapshots: Sequence[Snapshot],
     *,
     min_frequency: float = 0.05,
-    percentiles: Sequence[float] = (0, 25, 50, 75, 100),
 ) -> Dict[str, float]:
     """Working-set-size distribution over time.
 
     A snapshot's WSS is the total size of regions whose access frequency
-    is at least ``min_frequency``.  Returns the requested percentiles
-    plus the mean, in bytes.
+    is at least ``min_frequency``.  Returns the quartiles ``p0`` ..
+    ``p100`` plus the mean, in bytes.
     """
     if not snapshots:
         raise ConfigError("no snapshots to estimate WSS from")
@@ -38,6 +37,6 @@ def wss_from_snapshots(
     series = np.array(
         [snap.hot_bytes(min_frequency) for snap in snapshots], dtype=np.float64
     )
-    out = {f"p{int(q)}": float(np.percentile(series, q)) for q in percentiles}
+    out = {f"p{int(q)}": float(np.percentile(series, q)) for q in (0, 25, 50, 75, 100)}
     out["mean"] = float(series.mean())
     return out

@@ -74,11 +74,11 @@ from .lint import analyze_scheme_text, has_errors, lint_paths, render_json, rend
 from .perf import profile_run
 from .recovery.codec import checkpoint_fleet_stepping, read_checkpoint_header
 from .runner.configs import CONFIGS
-from .runner.experiment import autotune_scheme, resume_checkpoint, run_experiment
+from .runner.experiment import SWAP_KINDS, autotune_scheme, resume_checkpoint, run_experiment
 from .runner.results import normalize
 from .sanitize import default_enabled, set_default_enabled
 from .sweep.grid import SweepGrid
-from .sweep.presets import PRESETS, fig7_grid, summarize_fig7
+from .sweep.presets import PRESETS, summarize_fig7
 from .sweep.runner import SweepRunner
 from .trace import FieldHistogram, JsonlTraceSink, TraceBus, validate_trace_file
 from .trace.events import EpochEnd, WorkerReaped
@@ -340,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="physical pool in GiB (overrides --pool-ratio when > 0)",
     )
     p_fleet.add_argument(
-        "--swap", choices=("zram", "file", "none"), default="zram",
+        "--swap", choices=SWAP_KINDS, default="zram",
         help="swap backend for reclaimed pages (default zram)",
     )
     p_fleet.add_argument(

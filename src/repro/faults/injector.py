@@ -21,10 +21,12 @@ Two decision disciplines, chosen per kind:
   ``probe_failure``): every opportunity draws independently and emits
   one event per firing, bounded by ``max_fires``.
 
-``worker_crash`` is special: sweep workers are separate processes with
-no shared RNG, so the decision is a **stateless** hash of
-``(plan.seed, point_index)`` computed identically wherever it is asked
-— the serial and pool execution paths agree by construction.
+``worker_crash`` and ``worker_hang`` are special: sweep workers are
+separate processes with no shared RNG, so the decision is a
+**stateless** hash of ``(plan.seed, point_index)``,
+:func:`worker_crash_decision`.  The sweep runner asks it in the parent
+before it dispatches a point, so the serial and pool execution paths
+agree by construction; the injector has no sweep hook.
 """
 
 from __future__ import annotations
@@ -236,34 +238,3 @@ class FaultInjector:
             if self._window_active(index, spec, now):
                 extra += int(spec.magnitude)
         return extra
-
-    # ------------------------------------------------------------------
-    # sweep hooks (stateless; usable parent-side before dispatch)
-    # ------------------------------------------------------------------
-    def worker_crash(self, point_index: int, attempt: int) -> bool:
-        """sweep.worker: does this point's attempt crash?  Stateless —
-        see :func:`worker_crash_decision`; the window is ignored
-        because sweep workers share no clock."""
-        for index, spec in self._specs("worker_crash"):
-            if worker_crash_decision(
-                self.plan.seed, spec.probability, point_index, attempt
-            ):
-                self._emit(index, spec, 0)
-                return True
-        return False
-
-    def worker_hang(self, point_index: int, attempt: int) -> bool:
-        """sweep.worker: does this point's attempt hang until the
-        watchdog reaps it?  Stateless like :meth:`worker_crash`, with a
-        distinct stream label so crash and hang plans stay independent."""
-        for index, spec in self._specs("worker_hang"):
-            if worker_crash_decision(
-                self.plan.seed, spec.probability, point_index, attempt, stream="hang"
-            ):
-                self._emit(index, spec, 0)
-                return True
-        return False
-
-    def has(self, *kinds: str) -> bool:
-        """Whether the plan carries any spec of the given kinds."""
-        return any(spec.kind in kinds for spec in self.plan.specs)

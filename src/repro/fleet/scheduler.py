@@ -53,13 +53,12 @@ from ..errors import ConfigError
 from ..monitor.attrs import MonitorAttrs
 from ..monitor.batch import BatchMonitorPass, BatchRegionTable
 from ..runner.configs import get_config, prcl_config
-from ..runner.experiment import MachineBuild, build_machine, run_experiment
+from ..runner.experiment import SWAP_KINDS, _build_swap, build_machine, run_experiment
 from ..sanitize.runtime import resolve_sanitizer
 from ..sim.costs import CostModel
 from ..sim.kernel import Watermarks, check_tier_policy
 from ..sim.machine import get_instance, scaled_instance
 from ..sim.pagetable import PAGE_SIZE
-from ..sim.swap import FileSwapDevice, NoSwapDevice, SwapDevice, ZramDevice
 from ..sweep.grid import derive_seed
 from ..trace.bus import TraceBus
 from ..trace.events import PageoutBatch, ReclaimPass
@@ -71,8 +70,6 @@ from .tenant import COLD_INIT_P, TenantSpec, build_tenant_specs
 __all__ = ["FleetConfig", "FleetScheduler", "run_fleet", "run_fleet_naive"]
 
 _KIND_COLD, _KIND_HOT, _KIND_WARM = 0, 1, 2
-
-_SWAP_KINDS = ("zram", "file", "none")
 
 
 @dataclass(frozen=True)
@@ -124,8 +121,8 @@ class FleetConfig:
             raise ConfigError(f"min_age cannot be negative: {self.min_age_s}")
         if self.pool_ratio <= 0 and self.pool_gib <= 0:
             raise ConfigError("need pool_ratio > 0 or an explicit pool_gib")
-        if self.swap not in _SWAP_KINDS:
-            raise ConfigError(f"unknown swap kind {self.swap!r} ({'|'.join(_SWAP_KINDS)})")
+        if self.swap not in SWAP_KINDS:
+            raise ConfigError(f"unknown swap kind {self.swap!r} ({' | '.join(SWAP_KINDS)})")
         if self.tier_scale <= 0:
             raise ConfigError(f"tier_scale must be positive: {self.tier_scale}")
         check_tier_policy(self.tier_policy)
@@ -162,33 +159,11 @@ class FleetConfig:
         return cls(**params)
 
 
-def _build_fleet_swap(machine: MachineBuild, total_footprint: int) -> SwapDevice:
-    """A fleet-sized swap device with the single-run calibration.
-
-    Capacity scales with the fleet (2x the total footprint) so slot
-    exhaustion is a modelled event, not an artifact of the single-run
-    4 GiB default; per-page latencies are taken from the device
-    :func:`~repro.runner.experiment.build_machine` built, so both paths
-    price a page identically.
-    """
-    capacity = max(2 * total_footprint, 1 * GIB)
-    proto = machine.swap
-    if machine.swap_kind == "zram":
-        assert isinstance(proto, ZramDevice)
-        return ZramDevice(
-            capacity,
-            compress_us_per_page=proto.compress_us,
-            decompress_us_per_page=proto.decompress_us,
-            compression_ratio=proto.ratio,
-        )
-    if machine.swap_kind == "file":
-        assert isinstance(proto, FileSwapDevice)
-        return FileSwapDevice(
-            capacity,
-            read_us_per_page=proto.read_us,
-            write_us_per_page=proto.write_us,
-        )
-    return NoSwapDevice()
+def _take_in_order(want: np.ndarray, budget: int) -> np.ndarray:
+    """Grant ``want`` in array order until ``budget`` runs out: each
+    entry gets what the entries before it left, clipped to its want."""
+    cum = np.cumsum(want)
+    return np.clip(budget - (cum - want), 0, want)
 
 
 class FleetScheduler:
@@ -244,7 +219,12 @@ class FleetScheduler:
         else:
             pool_bytes = int(total_footprint * cfg.pool_ratio)
         self.pool = FleetFramePool(pool_bytes)
-        self.swap_device = _build_fleet_swap(self.machine, total_footprint)
+        # Capacity scales with the fleet (2x the total footprint) so slot
+        # exhaustion is a modelled event, not an artifact of the
+        # single-run default; per-page costs are the single run's.
+        self.swap_device = _build_swap(
+            cfg.swap, self.machine.host, capacity=max(2 * total_footprint, 1 * GIB)
+        )
         if cfg.swap == "zram":
             self._swap_read_us = float(self.swap_device.decompress_us)  # type: ignore[attr-defined]
         elif cfg.swap == "file":
@@ -390,8 +370,7 @@ class FleetScheduler:
             free = self.pool.free_frames()
         if need > free:
             # Grant in region order up to what fits; shed the rest.
-            cum = np.cumsum(demand)
-            grant = np.clip(free - (cum - demand), 0, demand)
+            grant = _take_in_order(demand, free)
             shed = demand - grant
             rows = np.flatnonzero(shed > 0)
             self.shed_pages += self._per_tenant(rows, shed[rows]).astype(np.int64)
@@ -461,21 +440,26 @@ class FleetScheduler:
         full-table bincount."""
         return np.bincount(self.table.tenant[rows], weights=weights, minlength=len(self.tenants))
 
+    def _swap_out(self, rows: np.ndarray, pages: np.ndarray, total: int) -> None:
+        """Move ``pages`` of each of ``rows`` (``total`` in all) from
+        resident to swapped: the pool frees the frames, swap stores
+        them."""
+        self.resident[rows] -= pages
+        self.swapped[rows] += pages
+        self.pool.release(total)
+        self.swap_device.store(total, total)
+
     def _pageout(self, rows: np.ndarray, now: int) -> None:
         """Scheme PAGEOUT of the given rows, clamped by swap slots."""
         pages = self.resident[rows]
         allowed = self.swap_device.free_pages()
         total = int(pages.sum())
         if total > allowed:
-            cum = np.cumsum(pages)
-            pages = np.clip(allowed - (cum - pages), 0, pages)
+            pages = _take_in_order(pages, allowed)
             total = int(pages.sum())
         if total <= 0:
             return
-        self.resident[rows] -= pages
-        self.swapped[rows] += pages
-        self.pool.release(total)
-        self.swap_device.store(total, total)
+        self._swap_out(rows, pages, total)
         self.pageout_pages += self._per_tenant(rows, pages).astype(np.int64)
         self.pageout_batches += self._per_tenant(rows, pages > 0).astype(np.int64)
         if self.trace is not None:
@@ -491,18 +475,13 @@ class FleetScheduler:
         if not cand.size:
             return 0
         order = cand[np.argsort(self.last_touch[cand], kind="stable")]
-        avail = self.resident[order]
-        cum = np.cumsum(avail)
-        take = np.clip(budget - (cum - avail), 0, avail)
+        take = _take_in_order(self.resident[order], budget)
         total = int(take.sum())
         if total <= 0:
             return 0
         taken = np.flatnonzero(take)
         order, take = order[taken], take[taken]
-        self.resident[order] -= take
-        self.swapped[order] += take
-        self.pool.release(total)
-        self.swap_device.store(total, total)
+        self._swap_out(order, take, total)
         self.evicted_pages += self._per_tenant(order, take).astype(np.int64)
         self.reclaim_passes += 1
         if self.trace is not None:

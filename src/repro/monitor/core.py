@@ -8,7 +8,9 @@ upstream order:
 1. **merge** adjacent regions with similar access counts — this pass
    also applies the *aging* rule (stable count → ``age += 1``, changed
    count → ``age = 0``);
-2. **callbacks** receive a frozen :class:`~repro.monitor.snapshot.Snapshot`;
+2. **callbacks** receive ``(monitor, now)`` (one that keeps the state
+   freezes a :class:`~repro.monitor.snapshot.Snapshot` with
+   :meth:`~DataAccessMonitor.snapshot`);
 3. **schemes** are applied by the attached engine (if any);
 4. **reset** of the per-region counters (current → ``last_nr_accesses``);
 5. **split** of each region into 2 (or 3) randomly sized subregions,
@@ -38,7 +40,7 @@ Results are bit-identical to sampling tick by tick.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -94,7 +96,6 @@ class DataAccessMonitor:
         #: ``aggregate_tick`` calls its monitor checkpoint.
         self.sanitizer = sanitizer
         self.rng = np.random.default_rng(seed)
-        self.callbacks: List[Callable[[Snapshot], None]] = []
         self.raw_callbacks: List = []
         self.engine = None  # attached SchemesEngine, if any
         self.running = False
@@ -132,14 +133,11 @@ class DataAccessMonitor:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def register_callback(self, callback: Callable[[Snapshot], None]) -> None:
-        """Register an aggregation callback (invoked before counter reset)."""
-        self.callbacks.append(callback)
-
     def register_raw_callback(self, callback) -> None:
-        """Register a callback receiving ``(monitor, now)`` instead of a
-        frozen snapshot.  Raw callbacks avoid the per-aggregation cost of
-        materialising a snapshot; they must not mutate the region list."""
+        """Register an aggregation callback receiving ``(monitor, now)``
+        after merge and before the schemes engine and counter reset.  It
+        must not mutate the region list; one that keeps the state calls
+        :meth:`snapshot`."""
         self.raw_callbacks.append(callback)
 
     def attach_engine(self, engine) -> None:
@@ -368,7 +366,7 @@ class DataAccessMonitor:
         if tr is not None:
             if tr.wants(RegionsAggregated):
                 # Emitted after merge/age and before callbacks, so bus
-                # subscribers see the same region state snapshots do.
+                # subscribers see the same region state callbacks do.
                 tr.emit(
                     RegionsAggregated(
                         time_us=tr.now,
@@ -381,10 +379,6 @@ class DataAccessMonitor:
             else:
                 tr.count(RegionsAggregated)
 
-        if self.callbacks:
-            snapshot = self.snapshot(now)
-            for callback in self.callbacks:
-                callback(snapshot)
         for raw in self.raw_callbacks:
             raw(self, now)
         if self.engine is not None:

@@ -1,10 +1,11 @@
 """Aggregation snapshots handed to monitoring callbacks.
 
 Just before resetting the per-region access counters at each aggregation
-interval, the monitor freezes the region state into a :class:`Snapshot`
-and invokes every registered callback with it (§3.1: "the monitoring
-result is passed to the user by a user-registered callback that is
-invoked for each aggregation interval").
+interval, the monitor invokes every registered callback (§3.1: "the
+monitoring result is passed to the user by a user-registered callback
+that is invoked for each aggregation interval"); a callback that keeps
+the result freezes the region state into a :class:`Snapshot` with
+:meth:`~repro.monitor.core.DataAccessMonitor.snapshot`.
 
 A snapshot holds its region table as five column tuples of ints, like
 the monitor's own struct-of-arrays table: decoding a recorded run from

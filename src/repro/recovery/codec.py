@@ -458,7 +458,6 @@ def restore_fleet(
     *,
     trace: Optional[TraceBus] = None,
     strict_version: bool = True,
-    announce: bool = True,
 ):
     """Reconstruct a paused :class:`~repro.fleet.scheduler.FleetScheduler`.
 
@@ -467,8 +466,7 @@ def restore_fleet(
         path, kind="fleet", strict_version=strict_version, trace=trace
     )
     scheduler.wall_start = time.perf_counter()
-    if announce:
-        announce_resumed(trace, header)
+    announce_resumed(trace, header)
     return scheduler
 
 

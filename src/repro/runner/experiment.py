@@ -46,6 +46,7 @@ from .configs import ExperimentConfig, get_config, prcl_config
 from .results import RunResult
 
 __all__ = [
+    "SWAP_KINDS",
     "MachineBuild",
     "TenantBuild",
     "SnapshotRecorder",
@@ -55,7 +56,6 @@ __all__ = [
     "restore_run",
     "resume_checkpoint",
     "run_experiment",
-    "quick_run",
     "autotune_scheme",
 ]
 
@@ -85,10 +85,15 @@ class SnapshotRecorder:
 #: khugepaged scan period under thp=always.
 _KHUGEPAGED_PERIOD_US = 1 * SEC
 
+#: The swap backends a machine can be built with.
+SWAP_KINDS = ("zram", "file", "none")
 
-def _build_swap(kind: str, machine) -> object:
+
+def _build_swap(kind: str, machine, capacity: Optional[int] = None) -> object:
     """The run's swap device; ZRAM speed scales with the host clock,
     file swap latency comes from the instance's NVMe characteristics.
+    ``capacity`` replaces the single-run size (4 GiB ZRAM, 32 GiB file):
+    the fleet sizes its shared device by its footprint.
 
     The per-page ZRAM cost bundles fault-handler entry, (de)compression
     and TLB maintenance, and is calibrated ~10x above the raw lzo cost
@@ -101,19 +106,19 @@ def _build_swap(kind: str, machine) -> object:
         # memory-bound (does not), hence the square root.
         scale = machine.cpu_scale ** 0.5
         return ZramDevice(
-            4 * GIB,
+            capacity if capacity is not None else 4 * GIB,
             compress_us_per_page=10.0 / scale,
             decompress_us_per_page=25.0 / scale,
         )
     if kind == "file":
         return FileSwapDevice(
-            32 * GIB,
+            capacity if capacity is not None else 32 * GIB,
             read_us_per_page=machine.nvme_read_us,
             write_us_per_page=machine.nvme_write_us / 2.0,
         )
     if kind == "none":
         return NoSwapDevice()
-    raise ConfigError(f"unknown swap kind {kind!r} (zram | file | none)")
+    raise ConfigError(f"unknown swap kind {kind!r} ({' | '.join(SWAP_KINDS)})")
 
 
 @dataclass(frozen=True)
@@ -128,7 +133,6 @@ class MachineBuild:
     host: MachineSpec
     guest: object  # GuestSpec
     swap: object  # SwapDevice
-    swap_kind: str
     #: Tier placement policy for the guest kernel when the machine has a
     #: slow tier: ``"managed"`` (demote-before-swap plus migrations) or
     #: ``"unmanaged"`` (faults spill into the slow tier, nothing moves).
@@ -162,7 +166,6 @@ def build_machine(
         host=host,
         guest=guest_of(host, slow_tier=slow),
         swap=_build_swap(swap, host),
-        swap_kind=swap,
         tier_policy=check_tier_policy(tier_policy),
     )
 
@@ -203,7 +206,6 @@ def build_tenant(
     seed: int = 0,
     attrs: Optional[MonitorAttrs] = None,
     costs: Optional[CostModel] = None,
-    keep_snapshots: int = 0,
     trace: Optional[TraceBus] = None,
     injector: Optional[FaultInjector] = None,
     oom_policy: str = "raise",
@@ -240,7 +242,7 @@ def build_tenant(
 
     monitor = None
     engine = None
-    snapshots = [] if (cfg.record or keep_snapshots) else None
+    snapshots = [] if cfg.record else None
     if cfg.monitor is not None:
         primitive = (
             VirtualPrimitive(kernel) if cfg.monitor == "vaddr" else PhysicalPrimitive(kernel)
@@ -258,8 +260,7 @@ def build_tenant(
             # region-snapshot tuple per aggregation for a long run would
             # dominate the wall time without adding heatmap resolution.
             n_aggr = spec.duration_us // monitor.attrs.aggregation_interval_us
-            target = keep_snapshots or 240
-            stride = max(1, int(n_aggr // target))
+            stride = max(1, int(n_aggr // 240))
             monitor.register_raw_callback(SnapshotRecorder(snapshots, stride))
         if cfg.schemes_text is not None:
             schemes = cfg.build_schemes(
@@ -308,9 +309,10 @@ class ExperimentRun:
 
     ``time_scale`` shrinks the workload's nominal duration for fast CI
     runs (scheme ages and pattern periods are *not* scaled — they are
-    what is being measured).  ``keep_snapshots`` > 0 retains up to that
-    many aggregation snapshots for heatmap rendering.  ``attrs`` and
-    ``costs`` override the monitor attributes and the cost model.
+    what is being measured).  A recording config (``rec``, ``prec``)
+    keeps about 240 aggregation snapshots for heatmap rendering.
+    ``attrs`` and ``costs`` override the monitor attributes and the cost
+    model.
 
     ``tier`` gives the guest a slow memory tier (a catalog name such as
     ``"optane-pmm"`` or ``"cxl-dram"``, capacity-scaled by
@@ -357,7 +359,6 @@ class ExperimentRun:
         tier_policy: str = "managed",
         attrs: Optional[MonitorAttrs] = None,
         costs: Optional[CostModel] = None,
-        keep_snapshots: int = 0,
         trace: Optional[TraceBus] = None,
         collect_trace: bool = True,
         faults: Optional[FaultPlan] = None,
@@ -389,7 +390,6 @@ class ExperimentRun:
             seed=seed,
             attrs=attrs,
             costs=costs,
-            keep_snapshots=keep_snapshots,
             trace=trace,
             injector=injector,
             oom_policy=oom_policy,
@@ -575,12 +575,6 @@ def run_experiment(
     else:
         run.run_until(run.spec.duration_us)
     return run.finish()
-
-
-def quick_run(workload: str, *, config: str = "baseline", machine: str = "i3.metal", **kwargs):
-    """Run one (workload, configuration, machine) experiment and return
-    its :class:`RunResult`; exported as ``repro.quick_run``."""
-    return run_experiment(workload, config=config, machine=machine, **kwargs)
 
 
 def autotune_scheme(

@@ -76,16 +76,6 @@ class NormalizedResult:
     slowdown: float
     system_memory_ratio: float
 
-    def row(self) -> str:
-        """One-line fixed-width rendering for terminal tables."""
-        return (
-            f"{self.workload:28s} {self.config:10s} "
-            f"perf={self.performance:6.3f} "
-            f"memeff={self.memory_efficiency:6.3f} "
-            f"saving={self.memory_saving * 100:7.2f}% "
-            f"slowdown={self.slowdown * 100:7.2f}%"
-        )
-
 
 def normalize(result: RunResult, baseline: RunResult) -> NormalizedResult:
     """Express ``result`` relative to its ``baseline`` run."""

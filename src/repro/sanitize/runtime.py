@@ -111,11 +111,10 @@ class SimSanitizer:
         When False every checkpoint returns immediately; the object can
         stay attached (the trace-overhead benchmark measures exactly
         this configuration).
-    raise_on_violation:
-        When True (the default) a checkpoint that finds violations
-        raises :class:`SanitizerError`.  Tests set it False to drive
-        the checkers over deliberately corrupted state and inspect
-        :attr:`violations` instead.
+
+    A checkpoint that finds violations raises :class:`SanitizerError`;
+    :meth:`check_all` only records them, so tests drive the checkers
+    over deliberately corrupted state through it.
     """
 
     #: ``(kernel, key)`` of the keyed checkers' last clean pass.  Never
@@ -123,9 +122,8 @@ class SimSanitizer:
     #: so a restored sanitizer reads ``None`` and opens with a full pass.
     _keyed_clean: Optional[Tuple[Any, Tuple[int, int]]] = None
 
-    def __init__(self, enabled: bool = True, *, raise_on_violation: bool = True) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = bool(enabled)
-        self.raise_on_violation = bool(raise_on_violation)
         #: Every violation recorded so far, in detection order.
         self.violations: List[Violation] = []
         #: Kernel checkpoints passed (== epochs checked on the run path).
@@ -251,8 +249,6 @@ class SimSanitizer:
                 for v in found
             ]
         self.violations.extend(found)
-        if not self.raise_on_violation:
-            return
         lines = "\n  ".join(str(v) for v in self.violations)
         raise SanitizerError(
             f"sanitizer found {len(self.violations)} invariant violation(s) "

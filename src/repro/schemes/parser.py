@@ -27,7 +27,15 @@ from typing import List, Optional
 
 from ..errors import ParseError
 from ..monitor.attrs import MonitorAttrs
-from ..units import UNLIMITED, format_size, format_time, parse_percent, parse_size, parse_time
+from ..units import (
+    UNLIMITED,
+    decode_raw_count,
+    format_size,
+    format_time,
+    parse_percent,
+    parse_size,
+    parse_time,
+)
 from .actions import Action
 from .scheme import AccessPattern, Scheme
 
@@ -40,7 +48,7 @@ def _resolve_freq(token: str, max_nr_accesses: int) -> float:
     value = parse_percent(token)
     if value >= 0:
         return float(value)
-    raw = -int(value) - 1
+    raw = decode_raw_count(value)
     if max_nr_accesses <= 0:
         raise ParseError("cannot resolve a raw access count without attrs")
     return min(1.0, raw / max_nr_accesses)

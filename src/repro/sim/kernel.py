@@ -62,8 +62,7 @@ class Watermarks:
     :class:`SimKernel` evaluates it against its own frame table, and the
     fleet scheduler evaluates the *same* values against the shared
     physical pool — that is how per-process and fleet-wide reclaim stay
-    on one policy.  Kernels default to the classic kswapd-style pair;
-    pass ``SimKernel(watermarks=...)`` to override.
+    on one policy.  Both use the classic kswapd-style pair.
     """
 
     high: float = _HIGH_WATERMARK
@@ -156,14 +155,12 @@ class SimKernel:
         swap: Optional[SwapDevice] = None,
         costs: Optional[CostModel] = None,
         thp: Optional[ThpPolicy] = None,
-        rng: Optional[np.random.Generator] = None,
         seed: int = 0,
         trace: Optional[TraceBus] = None,
         faults=None,
         oom_policy: str = "raise",
         sanitizer=None,
         tier_policy: str = "managed",
-        watermarks: Optional[Watermarks] = None,
     ):
         if oom_policy not in ("raise", "shed"):
             raise ConfigError(
@@ -186,7 +183,7 @@ class SimKernel:
         self.costs = costs if costs is not None else CostModel()
         self.thp_policy = thp if thp is not None else ThpPolicy(mode="never")
         self.lru = LruReclaimer(self.space, frames=self.frames)
-        self.rng = rng if rng is not None else np.random.default_rng(seed)
+        self.rng = np.random.default_rng(seed)
         self.metrics = KernelMetrics()
         #: Optional trace bus; every management path emits through it.
         self.trace = trace
@@ -195,8 +192,8 @@ class SimKernel:
         #: Optional :class:`repro.sanitize.SimSanitizer`; ``end_epoch``
         #: calls its kernel checkpoint.
         self.sanitizer = sanitizer
-        #: Reclaim thresholds (the classic kswapd-style pair by default).
-        self.watermarks = watermarks if watermarks is not None else Watermarks()
+        #: Reclaim thresholds: the classic kswapd-style pair.
+        self.watermarks = Watermarks()
         #: Tier placement policy: ``"managed"`` routes reclaim to
         #: demotion and serves MIGRATE_HOT / MIGRATE_COLD; ``"unmanaged"``
         #: treats DRAM + slow tier as one big pool — faults spill to the

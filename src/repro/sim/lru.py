@@ -6,8 +6,7 @@ memory pressure, evicts from the tail of the inactive list.  The paper's
 swap device) when the workload outgrows the guest's DRAM.
 
 The simulation approximates the two lists with per-page last-touch
-timestamps: pages touched more recently than the *activation window* are
-"active"; reclaim evicts the globally least-recently-touched present
+timestamps: reclaim evicts the globally least-recently-touched present
 pages first.  This matches the ordering the real lists converge to under
 the periodic accessed-bit scans Linux performs, while staying fully
 vectorized.
@@ -19,7 +18,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..errors import ConfigError
 from ..units import SEC
 from .vma import AddressSpace
 
@@ -34,22 +32,13 @@ LRU_SCAN_INTERVAL_US = 4 * SEC
 class LruReclaimer:
     """Global LRU eviction across one address space."""
 
-    def __init__(
-        self,
-        space: AddressSpace,
-        *,
-        frames=None,
-        activation_window_us: int = 10 * SEC,
-    ):
-        if activation_window_us <= 0:
-            raise ConfigError("activation window must be positive")
+    def __init__(self, space: AddressSpace, *, frames=None):
         self.space = space
         #: Optional :class:`~repro.sim.physmem.FrameTable` (the kernel
         #: provides it).  With it, sparse-residency victim selection
         #: enumerates the allocated frames instead of scanning the whole
         #: page table.
         self.frames = frames
-        self.activation_window_us = activation_window_us
         self.total_evicted = 0
 
     # ------------------------------------------------------------------

@@ -112,7 +112,7 @@ class AccessSampled(TraceEvent):
 class RegionsAggregated(TraceEvent):
     """One aggregation interval closed: counters published, regions
     merged and aged.  Emitted before callbacks and scheme application,
-    so subscribers observe the same region state snapshot callbacks do.
+    so subscribers observe the same region state callbacks do.
     """
 
     #: Region count after merging.

@@ -221,16 +221,12 @@ def read_trace(source: Union[str, Path, TextIO, Iterable[str]]) -> List[TraceEve
     return events
 
 
-def validate_trace_file(
-    source: Union[str, Path, TextIO, Iterable[str]],
-    *,
-    require_monotone: bool = True,
-) -> TraceSummary:
+def validate_trace_file(source: Union[str, Path, TextIO, Iterable[str]]) -> TraceSummary:
     """Schema-validate a trace and return its summary.
 
     Every line must decode against the event registry (see
-    :func:`decode_event`); with ``require_monotone`` (the default),
-    timestamps must also be non-decreasing in simulation time.  Raises
+    :func:`decode_event`), and timestamps must be non-decreasing in
+    simulation time.  Raises
     :class:`~repro.errors.ParseError` on the first violation, naming
     the offending line number (and the file, for a path), or on a file
     that cannot be read.
@@ -248,7 +244,7 @@ def validate_trace_file(
             event = decode_event(line)
         except ParseError as exc:
             raise ParseError(f"{where}line {lineno}: {exc}") from exc
-        if require_monotone and prev is not None and event.time_us < prev:
+        if prev is not None and event.time_us < prev:
             raise ParseError(
                 f"{where}line {lineno}: timestamp {event.time_us} moves backwards "
                 f"(previous event at {prev}) — trace is not monotone in sim time"

@@ -24,6 +24,11 @@ from .score import ScoreFunction, default_score_function
 
 __all__ = ["AutoTuner", "TuningResult"]
 
+#: Attempts per probe before a ``probe_failure`` fault ends the session.
+PROBE_ATTEMPTS = 3
+#: Simulated back-off before the first retry; it doubles per retry.
+PROBE_BACKOFF_US = 100_000
+
 
 @dataclass
 class TuningResult:
@@ -70,13 +75,7 @@ class AutoTuner:
         seed: int = 0,
         trace: Optional[TraceBus] = None,
         faults=None,
-        probe_attempts: int = 3,
-        probe_backoff_us: int = 100_000,
     ):
-        if probe_attempts < 1:
-            raise TuningError(f"probe_attempts must be at least 1: {probe_attempts}")
-        if probe_backoff_us <= 0:
-            raise TuningError(f"probe backoff must be positive: {probe_backoff_us}")
         if hi <= lo:
             raise TuningError(f"empty parameter range [{lo}, {hi}]")
         self.evaluate = evaluate
@@ -94,8 +93,6 @@ class AutoTuner:
         #: Optional :class:`repro.faults.FaultInjector`; probes are
         #: retried with exponential backoff when ``probe_failure`` fires.
         self.faults = faults
-        self.probe_attempts = int(probe_attempts)
-        self.probe_backoff_us = int(probe_backoff_us)
         # The tuner has no event queue: cumulative virtual time spent
         # tuning (sample runtimes + retry backoffs) is tracked here and
         # mirrored to an owned trace clock.  Fault windows key off it.
@@ -117,14 +114,14 @@ class AutoTuner:
 
     def _score_at(self, param: float, phase: str = "global") -> float:
         attempt = 0
-        backoff = self.probe_backoff_us
+        backoff = PROBE_BACKOFF_US
         while True:
             try:
                 runtime, rss = self._probe(param)
                 break
             except FaultError as exc:
                 attempt += 1
-                if attempt >= self.probe_attempts:
+                if attempt >= PROBE_ATTEMPTS:
                     raise TuningError(
                         f"probe at param={param:g} failed {attempt} time(s), "
                         f"giving up: {exc}"

@@ -239,7 +239,3 @@ class Workload:
             stall_weight=0.0,
         )
         self.epochs_run += 1
-
-    @property
-    def n_epochs(self) -> int:
-        return self.spec.duration_us // self.spec.epoch_us

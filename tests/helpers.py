@@ -63,11 +63,11 @@ def hottest_bucket(heatmap):
     return flat // heatmap.addr_bins, flat % heatmap.addr_bins
 
 
-def lru_list_sizes(lru, now):
+def lru_list_sizes(lru, now, window_us):
     """(active, inactive) page counts of ``lru`` at virtual time ``now``:
-    present pages touched within its activation window, and the rest."""
+    present pages touched within the last ``window_us``, and the rest."""
     flat = lru.space.flat
-    recent = flat.last_touch >= now - lru.activation_window_us
+    recent = flat.last_touch >= now - window_us
     active = int(np.count_nonzero(flat.present & recent))
     return active, int(np.count_nonzero(flat.present)) - active
 

@@ -80,19 +80,50 @@ def test_public_classes_and_functions_documented(package):
 
 def test_run_constructors_take_no_kernel_class():
     """The driver builds :class:`~repro.sim.kernel.SimKernel` and nothing
-    else; production has no seam for swapping the kernel class."""
+    else; production has no seam for swapping the kernel class.  The
+    same holds for every keyword in the table: production never set it,
+    so the value it chose is fixed where it is used."""
+    from repro.analysis.ascii_plot import ascii_series, ascii_table
+    from repro.analysis.wss import wss_from_snapshots
+    from repro.recovery.codec import restore_fleet
     from repro.runner.experiment import ExperimentRun, build_tenant
+    from repro.sanitize.runtime import SimSanitizer
+    from repro.sim.kernel import SimKernel
+    from repro.sim.lru import LruReclaimer
+    from repro.trace.sink import validate_trace_file
+    from repro.tuning.runtime import AutoTuner
 
-    for fn in (ExperimentRun.__init__, build_tenant):
-        assert "kernel_cls" not in inspect.signature(fn).parameters
+    removed = [
+        (ExperimentRun.__init__, "kernel_cls"),
+        (build_tenant, "kernel_cls"),
+        (ExperimentRun.__init__, "keep_snapshots"),
+        (build_tenant, "keep_snapshots"),
+        (SimKernel.__init__, "rng"),
+        (SimKernel.__init__, "watermarks"),
+        (SimSanitizer.__init__, "raise_on_violation"),
+        (AutoTuner.__init__, "probe_attempts"),
+        (AutoTuner.__init__, "probe_backoff_us"),
+        (LruReclaimer.__init__, "activation_window_us"),
+        (validate_trace_file, "require_monotone"),
+        (restore_fleet, "announce"),
+        (ascii_series, "marker"),
+        (ascii_table, "floatfmt"),
+        (wss_from_snapshots, "percentiles"),
+    ]
+    present = [
+        f"{fn.__qualname__}({keyword}=)"
+        for fn, keyword in removed
+        if keyword in inspect.signature(fn).parameters
+    ]
+    assert not present, present
 
 
 def test_version_string():
     assert repro.__version__.count(".") == 2
 
 
-def test_quick_run_is_lazy_but_works():
-    result = repro.quick_run(
+def test_run_experiment_is_lazy_but_works():
+    result = repro.run_experiment(
         "splash2x/volrend", config="baseline", time_scale=0.05
     )
     assert result.runtime_us > 0

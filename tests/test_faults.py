@@ -400,7 +400,7 @@ class TestMonitorFaults:
 # ---------------------------------------------------------------------------
 # Tuner: bounded retry with deterministic exponential backoff
 # ---------------------------------------------------------------------------
-def _tuner(faults=None, trace=None, probe_attempts=3):
+def _tuner(faults=None, trace=None):
     return AutoTuner(
         lambda param: (1000.0 + param, 2000.0),
         (1200.0, 2500.0),
@@ -409,7 +409,6 @@ def _tuner(faults=None, trace=None, probe_attempts=3):
         seed=4,
         trace=trace,
         faults=faults,
-        probe_attempts=probe_attempts,
     )
 
 
@@ -435,7 +434,7 @@ class TestTunerRetry:
 
     def test_exhausted_retries_raise_tuning_error(self):
         plan = plan_of(dict(kind="probe_failure", probability=1.0))
-        tuner = _tuner(faults=FaultInjector(plan), probe_attempts=3)
+        tuner = _tuner(faults=FaultInjector(plan))
         with pytest.raises(TuningError, match="failed 3 time"):
             tuner.tune(nr_samples=4)
 
@@ -539,7 +538,7 @@ class TestFaultPlanFuzzer:
     @settings(max_examples=12, deadline=None)
     @given(plan=fault_plans())
     def test_any_plan_ends_in_success_or_a_typed_error(self, plan):
-        sanitizer = SimSanitizer(raise_on_violation=False)
+        sanitizer = SimSanitizer()
         _ends_cleanly(
             lambda: run_experiment(
                 "parsec3/swaptions", config="prcl", faults=plan,

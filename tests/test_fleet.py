@@ -41,7 +41,6 @@ from repro.sanitize import SimSanitizer
 from repro.sanitize.checkers import check_fleet_state
 from repro.sim.kernel import SimKernel, Watermarks
 from repro.sim.machine import GuestSpec, get_instance
-from repro.sim.swap import ZramDevice
 from repro.sim.pagetable import PAGE_SIZE
 from repro.trace import TraceBus
 from repro.units import MIB
@@ -205,18 +204,9 @@ class TestWatermarks:
         with pytest.raises(ConfigError):
             Watermarks(high=1.2)
 
-    def test_kernel_defaults_and_override(self):
+    def test_kernel_defaults(self):
         guest = GuestSpec(host=get_instance("i3.metal"), vcpus=4, dram_bytes=256 * MIB)
         assert SimKernel(guest, seed=1).watermarks == Watermarks()
-        kernel = SimKernel(
-            guest,
-            swap=ZramDevice(128 * MIB),
-            seed=1,
-            watermarks=Watermarks(high=0.5, low=0.4),
-        )
-        assert kernel.watermarks.high_frames(kernel.frames.n_frames) == int(
-            kernel.frames.n_frames * 0.5
-        )
 
 
 # ----------------------------------------------------------------------
@@ -311,7 +301,6 @@ class TestFactories:
                                ("none", "NoSwapDevice")):
             mb = build_machine("i3.metal", swap=swap)
             assert type(mb.swap).__name__ == cls_name
-            assert mb.swap_kind == swap
             assert mb.guest.host is mb.host
 
     def test_fleet_uses_machine_factory_calibration(self):

@@ -2,7 +2,6 @@
 
 from unittest import mock
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigError, MonitorStateError
@@ -124,7 +123,7 @@ class TestAccuracy:
         monitor = make_monitor(kernel, fast_attrs)
         monitor.start(queue)
         snaps = []
-        monitor.register_callback(lambda s: snaps.append(s))
+        monitor.register_raw_callback(lambda mon, now: snaps.append(mon.snapshot(now)))
         run_epochs(
             kernel,
             queue,
@@ -142,7 +141,7 @@ class TestAccuracy:
         monitor = make_monitor(kernel, fast_attrs)
         monitor.start(queue)
         snaps = []
-        monitor.register_callback(lambda s: snaps.append(s))
+        monitor.register_raw_callback(lambda mon, now: snaps.append(mon.snapshot(now)))
         run_epochs(
             kernel,
             queue,
@@ -159,7 +158,7 @@ class TestAccuracy:
         monitor = make_monitor(kernel, fast_attrs)
         monitor.start(queue)
         snaps = []
-        monitor.register_callback(lambda s: snaps.append(s))
+        monitor.register_raw_callback(lambda mon, now: snaps.append(mon.snapshot(now)))
         run_epochs(
             kernel,
             queue,
@@ -191,7 +190,7 @@ class TestAccuracy:
         monitor = make_monitor(kernel, fast_attrs)
         monitor.start(queue)
         snaps = []
-        monitor.register_callback(lambda s: snaps.append(s))
+        monitor.register_raw_callback(lambda mon, now: snaps.append(mon.snapshot(now)))
         run_epochs(
             kernel,
             queue,
@@ -325,7 +324,7 @@ class TestPhysicalPrimitive:
         monitor = make_monitor(kernel, fast_attrs, primitive_cls=PhysicalPrimitive)
         monitor.start(queue)
         snaps = []
-        monitor.register_callback(lambda s: snaps.append(s))
+        monitor.register_raw_callback(lambda mon, now: snaps.append(mon.snapshot(now)))
         run_epochs(
             kernel,
             queue,

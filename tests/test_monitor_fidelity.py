@@ -80,8 +80,8 @@ class TestSamplingCheckNotLost:
         )
         queue = EventQueue()
         maxima = []
-        monitor.register_callback(
-            lambda snap: maxima.append(max(r.nr_accesses for r in snap.regions))
+        monitor.register_raw_callback(
+            lambda mon, now: maxima.append(max(mon.snapshot(now).nr_accesses))
         )
         monitor.start(queue)
         queue.run_for(4 * ATTRS.aggregation_interval_us)
@@ -144,8 +144,8 @@ class TestSameInstantTickOrder:
             WindowedSaturatingPrimitive([(BASE, BASE + 4 * MIB)]), ATTRS, seed=3, queue=queue
         )
         maxima = []
-        monitor.register_callback(
-            lambda snap: maxima.append(max(r.nr_accesses for r in snap.regions))
+        monitor.register_raw_callback(
+            lambda mon, now: maxima.append(max(mon.snapshot(now).nr_accesses))
         )
         monitor.start(queue)
         # Registered after the monitor, one per aggregation: the epoch

@@ -1,6 +1,7 @@
 """Monitoring record files and heatmap image export."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +78,39 @@ class TestSaveLoad:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ParseError):
             load_record(tmp_path / "nope.record")
+
+    def test_failed_write_keeps_previous_record(self, tmp_path, monkeypatch):
+        """A write that fails after the open (a full disk) leaves the
+        previous record loadable and no temp file behind."""
+        path = tmp_path / "run.record"
+        save_record(snapshots(), path, workload="old")
+        real_open = Path.open
+
+        class FailingWrite:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def write(self, data):
+                raise OSError(28, "No space left on device")
+
+        def open_failing(self, mode="r", *args, **kwargs):
+            handle = real_open(self, mode, *args, **kwargs)
+            return FailingWrite(handle) if "w" in mode else handle
+
+        monkeypatch.setattr(Path, "open", open_failing)
+        with pytest.raises(OSError, match="No space left"):
+            save_record(snapshots(3), path, workload="new")
+        monkeypatch.undo()
+        meta, loaded = read_record(path)
+        assert meta["workload"] == "old"
+        assert len(loaded) == 6
+        assert [p.name for p in tmp_path.iterdir()] == ["run.record"]
 
     def test_loaded_record_feeds_heatmap(self, tmp_path):
         path = tmp_path / "run.record"

@@ -71,7 +71,7 @@ def worked_kernel(sanitizer=None):
 
 def checks_found(*, kernel=None, monitor=None, engine=None, now=0):
     """Names of the checks that fired in one explicit sanitizer pass."""
-    sanitizer = SimSanitizer(raise_on_violation=False)
+    sanitizer = SimSanitizer()
     found = sanitizer.check_all(kernel=kernel, monitor=monitor, engine=engine, now=now)
     assert found == sanitizer.violations
     return {violation.check for violation in found}
@@ -152,7 +152,7 @@ class TestKernelMutations:
         kernel = worked_kernel()
         live = kernel.frames.allocated_frames()
         kernel.frames.owner[live[0]] = -1
-        found = SimSanitizer(raise_on_violation=False).check_all(kernel=kernel)
+        found = SimSanitizer().check_all(kernel=kernel)
         assert any(
             v.check == "frame_conservation" and "rmap owner" in v.message for v in found
         )
@@ -165,7 +165,7 @@ class TestKernelMutations:
         frames = kernel.frames
         a, b = frames.allocated_frames()[:2]
         frames.owner[[a, b]] = frames.owner[[b, a]]
-        found = SimSanitizer(raise_on_violation=False).check_all(kernel=kernel)
+        found = SimSanitizer().check_all(kernel=kernel)
         assert [v.check for v in found] == ["frame_conservation"]
         assert "round-trip" in found[0].message
 

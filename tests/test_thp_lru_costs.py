@@ -158,15 +158,10 @@ class TestLru:
         space = self._space()
         self._touch(space, 0, 10, now=1 * SEC)
         self._touch(space, 10, 30, now=20 * SEC)
-        lru = LruReclaimer(space, activation_window_us=10 * SEC)
-        active, inactive = lru_list_sizes(lru, now=25 * SEC)
+        lru = LruReclaimer(space)
+        active, inactive = lru_list_sizes(lru, now=25 * SEC, window_us=10 * SEC)
         assert active == 20
         assert inactive == 10
-
-    def test_invalid_window_rejected(self):
-        space = self._space()
-        with pytest.raises(ConfigError):
-            LruReclaimer(space, activation_window_us=0)
 
 
 class TestCostModel:

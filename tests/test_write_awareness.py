@@ -7,7 +7,6 @@ sampling in the monitor, write-frequency scheme bounds, and dirty-aware
 writeback pricing on swap-out.
 """
 
-import numpy as np
 import pytest
 
 from repro.monitor.attrs import MonitorAttrs
@@ -34,7 +33,7 @@ def run_read_write_split(kernel, queue, monitor, n_epochs=25):
     """First 8 MiB read-hot, next 8 MiB write-hot, rest untouched."""
     monitor.start(queue)
     snaps = []
-    monitor.register_callback(lambda s: snaps.append(s))
+    monitor.register_raw_callback(lambda mon, now: snaps.append(mon.snapshot(now)))
     run_epochs(
         kernel,
         queue,
