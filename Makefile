@@ -2,6 +2,12 @@
 
 PYTHON ?= python
 
+# The existing directory the smoke targets keep their scratch files
+# in.  Give each concurrent run its own (make SMOKE_DIR=<dir>
+# resume-smoke), or where /tmp is off limits: the targets clear their
+# own subdirectories of it before they start.
+SMOKE_DIR ?= /tmp
+
 .PHONY: install test test-sanitize sanitize-smoke sweep-smoke trace-smoke chaos-smoke tiering-smoke bench bench-full bench-smoke bench-e2e-smoke examples figures clean lint fleet-smoke resume-smoke ci
 
 install:
@@ -36,39 +42,39 @@ sanitize-smoke:
 # cold bytes; a last warm run is all hits.  Every report, decoded from
 # the cache and encoded again, must equal the cold one byte for byte.
 sweep-smoke:
-	rm -rf /tmp/daos-sweep-smoke /tmp/daos-sweep-smoke-rec && mkdir -p /tmp/daos-sweep-smoke-rec
-	$(PYTHON) -m repro.cli sweep --grid fig3 --jobs 2 --cache-dir /tmp/daos-sweep-smoke
-	$(PYTHON) -m repro.cli sweep --grid fig3 --jobs 2 --cache-dir /tmp/daos-sweep-smoke \
+	rm -rf $(SMOKE_DIR)/daos-sweep-smoke $(SMOKE_DIR)/daos-sweep-smoke-rec && mkdir -p $(SMOKE_DIR)/daos-sweep-smoke-rec
+	$(PYTHON) -m repro.cli sweep --grid fig3 --jobs 2 --cache-dir $(SMOKE_DIR)/daos-sweep-smoke
+	$(PYTHON) -m repro.cli sweep --grid fig3 --jobs 2 --cache-dir $(SMOKE_DIR)/daos-sweep-smoke \
 		| grep '6 cached, 0 replayed, 0 executed, 0 failed'
 	$(PYTHON) -m repro.cli --time-scale 0.02 sweep --workloads parsec3/swaptions \
-		--configs baseline,rec --jobs 2 --cache-dir /tmp/daos-sweep-smoke-rec/cache \
-		--out /tmp/daos-sweep-smoke-rec/cold.json
-	grep -la '\["config","rec"\]' /tmp/daos-sweep-smoke-rec/cache/*/*.json | xargs truncate -s 100
+		--configs baseline,rec --jobs 2 --cache-dir $(SMOKE_DIR)/daos-sweep-smoke-rec/cache \
+		--out $(SMOKE_DIR)/daos-sweep-smoke-rec/cold.json
+	grep -la '\["config","rec"\]' $(SMOKE_DIR)/daos-sweep-smoke-rec/cache/*/*.json | xargs truncate -s 100
 	$(PYTHON) -m repro.cli --time-scale 0.02 sweep --workloads parsec3/swaptions \
-		--configs baseline,rec --jobs 2 --cache-dir /tmp/daos-sweep-smoke-rec/cache \
-		--out /tmp/daos-sweep-smoke-rec/miss.json \
+		--configs baseline,rec --jobs 2 --cache-dir $(SMOKE_DIR)/daos-sweep-smoke-rec/cache \
+		--out $(SMOKE_DIR)/daos-sweep-smoke-rec/miss.json \
 		| grep '1 cached, 0 replayed, 1 executed, 0 failed'
-	cmp /tmp/daos-sweep-smoke-rec/cold.json /tmp/daos-sweep-smoke-rec/miss.json
+	cmp $(SMOKE_DIR)/daos-sweep-smoke-rec/cold.json $(SMOKE_DIR)/daos-sweep-smoke-rec/miss.json
 	$(PYTHON) -m repro.cli --time-scale 0.02 sweep --workloads parsec3/swaptions \
-		--configs baseline,rec --jobs 2 --cache-dir /tmp/daos-sweep-smoke-rec/cache \
-		--out /tmp/daos-sweep-smoke-rec/warm.json \
+		--configs baseline,rec --jobs 2 --cache-dir $(SMOKE_DIR)/daos-sweep-smoke-rec/cache \
+		--out $(SMOKE_DIR)/daos-sweep-smoke-rec/warm.json \
 		| grep '2 cached, 0 replayed, 0 executed, 0 failed'
-	cmp /tmp/daos-sweep-smoke-rec/cold.json /tmp/daos-sweep-smoke-rec/warm.json
+	cmp $(SMOKE_DIR)/daos-sweep-smoke-rec/cold.json $(SMOKE_DIR)/daos-sweep-smoke-rec/warm.json
 	@echo "sweep smoke: a truncated entry re-runs, the second sweeps are all cache hits, every report equals the cold"
 
 # Two identical seeded runs must write byte-identical canonical JSONL,
 # and the stream must validate against the event schema (registered
 # kinds, exact fields, monotone sim timestamps).
 trace-smoke:
-	rm -rf /tmp/daos-trace-smoke && mkdir -p /tmp/daos-trace-smoke
+	rm -rf $(SMOKE_DIR)/daos-trace-smoke && mkdir -p $(SMOKE_DIR)/daos-trace-smoke
 	$(PYTHON) -m repro.cli --seed 5 --time-scale 0.02 run parsec3/swaptions -c rec \
-		--trace /tmp/daos-trace-smoke/a.jsonl
+		--trace $(SMOKE_DIR)/daos-trace-smoke/a.jsonl
 	$(PYTHON) -m repro.cli --seed 5 --time-scale 0.02 run parsec3/swaptions -c rec \
-		--trace /tmp/daos-trace-smoke/b.jsonl
-	cmp /tmp/daos-trace-smoke/a.jsonl /tmp/daos-trace-smoke/b.jsonl
-	$(PYTHON) -m repro.cli report /tmp/daos-trace-smoke/a.jsonl
+		--trace $(SMOKE_DIR)/daos-trace-smoke/b.jsonl
+	cmp $(SMOKE_DIR)/daos-trace-smoke/a.jsonl $(SMOKE_DIR)/daos-trace-smoke/b.jsonl
+	$(PYTHON) -m repro.cli report $(SMOKE_DIR)/daos-trace-smoke/a.jsonl
 	$(PYTHON) -m repro.cli --seed 5 --time-scale 0.02 run parsec3/swaptions -c prcl \
-		--trace /tmp/daos-trace-smoke/c.jsonl
+		--trace $(SMOKE_DIR)/daos-trace-smoke/c.jsonl
 	@echo "trace smoke: byte-identical and schema-valid"
 
 # A seeded fault plan must degrade the run, not abort it, and must
@@ -76,13 +82,13 @@ trace-smoke:
 # substreams keyed off the plan seed alone.  Then the all-kinds plan,
 # and a faulted run and tune that must survive their plan.
 chaos-smoke:
-	rm -rf /tmp/daos-chaos-smoke && mkdir -p /tmp/daos-chaos-smoke
+	rm -rf $(SMOKE_DIR)/daos-chaos-smoke && mkdir -p $(SMOKE_DIR)/daos-chaos-smoke
 	$(PYTHON) -m repro.cli --seed 3 --time-scale 0.02 run parsec3/swaptions -c rec \
-		--faults examples/faults/smoke.toml --trace /tmp/daos-chaos-smoke/a.jsonl
+		--faults examples/faults/smoke.toml --trace $(SMOKE_DIR)/daos-chaos-smoke/a.jsonl
 	$(PYTHON) -m repro.cli --seed 3 --time-scale 0.02 run parsec3/swaptions -c rec \
-		--faults examples/faults/smoke.toml --trace /tmp/daos-chaos-smoke/b.jsonl
-	cmp /tmp/daos-chaos-smoke/a.jsonl /tmp/daos-chaos-smoke/b.jsonl
-	$(PYTHON) -m repro.cli report /tmp/daos-chaos-smoke/a.jsonl
+		--faults examples/faults/smoke.toml --trace $(SMOKE_DIR)/daos-chaos-smoke/b.jsonl
+	cmp $(SMOKE_DIR)/daos-chaos-smoke/a.jsonl $(SMOKE_DIR)/daos-chaos-smoke/b.jsonl
+	$(PYTHON) -m repro.cli report $(SMOKE_DIR)/daos-chaos-smoke/a.jsonl
 	$(PYTHON) -m repro.cli --seed 7 --time-scale 0.02 run parsec3/swaptions -c rec \
 		--faults examples/faults/chaos.toml
 	$(PYTHON) -m repro.cli --seed 5 --time-scale 0.02 run parsec3/swaptions -c rec \
@@ -99,19 +105,19 @@ chaos-smoke:
 # scale the pair applies in both directions.  Then the unmanaged
 # (first-touch) policy must complete.
 tiering-smoke:
-	rm -rf /tmp/daos-tiering-smoke && mkdir -p /tmp/daos-tiering-smoke
+	rm -rf $(SMOKE_DIR)/daos-tiering-smoke && mkdir -p $(SMOKE_DIR)/daos-tiering-smoke
 	printf '4K max 1 max min max migrate_hot\n4K max min min 500ms max migrate_cold\n' \
-		> /tmp/daos-tiering-smoke/tiering.schemes
+		> $(SMOKE_DIR)/daos-tiering-smoke/tiering.schemes
 	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli --seed 5 --time-scale 0.02 --tier cxl-dram \
 		--tier-scale 0.01 run parsec3/blackscholes \
-		--schemes /tmp/daos-tiering-smoke/tiering.schemes --trace /tmp/daos-tiering-smoke/a.jsonl
+		--schemes $(SMOKE_DIR)/daos-tiering-smoke/tiering.schemes --trace $(SMOKE_DIR)/daos-tiering-smoke/a.jsonl
 	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli --seed 5 --time-scale 0.02 --tier cxl-dram \
 		--tier-scale 0.01 run parsec3/blackscholes \
-		--schemes /tmp/daos-tiering-smoke/tiering.schemes --trace /tmp/daos-tiering-smoke/b.jsonl
-	cmp /tmp/daos-tiering-smoke/a.jsonl /tmp/daos-tiering-smoke/b.jsonl
-	grep -q '"direction":"demote"' /tmp/daos-tiering-smoke/a.jsonl
-	grep -q '"direction":"promote"' /tmp/daos-tiering-smoke/a.jsonl
-	$(PYTHON) -m repro.cli report /tmp/daos-tiering-smoke/a.jsonl
+		--schemes $(SMOKE_DIR)/daos-tiering-smoke/tiering.schemes --trace $(SMOKE_DIR)/daos-tiering-smoke/b.jsonl
+	cmp $(SMOKE_DIR)/daos-tiering-smoke/a.jsonl $(SMOKE_DIR)/daos-tiering-smoke/b.jsonl
+	grep -q '"direction":"demote"' $(SMOKE_DIR)/daos-tiering-smoke/a.jsonl
+	grep -q '"direction":"promote"' $(SMOKE_DIR)/daos-tiering-smoke/a.jsonl
+	$(PYTHON) -m repro.cli report $(SMOKE_DIR)/daos-tiering-smoke/a.jsonl
 	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli --seed 5 --time-scale 0.02 --tier optane-pmm \
 		--tier-scale 0.001 --tier-policy unmanaged run parsec3/swaptions -c baseline
 	@echo "tiering smoke: migrations both ways, byte-identical under the sanitizer"
@@ -175,21 +181,21 @@ examples:
 # merge to the same summary (per-shard digests included) as the serial
 # path.
 fleet-smoke:
-	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli --seed 42 fleet -n 10000 --out /tmp/daos-fleet-a.json
-	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli --seed 42 fleet -n 10000 --out /tmp/daos-fleet-b.json
-	cmp /tmp/daos-fleet-a.json /tmp/daos-fleet-b.json
+	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli --seed 42 fleet -n 10000 --out $(SMOKE_DIR)/daos-fleet-a.json
+	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli --seed 42 fleet -n 10000 --out $(SMOKE_DIR)/daos-fleet-b.json
+	cmp $(SMOKE_DIR)/daos-fleet-a.json $(SMOKE_DIR)/daos-fleet-b.json
 	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli --seed 42 fleet -n 10000 --duration 180 \
-		--faults examples/faults/fleet-10k.toml --out /tmp/daos-fleet-chaos-a.json
+		--faults examples/faults/fleet-10k.toml --out $(SMOKE_DIR)/daos-fleet-chaos-a.json
 	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli --seed 42 fleet -n 10000 --duration 180 \
-		--faults examples/faults/fleet-10k.toml --out /tmp/daos-fleet-chaos-b.json
-	cmp /tmp/daos-fleet-chaos-a.json /tmp/daos-fleet-chaos-b.json
-	! grep -q '"reclaim_passes":0,' /tmp/daos-fleet-chaos-a.json \
+		--faults examples/faults/fleet-10k.toml --out $(SMOKE_DIR)/daos-fleet-chaos-b.json
+	cmp $(SMOKE_DIR)/daos-fleet-chaos-a.json $(SMOKE_DIR)/daos-fleet-chaos-b.json
+	! grep -q '"reclaim_passes":0,' $(SMOKE_DIR)/daos-fleet-chaos-a.json \
 		|| { echo "fleet chaos run never reached the pressure pass" >&2; exit 1; }
 	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli --seed 42 fleet -n 2000 --duration 120 \
-		--shards 4 -j 2 --out /tmp/daos-fleet-sharded-a.json
+		--shards 4 -j 2 --out $(SMOKE_DIR)/daos-fleet-sharded-a.json
 	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli --seed 42 fleet -n 2000 --duration 120 \
-		--shards 4 --out /tmp/daos-fleet-sharded-b.json
-	cmp /tmp/daos-fleet-sharded-a.json /tmp/daos-fleet-sharded-b.json
+		--shards 4 --out $(SMOKE_DIR)/daos-fleet-sharded-b.json
+	cmp $(SMOKE_DIR)/daos-fleet-sharded-a.json $(SMOKE_DIR)/daos-fleet-sharded-b.json
 	@echo "fleet smoke: byte-identical under the sanitizer, with and without the chaos plan (which reaches the pressure pass); pool == serial"
 
 # Crash-recovery proof from the CLI (the tier-1 property tests do the
@@ -208,47 +214,47 @@ fleet-smoke:
 # naming its format, and the pinned v2 run fixture (another tree's code
 # version) resumes with --allow-version-skew.
 resume-smoke:
-	rm -rf /tmp/daos-resume-smoke && mkdir -p /tmp/daos-resume-smoke
+	rm -rf $(SMOKE_DIR)/daos-resume-smoke && mkdir -p $(SMOKE_DIR)/daos-resume-smoke
 	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli --seed 42 fleet -n 500 \
-		--checkpoint /tmp/daos-resume-smoke/fleet.ckpt \
-		--out /tmp/daos-resume-smoke/fleet-full.json
-	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli resume /tmp/daos-resume-smoke/fleet.ckpt \
-		--out /tmp/daos-resume-smoke/fleet-resumed.json
-	cmp /tmp/daos-resume-smoke/fleet-full.json /tmp/daos-resume-smoke/fleet-resumed.json
+		--checkpoint $(SMOKE_DIR)/daos-resume-smoke/fleet.ckpt \
+		--out $(SMOKE_DIR)/daos-resume-smoke/fleet-full.json
+	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli resume $(SMOKE_DIR)/daos-resume-smoke/fleet.ckpt \
+		--out $(SMOKE_DIR)/daos-resume-smoke/fleet-resumed.json
+	cmp $(SMOKE_DIR)/daos-resume-smoke/fleet-full.json $(SMOKE_DIR)/daos-resume-smoke/fleet-resumed.json
 	$(PYTHON) -m repro.cli --time-scale 0.05 sweep \
 		--workloads parsec3/swaptions --configs baseline,prcl --seeds 0,1 -j 2 \
-		--journal /tmp/daos-resume-smoke/wal --cache-dir /tmp/daos-resume-smoke/cache-a \
-		--out /tmp/daos-resume-smoke/sweep-full.json
+		--journal $(SMOKE_DIR)/daos-resume-smoke/wal --cache-dir $(SMOKE_DIR)/daos-resume-smoke/cache-a \
+		--out $(SMOKE_DIR)/daos-resume-smoke/sweep-full.json
 	$(PYTHON) -m repro.cli --time-scale 0.05 sweep \
 		--workloads parsec3/swaptions --configs baseline,prcl --seeds 0,1 -j 2 \
-		--journal /tmp/daos-resume-smoke/wal --resume \
-		--cache-dir /tmp/daos-resume-smoke/cache-b \
-		--out /tmp/daos-resume-smoke/sweep-resumed.json
-	cmp /tmp/daos-resume-smoke/sweep-full.json /tmp/daos-resume-smoke/sweep-resumed.json
+		--journal $(SMOKE_DIR)/daos-resume-smoke/wal --resume \
+		--cache-dir $(SMOKE_DIR)/daos-resume-smoke/cache-b \
+		--out $(SMOKE_DIR)/daos-resume-smoke/sweep-resumed.json
+	cmp $(SMOKE_DIR)/daos-resume-smoke/sweep-full.json $(SMOKE_DIR)/daos-resume-smoke/sweep-resumed.json
 	$(PYTHON) -m repro.cli --time-scale 0.2 sweep \
 		--workloads parsec3/swaptions,parsec3/dedup,parsec3/freqmine --configs baseline,prcl --seeds 0,1 -j 2 \
-		--cache-dir /tmp/daos-resume-smoke/ref-cache --out /tmp/daos-resume-smoke/kill-ref.json
+		--cache-dir $(SMOKE_DIR)/daos-resume-smoke/ref-cache --out $(SMOKE_DIR)/daos-resume-smoke/kill-ref.json
 	timeout --signal=KILL 1.5 $(PYTHON) -m repro.cli --time-scale 0.2 sweep \
 		--workloads parsec3/swaptions,parsec3/dedup,parsec3/freqmine --configs baseline,prcl --seeds 0,1 -j 2 \
-		--journal /tmp/daos-resume-smoke/kill-wal --cache-dir /tmp/daos-resume-smoke/killed-cache \
-		--out /tmp/daos-resume-smoke/killed.json || true
+		--journal $(SMOKE_DIR)/daos-resume-smoke/kill-wal --cache-dir $(SMOKE_DIR)/daos-resume-smoke/killed-cache \
+		--out $(SMOKE_DIR)/daos-resume-smoke/killed.json || true
 	$(PYTHON) -m repro.cli --time-scale 0.2 sweep \
 		--workloads parsec3/swaptions,parsec3/dedup,parsec3/freqmine --configs baseline,prcl --seeds 0,1 -j 2 \
-		--journal /tmp/daos-resume-smoke/kill-wal --resume \
-		--cache-dir /tmp/daos-resume-smoke/resumed-cache --out /tmp/daos-resume-smoke/kill-resumed.json
-	cmp /tmp/daos-resume-smoke/kill-ref.json /tmp/daos-resume-smoke/kill-resumed.json
+		--journal $(SMOKE_DIR)/daos-resume-smoke/kill-wal --resume \
+		--cache-dir $(SMOKE_DIR)/daos-resume-smoke/resumed-cache --out $(SMOKE_DIR)/daos-resume-smoke/kill-resumed.json
+	cmp $(SMOKE_DIR)/daos-resume-smoke/kill-ref.json $(SMOKE_DIR)/daos-resume-smoke/kill-resumed.json
 	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli --seed 42 fleet -n 500 --duration 180 \
-		--faults examples/faults/fleet-500.toml --checkpoint /tmp/daos-resume-smoke/chaos.ckpt \
-		--out /tmp/daos-resume-smoke/chaos-full.json
-	! grep -q '"reclaim_passes":0,' /tmp/daos-resume-smoke/chaos-full.json \
+		--faults examples/faults/fleet-500.toml --checkpoint $(SMOKE_DIR)/daos-resume-smoke/chaos.ckpt \
+		--out $(SMOKE_DIR)/daos-resume-smoke/chaos-full.json
+	! grep -q '"reclaim_passes":0,' $(SMOKE_DIR)/daos-resume-smoke/chaos-full.json \
 		|| { echo "fleet chaos run never reached the pressure pass" >&2; exit 1; }
-	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli resume /tmp/daos-resume-smoke/chaos.ckpt \
-		--out /tmp/daos-resume-smoke/chaos-resumed.json
-	cmp /tmp/daos-resume-smoke/chaos-full.json /tmp/daos-resume-smoke/chaos-resumed.json
+	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli resume $(SMOKE_DIR)/daos-resume-smoke/chaos.ckpt \
+		--out $(SMOKE_DIR)/daos-resume-smoke/chaos-resumed.json
+	cmp $(SMOKE_DIR)/daos-resume-smoke/chaos-full.json $(SMOKE_DIR)/daos-resume-smoke/chaos-resumed.json
 	$(PYTHON) -m repro.cli resume tests/fixtures/parent-run.ckpt \
-		2> /tmp/daos-resume-smoke/v1.err; test $$? -eq 4
-	test "$$(grep -c '^error:' /tmp/daos-resume-smoke/v1.err)" -eq 1
-	grep -q '^error:.*daos-ckpt-v1' /tmp/daos-resume-smoke/v1.err
+		2> $(SMOKE_DIR)/daos-resume-smoke/v1.err; test $$? -eq 4
+	test "$$(grep -c '^error:' $(SMOKE_DIR)/daos-resume-smoke/v1.err)" -eq 1
+	grep -q '^error:.*daos-ckpt-v1' $(SMOKE_DIR)/daos-resume-smoke/v1.err
 	$(PYTHON) -m repro.cli resume --allow-version-skew tests/fixtures/parent-run-v2.ckpt
 	@echo "resume smoke: checkpoint and journal replay are byte-identical; v1 files are refused"
 

@@ -21,9 +21,10 @@ is :data:`repro.lint.astlint.LAYERS` and ``daos lint`` checks it):
 * :mod:`repro.modules` — DAMON_RECLAIM / DAMON_LRU_SORT style modules;
   :mod:`repro.workloads` — synthetic access-pattern models of the 24
   Parsec3 / Splash-2x workloads and the production serverless system;
-* :mod:`repro.recovery` — checkpoint files and the sweep journal;
+* :mod:`repro.recovery` — checkpoint files (one pause, restore and
+  resume for runs and fleets alike) and the sweep journal;
 * :mod:`repro.runner` — the six experiment configurations (baseline,
-  rec, prec, thp, ethp, prcl), the experiment driver and run restore;
+  rec, prec, thp, ethp, prcl) and the experiment driver;
 * :mod:`repro.analysis` — heatmaps (Figure 6), working-set estimation,
   and report tables; :mod:`repro.perf` — the per-layer profiler;
 * :mod:`repro.sweep` — cached, resumable sweeps over a worker pool;

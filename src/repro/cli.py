@@ -72,9 +72,9 @@ from .errors import CheckpointError, ConfigError, DaosError, ParseError, Watchdo
 from .faults import FaultInjector, load_fault_plan
 from .lint import analyze_scheme_text, has_errors, lint_paths, render_json, render_text
 from .perf import profile_run
-from .recovery.codec import checkpoint_fleet_stepping, read_checkpoint_header
+from .recovery.codec import read_checkpoint_header, resume_checkpoint, run_with_checkpoints
 from .runner.configs import CONFIGS
-from .runner.experiment import SWAP_KINDS, autotune_scheme, resume_checkpoint, run_experiment
+from .runner.experiment import SWAP_KINDS, autotune_scheme, run_experiment
 from .runner.results import normalize
 from .sanitize import default_enabled, set_default_enabled
 from .sweep.grid import SweepGrid
@@ -859,9 +859,8 @@ def _cmd_fleet(args) -> int:
             scheduler = FleetScheduler(
                 cfg, sanitize=True if sanitize else None, faults=injector
             )
-            checkpoint_fleet_stepping(
-                scheduler, args.checkpoint, every_ticks=args.checkpoint_every
-            )
+            scheduler.start_loop()
+            run_with_checkpoints(scheduler, args.checkpoint, every=args.checkpoint_every)
             result = scheduler.finish()
             print(f"checkpoint   : latest snapshot in {args.checkpoint}")
         else:

@@ -23,10 +23,10 @@ build time, and the nonzero rows of what it sums.
    owns them* — the coupling that makes one tenant's burst another
    tenant's major faults.
 
-Construction goes through the same
-:func:`~repro.runner.experiment.build_machine` factory the single-run
-path uses, so guest sizing and swap calibration agree between a
-``run_experiment`` call and a 10,000-tenant fleet.  The naive reference
+The fleet's swap device comes from the single-run path's swap factory
+on the same catalog instance, so per-page swap costs agree between a
+``run_experiment`` call and a 10,000-tenant fleet; only its capacity
+follows the fleet's footprint.  The naive reference
 (:func:`run_fleet_naive`) runs the identical tenant specs through
 ``run_experiment`` one process-simulation at a time — the status quo
 this layer replaces, and the baseline `benchmarks/bench_fleet_scale.py`
@@ -52,8 +52,9 @@ from ..clock import EventQueue
 from ..errors import ConfigError
 from ..monitor.attrs import MonitorAttrs
 from ..monitor.batch import BatchMonitorPass, BatchRegionTable
+from ..recovery.codec import PausedSimulation
 from ..runner.configs import get_config, prcl_config
-from ..runner.experiment import SWAP_KINDS, _build_swap, build_machine, run_experiment
+from ..runner.experiment import SWAP_KINDS, _build_swap, run_experiment
 from ..sanitize.runtime import resolve_sanitizer
 from ..sim.costs import CostModel
 from ..sim.kernel import Watermarks, check_tier_policy
@@ -166,8 +167,12 @@ def _take_in_order(want: np.ndarray, budget: int) -> np.ndarray:
     return np.clip(budget - (cum - want), 0, want)
 
 
-class FleetScheduler:
-    """One fleet (or one shard of one) in a single process."""
+class FleetScheduler(PausedSimulation):
+    """One fleet (or one shard of one) in a single process: built,
+    started with :meth:`start_loop`, stepped tick by tick with
+    :meth:`run_until`, frozen with :meth:`finish`."""
+
+    checkpoint_kind = "fleet"
 
     def __init__(
         self,
@@ -194,8 +199,6 @@ class FleetScheduler:
                 "with --naive (one kernel per tenant)"
             )
 
-        #: The machine factory shared with the single-run path.
-        self.machine = build_machine(cfg.machine, swap=cfg.swap)
         self.costs = CostModel()
         self.watermarks = Watermarks()
 
@@ -223,7 +226,7 @@ class FleetScheduler:
         # exhaustion is a modelled event, not an artifact of the
         # single-run default; per-page costs are the single run's.
         self.swap_device = _build_swap(
-            cfg.swap, self.machine.host, capacity=max(2 * total_footprint, 1 * GIB)
+            cfg.swap, get_instance(cfg.machine), capacity=max(2 * total_footprint, 1 * GIB)
         )
         if cfg.swap == "zram":
             self._swap_read_us = float(self.swap_device.decompress_us)  # type: ignore[attr-defined]
@@ -462,8 +465,6 @@ class FleetScheduler:
         self._swap_out(rows, pages, total)
         self.pageout_pages += self._per_tenant(rows, pages).astype(np.int64)
         self.pageout_batches += self._per_tenant(rows, pages > 0).astype(np.int64)
-        if self.trace is not None:
-            self.trace.count(PageoutBatch)
 
     def _evict(self, target_pages: int, touched: np.ndarray, now: int) -> int:
         """Evict up to ``target_pages`` from the globally coldest
@@ -491,6 +492,16 @@ class FleetScheduler:
     # ------------------------------------------------------------------
     # The run loop
     # ------------------------------------------------------------------
+    @property
+    def step_us(self) -> int:
+        """A fleet pauses at tick boundaries."""
+        return self.cfg.tick_us
+
+    @property
+    def duration_us(self) -> int:
+        """The fleet's configured duration."""
+        return self.cfg.duration_us
+
     def start_loop(self) -> EventQueue:
         """Create the event queue and register the fleet tick.
 
@@ -506,24 +517,13 @@ class FleetScheduler:
         self.queue = queue
         return queue
 
-    def __getstate__(self) -> Dict[str, Any]:
-        """A checkpoint holds simulation state, so the host-time stamp
-        stays behind (:func:`~repro.recovery.codec.restore_fleet` stamps
-        the restored fleet)."""
-        state = dict(vars(self))
-        del state["wall_start"]
-        return state
-
     def periodic_handlers(self) -> Dict[str, Any]:
-        """Periodic name → callback of what :meth:`start_loop`
-        registers; a checkpoint restore binds the re-registered handle
-        through it."""
         return {"fleet-tick": self._tick}
 
     def run(self) -> FleetResult:
         """Drive the fleet to ``duration_us`` and freeze the result."""
         self.start_loop()
-        self.queue.run_until(self.cfg.duration_us)
+        self.run_until(self.duration_us)
         return self.finish()
 
     def finish(self) -> FleetResult:

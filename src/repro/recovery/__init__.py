@@ -3,27 +3,27 @@
 Two defenses, one package (DESIGN.md §16):
 
 * :mod:`repro.recovery.codec` — a versioned, digest-stamped checkpoint
-  file format over the full simulation state: header, a pickle with
-  columns and live handles by reference, a column block, atomic write,
-  the run and fleet writers, the reader and the fleet restore.  A run
-  checkpointed at epoch *k* and resumed is byte-identical to the
-  uninterrupted run; :func:`~repro.runner.experiment.restore_run` is
-  the run's entry point.
+  file format over the full simulation state, and one writer, stepping
+  driver, restore and resume for runs and fleets alike.  A root
+  checkpointed at step *k* and resumed is byte-identical to the
+  uninterrupted one.
 * :mod:`repro.recovery.journal` — a write-ahead journal for sweeps and
   sharded fleet runs; ``--resume`` replays completed points and
   re-executes only in-flight ones.
 
-The package sits below :mod:`repro.runner`; the sweep's supervised
-worker pool is :class:`~repro.sweep.supervisor.PointSupervisor`.
+The package sits below :mod:`repro.runner` and :mod:`repro.fleet`; the
+sweep's supervised worker pool is
+:class:`~repro.sweep.supervisor.PointSupervisor`.
 """
 
 from .codec import (
     CHECKPOINT_FORMAT,
-    checkpoint_fleet,
+    PausedSimulation,
     checkpoint_run,
-    checkpoint_run_stepping,
     read_checkpoint_header,
-    restore_fleet,
+    restore,
+    resume_checkpoint,
+    run_with_checkpoints,
     state_digest,
 )
 from .journal import JOURNAL_FORMAT, SweepJournal
@@ -31,11 +31,12 @@ from .journal import JOURNAL_FORMAT, SweepJournal
 __all__ = [
     "CHECKPOINT_FORMAT",
     "JOURNAL_FORMAT",
+    "PausedSimulation",
     "SweepJournal",
-    "checkpoint_fleet",
     "checkpoint_run",
-    "checkpoint_run_stepping",
     "read_checkpoint_header",
-    "restore_fleet",
+    "restore",
+    "resume_checkpoint",
+    "run_with_checkpoints",
     "state_digest",
 ]

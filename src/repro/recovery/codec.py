@@ -1,13 +1,18 @@
 """The checkpoint codec: crash-consistent snapshots of a live simulation.
 
+A run and a fleet share one lifecycle (:class:`PausedSimulation`):
+:func:`checkpoint_run` writes a started root, :func:`run_with_checkpoints`
+drives one to its end writing as it goes, :func:`restore` reads one
+back and :func:`resume_checkpoint` restores, runs and finishes it.
+
 A checkpoint (format :data:`CHECKPOINT_FORMAT`) is one file in three
 parts, the framing of the sweep cache's entries:
 
-* **line 1** — a JSON header: format tag, checkpoint kind, virtual time,
-  the repo's :func:`~repro.version.code_version_tag`, the SHA-256 and
-  byte length of the payload, and ``pickle_bytes``, where the payload's
-  pickle ends and its column block begins;
-* **the pickle** — the simulation graph (an
+* **line 1** — a JSON header: format tag, the root's checkpoint kind,
+  virtual time, the repo's :func:`~repro.version.code_version_tag`, the
+  SHA-256 and byte length of the payload, and ``pickle_bytes``, where
+  the payload's pickle ends and its column block begins;
+* **the pickle** — the root (an
   :class:`~repro.runner.experiment.ExperimentRun` or a
   :class:`~repro.fleet.scheduler.FleetScheduler`) with its bulk state
   taken out: every 1-D, C-contiguous, numeric ndarray the graph reaches
@@ -19,7 +24,7 @@ parts, the framing of the sweep cache's entries:
   themselves, never joined into one buffer.
 
 Live handles are pickled as named references too, and the reader binds
-them again: the run's :class:`~repro.trace.bus.TraceBus` (its counters
+them again: the root's :class:`~repro.trace.bus.TraceBus` (its counters
 ride the payload; subscribers, ring and clock do not), the
 :class:`~repro.clock.EventQueue` and every pending
 :class:`~repro.clock.PeriodicEvent`, such as the monitor's tick
@@ -33,8 +38,8 @@ new one.
 
 The file is written atomically (temp + ``fsync`` + :func:`os.replace`)
 so a crash mid-write leaves either the previous checkpoint or none —
-never a torn one.  :func:`read_checkpoint` re-verifies the header and
-the digest before unpickling and raises
+never a torn one.  :func:`restore` re-verifies the header and the
+digest before unpickling and raises
 :class:`~repro.errors.CheckpointError` (CLI exit code 4) on any
 mismatch, and on a payload this tree cannot load.
 
@@ -50,9 +55,9 @@ What makes restore *byte-identical* rather than merely plausible:
   same-instant tie-breaking;
 * a loaded column is a fresh array of its canonical dtype, so the
   restored graph pickles again exactly as a fresh one does;
-* checkpointing itself only *pauses* the loop at an epoch boundary
+* checkpointing itself only *pauses* the loop at a step boundary
   (``run_until`` in steps dispatches the identical event sequence as one
-  big ``run_until``), so a checkpointed run equals an uninterrupted one
+  big ``run_until``), so a checkpointed root equals an uninterrupted one
   even when never restored.
 """
 
@@ -64,8 +69,7 @@ import json
 import os
 import pickle
 import time
-from functools import partial
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -77,14 +81,12 @@ from ..version import code_version_tag
 
 __all__ = [
     "CHECKPOINT_FORMAT",
-    "announce_resumed",
+    "PausedSimulation",
     "checkpoint_run",
-    "checkpoint_run_stepping",
-    "checkpoint_fleet",
-    "checkpoint_fleet_stepping",
-    "read_checkpoint",
     "read_checkpoint_header",
-    "restore_fleet",
+    "restore",
+    "resume_checkpoint",
+    "run_with_checkpoints",
     "state_digest",
 ]
 
@@ -108,6 +110,47 @@ _PICKLE_PROTOCOL = 4
 #: A serialized paused simulation: the pickle, the block's columns in
 #: order, and the SHA-256 of both.
 _Payload = Tuple[bytes, List[np.ndarray], str]
+
+
+class PausedSimulation:
+    """A simulation root as the codec sees it, run or fleet alike.
+
+    A started root holds its loop in ``queue``, its bus (or ``None``) in
+    ``trace`` and its host-time stamp in ``wall_start``; it pauses every
+    ``step_us`` (an epoch, a tick) and ends at ``duration_us``.  The
+    codec imports neither root, so each names its header ``kind``.
+    """
+
+    checkpoint_kind: str
+    queue: Optional[EventQueue]
+    trace: Optional[TraceBus]
+    wall_start: float
+    step_us: int
+    duration_us: int
+
+    def __getstate__(self) -> Dict[str, Any]:
+        """A checkpoint holds simulation state, so the host-time stamp
+        stays behind (:func:`restore` stamps the restored root)."""
+        state = dict(vars(self))
+        del state["wall_start"]
+        return state
+
+    def periodic_handlers(self) -> Dict[str, Callable[[int], None]]:
+        """Periodic name → callback of every periodic the root's start
+        registers; a restore binds the re-registered handles through it."""
+        raise NotImplementedError
+
+    def run_until(self, deadline_us: int) -> int:
+        """Advance virtual time to ``deadline_us`` (inclusive).  Stepping
+        in increments dispatches the identical event sequence as one big
+        ``run_until`` — that equivalence is what makes pausing for a
+        checkpoint invisible to the simulation."""
+        assert self.queue is not None, "start the simulation (or restore it) first"
+        return self.queue.run_until(deadline_us)
+
+    def finish(self) -> Any:
+        """Freeze the root's result once it has run to ``duration_us``."""
+        raise NotImplementedError
 
 
 # ----------------------------------------------------------------------
@@ -152,10 +195,12 @@ class _Writer(pickle.Pickler):
         return NotImplemented if key is None else (_live, (key,))
 
 
-def _encode(root: Any, queue: EventQueue, bus: Optional[TraceBus]) -> _Payload:
-    """Serialize a paused simulation whose loop is ``queue`` and whose
-    bus is ``bus``: first the pending periodics and the bus counters,
-    then ``root``."""
+def _encode(root: PausedSimulation) -> _Payload:
+    """Serialize a paused root: first the pending periodics of its loop
+    and its bus counters, then the root."""
+    queue, bus = root.queue, root.trace
+    if queue is None:
+        raise CheckpointError(f"cannot checkpoint a {root.checkpoint_kind} before it starts")
     pending = queue.pending_events()
     live: Dict[int, Any] = {id(queue): "queue"}
     if bus is not None:
@@ -197,9 +242,11 @@ class _Reader(pickle.Unpickler):
         return np.frombuffer(self.block, dtype, length, offset).copy()
 
 
-def _load(path: str, header: Dict[str, Any], payload: bytes, trace: Optional[TraceBus]):
+def _load(
+    path: str, header: Dict[str, Any], payload: bytes, trace: Optional[TraceBus]
+) -> PausedSimulation:
     """Unpickle a verified payload onto a fresh loop at the header's
-    instant; returns ``(root, bus)`` (see :func:`read_checkpoint`)."""
+    instant (see :func:`restore` for which bus the root gets)."""
     reader = _Reader(payload, header["pickle_bytes"])
     periodics, counters = reader.load()
     queue = EventQueue(VirtualClock(start=header["time_us"]))
@@ -222,46 +269,7 @@ def _load(path: str, header: Dict[str, Any], payload: bytes, trace: Optional[Tra
         event.callback = handlers.get(event.name)
         if event.callback is None:
             raise CheckpointError(f"checkpoint {path!r} names unknown periodic {event.name!r}")
-    return root, trace
-
-
-def _commit(
-    path: str, kind: str, time_us: int, payload: _Payload, trace: Optional[TraceBus], sequence: int
-) -> str:
-    """Atomically write header + payload, then announce the checkpoint
-    on ``trace``; returns the 16-hex-char restore identity."""
-    blob, columns, digest = payload
-    payload_bytes = len(blob) + sum(column.nbytes for column in columns)
-    header = {
-        "format": CHECKPOINT_FORMAT,
-        "kind": kind,
-        "time_us": int(time_us),
-        "code_version": code_version_tag(),
-        "payload_sha256": digest,
-        "payload_bytes": payload_bytes,
-        "pickle_bytes": len(blob),
-    }
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("ascii"))
-        fh.write(b"\n")
-        fh.write(blob)
-        for column in columns:
-            fh.write(column)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    if trace is not None:
-        trace.emit(
-            CheckpointWritten(
-                time_us=trace.now,
-                target=kind,
-                digest=digest[:16],
-                payload_bytes=payload_bytes,
-                sequence=sequence,
-            )
-        )
-    return digest[:16]
+    return root
 
 
 def read_checkpoint_header(path: str) -> Dict[str, Any]:
@@ -299,23 +307,12 @@ def read_checkpoint_header(path: str) -> Dict[str, Any]:
     return header
 
 
-def read_checkpoint(
-    path: str, *, kind: str, strict_version: bool, trace: Optional[TraceBus] = None
-) -> Tuple[Dict[str, Any], Any, Optional[TraceBus]]:
-    """Read, digest-verify and unpickle a ``kind`` checkpoint file onto a
-    fresh event loop at its instant; returns ``(header, root, bus)``.
-    The root's ``periodic_handlers()`` names the callback of each
-    pending periodic.
-
-    ``bus`` is the one the restored simulation continues on, bound to
-    the new queue's clock: ``trace`` if given, else a fresh internal bus
-    whenever the original had one (its counters were saved); ``None``
-    stays ``None`` (the ``collect_trace=False`` path)."""
+def _read(
+    path: str, trace: Optional[TraceBus], strict_version: bool
+) -> Tuple[Dict[str, Any], PausedSimulation]:
+    """Read, digest-verify and unpickle a checkpoint file; returns
+    ``(header, root)`` with the root stamped with the host time."""
     header = read_checkpoint_header(path)
-    if header["kind"] != kind:
-        raise CheckpointError(
-            f"{path!r} holds a {header['kind']!r} checkpoint, expected {kind!r}"
-        )
     with open(path, "rb") as fh:
         fh.readline()
         blob = fh.read()
@@ -340,7 +337,7 @@ def read_checkpoint(
                 f"(pass --allow-version-skew to restore anyway)"
             )
     try:
-        root, trace = _load(path, header, blob, trace)
+        root = _load(path, header, blob, trace)
     except CheckpointError:
         raise
     except Exception as exc:
@@ -353,133 +350,120 @@ def read_checkpoint(
             f"{header['code_version']!r} cannot be loaded by this tree "
             f"({code_version_tag()!r}): {type(exc).__name__}: {exc}"
         ) from exc
-    return header, root, trace
+    root.wall_start = time.perf_counter()
+    return header, root
 
 
-def announce_resumed(trace: Optional[TraceBus], header: Dict[str, Any]) -> None:
-    """Emit the ``RunResumed`` event of a restore from ``header``."""
-    if trace is not None:
-        trace.emit(
-            RunResumed(
-                time_us=trace.now,
-                target=header["kind"],
-                digest=header["payload_sha256"][:16],
-                checkpoint_time_us=header["time_us"],
+# ----------------------------------------------------------------------
+# The lifecycle
+# ----------------------------------------------------------------------
+def state_digest(root: PausedSimulation) -> str:
+    """Digest of a paused root's full state, without writing a file.
+
+    Two roots of the same experiment paused at the same virtual time
+    have equal digests — the identity the recovery tests assert.  It
+    hashes the live state's payload, not a result value, so it is not a
+    :func:`~repro.sweep.serialize.fingerprint`.
+    """
+    return _encode(root)[2][:16]
+
+
+def checkpoint_run(root: PausedSimulation, path: str, *, sequence: int = 1) -> str:
+    """Write a crash-consistent checkpoint of a started, paused ``root``
+    (between ``run_until`` steps); returns the 16-hex-char restore
+    identity.  Counters are snapshotted *before* the
+    ``CheckpointWritten`` event is emitted, so the event never appears
+    in its own checkpoint.
+    """
+    blob, columns, digest = _encode(root)
+    payload_bytes = len(blob) + sum(column.nbytes for column in columns)
+    header = {
+        "format": CHECKPOINT_FORMAT,
+        "kind": root.checkpoint_kind,
+        "time_us": int(root.queue.clock.now),
+        "code_version": code_version_tag(),
+        "payload_sha256": digest,
+        "payload_bytes": payload_bytes,
+        "pickle_bytes": len(blob),
+    }
+    tmp = f"{path}.tmp.{os.getpid()}"
+    with open(tmp, "wb") as fh:
+        fh.write(json.dumps(header, sort_keys=True).encode("ascii"))
+        fh.write(b"\n")
+        fh.write(blob)
+        for column in columns:
+            fh.write(column)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+    if root.trace is not None:
+        root.trace.emit(
+            CheckpointWritten(
+                time_us=root.trace.now,
+                target=root.checkpoint_kind,
+                digest=digest[:16],
+                payload_bytes=payload_bytes,
+                sequence=sequence,
             )
         )
+    return digest[:16]
 
 
-def _step_with_checkpoints(
-    run_until, step_us: int, duration_us: int, every: int, write
-) -> List[str]:
-    """Drive ``run_until`` to ``duration_us``, pausing to ``write`` a
-    checkpoint after every ``every`` steps of ``step_us`` (0 = once at
-    the midpoint); returns the digests written, in order."""
-    n_steps = max(1, duration_us // step_us)
+def run_with_checkpoints(root: PausedSimulation, path: str, *, every: int = 0) -> List[str]:
+    """Drive a started ``root`` to its ``duration_us``, checkpointing to
+    ``path`` at step boundaries; returns the digests written, in order.
+
+    ``every`` > 0 checkpoints after every that-many steps (epochs of a
+    run, ticks of a fleet); 0 checkpoints once at the midpoint.  The
+    same ``path`` is rewritten atomically each time, so the file always
+    holds the latest complete snapshot — what ``daos resume`` wants
+    after a crash.
+    """
+    n_steps = max(1, root.duration_us // root.step_us)
     if every > 0:
         boundaries = list(range(every, n_steps, every))
     else:
         boundaries = [n_steps // 2] if n_steps >= 2 else []
     digests: List[str] = []
     for sequence, step in enumerate(boundaries, start=1):
-        run_until(step * step_us)
-        digests.append(write(sequence=sequence))
-    run_until(duration_us)
+        root.run_until(step * root.step_us)
+        digests.append(checkpoint_run(root, path, sequence=sequence))
+    root.run_until(root.duration_us)
     return digests
 
 
-# ----------------------------------------------------------------------
-# Single-run checkpoints
-# ----------------------------------------------------------------------
-def _run_payload(run) -> _Payload:
-    if run.queue is None:
-        raise CheckpointError("cannot checkpoint a run before start()")
-    return _encode(run, run.queue, run.trace)
+def restore(
+    path: str, *, trace: Optional[TraceBus] = None, strict_version: bool = True
+) -> PausedSimulation:
+    """Reconstruct the paused root a checkpoint holds, ready for
+    ``run_until`` and ``finish`` and byte-identical in behaviour to the
+    root it was taken from.  Emits no event.
 
-
-def state_digest(run) -> str:
-    """Digest of a paused run's full state, without writing a file.
-
-    Two runs of the same experiment paused at the same virtual time have
-    equal digests — the identity the recovery tests assert.  It hashes
-    the live state's payload, not a result value, so it is not a
-    :func:`~repro.sweep.serialize.fingerprint`.
+    The root continues on ``trace`` if given, else on a fresh internal
+    bus whenever the original had one (its counters are restored).
+    ``strict_version`` refuses a file written by another code version.
     """
-    return _run_payload(run)[2][:16]
+    return _read(path, trace, strict_version)[1]
 
 
-def checkpoint_run(run, path: str, *, sequence: int = 1) -> str:
-    """Write a crash-consistent checkpoint of ``run``; returns the digest.
-
-    The caller must have paused the loop (between ``run_until`` steps);
-    epoch boundaries are the natural — and tested — pause points.
-    Counters are snapshotted *before* the ``CheckpointWritten`` event is
-    emitted, so the event never appears in its own checkpoint.
-    """
-    payload = _run_payload(run)
-    return _commit(path, "run", run.queue.clock.now, payload, run.trace, sequence)
-
-
-def checkpoint_run_stepping(
-    run, path: str, *, every_epochs: int = 0
-) -> List[str]:
-    """Drive a started run to completion, checkpointing at epoch
-    boundaries; returns the digests written, in order.
-
-    ``every_epochs`` > 0 checkpoints after every that-many epochs;
-    0 checkpoints once at the midpoint.  The same ``path`` is rewritten
-    atomically each time, so the file always holds the latest complete
-    snapshot — exactly what ``daos resume`` wants after a crash.
-    """
-    return _step_with_checkpoints(
-        run.run_until,
-        run.spec.epoch_us,
-        run.spec.duration_us,
-        every_epochs,
-        partial(checkpoint_run, run, path),
-    )
-
-
-# ----------------------------------------------------------------------
-# Fleet checkpoints
-# ----------------------------------------------------------------------
-def checkpoint_fleet(scheduler, path: str, *, sequence: int = 1) -> str:
-    """Write a checkpoint of a paused fleet scheduler; returns the digest."""
-    if scheduler.queue is None:
-        raise CheckpointError("cannot checkpoint a fleet before start_loop()")
-    payload = _encode(scheduler, scheduler.queue, scheduler.trace)
-    return _commit(
-        path, "fleet", scheduler.queue.clock.now, payload, scheduler.trace, sequence
-    )
-
-
-def restore_fleet(
-    path: str,
-    *,
-    trace: Optional[TraceBus] = None,
-    strict_version: bool = True,
-):
-    """Reconstruct a paused :class:`~repro.fleet.scheduler.FleetScheduler`.
-
-    Ready for ``queue.run_until(cfg.duration_us)`` then ``finish()``."""
-    header, scheduler, trace = read_checkpoint(
-        path, kind="fleet", strict_version=strict_version, trace=trace
-    )
-    scheduler.wall_start = time.perf_counter()
-    announce_resumed(trace, header)
-    return scheduler
-
-
-def checkpoint_fleet_stepping(
-    scheduler, path: str, *, every_ticks: int = 0
-) -> List[str]:
-    """Drive an un-started fleet to completion with tick-boundary
-    checkpoints; the fleet twin of :func:`checkpoint_run_stepping`."""
-    queue = scheduler.start_loop()
-    return _step_with_checkpoints(
-        queue.run_until,
-        scheduler.cfg.tick_us,
-        scheduler.cfg.duration_us,
-        every_ticks,
-        partial(checkpoint_fleet, scheduler, path),
-    )
+def resume_checkpoint(
+    path: str, *, trace: Optional[TraceBus] = None, strict_version: bool = True
+) -> Any:
+    """Restore any checkpoint and drive it to completion: one
+    ``RunResumed`` event, then ``run_until`` its ``duration_us``, then
+    ``finish()`` — a :class:`~repro.runner.results.RunResult` for a run,
+    a :class:`~repro.fleet.result.FleetResult` for a fleet.  The engine
+    behind ``daos resume FILE``; the keywords are :func:`restore`'s."""
+    header, root = _read(path, trace, strict_version)
+    bus = trace if trace is not None else root.trace
+    if bus is not None:
+        bus.emit(
+            RunResumed(
+                time_us=bus.now,
+                target=header["kind"],
+                digest=header["payload_sha256"][:16],
+                checkpoint_time_us=header["time_us"],
+            )
+        )
+    root.run_until(root.duration_us)
+    return root.finish()

@@ -1,12 +1,12 @@
-"""Experiment harness: the paper's six system configurations (§4), the
-drivers that run (workload × machine × configuration) simulations and
-normalise their results against baseline, and the restore of a paused
-run from its checkpoint file (:func:`restore_run`, and
-:func:`resume_checkpoint` behind ``daos resume``).
+"""Experiment harness: the paper's six system configurations (§4), and
+the drivers that run (workload × machine × configuration) simulations
+and normalise their results against baseline.  A run is a
+:class:`~repro.recovery.PausedSimulation`: its checkpoints are written,
+restored and resumed by :mod:`repro.recovery`, as a fleet's are.
 """
 
 from .configs import CONFIGS, ExperimentConfig, get_config
-from .experiment import autotune_scheme, restore_run, resume_checkpoint, run_experiment
+from .experiment import autotune_scheme, run_experiment
 from .results import NormalizedResult, RunResult, normalize
 
 __all__ = [
@@ -17,7 +17,5 @@ __all__ = [
     "autotune_scheme",
     "get_config",
     "normalize",
-    "restore_run",
-    "resume_checkpoint",
     "run_experiment",
 ]

@@ -16,19 +16,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..clock import EventQueue
-from ..errors import CheckpointError, ConfigError
+from ..errors import ConfigError
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
 from ..monitor.attrs import MonitorAttrs
 from ..monitor.core import DataAccessMonitor
 from ..monitor.primitives import PhysicalPrimitive, VirtualPrimitive
-from ..recovery.codec import (
-    announce_resumed,
-    checkpoint_run_stepping,
-    read_checkpoint,
-    read_checkpoint_header,
-    restore_fleet,
-)
+from ..recovery.codec import PausedSimulation, run_with_checkpoints
 from ..sanitize.runtime import resolve_sanitizer
 from ..schemes.engine import SchemesEngine
 from ..sim.costs import CostModel
@@ -53,8 +47,6 @@ __all__ = [
     "build_machine",
     "build_tenant",
     "ExperimentRun",
-    "restore_run",
-    "resume_checkpoint",
     "run_experiment",
     "autotune_scheme",
 ]
@@ -285,7 +277,7 @@ def build_tenant(
     )
 
 
-class ExperimentRun:
+class ExperimentRun(PausedSimulation):
     """One experiment as a steppable object: construct, :meth:`start`,
     drive time with :meth:`run_until`, then :meth:`finish`.
 
@@ -345,6 +337,8 @@ class ExperimentRun:
     either way.
     """
 
+    checkpoint_kind = "run"
+
     def __init__(
         self,
         workload: Union[str, WorkloadSpec],
@@ -403,17 +397,17 @@ class ExperimentRun:
         self.compute_us: float = 0.0
         self.started = False
 
-    def __getstate__(self) -> dict:
-        """A checkpoint holds simulation state, so the host-time stamp
-        stays behind (:func:`restore_run` stamps the restored run)."""
-        state = dict(vars(self))
-        del state["wall_start"]
-        return state
+    @property
+    def step_us(self) -> int:
+        """A run pauses at epoch boundaries."""
+        return self.spec.epoch_us
+
+    @property
+    def duration_us(self) -> int:
+        """The workload's (scaled) duration."""
+        return self.spec.duration_us
 
     def periodic_handlers(self) -> Dict[str, Callable[[int], None]]:
-        """Periodic name → callback of every periodic :meth:`start`
-        registers; a checkpoint restore binds the re-registered handles
-        through it."""
         tenant = self.tenant
         handlers = {"khugepaged": tenant.kernel.khugepaged_scan, "epoch": self.run_one_epoch}
         if tenant.monitor is not None:
@@ -449,14 +443,6 @@ class ExperimentRun:
         self.run_one_epoch(0)
         self.queue.schedule_periodic(self.spec.epoch_us, self.run_one_epoch, name="epoch")
         self.started = True
-
-    def run_until(self, deadline_us: int) -> int:
-        """Advance virtual time to ``deadline_us`` (inclusive).  Stepping
-        a run in increments dispatches the identical event sequence as
-        one big ``run_until`` — that equivalence is what makes pausing
-        for a checkpoint invisible to the simulation."""
-        assert self.queue is not None, "start() (or a restore) must run first"
-        return self.queue.run_until(deadline_us)
 
     def finish(self) -> RunResult:
         """Stop the monitor and assemble the run's :class:`RunResult`.
@@ -503,53 +489,6 @@ class ExperimentRun:
         )
 
 
-def restore_run(
-    path: str,
-    *,
-    trace: Optional[TraceBus] = None,
-    strict_version: bool = True,
-    announce: bool = True,
-) -> ExperimentRun:
-    """Reconstruct a paused :class:`ExperimentRun` from a checkpoint file.
-
-    The returned run is ready for ``run_until`` / ``finish`` and is
-    byte-identical in behavior to the run the checkpoint was taken from:
-    same heap order, same RNG streams, same counters.  ``trace`` supplies
-    an external bus; by default a fresh internal bus is created whenever
-    the original run had one, and its counters are restored.  The file
-    format, the queue and the handle binding are
-    :func:`~repro.recovery.codec.read_checkpoint`'s.
-    """
-    header, run, trace = read_checkpoint(
-        path, kind="run", strict_version=strict_version, trace=trace
-    )
-    run.wall_start = time.perf_counter()
-    if announce:
-        announce_resumed(trace, header)
-    return run
-
-
-def resume_checkpoint(
-    path: str, *, trace: Optional[TraceBus] = None, strict_version: bool = True
-):
-    """Restore *any* checkpoint and drive it to completion.
-
-    Dispatches on the header's ``kind``: returns a :class:`RunResult`
-    for ``"run"`` checkpoints, a :class:`~repro.fleet.result.FleetResult`
-    for ``"fleet"`` ones.  This is the engine behind ``daos resume FILE``.
-    """
-    kind = read_checkpoint_header(path)["kind"]
-    if kind == "run":
-        run = restore_run(path, trace=trace, strict_version=strict_version)
-        run.run_until(run.spec.duration_us)
-        return run.finish()
-    if kind == "fleet":
-        scheduler = restore_fleet(path, trace=trace, strict_version=strict_version)
-        scheduler.queue.run_until(scheduler.cfg.duration_us)
-        return scheduler.finish()
-    raise CheckpointError(f"unknown checkpoint kind {kind!r} in {path!r}")
-
-
 def run_experiment(
     workload: Union[str, WorkloadSpec],
     *,
@@ -571,9 +510,9 @@ def run_experiment(
     run = ExperimentRun(workload, **run_kwargs)
     run.start()
     if checkpoint is not None:
-        checkpoint_run_stepping(run, checkpoint, every_epochs=checkpoint_every)
+        run_with_checkpoints(run, checkpoint, every=checkpoint_every)
     else:
-        run.run_until(run.spec.duration_us)
+        run.run_until(run.duration_us)
     return run.finish()
 
 

@@ -85,7 +85,7 @@ def test_run_constructors_take_no_kernel_class():
     so the value it chose is fixed where it is used."""
     from repro.analysis.ascii_plot import ascii_series, ascii_table
     from repro.analysis.wss import wss_from_snapshots
-    from repro.recovery.codec import restore_fleet
+    from repro.recovery.codec import restore
     from repro.runner.experiment import ExperimentRun, build_tenant
     from repro.sanitize.runtime import SimSanitizer
     from repro.sim.kernel import SimKernel
@@ -105,7 +105,7 @@ def test_run_constructors_take_no_kernel_class():
         (AutoTuner.__init__, "probe_backoff_us"),
         (LruReclaimer.__init__, "activation_window_us"),
         (validate_trace_file, "require_monotone"),
-        (restore_fleet, "announce"),
+        (restore, "announce"),
         (ascii_series, "marker"),
         (ascii_table, "floatfmt"),
         (wss_from_snapshots, "percentiles"),

@@ -263,8 +263,10 @@ class TestFleetScheduler:
         cfg = FleetConfig(seed=4, **SMALL)
         result = run_fleet(cfg, trace=bus)
         counts = bus.summary().counts
-        assert counts.get("PageoutBatch", 0) > 0
-        # Per-tenant grouping rides the count_groups fast path.
+        assert result.pageout_batches > 0
+        # One per-tenant flush at finish, on the count_groups fast path,
+        # is the bus's whole PageoutBatch count.
+        assert counts["PageoutBatch"] == result.pageout_batches
         groups = bus.group_counts.get("PageoutBatch", {})
         assert sum(groups.values()) == result.pageout_batches
         assert all(name.startswith("t") for name in groups)

@@ -40,8 +40,7 @@ from repro.fleet import FleetConfig, run_fleet, run_fleet_sharded
 from repro.modules.lru_sort import LruSortModule, LruSortParams
 from repro.modules.reclaim import ReclaimModule, ReclaimParams
 from repro.monitor.attrs import MonitorAttrs
-from repro.recovery import checkpoint_run
-from repro.runner import restore_run, resume_checkpoint
+from repro.recovery import checkpoint_run, restore, resume_checkpoint
 from repro.runner.configs import PRCL_SCHEMES, ExperimentConfig
 from repro.runner.experiment import ExperimentRun, run_experiment
 from repro.schemes.filters import AddressFilter
@@ -472,7 +471,7 @@ def offbeat_restored():
     with tempfile.TemporaryDirectory() as scratch:
         path = str(Path(scratch) / "run.ckpt")
         checkpoint_run(run, path)
-        resumed = restore_run(path)
+        resumed = restore(path)
     resumed.run_until(resumed.spec.duration_us)
     return resumed.finish(), None
 
@@ -500,7 +499,7 @@ def restored():
     with tempfile.TemporaryDirectory() as scratch:
         path = str(Path(scratch) / "run.ckpt")
         checkpoint_run(run, path)
-        resumed = restore_run(path)
+        resumed = restore(path)
     resumed.run_until(resumed.spec.duration_us)
     return resumed.finish(), None
 
@@ -573,10 +572,10 @@ def fleet_chaos():
 # run at epoch 60 of 80 (past its first prcl pageout;
 # ``run_experiment(**PARENT_RUN, sanitize=True, checkpoint=...,
 # checkpoint_every=60)``), the fleet at tick 30 of 60
-# (``checkpoint_fleet_stepping`` on ``FleetScheduler(PARENT_FLEET,
-# sanitize=True)``).  The tree at commit a8884e5 wrote the same two
-# states as daos-ckpt-v1 files; they stay to show an older format is
-# refused, not read.
+# (``run_with_checkpoints`` on ``FleetScheduler(PARENT_FLEET,
+# sanitize=True)`` after ``start_loop()``).  The tree at commit a8884e5
+# wrote the same two states as daos-ckpt-v1 files; they stay to show an
+# older format is refused, not read.
 # ----------------------------------------------------------------------
 PARENT_RUN = dict(
     workload=_pressure_spec(32 * MIB, 2 * SEC, 8 * SEC),

@@ -31,10 +31,17 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import CheckpointError, ConfigError, DaosError, WatchdogTimeout
 from repro.faults import FaultPlan
-from repro.recovery import SweepJournal, checkpoint_run, read_checkpoint_header, state_digest
+from repro.recovery import (
+    SweepJournal,
+    checkpoint_run,
+    read_checkpoint_header,
+    restore,
+    resume_checkpoint,
+    run_with_checkpoints,
+    state_digest,
+)
 from repro.recovery import codec
-from repro.recovery.codec import CHECKPOINT_FORMAT, checkpoint_fleet_stepping
-from repro.runner import restore_run, resume_checkpoint
+from repro.recovery.codec import CHECKPOINT_FORMAT
 from repro.runner.experiment import ExperimentRun, run_experiment
 from repro.sim.physmem import FrameTable
 from repro.sweep import PointSupervisor
@@ -158,7 +165,7 @@ class TestCheckpointCodec:
         blob[-10] ^= 0xFF
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="digest mismatch"):
-            restore_run(str(path))
+            restore(str(path))
 
     def test_truncated_payload_refuses_to_restore(self, tmp_path):
         path = tmp_path / "ck.bin"
@@ -167,7 +174,7 @@ class TestCheckpointCodec:
         checkpoint_run(run, str(path))
         path.write_bytes(path.read_bytes()[:-64])
         with pytest.raises(CheckpointError):
-            restore_run(str(path))
+            restore(str(path))
 
     def test_not_a_checkpoint_file(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -185,8 +192,8 @@ class TestCheckpointCodec:
         checkpoint_run(run, path)
         monkeypatch.setenv("REPRO_SWEEP_VERSION_TAG", "reader-code")
         with pytest.raises(CheckpointError, match="version"):
-            restore_run(path)
-        restored = restore_run(path, strict_version=False)
+            restore(path)
+        restored = restore(path, strict_version=False)
         assert restored.queue is not None  # restored and runnable
 
     def test_unloadable_payload_is_a_checkpoint_error(self, tmp_path, monkeypatch):
@@ -196,7 +203,7 @@ class TestCheckpointCodec:
         write_unloadable_checkpoint(path)
         monkeypatch.setenv("REPRO_SWEEP_VERSION_TAG", "reader-code")
         with pytest.raises(CheckpointError, match="cannot be loaded") as info:
-            restore_run(str(path), strict_version=False)
+            restore(str(path), strict_version=False)
         message = str(info.value)
         assert str(path) in message
         assert "older-tree" in message and "reader-code" in message
@@ -233,10 +240,9 @@ class TestInterruptAnywhere:
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "ck.bin")
             checkpoint_run(run, path)
-            # announce=False: the RunResumed event is a deliberate
-            # recovery-layer artifact in the trace counters; this test is
-            # about *simulation* state identity.
-            restored = restore_run(path, announce=False)
+            # restore emits no RunResumed, so the trace counters in the
+            # digest are the simulation's alone.
+            restored = restore(path)
         restored.run_until(restored.spec.duration_us)
         assert state_digest(restored) == reference
 
@@ -255,7 +261,7 @@ class TestInterruptAnywhere:
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "ck.bin")
             checkpoint_run(run, path)
-            restored = restore_run(path, announce=False)
+            restored = restore(path)
         restored.run_until(restored.spec.duration_us)
         assert state_digest(restored) == reference
         # The interrupted run goes on to the same place (its own digest
@@ -275,11 +281,88 @@ class TestInterruptAnywhere:
         assert "__getstate__" not in vars(type(monitor))
         path = str(tmp_path / "ck.bin")
         checkpoint_run(run, path)
-        restored = restore_run(path, announce=False).tenant.monitor
+        restored = restore(path).tenant.monitor
         assert set(vars(restored)) == set(vars(monitor))
         assert "_plan" not in vars(restored)
         assert [event.name for event in restored._events] == ["sample", "aggregate", "update"]
         assert all(event.callback.__self__ is restored for event in restored._events)
+
+
+#: A small fleet that pages out (min_age 10 s) and reclaims (pool at 40%
+#: of its footprint) inside its minute.
+SMALL_FLEET = dict(
+    n_tenants=20,
+    duration_s=60.0,
+    footprint_mib=32,
+    pool_ratio=0.4,
+    min_age_s=10.0,
+    arrival_window_s=10.0,
+    seed=13,
+)
+
+
+def fresh_fleet(trace=None):
+    from repro.fleet import FleetConfig, FleetScheduler
+
+    scheduler = FleetScheduler(FleetConfig(**SMALL_FLEET), trace=trace)
+    scheduler.start_loop()
+    return scheduler
+
+
+class TestFleetInterruptAnywhere:
+    """The interrupt-anywhere property for the other root: pause a
+    fleet at any tick, write it, restore it, run it to the end."""
+
+    _uninterrupted: dict = {}
+
+    @classmethod
+    def _reference(cls) -> dict:
+        if not cls._uninterrupted:
+            fleet = fresh_fleet(trace=TraceBus(ring_capacity=0))
+            fleet.run_until(fleet.duration_us)
+            cls._uninterrupted.update(
+                digest=state_digest(fleet),
+                result=fleet.finish().digest(),
+                n_ticks=fleet.duration_us // fleet.step_us,
+            )
+        return cls._uninterrupted
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_state_and_result_identity(self, data):
+        reference = self._reference()
+        tick = data.draw(
+            st.integers(min_value=1, max_value=reference["n_ticks"] - 1), label="tick"
+        )
+        fleet = fresh_fleet(trace=TraceBus(ring_capacity=0))
+        fleet.run_until(tick * fleet.step_us)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "fleet.ckpt")
+            checkpoint_run(fleet, path)
+            assert read_checkpoint_header(path)["kind"] == "fleet"
+            restored = restore(path)
+        restored.run_until(restored.duration_us)
+        assert state_digest(restored) == reference["digest"]
+        result = restored.finish()
+        assert result.pageout_pages > 0 and result.reclaim_passes > 0
+        assert result.digest() == reference["result"]
+
+
+@pytest.mark.parametrize("start", [fresh_run, fresh_fleet], ids=["run", "fleet"])
+def test_resume_announces_once_and_restore_never(start, tmp_path):
+    """``restore`` emits nothing; ``resume_checkpoint`` emits exactly
+    one ``RunResumed``, on a run and on a fleet alike."""
+    path = str(tmp_path / "ck.bin")
+    root = start()
+    root.run_until(2 * root.step_us)
+    checkpoint_run(root, path)
+    quiet, loud = TraceBus(ring_capacity=0), TraceBus(ring_capacity=0)
+    restored = restore(path, trace=quiet)
+    restored.run_until(restored.duration_us)
+    restored.finish()
+    resume_checkpoint(path, trace=loud)
+    assert RunResumed.kind not in quiet.summary().counts
+    assert loud.summary().counts[RunResumed.kind] == 1
 
 
 # ----------------------------------------------------------------------
@@ -323,9 +406,8 @@ class TestFleetCheckpoint:
         if checkpoint is None:
             scheduler.start_loop().run_until(cfg.duration_us)
         else:
-            checkpoint_fleet_stepping(
-                scheduler, checkpoint, every_ticks=every_ticks
-            )
+            scheduler.start_loop()
+            run_with_checkpoints(scheduler, checkpoint, every=every_ticks)
         return scheduler.finish()
 
     def test_chaos_fleet_checkpoint_resume_identity(self, tmp_path):

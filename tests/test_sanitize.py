@@ -21,12 +21,11 @@ from repro.errors import SanitizerError
 from repro.monitor.attrs import MonitorAttrs
 from repro.monitor.core import DataAccessMonitor
 from repro.monitor.primitives import VirtualPrimitive
-from repro.recovery import checkpoint_run, state_digest
+from repro.recovery import checkpoint_run, restore, state_digest
 from repro.runner.experiment import (
     ExperimentRun,
     build_machine,
     build_tenant,
-    restore_run,
     run_experiment,
 )
 from repro.sanitize import SimSanitizer, default_enabled, set_default_enabled
@@ -430,7 +429,7 @@ class TestKeyedCheckpoints:
         assert run.tenant.sanitizer._keyed_clean is not None
         path = str(tmp_path / "run.ckpt")
         checkpoint_run(run, path)
-        restored = restore_run(path, announce=False)
+        restored = restore(path)
         assert restored.tenant.sanitizer._keyed_clean is None
         keyed_calls.clear()
         restored.run_until(4 * restored.spec.epoch_us)
@@ -482,7 +481,7 @@ class TestRunWiring:
     def test_restored_run_still_checks_its_engine(self, tmp_path):
         path = str(tmp_path / "run.ckpt")
         checkpoint_run(self._started_run(), path)
-        restored = restore_run(path)
+        restored = restore(path)
         tenant = restored.tenant
         assert tenant.kernel.sanitizer is tenant.monitor.sanitizer is tenant.sanitizer
         tenant.engine.schemes[0].quota = Quota(size_bytes=MIB)
