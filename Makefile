@@ -209,7 +209,10 @@ fleet-smoke:
 # the journaled points and runs the rest, and the report must match an
 # uninterrupted one wherever the kill landed.  Then a faulted fleet
 # checkpointed mid-run, whose chaos plan must reach the pressure pass,
-# must resume onto the uninterrupted digest.  Last, the checkpoint
+# must resume onto the uninterrupted digest.  Then a run on the full
+# i3.metal guest under the physical-address primitive, whose samples go
+# through the rmap: resumed from its midpoint checkpoint, it must print
+# the uninterrupted run's summary lines.  Last, the checkpoint
 # format from the CLI: a daos-ckpt-v1 file exits 4 with one error line
 # naming its format, and the pinned v2 run fixture (another tree's code
 # version) resumes with --allow-version-skew.
@@ -251,12 +254,21 @@ resume-smoke:
 	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli resume $(SMOKE_DIR)/daos-resume-smoke/chaos.ckpt \
 		--out $(SMOKE_DIR)/daos-resume-smoke/chaos-resumed.json
 	cmp $(SMOKE_DIR)/daos-resume-smoke/chaos-full.json $(SMOKE_DIR)/daos-resume-smoke/chaos-resumed.json
+	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli --seed 0 --time-scale 0.1 run parsec3/freqmine -c prec \
+		--checkpoint $(SMOKE_DIR)/daos-resume-smoke/run.ckpt > $(SMOKE_DIR)/daos-resume-smoke/run-full.txt
+	DAOS_SANITIZE=1 $(PYTHON) -m repro.cli resume $(SMOKE_DIR)/daos-resume-smoke/run.ckpt \
+		> $(SMOKE_DIR)/daos-resume-smoke/run-resumed.txt
+	for f in run-full run-resumed; do \
+		grep -E '^(runtime|avg RSS|peak RSS|monitor CPU|scheme) ' $(SMOKE_DIR)/daos-resume-smoke/$$f.txt \
+			> $(SMOKE_DIR)/daos-resume-smoke/$$f.summary || exit 1; \
+	done
+	cmp $(SMOKE_DIR)/daos-resume-smoke/run-full.summary $(SMOKE_DIR)/daos-resume-smoke/run-resumed.summary
 	$(PYTHON) -m repro.cli resume tests/fixtures/parent-run.ckpt \
 		2> $(SMOKE_DIR)/daos-resume-smoke/v1.err; test $$? -eq 4
 	test "$$(grep -c '^error:' $(SMOKE_DIR)/daos-resume-smoke/v1.err)" -eq 1
 	grep -q '^error:.*daos-ckpt-v1' $(SMOKE_DIR)/daos-resume-smoke/v1.err
 	$(PYTHON) -m repro.cli resume --allow-version-skew tests/fixtures/parent-run-v2.ckpt
-	@echo "resume smoke: checkpoint and journal replay are byte-identical; v1 files are refused"
+	@echo "resume smoke: checkpoint and journal replay are byte-identical, a resumed run prints the same summary; v1 files are refused"
 
 # What CI gates a PR on, runnable locally, cheapest first.
 ci: lint test examples test-sanitize sanitize-smoke sweep-smoke trace-smoke chaos-smoke tiering-smoke bench-smoke bench-e2e-smoke fleet-smoke resume-smoke

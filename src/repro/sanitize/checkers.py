@@ -152,8 +152,9 @@ def check_frame_conservation(kernel: Any, now: int) -> List[Violation]:
         # The counter and the stack disagree; the rmap cross-checks
         # below would only repeat the same corruption.
         return out
-    if live.size and (frames.owner[live] < 0).any():
-        n_orphans = int(np.count_nonzero(frames.owner[live] < 0))
+    back = frames.owners(live)
+    if (back < 0).any():
+        n_orphans = int(np.count_nonzero(back < 0))
         out.append(
             _kernel_violation(
                 kernel,
@@ -178,7 +179,6 @@ def check_frame_conservation(kernel: Any, now: int) -> List[Violation]:
             )
         )
     if live.size:
-        back = frames.owner[live]
         if (back >= flat.n_pages).any():
             n_stale = int(np.count_nonzero(back >= flat.n_pages))
             out.append(
@@ -222,12 +222,11 @@ def check_tier_placement(kernel: Any, now: int) -> List[Violation]:
     out: List[Violation] = []
     frames = kernel.frames
     flat = kernel.space.flat
-    frame_tier = frames.tier
 
     framed = flat.present & (flat.frame >= 0)
     if framed.any():
         idx = np.flatnonzero(framed)
-        mismatch = flat.tier[idx] != frame_tier[flat.frame[idx]]
+        mismatch = (flat.tier[idx] != 0) != (flat.frame[idx] >= frames.n_fast_frames)
         if mismatch.any():
             out.append(
                 _kernel_violation(

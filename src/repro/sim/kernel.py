@@ -253,11 +253,10 @@ class SimKernel:
             for lo, hi in self.space.spans(start, end):
                 yield slice(lo, hi)
             return
-        lo = max(0, start // PAGE_SIZE)
-        hi = min(self.frames.n_frames, -(-end // PAGE_SIZE))
-        if hi <= lo:
+        frames = self.frames.prefix_frames(start // PAGE_SIZE, -(-end // PAGE_SIZE))
+        if frames.size == 0:
             return
-        pages = self.frames.owner[lo:hi]
+        pages = self.frames.owners(frames)
         yield from self.space.flat.split_segments(pages[pages >= 0])
 
     # ------------------------------------------------------------------
@@ -752,11 +751,13 @@ class SimKernel:
         if kind in ("promote", "demote") and self._migration_room(kind == "demote") <= 0:
             return np.zeros(starts.size, dtype=bool)
         if kind == "owned":
-            # Frame addresses, clamped to the frame table as _groups does.
-            n_frames = self.frames.n_frames
-            lo = np.clip(starts // PAGE_SIZE, 0, n_frames)
-            hi = np.clip(-(-ends // PAGE_SIZE), 0, n_frames)
-            column = self.frames.owner >= 0
+            # Frame addresses.  Only a frame inside a pool's live prefix
+            # can have an owner, so the column covers those frames and
+            # each row's bounds become positions in it.
+            live = self.frames.prefix_frames(0, self.frames.n_frames)
+            column = self.frames.owners(live) >= 0
+            lo = np.searchsorted(live, starts // PAGE_SIZE)
+            hi = np.searchsorted(live, -(-ends // PAGE_SIZE))
         else:
             flat = self.space.flat
             lo, hi = self.space.page_spans(starts, ends)

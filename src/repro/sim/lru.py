@@ -84,7 +84,7 @@ class LruReclaimer:
             # instead of an O(n_pages) mask scan.  Sorting restores the
             # ascending page order the mask scan produces, so the RNG
             # tie-break mapping (and hence the selection) is identical.
-            idx = frames.owner[frames.allocated_frames()]
+            idx = frames.owners(frames.allocated_frames())
             idx.sort()
             if flat.chunk_huge.any():
                 idx = idx[~flat.huge_page_mask(idx)]

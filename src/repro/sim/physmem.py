@@ -8,6 +8,14 @@ equivalents: a frame allocator plus a ``frame → page`` owner column,
 holding each frame's page-table index
 (:class:`~repro.sim.pagetable.FlatPageTable`).
 
+The table costs what the guest touched, not the machine's capacity.
+Each pool hands frames out lowest-first from a fresh mark, so every
+frame it ever allocated lies in the pool's *live prefix*, below that
+mark.  The owner column and the recycled stacks hold the live prefixes
+only and grow geometrically as the marks advance; a frame past its
+pool's prefix was never allocated and has no owner.  An i3.metal guest
+has 8 388 608 frames, of which a freqmine run touches 111 424.
+
 The free list is an array-backed stack so that allocating or releasing
 millions of frames (a multi-GiB workload's first-touch epoch) is a single
 slice operation, never a per-frame Python loop.
@@ -21,6 +29,30 @@ from ..errors import AddressSpaceError, ConfigError
 from .pagetable import PAGE_SIZE
 
 __all__ = ["FrameTable"]
+
+#: Smallest size a pool's arrays grow to, in frames.
+_MIN_CAPACITY = 1024
+
+
+def _capacity(mark: int, pool: int) -> int:
+    """Array size for a pool of ``pool`` frames whose live prefix is
+    ``mark`` frames long: the next power of two, at least
+    :data:`_MIN_CAPACITY`, at most the pool.  A function of the mark
+    alone, so a restored table's arrays are the original's."""
+    if mark == 0:
+        return 0
+    return min(pool, max(_MIN_CAPACITY, 1 << (mark - 1).bit_length()))
+
+
+def _grown(stack: np.ndarray, top: int, size: int) -> np.ndarray:
+    """A recycled stack resized to ``size`` entries.  Only its ``top``
+    live entries are copied: the rest are dead, and pages no push has
+    reached stay untouched."""
+    if stack.size == size:
+        return stack
+    grown = np.empty(size, dtype=np.int64)
+    grown[:top] = stack[:top]
+    return grown
 
 
 class FrameTable:
@@ -39,33 +71,28 @@ class FrameTable:
                 f"slow capacity cannot be negative: {slow_capacity_bytes}"
             )
         #: Fast (DRAM) frames occupy [0, n_fast_frames); slow-tier frames
-        #: occupy [n_fast_frames, n_frames).  The split by frame number
-        #: makes a frame's tier derivable without a lookup, but the
-        #: explicit ``tier`` column below keeps masked whole-table passes
-        #: one gather instead of a comparison per consumer.
+        #: occupy [n_fast_frames, n_frames).  A frame's tier is its
+        #: number's side of the split.
         self.n_fast_frames = capacity_bytes // PAGE_SIZE
         self.n_slow_frames = slow_capacity_bytes // PAGE_SIZE
         self.n_frames = self.n_fast_frames + self.n_slow_frames
-        #: Per-frame tier column: 0 = DRAM, 1 = slow tier.  Derived from
-        #: the frame-number split, so it is rebuilt (not pickled) on
-        #: checkpoint restore.
-        self.tier = np.zeros(self.n_frames, dtype=np.int8)
-        self.tier[self.n_fast_frames :] = 1
-        # The rmap: index = frame number, value = the owning page's
-        # page-table index.  -1 = free.
-        self.owner = np.full(self.n_frames, -1, dtype=np.int64)
+        # The rmap: each owner entry holds the owning page's page-table
+        # index, -1 = free.  Fast frame f sits at slot f and slow frame s
+        # at _recycled.size + s - n_fast_frames (see _slots): each pool's
+        # section is as long as its recycled stack, and the entries past
+        # its live prefix are -1.  The last slot stays -1 and stands for
+        # every frame past a prefix, so a lookup is one gather.
+        self.owner = np.full(1, -1, dtype=np.int64)
         # Never-allocated fast frames are [_next_fresh, n_fast_frames);
         # released ones sit in the recycled stack [0, _recycled_top).
+        # The stack's size is the fast pool's array capacity.
         self._next_fresh = 0
-        # Zeroed, not np.empty: entries past _recycled_top are dead
-        # storage, but they end up inside checkpoint payloads — garbage
-        # there would make equal allocator states hash differently.
-        self._recycled = np.zeros(self.n_fast_frames, dtype=np.int64)
+        self._recycled = np.empty(0, dtype=np.int64)
         self._recycled_top = 0
         # The slow pool mirrors the fast pool's stack discipline over
         # [n_fast_frames, n_frames).
         self._next_fresh_slow = self.n_fast_frames
-        self._recycled_slow = np.zeros(self.n_slow_frames, dtype=np.int64)
+        self._recycled_slow = np.empty(0, dtype=np.int64)
         self._recycled_slow_top = 0
         #: Total allocated frames across both tiers; the slow share is
         #: ``allocated_slow`` and the fast share ``fast_allocated``.
@@ -83,45 +110,60 @@ class FrameTable:
     # Pickle support (checkpoint codec)
     # ------------------------------------------------------------------
     def __getstate__(self):
-        """Pickle the live prefixes only.
-
-        The arrays are sized to the *machine's* physical memory, but a
-        workload only ever touches ``[0, _next_fresh)`` of the owner
-        column (lowest-first allocation) and ``[0, _recycled_top)`` of
-        the recycled stack — everything past those marks is the
-        constructor's fill values.  Storing just the prefixes keeps a
-        checkpoint proportional to the workload's footprint instead of
-        the machine's capacity (hundreds of MB of ``-1``).
-        """
-        state = dict(self.__dict__)
-        state["owner"] = self.owner[: self._next_fresh].copy()
-        state["_recycled"] = self._recycled[: self._recycled_top].copy()
-        # Slow-pool live prefixes: owners of [n_fast_frames,
-        # _next_fresh_slow) plus the slow recycled stack.
-        state["_slow_owner"] = self.owner[self.n_fast_frames : self._next_fresh_slow].copy()
-        state["_recycled_slow"] = self._recycled_slow[: self._recycled_slow_top].copy()
-        # Derived from the frame-number split; rebuilt on restore.
-        del state["tier"]
-        del state["rmap_generation"]
-        return state
+        """The live prefixes and the counters, without the arrays' spare
+        capacity: the owners of ``[0, _next_fresh)`` and of
+        ``[n_fast_frames, _next_fresh_slow)`` (``_slow_owner``) and the
+        occupied part of each recycled stack."""
+        base = self._recycled.size
+        n_slow = self._next_fresh_slow - self.n_fast_frames
+        return {
+            "n_fast_frames": self.n_fast_frames,
+            "n_slow_frames": self.n_slow_frames,
+            "n_frames": self.n_frames,
+            "owner": self.owner[: self._next_fresh].copy(),
+            "_next_fresh": self._next_fresh,
+            "_recycled": self._recycled[: self._recycled_top].copy(),
+            "_recycled_top": self._recycled_top,
+            "_next_fresh_slow": self._next_fresh_slow,
+            "_recycled_slow": self._recycled_slow[: self._recycled_slow_top].copy(),
+            "_recycled_slow_top": self._recycled_slow_top,
+            "allocated": self.allocated,
+            "allocated_slow": self.allocated_slow,
+            "peak_allocated": self.peak_allocated,
+            "_slow_owner": self.owner[base : base + n_slow].copy(),
+        }
 
     def __setstate__(self, state):
-        slow = state.pop("_slow_owner")
+        owner, slow_owner = state.pop("owner"), state.pop("_slow_owner")
+        recycled, recycled_slow = state.pop("_recycled"), state.pop("_recycled_slow")
         self.__dict__.update(state)
-        n = self.n_frames
-        prefix = self.owner
-        self.owner = np.full(n, -1, dtype=np.int64)
-        self.owner[: prefix.size] = prefix
-        self.owner[self.n_fast_frames : self.n_fast_frames + slow.size] = slow
-        prefix = self._recycled
-        self._recycled = np.zeros(self.n_fast_frames, dtype=np.int64)
-        self._recycled[: prefix.size] = prefix
-        prefix = self._recycled_slow
-        self._recycled_slow = np.zeros(self.n_slow_frames, dtype=np.int64)
-        self._recycled_slow[: prefix.size] = prefix
-        self.tier = np.zeros(n, dtype=np.int8)
-        self.tier[self.n_fast_frames :] = 1
+        fast, slow = self._capacities()
+        self.owner = np.full(fast + slow + 1, -1, dtype=np.int64)
+        self.owner[: owner.size] = owner
+        self.owner[fast : fast + slow_owner.size] = slow_owner
+        self._recycled = _grown(recycled, recycled.size, fast)
+        self._recycled_slow = _grown(recycled_slow, recycled_slow.size, slow)
         self.rmap_generation = 0
+
+    def _capacities(self):
+        """The fast and slow pools' array sizes for the current fresh
+        marks."""
+        return (
+            _capacity(self._next_fresh, self.n_fast_frames),
+            _capacity(self._next_fresh_slow - self.n_fast_frames, self.n_slow_frames),
+        )
+
+    def _reserve(self) -> None:
+        """Size the arrays for the current fresh marks.  Live entries are
+        copied, so no frame changes owner."""
+        fast, slow = self._capacities()
+        old_fast, old_slow = self._recycled.size, self._recycled_slow.size
+        owner = np.full(fast + slow + 1, -1, dtype=np.int64)
+        owner[:old_fast] = self.owner[:old_fast]
+        owner[fast : fast + old_slow] = self.owner[old_fast:-1]
+        self.owner = owner
+        self._recycled = _grown(self._recycled, self._recycled_top, fast)
+        self._recycled_slow = _grown(self._recycled_slow, self._recycled_slow_top, slow)
 
     # ------------------------------------------------------------------
     @property
@@ -166,6 +208,8 @@ class FrameTable:
                 np.arange(self._next_fresh, self._next_fresh + fresh, dtype=np.int64)
             )
             self._next_fresh += fresh
+            if self._next_fresh > self._recycled.size:
+                self._reserve()
         frames = parts[0] if len(parts) == 1 else np.concatenate(parts)
         self.owner[frames] = np.asarray(page_idx, dtype=np.int64)
         self.rmap_generation += 1
@@ -201,8 +245,13 @@ class FrameTable:
                 )
             )
             self._next_fresh_slow += fresh
+            if self._next_fresh_slow - self.n_fast_frames > self._recycled_slow.size:
+                self._reserve()
         frames = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        self.owner[frames] = np.asarray(page_idx, dtype=np.int64)
+        # The slow section of the owner column follows the fast one.
+        self.owner[frames + (self._recycled.size - self.n_fast_frames)] = np.asarray(
+            page_idx, dtype=np.int64
+        )
         self.rmap_generation += 1
         self.allocated += count
         self.allocated_slow += count
@@ -210,13 +259,23 @@ class FrameTable:
         return frames
 
     def release(self, frames: np.ndarray) -> None:
-        """Return frames to their tier's free list."""
+        """Return frames to their tier's free list.  Raises
+        :class:`AddressSpaceError`, before any state changes, for a frame
+        out of range, one that is not allocated (a double free) or one
+        named twice."""
         frames = np.asarray(frames, dtype=np.int64)
         if frames.size == 0:
             return
-        if (self.owner[frames] < 0).any():
+        ordered = np.sort(frames)
+        hi = int(ordered[-1])
+        if ordered[0] < 0 or hi >= self.n_frames:
+            raise AddressSpaceError("frame number out of range")
+        slots = self._slots(ordered, hi)
+        if np.count_nonzero(self.owner[slots] < 0):
             raise AddressSpaceError("double free of a physical frame")
-        self.owner[frames] = -1
+        if np.count_nonzero(ordered[1:] == ordered[:-1]):
+            raise AddressSpaceError("physical frame released twice in one call")
+        self.owner[slots] = -1
         self.rmap_generation += 1
         self.allocated -= frames.size
         if self.n_slow_frames:
@@ -233,21 +292,50 @@ class FrameTable:
         self._recycled_top = top + frames.size
 
     # ------------------------------------------------------------------
+    def _slots(self, frames: np.ndarray, hi: int) -> np.ndarray:
+        """Owner-column slot per frame number of ``frames``, all in
+        range and none above ``hi``.  A frame past its pool's live prefix
+        gets the last slot, which holds -1; frames all below the fast
+        pool's fresh mark (a flat machine's live set) are their own
+        slots."""
+        if hi < self._next_fresh:
+            return frames
+        slow = frames >= self.n_fast_frames
+        slots = frames.copy()
+        np.add(slots, self._recycled.size - self.n_fast_frames, out=slots, where=slow)
+        dead = (frames >= self._next_fresh) & ~slow
+        dead |= frames >= self._next_fresh_slow
+        slots[dead] = self.owner.size - 1
+        return slots
+
     def owners(self, frames: np.ndarray) -> np.ndarray:
-        """rmap lookup: the owning page per frame; -1 entries are free."""
+        """rmap lookup: the owning page per frame, one gather; -1
+        entries are free."""
         frames = np.asarray(frames, dtype=np.int64)
-        if frames.size and (int(frames.max()) >= self.n_frames or int(frames.min()) < 0):
+        # Read as unsigned, a negative frame number lands past n_frames.
+        hi = int(np.maximum.reduce(frames.view(np.uint64), initial=0))
+        if hi >= self.n_frames:
             raise AddressSpaceError("frame number out of range")
-        return self.owner[frames]
+        return self.owner[self._slots(frames, hi)]
 
     def shift_owners(self, first: int, delta: int) -> None:
         """Renumber the owners from page ``first`` on by ``delta``: the
         page table gained (or lost) ``|delta|`` pages before them.  The
         one remap a layout change costs the rmap."""
-        for lo, hi in ((0, self._next_fresh), (self.n_fast_frames, self._next_fresh_slow)):
-            moved = np.nonzero(self.owner[lo:hi] >= first)[0] + lo
-            self.owner[moved] += delta
+        moved = np.nonzero(self.owner >= first)[0]
+        self.owner[moved] += delta
         self.rmap_generation += 1
+
+    def prefix_frames(self, lo: int, hi: int) -> np.ndarray:
+        """The frame numbers of ``[lo, hi)`` inside a pool's live prefix,
+        ascending: the only frames there that can have an owner."""
+        fast = np.arange(max(lo, 0), min(hi, self._next_fresh), dtype=np.int64)
+        if self._next_fresh_slow == self.n_fast_frames:
+            return fast
+        slow = np.arange(
+            max(lo, self.n_fast_frames), min(hi, self._next_fresh_slow), dtype=np.int64
+        )
+        return np.concatenate([fast, slow])
 
     def allocated_frames(self) -> np.ndarray:
         """All currently allocated frame numbers, ascending.

@@ -85,8 +85,11 @@ class TestFrameTableTwoPool:
         assert ft.n_fast_frames == 4 * MIB // PAGE_SIZE
         assert ft.n_slow_frames == 8 * MIB // PAGE_SIZE
         assert ft.n_frames == ft.n_fast_frames + ft.n_slow_frames
-        assert not ft.tier[: ft.n_fast_frames].any()
-        assert ft.tier[ft.n_fast_frames :].all()
+        # A frame's tier is its number's side of the split.
+        fast = ft.allocate(ft.n_fast_frames, np.arange(ft.n_fast_frames))
+        slow = ft.allocate_slow(ft.n_slow_frames, np.arange(ft.n_slow_frames))
+        assert np.array_equal(np.sort(fast), np.arange(ft.n_fast_frames))
+        assert np.array_equal(np.sort(slow), np.arange(ft.n_fast_frames, ft.n_frames))
 
     def test_fast_and_slow_allocations_are_disjoint(self):
         ft = FrameTable(4 * MIB, 8 * MIB)
