@@ -11,7 +11,7 @@ plot.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -87,7 +87,6 @@ def build_heatmap(
     *,
     time_bins: int = 80,
     addr_bins: int = 40,
-    addr_range: Optional[Tuple[int, int]] = None,
 ) -> Heatmap:
     """Rasterise recorded snapshots into a :class:`Heatmap`."""
     snapshots = [s for s in snapshots if s.start]
@@ -95,7 +94,7 @@ def build_heatmap(
         raise ConfigError("no snapshots to build a heatmap from")
     if time_bins < 1 or addr_bins < 1:
         raise ConfigError("heatmap needs at least one bin per axis")
-    addr_lo, addr_hi = addr_range if addr_range else _active_span(snapshots)
+    addr_lo, addr_hi = _active_span(snapshots)
     if addr_hi <= addr_lo:
         raise ConfigError(f"empty address range [{addr_lo:#x}, {addr_hi:#x})")
     t0 = snapshots[0].time_us

@@ -3,8 +3,8 @@
 Table 1 names WSS estimation as the purpose of the STAT action: count
 the bytes matching a hot-pattern per aggregation interval and read the
 distribution.  This module provides the same estimate straight from
-recorded snapshots (the tooling path), complementing the STAT-scheme
-path in :mod:`repro.schemes.stats`.
+recorded snapshots (the tooling path), complementing a STAT scheme's
+own counters (:class:`repro.schemes.stats.SchemeStats`).
 """
 
 from __future__ import annotations

@@ -39,12 +39,12 @@ Exit codes are a contract:
   or a reader that closed stdout before the command finished writing;
 * **2** — a usage error: argparse rejected the command line, or a
   :class:`~repro.errors.DaosError` (bad workload, config, flag
-  combination, unreadable input, output file in a missing directory,
-  fault plan, simulation failure) ended the command with one ``error:``
-  line;
+  combination, unreadable input, output file in a missing directory or
+  failing to write, fault plan, simulation failure) ended the command
+  with one ``error:`` line;
 * **3** — a sweep point abandoned by the supervisor's watchdog;
-* **4** — a checkpoint that cannot be trusted (digest mismatch,
-  format/version skew).
+* **4** — a checkpoint that cannot be written or trusted (write
+  failure, digest mismatch, format/version skew).
 
 Anything else keeps its full traceback (it is a bug, not a usage
 problem).  Invoke as ``python -m repro.cli`` or via the ``daos`` entry
@@ -581,7 +581,7 @@ def _cmd_run(args) -> int:
             if args.profile == "-":
                 stdout.write(text)
             else:
-                Path(args.profile).write_text(text)
+                _write_output("profile", args.profile, text)
                 print(f"profile written to {args.profile}")
         if args.checkpoint:
             print(f"checkpoint   : latest snapshot in {args.checkpoint}")
@@ -626,7 +626,7 @@ def _cmd_resume(args) -> int:
         print(f"final RSS    : {format_size(result.final_resident_bytes)}")
         print(f"digest       : {result.digest()}")
         if args.out:
-            Path(args.out).write_text(result.canonical_json() + "\n")
+            _write_output("out", args.out, result.canonical_json() + "\n")
             print(f"summary written to {args.out}")
     else:
         _print_run(result)
@@ -749,9 +749,9 @@ def _cmd_sweep(args) -> int:
         trace=supervisor_bus,
     )
     report = runner.run()
+    sys.stderr.write("\n")  # ends the progress line
     if args.out:  # before the tables: a reader that stops early keeps the file
-        Path(args.out).write_text(report.canonical_json() + "\n")
-    sys.stderr.write("\n")
+        _write_output("out", args.out, report.canonical_json() + "\n")
     print(
         f"{report.n_total} points: {report.n_cached} cached, "
         f"{report.n_replayed} replayed, "
@@ -883,7 +883,7 @@ def _cmd_fleet(args) -> int:
         print(f"digest       : {result.digest()} "
               f"(wall {result.wall_clock_us / 1e6:.2f}s)")
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        _write_output("out", args.out, text + "\n")
         print(f"summary written to {args.out}")
     return 0
 
@@ -954,6 +954,15 @@ def _check_output_dirs(args) -> None:
             raise ConfigError(f"--{dest} {path}: directory {Path(path).parent} does not exist")
         if Path(path).is_dir():
             raise ConfigError(f"--{dest} {path}: is a directory, not a file")
+
+
+def _write_output(dest: str, path: str, text: str) -> None:
+    """Write ``text`` to the file an output flag names; a failed write
+    is a :class:`ConfigError` naming the flag and the path (exit 2)."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"--{dest} {path}: cannot write: {exc.strerror or exc}") from exc
 
 
 def main(argv=None) -> int:

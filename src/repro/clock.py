@@ -14,7 +14,7 @@ import heapq
 import itertools
 from typing import Callable, List, Optional, Tuple
 
-from .errors import CheckpointError, ConfigError
+from .errors import ConfigError
 
 __all__ = ["SAME_INSTANT_ORDER", "VirtualClock", "EventQueue", "PeriodicEvent"]
 
@@ -23,8 +23,7 @@ __all__ = ["SAME_INSTANT_ORDER", "VirtualClock", "EventQueue", "PeriodicEvent"]
 #: re-queue sequence number, decides who fires first, so a sampling tick
 #: always precedes the aggregation it shares an instant with, and a
 #: checkpoint restore rebuilds the order from the names alone.  Every
-#: other event (one-shots, unnamed periodics) ranks after these and falls
-#: back to scheduling order.
+#: other periodic ranks after these and falls back to scheduling order.
 SAME_INSTANT_ORDER = ("sample", "aggregate", "update", "khugepaged", "epoch")
 _RANK = {name: rank for rank, name in enumerate(SAME_INSTANT_ORDER)}
 _DEFAULT_RANK = len(SAME_INSTANT_ORDER)
@@ -101,23 +100,15 @@ class EventQueue:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def schedule_at(self, when: int, callback: Callable[[int], None]) -> None:
-        """Run ``callback(now)`` once at virtual time ``when``."""
-        self._schedule(when, callback, None)
-
     def _schedule(
-        self,
-        when: int,
-        callback: Callable[[int], None],
-        event: Optional[PeriodicEvent],
+        self, when: int, callback: Callable[[int], None], event: PeriodicEvent
     ) -> None:
         if when < self.clock.now:
             raise ConfigError(
                 f"cannot schedule in the past: {when} < {self.clock.now}"
             )
-        rank = event.rank if event is not None else _DEFAULT_RANK
         heapq.heappush(
-            self._heap, (int(when), rank, next(self._counter), callback, event)
+            self._heap, (int(when), event.rank, next(self._counter), callback, event)
         )
 
     def schedule_periodic(
@@ -125,21 +116,19 @@ class EventQueue:
         period: int,
         callback: Callable[[int], None],
         *,
-        phase: int = 0,
         name: str = "",
         first_at: Optional[int] = None,
     ) -> PeriodicEvent:
-        """Run ``callback(now)`` every ``period`` microseconds.
+        """Run ``callback(now)`` every ``period`` microseconds, first one
+        period from now.
 
-        ``phase`` offsets the first firing from the current time; the
-        monitor uses it so that sampling, aggregation and regions-update
-        ticks interleave in the same order as the upstream kdamond loop
-        (sampling first, then aggregation, then regions update).
-
+        ``name`` sets the same-instant rank (:data:`SAME_INSTANT_ORDER`),
+        which orders the monitor's sampling, aggregation and
+        regions-update ticks as the upstream kdamond loop does.
         ``first_at`` pins the first firing to an absolute virtual time
         instead — checkpoint restore uses it to re-register each pending
         periodic at exactly the instant the interrupted run would have
-        fired it; same-instant ties follow the names' ranks.
+        fired it.
         """
         event = PeriodicEvent(callback, period, name=name)
         event.queue = self
@@ -155,7 +144,7 @@ class EventQueue:
             if not _event.cancelled:
                 self._schedule(self._served + _event.period, fire, _event)
 
-        when = first_at if first_at is not None else self.clock.now + phase + event.period
+        when = first_at if first_at is not None else self.clock.now + event.period
         self._schedule(when, fire, event)
         return event
 
@@ -165,22 +154,15 @@ class EventQueue:
         Pairs come back in dispatch order — ``(when, rank, seq)`` — so
         re-registering them through :meth:`schedule_periodic` with
         ``first_at`` restores identical same-instant tie-breaking.
-        Cancelled entries are skipped; a pending *one-shot* entry has no
-        handle to re-register from, so checkpointing with one in flight
-        is an error.
+        Cancelled entries are skipped.
         """
-        pairs: List[Tuple[PeriodicEvent, int]] = []
-        for when, _rank, _seq, _callback, event in sorted(
-            self._heap, key=lambda entry: entry[:3]
-        ):
-            if event is None:
-                raise CheckpointError(
-                    f"cannot snapshot queue: one-shot event pending at t={when}"
-                )
-            if event.cancelled:
-                continue
-            pairs.append((event, int(when)))
-        return pairs
+        return [
+            (event, int(when))
+            for when, _rank, _seq, _callback, event in sorted(
+                self._heap, key=lambda entry: entry[:3]
+            )
+            if not event.cancelled
+        ]
 
     def run_until(self, deadline: int) -> int:
         """Dispatch events up to and including ``deadline``.
@@ -221,7 +203,3 @@ class EventQueue:
         rows = max(1, (last - now) // event.period + 1)
         self._served = now + (rows - 1) * event.period
         return rows
-
-    def run_for(self, duration: int) -> int:
-        """Dispatch events for ``duration`` microseconds of virtual time."""
-        return self.run_until(self.clock.now + int(duration))

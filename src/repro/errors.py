@@ -61,17 +61,12 @@ class SanitizerError(DaosError):
         self.violations = list(violations)
 
 
-class SweepError(DaosError):
-    """A sweep finished with failed points and the caller asked for
-    fail-fast semantics (:meth:`repro.sweep.runner.SweepReport.raise_if_failed`)."""
-
-
 class CheckpointError(DaosError):
     """A checkpoint could not be written, read, or trusted.
 
-    Covers digest mismatches (the payload hash in the header does not
-    match the bytes on disk), format/version skew, and snapshotting a
-    queue whose pending state cannot be reconstructed.  The CLI maps
+    Covers a checkpoint file that cannot be written, digest mismatches
+    (the payload hash in the header does not match the bytes on disk)
+    and format/version skew.  The CLI maps
     this class to exit code 4 so operators can distinguish a corrupt
     checkpoint from an ordinary configuration error (exit 2).
     """

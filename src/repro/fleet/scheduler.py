@@ -228,12 +228,7 @@ class FleetScheduler(PausedSimulation):
         self.swap_device = _build_swap(
             cfg.swap, get_instance(cfg.machine), capacity=max(2 * total_footprint, 1 * GIB)
         )
-        if cfg.swap == "zram":
-            self._swap_read_us = float(self.swap_device.decompress_us)  # type: ignore[attr-defined]
-        elif cfg.swap == "file":
-            self._swap_read_us = float(self.swap_device.read_us)  # type: ignore[attr-defined]
-        else:
-            self._swap_read_us = 0.0
+        self._swap_read_us = self.swap_device.page_read_us()
 
         attrs = MonitorAttrs(
             sampling_interval_us=cfg.sampling_ms * MSEC,
@@ -585,15 +580,12 @@ class FleetScheduler(PausedSimulation):
 def run_fleet(
     cfg: FleetConfig,
     *,
-    tenant_range: Optional[Tuple[int, int]] = None,
     trace: Optional[TraceBus] = None,
     sanitize: Any = None,
     faults: Any = None,
 ) -> FleetResult:
     """Build a scheduler for ``cfg`` and run it to completion."""
-    return FleetScheduler(
-        cfg, tenant_range=tenant_range, trace=trace, sanitize=sanitize, faults=faults
-    ).run()
+    return FleetScheduler(cfg, trace=trace, sanitize=sanitize, faults=faults).run()
 
 
 def run_fleet_naive(cfg: FleetConfig, *, limit: Optional[int] = None) -> List[Any]:

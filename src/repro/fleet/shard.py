@@ -14,7 +14,7 @@ Determinism: tenant traits derive from global tenant indices
 (:func:`~repro.sweep.grid.derive_seed`), shard monitor streams derive
 from ``(seed, lo, hi)``, and every shard summary is canonical — the
 same sharded invocation always produces the same merged summary, in
-any process, cached or fresh.
+any process, replayed from a journal or fresh.
 """
 
 from __future__ import annotations
@@ -25,9 +25,7 @@ from ..errors import ConfigError
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
 from ..sweep.grid import SweepGrid, SweepPoint
-from ..sweep.points import register_point_function
 from ..sweep.runner import SweepRunner
-from .result import FleetResult
 from .scheduler import FleetConfig, FleetScheduler
 
 __all__ = ["fleet_shard_point", "shard_grid", "run_fleet_sharded"]
@@ -65,7 +63,7 @@ _ADDITIVE = (
 
 
 def fleet_shard_point(params: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one shard; the sweep cache/pool executes this by name.
+    """Run one shard; the sweep pool executes this by name.
 
     An optional ``faults`` key carries a serialized
     :class:`~repro.faults.FaultPlan` (its :meth:`to_dict` form — JSON
@@ -89,16 +87,13 @@ def fleet_shard_point(params: Dict[str, Any]) -> Dict[str, Any]:
     return summary
 
 
-register_point_function("fleet_shard", fleet_shard_point)
-
-
 def shard_grid(
     cfg: FleetConfig, n_shards: int, *, faults: Optional[Any] = None
 ) -> SweepGrid:
     """Partition ``cfg``'s tenants into ``n_shards`` contiguous ranges.
 
     ``faults`` (a :class:`~repro.faults.FaultPlan`) rides along in each
-    point's params in its plain-dict form, so the cache fingerprint
+    point's params in its plain-dict form, so the point fingerprint
     distinguishes chaos shards from clean ones.
     """
     if not 1 <= n_shards <= cfg.n_tenants:
@@ -121,7 +116,6 @@ def run_fleet_sharded(
     *,
     n_shards: int,
     jobs: int = 1,
-    cache_dir: Optional[str] = None,
     sanitize: bool = False,
     faults: Optional[Any] = None,
     journal_dir: Optional[str] = None,
@@ -139,7 +133,6 @@ def run_fleet_sharded(
     runner = SweepRunner(
         shard_grid(cfg, n_shards, faults=faults),
         jobs=jobs,
-        cache_dir=cache_dir,
         sanitize=sanitize,
         journal_dir=journal_dir,
         resume=resume,

@@ -22,7 +22,7 @@ physical-address targets use the reverse map.
 """
 
 from .attrs import MonitorAttrs
-from .batch import BatchMonitorPass, BatchRegionTable, BatchTickStats
+from .batch import BatchMonitorPass, BatchRegionTable
 from .core import DataAccessMonitor
 from .primitives import MonitoringPrimitive, PhysicalPrimitive, VirtualPrimitive
 from .region import MIN_REGION_SIZE, RegionArray
@@ -31,7 +31,6 @@ from .snapshot import RegionSnapshot, Snapshot
 __all__ = [
     "BatchMonitorPass",
     "BatchRegionTable",
-    "BatchTickStats",
     "DataAccessMonitor",
     "MIN_REGION_SIZE",
     "MonitorAttrs",

@@ -34,15 +34,13 @@ Two deliberate simplifications, documented for the fidelity story:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import ConfigError
 from ..sim.costs import CostModel
 from .attrs import MonitorAttrs
 
-__all__ = ["BatchRegionTable", "BatchMonitorPass", "BatchTickStats"]
+__all__ = ["BatchRegionTable", "BatchMonitorPass"]
 
 
 class BatchRegionTable:
@@ -75,14 +73,6 @@ class BatchRegionTable:
         self.age_us = np.zeros(self.n_regions, dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class BatchTickStats:
-    """Cost accounting for one batched aggregation sweep."""
-
-    checks: int
-    cpu_us: float
-
-
 class BatchMonitorPass:
     """One monitor daemon's aggregation tick over a whole fleet.
 
@@ -106,7 +96,7 @@ class BatchMonitorPass:
         self.total_checks = 0
         self.total_cpu_us = 0.0
 
-    def tick(self, p_access: np.ndarray, alive: np.ndarray) -> BatchTickStats:
+    def tick(self, p_access: np.ndarray, alive: np.ndarray) -> None:
         """Run one aggregation interval for every alive region.
 
         ``p_access`` is the per-region probability that one sampling
@@ -129,7 +119,5 @@ class BatchMonitorPass:
         t.age_us[rows[t.nr_accesses[rows] > 0]] = 0
         t.age_us *= alive
         checks = int(np.count_nonzero(alive)) * self.samples_per_agg
-        cpu_us = self.costs.monitor_check_cost_us(checks, self.samples_per_agg)
         self.total_checks += checks
-        self.total_cpu_us += cpu_us
-        return BatchTickStats(checks=checks, cpu_us=cpu_us)
+        self.total_cpu_us += self.costs.monitor_check_cost_us(checks, self.samples_per_agg)

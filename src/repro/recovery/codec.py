@@ -63,6 +63,7 @@ What makes restore *byte-identical* rather than merely plausible:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import json
@@ -387,15 +388,25 @@ def checkpoint_run(root: PausedSimulation, path: str, *, sequence: int = 1) -> s
         "pickle_bytes": len(blob),
     }
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("ascii"))
-        fh.write(b"\n")
-        fh.write(blob)
-        for column in columns:
-            fh.write(column)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(json.dumps(header, sort_keys=True).encode("ascii"))
+            fh.write(b"\n")
+            fh.write(blob)
+            for column in columns:
+                fh.write(column)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException as exc:
+        # No temp file outlives a failed write, whatever stopped it.
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise CheckpointError(
+                f"cannot write checkpoint {path!r}: {exc.strerror or exc}"
+            ) from exc
+        raise
     if root.trace is not None:
         root.trace.emit(
             CheckpointWritten(

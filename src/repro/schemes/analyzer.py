@@ -377,18 +377,16 @@ def analyze_schemes(
 
 
 def analyze_scheme_text(
-    text: str,
-    attrs: Optional[MonitorAttrs] = None,
-    *,
-    file: Optional[str] = None,
+    text: str, *, file: Optional[str] = None
 ) -> Tuple[List[Scheme], List[Diagnostic]]:
-    """Parse and analyze Listing 1/3 scheme text.
+    """Parse and analyze Listing 1/3 scheme text under the default
+    :class:`MonitorAttrs`.
 
     Unlike :func:`~repro.schemes.parser.parse_schemes`, a malformed line
     does not abort the run: it becomes a DS101 diagnostic and analysis
     continues with the lines that did parse.
     """
-    attrs = attrs if attrs is not None else MonitorAttrs()
+    attrs = MonitorAttrs()
     schemes: List[Scheme] = []
     lines: List[Optional[int]] = []
     diagnostics: List[Diagnostic] = []

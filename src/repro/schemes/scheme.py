@@ -9,7 +9,7 @@ action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
@@ -115,18 +115,7 @@ class Scheme:
     filters: List[AddressFilter] = field(default_factory=list)
     stats: SchemeStats = field(default_factory=SchemeStats)
 
-    def with_pattern(self, **changes) -> "Scheme":
-        """A copy of this scheme with pattern fields replaced — the
-        auto-tuner uses this to sweep aggressiveness."""
-        return Scheme(
-            pattern=replace(self.pattern, **changes),
-            action=self.action,
-            quota=self.quota,
-            watermarks=self.watermarks,
-            filters=list(self.filters),
-        )
-
-    def describe(self, attrs: Optional[MonitorAttrs] = None) -> str:
+    def describe(self) -> str:
         """One-line human-readable form (close to the paper's listing)."""
         p = self.pattern
         freq = f"{p.min_freq * 100:g}% {p.max_freq * 100:g}%"

@@ -51,10 +51,3 @@ class Watermarks:
     @property
     def active(self) -> bool:
         return self._active
-
-    @classmethod
-    def always_on(cls) -> "Watermarks":
-        """Watermarks that never deactivate (the paper's configuration)."""
-        wm = cls(high=1.0, mid=1.0, low=0.0)
-        wm._active = True
-        return wm

@@ -247,7 +247,9 @@ class FlatPageTable:
         """``idx`` split into one array per segment it touches, segments
         ascending, each keeping the order of ``idx``."""
         seg = np.searchsorted(self.page_offset, idx, side="right") - 1
-        return [idx[seg == k] for k in np.unique(seg)]
+        # The segment ids are small and dense: a bincount finds them
+        # without np.unique's sort or hash table.
+        return [idx[seg == k] for k in np.flatnonzero(np.bincount(seg))]
 
     # ------------------------------------------------------------------
     # Bounds helpers

@@ -7,8 +7,8 @@ The two devices differ in exactly the two ways the experiments exercise:
 * **latency** — ZRAM pays a (de)compression cost of a few microseconds,
   file swap pays an NVMe I/O of tens to hundreds of microseconds;
 * **memory cost** — ZRAM stores compressed page content *in DRAM*, so a
-  page swapped to ZRAM still consumes ``page_size / compression_ratio``
-  bytes of memory, whereas file swap frees the whole page.
+  page swapped to ZRAM still holds a third of its size in DRAM (a 3:1
+  compression ratio), whereas file swap frees the whole page.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class SwapDevice:
             )
         self.used_pages += n_pages
         self.total_outs += n_pages
-        return self.write_latency_us(n_dirty)
+        return int(round(n_dirty * self.page_write_us()))
 
     def load(self, n_pages: int) -> int:
         """Swap ``n_pages`` back in.  Returns the read latency in usec."""
@@ -71,7 +71,7 @@ class SwapDevice:
             )
         self.used_pages -= n_pages
         self.total_ins += n_pages
-        return self.read_latency_us(n_pages)
+        return int(round(n_pages * self.page_read_us()))
 
     def discard(self, n_pages: int) -> None:
         """Drop stored pages without reading them (munmap of swapped pages)."""
@@ -82,13 +82,13 @@ class SwapDevice:
         self.used_pages -= n_pages
 
     # -- models (overridden per device) ---------------------------------
-    def write_latency_us(self, n_pages: int) -> int:
-        """Device time to store ``n_pages`` (compression or I/O), usec."""
-        raise NotImplementedError
+    def page_write_us(self) -> float:
+        """Device time to store one page (compression or I/O), usec."""
+        return 0.0
 
-    def read_latency_us(self, n_pages: int) -> int:
-        """Device time to load ``n_pages`` back, usec."""
-        raise NotImplementedError
+    def page_read_us(self) -> float:
+        """Device time to load one page back, usec."""
+        return 0.0
 
     def dram_overhead_bytes(self) -> int:
         """DRAM consumed by the device's stored content (ZRAM only)."""
@@ -100,7 +100,8 @@ class ZramDevice(SwapDevice):
 
     Published measurements put lzo/lz4 page (de)compression at a few
     microseconds per 4 KiB page with compression ratios around 3:1 for
-    typical application memory; both are configurable.
+    typical application memory; the costs are configurable, the ratio
+    is 3.
     """
 
     name = "zram"
@@ -111,20 +112,17 @@ class ZramDevice(SwapDevice):
         *,
         compress_us_per_page: float = 4.0,
         decompress_us_per_page: float = 2.0,
-        compression_ratio: float = 3.0,
     ):
         super().__init__(capacity_bytes)
-        if compression_ratio < 1.0:
-            raise ConfigError(f"compression ratio below 1: {compression_ratio}")
         self.compress_us = float(compress_us_per_page)
         self.decompress_us = float(decompress_us_per_page)
-        self.ratio = float(compression_ratio)
+        self.ratio = 3.0
 
-    def write_latency_us(self, n_pages: int) -> int:
-        return int(round(n_pages * self.compress_us))
+    def page_write_us(self) -> float:
+        return self.compress_us
 
-    def read_latency_us(self, n_pages: int) -> int:
-        return int(round(n_pages * self.decompress_us))
+    def page_read_us(self) -> float:
+        return self.decompress_us
 
     def dram_overhead_bytes(self) -> int:
         return int(self.used_pages * PAGE_SIZE / self.ratio)
@@ -151,11 +149,11 @@ class FileSwapDevice(SwapDevice):
         self.read_us = float(read_us_per_page)
         self.write_us = float(write_us_per_page)
 
-    def write_latency_us(self, n_pages: int) -> int:
-        return int(round(n_pages * self.write_us))
+    def page_write_us(self) -> float:
+        return self.write_us
 
-    def read_latency_us(self, n_pages: int) -> int:
-        return int(round(n_pages * self.read_us))
+    def page_read_us(self) -> float:
+        return self.read_us
 
 
 class NoSwapDevice(SwapDevice):
@@ -175,10 +173,4 @@ class NoSwapDevice(SwapDevice):
         super().__init__(PAGE_SIZE)
 
     def free_pages(self) -> int:
-        return 0
-
-    def write_latency_us(self, n_pages: int) -> int:  # pragma: no cover
-        return 0
-
-    def read_latency_us(self, n_pages: int) -> int:  # pragma: no cover
         return 0

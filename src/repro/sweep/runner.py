@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from ..errors import ConfigError, ParseError, SweepError
+from ..errors import ConfigError, ParseError
 from ..faults.injector import worker_crash_decision
 from ..monitor.attrs import MonitorAttrs
 from ..recovery.journal import SweepJournal
@@ -141,25 +141,6 @@ class SweepReport:
     def canonical_json(self) -> str:
         """:meth:`canonical_dict` as canonical JSON text."""
         return canonical_json(self.canonical_dict())
-
-    def raise_if_failed(self, limit: int = 5) -> None:
-        """Fail fast: raise :class:`~repro.errors.SweepError` naming up
-        to ``limit`` failed points (type + message each); no-op when
-        every point succeeded."""
-        failed = self.failures()
-        if not failed:
-            return
-        lines = [
-            f"  {o.point.label()}: {o.error} (attempts: {o.attempts})"
-            for o in failed[:limit]
-        ]
-        more = len(failed) - limit
-        if more > 0:
-            lines.append(f"  ... and {more} more")
-        raise SweepError(
-            f"{len(failed)} of {self.n_total} sweep point(s) failed:\n"
-            + "\n".join(lines)
-        )
 
     def point_wall_s(self) -> float:
         """Sum of per-point wall clocks (= serial cost of the sweep)."""

@@ -13,7 +13,7 @@ a seeded run's trace is byte-identical across invocations and the
 stream is monotone in simulation time by construction.
 """
 
-from .aggregate import EventCounter, FieldHistogram, TraceSummary
+from .aggregate import FieldHistogram, TraceSummary
 from .bus import Subscriber, TraceBus
 from .events import (
     EVENT_TYPES,
@@ -63,7 +63,6 @@ __all__ = [
     "EVENT_TYPES",
     "event_payload",
     "TraceSummary",
-    "EventCounter",
     "FieldHistogram",
     "JsonlTraceSink",
     "encode_event",

@@ -2,8 +2,7 @@
 
 The bus counts events by kind on its own; these helpers are the
 subscriber-side reducers for anything finer: per-field histograms
-(``PageoutBatch.paged_out_pages`` distributions), filtered counters,
-and the frozen :class:`TraceSummary` a run attaches to its
+(``PageoutBatch.paged_out_pages`` distributions) and the frozen :class:`TraceSummary` a run attaches to its
 :class:`~repro.runner.results.RunResult`.
 
 Everything here is deterministic in the event stream — bucket layout is
@@ -14,12 +13,12 @@ subsystem's canonical-JSON round trip unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from dataclasses import dataclass
+from typing import Any, Dict
 
 from .events import TraceEvent, event_payload
 
-__all__ = ["TraceSummary", "EventCounter", "FieldHistogram"]
+__all__ = ["TraceSummary", "FieldHistogram"]
 
 
 @dataclass(frozen=True)
@@ -52,30 +51,6 @@ class TraceSummary:
             last_time_us=int(data["last_time_us"]),
             counts={str(k): int(v) for k, v in data.get("counts", {}).items()},
         )
-
-
-@dataclass
-class EventCounter:
-    """A subscriber counting events by kind (optionally filtered).
-
-    Subscribe it to a whole bus or to individual event types; unlike the
-    bus's built-in counts it can be scoped, reset, and combined freely.
-    """
-
-    counts: Dict[str, int] = field(default_factory=dict)
-    #: Optional predicate; events it rejects are not counted.
-    accept: Optional[Callable[[TraceEvent], bool]] = None
-
-    def __call__(self, event: TraceEvent) -> None:
-        """Count one event (the subscriber entry point)."""
-        if self.accept is not None and not self.accept(event):
-            return
-        self.counts[event.kind] = self.counts.get(event.kind, 0) + 1
-
-    @property
-    def total(self) -> int:
-        """Events counted so far."""
-        return sum(self.counts.values())
 
 
 class FieldHistogram:

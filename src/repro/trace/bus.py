@@ -122,7 +122,7 @@ class TraceBus:
         self, event_type: Type[TraceEvent], handler: Subscriber
     ) -> Subscriber:
         """Receive every event of exactly ``event_type``; returns the
-        handler for later :meth:`unsubscribe`."""
+        handler."""
         if event_type is TraceEvent:
             return self.subscribe_all(handler)
         self._handlers.setdefault(event_type, []).append(handler)
@@ -133,16 +133,6 @@ class TraceBus:
         self._all_handlers.append(handler)
         self._wants_all = True
         return handler
-
-    def unsubscribe(self, handler: Subscriber) -> bool:
-        """Detach ``handler`` wherever it is subscribed; True if found."""
-        found = False
-        for handlers in list(self._handlers.values()) + [self._all_handlers]:
-            while handler in handlers:
-                handlers.remove(handler)
-                found = True
-        self._wants_all = self._ring is not None or bool(self._all_handlers)
-        return found
 
     # ------------------------------------------------------------------
     # Emission

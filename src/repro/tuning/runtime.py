@@ -19,7 +19,7 @@ from ..errors import FaultError, TuningError
 from ..trace.bus import TraceBus
 from ..trace.events import RetryAttempted, TuneStep
 from .fit import TrendEstimate, estimate_trend, find_peaks
-from .sampler import SamplePlan, nr_samples_for_budget
+from .sampler import SamplePlan
 from .score import ScoreFunction, default_score_function
 
 __all__ = ["AutoTuner", "TuningResult"]
@@ -190,8 +190,3 @@ class AutoTuner:
             trend=trend,
             peaks=peaks,
         )
-
-    def tune_with_budget(self, time_limit_us: int, unit_work_us: int) -> TuningResult:
-        """The paper's interface: a wall-time budget and the per-sample
-        cost; the affordable sample count falls out."""
-        return self.tune(nr_samples_for_budget(time_limit_us, unit_work_us))

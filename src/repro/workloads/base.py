@@ -18,7 +18,7 @@ Two spec-level knobs set the performance model's proportions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -140,19 +140,7 @@ class WorkloadSpec:
         if time_scale <= 0:
             raise ConfigError(f"time_scale must be positive: {time_scale}")
         duration = max(self.epoch_us, int(self.duration_us * time_scale))
-        return WorkloadSpec(
-            name=self.name,
-            suite=self.suite,
-            footprint=self.footprint,
-            duration_us=duration,
-            components=self.components,
-            compute_share=self.compute_share,
-            mem_share=self.mem_share,
-            tlb_benefit=self.tlb_benefit,
-            epoch_us=self.epoch_us,
-            heap_bytes=self.heap_bytes,
-            stack_bytes=self.stack_bytes,
-        )
+        return replace(self, duration_us=duration)
 
 
 class Workload:

@@ -5,8 +5,9 @@ from __future__ import annotations
 import io
 import os
 import time
-from dataclasses import fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import List, Tuple
 
 import numpy as np
 
@@ -85,7 +86,53 @@ def run_epochs(kernel, queue, bursts, n_epochs, epoch_us=100 * MSEC, compute_us=
 
     one_epoch(queue.clock.now)
     queue.schedule_periodic(epoch_us, one_epoch)
-    queue.run_for(n_epochs * epoch_us)
+    queue.run_until(queue.clock.now + n_epochs * epoch_us)
+
+
+def schedule_once(queue, when, fn):
+    """Run ``fn(now)`` once at virtual time ``when``: a periodic pinned
+    to ``when`` that cancels itself as it fires.  Its name has no
+    same-instant rank, so it ties with other events in scheduling
+    order."""
+
+    def once(now):
+        event.cancel()
+        fn(now)
+
+    event = queue.schedule_periodic(1, once, name="once", first_at=when)
+    return event
+
+
+@dataclass
+class WssEstimator:
+    """Working-set-size time series collected from a STAT scheme.
+
+    Record one (time, matched bytes) point per engine interval, then read
+    percentiles — the upstream tooling reports exactly this distribution.
+    """
+
+    points: List[Tuple[int, int]] = field(default_factory=list)
+
+    def record(self, time_us: int, matched_bytes: int) -> None:
+        self.points.append((time_us, matched_bytes))
+
+    def percentile(self, q: float) -> float:
+        """The ``q``-th percentile (0–100) of matched bytes over time."""
+        if not self.points:
+            return 0.0
+        values = sorted(v for _, v in self.points)
+        if len(values) == 1:
+            return float(values[0])
+        rank = (q / 100.0) * (len(values) - 1)
+        lo = int(rank)
+        hi = min(lo + 1, len(values) - 1)
+        frac = rank - lo
+        return values[lo] * (1.0 - frac) + values[hi] * frac
+
+    def average(self) -> float:
+        if not self.points:
+            return 0.0
+        return sum(v for _, v in self.points) / len(self.points)
 
 
 def traced_run(**kw):

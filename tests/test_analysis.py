@@ -1,6 +1,5 @@
 """Analysis: heatmaps, WSS, ASCII plotting, report tables."""
 
-import numpy as np
 import pytest
 
 from repro.analysis.ascii_plot import ascii_series, ascii_table
@@ -70,13 +69,6 @@ class TestHeatmap:
         heatmap = build_heatmap(hot_cold_snapshots(), time_bins=5, addr_bins=4)
         assert heatmap.grid.min() >= 0.0
         assert heatmap.grid.max() <= 1.0
-
-    def test_addr_range_override(self):
-        heatmap = build_heatmap(
-            hot_cold_snapshots(), addr_range=(BASE, BASE + 32 * MIB), addr_bins=4
-        )
-        assert heatmap.addr_lo == BASE
-        assert heatmap.addr_hi == BASE + 32 * MIB
 
     def test_active_span_skips_layout_gaps(self):
         # Data span plus a far-away stack span; the data span is hotter.

@@ -84,12 +84,18 @@ def test_run_constructors_take_no_kernel_class():
     same holds for every keyword in the table: production never set it,
     so the value it chose is fixed where it is used."""
     from repro.analysis.ascii_plot import ascii_series, ascii_table
+    from repro.analysis.heatmap import build_heatmap
     from repro.analysis.wss import wss_from_snapshots
+    from repro.clock import EventQueue
+    from repro.fleet import run_fleet, run_fleet_sharded
+    from repro.lint import analyze_scheme_text
     from repro.recovery.codec import restore
     from repro.runner.experiment import ExperimentRun, build_tenant
     from repro.sanitize.runtime import SimSanitizer
+    from repro.schemes.scheme import Scheme
     from repro.sim.kernel import SimKernel
     from repro.sim.lru import LruReclaimer
+    from repro.sim.swap import ZramDevice
     from repro.trace.sink import validate_trace_file
     from repro.tuning.runtime import AutoTuner
 
@@ -109,6 +115,13 @@ def test_run_constructors_take_no_kernel_class():
         (ascii_series, "marker"),
         (ascii_table, "floatfmt"),
         (wss_from_snapshots, "percentiles"),
+        (EventQueue.schedule_periodic, "phase"),
+        (ZramDevice.__init__, "compression_ratio"),
+        (run_fleet, "tenant_range"),
+        (run_fleet_sharded, "cache_dir"),
+        (analyze_scheme_text, "attrs"),
+        (Scheme.describe, "attrs"),
+        (build_heatmap, "addr_range"),
     ]
     present = [
         f"{fn.__qualname__}({keyword}=)"
@@ -116,6 +129,47 @@ def test_run_constructors_take_no_kernel_class():
         if keyword in inspect.signature(fn).parameters
     ]
     assert not present, present
+
+
+def test_test_only_definitions_stay_out_of_the_package():
+    """Definitions no production caller reached are gone; what tests
+    still need of them lives in ``tests/helpers.py``."""
+    import repro.errors
+    import repro.monitor
+    import repro.monitor.batch
+    import repro.schemes.stats
+    import repro.trace
+    import repro.trace.aggregate
+    from repro.clock import EventQueue
+    from repro.schemes.scheme import Scheme
+    from repro.schemes.watermarks import Watermarks
+    from repro.sim.swap import SwapDevice
+    from repro.sweep import points
+    from repro.sweep.runner import SweepReport
+    from repro.trace.bus import TraceBus
+    from repro.tuning.runtime import AutoTuner
+
+    removed = [
+        (EventQueue, "schedule_at"),
+        (EventQueue, "run_for"),
+        (Scheme, "with_pattern"),
+        (Watermarks, "always_on"),
+        (AutoTuner, "tune_with_budget"),
+        (SweepReport, "raise_if_failed"),
+        (repro.errors, "SweepError"),
+        (TraceBus, "unsubscribe"),
+        (repro.trace, "EventCounter"),
+        (repro.trace.aggregate, "EventCounter"),
+        (repro.monitor, "BatchTickStats"),
+        (repro.monitor.batch, "BatchTickStats"),
+        (repro.schemes.stats, "WssEstimator"),
+        (SwapDevice, "write_latency_us"),
+        (SwapDevice, "read_latency_us"),
+    ]
+    present = [f"{owner.__name__}.{name}" for owner, name in removed if hasattr(owner, name)]
+    assert not present, present
+    # A shard is reached by its dotted path alone, not a registry alias.
+    assert "fleet_shard" not in points._REGISTRY
 
 
 def test_version_string():

@@ -1,6 +1,7 @@
 """The ``daos`` command-line interface."""
 
 import inspect
+import os
 import re
 import shlex
 import subprocess
@@ -391,6 +392,51 @@ class TestOutputDirectoryChecked:
         assert main([out if a == "OUT" else a for a in argv]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {flag} {out}: is a directory, not a file\n"
+
+
+class TestOutputWriteFails:
+    """A write that fails after the verb ran ends in the exit-code
+    contract with one ``error:`` line naming the flag and the path, not
+    a traceback, and leaves no temp file."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            pytest.param(["--time-scale", "0.01", "run", "splash2x/volrend", "--profile", "OUT"],
+                         "--profile", id="run--profile"),
+            pytest.param(["fleet", "-n", "10", "--duration", "2", "-o", "OUT"], "--out",
+                         id="fleet--out"),
+            pytest.param(["--time-scale", "0.01", "sweep", "--workloads", "splash2x/volrend",
+                          "--configs", "baseline", "--no-cache", "-o", "OUT"], "--out",
+                         id="sweep--out"),
+        ],
+    )
+    def test_output_flag(self, argv, flag, tmp_path, monkeypatch, capsys):
+        out = str(tmp_path / "out.file")
+        write_text = Path.write_text
+
+        def refusing(self, *args, **kwargs):
+            if str(self) == out:
+                raise PermissionError(13, "Permission denied")
+            return write_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", refusing)
+        assert main([out if a == "OUT" else a for a in argv]) == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err == f"error: {flag} {out}: cannot write: Permission denied"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_checkpoint(self, tmp_path, monkeypatch, capsys):
+        def failing_fsync(fd):
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        out = str(tmp_path / "run.ckpt")
+        argv = ["--time-scale", "0.01", "run", "splash2x/volrend", "--checkpoint", out]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write checkpoint {out!r}: Input/output error\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestFleetFloatsChecked:

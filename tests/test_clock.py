@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from repro.errors import ConfigError
 from repro.clock import SAME_INSTANT_ORDER, EventQueue, VirtualClock
 
+from tests.helpers import schedule_once
+
 
 class TestVirtualClock:
     def test_starts_at_zero(self):
@@ -34,7 +36,7 @@ class TestEventQueue:
     def test_one_shot_fires_at_time(self):
         queue = EventQueue()
         fired = []
-        queue.schedule_at(100, lambda now: fired.append(now))
+        schedule_once(queue, 100, lambda now: fired.append(now))
         queue.run_until(99)
         assert fired == []
         queue.run_until(100)
@@ -44,14 +46,14 @@ class TestEventQueue:
         queue = EventQueue()
         queue.run_until(100)
         with pytest.raises(ConfigError):
-            queue.schedule_at(50, lambda now: None)
+            schedule_once(queue, 50, lambda now: None)
 
     def test_same_time_fires_in_registration_order(self):
         queue = EventQueue()
         order = []
-        queue.schedule_at(10, lambda now: order.append("a"))
-        queue.schedule_at(10, lambda now: order.append("b"))
-        queue.schedule_at(10, lambda now: order.append("c"))
+        schedule_once(queue, 10, lambda now: order.append("a"))
+        schedule_once(queue, 10, lambda now: order.append("b"))
+        schedule_once(queue, 10, lambda now: order.append("c"))
         queue.run_until(10)
         assert order == ["a", "b", "c"]
 
@@ -93,10 +95,10 @@ class TestEventQueue:
         queue.run_until(35)
         assert fired == [10, 20, 30]
 
-    def test_periodic_phase_offsets_first_firing(self):
+    def test_periodic_first_at_pins_first_firing(self):
         queue = EventQueue()
         fired = []
-        queue.schedule_periodic(10, lambda now: fired.append(now), phase=3)
+        queue.schedule_periodic(10, lambda now: fired.append(now), first_at=13)
         queue.run_until(25)
         assert fired == [13, 23]
 
@@ -139,35 +141,27 @@ class TestEventQueue:
         queue.run_until(70)
         assert fired == [10, 20, 40, 60]
 
-    def test_run_for_is_relative(self):
-        queue = EventQueue()
-        queue.run_until(100)
-        fired = []
-        queue.schedule_periodic(30, lambda now: fired.append(now))
-        queue.run_for(60)
-        assert fired == [130, 160]
-
     def test_events_scheduled_by_events_run_same_pass(self):
         queue = EventQueue()
         fired = []
 
         def outer(now):
-            queue.schedule_at(now + 5, lambda t: fired.append(("inner", t)))
+            schedule_once(queue, now + 5, lambda t: fired.append(("inner", t)))
             fired.append(("outer", now))
 
-        queue.schedule_at(10, outer)
+        schedule_once(queue, 10, outer)
         queue.run_until(20)
         assert fired == [("outer", 10), ("inner", 15)]
 
     def test_dispatch_count(self):
         queue = EventQueue()
-        queue.schedule_at(1, lambda now: None)
-        queue.schedule_at(2, lambda now: None)
+        schedule_once(queue, 1, lambda now: None)
+        schedule_once(queue, 2, lambda now: None)
         assert queue.run_until(10) == 2
 
     def test_len_reflects_pending(self):
         queue = EventQueue()
-        queue.schedule_at(5, lambda now: None)
+        schedule_once(queue, 5, lambda now: None)
         assert len(queue) == 1
         queue.run_until(5)
         assert len(queue) == 0
@@ -202,7 +196,7 @@ class TestRunAhead:
         log = []
         tick, handle = _batching(queue, log, "b")
         handle["event"] = queue.schedule_periodic(10, tick, name="sample")
-        queue.schedule_at(45, lambda now: log.append((now, "shot")))
+        schedule_once(queue, 45, lambda now: log.append((now, "shot")))
         # Three dispatches: the one-shot ends the first batch, the
         # deadline the second.
         assert queue.run_until(75) == 3
@@ -247,7 +241,8 @@ def _replay(periodics, batcher, shots, deadlines, *, batching):
         label = f"p{index}"
         handles.append(
             queue.schedule_periodic(
-                period, lambda now, label=label: log.append((now, label)), phase=phase, name=name
+                period, lambda now, label=label: log.append((now, label)),
+                name=name, first_at=phase + period,
             )
         )
     name, period, phase = batcher
@@ -255,7 +250,7 @@ def _replay(periodics, batcher, shots, deadlines, *, batching):
         tick, handle = _batching(queue, log, "batcher")
     else:
         tick, handle = (lambda now: log.append((now, "batcher"))), {}
-    handles.append(queue.schedule_periodic(period, tick, phase=phase, name=name))
+    handles.append(queue.schedule_periodic(period, tick, name=name, first_at=phase + period))
     handle["event"] = handles[-1]
 
     def shot(when, kind, target, value):
@@ -267,9 +262,9 @@ def _replay(periodics, batcher, shots, deadlines, *, batching):
             elif kind == "period":
                 event.period = value
             elif kind == "spawn":
-                queue.schedule_at(now + value, lambda t: log.append((t, "spawned")))
+                schedule_once(queue, now + value, lambda t: log.append((t, "spawned")))
 
-        queue.schedule_at(when, fire)
+        schedule_once(queue, when, fire)
 
     for args in shots:
         shot(*args)

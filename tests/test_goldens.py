@@ -45,7 +45,6 @@ from repro.runner.configs import PRCL_SCHEMES, ExperimentConfig
 from repro.runner.experiment import ExperimentRun, run_experiment
 from repro.schemes.filters import AddressFilter
 from repro.schemes.quotas import Quota
-from repro.schemes.stats import WssEstimator
 from repro.sim.kernel import SimKernel
 from repro.sim.machine import GuestSpec, get_instance, scaled_instance
 from repro.sim.swap import ZramDevice
@@ -57,7 +56,7 @@ from repro.units import GIB, MIB, MSEC, SEC
 from repro.workloads.base import WorkloadSpec
 from repro.workloads.patterns import ColdInit, CyclicSweep, Hotspot
 
-from tests.helpers import BASE, run_epochs, traced_run
+from tests.helpers import BASE, WssEstimator, run_epochs, traced_run
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDENS = FIXTURES / "goldens.json"

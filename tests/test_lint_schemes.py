@@ -146,7 +146,7 @@ class TestPerSchemeChecks:
         ok = Scheme(
             pattern=AccessPattern(),
             action=Action.PAGEOUT,
-            watermarks=Watermarks.always_on(),
+            watermarks=Watermarks(high=1.0, mid=1.0, low=0.0),
         )
         assert analyze_schemes([ok]) == []
 

@@ -8,7 +8,6 @@ from repro.modules.lru_sort import LruSortModule, LruSortParams
 from repro.modules.reclaim import ReclaimModule, ReclaimParams
 from repro.monitor.attrs import MonitorAttrs
 from repro.schemes.actions import Action
-from repro.clock import EventQueue
 from repro.sim.kernel import SimKernel
 from repro.sim.machine import GuestSpec, get_instance
 from repro.sim.swap import ZramDevice
@@ -94,10 +93,10 @@ class TestReclaimModule:
         kernel.mmap(BASE, 16 * MIB)
         module = ReclaimModule(kernel, attrs=FAST)
         module.start(queue)
-        queue.run_for(100 * MSEC)
+        queue.run_until(queue.clock.now + 100 * MSEC)
         module.stop()
         checks = kernel.metrics.monitor_checks
-        queue.run_for(100 * MSEC)
+        queue.run_until(queue.clock.now + 100 * MSEC)
         assert kernel.metrics.monitor_checks == checks
 
 

@@ -76,10 +76,10 @@ class TestLifecycle:
         kernel.mmap(BASE, 64 * MIB)
         monitor = make_monitor(kernel, fast_attrs)
         monitor.start(queue)
-        queue.run_for(100 * MSEC)
+        queue.run_until(queue.clock.now + 100 * MSEC)
         checks = monitor.total_checks
         monitor.stop()
-        queue.run_for(100 * MSEC)
+        queue.run_until(queue.clock.now + 100 * MSEC)
         assert monitor.total_checks == checks
 
 
@@ -275,7 +275,7 @@ class TestLayoutUpdates:
             n_epochs=5,
         )
         kernel.mmap(BASE + 32 * MIB, 16 * MIB)
-        queue.run_for(fast_attrs.regions_update_interval_us * 2)
+        queue.run_until(queue.clock.now + fast_attrs.regions_update_interval_us * 2)
         covered_end = int(monitor.regions.end.max())
         assert covered_end >= BASE + 32 * MIB
 

@@ -84,7 +84,7 @@ class TestSamplingCheckNotLost:
             lambda mon, now: maxima.append(max(mon.snapshot(now).nr_accesses))
         )
         monitor.start(queue)
-        queue.run_for(4 * ATTRS.aggregation_interval_us)
+        queue.run_until(queue.clock.now + 4 * ATTRS.aggregation_interval_us)
         assert len(maxima) >= 3
         # From the second interval on, every interval carries its full
         # aggregation/sampling checks.
@@ -102,7 +102,7 @@ class TestSamplingCheckNotLost:
             lambda mon, now: seen.extend(mon.regions.nr_accesses.tolist())
         )
         monitor.start(queue)
-        queue.run_for(6 * ATTRS.aggregation_interval_us)
+        queue.run_until(queue.clock.now + 6 * ATTRS.aggregation_interval_us)
         assert seen
         assert max(seen) <= ATTRS.max_nr_accesses
 
@@ -155,7 +155,7 @@ class TestSameInstantTickOrder:
             lambda now: monitor.fired.append((now, "epoch")),
             name="epoch",
         )
-        queue.run_for(intervals * ATTRS.aggregation_interval_us)
+        queue.run_until(queue.clock.now + intervals * ATTRS.aggregation_interval_us)
         return monitor, maxima
 
     def test_order_is_sample_aggregate_epoch(self):

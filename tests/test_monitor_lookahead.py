@@ -31,7 +31,7 @@ from repro.sim.machine import GuestSpec, get_instance
 from repro.sim.swap import ZramDevice
 from repro.units import MIB, MSEC
 
-from tests.helpers import BASE, set_rate
+from tests.helpers import BASE, schedule_once, set_rate
 
 ATTRS = MonitorAttrs(
     sampling_interval_us=1 * MSEC,
@@ -82,7 +82,7 @@ class Twin:
                 self.queue.schedule_periodic(period, tick, name=name)
 
     def schedule(self, when, op, *args):
-        self.queue.schedule_at(when, lambda now: getattr(self, "do_" + op)(now, *args))
+        schedule_once(self.queue, when, lambda now: getattr(self, "do_" + op)(now, *args))
 
     def segment(self, which):
         """The page-table row ``(first page, pages, first chunk, chunks)``

@@ -76,7 +76,7 @@ class MonitorMachine(RuleBasedStateMachine):
 
     @rule(ticks=st.integers(min_value=1, max_value=30))
     def advance_time(self, ticks):
-        self.queue.run_for(ticks * MSEC)
+        self.queue.run_until(self.queue.clock.now + ticks * MSEC)
 
     @rule()
     def mmap_extra(self):

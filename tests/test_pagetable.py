@@ -409,6 +409,23 @@ class TestSegments:
         pt = table(10, 10, 10)
         parts = pt.split_segments(np.array([25, 3, 12, 1, 21]))
         assert [p.tolist() for p in parts] == [[3, 1], [12], [25, 21]]
+        assert pt.split_segments(np.array([], dtype=np.int64)) == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_split_segments_matches_unique(self, data):
+        """Same parts as a split over ``np.unique`` of the segment ids,
+        the empty input included."""
+        sizes = data.draw(st.lists(st.integers(1, 20), min_size=1, max_size=6))
+        pt = table(*sizes)
+        idx = np.array(
+            data.draw(st.lists(st.integers(0, pt.n_pages - 1), max_size=40)), dtype=np.int64
+        )
+        seg = np.searchsorted(pt.page_offset, idx, side="right") - 1
+        expected = [idx[seg == k] for k in np.unique(seg)]
+        parts = pt.split_segments(idx)
+        assert [part.tolist() for part in parts] == [part.tolist() for part in expected]
+        assert all(part.dtype == idx.dtype for part in parts)
 
     def test_insert_moves_later_pages(self):
         pt = table(10, 10)

@@ -13,6 +13,7 @@ torn journal tails are repaired rather than replayed.
 
 from __future__ import annotations
 
+import errno
 import gc
 import hashlib
 import json
@@ -175,6 +176,26 @@ class TestCheckpointCodec:
         path.write_bytes(path.read_bytes()[:-64])
         with pytest.raises(CheckpointError):
             restore(str(path))
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        """An I/O error mid-write is a CheckpointError naming the file;
+        no temp file is left and the previous snapshot survives."""
+        path = tmp_path / "ck.bin"
+        run = fresh_run()
+        run.run_until(2 * run.spec.epoch_us)
+        checkpoint_run(run, str(path))
+        before = path.read_bytes()
+        run.run_until(3 * run.spec.epoch_us)
+
+        def failing_fsync(fd):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(CheckpointError, match="cannot write checkpoint") as info:
+            checkpoint_run(run, str(path))
+        assert str(path) in str(info.value)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == before
 
     def test_not_a_checkpoint_file(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -272,7 +272,7 @@ class TestRuntime:
         kernel = worked_kernel()
         queue = EventQueue()
         monitor = started_monitor(kernel, queue=queue, sanitizer=SimSanitizer())
-        queue.run_for(100 * MSEC)
+        queue.run_until(queue.clock.now + 100 * MSEC)
         assert monitor.sanitizer.monitor_checkpoints > 0
         assert monitor.sanitizer.violations == []
 

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SchemeError
-from repro.monitor.attrs import MonitorAttrs
 from repro.monitor.core import DataAccessMonitor
 from repro.monitor.primitives import VirtualPrimitive
 from repro.schemes.engine import SchemesEngine
@@ -131,8 +130,3 @@ class TestEngineWithFilters:
         assert pt.present[8 * MIB // 4096 :].all()
         assert not pt.present[: 8 * MIB // 4096].all()
 
-    def test_with_pattern_preserves_filters(self, fast_attrs):
-        scheme = parse_scheme("4K max min min 1s max pageout", fast_attrs)
-        scheme.filters = [AddressFilter(0, MIB, allow=False)]
-        tuned = scheme.with_pattern(min_age_us=5_000_000)
-        assert tuned.filters == scheme.filters

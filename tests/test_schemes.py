@@ -11,7 +11,7 @@ from repro.monitor.attrs import MonitorAttrs
 from repro.monitor.region import RegionArray
 from repro.schemes.actions import PADDR_ACTIONS, Action, apply_action
 from repro.schemes.parser import format_scheme, parse_scheme, parse_schemes
-from repro.schemes.scheme import AccessPattern, Scheme
+from repro.schemes.scheme import AccessPattern
 from repro.sim.kernel import SimKernel
 from repro.sim.swap import ZramDevice
 from repro.units import MIB, MINUTE, MSEC, SEC, UNLIMITED
@@ -334,13 +334,6 @@ class TestActions:
 
 
 class TestSchemeHelpers:
-    def test_with_pattern(self):
-        scheme = Scheme(pattern=AccessPattern(min_age_us=5 * SEC), action=Action.PAGEOUT)
-        tuned = scheme.with_pattern(min_age_us=10 * SEC)
-        assert tuned.pattern.min_age_us == 10 * SEC
-        assert scheme.pattern.min_age_us == 5 * SEC  # original untouched
-        assert tuned.action is Action.PAGEOUT
-
     def test_describe_contains_action(self):
         scheme = parse_scheme("4K max min min 5s max pageout", ATTRS)
         assert "pageout" in scheme.describe()

@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import SchemeError
 from repro.lint import check_schemes
-from repro.monitor.attrs import MonitorAttrs
 from repro.monitor.core import DataAccessMonitor
 from repro.monitor.primitives import VirtualPrimitive
 from repro.runner.experiment import ExperimentRun
@@ -14,12 +13,12 @@ from repro.schemes.engine import SchemesEngine
 from repro.schemes.parser import parse_scheme
 from repro.schemes.quotas import Quota, priority
 from repro.schemes.scheme import AccessPattern, Scheme
-from repro.schemes.stats import SchemeStats, WssEstimator
+from repro.schemes.stats import SchemeStats
 from repro.schemes.watermarks import Watermarks
 from repro.trace import PageoutBatch, SchemeApplied, TraceBus
 from repro.units import MIB, MSEC, SEC, UNLIMITED
 
-from tests.helpers import BASE, run_epochs
+from tests.helpers import BASE, WssEstimator, run_epochs
 
 
 def stack(kernel, fast_attrs, queue, schemes):
@@ -139,8 +138,8 @@ class TestQuota:
 
 
 class TestWatermarks:
-    def test_always_on(self):
-        wm = Watermarks.always_on()
+    def test_full_band_stays_on(self):
+        wm = Watermarks(high=1.0, mid=1.0, low=0.0)
         assert wm.update(0.5)
         assert wm.update(1.0)
 

@@ -67,9 +67,9 @@ class TestZram:
         assert dev.load(100) == 200
 
     def test_dram_overhead_follows_ratio(self):
-        dev = ZramDevice(4 * MIB, compression_ratio=4.0)
+        dev = ZramDevice(4 * MIB)
         dev.store(100)
-        assert dev.dram_overhead_bytes() == int(100 * PAGE_SIZE / 4.0)
+        assert dev.dram_overhead_bytes() == int(100 * PAGE_SIZE / 3.0)
 
     def test_dram_overhead_shrinks_on_load(self):
         dev = ZramDevice(4 * MIB)
@@ -77,10 +77,6 @@ class TestZram:
         before = dev.dram_overhead_bytes()
         dev.load(50)
         assert dev.dram_overhead_bytes() == pytest.approx(before / 2, abs=1)
-
-    def test_ratio_below_one_rejected(self):
-        with pytest.raises(ConfigError):
-            ZramDevice(4 * MIB, compression_ratio=0.5)
 
     def test_default_capacity_is_paper_4gib(self):
         assert ZramDevice().capacity_pages == 4 * GIB // PAGE_SIZE

@@ -209,7 +209,7 @@ class TestAutoTuner:
 
     def test_budget_interface(self):
         tuner = make_tuner(lambda x: -abs(x - 20.0))
-        result = tuner.tune_with_budget(time_limit_us=100, unit_work_us=10)
+        result = tuner.tune(nr_samples_for_budget(time_limit_us=100, unit_work_us=10))
         assert len(result.samples) == 10
 
     def test_deterministic_given_seed(self):
