@@ -39,9 +39,9 @@ Exit codes are a contract:
   or a reader that closed stdout before the command finished writing;
 * **2** — a usage error: argparse rejected the command line, or a
   :class:`~repro.errors.DaosError` (bad workload, config, flag
-  combination, unreadable input, output file in a missing directory or
-  failing to write, fault plan, simulation failure) ended the command
-  with one ``error:`` line;
+  combination, unreadable input, output file in a missing directory,
+  with a name too long or failing to write, fault plan, simulation
+  failure) ended the command with one ``error:`` line;
 * **3** — a sweep point abandoned by the supervisor's watchdog;
 * **4** — a checkpoint that cannot be written or trusted (write
   failure, digest mismatch, format/version skew).
@@ -62,6 +62,7 @@ import sys
 from contextlib import ExitStack, contextmanager, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
+from typing import Iterator
 
 from .analysis.ascii_plot import ascii_series
 from .analysis.heatmap import build_heatmap, render_heatmap
@@ -498,9 +499,9 @@ def _trace_bus(args):
     with ExitStack() as stack:
         bus = sink = None
         if args.trace:
-            sink = stack.enter_context(
-                JsonlTraceSink(stdout if args.trace == "-" else args.trace)
-            )
+            with _writing("trace", args.trace):
+                sink = JsonlTraceSink(stdout if args.trace == "-" else args.trace)
+            stack.enter_context(sink)
             bus = TraceBus(ring_capacity=0)
             bus.subscribe_all(sink)
         if "-" in outputs:
@@ -571,10 +572,11 @@ def _cmd_run(args) -> int:
         _print_run(result, baseline, tier=tier, plan=plan, rss_hist=rss_hist)
         if args.record:
             extra = {"config": result.config, "seed": result.seed}
-            save_record(
-                result.snapshots, args.record,
-                workload=result.workload, machine=result.machine, extra=extra,
-            )
+            with _writing("record", args.record):
+                save_record(
+                    result.snapshots, args.record,
+                    workload=result.workload, machine=result.machine, extra=extra,
+                )
             print(f"record saved to {args.record}")
         if args.profile:
             text = json.dumps(profile, indent=2, sort_keys=True) + "\n"
@@ -605,7 +607,8 @@ def _cmd_report(args) -> int:
     title = f"{meta['workload'] or args.file} (from record)"
     heatmap = _print_access_pattern(snapshots, title, args.min_freq)
     if args.pgm:
-        path = heatmap_to_pgm(heatmap, args.pgm)
+        with _writing("pgm", args.pgm):
+            path = heatmap_to_pgm(heatmap, args.pgm)
         print(f"heatmap image written to {path}")
     return 0
 
@@ -950,19 +953,30 @@ def _check_output_dirs(args) -> None:
         path = getattr(args, dest)
         if not path or path == "-":
             continue
-        if not Path(path).parent.is_dir():
+        try:
+            parent_missing, is_dir = not Path(path).parent.is_dir(), Path(path).is_dir()
+        except OSError as exc:  # e.g. a file name over the system's limit
+            raise ConfigError(f"--{dest} {path}: {exc.strerror or exc}") from exc
+        if parent_missing:
             raise ConfigError(f"--{dest} {path}: directory {Path(path).parent} does not exist")
-        if Path(path).is_dir():
+        if is_dir:
             raise ConfigError(f"--{dest} {path}: is a directory, not a file")
 
 
-def _write_output(dest: str, path: str, text: str) -> None:
-    """Write ``text`` to the file an output flag names; a failed write
-    is a :class:`ConfigError` naming the flag and the path (exit 2)."""
+@contextmanager
+def _writing(dest: str, path: str) -> Iterator[None]:
+    """Turn a failed write of the file an output flag names into a
+    :class:`ConfigError` naming the flag and the path (exit 2)."""
     try:
-        Path(path).write_text(text)
+        yield
     except OSError as exc:
         raise ConfigError(f"--{dest} {path}: cannot write: {exc.strerror or exc}") from exc
+
+
+def _write_output(dest: str, path: str, text: str) -> None:
+    """Write ``text`` to the file an output flag names."""
+    with _writing(dest, path):
+        Path(path).write_text(text)
 
 
 def main(argv=None) -> int:

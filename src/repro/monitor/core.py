@@ -33,9 +33,11 @@ assigning a table installs it.
 
 The sampling ticks the event queue has due before any other event fire
 as one ``sample_tick`` call: their randomness is one block, the
-primitive is asked about all of them at once, and each still does its
-own counting, charging and tracing (DESIGN.md §12, "Sampling batches").
-Results are bit-identical to sampling tick by tick.
+primitive is asked about all of them at once, and their counters,
+CPU charge, clock move and bus count land as one batch; only a fault
+injector's flaky masks and ``AccessSampled`` emission to a consumer
+stay per tick (DESIGN.md §12, "Sampling batches").  Results are
+bit-identical to sampling tick by tick.
 """
 
 from __future__ import annotations
@@ -68,8 +70,9 @@ def _probe(ask, checks: np.ndarray, window: int, period: int) -> np.ndarray:
     return ask(checks.ravel(), window).reshape(checks.shape)
 
 
-def _count(hits: Optional[np.ndarray]) -> int:
-    return int(np.count_nonzero(hits)) if hits is not None else 0
+def _row_counts(hits: Optional[np.ndarray], rows: int) -> List[int]:
+    """Set bits per row of ``hits``; zeros for a channel not sampled."""
+    return [0] * rows if hits is None else np.count_nonzero(hits, axis=1).tolist()
 
 
 class DataAccessMonitor:
@@ -281,16 +284,19 @@ class DataAccessMonitor:
         per-tick order: hit uniforms, write-hit uniforms (``track_writes``
         only), pick uniforms.  Row ``j`` checks what row ``j - 1``
         picked, and the primitive is asked once per distinct window
-        (only row 0's can differ).  Everything a tick *does* (counters,
-        charge, pending state, trace) still happens per row, at the
-        row's instant.
+        (only row 0's can differ).  The rows' effects land as one batch
+        (counter sums, one charge call, one clock move, one bus count);
+        only a fault injector's flaky masks and ``AccessSampled``
+        emission to a consumer stay per row, at the row's instant.
         """
         attrs = self.attrs
         period = attrs.sampling_interval_us
+        n = self._ra.n
         draws = 1 if addrs is None else 3 if attrs.track_writes else 2
-        block = self.rng.random((rows, draws, self._ra.n))
+        block = self.rng.random((rows, draws, n))
         picks = self._ra.sampling_addrs(block[:, -1])
         hits = whits = None
+        checked = 0
         if addrs is not None:
             checks = np.concatenate((addrs[None, :], picks[:-1]))
             window = now - self._pending_since
@@ -300,46 +306,51 @@ class DataAccessMonitor:
                 whits = block[:, 1] < _probe(
                     primitive.write_probabilities, checks, window, period
                 )
-        faults, tr = self.faults, self.trace
-        for row in range(rows):
-            when = now + row * period
-            if clock is not None:
-                clock.advance_to(when)
-            checked = 0
-            row_hits = row_whits = None
-            if hits is not None:
-                row_hits = hits[row]
-                flaky = None if faults is None else faults.flaky_bit_mask(when, row_hits.size)
-                if flaky is not None:
-                    # A lost PTE read clears both channels of the sample.
-                    row_hits &= ~flaky
-                self._acc += row_hits
-                if whits is not None:
-                    row_whits = whits[row]
+            faults = self.faults
+            if faults is not None:
+                for row in range(rows):
+                    flaky = faults.flaky_bit_mask(now + row * period, n)
                     if flaky is not None:
-                        row_whits &= ~flaky
-                    self._wacc += row_whits
-                checked = row_hits.size
-                self.total_checks += checked
-            # The kdamond wakeup itself costs CPU even on a tick that
-            # only prepares the next sample round.
-            self.primitive.charge_checks(checked, wakeups=1)
-            # prepare_access_checks: pick and clear next sample pages.
-            self._addrs = picks[row]
-            self._pending_since = when
-            if tr is not None:
-                if tr.wants(AccessSampled):
-                    tr.emit(
-                        AccessSampled(
-                            time_us=tr.now,
-                            nr_regions=self._ra.n,
-                            checked=checked,
-                            hits=_count(row_hits),
-                            write_hits=_count(row_whits),
-                        )
+                        # A lost PTE read clears both channels of the sample.
+                        hits[row] &= ~flaky
+                        if whits is not None:
+                            whits[row] &= ~flaky
+            self._acc += hits.sum(axis=0)
+            if whits is not None:
+                self._wacc += whits.sum(axis=0)
+            checked = n
+            self.total_checks += rows * n
+        # Every kdamond wakeup costs CPU, even one that only prepares
+        # the next sample round.
+        self.primitive.charge_checks(checked, wakeups=rows)
+        # prepare_access_checks: the last row's picks are pending.
+        last = now + (rows - 1) * period
+        self._addrs = picks[-1]
+        self._pending_since = last
+        tr = self.trace
+        if tr is not None and tr.wants(AccessSampled):
+            nr_hits = _row_counts(hits, rows)
+            nr_whits = _row_counts(whits, rows)
+            for row in range(rows):
+                if clock is not None:
+                    clock.advance_to(now + row * period)
+                tr.emit(
+                    AccessSampled(
+                        time_us=tr.now,
+                        nr_regions=n,
+                        checked=checked,
+                        hits=nr_hits[row],
+                        write_hits=nr_whits[row],
                     )
-                else:
-                    tr.count(AccessSampled)
+                )
+            return
+        # Read before the clock moves: if this count is the bus's first,
+        # no earlier row of this call counted, so it reads row 0's instant.
+        since = None if tr is None else tr.now
+        if clock is not None:
+            clock.advance_to(last)
+        if tr is not None:
+            tr.count(AccessSampled, rows, since)
 
     # ------------------------------------------------------------------
     # Aggregation tick: merge/age → callbacks → schemes → reset → split

@@ -60,8 +60,8 @@ class MonitoringPrimitive:
         raise NotImplementedError
 
     def charge_checks(self, n_checks: int, wakeups: int = 1) -> None:
-        """Account monitoring CPU cost for one sampling wakeup doing
-        ``n_checks`` access checks."""
+        """Account monitoring CPU cost for ``wakeups`` sampling wakeups,
+        each doing ``n_checks`` access checks."""
         raise NotImplementedError
 
 

@@ -17,7 +17,9 @@ row per region, as parallel NumPy columns::
 
 and runs the per-aggregation passes — counter publish, merge+age,
 counter reset, split, sampling-address choice — as whole-column
-vector operations.  The table is built from row bounds
+vector operations, a fixed number of NumPy calls per pass whatever the
+region count (the merge's greedy fold walks its chunk starts over plain
+ints).  The table is built from row bounds
 (:meth:`RegionArray.from_bounds`) and re-laid over new target ranges
 after a layout change (:meth:`RegionArray.clipped_to`); there is no row
 object.
@@ -264,58 +266,52 @@ class RegionArray:
         if n == 0:
             return 0
         # Aging: stable access count → older; changed → reset.
-        changed = np.abs(self.nr_accesses - self.last_nr_accesses) > threshold
+        nr = self.nr_accesses
+        changed = np.abs(nr - self.last_nr_accesses) > threshold
         self.age = np.where(changed, 0, self.age + 1)
         if n == 1:
             return 0
-        mergeable = (self.end[:-1] == self.start[1:]) & (
-            np.abs(self.nr_accesses[:-1] - self.nr_accesses[1:]) <= threshold
-        )
-        if not mergeable.any():
+        start, end = self.start, self.end
+        # joins[i + 1]: row i folds into row i + 1 (padded with False).
+        joins = np.zeros(n + 1, dtype=bool)
+        joins[1:-1] = (end[:-1] == start[1:]) & (np.abs(nr[:-1] - nr[1:]) <= threshold)
+        if not joins.any():
             return 0
-        sizes = self.end - self.start
-        cum = np.cumsum(sizes)
-        # Greedy size-capped fold: walk each mergeable run chunk by
-        # chunk (searchsorted over the cumulative sizes), so the Python
-        # loop is over *chunks*, not regions.
-        is_chunk_start = np.ones(n, dtype=bool)
-        run_idx = np.flatnonzero(mergeable)
-        run_breaks = np.flatnonzero(np.diff(run_idx) > 1) + 1
-        for run in np.split(run_idx, run_breaks):
-            first, last = int(run[0]), int(run[-1]) + 1  # regions first..last
+        sizes = end - start
+        cum = sizes.cumsum()
+        # Greedy size-capped fold.  A chunk starting at row j takes the
+        # rows up to its reach, the last row before the chunk's size
+        # would pass sz_limit, and at least row j itself: one
+        # searchsorted gives every row's reach.
+        reach = (np.searchsorted(cum, cum - sizes + sz_limit, side="right") - 1).tolist()
+        # The runs of joined rows: edges alternate first row, last row.
+        flips = joins[1:] != joins[:-1]
+        edges = flips.nonzero()[0].tolist()
+        # Walk each run chunk start to chunk start, over plain ints; a
+        # row in no run is a chunk of its own.
+        is_chunk_start = ~(joins[:-1] | joins[1:])
+        chunk_starts: List[int] = []
+        for first, last in zip(edges[::2], edges[1::2]):
             j = first
             while j <= last:
-                base = int(cum[j]) - int(sizes[j])
-                k = int(np.searchsorted(cum, base + sz_limit, side="right")) - 1
-                k = min(max(k, j), last)
-                is_chunk_start[j + 1 : k + 1] = False
-                j = k + 1
-        starts_idx = np.flatnonzero(is_chunk_start)
+                chunk_starts.append(j)
+                j = min(max(reach[j], j), last) + 1
+        is_chunk_start[chunk_starts] = True
+        starts_idx = is_chunk_start.nonzero()[0]
         n_new = len(starts_idx)
         if n_new == n:
             return 0
-        ends_idx = np.append(starts_idx[1:], n) - 1
+        # Size-weighted averages (paper §3.1) of the int columns, in one
+        # block; a chunk's rows are contiguous, so its end is its start
+        # plus its size.
         weight_sum = np.add.reduceat(sizes, starts_idx)
-
-        def _avg_int(column: np.ndarray) -> np.ndarray:
-            return np.rint(
-                np.add.reduceat(column * sizes, starts_idx) / weight_sum
-            ).astype(np.int64)
-
-        new_nr = _avg_int(self.nr_accesses)
-        new_last = _avg_int(self.last_nr_accesses)
-        new_writes = _avg_int(self.nr_writes)
-        new_age = _avg_int(self.age)
-        new_ewma = (
-            np.add.reduceat(self.write_ewma * sizes, starts_idx) / weight_sum
-        )
-        new_start = self.start[starts_idx]
-        new_end = self.end[ends_idx]
-        new_sampling = self.sampling_addr[starts_idx]
-        self.start, self.end = new_start, new_end
-        self.nr_accesses, self.last_nr_accesses = new_nr, new_last
-        self.nr_writes, self.write_ewma = new_writes, new_ewma
-        self.age, self.sampling_addr = new_age, new_sampling
+        ints = np.array((nr, self.last_nr_accesses, self.nr_writes, self.age))
+        avg = np.rint(np.add.reduceat(ints * sizes, starts_idx, axis=1) / weight_sum)
+        self.nr_accesses, self.last_nr_accesses, self.nr_writes, self.age = avg.astype(np.int64)
+        self.write_ewma = np.add.reduceat(self.write_ewma * sizes, starts_idx) / weight_sum
+        self.start = start[starts_idx]
+        self.end = self.start + weight_sum
+        self.sampling_addr = self.sampling_addr[starts_idx]
         self.generation += 1
         return n - n_new
 
@@ -339,48 +335,39 @@ class RegionArray:
         n = self.n
         if n == 0 or pieces < 2:
             return 0
-        sizes = self.end - self.start
-        n_pages = sizes >> PAGE_SHIFT
+        start, end = self.start, self.end
+        n_pages = (end - start) >> PAGE_SHIFT
         split1 = n_pages >= 2
-        offs1 = rng.integers(1, np.where(split1, n_pages, 2))
-        cut1 = np.where(split1, self.start + (offs1 << PAGE_SHIFT), self.end)
+        offs1 = rng.integers(1, np.maximum(n_pages, 2))
+        cut1 = np.where(split1, start + (offs1 << PAGE_SHIFT), end)
+        rounds = [(split1, cut1)]  # which rows each round cut, and where
         if pieces >= 3:
-            right_pages = np.where(split1, self.end - cut1, 0) >> PAGE_SHIFT
-            split2 = split1 & (right_pages >= 2)
-            offs2 = rng.integers(1, np.where(split2, right_pages, 2))
-            cut2 = np.where(split2, cut1 + (offs2 << PAGE_SHIFT), self.end)
-        else:
-            split2 = np.zeros(n, dtype=bool)
-            cut2 = self.end
-        counts = 1 + split1.astype(np.int64) + split2.astype(np.int64)
+            right_pages = (end - cut1) >> PAGE_SHIFT
+            offs2 = rng.integers(1, np.maximum(right_pages, 2))
+            rounds.append((right_pages >= 2, cut1 + (offs2 << PAGE_SHIFT)))
+        counts = 1 + sum(made for made, _ in rounds)  # children per row
         total = int(counts.sum())
         if total == n:
             return 0
-        base = np.cumsum(counts) - counts  # first-child output row per region
-
-        out_start = np.empty(total, dtype=np.int64)
-        out_end = np.empty(total, dtype=np.int64)
-        out_start[base] = self.start
-        out_end[base + counts - 1] = self.end
-        i1 = np.flatnonzero(split1)
-        out_end[base[i1]] = cut1[i1]
-        out_start[base[i1] + 1] = cut1[i1]
-        i2 = np.flatnonzero(split2)
-        out_end[base[i2] + 1] = cut2[i2]
-        out_start[base[i2] + 2] = cut2[i2]
-
-        self.start, self.end = out_start, out_end
-        self.nr_accesses = np.repeat(self.nr_accesses, counts)
-        self.last_nr_accesses = np.repeat(self.last_nr_accesses, counts)
-        self.nr_writes = np.repeat(self.nr_writes, counts)
-        self.write_ewma = np.repeat(self.write_ewma, counts)
-        self.age = np.repeat(self.age, counts)
+        # Every child starts with its row's bounds; round k's cut ends
+        # the row's k-th child and starts the next.
+        first = counts.cumsum() - counts  # each row's first child
+        new_start, new_end = start.repeat(counts), end.repeat(counts)
+        for k, (made, cut) in enumerate(rounds):
+            rows = made.nonzero()[0]
+            at = first[rows] + k
+            new_end[at] = new_start[at + 1] = cut[rows]
         # Fresh children sample from their own start, as a fresh row
         # does; unsplit rows keep their sampling address.
-        out_sampling = out_start.copy()
-        unsplit = np.flatnonzero(counts == 1)
-        out_sampling[base[unsplit]] = self.sampling_addr[unsplit]
-        self.sampling_addr = out_sampling
+        self.sampling_addr = np.where(
+            split1.repeat(counts), new_start, self.sampling_addr.repeat(counts)
+        )
+        self.start, self.end = new_start, new_end
+        self.nr_accesses = self.nr_accesses.repeat(counts)
+        self.last_nr_accesses = self.last_nr_accesses.repeat(counts)
+        self.nr_writes = self.nr_writes.repeat(counts)
+        self.write_ewma = self.write_ewma.repeat(counts)
+        self.age = self.age.repeat(counts)
         self.generation += 1
         return total - n
 

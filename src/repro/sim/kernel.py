@@ -1127,13 +1127,20 @@ class SimKernel:
         return self._probe(frames, window_us, True, True)
 
     def charge_monitor_checks(self, n_checks: int, wakeups: int = 1) -> None:
-        """Account CPU time for one kdamond wakeup performing
-        ``n_checks`` accessed-bit checks, and pass the interference
-        share on to the workload's runtime."""
-        cpu = self.costs.monitor_check_cost_us(n_checks, wakeups)
-        self.metrics.monitor_checks += n_checks
-        self.metrics.monitor_cpu_us += cpu
-        self.metrics.runtime.monitor_interference_us += self.costs.interference_us(cpu)
+        """Account CPU time for ``wakeups`` kdamond wakeups, each
+        performing ``n_checks`` accessed-bit checks, and pass the
+        interference share on to the workload's runtime.
+
+        Each wakeup is its own float ``+=``, in order: ``wakeups`` adds
+        of one cost are not one add of ``wakeups`` times it."""
+        cpu = self.costs.monitor_check_cost_us(n_checks, 1)
+        interference = self.costs.interference_us(cpu)
+        metrics = self.metrics
+        runtime = metrics.runtime
+        metrics.monitor_checks += n_checks * wakeups
+        for _ in range(wakeups):
+            metrics.monitor_cpu_us += cpu
+            runtime.monitor_interference_us += interference
 
     # ------------------------------------------------------------------
     # Accounting views

@@ -144,17 +144,19 @@ class TraceBus:
         event construction entirely."""
         return self._wants_all or bool(self._handlers.get(event_type))
 
-    def count(self, event_type: Type[TraceEvent]) -> None:
-        """Account one ``event_type`` occurrence at the current clock
-        without materialising the event — the counters, ``n_events`` and
-        first/last timestamps move exactly as :meth:`emit` would for an
-        event stamped now."""
+    def count(
+        self, event_type: Type[TraceEvent], n: int = 1, since: Optional[int] = None
+    ) -> None:
+        """Account ``n`` ``event_type`` occurrences without materialising
+        them — the counters, ``n_events`` and first/last timestamps move
+        exactly as :meth:`emit` would for events stamped from ``since``
+        (default: the current clock) to the current clock."""
         kind = event_type.kind
-        self.counts[kind] = self.counts.get(kind, 0) + 1
+        self.counts[kind] = self.counts.get(kind, 0) + n
         now = self.clock.now
         if not self.n_events:
-            self.first_time_us = now
-        self.n_events += 1
+            self.first_time_us = now if since is None else since
+        self.n_events += n
         self.last_time_us = now
 
     def count_groups(self, event_type: Type[TraceEvent], counts: Mapping[str, int]) -> None:

@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import repro.cli
+from repro.analysis.recording import save_record
 from repro.cli import build_parser, main
+from repro.monitor.snapshot import Snapshot
 
 REPO = Path(__file__).resolve().parent.parent
 CHAOS_PLAN = REPO / "examples" / "faults" / "chaos.toml"
@@ -393,6 +395,19 @@ class TestOutputDirectoryChecked:
         err = capsys.readouterr().err
         assert err == f"error: {flag} {out}: is a directory, not a file\n"
 
+    @pytest.mark.parametrize(
+        "argv, flag", CASES, ids=[f"{argv[0]}{flag}" for argv, flag in CASES]
+    )
+    def test_name_too_long(self, argv, flag, tmp_path, monkeypatch, capsys):
+        def forbidden(args):
+            raise AssertionError("the verb ran despite a bad output path")
+
+        monkeypatch.setitem(repro.cli._COMMANDS, argv[0], forbidden)
+        out = str(tmp_path / ("x" * 300))
+        assert main([out if a == "OUT" else a for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {flag} {out}: File name too long\n"
+
 
 class TestOutputWriteFails:
     """A write that fails after the verb ran ends in the exit-code
@@ -437,6 +452,50 @@ class TestOutputWriteFails:
         err = capsys.readouterr().err
         assert err == f"error: cannot write checkpoint {out!r}: Input/output error\n"
         assert list(tmp_path.iterdir()) == []
+
+    def _dangling(self, tmp_path):
+        """A symlink whose target lies in a directory that does not exist."""
+        link = tmp_path / "out.file"
+        link.symlink_to(tmp_path / "missing" / "out.file")
+        return str(link)
+
+    def _assert_refused(self, flag, out, tmp_path, capsys, *inputs):
+        err = capsys.readouterr().err
+        expected = f"error: {flag} {out}: cannot write: No such file or directory"
+        assert err.splitlines()[-1] == expected
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["out.file", *inputs])
+
+    def test_trace(self, tmp_path, capsys):
+        out = self._dangling(tmp_path)
+        argv = ["--time-scale", "0.01", "run", "splash2x/volrend", "--trace", out]
+        assert main(argv) == 2
+        self._assert_refused("--trace", out, tmp_path, capsys)
+
+    def test_pgm(self, tmp_path, capsys):
+        record = tmp_path / "run.rec"
+        rows = [(0, 8 * 4096, 5, 1, 0), (8 * 4096, 64 * 4096, 0, 1, 0)]
+        save_record([Snapshot.from_rows(t, rows, 20) for t in (0, 1)], record)
+        out = self._dangling(tmp_path)
+        assert main(["report", str(record), "--pgm", out]) == 2
+        self._assert_refused("--pgm", out, tmp_path, capsys, "run.rec")
+
+    def test_record(self, tmp_path, monkeypatch, capsys):
+        """A record is written to a temp file beside its path and renamed
+        over it, which replaces a dangling link instead of failing; so
+        the rename is refused here, and the temp file must go too."""
+        out = self._dangling(tmp_path)
+        replace = os.replace
+
+        def refusing(src, dst):
+            if str(dst) == out:
+                raise FileNotFoundError(2, "No such file or directory")
+            return replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", refusing)
+        argv = ["--time-scale", "0.01", "run", "splash2x/volrend", "-c", "rec", "--record", out]
+        assert main(argv) == 2
+        self._assert_refused("--record", out, tmp_path, capsys)
 
 
 class TestFleetFloatsChecked:

@@ -1,5 +1,6 @@
 """DataAccessMonitor: the kdamond loop on the simulated kernel."""
 
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -10,11 +11,17 @@ from repro.monitor.core import DataAccessMonitor
 from repro.monitor.overhead import theoretical_bound_cpu_share
 from repro.monitor.primitives import PhysicalPrimitive, VirtualPrimitive
 from repro.clock import EventQueue
-from repro.runner.experiment import run_experiment
+from repro.faults import load_fault_plan
+from repro.runner.experiment import ExperimentRun, run_experiment
 from repro.sim.kernel import SimKernel
+from repro.sweep.serialize import fingerprint
+from repro.trace.bus import TraceBus
+from repro.trace.events import AccessSampled
 from repro.units import MIB, MSEC, SEC
 
 from tests.helpers import BASE, run_epochs
+
+SMOKE_PLAN = Path(__file__).resolve().parents[1] / "examples" / "faults" / "smoke.toml"
 
 
 def make_monitor(kernel, attrs, seed=3, primitive_cls=VirtualPrimitive):
@@ -380,3 +387,77 @@ class TestSamplingBatches:
         assert calls["sample"] == intervals
         assert calls["probe"] == intervals * (2 if track_writes else 1)
         assert result.monitor_checks > 0
+
+    @pytest.mark.parametrize(
+        "track_writes, faults", [(False, None), (True, None), (True, SMOKE_PLAN)]
+    )
+    def test_batched_rows_match_per_row_emission(self, track_writes, faults):
+        """A batch lands its counters, CPU charge, clock move and bus
+        count in one step each; a subscriber to ``AccessSampled`` makes
+        the same rows emit one event each, at each row's instant.  The
+        two runs agree on the bus after every ``sample_tick`` call and
+        end bit-equal."""
+        sample_tick = DataAccessMonitor.sample_tick
+
+        def run(subscribe):
+            bus = TraceBus(ring_capacity=0)
+            if subscribe:
+                bus.subscribe(AccessSampled, lambda event: None)
+            after_calls = []
+
+            def observed_sample(monitor, now):
+                sample_tick(monitor, now)
+                after_calls.append(
+                    (dict(bus.counts), bus.n_events, bus.first_time_us, bus.last_time_us)
+                )
+
+            with mock.patch.object(DataAccessMonitor, "sample_tick", observed_sample):
+                run = ExperimentRun(
+                    "parsec3/freqmine",
+                    config="prcl",
+                    time_scale=0.02,
+                    attrs=MonitorAttrs(track_writes=track_writes),
+                    faults=load_fault_plan(faults) if faults else None,
+                    trace=bus,
+                )
+                run.start()
+                run.run_until(run.duration_us)
+                result = run.finish()
+            metrics = run.tenant.kernel.metrics
+            return (
+                fingerprint(result),
+                metrics.monitor_cpu_us,
+                metrics.runtime.monitor_interference_us,
+                run.tenant.monitor.total_checks,
+                after_calls,
+            )
+
+        batched, per_row = run(False), run(True)
+        assert batched[3] > 0
+        assert batched == per_row
+
+    def test_first_batch_stamps_a_fresh_bus_from_its_first_row(self, kernel, fast_attrs):
+        """On a bus that has seen nothing yet, one batch's count stamps
+        its first row's instant first and its last row's last, as one
+        event per row would."""
+        kernel.mmap(BASE, 32 * MIB)
+        period = fast_attrs.sampling_interval_us
+        interval = fast_attrs.aggregation_interval_us
+
+        def run(subscribe):
+            queue = EventQueue()
+            monitor = DataAccessMonitor(VirtualPrimitive(kernel), fast_attrs, seed=3)
+            monitor.start(queue)
+            # Past the first aggregation, which prepares the next round.
+            queue.run_until(interval)
+            bus = TraceBus(queue.clock, ring_capacity=0)
+            if subscribe:
+                bus.subscribe(AccessSampled, lambda event: None)
+            monitor.trace = bus
+            # The second interval's sampling ticks, in one call.
+            queue.run_until(2 * interval - 1)
+            return bus.counts, bus.n_events, bus.first_time_us, bus.last_time_us
+
+        rows = interval // period - 1
+        expected = ({"AccessSampled": rows}, rows, interval + period, 2 * interval - period)
+        assert run(False) == run(True) == expected

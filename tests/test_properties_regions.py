@@ -20,7 +20,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.monitor.attrs import MonitorAttrs
 from repro.monitor.core import DataAccessMonitor
-from repro.monitor.region import MIN_REGION_SIZE, RegionArray
+from repro.monitor.region import _COLUMNS, MIN_REGION_SIZE, RegionArray
 from repro.units import MSEC
 
 K = MIN_REGION_SIZE
@@ -188,6 +188,68 @@ def test_aging_resets_exactly_on_changed_count(regions, threshold):
             assert new_age == 0, "changed count must reset the age"
         else:
             assert new_age == age + 1, "stable count must increment the age"
+
+
+# ----------------------------------------------------------------------
+# The vector fold against a row-by-row reference
+# ----------------------------------------------------------------------
+@st.composite
+def merge_tables(draw):
+    """``region_lists`` with every column drawn, gaps or not.  The EWMA
+    is a multiple of 1/4, so its size-weighted sums are exact in any
+    summation order."""
+    ra = draw(region_lists(min_n=0, max_n=30))
+    n = ra.n
+    ra.nr_writes[:] = [draw(st.integers(0, 20)) for _ in range(n)]
+    ra.write_ewma[:] = [draw(st.integers(0, 80)) / 4 for _ in range(n)]
+    ra.sampling_addr[:] = [
+        start + draw(st.integers(0, (end - start) // K - 1)) * K
+        for start, end in zip(ra.start.tolist(), ra.end.tolist())
+    ]
+    return ra
+
+
+def _table(ra: RegionArray) -> list:
+    """Every row as a tuple in ``_COLUMNS`` order."""
+    return list(zip(*(getattr(ra, name).tolist() for name in _COLUMNS)))
+
+
+def _reference_age_and_merge(ra: RegionArray, threshold: int, sz_limit: int) -> tuple:
+    """The greedy size-capped fold, row by row: age every row, then let
+    a chunk take the next row while that row is adjacent, its published
+    count is within ``threshold`` of its left neighbour's, and the chunk
+    stays within ``sz_limit``.  Returns ``(rows, merges)``."""
+    start, end, nr, last, writes, age, sampling, ewma = (
+        getattr(ra, name).tolist() for name in _COLUMNS
+    )
+    age = [0 if abs(a - b) > threshold else g + 1 for a, b, g in zip(nr, last, age)]
+    chunks: list = []
+    for i in range(len(start)):
+        joins = i and end[i - 1] == start[i] and abs(nr[i - 1] - nr[i]) <= threshold
+        if joins and end[i] - start[chunks[-1][0]] <= sz_limit:
+            chunks[-1].append(i)
+        else:
+            chunks.append([i])
+    rows = []
+    for c in chunks:
+        size = end[c[-1]] - start[c[0]]
+        avg = [sum(col[i] * (end[i] - start[i]) for i in c) / size
+               for col in (nr, last, writes, age, ewma)]
+        rows.append((start[c[0]], end[c[-1]], *map(round, avg[:4]), sampling[c[0]], avg[4]))
+    return rows, len(start) - len(chunks)
+
+
+@given(regions=merge_tables(), threshold=st.integers(0, 10), sz_limit=st.integers(1, 80 * K))
+@settings(max_examples=300)
+def test_merge_matches_row_by_row_fold(regions, threshold, sz_limit):
+    """The one-searchsorted fold is the greedy row-by-row fold: same
+    rows, same counters bit for bit, same merge count, and the table's
+    generation moves exactly when something merged."""
+    expected, merges = _reference_age_and_merge(regions, threshold, sz_limit)
+    generation = regions.generation
+    assert regions.age_and_merge(threshold, sz_limit) == merges
+    assert _table(regions) == expected
+    assert regions.generation == generation + (merges > 0)
 
 
 # ----------------------------------------------------------------------
