@@ -53,14 +53,17 @@ def save_record(
             for snap in snapshots
         ],
     }
-    # Write a sibling temp file and rename it over ``path``: a write
-    # that fails part-way leaves the previous record whole.
+    # Write a sibling temp file and rename it over the destination: a
+    # write that fails part-way leaves the previous record whole.  The
+    # destination is ``path`` with its links resolved, so a symlinked
+    # ``path`` is written through, not replaced by a regular file.
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    dest = path.resolve()
+    tmp = dest.with_name(f".{dest.name}.{os.getpid()}.tmp")
     try:
         with tmp.open("w", encoding="utf-8") as handle:
             handle.write(json.dumps(document, separators=(",", ":")))
-        os.replace(tmp, path)
+        os.replace(tmp, dest)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

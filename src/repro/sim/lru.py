@@ -6,10 +6,9 @@ memory pressure, evicts from the tail of the inactive list.  The paper's
 swap device) when the workload outgrows the guest's DRAM.
 
 The simulation approximates the two lists with per-page last-touch
-timestamps: reclaim evicts the globally least-recently-touched present
-pages first.  This matches the ordering the real lists converge to under
-the periodic accessed-bit scans Linux performs, while staying fully
-vectorized.
+stamps in accessed-bit scan buckets: reclaim takes the oldest buckets
+first, uniformly at random inside the last one it reaches, the order the
+real lists converge to under Linux's periodic accessed-bit scans.
 """
 
 from __future__ import annotations
@@ -35,9 +34,8 @@ class LruReclaimer:
     def __init__(self, space: AddressSpace, *, frames=None):
         self.space = space
         #: Optional :class:`~repro.sim.physmem.FrameTable` (the kernel
-        #: provides it).  With it, sparse-residency victim selection
-        #: enumerates the allocated frames instead of scanning the whole
-        #: page table.
+        #: provides it): under sparse residency, victim selection
+        #: enumerates its allocated frames, not the whole page table.
         self.frames = frames
         self.total_evicted = 0
 
@@ -49,49 +47,42 @@ class LruReclaimer:
         *,
         fast_only: bool = False,
     ) -> List[np.ndarray]:
-        """Pick ~``n_pages`` least-recently-touched present pages.
+        """Pick ``min(n_pages, candidates)`` pages of the oldest LRU classes.
 
-        ``fast_only`` restricts candidates to DRAM-resident pages — the
-        tiered reclaim path uses it so pressure on DRAM never selects
-        pages already demoted to the slow tier.  The filter is applied
-        *before* the tie-break draw, so on a flat machine (all pages
-        tier 0) RNG consumption is unchanged whether or not it is set.
+        Candidates are present, framed pages outside huge mappings, and
+        only DRAM-resident ones under ``fast_only`` (tiered reclaim never
+        selects pages already demoted).  A candidate's class key is the
+        integer ``lru_gen * 10**12 + last_touch // LRU_SCAN_INTERVAL_US``:
+        deprioritised pages first, prioritised last, and in a generation
+        the oldest scan bucket first (COLD-advised stamps lie below all).
 
-        The ordering is *approximate*, as in the real two-list LRU: the
-        kernel only learns recency from periodic accessed-bit scans, so
-        eviction order within a scan interval is arbitrary.  We model
-        this by quantising timestamps to :data:`LRU_SCAN_INTERVAL_US`
-        buckets with a seeded random tie-break.  (This imprecision is
-        exactly what the LRU_PRIO / LRU_DEPRIO scheme actions improve
-        on: the monitor knows recency at aggregation granularity.)
+        As in the real two-list LRU, which learns recency only from
+        periodic accessed-bit scans, order inside a scan interval is
+        arbitrary: every class older than the boundary class (the one
+        holding the ``take``-th oldest key) is taken whole, the rest is
+        one uniform ``rng.choice`` without replacement from the boundary
+        class, drawn only when that class does not fit whole (``rng=None``
+        takes its first pages).  LRU_PRIO / LRU_DEPRIO improve on this.
 
         Returns the chosen page indices split per VMA segment, segments
-        ascending; the caller performs the actual state transition so
-        swap latency and accounting live in one place (the kernel
-        façade).
+        ascending, older classes first; the caller performs the state
+        transition so swap latency and accounting live in one place.
         """
         if n_pages <= 0:
             return []
-        # One whole-table masked pass over the page table: pages in
-        # index order, so segments in VMA address order.
-        flat = self.space.flat
-        if flat.n_pages == 0:
-            return []
-        frames = self.frames
+        flat, frames = self.space.flat, self.frames
         if frames is not None and frames.peak_allocated * 8 < flat.n_pages:
             # Sparse residency: every evictable page owns a frame, so the
-            # frame table's live set IS the candidate set — O(allocated)
-            # instead of an O(n_pages) mask scan.  Sorting restores the
-            # ascending page order the mask scan produces, so the RNG
-            # tie-break mapping (and hence the selection) is identical.
+            # frame table's live set, in frame order, IS the candidate
+            # set — O(allocated) instead of an O(n_pages) mask scan.
             idx = frames.owners(frames.allocated_frames())
-            idx.sort()
             if flat.chunk_huge.any():
                 idx = idx[~flat.huge_page_mask(idx)]
             if fast_only:
                 idx = idx[flat.tier[idx] == 0]
         else:
-            # A page mid-fault (present but no frame assigned yet) is
+            # One whole-table masked pass: candidates in page order.  A
+            # page mid-fault (present but no frame assigned yet) is
             # locked by its faulting thread and cannot be reclaimed.
             evictable = flat.present & (flat.frame >= 0)
             if fast_only:
@@ -101,15 +92,24 @@ class LruReclaimer:
             idx = np.nonzero(evictable)[0]
         if idx.size == 0:
             return []
-        stamps = flat.last_touch[idx].astype(np.float64)
-        gens = flat.lru_gen[idx].astype(np.float64)
-        stamps = np.floor(stamps / LRU_SCAN_INTERVAL_US)
-        if rng is not None:
-            stamps = stamps + rng.random(stamps.size)
-        # LRU class dominates: deprioritised pages go first, prioritised
-        # pages last; within a class, oldest scan bucket first.
-        stamps = stamps + gens * 1e12
-        take = min(n_pages, stamps.size)
-        order = np.argpartition(stamps, take - 1)[:take]
+        take = min(n_pages, idx.size)
+        if take < idx.size:
+            keys = flat.last_touch[idx]
+            keys //= LRU_SCAN_INTERVAL_US
+            gens = flat.lru_gen[idx]
+            if gens.any():
+                keys += gens.astype(np.int64) * 10**12
+            # The boundary class: most passes fit in the oldest one.
+            boundary = keys.min()
+            tied = keys == boundary
+            if np.count_nonzero(tied) < take:
+                boundary = np.partition(keys, take - 1)[take - 1]
+                tied = keys == boundary
+            older = np.nonzero(keys < boundary)[0]
+            tied = np.nonzero(tied)[0]
+            k = take - older.size
+            if k < tied.size:
+                tied = tied[slice(k) if rng is None else rng.choice(tied.size, k, replace=False)]
+            idx = idx[np.concatenate((older, tied))]
         self.total_evicted += take
-        return flat.split_segments(idx[order])
+        return flat.split_segments(idx)

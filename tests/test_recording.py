@@ -112,6 +112,29 @@ class TestSaveLoad:
         assert len(loaded) == 6
         assert [p.name for p in tmp_path.iterdir()] == ["run.record"]
 
+    def test_written_through_a_symlink(self, tmp_path):
+        """A symlinked path keeps its link; the record lands in the
+        target, as ``--trace``, ``--pgm`` and ``--out`` do."""
+        (tmp_path / "real").mkdir()
+        target = tmp_path / "real" / "r.record"
+        save_record(snapshots(), target, workload="old")
+        link = tmp_path / "link.record"
+        link.symlink_to(target)
+        save_record(snapshots(3), link, workload="new")
+        assert link.is_symlink()
+        meta, loaded = read_record(target)
+        assert meta["workload"] == "new" and len(loaded) == 3
+        assert [p.name for p in (tmp_path / "real").iterdir()] == ["r.record"]
+
+    def test_dangling_symlink_creates_its_target(self, tmp_path):
+        (tmp_path / "real").mkdir()
+        link = tmp_path / "link.record"
+        link.symlink_to(tmp_path / "real" / "r.record")
+        save_record(snapshots(), link)
+        assert link.is_symlink()
+        assert len(read_record(tmp_path / "real" / "r.record")[1]) == 6
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.record", "real"]
+
     def test_loaded_record_feeds_heatmap(self, tmp_path):
         path = tmp_path / "run.record"
         save_record(snapshots(), path)
