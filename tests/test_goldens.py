@@ -561,8 +561,8 @@ def fleet_chaos():
 
 
 # ----------------------------------------------------------------------
-# Checkpoints pinned as files.  The two v2 files are committed once and
-# never regenerated (REPRO_REGEN_GOLDEN refreshes the digests, not the
+# Checkpoints pinned as files.  The two v2 files are not regenerated
+# with the digests (REPRO_REGEN_GOLDEN refreshes the digests, not the
 # files), so a change that stops pinned state from unpickling fails
 # here; a layout break bumps the format tag and re-pins them, it never
 # adds a converter.  They were written from the specs below with the
@@ -572,9 +572,13 @@ def fleet_chaos():
 # ``run_experiment(**PARENT_RUN, sanitize=True, checkpoint=...,
 # checkpoint_every=60)``), the fleet at tick 30 of 60
 # (``run_with_checkpoints`` on ``FleetScheduler(PARENT_FLEET,
-# sanitize=True)`` after ``start_loop()``).  The tree at commit a8884e5
-# wrote the same two states as daos-ckpt-v1 files; they stay to show an
-# older format is refused, not read.
+# sanitize=True)`` after ``start_loop()``).  The run file was re-pinned,
+# same spec and procedure, when LRU reclaim's tie-break became one draw
+# from the boundary scan bucket: that changed the random stream of every
+# reclaiming run, and a state paused under the old stream cannot resume
+# to a result of the new one.  The tree at commit a8884e5 wrote the same
+# two states as daos-ckpt-v1 files; they stay to show an older format is
+# refused, not read.
 # ----------------------------------------------------------------------
 PARENT_RUN = dict(
     workload=_pressure_spec(32 * MIB, 2 * SEC, 8 * SEC),
