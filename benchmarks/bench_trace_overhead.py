@@ -10,8 +10,8 @@ always-on tier (bus attached, no subscribers — what every ``daos run``
 now pays) at <5% end-to-end — the budget that keeps tracing on by
 default defensible.  The JSONL sink is the explicit ``--trace``
 diagnostic: its cost is reported and bounded against regression
-(construction + canonical encoding per event put its floor near ~8%
-at this event rate), not held to the always-on budget.
+(construction + canonical encoding per event; DESIGN.md §10 has the
+current reading), not held to the always-on budget.
 
 The SimSanitizer runtime (DESIGN.md §14) makes the same shape of
 promise, so it is gated here too: an *attached but disabled* sanitizer

@@ -100,12 +100,12 @@ class LruReclaimer:
             if gens.any():
                 keys += gens.astype(np.int64) * 10**12
             # The boundary class: most passes fit in the oldest one.
-            boundary = keys.min()
-            tied = keys == boundary
+            tied = keys == keys.min()
+            older = np.empty(0, dtype=np.int64)
             if np.count_nonzero(tied) < take:
                 boundary = np.partition(keys, take - 1)[take - 1]
+                older = np.nonzero(keys < boundary)[0]
                 tied = keys == boundary
-            older = np.nonzero(keys < boundary)[0]
             tied = np.nonzero(tied)[0]
             k = take - older.size
             if k < tied.size:
