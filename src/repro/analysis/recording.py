@@ -56,9 +56,10 @@ def save_record(
     # Write a sibling temp file and rename it over the destination: a
     # write that fails part-way leaves the previous record whole.  The
     # destination is ``path`` with its links resolved, so a symlinked
-    # ``path`` is written through, not replaced by a regular file.
+    # ``path`` is written through, not replaced by a regular file (a
+    # link loop, which cannot be resolved, is replaced).
     path = Path(path)
-    dest = path.resolve()
+    dest = Path(os.path.realpath(path))
     tmp = dest.with_name(f".{dest.name}.{os.getpid()}.tmp")
     try:
         with tmp.open("w", encoding="utf-8") as handle:

@@ -135,6 +135,14 @@ class TestSaveLoad:
         assert len(read_record(tmp_path / "real" / "r.record")[1]) == 6
         assert sorted(p.name for p in tmp_path.iterdir()) == ["link.record", "real"]
 
+    def test_symlink_loop_is_replaced_by_the_record(self, tmp_path):
+        loop = tmp_path / "loop.record"
+        loop.symlink_to(loop)
+        save_record(snapshots(), loop)
+        assert not loop.is_symlink()
+        assert len(read_record(loop)[1]) == 6
+        assert [p.name for p in tmp_path.iterdir()] == ["loop.record"]
+
     def test_loaded_record_feeds_heatmap(self, tmp_path):
         path = tmp_path / "run.record"
         save_record(snapshots(), path)
