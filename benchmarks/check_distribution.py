@@ -3,20 +3,22 @@
 A change to a seeded random stream (for example, how LRU reclaim breaks
 ties inside a scan bucket) moves every digest of the runs that draw from
 it, so digest equality cannot vouch for it.  This checker runs the
-pressure shapes of the golden matrix (``tests/test_goldens.py``) at
-seeds 0-9 on both trees and compares the resulting metrics:
+golden matrix's reclaim cases (``tests/reclaim_cases.py``, from this
+checkout, so both trees run the same shapes) at seeds 0-9 on both trees
+and compares the resulting metrics:
 
 * ``minor_faults`` and ``avg_rss_bytes`` must be equal seed by seed;
-* the other metrics' means may differ by at most ``--max-se`` (default
-  4) standard errors of the difference of the two means.
+* the other metrics' means may differ by at most 4 standard errors of
+  the difference of the two means.
 
-It prints mean ± sd per tree, case and metric, and exits 1 on a breach.
-Each tree runs in its own interpreter, with ``<tree>/src`` first on
+Both tolerances are fixed here, before any result is read.  It prints
+mean ± sd per tree, case and metric, and exits 1 on a breach.  Each
+tree runs in its own interpreter, with ``<tree>/src`` first on
 ``sys.path``; the two run side by side.
 
 Usage::
 
-    python benchmarks/check_distribution.py SRC_A SRC_B [--seeds 10] [--max-se 4]
+    python benchmarks/check_distribution.py SRC_A SRC_B
 
 where ``SRC_A`` and ``SRC_B`` are repository roots (for example a
 ``git clone`` of the parent commit and this checkout).
@@ -31,6 +33,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parents[1]
+#: Seeds 0..SEEDS-1 per case and tree.
+SEEDS = 10
+#: A statistical metric's two means may differ by this many standard
+#: errors of their difference.
+MAX_SE = 4.0
 #: Metrics that must match seed by seed.
 EXACT = ("minor_faults", "avg_rss_bytes")
 #: Metrics compared by their means.
@@ -44,95 +52,22 @@ STATISTICAL = (
 )
 
 
-def _cases():
-    """name -> keyword arguments of ``run_experiment`` minus the seed:
-    the golden matrix's pressure shapes."""
-    from repro.runner.configs import ExperimentConfig
-    from repro.sim.machine import scaled_instance
-    from repro.units import GIB, MIB, SEC
-    from repro.workloads.base import WorkloadSpec
-    from repro.workloads.patterns import CyclicSweep, Hotspot
-
-    def pressure(footprint, period_us, duration_us, name="pressure"):
-        return WorkloadSpec(
-            name=name,
-            suite="diff",
-            footprint=footprint,
-            duration_us=duration_us,
-            components=(
-                CyclicSweep(0, footprint - 16 * MIB, period_us=period_us, touches_per_sec=400),
-                Hotspot(footprint - 4 * MIB, 4 * MIB),
-            ),
-        )
-
-    def dram(scale):
-        return scaled_instance("i3.metal", dram_scale=scale)
-
-    sparse = dict(workload=pressure(512 * MIB, 2 * SEC, 6 * SEC), machine=dram(1 / 1024))
-    return {
-        "sparse-pressure": dict(sparse, config="baseline"),
-        "sparse-pressure-rec": dict(sparse, config="rec"),
-        "dense-pressure": dict(
-            workload=pressure(48 * MIB, 2 * SEC, 6 * SEC), config="baseline", machine=dram(1 / 8192)
-        ),
-        "thp-pressure": dict(
-            workload=pressure(192 * MIB, 4 * SEC, 6 * SEC, name="thp-pressure"),
-            config="thp",
-            machine=dram(1 / 2048),
-            oom_policy="shed",
-        ),
-        "file-swap": dict(
-            workload=pressure(1 * GIB, 8 * SEC, 4 * SEC),
-            config="baseline",
-            machine=dram(1 / 2048),
-            swap="file",
-        ),
-        "tiered-managed": dict(
-            workload="parsec3/blackscholes",
-            config=ExperimentConfig(
-                name="tiering",
-                monitor="vaddr",
-                schemes_text=(
-                    "4K max 1 max min max migrate_hot\n4K max min min 500ms max migrate_cold\n"
-                ),
-            ),
-            machine=dram(1 / 256),
-            tier="cxl-dram",
-            tier_scale=0.01,
-            tier_policy="managed",
-            time_scale=0.02,
-        ),
-        "schemes-willneed-cold": dict(
-            workload=pressure(160 * MIB, 3 * SEC, 8 * SEC),
-            config=ExperimentConfig(
-                name="willneed-cold",
-                monitor="vaddr",
-                schemes_text=(
-                    "4K max min min 1s max pageout\n"
-                    "4K max 10% max min max willneed\n"
-                    "4K max min 5% 300ms max cold\n"
-                ),
-            ),
-            machine=dram(1 / 4096),
-            oom_policy="shed",
-        ),
-    }
-
-
-def emit(n_seeds: int) -> dict:
-    """Run every case at seeds ``0..n_seeds-1`` with the ``repro`` on
+def emit() -> dict:
+    """Run every case at seeds ``0..SEEDS-1`` with the ``repro`` first on
     ``sys.path``; returns ``{case: {metric: [value per seed]}}``."""
     from repro.runner.experiment import run_experiment
+    from tests.reclaim_cases import RECLAIM_CASES
 
     out = {}
-    for name, kw in _cases().items():
+    for name, kw in RECLAIM_CASES.items():
         rows = {m: [] for m in EXACT + STATISTICAL}
-        for seed in range(n_seeds):
-            result = run_experiment(seed=seed, **kw)
-            values = dict(result.breakdown, runtime_us=result.runtime_us)
-            values["avg_rss_bytes"] = result.avg_rss_bytes
+        for seed in range(SEEDS):
+            result = run_experiment(**dict(kw, seed=seed))
+            values = dict(
+                result.breakdown, runtime_us=result.runtime_us, avg_rss_bytes=result.avg_rss_bytes
+            )
             for metric, column in rows.items():
-                column.append(values.get(metric, 0))
+                column.append(values[metric])
         out[name] = rows
     return out
 
@@ -144,7 +79,7 @@ def _mean_sd(values):
     return mean, math.sqrt(var)
 
 
-def compare(a: dict, b: dict, max_se: float) -> list:
+def compare(a: dict, b: dict) -> list:
     """Print the table; return the breaches as ``(case, metric, why)``."""
     breaches = []
     print(f"{'case':<22} {'metric':<18} {'A mean ± sd':>24} {'B mean ± sd':>24}  verdict")
@@ -157,8 +92,8 @@ def compare(a: dict, b: dict, max_se: float) -> list:
                 why = "equal per seed" if ok else "differs per seed"
             else:
                 se = math.sqrt(sa**2 / len(xa) + sb**2 / len(xb))
-                ok = abs(ma - mb) <= max_se * se
-                why = f"|diff| {abs(ma - mb):.4g} vs {max_se:g} SE {max_se * se:.4g}"
+                ok = abs(ma - mb) <= MAX_SE * se
+                why = f"|diff| {abs(ma - mb):.4g} vs {MAX_SE:g} SE {MAX_SE * se:.4g}"
             print(
                 f"{case:<22} {metric:<18} {f'{ma:.6g} ± {sa:.3g}':>24} "
                 f"{f'{mb:.6g} ± {sb:.3g}':>24}  {'ok' if ok else 'BREACH'} ({why})"
@@ -168,9 +103,9 @@ def compare(a: dict, b: dict, max_se: float) -> list:
     return breaches
 
 
-def _run_tree(tree: Path, n_seeds: int) -> subprocess.Popen:
+def _run_tree(tree: Path) -> subprocess.Popen:
     return subprocess.Popen(
-        [sys.executable, __file__, "--emit", str(tree), "--seeds", str(n_seeds)],
+        [sys.executable, __file__, "--emit", str(tree)],
         stdout=subprocess.PIPE,
         text=True,
     )
@@ -179,27 +114,26 @@ def _run_tree(tree: Path, n_seeds: int) -> subprocess.Popen:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("trees", nargs="*", type=Path, help="SRC_A SRC_B: repository roots")
-    parser.add_argument("--seeds", type=int, default=10, help="seeds 0..N-1 (default 10)")
-    parser.add_argument("--max-se", type=float, default=4.0, help="mean tolerance in SEs")
     parser.add_argument("--emit", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.emit is not None:
-        sys.path.insert(0, str(args.emit.resolve() / "src"))
-        json.dump(emit(args.seeds), sys.stdout)
+        # The tree's ``repro`` first, the cases from this checkout.
+        sys.path[:0] = [str(args.emit.resolve() / "src"), str(ROOT)]
+        json.dump(emit(), sys.stdout)
         return 0
-    if len(args.trees) != 2 or args.seeds < 2:
-        parser.error("give two repository roots and --seeds >= 2")
+    if len(args.trees) != 2:
+        parser.error("give two repository roots")
     for tree in args.trees:
         if not (tree / "src" / "repro").is_dir():
             parser.error(f"{tree} has no src/repro")
-    procs = [_run_tree(tree, args.seeds) for tree in args.trees]
+    procs = [_run_tree(tree) for tree in args.trees]
     outputs = [proc.communicate()[0] for proc in procs]
     if any(proc.returncode for proc in procs):
         print("error: a tree failed to run its cases", file=sys.stderr)
         return 2
     a, b = (json.loads(text) for text in outputs)
-    print(f"A = {args.trees[0]}\nB = {args.trees[1]}\nseeds 0-{args.seeds - 1}\n")
-    breaches = compare(a, b, args.max_se)
+    print(f"A = {args.trees[0]}\nB = {args.trees[1]}\nseeds 0-{SEEDS - 1}\n")
+    breaches = compare(a, b)
     print(f"\n{len(breaches)} breach(es)")
     return 1 if breaches else 0
 

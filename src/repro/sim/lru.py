@@ -50,11 +50,11 @@ class LruReclaimer:
         """Pick ``min(n_pages, candidates)`` pages of the oldest LRU classes.
 
         Candidates are present, framed pages outside huge mappings, and
-        only DRAM-resident ones under ``fast_only`` (tiered reclaim never
-        selects pages already demoted).  A candidate's class key is the
-        integer ``lru_gen * 10**12 + last_touch // LRU_SCAN_INTERVAL_US``:
-        deprioritised pages first, prioritised last, and in a generation
-        the oldest scan bucket first (COLD-advised stamps lie below all).
+        only DRAM-resident ones under ``fast_only``.  A candidate's class
+        key is the integer ``lru_gen * 10**12 + last_touch //
+        LRU_SCAN_INTERVAL_US``: deprioritised, normal, then prioritised
+        pages, oldest scan bucket first in each; a COLD-advised stamp's
+        bucket (about -1.15e12) puts a COLD page of class g before class g-1.
 
         As in the real two-list LRU, which learns recency only from
         periodic accessed-bit scans, order inside a scan interval is
@@ -65,8 +65,8 @@ class LruReclaimer:
         takes its first pages).  LRU_PRIO / LRU_DEPRIO improve on this.
 
         Returns the chosen page indices split per VMA segment, segments
-        ascending, older classes first; the caller performs the state
-        transition so swap latency and accounting live in one place.
+        ascending, each older classes first (route order), then the draw:
+        the order the caller demotes them in while the slow tier has room.
         """
         if n_pages <= 0:
             return []

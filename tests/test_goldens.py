@@ -52,11 +52,12 @@ from repro.sweep.grid import SweepGrid
 from repro.sweep.runner import SweepRunner
 from repro.sweep.serialize import fingerprint
 from repro.trace import JsonlTraceSink, TraceBus
-from repro.units import GIB, MIB, MSEC, SEC
+from repro.units import MIB, MSEC, SEC
 from repro.workloads.base import WorkloadSpec
-from repro.workloads.patterns import ColdInit, CyclicSweep, Hotspot
+from repro.workloads.patterns import ColdInit, Hotspot
 
 from tests.helpers import BASE, WssEstimator, run_epochs, traced_run
+from tests.reclaim_cases import RECLAIM_CASES, TIERED, pressure_spec
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDENS = FIXTURES / "goldens.json"
@@ -96,100 +97,17 @@ for _workload, _config in REGISTRY_CASES:
     )
 
 
-def _pressure_spec(footprint: int, period_us: int, duration_us: int) -> WorkloadSpec:
-    """A sweep that outgrows the guest's DRAM: sustained reclaim, every
-    epoch, for the whole run."""
-    return WorkloadSpec(
-        name="pressure",
-        suite="diff",
-        footprint=footprint,
-        duration_us=duration_us,
-        components=(
-            CyclicSweep(0, footprint - 16 * MIB, period_us=period_us, touches_per_sec=400),
-            Hotspot(footprint - 4 * MIB, 4 * MIB),
-        ),
-    )
-
-
-def _reclaiming(outcome):
+def _reclaiming(**kw):
+    outcome = traced_run(**kw)
     assert outcome[0].breakdown["reclaim_evictions"] > 0, "scenario never reclaimed"
     return outcome
 
 
-@case("sparse-pressure")
-def sparse_pressure():
-    """Table ≫ DRAM: the reclaimer's frame-table candidate route."""
-    return _reclaiming(
-        traced_run(
-            workload=_pressure_spec(512 * MIB, 2 * SEC, 6 * SEC),
-            config="baseline",
-            machine=scaled_instance("i3.metal", dram_scale=1 / 1024),
-            seed=11,
-        )
-    )
-
-
-@case("sparse-pressure-rec")
-def sparse_pressure_with_monitor():
-    """Same pressure under DAMON_RECLAIM: scheme pageouts interleave
-    with watermark reclaim."""
-    return traced_run(
-        workload=_pressure_spec(512 * MIB, 2 * SEC, 6 * SEC),
-        config="rec",
-        machine=scaled_instance("i3.metal", dram_scale=1 / 1024),
-        seed=11,
-    )
-
-
-@case("dense-pressure")
-def dense_pressure():
-    """Table ≈ DRAM: residency too dense for the frame route, so the
-    whole-table mask route selects victims."""
-    return _reclaiming(
-        traced_run(
-            workload=_pressure_spec(48 * MIB, 2 * SEC, 6 * SEC),
-            config="baseline",
-            machine=scaled_instance("i3.metal", dram_scale=1 / 8192),
-            seed=11,
-        )
-    )
-
-
-@case("thp-pressure")
-def thp_pressure():
-    """khugepaged bloat pushing against small DRAM: promotions, huge
-    skips in reclaim, and shed-mode OOM handling."""
-    fp = 192 * MIB
-    spec = WorkloadSpec(
-        name="thp-pressure",
-        suite="diff",
-        footprint=fp,
-        duration_us=6 * SEC,
-        components=(
-            CyclicSweep(0, fp - 16 * MIB, period_us=4 * SEC, touches_per_sec=400),
-            Hotspot(fp - 4 * MIB, 4 * MIB),
-        ),
-    )
-    return traced_run(
-        workload=spec,
-        config="thp",
-        machine=scaled_instance("i3.metal", dram_scale=1 / 2048),
-        seed=7,
-        oom_policy="shed",
-    )
-
-
-@case("file-swap")
-def file_swap():
-    """The big-table bench scenario shape (file swap, deep sweep), small."""
-    return traced_run(
-        workload=_pressure_spec(1 * GIB, 8 * SEC, 4 * SEC),
-        config="baseline",
-        machine=scaled_instance("i3.metal", dram_scale=1 / 2048),
-        seed=5,
-        swap="file",
-    )
-
+#: The runs that hang on LRU victim selection (``tests/reclaim_cases.py``);
+#: every one of them on a pressure sweep must reclaim.
+for _name, _kw in RECLAIM_CASES.items():
+    _sweep = isinstance(_kw["workload"], WorkloadSpec)
+    CASES[_name] = partial(_reclaiming if _sweep else traced_run, **_kw)
 
 # ----------------------------------------------------------------------
 # The paper's configurations on a flat machine, and one paddr scheme.
@@ -207,19 +125,9 @@ CASES["flat-paddr-prcl"] = partial(
 # Slow memory tier: migrations both ways, first-touch spill, and ethp's
 # NOHUGEPAGE freeing bloat that spilled into the tier.
 # ----------------------------------------------------------------------
-_TIERED = dict(
-    machine=scaled_instance("i3.metal", dram_scale=1 / 256), tier="cxl-dram", time_scale=0.02
+CASES["tiered-unmanaged"] = partial(
+    traced_run, **dict(RECLAIM_CASES["tiered-managed"], tier_policy="unmanaged")
 )
-_TIERING = ExperimentConfig(
-    name="tiering",
-    monitor="vaddr",
-    schemes_text="4K max 1 max min max migrate_hot\n4K max min min 500ms max migrate_cold\n",
-)
-for _policy in ("managed", "unmanaged"):
-    CASES[f"tiered-{_policy}"] = partial(
-        traced_run, workload="parsec3/blackscholes", config=_TIERING,
-        tier_scale=0.01, tier_policy=_policy, seed=5, **_TIERED,
-    )
 CASES["thp-unmanaged"] = partial(
     traced_run,
     workload="splash2x/ocean_ncp",
@@ -229,7 +137,7 @@ CASES["thp-unmanaged"] = partial(
         thp_mode="madvise",
         schemes_text="min max 1 max min max hugepage\n2M max min min 1s max nohugepage\n",
     ),
-    tier_scale=0.02, tier_policy="unmanaged", seed=0, **_TIERED,
+    tier_scale=0.02, tier_policy="unmanaged", seed=0, **TIERED,
 )
 
 # ----------------------------------------------------------------------
@@ -249,7 +157,7 @@ def quota_split():
     ranked by priority, charged one by one, and the one that outgrows
     what is left of the budget is split."""
     result, trace = traced_run(
-        workload=_pressure_spec(96 * MIB, 4 * SEC, 8 * SEC),
+        workload=pressure_spec(96 * MIB, 4 * SEC, 8 * SEC),
         config=ExperimentConfig(
             name="pageout-quota",
             monitor="vaddr",
@@ -299,28 +207,6 @@ CASES["schemes-address-filter"] = partial(
     seed=5,
     time_scale=0.02,
 )
-
-#: Page out what idles for a second, prefetch it back when it heats
-#: up again, deactivate what cools: the sweep revisits every band, and
-#: DRAM is small enough that prefetches trigger reclaim.
-_WILLNEED_COLD = ExperimentConfig(
-    name="willneed-cold",
-    monitor="vaddr",
-    schemes_text=(
-        "4K max min min 1s max pageout\n"
-        "4K max 10% max min max willneed\n"
-        "4K max min 5% 300ms max cold\n"
-    ),
-)
-CASES["schemes-willneed-cold"] = partial(
-    traced_run,
-    workload=_pressure_spec(160 * MIB, 3 * SEC, 8 * SEC),
-    config=_WILLNEED_COLD,
-    machine=scaled_instance("i3.metal", dram_scale=1 / 4096),
-    seed=9,
-    oom_policy="shed",
-)
-
 
 def _stat_wss(run):
     """Record the hot-pattern STAT scheme's matched bytes per interval
@@ -581,7 +467,7 @@ def fleet_chaos():
 # refused, not read.
 # ----------------------------------------------------------------------
 PARENT_RUN = dict(
-    workload=_pressure_spec(32 * MIB, 2 * SEC, 8 * SEC),
+    workload=pressure_spec(32 * MIB, 2 * SEC, 8 * SEC),
     config="prcl",
     machine=scaled_instance("i3.metal", dram_scale=1 / 8192),
     seed=11,

@@ -184,8 +184,20 @@ def test_rng_none_takes_the_boundary_class_in_candidate_order():
     assert list(idx) == [40, 41, 42, 43, 0, 1, 2, 3, 4, 5]
 
 
-def test_cold_advised_pages_lead_their_class():
-    lru = _one_bucket(64)
-    lru.space.flat.last_touch[50:54] = COLD
-    (idx,) = lru.select_victims(4, rng=np.random.default_rng(0))
-    assert sorted(idx) == [50, 51, 52, 53]
+def test_cold_advised_stamps_cross_lru_classes():
+    """A COLD stamp's bucket lies about 1.15 classes down, so a COLD
+    page of class g goes before every touched page of class g - 1:
+    deprioritised COLD, COLD, deprioritised, prioritised COLD, normal,
+    prioritised."""
+    lru = _one_bucket(24)
+    flat = lru.space.flat
+    # Four pages each, listed from the last evicted to the first.
+    flat.lru_gen[0:4] = 1
+    flat.lru_gen[8:12] = 1
+    flat.lru_gen[12:16] = -1
+    flat.lru_gen[20:24] = -1
+    flat.last_touch[8:12] = COLD
+    flat.last_touch[16:24] = COLD
+    for n in range(1, 7):
+        (idx,) = lru.select_victims(4 * n)
+        assert sorted(idx) == list(range(24 - 4 * n, 24))
