@@ -30,6 +30,7 @@ import tempfile
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -47,7 +48,9 @@ from repro.schemes.filters import AddressFilter
 from repro.schemes.quotas import Quota
 from repro.sim.kernel import SimKernel
 from repro.sim.machine import GuestSpec, get_instance, scaled_instance
+from repro.sim.pagetable import PAGE_SIZE
 from repro.sim.swap import ZramDevice
+from repro.sim.thp import ThpPolicy
 from repro.sweep.grid import SweepGrid
 from repro.sweep.runner import SweepRunner
 from repro.sweep.serialize import fingerprint
@@ -294,6 +297,95 @@ CASES["module-lru-sort-phys"] = partial(
     dram_mib=96,
     n_epochs=25,
 )
+
+# ----------------------------------------------------------------------
+# Every way a page leaves residency, on one small shedding kernel: LRU
+# reclaim, both PAGEOUT forms cut short by the free swap slots (the
+# overflow no run above is known to reach), an allocation shed, a
+# WILLNEED prefetch shed and a NOHUGEPAGE split freeing bloat.  The
+# value hashes every page and chunk column, lru_gen, bloat and tier
+# included, which the run digests above never see.
+# ----------------------------------------------------------------------
+_TABLE_COLUMNS = (
+    "present", "swapped", "rate", "write_rate", "dirty", "last_touch", "touch_count",
+    "frame", "bloat", "lru_gen", "tier", "chunk_huge", "chunk_promoted_at",
+)
+
+
+def _pageout_candidates(kernel, start, end, phys):
+    """Present pages outside huge chunks a PAGEOUT of ``[start, end)``
+    (frame addresses with ``phys``) would take if swap had room."""
+    flat = kernel.space.flat
+    if phys:
+        idx = kernel.frames.owners(np.arange(start // PAGE_SIZE, end // PAGE_SIZE))
+        idx = idx[idx >= 0]
+    else:
+        idx = np.concatenate([np.arange(lo, hi) for lo, hi in kernel.space.spans(start, end)])
+    idx = idx[flat.present[idx]]
+    return int(np.count_nonzero(~flat.huge_page_mask(idx)))
+
+
+@case("kernel-residency-exits")
+def residency_exits():
+    bus = TraceBus(ring_capacity=0)
+    buffer = io.StringIO()
+    bus.subscribe_all(JsonlTraceSink(buffer))
+    guest = GuestSpec(host=get_instance("i3.metal"), vcpus=4, dram_bytes=16 * MIB)
+    kernel = SimKernel(
+        guest, swap=ZramDevice(6 * MIB), thp=ThpPolicy(mode="always"), seed=7, trace=bus,
+        oom_policy="shed",
+    )
+    a = kernel.mmap(BASE, 24 * MIB)
+    b = kernel.mmap(BASE + 32 * MIB, 24 * MIB)
+    metrics, epoch_us = kernel.metrics, 100 * MSEC
+    clock = [0]
+
+    def epoch():
+        kernel.end_epoch(clock[0] + epoch_us, compute_us=70_000)
+        kernel.begin_epoch()
+        clock[0] += epoch_us
+
+    def pageout(start, end, phys):
+        candidates = _pageout_candidates(kernel, start, end, phys)
+        paged = kernel.pageout(start, end, clock[0], phys=phys)
+        assert 0 < paged < candidates, "the free swap slots did not cut the batch short"
+        return paged
+
+    def shed(action):
+        before = metrics.shed_pages
+        action()
+        return metrics.shed_pages - before
+
+    # Two huge chunks, mostly bloat, next to prioritised and dirty pages.
+    kernel.apply_access(a.start, a.start + 8 * MIB, 0, epoch_us, write_fraction=0.5)
+    kernel.apply_access(a.start + 12 * MIB, a.start + 16 * MIB, 0, epoch_us, stride=8)
+    assert kernel.madvise_hugepage(a.start + 12 * MIB, a.start + 16 * MIB, 0) == 2
+    kernel.lru_prioritize(a.start, a.start + 2 * MIB, 0)
+    epoch()
+    kernel.apply_access(b.start, b.start + 8 * MIB, clock[0], epoch_us, write_fraction=1.0)
+    epoch()
+    steps = {"reclaim_evictions": metrics.reclaim_evictions}
+    steps["pageout_phys"] = pageout(0, 4 * MIB, True)
+    kernel.apply_access(a.start, a.start + 2 * MIB, clock[0], epoch_us)
+    epoch()
+    steps["pageout"] = pageout(a.start, b.start + 4 * MIB, False)
+    steps["shed_faults"] = shed(
+        lambda: kernel.apply_access(
+            a.start, a.start + 12 * MIB, clock[0], epoch_us, write_fraction=1.0
+        )
+    )
+    steps["shed_willneed"] = shed(lambda: kernel.madvise_willneed(a.start, b.end, clock[0]))
+    assert kernel.madvise_nohugepage(a.start + 12 * MIB, a.start + 16 * MIB, clock[0]) == 2
+    steps["thp_freed_pages"] = metrics.thp_freed_pages
+    epoch()
+    assert all(steps.values()), steps
+    flat = kernel.space.flat
+    columns = {
+        name: hashlib.sha256(getattr(flat, name).tobytes()).hexdigest() for name in _TABLE_COLUMNS
+    }
+    value = {"steps": steps, "columns": columns, "metrics": dataclasses.asdict(metrics)}
+    return value, buffer.getvalue()
+
 
 # ----------------------------------------------------------------------
 # Sampling paths the paper's attributes never take: the dirty-bit write
