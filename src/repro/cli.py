@@ -600,6 +600,9 @@ def _cmd_report(args) -> int:
             summary = validate_trace_file(args.file)
         except ParseError as exc:
             raise ParseError(f"neither a record nor a valid trace: {exc}") from None
+        if not summary.n_events:
+            # Every traced run writes at least its EpochEnd events.
+            raise ParseError(f"neither a record nor a valid trace: {args.file}: no events")
         print(f"{args.file}: valid trace")
         _print_trace_summary(summary.as_dict())
         return 0

@@ -481,7 +481,9 @@ class SimKernel:
         """
         keep_major = min(major.size, granted)
         keep_minor = granted - keep_major
-        self.space.flat.revert_faults(major[keep_major:], minor[keep_minor:])
+        pt = self.space.flat
+        pt.unmap(major[keep_major:], to_swap=True)
+        pt.unmap(minor[keep_minor:], to_swap=False)
         return major[:keep_major], minor[:keep_minor]
 
     def _enter_degraded(self, reason: str, now: int) -> None:
@@ -552,17 +554,20 @@ class SimKernel:
         low = self.watermarks.low_frames(pool)
         self._reclaim(allocated - low, "pressure", now)
 
-    def _swap_out(self, frames: np.ndarray, n_pages: int, n_dirty: int) -> None:
-        """Settle one segment group's swap-out: free ``frames`` and charge the
-        device for ``n_pages`` stored, ``n_dirty`` of them written back.
-        Per group, never merged: the device rounds each ``store()``
-        internally, so merging groups would change the charged total (an
-        identity-contract detail pinned by ``tests/test_goldens.py``)."""
+    def _swap_out(self, idx: np.ndarray) -> int:
+        """Move one segment group's present pages ``idx`` to swap: unmap
+        them, free their frames and charge the device; returns how many
+        were dirty (written back).  Per group, never merged: the device
+        rounds each ``store()`` internally, so merging groups would
+        change the charged total (an identity-contract detail pinned by
+        ``tests/test_goldens.py``)."""
+        frames, n_dirty = self.space.flat.unmap(idx, to_swap=True)
         self.frames.release(frames)
-        latency = self.swap.store(n_pages, n_dirty)
+        latency = self.swap.store(idx.size, n_dirty)
         self.metrics.runtime.swapout_us += latency * _ASYNC_WRITE_SHARE
-        self.metrics.pages_swapped_out += n_pages
+        self.metrics.pages_swapped_out += idx.size
         self.metrics.pages_written_back += n_dirty
+        return n_dirty
 
     def _move_tier(self, idx: np.ndarray, tier: int) -> None:
         """Re-back resident pages ``idx`` with frames of ``tier``
@@ -628,11 +633,9 @@ class SimKernel:
                 idx = idx[take:]
             if idx.size == 0:
                 continue
-            frames, n_dirty = self.space.flat.evict_pages(idx)
-            self._swap_out(frames, idx.size, n_dirty)
+            written_back += self._swap_out(idx)
             self.metrics.reclaim_evictions += idx.size
             evicted += int(idx.size)
-            written_back += n_dirty
         if demoted:
             self._account_migration("demote", demoted, trigger)
         tr = self.trace
@@ -778,46 +781,28 @@ class SimKernel:
         """PAGEOUT: immediately reclaim the address range.  Returns pages
         paged out (0 if swap is full — reclaim silently stops, as
         madvise_pageout does).  With ``phys`` the range is frame
-        addresses; the two address spaces differ only in how a group's
-        candidates are taken and clamped to the free swap slots (what
-        that leaves different is listed in DESIGN.md §13)."""
+        addresses.  Per segment group: the present pages outside huge
+        chunks (a huge mapping must be split before its subpages can
+        go), in group order, clamped to the free swap slots.  The
+        virtual form, as madvise_pageout walks the whole range, first
+        resets every candidate's ``lru_gen``, the ones the clamp leaves
+        resident too."""
         total = total_dirty = attempted = 0
         pt = self.space.flat
         for sel in self._groups(start, end, phys):
-            if phys:
-                # Select, clamp, then evict only what swap can hold.
-                idx = sel[pt.present[sel]]
-                if pt.chunk_huge.any():
-                    idx = idx[~pt.huge_page_mask(idx)]
-                attempted += int(idx.size)
-                idx = idx[: min(idx.size, self._swap_free_pages(now))]
-                if idx.size == 0:
-                    continue
-                frames, n_dirty = pt.evict_pages(idx, clear_bloat=True)
-            else:
-                # Unmap the whole range (as madvise_pageout walks it),
-                # then roll the overflow back to present.
-                lo = sel.start
-                was_dirty = pt.dirty[sel].copy()
-                idx, _ = pt.pageout_range(lo, sel.stop)
-                if idx.size == 0:
-                    continue
-                attempted += int(idx.size)
-                allowed = min(idx.size, self._swap_free_pages(now))
-                if allowed < idx.size:
-                    rollback = idx[allowed:]
-                    pt.rollback_pageout(rollback, was_dirty[rollback - lo])
-                    idx = idx[:allowed]
-                    if allowed == 0:
-                        continue
-                frames = pt.frame[idx]
-                frames = frames[frames >= 0]
-                pt.frame[idx] = -1
-                pt.tier[idx] = 0
-                n_dirty = int(np.count_nonzero(was_dirty[idx - lo]))
-            self._swap_out(frames, idx.size, n_dirty)
+            idx = sel[pt.present[sel]] if phys else np.flatnonzero(pt.present[sel]) + sel.start
+            if pt.chunk_huge.any():
+                idx = idx[~pt.huge_page_mask(idx)]
+            if idx.size == 0:
+                continue
+            if not phys:
+                pt.lru_gen[idx] = 0
+            attempted += int(idx.size)
+            idx = idx[: self._swap_free_pages(now)]
+            if idx.size == 0:
+                continue
+            total_dirty += self._swap_out(idx)
             total += int(idx.size)
-            total_dirty += n_dirty
         tr = self.trace
         # Emit whenever reclaimable candidates existed, even if a full
         # swap device (the Figure 9 "No Swap" path) clamped the batch to
@@ -851,7 +836,7 @@ class SimKernel:
                 granted = min(idx.size, self._free_after_reclaim(idx.size, now))
                 if granted < idx.size:
                     # Prefetch is advisory: leave the overflow swapped.
-                    pt.rollback_swapin(idx[granted:])
+                    pt.unmap(idx[granted:], to_swap=True)
                     self.metrics.shed_pages += idx.size - granted
                     self._enter_degraded("oom", now)
                     idx = idx[:granted]
@@ -868,7 +853,8 @@ class SimKernel:
 
     def _set_lru_class(self, start: int, end: int, gen: int, phys: bool) -> int:
         """Place the range's present pages in LRU class ``gen``; returns
-        the pages placed.  The kernel's one ``lru_gen`` store."""
+        the pages placed.  The kernel's one ``lru_gen`` store besides
+        the virtual PAGEOUT's reset."""
         total = 0
         pt = self.space.flat
         for sel in self._groups(start, end, phys):
@@ -1050,12 +1036,9 @@ class SimKernel:
                 continue
             if not pt.chunk_huge[chunk_lo:chunk_hi].any():
                 continue  # fast path: nothing huge in the span
-            demoted, freed_idx = pt.demote_chunks(np.arange(chunk_lo, chunk_hi), now)
+            demoted, freed_idx, frames = pt.demote_chunks(np.arange(chunk_lo, chunk_hi), now)
             if freed_idx.size:
-                frames = pt.frame[freed_idx]
-                self.frames.release(frames[frames >= 0])
-                pt.frame[freed_idx] = -1
-                pt.tier[freed_idx] = 0
+                self.frames.release(frames)
                 self.metrics.thp_freed_pages += int(freed_idx.size)
             self.metrics.thp_demotions += int(demoted.size)
             demotions += int(demoted.size)

@@ -116,7 +116,9 @@ class FlatPageTable:
     n_present, n_swapped : int
         Incremental residency counters: every transition that flips
         ``present``/``swapped`` is a method of this class and keeps them
-        exact, so RSS reads are O(1).
+        exact, so RSS reads are O(1).  Every way out of residency (reclaim,
+        PAGEOUT, a shed fault or prefetch, a freed bloat subpage) is
+        :meth:`unmap`.
     """
 
     __slots__ = (
@@ -472,30 +474,6 @@ class FlatPageTable:
     # ------------------------------------------------------------------
     # State transitions used by scheme actions and reclaim
     # ------------------------------------------------------------------
-    def pageout_range(self, lo: int, hi: int):
-        """Unmap present pages in ``[lo, hi)`` to swap; returns
-        ``(indices, n_dirty)`` where ``n_dirty`` prices the writeback.
-
-        Pages inside huge-mapped chunks are skipped: the kernel must split
-        (demote) a huge mapping before it can reclaim its subpages, and
-        DAMOS's PAGEOUT does not do that implicitly.
-        """
-        self._check_range(lo, hi)
-        candidates = self.present[lo:hi].copy()
-        if self.chunk_huge.any():
-            candidates &= ~self.huge_page_mask(np.arange(lo, hi, dtype=np.int64))
-        idx = np.nonzero(candidates)[0].astype(np.int64) + lo
-        n_dirty = int(np.count_nonzero(self.dirty[idx]))
-        self.present[idx] = False
-        self.swapped[idx] = True
-        self.lru_gen[idx] = 0
-        # Writeback cleans the pages; clean pages whose content already
-        # sits in swap cost nothing to store again.
-        self.dirty[idx] = False
-        self.n_present -= int(idx.size)
-        self.n_swapped += int(idx.size)
-        return idx, n_dirty
-
     def swap_in_range(self, lo: int, hi: int) -> np.ndarray:
         """Fault swapped pages of ``[lo, hi)`` back in; returns their indices."""
         self._check_range(lo, hi)
@@ -541,81 +519,43 @@ class FlatPageTable:
         Subpages never touched since the promotion carry no data the
         application ever used, so the split returns them to the allocator
         (the Ingens-style bloat recovery the paper's ``ethp`` relies on).
-        Returns ``(demoted_chunks, freed_page_idx)``.
+        Returns ``(demoted_chunks, freed_page_idx, frames)``, ``frames``
+        being the freed pages' frames to release.
         """
         chunks = self._check_chunks(chunks)
         chunks = chunks[self.chunk_huge[chunks]]
-        if chunks.size == 0:
-            return chunks, np.empty(0, dtype=np.int64)
         pages = self.chunk_pages(chunks)
         freed_idx = pages[self.bloat[pages] & self.present[pages]]
-        self.present[freed_idx] = False
+        frames, _ = self.unmap(freed_idx, to_swap=False)
         self.bloat[freed_idx] = False
         self.chunk_huge[chunks] = False
-        self.n_present -= int(freed_idx.size)
-        return chunks, freed_idx
+        return chunks, freed_idx, frames
 
     # ------------------------------------------------------------------
     # Kernel-side transitions (the façade's write paths).  Every flip of
-    # ``present``/``swapped`` goes through this class, which keeps the
-    # residency counters exact; the kernel itself stores only ``frame``
-    # and ``tier`` (backing) and ``lru_gen``/``last_touch`` (LRU hints).
+    # ``present``/``swapped``/``dirty`` and every un-backing goes through
+    # this class, which keeps the residency counters exact; the kernel
+    # itself stores only ``frame`` and ``tier`` when it backs a page and
+    # ``lru_gen``/``last_touch`` (LRU hints).
     # ------------------------------------------------------------------
-    def evict_pages(self, idx: np.ndarray, *, clear_bloat: bool = False):
-        """Move present pages ``idx`` to swap (reclaim / phys pageout).
+    def unmap(self, idx: np.ndarray, *, to_swap: bool):
+        """Take present pages ``idx`` out of residency: to swap
+        (``to_swap``: reclaim, PAGEOUT, a reverted swap-in) or back to
+        untouched (a reverted first touch, a freed bloat subpage).
 
         Returns ``(frames, n_dirty)``: the physical frames to release and
-        the dirty count that prices the writeback.  ``clear_bloat``
-        matches the physical pageout path, which drops bloat status on
-        eviction (the page's content now lives in swap).
+        the dirty count that prices the writeback, which cleans the
+        pages.
         """
         frames = self.frame[idx]
         frames = frames[frames >= 0]
         n_dirty = int(np.count_nonzero(self.dirty[idx]))
         self.present[idx] = False
-        self.swapped[idx] = True
+        self.swapped[idx] = to_swap
         self.dirty[idx] = False
         self.frame[idx] = -1
         self.tier[idx] = 0
-        if clear_bloat:
-            self.bloat[idx] = False
         self.n_present -= int(idx.size)
-        self.n_swapped += int(idx.size)
+        if to_swap:
+            self.n_swapped += int(idx.size)
         return frames, n_dirty
-
-    def revert_faults(self, drop_major: np.ndarray, drop_minor: np.ndarray) -> None:
-        """Undo this batch's faults on the given pages (allocation shed):
-        major-fault pages return to swap, minor-fault pages to untouched."""
-        if drop_major.size:
-            self.present[drop_major] = False
-            self.swapped[drop_major] = True
-            self.dirty[drop_major] = False
-            self.frame[drop_major] = -1
-            self.tier[drop_major] = 0
-        if drop_minor.size:
-            self.present[drop_minor] = False
-            self.dirty[drop_minor] = False
-            self.frame[drop_minor] = -1
-            self.tier[drop_minor] = 0
-        self.n_present -= int(drop_major.size + drop_minor.size)
-        self.n_swapped += int(drop_major.size)
-
-    def rollback_pageout(self, idx: np.ndarray, dirty: np.ndarray) -> None:
-        """Re-map pages ``idx`` that :meth:`pageout_range` already moved
-        to swap but the device could not store (swap full), restoring
-        their dirty bits."""
-        self.present[idx] = True
-        self.swapped[idx] = False
-        self.dirty[idx] = dirty
-        self.n_present += int(idx.size)
-        self.n_swapped -= int(idx.size)
-
-    def rollback_swapin(self, idx: np.ndarray) -> None:
-        """Return pages ``idx`` to swap after a prefetch could not get
-        frames (advisory WILLNEED overflow)."""
-        self.present[idx] = False
-        self.swapped[idx] = True
-        self.frame[idx] = -1
-        self.tier[idx] = 0
-        self.n_present -= int(idx.size)
-        self.n_swapped += int(idx.size)

@@ -30,6 +30,16 @@ def swapped_bytes(space):
     return space.flat.n_swapped * PAGE_SIZE
 
 
+def page_out(flat, lo, hi):
+    """Move the present pages of ``[lo, hi)`` of the page table ``flat``
+    outside huge chunks to swap through ``FlatPageTable.unmap``, the
+    pages a PAGEOUT with swap room takes; returns ``(idx, n_dirty)``."""
+    idx = np.flatnonzero(flat.present[lo:hi]) + lo
+    idx = idx[~flat.huge_page_mask(idx)]
+    _, n_dirty = flat.unmap(idx, to_swap=True)
+    return idx, n_dirty
+
+
 def set_rate(flat, lo, hi, rate_per_sec):
     """Overwrite the touch rate of pages ``[lo, hi)`` of the page table
     ``flat`` for the current epoch: a zeroed range plus ``add_rate``,

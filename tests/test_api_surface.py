@@ -4,9 +4,11 @@ A downstream user navigates this library through ``__all__`` and
 docstrings; these tests keep both honest across every package.
 """
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -170,6 +172,47 @@ def test_test_only_definitions_stay_out_of_the_package():
     assert not present, present
     # A shard is reached by its dotted path alone, not a registry alias.
     assert "fleet_shard" not in points._REGISTRY
+
+
+def _stored_targets(node):
+    """The targets an assignment statement stores into, tuples unpacked."""
+    if isinstance(node, ast.Assign):
+        pending = list(node.targets)
+    elif isinstance(node, ast.AugAssign) or isinstance(node, ast.AnnAssign) and node.value:
+        pending = [node.target]
+    else:
+        return
+    while pending:
+        target = pending.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            pending.extend(target.elts)
+        else:
+            yield target
+
+
+def test_only_the_page_table_takes_pages_out_of_residency():
+    """``sim/pagetable.py`` is the one module that stores a page's
+    ``present``, ``swapped`` or ``dirty`` bit or un-backs a page
+    (``frame = -1``): every way out of residency is
+    ``FlatPageTable.unmap``.  ``fleet/`` is skipped by name: its
+    ``swapped`` is a per-region page count, not a page-table column."""
+    root = Path(repro.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        name = path.relative_to(root).as_posix()
+        if name == "sim/pagetable.py" or name.startswith("fleet/"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=name)):
+            for target in _stored_targets(node):
+                column = target
+                while isinstance(column, ast.Subscript):
+                    column = column.value
+                if not isinstance(column, ast.Attribute):
+                    continue
+                unbacks = column.attr == "frame" and ast.unparse(node.value) == "-1"
+                if column.attr in ("present", "swapped", "dirty") or unbacks:
+                    found.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
+    assert not found, found
 
 
 def test_version_string():

@@ -344,6 +344,16 @@ class TestUnreadableInputs:
         assert err.startswith("error: neither a record nor a valid trace")
         assert "junk.txt" in err and len(err.splitlines()) == 1
 
+    def test_empty_file(self, tmp_path, capsys):
+        """Every traced run writes at least its ``EpochEnd`` events, so an
+        empty file is neither a record nor a trace."""
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        assert main(["report", str(empty)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: neither a record nor a valid trace")
+        assert "empty.jsonl" in err and len(err.splitlines()) == 1
+
     def test_missing_trace(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "missing.jsonl")]) == 2
         err = capsys.readouterr().err

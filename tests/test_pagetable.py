@@ -6,9 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import AddressSpaceError, ConfigError
+from repro.sim.kernel import SimKernel
+from repro.sim.machine import GuestSpec, get_instance
 from repro.sim.pagetable import HUGE_PAGE_SIZE, NEVER, PAGES_PER_HUGE, FlatPageTable
+from repro.sim.swap import ZramDevice
 from repro.sim.vma import AddressSpace
-from tests.helpers import set_rate
+from repro.units import MIB
+from tests.helpers import page_out, set_rate
 
 
 def table(*sizes):
@@ -50,7 +54,7 @@ class TestTouchRange:
 
     def test_swapped_touch_is_major_fault(self, pt):
         pt.touch_range(0, 10, now=100)
-        pt.pageout_range(0, 10)
+        page_out(pt, 0, 10)
         result = pt.touch_range(0, 10, now=200)
         assert result["major"].size == 10
         assert pt.present[:10].all()
@@ -171,25 +175,44 @@ class TestAccessProbability:
 class TestPageout:
     def test_pageout_unmaps_present(self, pt):
         pt.touch_range(0, 100, now=1)
-        idx, n_dirty = pt.pageout_range(0, 100)
+        idx, n_dirty = page_out(pt, 0, 100)
         assert idx.size == 100
         assert n_dirty == 0  # nothing was written
         assert not pt.present[:100].any()
         assert pt.swapped[:100].all()
 
     def test_pageout_skips_not_present(self, pt):
-        idx, _ = pt.pageout_range(0, 100)
-        assert idx.size == 0
+        pt.touch_range(0, 50, now=1)
+        idx, _ = page_out(pt, 0, 100)
+        assert idx.size == 50
+        assert not pt.swapped[50:100].any()
+        assert (pt.n_present, pt.n_swapped) == (0, 50)
 
-    def test_pageout_skips_huge_chunks(self, pt):
-        pt.touch_range(0, PAGES_PER_HUGE, now=1)
-        pt.promote_chunks(np.array([0]), now=2)
-        idx, _ = pt.pageout_range(0, PAGES_PER_HUGE)
-        assert idx.size == 0
+    def test_pageout_skips_huge_chunks(self):
+        """A huge mapping must be split before its subpages can go: the
+        kernel's PAGEOUT leaves a huge chunk resident."""
+        guest = GuestSpec(host=get_instance("i3.metal"), vcpus=4, dram_bytes=16 * MIB)
+        kernel = SimKernel(guest, swap=ZramDevice(16 * MIB))
+        kernel.mmap(0, 2 * HUGE_PAGE_SIZE)
+        kernel.apply_access(0, 2 * HUGE_PAGE_SIZE, now=1, epoch_us=100_000)
+        assert kernel.madvise_hugepage(0, HUGE_PAGE_SIZE, now=2) == 1
+        assert kernel.pageout(0, 2 * HUGE_PAGE_SIZE, now=3) == PAGES_PER_HUGE
+        assert kernel.space.flat.present[:PAGES_PER_HUGE].all()
+
+    def test_unmap_returns_frames_and_clears_backing(self, pt):
+        pt.touch_range(0, 4, now=1, write_fraction=1.0)
+        pt.frame[:4] = [7, 8, 9, 10]
+        pt.tier[2:4] = 1
+        frames, n_dirty = pt.unmap(np.array([0, 2]), to_swap=False)
+        assert list(frames) == [7, 9] and n_dirty == 2
+        assert list(pt.present[:4]) == [False, True, False, True]
+        assert not pt.swapped[:4].any() and list(pt.dirty[:4]) == [False, True, False, True]
+        assert list(pt.frame[:4]) == [-1, 8, -1, 10] and list(pt.tier[:4]) == [0, 0, 0, 1]
+        assert (pt.n_present, pt.n_swapped) == (2, 0)
 
     def test_swap_in_range(self, pt):
         pt.touch_range(0, 50, now=1)
-        pt.pageout_range(0, 50)
+        page_out(pt, 0, 50)
         idx = pt.swap_in_range(0, 100)
         assert idx.size == 50
         assert pt.present[:50].all()
@@ -216,7 +239,7 @@ class TestHugeChunks:
 
     def test_promote_counts_swapped(self, pt):
         pt.touch_range(0, 10, now=1)
-        pt.pageout_range(0, 10)
+        page_out(pt, 0, 10)
         _, _, n_swapped = pt.promote_chunks(np.array([0]), now=2)
         assert n_swapped == 10
         assert not pt.swapped[:PAGES_PER_HUGE].any()
@@ -237,14 +260,14 @@ class TestHugeChunks:
         pt.touch_range(0, 10, now=1)
         pt.promote_chunks(np.array([0]), now=2)
         pt.touch_range(10, 20, now=3)  # now real data
-        chunks, freed = pt.demote_chunks(np.array([0]), now=4)
+        chunks, freed, _ = pt.demote_chunks(np.array([0]), now=4)
         assert list(chunks) == [0]
         assert freed.size == PAGES_PER_HUGE - 20
         assert pt.present[:20].all()
         assert not pt.present[20:PAGES_PER_HUGE].any()
 
     def test_demote_non_huge_is_noop(self, pt):
-        chunks, freed = pt.demote_chunks(np.array([0]), now=1)
+        chunks, freed, _ = pt.demote_chunks(np.array([0]), now=1)
         assert chunks.size == 0 and freed.size == 0
 
     def test_promote_demote_roundtrip_preserves_data_pages(self, pt):
@@ -297,7 +320,7 @@ class TestWriteChannel:
     def test_pageout_counts_and_cleans_dirty(self, pt):
         pt.touch_range(0, 10, now=1, write_fraction=1.0)
         pt.touch_range(10, 20, now=1)
-        idx, n_dirty = pt.pageout_range(0, 20)
+        idx, n_dirty = page_out(pt, 0, 20)
         assert idx.size == 20
         assert n_dirty == 10
         assert not pt.dirty[:20].any()
@@ -325,7 +348,7 @@ class TestAccounting:
 
     def test_swapped_pages(self, pt):
         pt.touch_range(0, 33, now=1)
-        pt.pageout_range(0, 10)
+        page_out(pt, 0, 10)
         assert pt.n_swapped == 10
         assert pt.n_present == 23
 
@@ -357,7 +380,7 @@ class TestStateInvariants:
             if op == "touch":
                 pt.touch_range(lo, hi, now=now, stride=3)
             elif op == "pageout":
-                pt.pageout_range(lo, hi)
+                page_out(pt, lo, hi)
             elif op == "swapin":
                 pt.swap_in_range(lo, hi)
             elif op == "promote":
@@ -461,7 +484,7 @@ class TestSegments:
         pt = table(10, 10, 10)
         pt.touch_range(0, 2, now=1)
         pt.touch_range(12, 15, now=1)
-        pt.pageout_range(12, 13)
+        page_out(pt, 12, 13)
         pt.touch_range(25, 26, now=1)
         pt.remove_segment(1)
         assert pt.n_pages == 20

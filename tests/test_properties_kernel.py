@@ -6,7 +6,8 @@ table's owner column (flat page indices, renumbered when an mmap or
 munmap moves pages) and free stack, and the swap device's usage counter.  These
 tests drive a seeded :class:`~repro.sim.kernel.SimKernel` through random
 storms of touches (read and write), mmap/munmap churn, explicit
-pageouts, epoch boundaries, khugepaged scans and pickle round trips,
+pageouts (virtual and physical), WILLNEED prefetches, NOHUGEPAGE
+splits, epoch boundaries, khugepaged scans and pickle round trips,
 checking after every step:
 
 * **frame conservation** — allocated + free == total frames, and the
@@ -19,7 +20,9 @@ checking after every step:
   never evicts a page from a younger (lru_gen, scan-bucket) class while
   an older one survives;
 * **THP eligibility** — khugepaged only collapses chunks that met the
-  policy's present-page threshold, and huge chunks stay fully resident.
+  policy's present-page threshold, and huge chunks stay fully resident;
+* **unmap preconditions** — a swapped page is clean, and a bloat page
+  lies in a huge chunk.
 
 A final determinism check replays the same storm twice, once with its
 pickle round trips and once without, and requires identical page-table
@@ -31,7 +34,7 @@ from __future__ import annotations
 import pickle
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sim.kernel import SimKernel
 from repro.sim.lru import LRU_SCAN_INTERVAL_US
@@ -73,17 +76,44 @@ _touch = st.tuples(
 _map_toggle = st.tuples(
     st.just("map"), st.integers(0, len(SLOTS) - 1), st.sampled_from([4, 8, 16])
 )
-_pageout = st.tuples(
-    st.just("pageout"), st.integers(-1, len(SLOTS) - 1), st.floats(0.0, 0.9)
+#: The range-from-a-fraction ops: PAGEOUT, WILLNEED and NOHUGEPAGE from
+#: ``frac`` of a VMA to its end.
+_ranged = st.tuples(
+    st.sampled_from(["pageout", "willneed", "nohugepage"]),
+    st.integers(-1, len(SLOTS) - 1),
+    st.floats(0.0, 0.9),
+)
+#: A physical PAGEOUT: ``frac`` of the frames onward, ``size`` MiB long.
+_pageout_phys = st.tuples(
+    st.just("pageout_phys"), st.floats(0.0, 0.9), st.sampled_from([1, 4, 16])
 )
 _epoch = st.tuples(st.just("epoch"))
 _scan = st.tuples(st.just("scan"))
 _pickle = st.tuples(st.just("pickle"))
 
 ops = st.lists(
-    st.one_of(_touch, _map_toggle, _pageout, _epoch, _scan, _pickle),
+    st.one_of(_touch, _map_toggle, _ranged, _pageout_phys, _epoch, _scan, _pickle),
     min_size=1,
     max_size=15,
+)
+
+
+def _fill(slot, size_mib=16):
+    """Ops touching all of VMA ``slot`` (``size_mib`` long), writing
+    half the pages."""
+    return [("touch", slot, i * 8 / size_mib, 8, True) for i in range(size_mib // 8)]
+
+
+#: Storms random ones rarely reach.  A NOHUGEPAGE split freeing the
+#: bloat of a khugepaged collapse:
+BLOAT_FREED = [("touch", -1, 0.05, 1, True), ("scan",), ("nohugepage", -1, 0.0)]
+#: Swap filled by two PAGEOUTs of written pages, DRAM by touches, then
+#: a WILLNEED and a refault that are both shed:
+SHED = (
+    [("map", slot, 16) for slot in range(4)] + _fill(0) + _fill(1)
+    + [("pageout", 0, 0.0), ("pageout", 1, 0.0)]
+    + _fill(-1, 32) + _fill(2) + _fill(3)
+    + [("willneed", 0, 0.5), ("touch", 1, 0.0, 8, True)]
 )
 
 
@@ -120,12 +150,17 @@ def _drive(kernel, storm, check=None, round_trip=True):
                 kernel.munmap(vmas.pop(slot))
             else:
                 vmas[slot] = kernel.mmap(SLOTS[slot], size_mib * MIB)
-        elif kind == "pageout":
+        elif kind in ("pageout", "willneed", "nohugepage"):
             _, slot, frac = op
             vma = _vma_for(kernel, vmas, slot)
             if vma is not None:
                 start = vma.start + int(frac * vma.size) // 4096 * 4096
-                kernel.pageout(start, vma.end, now)
+                action = "madvise_" + kind if kind != "pageout" else kind
+                getattr(kernel, action)(start, vma.end, now)
+        elif kind == "pageout_phys":
+            _, frac, size_mib = op
+            start = int(frac * kernel.frames.n_frames) * 4096
+            kernel.pageout_phys(start, start + size_mib * MIB, now)
         elif kind == "epoch":
             kernel.end_epoch(now + EPOCH, compute_us=70_000)
             kernel.begin_epoch()
@@ -175,14 +210,27 @@ def _check_huge_residency(kernel, now):
         assert (counts[flat.chunk_huge] == PAGES_PER_HUGE).all()
 
 
+def _check_unmap_preconditions(kernel, now):
+    """What lets one ``unmap`` serve every way out of residency: a
+    swapped page is clean (a reverted swap-in needs no ``dirty``
+    write), and a bloat page lies in a huge chunk (PAGEOUT, which skips
+    huge chunks, never meets one)."""
+    flat = kernel.space.flat
+    assert not (flat.swapped & flat.dirty).any()
+    assert flat.huge_page_mask()[flat.bloat].all()
+
+
 def _check_all(kernel, now):
     _check_conservation(kernel, now)
     _check_exclusivity(kernel, now)
     _check_counters(kernel, now)
     _check_huge_residency(kernel, now)
+    _check_unmap_preconditions(kernel, now)
 
 
 @given(storm=ops)
+@example(storm=BLOAT_FREED)
+@example(storm=SHED)
 @settings(max_examples=40, deadline=None)
 def test_invariants_survive_churn(storm):
     _drive(_fresh_kernel(), storm, check=_check_all)

@@ -308,7 +308,6 @@ class TestActions:
             pt = kernel.space.flat
             assert (pt.frame[: 2 * n] == np.arange(2 * n)).all()
             pt.lru_gen[:n] = 1
-            pt.bloat[:n] = True
             start = 0 if phys else BASE
             applied = apply_action(kernel, action, start, start + MIB, now=1, phys=phys)
             return applied, kernel, pt
@@ -323,9 +322,8 @@ class TestActions:
         assert dataclasses.asdict(v_kernel.metrics) == dataclasses.asdict(p_kernel.metrics)
         if action is Action.PAGEOUT:
             assert v_applied == MIB and not v.present[:n].any()
-            # The two intended differences, and nothing past the range.
+            # The one intended difference: the virtual form resets lru_gen.
             assert (v.lru_gen[:n] == 0).all() and (p.lru_gen[:n] == 1).all()
-            assert v.bloat[:n].all() and not p.bloat[:n].any()
         elif action is Action.COLD:
             # A virtual COLD ages recency; the physical one deprioritises.
             assert (v.lru_gen[:n] == 1).all() and (p.lru_gen[:n] == -1).all()

@@ -8,7 +8,7 @@ from repro.sim.pagetable import PAGE_SIZE
 from repro.sim.vma import VMA, AddressSpace
 from repro.units import KIB, MIB
 
-from tests.helpers import mapped_bytes, swapped_bytes
+from tests.helpers import mapped_bytes, page_out, swapped_bytes
 
 BASE = 0x1_0000_0000
 
@@ -203,7 +203,7 @@ class TestAccounting:
         space = AddressSpace()
         space.mmap(BASE, MIB)
         space.flat.touch_range(0, 10, now=1)
-        space.flat.pageout_range(0, 4)  # returns (idx, n_dirty)
+        page_out(space.flat, 0, 4)
         assert swapped_bytes(space) == 4 * PAGE_SIZE
 
     def test_span(self):
