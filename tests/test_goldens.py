@@ -554,9 +554,15 @@ def fleet_chaos():
 # same spec and procedure, when LRU reclaim's tie-break became one draw
 # from the boundary scan bucket: that changed the random stream of every
 # reclaiming run, and a state paused under the old stream cannot resume
-# to a result of the new one.  The tree at commit a8884e5 wrote the same
-# two states as daos-ckpt-v1 files; they stay to show an older format is
-# refused, not read.
+# to a result of the new one.  The fleet file was re-pinned, same spec
+# and procedure, because restoring it rebuilt two attributes no current
+# code writes (``FleetScheduler.machine``, a ``MachineBuild``, and
+# ``SimSanitizer.raise_on_violation``): it restored to state digest
+# 136bad121771d934 while a fresh fleet paused at tick 30 reads
+# 44d6c175a35132ba, the digest its header now carries, and it was the
+# last thing that still needed ``MachineBuild``.  The tree at commit
+# a8884e5 wrote the same two states as daos-ckpt-v1 files; they stay to
+# show an older format is refused, not read.
 # ----------------------------------------------------------------------
 PARENT_RUN = dict(
     workload=pressure_spec(32 * MIB, 2 * SEC, 8 * SEC),
