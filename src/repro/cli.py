@@ -75,9 +75,10 @@ from .lint import analyze_scheme_text, has_errors, lint_paths, render_json, rend
 from .perf import profile_run
 from .recovery.codec import read_checkpoint_header, resume_checkpoint, run_with_checkpoints
 from .runner.configs import CONFIGS
-from .runner.experiment import SWAP_KINDS, autotune_scheme, run_experiment
+from .runner.experiment import autotune_scheme, run_experiment
 from .runner.results import normalize
 from .sanitize import default_enabled, set_default_enabled
+from .sim.swap import SWAP_KINDS
 from .sweep.grid import SweepGrid
 from .sweep.presets import PRESETS, summarize_fig7
 from .sweep.runner import SweepRunner

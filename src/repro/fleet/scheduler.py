@@ -54,12 +54,13 @@ from ..monitor.attrs import MonitorAttrs
 from ..monitor.batch import BatchMonitorPass, BatchRegionTable
 from ..recovery.codec import PausedSimulation
 from ..runner.configs import get_config, prcl_config
-from ..runner.experiment import SWAP_KINDS, _build_swap, run_experiment
+from ..runner.experiment import run_experiment
 from ..sanitize.runtime import resolve_sanitizer
 from ..sim.costs import CostModel
 from ..sim.kernel import Watermarks, check_tier_policy
 from ..sim.machine import get_instance, scaled_instance
 from ..sim.pagetable import PAGE_SIZE
+from ..sim.swap import SWAP_KINDS, build_swap
 from ..sweep.grid import derive_seed
 from ..trace.bus import TraceBus
 from ..trace.events import PageoutBatch, ReclaimPass
@@ -225,7 +226,7 @@ class FleetScheduler(PausedSimulation):
         # Capacity scales with the fleet (2x the total footprint) so slot
         # exhaustion is a modelled event, not an artifact of the
         # single-run default; per-page costs are the single run's.
-        self.swap_device = _build_swap(
+        self.swap_device = build_swap(
             cfg.swap, get_instance(cfg.machine), capacity=max(2 * total_footprint, 1 * GIB)
         )
         self._swap_read_us = self.swap_device.page_read_us()
@@ -596,9 +597,9 @@ def run_fleet_naive(cfg: FleetConfig, *, limit: Optional[int] = None) -> List[An
     kernel, monitor and scheme engine — full page-granularity fidelity,
     paid for in Python-level simulation per tenant.  This is the
     reference the fleet benchmark measures the batched scheduler
-    against, and it consumes the same factories
-    (:func:`~repro.runner.experiment.build_machine` /
-    :func:`~repro.runner.experiment.build_tenant`) via ``run_experiment``.
+    against: each tenant is one
+    :func:`~repro.runner.experiment.run_experiment`, so it is built by
+    :class:`~repro.runner.experiment.ExperimentRun` like any single run.
     """
     host = get_instance(cfg.machine)
     n = min(limit, cfg.n_tenants) if limit is not None else cfg.n_tenants

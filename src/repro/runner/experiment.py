@@ -1,6 +1,6 @@
 """The experiment driver: one (workload × machine × config) simulation.
 
-Wiring order inside :func:`run_experiment` mirrors the real system's
+Wiring order inside :class:`ExperimentRun` mirrors the real system's
 boot: guest kernel first, then the monitor (kdamond), then the schemes
 engine, then the workload's epoch loop; khugepaged runs only under
 ``thp=always``.  Monitor ticks registered before epoch ticks fire first
@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..clock import EventQueue
-from ..errors import ConfigError
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
 from ..monitor.attrs import MonitorAttrs
@@ -26,26 +25,22 @@ from ..recovery.codec import PausedSimulation, run_with_checkpoints
 from ..sanitize.runtime import resolve_sanitizer
 from ..schemes.engine import SchemesEngine
 from ..sim.costs import CostModel
-from ..sim.kernel import SimKernel, check_tier_policy
+from ..sim.kernel import SimKernel
 from ..sim.machine import MachineSpec, TierSpec, get_instance, guest_of, scaled_tier
-from ..sim.swap import FileSwapDevice, NoSwapDevice, ZramDevice
+from ..sim.swap import build_swap
 from ..sim.thp import ThpPolicy
 from ..trace.bus import TraceBus
 from ..tuning.runtime import AutoTuner, TuningResult
 from ..tuning.score import ScoreFunction
-from ..units import GIB, SEC
+from ..units import SEC
 from ..workloads.base import Workload, WorkloadSpec
 from ..workloads.registry import get_workload
 from .configs import ExperimentConfig, get_config, prcl_config
 from .results import RunResult
 
 __all__ = [
-    "SWAP_KINDS",
-    "MachineBuild",
     "TenantBuild",
     "SnapshotRecorder",
-    "build_machine",
-    "build_tenant",
     "ExperimentRun",
     "run_experiment",
     "autotune_scheme",
@@ -77,100 +72,11 @@ class SnapshotRecorder:
 #: khugepaged scan period under thp=always.
 _KHUGEPAGED_PERIOD_US = 1 * SEC
 
-#: The swap backends a machine can be built with.
-SWAP_KINDS = ("zram", "file", "none")
-
-
-def _build_swap(kind: str, machine, capacity: Optional[int] = None) -> object:
-    """The run's swap device; ZRAM speed scales with the host clock,
-    file swap latency comes from the instance's NVMe characteristics.
-    ``capacity`` replaces the single-run size (4 GiB ZRAM, 32 GiB file):
-    the fleet sizes its shared device by its footprint.
-
-    The per-page ZRAM cost bundles fault-handler entry, (de)compression
-    and TLB maintenance, and is calibrated ~10x above the raw lzo cost
-    because workload footprints are modelled ~10x below the paper's
-    (fault *volume* scales with footprint; keeping the volume × cost
-    product preserves the paper's slowdown magnitudes — see DESIGN.md).
-    """
-    if kind == "zram":
-        # (De)compression is part compute (scales with the clock), part
-        # memory-bound (does not), hence the square root.
-        scale = machine.cpu_scale ** 0.5
-        return ZramDevice(
-            capacity if capacity is not None else 4 * GIB,
-            compress_us_per_page=10.0 / scale,
-            decompress_us_per_page=25.0 / scale,
-        )
-    if kind == "file":
-        return FileSwapDevice(
-            capacity if capacity is not None else 32 * GIB,
-            read_us_per_page=machine.nvme_read_us,
-            write_us_per_page=machine.nvme_write_us / 2.0,
-        )
-    if kind == "none":
-        return NoSwapDevice()
-    raise ConfigError(f"unknown swap kind {kind!r} ({' | '.join(SWAP_KINDS)})")
-
-
-@dataclass(frozen=True)
-class MachineBuild:
-    """One simulated machine, ready to host a tenant.
-
-    Produced by :func:`build_machine`; consumed by the single-run path
-    (:func:`run_experiment`) and by the fleet layer (which sizes its
-    shared physical pool and swap from the same catalog data).
-    """
-
-    host: MachineSpec
-    guest: object  # GuestSpec
-    swap: object  # SwapDevice
-    #: Tier placement policy for the guest kernel when the machine has a
-    #: slow tier: ``"managed"`` (demote-before-swap plus migrations) or
-    #: ``"unmanaged"`` (faults spill into the slow tier, nothing moves).
-    tier_policy: str = "managed"
-
-
-def build_machine(
-    machine: Union[str, MachineSpec] = "i3.metal",
-    *,
-    swap: str = "zram",
-    tier: Union[str, TierSpec, None] = None,
-    tier_scale: float = 1.0,
-    tier_policy: str = "managed",
-) -> MachineBuild:
-    """Resolve a machine name (or ready spec) into host, guest and swap.
-
-    This is the machine half of the construction :func:`run_experiment`
-    used to do inline; the fleet scheduler calls it too, so both paths
-    agree on guest sizing and swap-device calibration.
-
-    ``tier`` attaches a slow memory tier (NVM/CXL) to the guest: a
-    catalog name from :func:`~repro.sim.machine.tier_catalog` scaled by
-    ``tier_scale``, or a ready :class:`~repro.sim.machine.TierSpec`
-    (``tier_scale`` is then ignored — the spec is authoritative).
-    """
-    host = machine if isinstance(machine, MachineSpec) else get_instance(machine)
-    slow = None
-    if tier is not None:
-        slow = tier if isinstance(tier, TierSpec) else scaled_tier(tier, capacity_scale=tier_scale)
-    return MachineBuild(
-        host=host,
-        guest=guest_of(host, slow_tier=slow),
-        swap=_build_swap(swap, host),
-        tier_policy=check_tier_policy(tier_policy),
-    )
-
 
 @dataclass
 class TenantBuild:
-    """One fully wired tenant: kernel, workload, monitoring stack.
-
-    Produced by :func:`build_tenant`.  The caller owns the event loop:
-    it creates the :class:`~repro.clock.EventQueue`, calls
-    :meth:`start` (which binds the trace clock and registers the
-    monitor's periodic ticks), then drives the epoch loop.
-    """
+    """One fully wired tenant: kernel, workload, monitoring stack, as
+    :class:`ExperimentRun` builds it and keeps it in ``run.tenant``."""
 
     spec: WorkloadSpec
     cfg: ExperimentConfig
@@ -182,100 +88,6 @@ class TenantBuild:
     trace: Optional[TraceBus]
     snapshots: Optional[List] = field(default=None)
 
-    def start(self, queue: EventQueue) -> None:
-        """Bind the run's clock and start the monitor on ``queue``."""
-        if self.trace is not None:
-            self.trace.bind_clock(queue.clock)
-        if self.monitor is not None:
-            self.monitor.start(queue)
-
-
-def build_tenant(
-    spec: WorkloadSpec,
-    *,
-    config: Union[str, ExperimentConfig] = "baseline",
-    machine: MachineBuild,
-    seed: int = 0,
-    attrs: Optional[MonitorAttrs] = None,
-    costs: Optional[CostModel] = None,
-    trace: Optional[TraceBus] = None,
-    injector: Optional[FaultInjector] = None,
-    oom_policy: str = "raise",
-    sanitizer=None,
-) -> TenantBuild:
-    """Wire one tenant on ``machine``: kernel, workload, monitor, engine.
-
-    Construction order mirrors the real system's boot (guest kernel,
-    then kdamond, then the schemes engine); the workload's address-space
-    layout is created here so a returned tenant is ready for its first
-    epoch.  Seed derivation is the historical contract: kernel ``seed``,
-    workload ``seed + 1``, monitor ``seed + 2``.
-
-    This is the one place a run's collaborators are handed out, each as
-    a constructor argument: the trace bus and fault injector to kernel,
-    monitor and engine; the sanitizer to kernel and monitor (and the
-    monitor and engine to it, for the epoch-boundary checks).
-    """
-    cfg = get_config(config) if isinstance(config, str) else config
-    kernel = SimKernel(
-        machine.guest,
-        swap=machine.swap,
-        costs=costs,
-        thp=ThpPolicy(mode=cfg.thp_mode),
-        seed=seed,
-        trace=trace,
-        faults=injector,
-        oom_policy=oom_policy,
-        sanitizer=sanitizer,
-        tier_policy=machine.tier_policy,
-    )
-    work = Workload(spec, kernel, seed=seed + 1)
-    work.setup()
-
-    monitor = None
-    engine = None
-    snapshots = [] if cfg.record else None
-    if cfg.monitor is not None:
-        primitive = (
-            VirtualPrimitive(kernel) if cfg.monitor == "vaddr" else PhysicalPrimitive(kernel)
-        )
-        monitor = DataAccessMonitor(
-            primitive,
-            attrs if attrs is not None else MonitorAttrs(),
-            seed=seed + 2,
-            trace=trace,
-            faults=injector,
-            sanitizer=sanitizer,
-        )
-        if snapshots is not None:
-            # Downsample so a full run keeps ~240 snapshots: building a
-            # region-snapshot tuple per aggregation for a long run would
-            # dominate the wall time without adding heatmap resolution.
-            n_aggr = spec.duration_us // monitor.attrs.aggregation_interval_us
-            stride = max(1, int(n_aggr // 240))
-            monitor.register_raw_callback(SnapshotRecorder(snapshots, stride))
-        if cfg.schemes_text is not None:
-            schemes = cfg.build_schemes(
-                monitor.attrs,
-                context=f"config {cfg.name!r}",
-                logger=logging.getLogger("repro.lint"),
-            )
-            engine = SchemesEngine(kernel, schemes, trace=trace, faults=injector)
-            monitor.attach_engine(engine)
-    if sanitizer is not None:
-        sanitizer.attach(monitor=monitor, engine=engine)
-    return TenantBuild(
-        spec=spec,
-        cfg=cfg,
-        kernel=kernel,
-        work=work,
-        monitor=monitor,
-        engine=engine,
-        sanitizer=sanitizer,
-        trace=trace,
-        snapshots=snapshots,
-    )
-
 
 class ExperimentRun(PausedSimulation):
     """One experiment as a steppable object: construct, :meth:`start`,
@@ -284,11 +96,17 @@ class ExperimentRun(PausedSimulation):
     The constructor's keywords are *the* declaration of a run's
     parameters: :func:`run_experiment`, :func:`autotune_scheme`,
     :func:`~repro.perf.profile_run` and the CLI forward them here
-    without re-declaring them.  The three seams exist so the recovery
-    layer can pause a run at any epoch boundary, snapshot it, and later
-    resume a byte-identical continuation.  The wiring order inside is
-    the system's boot order — monitor ticks, then khugepaged, then the
-    epoch tick; same-instant ties follow the periodics' names
+    without re-declaring them.  The constructor is also the one place
+    a run is wired, in the real system's boot order: guest kernel, the
+    workload's address-space layout, kdamond, the schemes engine.  Each
+    collaborator is handed out there as a constructor argument: the
+    trace bus and fault injector to kernel, monitor and engine; the
+    sanitizer to kernel and monitor (and the monitor and engine to it,
+    for the epoch-boundary checks).  The three seams exist so the
+    recovery layer can pause a run at any epoch boundary, snapshot it,
+    and later resume a byte-identical continuation.  :meth:`start`
+    registers monitor ticks, then khugepaged, then the epoch tick;
+    same-instant ties follow the periodics' names
     (:data:`~repro.clock.SAME_INSTANT_ORDER`), not this order.
 
     ``config`` is a configuration name from
@@ -296,8 +114,9 @@ class ExperimentRun(PausedSimulation):
     :class:`~repro.runner.configs.ExperimentConfig`.  ``machine`` is an
     instance name or a ready-made :class:`~repro.sim.machine.MachineSpec`
     (e.g. from ``scaled_instance``); ``swap`` picks the swap backend
-    (``zram`` | ``file`` | ``none``).  ``seed`` seeds the kernel, the
-    workload (``seed + 1``) and the monitor (``seed + 2``).
+    (``zram`` | ``file`` | ``none``).  Seed derivation is the historical
+    contract: ``seed`` seeds the kernel, ``seed + 1`` the workload and
+    ``seed + 2`` the monitor.
 
     ``time_scale`` shrinks the workload's nominal duration for fast CI
     runs (scheme ages and pattern periods are *not* scaled — they are
@@ -308,7 +127,8 @@ class ExperimentRun(PausedSimulation):
 
     ``tier`` gives the guest a slow memory tier (a catalog name such as
     ``"optane-pmm"`` or ``"cxl-dram"``, capacity-scaled by
-    ``tier_scale``, or a ready :class:`~repro.sim.machine.TierSpec`).
+    ``tier_scale``, or a ready :class:`~repro.sim.machine.TierSpec`,
+    which ``tier_scale`` leaves as it is).
     Under ``tier_policy="managed"`` (the default) reclaim demotes to the
     slow tier before swapping and the ``migrate_hot``/``migrate_cold``
     scheme actions move pages between tiers; ``"unmanaged"`` lets page
@@ -372,22 +192,71 @@ class ExperimentRun(PausedSimulation):
 
         sanitizer = resolve_sanitizer(sanitize)
 
-        # --- construction, via the shared factories ------------------------
-        mb = build_machine(
-            machine, swap=swap, tier=tier, tier_scale=tier_scale, tier_policy=tier_policy
-        )
-        self.host, self.guest = mb.host, mb.guest
-        self.tenant = build_tenant(
-            spec,
-            config=config,
-            machine=mb,
-            seed=seed,
-            attrs=attrs,
+        # --- the machine: host, guest and its slow tier --------------------
+        self.host = machine if isinstance(machine, MachineSpec) else get_instance(machine)
+        if tier is not None and not isinstance(tier, TierSpec):
+            tier = scaled_tier(tier, capacity_scale=tier_scale)
+        self.guest = guest_of(self.host, slow_tier=tier)
+
+        # --- the tenant, in boot order: kernel, workload, kdamond, engine --
+        cfg = get_config(config) if isinstance(config, str) else config
+        kernel = SimKernel(
+            self.guest,
+            swap=build_swap(swap, self.host),
             costs=costs,
+            thp=ThpPolicy(mode=cfg.thp_mode),
+            seed=seed,
             trace=trace,
-            injector=injector,
+            faults=injector,
             oom_policy=oom_policy,
             sanitizer=sanitizer,
+            tier_policy=tier_policy,
+        )
+        work = Workload(spec, kernel, seed=seed + 1)
+        work.setup()
+
+        monitor = None
+        engine = None
+        snapshots = [] if cfg.record else None
+        if cfg.monitor is not None:
+            primitive = (
+                VirtualPrimitive(kernel) if cfg.monitor == "vaddr" else PhysicalPrimitive(kernel)
+            )
+            monitor = DataAccessMonitor(
+                primitive,
+                attrs if attrs is not None else MonitorAttrs(),
+                seed=seed + 2,
+                trace=trace,
+                faults=injector,
+                sanitizer=sanitizer,
+            )
+            if snapshots is not None:
+                # Downsample so a full run keeps ~240 snapshots: building a
+                # region-snapshot tuple per aggregation for a long run would
+                # dominate the wall time without adding heatmap resolution.
+                n_aggr = spec.duration_us // monitor.attrs.aggregation_interval_us
+                stride = max(1, int(n_aggr // 240))
+                monitor.register_raw_callback(SnapshotRecorder(snapshots, stride))
+            if cfg.schemes_text is not None:
+                schemes = cfg.build_schemes(
+                    monitor.attrs,
+                    context=f"config {cfg.name!r}",
+                    logger=logging.getLogger("repro.lint"),
+                )
+                engine = SchemesEngine(kernel, schemes, trace=trace, faults=injector)
+                monitor.attach_engine(engine)
+        if sanitizer is not None:
+            sanitizer.attach(monitor=monitor, engine=engine)
+        self.tenant = TenantBuild(
+            spec=spec,
+            cfg=cfg,
+            kernel=kernel,
+            work=work,
+            monitor=monitor,
+            engine=engine,
+            sanitizer=sanitizer,
+            trace=trace,
+            snapshots=snapshots,
         )
         self.spec = spec
         self.seed = seed
@@ -420,13 +289,16 @@ class ExperimentRun(PausedSimulation):
         self.tenant.kernel.end_epoch(now + self.spec.epoch_us, self.compute_us)
 
     def start(self) -> None:
-        """Create the event queue, start the monitor, run epoch 0 and
-        register the periodic epoch tick."""
+        """Create the event queue, bind the trace clock to it, start the
+        monitor, run epoch 0 and register the periodic epoch tick."""
         tenant = self.tenant
         kernel = tenant.kernel
 
         self.queue = EventQueue()
-        tenant.start(self.queue)
+        if self.trace is not None:
+            self.trace.bind_clock(self.queue.clock)
+        if tenant.monitor is not None:
+            tenant.monitor.start(self.queue)
 
         # --- khugepaged (thp=always only) ----------------------------------
         if tenant.cfg.thp_mode == "always":

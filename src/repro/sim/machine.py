@@ -10,6 +10,7 @@ storage latency, which these specs capture.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -253,8 +254,8 @@ def scaled_instance(name: str, *, dram_scale: float = 1.0) -> MachineSpec:
     page) so downstream page math never sees a fractional page.
     """
     spec = get_instance(name)
-    if dram_scale <= 0:
-        raise ConfigError(f"dram_scale must be positive: {dram_scale}")
+    if not 0 < dram_scale < math.inf:
+        raise ConfigError(f"dram_scale must be finite and positive: {dram_scale}")
     return replace(spec, dram_bytes=_page_floor(int(spec.dram_bytes * dram_scale)))
 
 
@@ -262,8 +263,8 @@ def scaled_tier(name: str, *, capacity_scale: float = 1.0) -> TierSpec:
     """A catalog tier with capacity scaled, page-floored like
     :func:`scaled_instance`."""
     spec = get_tier(name)
-    if capacity_scale <= 0:
-        raise ConfigError(f"capacity_scale must be positive: {capacity_scale}")
+    if not 0 < capacity_scale < math.inf:
+        raise ConfigError(f"capacity_scale must be finite and positive: {capacity_scale}")
     return replace(
         spec, capacity_bytes=_page_floor(int(spec.capacity_bytes * capacity_scale))
     )

@@ -19,7 +19,17 @@ from ..errors import ConfigError, SwapFullError
 from .pagetable import PAGE_SIZE
 from ..units import GIB
 
-__all__ = ["SwapDevice", "ZramDevice", "FileSwapDevice", "NoSwapDevice"]
+__all__ = [
+    "SWAP_KINDS",
+    "SwapDevice",
+    "ZramDevice",
+    "FileSwapDevice",
+    "NoSwapDevice",
+    "build_swap",
+]
+
+#: The swap backends a machine can be built with.
+SWAP_KINDS = ("zram", "file", "none")
 
 
 class SwapDevice:
@@ -174,3 +184,36 @@ class NoSwapDevice(SwapDevice):
 
     def free_pages(self) -> int:
         return 0
+
+
+def build_swap(kind: str, machine, capacity: Optional[int] = None) -> SwapDevice:
+    """The swap device of kind ``kind`` (one of :data:`SWAP_KINDS`) on
+    host ``machine``: ZRAM speed scales with the host clock, file swap
+    latency comes from the instance's NVMe characteristics.
+    ``capacity`` replaces the single-run size (4 GiB ZRAM, 32 GiB file):
+    the fleet sizes its shared device by its footprint.
+
+    The per-page ZRAM cost bundles fault-handler entry, (de)compression
+    and TLB maintenance, and is calibrated ~10x above the raw lzo cost
+    because workload footprints are modelled ~10x below the paper's
+    (fault *volume* scales with footprint; keeping the volume × cost
+    product preserves the paper's slowdown magnitudes — see DESIGN.md).
+    """
+    if kind == "zram":
+        # (De)compression is part compute (scales with the clock), part
+        # memory-bound (does not), hence the square root.
+        scale = machine.cpu_scale ** 0.5
+        return ZramDevice(
+            capacity if capacity is not None else 4 * GIB,
+            compress_us_per_page=10.0 / scale,
+            decompress_us_per_page=25.0 / scale,
+        )
+    if kind == "file":
+        return FileSwapDevice(
+            capacity if capacity is not None else 32 * GIB,
+            read_us_per_page=machine.nvme_read_us,
+            write_us_per_page=machine.nvme_write_us / 2.0,
+        )
+    if kind == "none":
+        return NoSwapDevice()
+    raise ConfigError(f"unknown swap kind {kind!r} ({' | '.join(SWAP_KINDS)})")

@@ -18,6 +18,7 @@ Two spec-level knobs set the performance model's proportions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
@@ -137,8 +138,8 @@ class WorkloadSpec:
 
     def scaled(self, time_scale: float = 1.0) -> "WorkloadSpec":
         """A copy with the run duration scaled (for fast CI benches)."""
-        if time_scale <= 0:
-            raise ConfigError(f"time_scale must be positive: {time_scale}")
+        if not 0 < time_scale < math.inf:
+            raise ConfigError(f"time_scale must be finite and positive: {time_scale}")
         duration = max(self.epoch_us, int(self.duration_us * time_scale))
         return replace(self, duration_us=duration)
 

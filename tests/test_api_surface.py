@@ -92,7 +92,7 @@ def test_run_constructors_take_no_kernel_class():
     from repro.fleet import run_fleet, run_fleet_sharded
     from repro.lint import analyze_scheme_text
     from repro.recovery.codec import restore
-    from repro.runner.experiment import ExperimentRun, build_tenant
+    from repro.runner.experiment import ExperimentRun
     from repro.sanitize.runtime import SimSanitizer
     from repro.schemes.scheme import Scheme
     from repro.sim.kernel import SimKernel
@@ -103,9 +103,7 @@ def test_run_constructors_take_no_kernel_class():
 
     removed = [
         (ExperimentRun.__init__, "kernel_cls"),
-        (build_tenant, "kernel_cls"),
         (ExperimentRun.__init__, "keep_snapshots"),
-        (build_tenant, "keep_snapshots"),
         (SimKernel.__init__, "rng"),
         (SimKernel.__init__, "watermarks"),
         (SimSanitizer.__init__, "raise_on_violation"),
@@ -213,6 +211,44 @@ def test_only_the_page_table_takes_pages_out_of_residency():
                 if column.attr in ("present", "swapped", "dirty") or unbacks:
                     found.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
     assert not found, found
+
+
+def _calls_by_scope(tree):
+    """``(scope, callee)`` for every call in ``tree``, where ``scope`` is
+    the dotted name of the enclosing classes and functions (``""`` at
+    module level) and ``callee`` the called name or attribute."""
+    pending = [(tree, "")]
+    while pending:
+        node, scope = pending.pop()
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif isinstance(child, ast.Call):
+                func = child.func
+                if isinstance(func, ast.Name):
+                    yield scope, func.id
+                elif isinstance(func, ast.Attribute):
+                    yield scope, func.attr
+            pending.append((child, inner))
+
+
+def test_a_run_is_wired_in_one_place():
+    """A guest kernel and the workload on it are built in
+    ``ExperimentRun.__init__`` and nowhere else in the package: there is
+    one declaration of a run, not a constructor plus builders that
+    re-declare its keywords."""
+    root = Path(repro.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        name = path.relative_to(root).as_posix()
+        tree = ast.parse(path.read_text(), filename=name)
+        for scope, callee in _calls_by_scope(tree):
+            if callee in ("SimKernel", "Workload"):
+                found.append(f"{name}:{scope or '<module>'}: {callee}(")
+    assert found and all(
+        where.startswith("runner/experiment.py:ExperimentRun.__init__:") for where in found
+    ), found
 
 
 def test_version_string():

@@ -36,12 +36,13 @@ from repro.fleet import (
     run_fleet_sharded,
     shard_grid,
 )
-from repro.runner.experiment import build_machine
+from repro.runner.experiment import ExperimentRun
 from repro.sanitize import SimSanitizer
 from repro.sanitize.checkers import check_fleet_state
 from repro.sim.kernel import SimKernel, Watermarks
 from repro.sim.machine import GuestSpec, get_instance
 from repro.sim.pagetable import PAGE_SIZE
+from repro.sim.swap import build_swap
 from repro.trace import TraceBus
 from repro.units import MIB
 from repro.workloads.registry import all_workloads
@@ -295,19 +296,21 @@ class TestFleetScheduler:
 
 
 # ----------------------------------------------------------------------
-# Factories: both paths consume the same machine builds
+# Factories: the fleet and a single run share one swap factory
 # ----------------------------------------------------------------------
 class TestFactories:
     def test_build_machine_resolves_swap_kinds(self):
+        host = get_instance("i3.metal")
         for swap, cls_name in (("zram", "ZramDevice"), ("file", "FileSwapDevice"),
                                ("none", "NoSwapDevice")):
-            mb = build_machine("i3.metal", swap=swap)
-            assert type(mb.swap).__name__ == cls_name
-            assert mb.guest.host is mb.host
+            assert type(build_swap(swap, host)).__name__ == cls_name
+            run = ExperimentRun("parsec3/swaptions", swap=swap)
+            assert type(run.tenant.kernel.swap).__name__ == cls_name
+            assert run.guest.host is run.host
 
     def test_fleet_uses_machine_factory_calibration(self):
         scheduler = FleetScheduler(FleetConfig(seed=0, **SMALL))
-        proto = build_machine("i3.metal", swap="zram").swap
+        proto = build_swap("zram", get_instance("i3.metal"))
         assert type(scheduler.swap_device).__name__ == "ZramDevice"
         assert scheduler.swap_device.ratio == proto.ratio
 

@@ -11,7 +11,7 @@ from repro.runner.configs import (
     get_config,
     prcl_config,
 )
-from repro.runner.experiment import run_experiment
+from repro.runner.experiment import ExperimentRun, run_experiment
 from repro.runner.results import NormalizedResult, RunResult, average_rows, normalize
 from repro.schemes.actions import Action
 from repro.schemes.parser import parse_schemes
@@ -220,6 +220,21 @@ class TestRunExperiment:
         full = run_experiment(SMALL, config="baseline", seed=0)
         half = run_experiment(SMALL, config="baseline", seed=0, time_scale=0.5)
         assert half.duration_us == full.duration_us // 2
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    @pytest.mark.parametrize(
+        "scale",
+        [
+            lambda x: ExperimentRun(SMALL, time_scale=x),
+            lambda x: ExperimentRun(SMALL, tier="cxl-dram", tier_scale=x),
+            lambda x: scaled_instance("i3.metal", dram_scale=x),
+        ],
+        ids=["time_scale", "tier_scale", "dram_scale"],
+    )
+    def test_a_scale_that_is_not_finite_and_positive_is_a_config_error(self, scale, value):
+        # NaN passes a ``<= 0`` test and ``int()`` then fails on it.
+        with pytest.raises(ConfigError, match="finite and positive"):
+            scale(value)
 
 
 class TestAutotune:

@@ -22,12 +22,7 @@ from repro.monitor.attrs import MonitorAttrs
 from repro.monitor.core import DataAccessMonitor
 from repro.monitor.primitives import VirtualPrimitive
 from repro.recovery import checkpoint_run, restore, state_digest
-from repro.runner.experiment import (
-    ExperimentRun,
-    build_machine,
-    build_tenant,
-    run_experiment,
-)
+from repro.runner.experiment import ExperimentRun, run_experiment
 from repro.sanitize import SimSanitizer, default_enabled, set_default_enabled
 from repro.sanitize import runtime as sanitize_runtime
 from repro.sanitize.runtime import FULL_CHECK_EVERY
@@ -41,7 +36,6 @@ from repro.sim.pagetable import PAGES_PER_HUGE
 from repro.sim.swap import ZramDevice
 from repro.sim.thp import ThpPolicy
 from repro.units import MIB, MSEC
-from repro.workloads.registry import get_workload
 
 BASE = 0x7F00_0000_0000
 EPOCH = 100 * MSEC
@@ -439,7 +433,7 @@ class TestKeyedCheckpoints:
 
 
 # ----------------------------------------------------------------------
-# A run's wiring: build_tenant hands the sanitizer to every layer
+# A run's wiring: ExperimentRun hands the sanitizer to every layer
 # ----------------------------------------------------------------------
 class TestRunWiring:
     @staticmethod
@@ -453,12 +447,7 @@ class TestRunWiring:
 
     def test_build_tenant_hands_one_sanitizer_to_every_layer(self):
         sanitizer = SimSanitizer()
-        tenant = build_tenant(
-            get_workload("parsec3/swaptions"),
-            config="prcl",
-            machine=build_machine(),
-            sanitizer=sanitizer,
-        )
+        tenant = ExperimentRun("parsec3/swaptions", config="prcl", sanitize=sanitizer).tenant
         assert tenant.kernel.sanitizer is tenant.monitor.sanitizer is sanitizer
         # ... and the sanitizer sees the engine: the kernel checkpoint
         # reports a quota broken on it.

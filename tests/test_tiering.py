@@ -27,7 +27,7 @@ import pytest
 from repro.errors import AddressSpaceError, ConfigError
 from repro.fleet import FleetConfig, FleetScheduler, run_fleet_naive
 from repro.runner.configs import ExperimentConfig
-from repro.runner.experiment import ExperimentRun, build_machine
+from repro.runner.experiment import ExperimentRun
 from repro.sanitize.checkers import check_frame_conservation, check_tier_placement
 from repro.schemes.actions import Action, apply_action
 from repro.sim.kernel import SimKernel
@@ -436,17 +436,17 @@ class TestTieredDeterminism:
 # ----------------------------------------------------------------------
 class TestBuilders:
     def test_build_machine_threads_the_tier(self):
-        mb = build_machine("i3.metal", tier="cxl-dram", tier_scale=1 / 4096)
-        assert mb.guest.slow_tier is not None
-        assert mb.guest.slow_tier.capacity_bytes == 64 * MIB
-        assert mb.tier_policy == "managed"
+        run = ExperimentRun("parsec3/swaptions", tier="cxl-dram", tier_scale=1 / 4096)
+        assert run.guest.slow_tier is not None
+        assert run.guest.slow_tier.capacity_bytes == 64 * MIB
+        assert run.tenant.kernel.tier_policy == "managed"
 
     def test_build_machine_flat_by_default(self):
-        assert build_machine("i3.metal").guest.slow_tier is None
+        assert ExperimentRun("parsec3/swaptions").guest.slow_tier is None
 
     def test_bad_tier_policy_rejected(self):
         with pytest.raises(ConfigError):
-            build_machine("i3.metal", tier="cxl-dram", tier_policy="bogus")
+            ExperimentRun("parsec3/swaptions", tier="cxl-dram", tier_policy="bogus")
         # ... and by the kernel itself, where the value is read: a typo
         # must not become a third policy that neither spills nor migrates.
         with pytest.raises(ConfigError, match="mangaed"):
